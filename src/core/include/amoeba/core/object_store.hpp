@@ -93,6 +93,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -318,7 +319,7 @@ class ShardedObjectStore {
         lock_.unlock();
       }
       if (ticket != 0 && store != nullptr) {
-        store->wait_durable(ticket);
+        store->wait_durable_on_release(ticket);
       }
     }
 
@@ -368,7 +369,7 @@ class ShardedObjectStore {
       a = Opened();
       b = Opened();
       if (ticket != 0) {
-        store->wait_durable(ticket);
+        store->wait_durable_on_release(ticket);
       }
     }
   };
@@ -424,7 +425,7 @@ class ShardedObjectStore {
       }
       opened = Opened();  // drops the opened shard's lock; nothing to wait
       if (ticket != 0 && store != nullptr) {
-        store->wait_durable(ticket);
+        store->wait_durable_on_release(ticket);
       }
     }
 
@@ -512,6 +513,23 @@ class ShardedObjectStore {
   void wait_durable(std::uint64_t ticket) {
     if (ticket != 0 && durability_.committer != nullptr) {
       durability_.committer->wait_durable(ticket);
+    }
+  }
+
+  /// The accessor releases above run in destructors, which must not
+  /// throw.  Inside a request handler a durability wait that fails there
+  /// (a failed flush, a fenced deposed primary) is recorded for the rpc
+  /// layer, which then answers `internal` rather than acknowledge the
+  /// effect (storage::ReleaseFailureScope).  Anywhere else the process
+  /// stops, as it did when the exception escaped the destructor: nothing
+  /// may carry on as if the effect were durable.
+  void wait_durable_on_release(std::uint64_t ticket) noexcept {
+    try {
+      wait_durable(ticket);
+    } catch (const std::exception&) {
+      if (!storage::ReleaseFailureScope::note()) {
+        std::terminate();
+      }
     }
   }
 
@@ -1372,7 +1390,21 @@ class ShardedObjectStore {
   /// committer's queue.  If the flusher writes such a record AFTER the
   /// install truncates the journal, replay skips it (lsn <= applied_lsn)
   /// and the snapshot, which already reflects its effect, wins.
+  ///
+  /// The install itself bypasses that queue, so first every ticket issued
+  /// so far is made durable: the snapshot may hold an effect whose request
+  /// floor (rpc::Service's reply stream, enqueued before the handler ran)
+  /// still waits in the queue, and a crash -- or a backup that applied the
+  /// shipped snapshot -- must never keep the effect without its floor.  A
+  /// failed committer skips the compaction; its waiters hear the failure.
   void snapshot_shard_locked(std::size_t s, Shard& shard) {
+    if (durability_.committer != nullptr) {
+      try {
+        durability_.committer->drain();
+      } catch (const std::exception&) {
+        return;
+      }
+    }
     std::vector<storage::SnapshotSlot> slots;
     const std::uint32_t limit =
         shard.slot_limit.load(std::memory_order_relaxed);
@@ -1470,6 +1502,9 @@ class ShardedObjectStore {
     if (shard_index(record.object) != s) {
       return;  // record addressed to the wrong shard: ignore
     }
+    if (record.type >= storage::RecordType::reply_floor) {
+      throw UsageError("ObjectStore: reply-stream record in a shard journal");
+    }
     Slot& slot = slot_for_recovery(shard, record.object);
     // The old payload's external resources are released BEFORE the new
     // payload decodes: decode side effects may re-acquire the very same
@@ -1537,6 +1572,10 @@ class ShardedObjectStore {
         slot.value = T{};
         bump_epoch(slot);
         break;
+      case storage::RecordType::reply_floor:
+      case storage::RecordType::reply_body:
+      case storage::RecordType::rep_applied:
+        break;  // rejected above
     }
   }
 

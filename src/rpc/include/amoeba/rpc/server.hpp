@@ -39,20 +39,22 @@
 // scans the stripes), so the observable bounds are unchanged from the
 // single-map implementation.
 //
-// Restart semantics (docs/PROTOCOL.md §8): attach_durability() persists
-// each client's suppression FLOOR -- the highest sequence number ever
-// claimed -- to the storage backend's metadata area before the claimed
-// request executes, and restores the floors on construction.  After a
-// crash+restart, a duplicate of any pre-crash transaction is therefore
-// DROPPED (at most once survives the crash: an operation may be lost to
-// the torn tail, but can never run twice).  A bounded window of recent
-// reply BODIES per client rides the same metadata image (persisted best
-// effort after each reply completes), so a post-restart duplicate of a
-// recently COMPLETED transaction is re-answered from the restored cache
-// instead of timing out at the client.  With a GroupCommitter attached,
-// floor persists are enqueued on the volume's flush cycles (the claim
-// blocks -- outside the table locks -- until its floor's cycle is
-// durable) rather than each paying a private fsync.
+// Restart semantics (docs/PROTOCOL.md §8.4): attach_durability() wires the
+// cache to the volume's reply stream (storage/reply_stream.hpp).  A fresh
+// claim ENQUEUES a reply_floor record -- the highest sequence number ever
+// claimed -- without waiting; the handler's effects are enqueued after it,
+// so a crash image never holds an effect without its floor.  The worker
+// then waits for durability ONCE, after the handler and before the reply
+// leaves: a mutate's own effects wait already covers the floor's smaller
+// ticket, a read waits on the floor ticket itself.  No reply is sent
+// before its floor is durable, so after a crash+restart a duplicate of any
+// pre-crash transaction is DROPPED (an operation may be lost to the torn
+// tail, but never runs twice).  Completed reply BODIES follow as
+// reply_body records, best effort (no wait), so a post-restart duplicate
+// of a recently completed transaction is re-answered instead of timing
+// out.  Each record is O(1) bytes; the stream compacts into a snapshot of
+// the in-memory cache -- bounded like the cache itself -- once the records
+// since the last snapshot outgrow it.
 #pragma once
 
 #include <array>
@@ -62,7 +64,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -71,6 +72,7 @@
 #include "amoeba/common/serial.hpp"
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/filter.hpp"
+#include "amoeba/storage/reply_stream.hpp"
 
 namespace amoeba::storage {
 class Backend;
@@ -180,36 +182,23 @@ class Service {
 
   // ---- durable restart support ----------------------------------------
 
-  /// Wires the at-most-once reply cache to a storage volume: restores the
-  /// per-client suppression floors (and any persisted reply bodies) the
-  /// previous incarnation left in the backend's metadata area, and
-  /// persists updated floors before every freshly claimed at-most-once
-  /// request executes -- the ordering that guarantees a post-restart
-  /// duplicate of an executed transfer is dropped, never re-run.  Null
-  /// backend: no-op.  Call from the server constructor, before start().
+  /// Wires the at-most-once reply cache to a storage volume's reply stream:
+  /// restores the per-client suppression floors and reply bodies the
+  /// previous incarnation left there (and migrates a legacy `reply-floors`
+  /// metadata image, see docs/PROTOCOL.md §8.4), then journals a floor
+  /// record for every freshly claimed at-most-once request and a body
+  /// record for every completed one.  Rows restored beyond the cache's
+  /// current limits are pruned like live overflow.  Null backend: no-op.
+  /// Call from the server constructor, before start().
   ///
-  /// The two-argument form routes persists through the volume's
-  /// group-commit flusher: each floor write is enqueued as metadata on the
-  /// current flush cycle and the claim blocks until that cycle is durable
-  /// (coalesced with every journal append and every other claim of the
-  /// cycle), instead of paying a private put_meta fsync per claim.
-  /// `committer` may be null (synchronous persists, the PR-5 shape).
+  /// The two-argument form enqueues the records on the volume's group
+  /// committer -- they ride the flush cycles of the handlers' own effects,
+  /// and the worker waits once, before replying.  `committer` may be null:
+  /// records are then appended synchronously, the floor before the handler
+  /// runs.
   void attach_durability(std::shared_ptr<storage::Backend> backend);
   void attach_durability(std::shared_ptr<storage::Backend> backend,
                          std::shared_ptr<storage::GroupCommitter> committer);
-
-  /// Serialized per-client suppression state (src machine, client id,
-  /// highest seq claimed, plus a bounded window of completed reply
-  /// bodies); what attach_durability persists.  Thread-safe.
-  [[nodiscard]] Buffer encode_reply_floors() const;
-
-  /// Primes the cache with client entries from a previous incarnation's
-  /// encode_reply_floors() image: floors always; completed replies where
-  /// the image carries their bodies (those duplicates are re-answered
-  /// instead of dropped).  Understands both the current body-carrying
-  /// format and the floors-only image of earlier versions.  Malformed
-  /// input is ignored.  Thread-safe, but intended for construction time.
-  void restore_reply_floors(std::span<const std::uint8_t> floors);
 
   // ---- per-operation metrics (ROADMAP follow-up from PR 3) -------------
 
@@ -220,8 +209,8 @@ class Service {
     std::string name;
     std::uint64_t calls = 0;      // handler executions (cache resends excluded)
     std::uint64_t errors = 0;     // replies with status != ok
-    std::uint64_t total_us = 0;   // summed handler latency
-    std::uint64_t max_us = 0;     // worst single handler latency
+    std::uint64_t total_ns = 0;   // summed handler latency
+    std::uint64_t max_ns = 0;     // worst single handler latency
   };
   /// Snapshot in op-registration order.  Lock-free reads of relaxed
   /// atomics; safe while workers run.
@@ -378,32 +367,46 @@ class Service {
   /// Publishes the reply of a claimed request and evicts beyond the
   /// per-client window.
   void store_reply(const net::Delivery& request, const net::Message& reply);
-  /// Advances the claiming client's persisted floor and pushes the image
-  /// through the sink, if attached (called for every freshly claimed
-  /// at-most-once request BEFORE its handler runs -- write-ahead for the
-  /// suppression state).  Update, encode, and write happen under one
-  /// mutex: persists are totally ordered and each contains all rows of
-  /// every earlier one.  With a committer the write is an enqueue and the
-  /// durability wait happens AFTER the mutex drops, so concurrent claims
-  /// pile their floors into the same flush cycle.
-  void persist_reply_floor(const ClientKey& key, std::uint64_t seq);
-  /// Adds one completed reply body to the client's persisted window and
-  /// re-persists the image, best effort and WITHOUT waiting: the floor --
-  /// already durable since the claim -- carries the never-twice
+  /// Journals a reply_floor record for a fresh claim (write-ahead for the
+  /// suppression state) and returns its commit ticket, which the worker
+  /// waits on before replying; 0 when already durable (synchronous
+  /// volume) or not durable at all.  Throws when a synchronous volume
+  /// refuses the append.
+  [[nodiscard]] std::uint64_t persist_reply_floor(const ClientKey& key,
+                                                  std::uint64_t seq);
+  /// Journals a completed reply's body, best effort and WITHOUT waiting:
+  /// the floor -- durable before the reply left -- carries the never-twice
   /// guarantee; the body only upgrades a post-restart duplicate from
   /// "dropped" to "re-answered", so losing it to a crash is safe.
   void persist_reply_body(const ClientKey& key, std::uint64_t seq,
                           const net::Message& reply);
-  /// Renders the suppression-state image; caller holds reply_floor_mutex_.
-  [[nodiscard]] Buffer encode_reply_floors_locked() const;
+  /// Appends one reply-stream record: `body` null frames a reply_floor,
+  /// otherwise a reply_body.  Assigns the stream LSN in append order, and
+  /// compacts the stream once the records appended since the last
+  /// snapshot outgrow it (amortized O(1) bytes per request).
+  [[nodiscard]] std::uint64_t append_reply_record(const ClientKey& key,
+                                                  std::uint64_t seq,
+                                                  const Buffer* body);
+  /// Installs a reply-stream snapshot imaging the in-memory cache as of
+  /// stream LSN `lsn`.  Returns the image's size, or 0 if the volume
+  /// refused it (the journal still holds every record; a later append
+  /// retries).
+  std::size_t snapshot_reply_stream(std::uint64_t lsn);
+  /// Primes the cache with recovered rows: floors always, completed
+  /// replies where a body decodes (those duplicates are re-answered).
+  void restore_reply_rows(const storage::ReplyRows& rows);
+  /// Demotes, then erases, least-recently-used entries until the cache is
+  /// within its limits (the bounds live overflow enforces one claim at a
+  /// time, applied in bulk after a restore).
+  void prune_reply_cache();
 
   // ---- per-op metrics internals ---------------------------------------
 
   struct OpMetrics {
     std::atomic<std::uint64_t> calls{0};
     std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> total_us{0};
-    std::atomic<std::uint64_t> max_us{0};
+    std::atomic<std::uint64_t> total_ns{0};
+    std::atomic<std::uint64_t> max_ns{0};
   };
 
   net::Machine* machine_;
@@ -418,32 +421,22 @@ class Service {
   std::vector<Port> allowed_signatures_;
   mutable std::mutex info_detail_mutex_;       // guards info_detail_
   std::function<std::string()> info_detail_;   // deployment-line provider
-  // Floor persistence: the canonical suppression-state image is
-  // maintained incrementally (O(1) per claim) and encoded+written to the
-  // sink under ONE mutex, so a later persist always contains every
-  // earlier row -- a stale image can never overwrite a newer one (the
-  // ordering §8.4's never-twice guarantee rests on).  Held only by
-  // durable services.  The sink returns the group-commit ticket to wait
-  // on (0: already durable, the synchronous-backend shape).
-  /// One client's persisted slice: its floor plus a bounded window of
-  /// encoded completed reply bodies (seq -> wire-independent body image).
-  struct PersistedClient {
-    std::uint64_t floor = 0;
-    std::map<std::uint64_t, Buffer> replies;
-  };
-  /// Persisted reply bodies per client; older ones age out of the image
-  /// (their duplicates still drop via the floor).
-  static constexpr std::size_t kPersistedRepliesPerClient = 8;
-  /// Replies with bulk payloads beyond this are not persisted (their
-  /// post-restart duplicates drop via the floor): the metadata image is
-  /// rewritten whole per persist, so it must stay small.
-  static constexpr std::size_t kPersistedReplyMaxBytes = 4096;
-  mutable std::mutex reply_floor_mutex_;
-  std::unordered_map<ClientKey, PersistedClient, ClientKeyHash>
-      reply_floors_;
-  std::function<std::uint64_t(Buffer)> reply_floor_sink_;
+  // Reply-stream persistence; set by attach_durability before start().
+  std::shared_ptr<storage::Backend> reply_backend_;
   std::shared_ptr<storage::GroupCommitter> reply_committer_;
-  std::atomic<bool> reply_floor_sink_set_{false};
+  /// Orders the reply stream: LSN assignment + append (held for one
+  /// enqueue, O(1)), so a snapshot's LSN covers exactly the records
+  /// appended before it.  Guards the four fields below.  A committed
+  /// volume's snapshot runs outside it (append_reply_record).
+  std::mutex reply_append_mutex_;
+  std::uint64_t reply_lsn_ = 0;  // last stream LSN assigned
+  /// Record bytes appended since the last snapshot, and the count that
+  /// triggers the next one: the last snapshot's size, at least
+  /// kReplySnapshotMinBytes.
+  std::uint64_t reply_stream_bytes_ = 0;
+  std::uint64_t reply_snapshot_due_ = kReplySnapshotMinBytes;
+  bool reply_snapshotting_ = false;  // one snapshot at a time
+  static constexpr std::uint64_t kReplySnapshotMinBytes = 64 * 1024;
   std::unordered_map<std::uint16_t, Handler> handlers_;  // frozen at start()
   std::vector<OpInfo> typed_ops_;                        // frozen at start()
   // Typed-op metrics keyed by opcode; the map is frozen at start() (the

@@ -488,8 +488,8 @@ void register_std_ops(Service& service, Store& store,
                    text += "\n" + op.name + " calls=" +
                            std::to_string(op.calls) + " errors=" +
                            std::to_string(op.errors) + " total_us=" +
-                           std::to_string(op.total_us) + " max_us=" +
-                           std::to_string(op.max_us);
+                           std::to_string(op.total_ns / 1000) + " max_us=" +
+                           std::to_string(op.max_ns / 1000);
                  }
                }
                return StdInfoReply{std::move(text)};

@@ -17,14 +17,10 @@
 namespace amoeba::rpc {
 
 namespace {
-/// Metadata key the reply-cache suppression state persists under
-/// (docs/PROTOCOL.md §8).
+/// Metadata key of the legacy whole-volume reply-cache image, read once at
+/// attach for migration and emptied once the reply stream subsumes it
+/// (docs/PROTOCOL.md §8.4).
 constexpr std::string_view kReplyFloorsKey = "reply-floors";
-/// Leading magic of the body-carrying image ("RCV2").  The floors-only
-/// image of earlier versions starts with its row count instead; the
-/// magic's value is far above any plausible count, so the two parse
-/// unambiguously.
-constexpr std::uint32_t kReplyMetaMagic = 0x52435632u;
 
 /// Serializes one completed reply in wire-independent form: everything a
 /// re-send needs except the fields recomputed per transmission (dest,
@@ -144,8 +140,8 @@ std::vector<Service::OpMetricsSnapshot> Service::op_metrics() const {
     const OpMetrics& m = *it->second;
     out.push_back({op.name, m.calls.load(std::memory_order_relaxed),
                    m.errors.load(std::memory_order_relaxed),
-                   m.total_us.load(std::memory_order_relaxed),
-                   m.max_us.load(std::memory_order_relaxed)});
+                   m.total_ns.load(std::memory_order_relaxed),
+                   m.max_ns.load(std::memory_order_relaxed)});
   }
   return out;
 }
@@ -351,163 +347,230 @@ void Service::store_reply(const net::Delivery& request,
     }
   }
   if (published) {
-    // Outside the stripe lock: the persisted image has its own mutex and
-    // the two are never held together.
-    persist_reply_body(key, seq, reply);
+    persist_reply_body(key, seq, reply);  // outside the stripe lock
   }
 }
 
-// --------------------------------------------- durable restart (floors)
+// ------------------------------------------ durable restart (reply stream)
 
-Buffer Service::encode_reply_floors_locked() const {
-  Writer w;
-  w.u32(kReplyMetaMagic);
-  w.u32(static_cast<std::uint32_t>(reply_floors_.size()));
-  for (const auto& [key, row] : reply_floors_) {
-    w.u32(key.src);
-    w.u64(key.client);
-    w.u64(row.floor);
-    w.u32(static_cast<std::uint32_t>(row.replies.size()));
-    for (const auto& [seq, body] : row.replies) {
-      w.u64(seq);
-      w.bytes(body);
+void Service::restore_reply_rows(const storage::ReplyRows& rows) {
+  for (const auto& [id, row] : rows) {
+    const ClientKey key{id.first, id.second};
+    std::vector<std::pair<std::uint64_t, net::Message>> replies;
+    bool malformed = false;
+    for (const auto& [seq, body] : row.bodies) {
+      Reader r(body);
+      replies.emplace_back(seq, decode_reply_body(r, key.client, seq));
+      malformed = malformed || !r.exhausted();
+    }
+    if (malformed) {
+      continue;  // a row is restored whole or not at all
+    }
+    ReplyCacheStripe& stripe = stripe_for(key);
+    const std::lock_guard lock(stripe.mutex);
+    const auto [it, created] = stripe.map.try_emplace(key);
+    ClientEntry& entry = it->second;
+    entry.floor = std::max(entry.floor, row.floor);
+    entry.last_used =
+        reply_cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (created) {
+      reply_cache_clients_.fetch_add(1, std::memory_order_relaxed);
+    }
+    const bool was_empty = entry.replies.empty();
+    for (auto& [seq, reply] : replies) {
+      entry.replies.insert_or_assign(
+          seq, CachedReply{/*done=*/true, std::move(reply)});
+    }
+    if (was_empty && !entry.replies.empty()) {
+      reply_cache_loaded_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  return w.take();
 }
 
-Buffer Service::encode_reply_floors() const {
-  const std::lock_guard lock(reply_floor_mutex_);
-  return encode_reply_floors_locked();
-}
-
-void Service::restore_reply_floors(std::span<const std::uint8_t> floors) {
-  if (floors.empty()) {
+void Service::prune_reply_cache() {
+  const std::size_t max_clients =
+      reply_cache_max_clients_.load(std::memory_order_relaxed);
+  if (max_clients == 0) {
     return;
   }
-  Reader r(floors);
-  std::uint32_t count = r.u32();
-  const bool with_bodies = count == kReplyMetaMagic;
-  if (with_bodies) {
-    count = r.u32();  // the magic-led image puts its row count second
-  }
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    ClientKey key{};
-    key.src = r.u32();
-    key.client = r.u64();
-    const std::uint64_t floor = r.u64();
-    std::vector<std::pair<std::uint64_t, Buffer>> bodies;
-    if (with_bodies) {
-      const std::uint32_t nbodies = r.u32();
-      for (std::uint32_t b = 0; b < nbodies && r.ok(); ++b) {
-        const std::uint64_t seq = r.u64();
-        Buffer body = r.bytes();
-        if (r.ok()) {
-          bodies.emplace_back(seq, std::move(body));
-        }
-      }
+  // One LRU-ordered pass instead of one global scan per victim.
+  std::vector<std::pair<std::uint64_t, ClientKey>> order;
+  for (const ReplyCacheStripe& stripe : reply_cache_stripes_) {
+    const std::lock_guard lock(stripe.mutex);
+    for (const auto& [key, entry] : stripe.map) {
+      order.emplace_back(entry.last_used, key);
     }
-    if (!r.ok() || (floor == 0 && bodies.empty())) {
+  }
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  const auto over = [](const std::atomic<std::size_t>& count,
+                       std::size_t bound) {
+    return count.load(std::memory_order_relaxed) > bound;
+  };
+  for (const auto& [used, key] : order) {
+    const bool demote = over(reply_cache_loaded_, max_clients);
+    const bool erase =
+        over(reply_cache_clients_, kTombstoneFactor * max_clients);
+    if (!demote && !erase) {
+      break;
+    }
+    ReplyCacheStripe& stripe = stripe_for(key);
+    const std::lock_guard lock(stripe.mutex);
+    const auto it = stripe.map.find(key);
+    if (it == stripe.map.end() || it->second.executing != 0) {
       continue;
     }
-    {
-      ReplyCacheStripe& stripe = stripe_for(key);
-      const std::lock_guard lock(stripe.mutex);
-      const auto [it, created] = stripe.map.try_emplace(key);
-      ClientEntry& entry = it->second;
-      entry.floor = std::max(entry.floor, floor);
-      entry.last_used =
-          reply_cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (created) {
-        reply_cache_clients_.fetch_add(1, std::memory_order_relaxed);
-      }
-      const bool was_empty = entry.replies.empty();
-      for (const auto& [seq, body] : bodies) {
-        Reader body_reader(body);
-        net::Message reply = decode_reply_body(body_reader, key.client, seq);
-        if (!body_reader.ok()) {
-          continue;  // malformed body: its duplicate drops via the floor
-        }
-        entry.replies.insert_or_assign(
-            seq, CachedReply{/*done=*/true, std::move(reply)});
-      }
-      if (was_empty && !entry.replies.empty()) {
-        reply_cache_loaded_.fetch_add(1, std::memory_order_relaxed);
-      }
+    ClientEntry& entry = it->second;
+    // The live policy's two steps: demote the LRU client to a floor-only
+    // tombstone while too many hold replies, erase the LRU tombstone while
+    // the table is over its tombstone bound.
+    if (demote && !entry.replies.empty()) {
+      stripe.counters.evicted_entries += entry.replies.size();
+      ++stripe.counters.evicted_clients;
+      entry.floor = std::max(entry.floor, entry.replies.rbegin()->first);
+      entry.replies.clear();
+      reply_cache_loaded_.fetch_sub(1, std::memory_order_relaxed);
     }
-    const std::lock_guard lock(reply_floor_mutex_);
-    PersistedClient& row = reply_floors_[key];
-    row.floor = std::max(row.floor, floor);
-    for (auto& [seq, body] : bodies) {
-      row.replies.insert_or_assign(seq, std::move(body));
-    }
-    while (row.replies.size() > kPersistedRepliesPerClient) {
-      row.replies.erase(row.replies.begin());
+    if (erase && entry.replies.empty()) {
+      ++stripe.counters.evicted_clients;
+      stripe.map.erase(it);
+      reply_cache_clients_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
 }
 
-void Service::persist_reply_floor(const ClientKey& key, std::uint64_t seq) {
-  if (!reply_floor_sink_set_.load(std::memory_order_acquire)) {
-    return;
-  }
-  std::function<std::uint64_t(Buffer)> sink;
-  std::shared_ptr<storage::GroupCommitter> committer;
-  {
-    const std::lock_guard lock(filter_mutex_);
-    sink = reply_floor_sink_;
-    committer = reply_committer_;
-  }
-  if (!sink) {
-    return;
-  }
+std::uint64_t Service::append_reply_record(const ClientKey& key,
+                                           std::uint64_t seq,
+                                           const Buffer* body) {
+  const auto encode = [&](std::uint64_t lsn, Buffer& out) {
+    if (body == nullptr) {
+      storage::encode_reply_floor(key.src, key.client, seq, lsn, out);
+    } else {
+      storage::encode_reply_body(key.src, key.client, seq, *body, lsn, out);
+    }
+  };
+  const std::size_t stream = reply_backend_->reply_stream();
   std::uint64_t ticket = 0;
+  std::uint64_t snapshot_lsn = 0;  // nonzero: this append takes the snapshot
+  std::uint64_t snapshot_bytes = 0;
   {
-    // One mutex covers update + encode + write: persists are totally
-    // ordered, so a slower thread can never overwrite a newer image with
-    // a stale one (the §8.4 never-twice ordering).
-    const std::lock_guard lock(reply_floor_mutex_);
-    PersistedClient& row = reply_floors_[key];
-    row.floor = std::max(row.floor, seq);
-    ticket = sink(encode_reply_floors_locked());
+    const std::lock_guard lock(reply_append_mutex_);
+    const std::uint64_t lsn = ++reply_lsn_;
+    std::size_t framed = 0;
+    if (reply_committer_ != nullptr) {
+      // No flusher wake-up: a floor joins the cycle its handler's first
+      // effect or its post-handler wait starts, and a body, which nobody
+      // waits for, the next request's -- neither pays for a cycle alone.
+      ticket = reply_committer_->enqueue_with(
+          stream,
+          [&](Buffer& staging) {
+            const std::size_t before = staging.size();
+            encode(lsn, staging);
+            framed = staging.size() - before;
+          },
+          /*wake_flusher=*/false);
+    } else {
+      Buffer frame;
+      encode(lsn, frame);
+      reply_backend_->append_journal(stream, frame);
+      framed = frame.size();
+    }
+    reply_stream_bytes_ += framed;
+    if (reply_stream_bytes_ >= reply_snapshot_due_ && !reply_snapshotting_) {
+      if (reply_committer_ == nullptr) {
+        // Synchronous appends land in the stream's own journal, which the
+        // install truncates: no append may pass it.
+        const std::size_t image = snapshot_reply_stream(reply_lsn_);
+        if (image != 0) {
+          reply_stream_bytes_ = 0;
+          reply_snapshot_due_ =
+              std::max<std::uint64_t>(image, kReplySnapshotMinBytes);
+        }
+      } else {
+        // Committed records reach the volume through the commit log, and
+        // an install drops only records at or below its LSN there, so the
+        // scan, encode and install run outside the mutex: other workers'
+        // appends go on meanwhile.
+        reply_snapshotting_ = true;
+        snapshot_lsn = reply_lsn_;
+        snapshot_bytes = reply_stream_bytes_;
+      }
+    }
   }
-  // The claimed seq must be durable BEFORE the handler can journal any
-  // effect: a crash in between loses the operation, never doubles it.
-  // The wait runs outside the mutex, so concurrent claims keep piling
-  // their floors into the same flush cycle (the committer coalesces the
-  // per-key images; the newest -- containing every row here -- wins).
-  if (ticket != 0 && committer != nullptr) {
-    committer->wait_durable(ticket);
+  if (snapshot_lsn != 0) {
+    const std::size_t image = snapshot_reply_stream(snapshot_lsn);
+    const std::lock_guard lock(reply_append_mutex_);
+    reply_snapshotting_ = false;
+    if (image != 0) {
+      reply_stream_bytes_ -= snapshot_bytes;
+      reply_snapshot_due_ =
+          std::max<std::uint64_t>(image, kReplySnapshotMinBytes);
+    }
   }
+  return ticket;
+}
+
+std::size_t Service::snapshot_reply_stream(std::uint64_t lsn) {
+  // Every record with an LSN up to `lsn` has already updated the
+  // in-memory cache the scan below reads (the cache changes before its
+  // record takes an LSN) -- possibly with later state, which only moves
+  // floors up.  Records still queued in the committer replay as no-ops
+  // under the snapshot's LSN.
+  storage::ReplyRows rows;
+  for (const ReplyCacheStripe& stripe : reply_cache_stripes_) {
+    const std::lock_guard stripe_lock(stripe.mutex);
+    for (const auto& [key, entry] : stripe.map) {
+      storage::ReplyRow row;
+      row.floor = entry.replies.empty()
+                      ? entry.floor
+                      : std::max(entry.floor, entry.replies.rbegin()->first);
+      for (auto it = entry.replies.rbegin();
+           it != entry.replies.rend() &&
+           row.bodies.size() < storage::kReplyBodiesPerClient;
+           ++it) {
+        if (it->second.done &&
+            it->second.reply.data.size() <= storage::kReplyBodyMaxBytes) {
+          Writer w;
+          encode_reply_body(it->second.reply, w);
+          row.bodies.emplace(it->first, w.take());
+        }
+      }
+      if (row.floor != 0) {
+        rows.emplace(std::pair{key.src, key.client}, std::move(row));
+      }
+    }
+  }
+  const Buffer image = storage::encode_reply_snapshot(rows, lsn);
+  try {
+    reply_backend_->install_snapshot(reply_backend_->reply_stream(), image);
+  } catch (const std::exception&) {
+    return 0;
+  }
+  return image.size();
+}
+
+std::uint64_t Service::persist_reply_floor(const ClientKey& key,
+                                           std::uint64_t seq) {
+  if (reply_backend_ == nullptr) {
+    return 0;
+  }
+  return append_reply_record(key, seq, nullptr);
 }
 
 void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
                                  const net::Message& reply) {
-  if (!reply_floor_sink_set_.load(std::memory_order_acquire)) {
-    return;
-  }
-  if (reply.data.size() > kPersistedReplyMaxBytes) {
-    return;  // too big for the rewritten-whole metadata image
-  }
-  std::function<std::uint64_t(Buffer)> sink;
-  {
-    const std::lock_guard lock(filter_mutex_);
-    sink = reply_floor_sink_;
-  }
-  if (!sink) {
-    return;
+  if (reply_backend_ == nullptr ||
+      reply.data.size() > storage::kReplyBodyMaxBytes) {
+    return;  // bulk replies stay floor-only
   }
   Writer body;
   encode_reply_body(reply, body);
-  const std::lock_guard lock(reply_floor_mutex_);
-  PersistedClient& row = reply_floors_[key];
-  row.replies.insert_or_assign(seq, body.take());
-  while (row.replies.size() > kPersistedRepliesPerClient) {
-    row.replies.erase(row.replies.begin());
+  try {
+    (void)append_reply_record(key, seq, &body.buffer());
+  } catch (const std::exception&) {
+    // Best effort (see the header): the duplicate drops via the floor.
   }
-  // Best effort: no durability wait (see the header comment) -- the
-  // enqueue rides whatever flush cycle comes next.
-  (void)sink(encode_reply_floors_locked());
 }
 
 void Service::set_info_detail(std::function<std::string()> provider) {
@@ -571,23 +634,27 @@ void Service::attach_durability(
       return line;
     });
   }
-  restore_reply_floors(backend->get_meta(kReplyFloorsKey));
-  {
-    const std::lock_guard lock(filter_mutex_);
-    reply_committer_ = committer;
-    if (committer != nullptr) {
-      reply_floor_sink_ = [committer](Buffer image) {
-        return committer->enqueue_meta(kReplyFloorsKey, std::move(image));
-      };
-    } else {
-      reply_floor_sink_ = [backend =
-                               std::move(backend)](const Buffer& image) {
-        backend->put_meta(kReplyFloorsKey, image);
-        return std::uint64_t{0};  // synchronous: already durable
-      };
+  // Recovery: the reply stream, plus the whole-volume image earlier
+  // versions kept as metadata (max-merge makes the order irrelevant).
+  std::uint64_t last_lsn = 0;
+  storage::ReplyRows rows = storage::read_reply_stream(*backend, last_lsn);
+  const Buffer legacy = backend->get_meta(kReplyFloorsKey);
+  storage::merge_legacy_reply_image(legacy, rows);
+  restore_reply_rows(rows);
+  prune_reply_cache();
+  const std::lock_guard lock(reply_append_mutex_);
+  reply_lsn_ = last_lsn;
+  reply_backend_ = std::move(backend);
+  reply_committer_ = std::move(committer);
+  if (!legacy.empty()) {
+    // Migration: fold the legacy image into a stream snapshot, and only
+    // once that is durable empty the blob (a crash in between leaves both,
+    // which max-merge reads the same).
+    if (snapshot_reply_stream(reply_lsn_) == 0) {
+      throw UsageError("Service: cannot snapshot the migrated reply cache");
     }
+    reply_backend_->put_meta(kReplyFloorsKey, {});
   }
-  reply_floor_sink_set_.store(true, std::memory_order_release);
 }
 
 net::Message Service::handle(const net::Delivery& request) {
@@ -612,6 +679,7 @@ net::Message Service::handle_one(const net::Delivery& request) {
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
   net::Message reply;
+  const storage::ReleaseFailureScope releases;
   try {
     reply = handle(request);
   } catch (const std::exception&) {
@@ -620,20 +688,27 @@ net::Message Service::handle_one(const net::Delivery& request) {
     // offending client gets the invariant-failure status instead.
     reply = net::make_reply(request.message, ErrorCode::internal);
   }
+  if (releases.failed()) {
+    // The handler's effects never became durable (failed flush, fenced
+    // deposed primary, §9.4): never acknowledge them.
+    reply = net::make_reply(request.message, ErrorCode::internal);
+  }
   if (metrics != nullptr) {
-    const auto elapsed_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
+    // Nanoseconds: a cached read runs well under a microsecond, and a
+    // per-call microsecond truncation would floor its mean to 0 or 1.
+    const auto elapsed_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - started)
             .count());
     metrics->calls.fetch_add(1, std::memory_order_relaxed);
     if (reply.header.status != ErrorCode::ok) {
       metrics->errors.fetch_add(1, std::memory_order_relaxed);
     }
-    metrics->total_us.fetch_add(elapsed_us, std::memory_order_relaxed);
-    std::uint64_t seen = metrics->max_us.load(std::memory_order_relaxed);
-    while (elapsed_us > seen &&
-           !metrics->max_us.compare_exchange_weak(
-               seen, elapsed_us, std::memory_order_relaxed)) {
+    metrics->total_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
+    std::uint64_t seen = metrics->max_ns.load(std::memory_order_relaxed);
+    while (elapsed_ns > seen &&
+           !metrics->max_ns.compare_exchange_weak(
+               seen, elapsed_ns, std::memory_order_relaxed)) {
     }
   }
   return reply;
@@ -715,8 +790,9 @@ void Service::run(std::stop_token stop, std::latch& ready) {
       allowed_signatures = allowed_signatures_;
     }
     net::Message reply;
-    bool executed = true;      // false: duplicate answered from the cache
+    bool executed = true;      // false: answered without running a handler
     bool cache_reply = false;  // true: claimed fresh, publish after handling
+    std::uint64_t floor_ticket = 0;
     if (!allowed_signatures.empty() &&
         std::find(allowed_signatures.begin(), allowed_signatures.end(),
                   delivery->message.header.signature) ==
@@ -750,23 +826,21 @@ void Service::run(std::stop_token stop, std::latch& ready) {
             break;
           case DupVerdict::fresh:
             cache_reply = true;
-            // Write-ahead for the suppression state: the claimed seq is
-            // durable (as a floor) BEFORE the handler can journal any
-            // effect, so a crash can lose this operation but a restarted
-            // server can never run its duplicate a second time.
+            // Write-ahead for the suppression state: the floor record is
+            // enqueued BEFORE the handler can enqueue any effect, and an
+            // effect never reaches the volume ahead of the queue (a shard
+            // snapshot drains it first), so no crash image holds an effect
+            // without its floor.
             try {
-              persist_reply_floor(
+              floor_ticket = persist_reply_floor(
                   ClientKey{delivery->src.value(),
                             delivery->message.header.client},
                   delivery->message.header.seq);
             } catch (const std::exception&) {
-              // The volume refused durability -- a failed flush, or a
-              // fenced deposed primary (§9.4).  Without a durable floor
-              // the operation must not execute; the client hears the
-              // truth instead of the worker thread dying.
+              // A synchronous volume refused the floor: the operation
+              // must not execute; the client hears the truth.
               reply = net::make_reply(delivery->message, ErrorCode::internal);
               executed = false;
-              cache_reply = false;
             }
             break;
         }
@@ -775,11 +849,24 @@ void Service::run(std::stop_token stop, std::latch& ready) {
         reply = delivery->message.header.opcode == kBatchOpcode
                     ? handle_batch(*delivery)
                     : handle_one(*delivery);
-        if (cache_reply) {
-          // Cached in pre-dest, pre-filter form; a re-send recomputes the
-          // destination from the duplicate and re-seals per transmission.
-          store_reply(*delivery, reply);
+      }
+      if (cache_reply) {
+        // The request's one durability wait (§8.4): no reply leaves
+        // before its floor is durable.  A mutate's handler already waited
+        // on its effects, whose tickets follow the floor's, so this
+        // returns at once; a read blocks here.  A volume that refuses
+        // durability (failed flush, fenced deposed primary, §9.4) turns
+        // the reply into the truth.
+        try {
+          if (floor_ticket != 0) {
+            reply_committer_->wait_durable(floor_ticket);
+          }
+        } catch (const std::exception&) {
+          reply = net::make_reply(delivery->message, ErrorCode::internal);
         }
+        // Cached in pre-dest, pre-filter form; a re-send recomputes the
+        // destination from the duplicate and re-seals per transmission.
+        store_reply(*delivery, reply);
       }
     }
     if (executed) {

@@ -58,8 +58,8 @@ void Backend::submit_append_group(std::vector<ShardAppend>&& appends,
 
 MemoryBackend::MemoryBackend(std::size_t shards) {
   check_shards(shards);
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  shards_.reserve(shards + 1);
+  for (std::size_t s = 0; s <= shards; ++s) {  // + the reply stream
     shards_.push_back(std::make_unique<Shard>());
   }
 }
@@ -113,7 +113,21 @@ void MemoryBackend::install_snapshot(std::size_t shard,
   Shard& s = *shards_.at(shard);
   const std::lock_guard lock(s.mutex);
   s.snapshot.assign(bytes.begin(), bytes.end());
-  s.journal.clear();  // compaction: the snapshot subsumes the log
+  if (shard != reply_stream()) {
+    s.journal.clear();  // compaction: the snapshot subsumes the log
+    return;
+  }
+  // The reply stream's snapshot is installed while appends go on
+  // (rpc::Service): drop exactly the records it subsumes, as commit.log's
+  // GC floor does on a file volume.
+  const std::uint64_t applied = peek_snapshot_lsn(bytes);
+  Buffer kept;
+  for (const Record& record : decode_journal(s.journal)) {
+    if (record.lsn > applied) {
+      encode_record(record, kept);
+    }
+  }
+  s.journal = std::move(kept);
 }
 
 Buffer MemoryBackend::read_snapshot(std::size_t shard) const {
@@ -177,7 +191,7 @@ void MemoryBackend::hook_after_append() {
 }
 
 std::shared_ptr<MemoryBackend> MemoryBackend::capture() const {
-  auto image = std::make_shared<MemoryBackend>(shards_.size());
+  auto image = std::make_shared<MemoryBackend>(shard_count());
   // Every shard lock ascending, then meta: multi-shard append groups are
   // either fully on the image or fully absent.
   std::vector<std::unique_lock<std::mutex>> locks;
@@ -311,7 +325,7 @@ void for_each_commit_entry(std::span<const std::uint8_t> log, Fn&& entry) {
 }  // namespace
 
 FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
-    : directory_(std::move(directory)) {
+    : directory_(std::move(directory)), object_shards_(shards) {
   check_shards(shards);
   std::filesystem::create_directories(directory_);
   dir_fd_ = ::open(directory_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
@@ -319,8 +333,8 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
     throw UsageError("FileBackend: cannot open directory " +
                      directory_.string());
   }
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  shards_.reserve(shards + 1);
+  for (std::size_t s = 0; s <= shards; ++s) {  // + the reply stream
     auto shard = std::make_unique<Shard>();
     shard->journal_fd =
         ::open(journal_path(s).c_str(),
@@ -342,8 +356,8 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
   // GC floors: a commit-log record at or below its shard's snapshot LSN is
   // already subsumed.  Seed from the on-disk snapshots so a reopened
   // volume's first GC is as effective as a long-lived one's.
-  commit_floor_.assign(shards, 0);
-  for (std::size_t s = 0; s < shards; ++s) {
+  commit_floor_.assign(shards_.size(), 0);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
     commit_floor_[s] = peek_snapshot_lsn(read_file(snapshot_path(s)));
   }
   // Newly created journal/commit-log files live in the directory inode;
@@ -367,10 +381,16 @@ FileBackend::~FileBackend() {
 }
 
 std::filesystem::path FileBackend::journal_path(std::size_t shard) const {
+  if (shard == reply_stream()) {
+    return directory_ / "reply.journal";
+  }
   return directory_ / ("shard-" + std::to_string(shard) + ".journal");
 }
 
 std::filesystem::path FileBackend::snapshot_path(std::size_t shard) const {
+  if (shard == reply_stream()) {
+    return directory_ / "reply.snap";
+  }
   return directory_ / ("shard-" + std::to_string(shard) + ".snap");
 }
 
@@ -540,14 +560,18 @@ Buffer FileBackend::commit_log_records_locked(std::size_t shard) const {
   // An async subclass may still have acknowledged-to-nobody frames in
   // flight; recovery must read a log with every completed frame on it.
   quiesce_commit_locked();
-  const Buffer log = read_file(commit_log_path());
-  Buffer out;
-  for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
-    if (sh == shard) {
-      out.insert(out.end(), bytes.begin(), bytes.end());
-    }
-  });
-  return out;
+  // Every write to the log (append, GC rewrite) clears the split.
+  if (commit_split_.empty()) {
+    const Buffer log = read_file(commit_log_path());
+    commit_split_.assign(shards_.size(), Buffer{});
+    for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
+      if (sh < commit_split_.size()) {
+        commit_split_[sh].insert(commit_split_[sh].end(), bytes.begin(),
+                                 bytes.end());
+      }
+    });
+  }
+  return commit_split_.at(shard);
 }
 
 void FileBackend::encode_group_frame(const std::vector<ShardAppend>& appends,
@@ -585,6 +609,7 @@ void FileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
       // The whole point of the commit log: one contiguous write and ONE
       // fsync make the entire group durable, where the per-shard journal
       // files would pay one fsync per touched shard.
+      commit_split_.clear();
       write_all(commit_fd_, commit_frame_, directory_, "commit log");
       fsync_or_throw(commit_fd_, directory_, "commit log");
       commit_log_bytes_ += commit_frame_.size();
@@ -729,6 +754,7 @@ void FileBackend::gc_commit_log_locked() {
   commit_fd_ = fresh;
   commit_log_bytes_ = rebuilt.size();
   commit_gc_low_ = rebuilt.size();
+  commit_split_.clear();
 }
 
 Buffer FileBackend::read_snapshot(std::size_t shard) const {

@@ -20,7 +20,22 @@ namespace {
   }
 }
 
+thread_local ReleaseFailureScope* innermost_scope = nullptr;
+
 }  // namespace
+
+ReleaseFailureScope::ReleaseFailureScope() noexcept
+    : outer_(std::exchange(innermost_scope, this)) {}
+
+ReleaseFailureScope::~ReleaseFailureScope() { innermost_scope = outer_; }
+
+bool ReleaseFailureScope::note() noexcept {
+  if (innermost_scope == nullptr) {
+    return false;
+  }
+  innermost_scope->failed_ = true;
+  return true;
+}
 
 GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend,
                                Options options)
@@ -28,7 +43,7 @@ GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend,
   if (backend_ == nullptr) {
     throw UsageError("GroupCommitter: null backend");
   }
-  pending_.resize(backend_->shard_count());
+  pending_.resize(backend_->stream_count());  // object shards + reply stream
   // A replicated volume binds itself to its committer: every flush cycle
   // then ships through the post-flush hook (the exact bytes that hit the
   // local disk, ack-mode wait included), and the decorator's own append
@@ -105,22 +120,6 @@ GroupCommitter::Ticket GroupCommitter::enqueue_group(
   return ticket;
 }
 
-GroupCommitter::Ticket GroupCommitter::enqueue_meta(std::string_view key,
-                                                    Buffer value) {
-  bool wake;
-  Ticket ticket;
-  {
-    const std::lock_guard lock(mutex_);
-    pending_meta_[std::string(key)] = std::move(value);
-    wake = flusher_waiting_;
-    ticket = ++issued_;
-  }
-  if (wake) {
-    work_cv_.notify_one();
-  }
-  return ticket;
-}
-
 void GroupCommitter::wait_durable(Ticket ticket) {
   if (ticket == 0) {
     return;
@@ -131,6 +130,7 @@ void GroupCommitter::wait_durable(Ticket ticket) {
   }
   // Registering as a waiter collapses the adaptive linger: the flusher
   // lingers only while nobody is blocked, so wake it out of that wait.
+  ++stats_.blocking_waits;
   ++waiters_;
   work_cv_.notify_all();
   durable_cv_.wait(
@@ -227,8 +227,7 @@ void GroupCommitter::drain_completions_locked(
       lock.unlock();
       std::exception_ptr hook_error;
       try {
-        hook(FlushCycle{cycle->covered, cycle->bytes, &cycle->metas,
-                        &cycle->appends});
+        hook(FlushCycle{cycle->covered, cycle->bytes, &cycle->appends});
       } catch (...) {
         hook_error = std::current_exception();
       }
@@ -248,7 +247,6 @@ void GroupCommitter::drain_completions_locked(
     durable_ = std::max(durable_, cycle->covered);
     ++stats_.groups;
     stats_.records += cycle->records;
-    stats_.meta_writes += cycle->metas.size();
     stats_.max_group = std::max(stats_.max_group, cycle->records);
     stats_.flush_cycle_bytes += cycle->bytes;
     inflight_.pop_front();
@@ -316,7 +314,6 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     }
     dirty_shards_.clear();
     cycle->records = std::exchange(pending_records_, 0);
-    cycle->metas = std::exchange(pending_meta_, {});
     for (const ShardAppend& a : cycle->appends) {
       cycle->bytes += a.bytes.size();
     }
@@ -324,22 +321,11 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     inflight_.push_back(cycle);
     lock.unlock();
 
-    std::exception_ptr meta_error;
-    try {
-      // Metadata first: within a cycle the reply-cache floor image must
-      // hit the volume before the journal effects it gates (§8.4's
-      // never-twice ordering; across cycles the rpc layer waits for the
-      // floor ticket before journaling, so floors never trail effects).
-      for (const auto& [key, value] : cycle->metas) {
-        backend_->put_meta(key, value);
-      }
-    } catch (...) {
-      meta_error = std::current_exception();
-    }
-    if (meta_error != nullptr || cycle->appends.empty()) {
-      // Meta-only cycles settle inline; the ordered drain still holds
-      // them behind any earlier cycle whose CQE is outstanding.
-      on_cycle_complete(cycle, meta_error);
+    if (cycle->appends.empty()) {
+      // Nothing to write (an empty group): settles inline; the ordered
+      // drain still holds it behind any earlier cycle whose CQE is
+      // outstanding.
+      on_cycle_complete(cycle, nullptr);
     } else {
       // With a hook installed the group must survive the write (the hook
       // ships these exact bytes), so the backend gets its own copy;
@@ -362,8 +348,8 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
 
     lock.lock();
     // The zero-blocking-syscall proof: under an io_uring backend this
-    // stays at whatever the metadata writes cost (zero on the pure-mutate
-    // path) because the ring, not this thread, runs the write+fdatasync.
+    // stays at zero because the ring, not this thread, runs the
+    // write+fdatasync.
     stats_.flusher_io_syscalls = io.writes + io.fsyncs;
   }
   // Shutdown/failure path: async completions still in flight touch this

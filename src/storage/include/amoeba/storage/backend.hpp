@@ -1,8 +1,12 @@
 // Pluggable storage volumes behind the durable object store.
 //
 // A Backend is one "disk" holding, per shard, an append-only journal and
-// the most recent snapshot, plus a small named-metadata area (the reply-
-// cache floors of rpc::Service live there).  Two implementations:
+// the most recent snapshot, plus a small named-metadata area.  Next to the
+// object shards every volume reserves one more journal stream, the REPLY
+// STREAM (index reply_stream() == shard_count()): rpc::Service persists
+// its at-most-once reply cache there as O(1)-byte records
+// (storage/reply_stream.hpp).  The object store never addresses it.  Two
+// implementations:
 //
 //   * MemoryBackend -- byte-for-byte the same layout in process memory.
 //     The crash/restart test harness runs on it: an append hook fires at
@@ -11,7 +15,8 @@
 //     machine losing power at that instant would leave behind.  Recovery
 //     from a captured image IS the simulated crash+restart.
 //   * FileBackend -- one directory on the real filesystem
-//     (shard-N.journal / shard-N.snap / meta-KEY / commit.log), journals
+//     (shard-N.journal / shard-N.snap / reply.journal / reply.snap /
+//     meta-KEY.bin / commit.log), journals
 //     appended through raw fds and fsync'd per append group
 //     (std::ofstream::flush() only reaches the page cache, not the
 //     platter), snapshots and metadata installed via write-temp + fsync +
@@ -84,9 +89,16 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Fixed at volume creation; the object store adopting this backend must
-  /// be sharded identically (object number -> shard mapping is layout).
+  /// Object shards.  Fixed at volume creation; the object store adopting
+  /// this backend must be sharded identically (object number -> shard
+  /// mapping is layout).
   [[nodiscard]] virtual std::size_t shard_count() const = 0;
+
+  /// The reserved reply stream's index: one past the last object shard.
+  /// Every journal/snapshot method below accepts it like a shard.
+  [[nodiscard]] std::size_t reply_stream() const { return shard_count(); }
+  /// Object shards plus the reply stream: the valid journal indexes.
+  [[nodiscard]] std::size_t stream_count() const { return shard_count() + 1; }
 
   /// Appends one framed record to a shard's journal (durable on return).
   virtual void append_journal(std::size_t shard,
@@ -144,7 +156,9 @@ class MemoryBackend final : public Backend {
  public:
   explicit MemoryBackend(std::size_t shards = 16);
 
-  [[nodiscard]] std::size_t shard_count() const override { return shards_.size(); }
+  [[nodiscard]] std::size_t shard_count() const override {
+    return shards_.size() - 1;  // the last entry is the reply stream
+  }
   void append_journal(std::size_t shard,
                       std::span<const std::uint8_t> bytes) override;
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
@@ -203,7 +217,9 @@ class FileBackend : public Backend {
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 
-  [[nodiscard]] std::size_t shard_count() const override { return shards_.size(); }
+  [[nodiscard]] std::size_t shard_count() const override {
+    return object_shards_;
+  }
   void append_journal(std::size_t shard,
                       std::span<const std::uint8_t> bytes) override;
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
@@ -255,6 +271,10 @@ class FileBackend : public Backend {
   int commit_fd_ = -1;  // O_APPEND; one fsync per group frame
   std::uint64_t commit_log_bytes_ = 0;
   Buffer commit_frame_;  // reused staging buffer for group frames
+  /// commit.log split into per-stream record runs, kept while the log is
+  /// unchanged: recovery reads every stream back to back, and each read
+  /// would otherwise walk the whole log again.  Appends drop it.
+  mutable std::vector<Buffer> commit_split_;
 
   [[nodiscard]] std::filesystem::path commit_log_path() const;
 
@@ -274,19 +294,20 @@ class FileBackend : public Backend {
                             std::span<const std::uint8_t> bytes,
                             const char* what);
   /// Concatenated framed records for `shard` extracted from commit.log,
-  /// in append order (= ascending LSN per shard).  Caller holds
-  /// commit_mutex_.
+  /// in append order (= ascending LSN per shard), through commit_split_.
+  /// Caller holds commit_mutex_.
   [[nodiscard]] Buffer commit_log_records_locked(std::size_t shard) const;
   /// Rewrites commit.log dropping every record a shard snapshot already
   /// subsumes (lsn <= that shard's floor).  Caller holds commit_mutex_.
   void gc_commit_log_locked();
 
   std::filesystem::path directory_;
+  std::size_t object_shards_;  // shards_ holds one more: the reply stream
   int dir_fd_ = -1;  // fsync'd after every rename into the directory
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::mutex meta_mutex_;
   std::uint64_t commit_gc_low_ = 0;  // log size after the last GC rewrite
-  std::vector<std::uint64_t> commit_floor_;  // per-shard snapshot applied LSN
+  std::vector<std::uint64_t> commit_floor_;  // per-stream snapshot applied LSN
 };
 
 }  // namespace amoeba::storage

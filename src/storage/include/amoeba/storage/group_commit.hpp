@@ -23,11 +23,15 @@
 //     backend's append_journal_batch atomicity w.r.t. capture() then keeps
 //     a bank transfer's debit+credit untearable, exactly as in the
 //     synchronous path.
-//   * Metadata (the rpc reply-cache image) rides the same cycles through
-//     enqueue_meta(), coalesced latest-image-wins per key, and is written
-//     BEFORE the cycle's journal appends -- a crash image may hold a
-//     reply-cache floor without its effect (operation lost, safe) but
-//     never an effect without its floor (operation doubled, fatal).
+//   * The volume's reply stream (Backend::reply_stream()) is one more
+//     queue: rpc::Service enqueues a request's floor record at claim time,
+//     so it takes a smaller ticket than -- and lands in the same or an
+//     earlier cycle than -- every effect the handler enqueues after it.  A
+//     crash image may hold a floor without its effect (operation lost,
+//     safe) but never an effect without its floor (operation doubled).
+//     Writes that bypass the queue must keep that: the object store makes
+//     every issued ticket durable (drain()) before it installs a shard
+//     snapshot, which may already hold a queued effect.
 //
 // A backend write failure (disk full) latches the committer into a failed
 // state: wait_durable() then throws instead of ever reporting durability
@@ -39,12 +43,11 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <map>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -77,6 +80,31 @@ struct GroupCommitOptions {
   static constexpr std::chrono::microseconds kDefaultLingerCeiling{200};
 };
 
+/// Marks the calling thread as running one request handler.  The object
+/// store's accessor releases wait for durability in destructors, which
+/// cannot throw; a wait that fails there inside a scope is recorded in
+/// it, for the handler's caller to turn into an error reply.  Outside any
+/// scope such a failure ends the process, as an exception escaping a
+/// destructor always did.  Scopes nest (innermost wins).
+class ReleaseFailureScope {
+ public:
+  ReleaseFailureScope() noexcept;
+  ~ReleaseFailureScope();
+  ReleaseFailureScope(const ReleaseFailureScope&) = delete;
+  ReleaseFailureScope& operator=(const ReleaseFailureScope&) = delete;
+
+  /// True once a release inside this scope failed its durability wait.
+  [[nodiscard]] bool failed() const noexcept { return failed_; }
+
+  /// Records a failed release in the calling thread's innermost scope;
+  /// false when the thread has none open.
+  static bool note() noexcept;
+
+ private:
+  ReleaseFailureScope* outer_;
+  bool failed_ = false;
+};
+
 class GroupCommitter {
  public:
   /// Volume-wide commit sequence number; 0 means "nothing to wait for"
@@ -88,7 +116,6 @@ class GroupCommitter {
   struct Stats {
     std::uint64_t groups = 0;        // flush cycles that reached the backend
     std::uint64_t records = 0;       // journal appends those cycles carried
-    std::uint64_t meta_writes = 0;   // coalesced metadata writes issued
     std::uint64_t max_group = 0;     // largest single cycle, in records
     std::uint64_t flush_cycle_bytes = 0;  // journal bytes those cycles wrote
     // --- async submission pipeline (PR 10) ---
@@ -99,6 +126,7 @@ class GroupCommitter {
     std::uint64_t flusher_io_syscalls = 0;  // blocking write/fsync calls the
                                             // flusher thread has made (the
                                             // zero-syscall proof under uring)
+    std::uint64_t blocking_waits = 0;  // wait_durable calls that had to block
   };
 
   /// One completed flush cycle as the post-flush hook sees it: the exact
@@ -109,8 +137,6 @@ class GroupCommitter {
   struct FlushCycle {
     Ticket ticket = 0;        // highest ticket the cycle covers
     std::uint64_t bytes = 0;  // journal bytes the cycle carried
-    /// The cycle's coalesced metadata writes (key -> image), as written.
-    const std::map<std::string, Buffer, std::less<>>* metas = nullptr;
     /// The cycle's per-shard journal appends, as written.
     const std::vector<ShardAppend>* appends = nullptr;
   };
@@ -129,8 +155,10 @@ class GroupCommitter {
   [[nodiscard]] static std::shared_ptr<GroupCommitter> create(
       const std::shared_ptr<Backend>& backend, Options options = {});
 
-  /// Queues one framed record for `shard`'s journal; the bytes are copied
-  /// (the caller typically hands a per-shard scratch buffer it will reuse).
+  /// Queues one framed record for `shard`'s journal (any index below the
+  /// backend's stream_count(), the reply stream included); the bytes are
+  /// copied (the caller typically hands a per-shard scratch buffer it will
+  /// reuse).
   [[nodiscard]] Ticket enqueue(std::size_t shard,
                                std::span<const std::uint8_t> bytes);
 
@@ -141,8 +169,15 @@ class GroupCommitter {
   /// copy of the enqueue() path (the remaining single-core group-commit
   /// lever ROADMAP flags).  The callback runs with the committer's queue
   /// mutex held -- it must not block, enqueue, or wait on this committer.
+  ///
+  /// `wake_flusher` false leaves a parked flusher parked: the record rides
+  /// the next cycle something else starts (a waking enqueue or a
+  /// wait_durable()).  rpc::Service's reply-stream records use it: their
+  /// writer waits later (a floor) or never (a body), so neither pays for
+  /// a cycle of its own.
   template <typename EncodeFn>
-  [[nodiscard]] Ticket enqueue_with(std::size_t shard, EncodeFn&& encode) {
+  [[nodiscard]] Ticket enqueue_with(std::size_t shard, EncodeFn&& encode,
+                                    bool wake_flusher = true) {
     bool wake;
     Ticket ticket;
     {
@@ -158,7 +193,7 @@ class GroupCommitter {
       // notify (a futex syscall plus, on one core, often a context
       // switch) would be pure overhead -- the flusher re-checks the
       // queue under the mutex before it ever sleeps again.
-      wake = flusher_waiting_;
+      wake = wake_flusher && flusher_waiting_;
       ticket = ++issued_;
     }
     if (wake) {
@@ -170,12 +205,6 @@ class GroupCommitter {
   /// Queues a multi-shard record group under ONE mutex hold, so no flush
   /// cycle boundary can fall inside it (the pair-mutation atomicity).
   [[nodiscard]] Ticket enqueue_group(std::vector<ShardAppend>&& appends);
-
-  /// Queues a metadata write.  Coalesced per key (the newest image wins),
-  /// which is sound for the reply-cache image because every later image is
-  /// a superset of every earlier one.  Written before the same cycle's
-  /// journal appends (floor-before-effect).
-  [[nodiscard]] Ticket enqueue_meta(std::string_view key, Buffer value);
 
   /// Blocks until every enqueue with a ticket at or below `ticket` is on
   /// the backend.  Throws UsageError if the flusher failed (disk full)
@@ -212,7 +241,6 @@ class GroupCommitter {
     Ticket covered = 0;
     std::uint64_t bytes = 0;
     std::uint64_t records = 0;
-    std::map<std::string, Buffer, std::less<>> metas;
     std::vector<ShardAppend> appends;
     std::exception_ptr error;  // set by the completion; null on success
     bool done = false;         // completion arrived (guarded by mutex_)
@@ -241,7 +269,6 @@ class GroupCommitter {
   std::vector<Buffer> pending_;                // per-shard gathered bytes
   std::vector<std::size_t> dirty_shards_;      // shards with pending bytes
   std::uint64_t pending_records_ = 0;
-  std::map<std::string, Buffer, std::less<>> pending_meta_;
   Ticket issued_ = 0;   // highest ticket handed out
   Ticket taken_ = 0;    // highest ticket a flush cycle has claimed
   Ticket durable_ = 0;  // highest ticket reported durable

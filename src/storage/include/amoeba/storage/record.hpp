@@ -37,6 +37,12 @@ enum class RecordType : std::uint8_t {
   delta = 5,    // payload patched in place: server-defined byte-range
                 // patch applied by the Durability::apply_delta codec (a
                 // one-page write no longer journals the whole file image)
+  reply_floor = 6,  // reply stream only: a claimed (src, client, seq)
+  reply_body = 7,   // reply stream only: a completed reply's body
+                    // (storage/reply_stream.hpp)
+  rep_applied = 8,  // backup volumes' reply stream only: the replication
+                    // LSN of the cycle its commit frame applied
+                    // (storage/replication/replica.hpp)
 };
 
 /// Decoded journal record.  `payload` is the server-defined serialized

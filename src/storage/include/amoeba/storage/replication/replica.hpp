@@ -12,9 +12,14 @@
 //
 // Idempotence is LSN-floor gated.  Every shipment carries a replication
 // LSN assigned in primary ship order; the applier keeps the floor of
-// applied LSNs (persisted to the volume's own metadata area AFTER each
-// apply -- safe, because journal replay is idempotent, so a shipment
-// replayed across the floor-persist crash window converges).  At or below
+// applied LSNs.  A cycle is appended as ONE group together with a
+// rep_applied marker record naming its LSN (on a file volume: one
+// commit-log frame, one fsync), so the floor is durable exactly when the
+// cycle is; a snapshot install persists the floor to the volume's own
+// metadata area instead (`rep.applied`, AFTER the install -- safe, because
+// replay is idempotent, so a shipment replayed across that crash window
+// converges).  The marker lives in the backup's reply stream and never
+// ships (ReplicatedBackend's resync strips it).  At or below
 // the floor: a duplicate (a lossy link's retransmission), acknowledged
 // without re-applying.  Exactly floor+1: applied.  Further ahead: a gap --
 // rejected with `conflict`, which the primary answers with a full resync.
@@ -39,7 +44,8 @@ namespace amoeba::storage {
 /// The primary never ships keys under this prefix (a resync must not
 /// clobber the backup's own applied floor).
 inline constexpr std::string_view kRepMetaPrefix = "rep.";
-/// The applier's persisted LSN floor (u64, Writer encoding).
+/// The applier's LSN floor as of its last snapshot install (u64, Writer
+/// encoding); later cycles carry theirs as rep_applied records.
 inline constexpr std::string_view kRepAppliedKey = "rep.applied";
 
 class ReplicaApplier {

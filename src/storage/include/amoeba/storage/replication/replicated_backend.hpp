@@ -7,16 +7,15 @@
 //
 //   * Under a GroupCommitter (the normal server arrangement) the committer
 //     binds itself at construction and the post-flush hook ships each
-//     flush cycle as ONE cycle frame -- the exact metadata images and
-//     journal bytes that just hit the local disk.  The decorator's own
-//     append/put_meta paths then stand down (forward-only), so a cycle is
-//     never shipped twice.
+//     flush cycle as ONE cycle frame -- the exact journal bytes that just
+//     hit the local disk.  The decorator's own append paths then stand
+//     down (forward-only), so a cycle is never shipped twice.
 //   * Driven directly (no committer -- the synchronous-durability
-//     arrangement), each append/batch/meta write ships as its own
-//     mini-cycle.  Per-shard ordering is preserved because the store holds
-//     the shard lock across the local write and the enqueue.
-//   * install_snapshot (compaction) always ships, under either
-//     arrangement: backups compact when the primary does.
+//     arrangement), each append/batch write ships as its own mini-cycle.
+//     Per-shard ordering is preserved because the store holds the shard
+//     lock across the local write and the enqueue.
+//   * install_snapshot (compaction) and put_meta always ship, under
+//     either arrangement: backups compact when the primary does.
 //
 // The ack mode decides when a mutator's durability wait releases:
 //   async    local disk only; shipping is fire-and-forget.
@@ -38,7 +37,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -131,7 +129,7 @@ class ReplicatedBackend final : public Backend {
 
   /// Called by the GroupCommitter constructor when it finds this decorator
   /// as its backend: installs the cycle-shipping post-flush hook and
-  /// switches the append/meta paths to forward-only.  Throws UsageError on
+  /// switches the append paths to forward-only.  Throws UsageError on
   /// a second bind (one committer per volume).
   void bind_committer(GroupCommitter& committer);
 
@@ -183,13 +181,10 @@ class ReplicatedBackend final : public Backend {
   /// UsageError if a backup answered `immutable` (it was promoted: this
   /// primary is fenced and must stop reporting durability).
   void await_acks(const std::shared_ptr<Shipment>& shipment);
-  /// Encodes + broadcasts one direct-path mini-cycle, then waits.
+  /// Encodes + broadcasts one cycle frame -- a direct-path mini-cycle or a
+  /// committer flush cycle (the post-flush hook body) -- then waits.
   void ship_mini_cycle(std::span<const MetaImage> metas,
                        std::span<const ShardAppend> appends);
-  /// Ships one committer flush cycle (the post-flush hook body).
-  void ship_group_cycle(
-      const std::map<std::string, Buffer, std::less<>>& metas,
-      const std::vector<ShardAppend>& appends);
   /// Broadcasts the volume's current snapshots + journals + metadata as
   /// fresh shipments (attach and gap recovery).
   void resync_locked();
@@ -197,9 +192,9 @@ class ReplicatedBackend final : public Backend {
 
   std::shared_ptr<Backend> local_;
   const AckMode mode_;
-  /// True once a GroupCommitter bound itself: append/meta traffic then
-  /// arrives via the flusher and ships through the hook, so the direct
-  /// paths forward without shipping.  Set before the flusher starts.
+  /// True once a GroupCommitter bound itself: append traffic then arrives
+  /// via the flusher and ships through the hook, so the direct paths
+  /// forward without shipping.  Set before the flusher starts.
   std::atomic<bool> committer_bound_{false};
 
   mutable std::mutex mutex_;  // orders LSN assignment + queue pushes

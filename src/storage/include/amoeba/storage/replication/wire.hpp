@@ -1,8 +1,9 @@
 // Replication shipment framing (docs/PROTOCOL.md §9.2).
 //
 // The primary ships each group-commit flush cycle to its backups as ONE
-// cycle frame: a replication LSN, the cycle's coalesced metadata writes,
-// and its per-shard journal appends -- byte for byte what just became
+// cycle frame: a replication LSN, a metadata section (empty for a flush
+// cycle; put_meta and resync fill it), and the per-shard journal
+// appends -- byte for byte what just became
 // durable on the primary's own volume (the group-commit post-flush hook
 // hands them over; nothing is re-encoded).  The frame is checksummed as a
 // whole, so a backup applies an entire cycle or rejects it: the same

@@ -1,0 +1,89 @@
+// The reply stream: a volume's persisted at-most-once state
+// (docs/PROTOCOL.md §8.4).
+//
+// Every Backend reserves one journal stream next to its object shards
+// (index Backend::reply_stream()).  rpc::Service writes two record types
+// there, in the ordinary §8.2 record frame:
+//
+//   reply_floor(src, client, seq)        -- a fresh claim of `seq`
+//   reply_body(src, client, seq, body)   -- the completed reply of `seq`
+//
+// Each record is O(1) bytes, so persisting a request no longer costs an
+// image of every client the server has seen.  The stream compacts like an
+// object shard: install_snapshot() replaces it with a snapshot (the §8.3
+// frame, one slot per client row) whose applied LSN gates replay, so
+// commit.log GC and replica resync cover it unchanged.
+//
+// Replay is a max-merge: a row's floor is the highest seq any record or
+// snapshot row names, and bodies are keyed by seq (the highest
+// kReplyBodiesPerClient survive).  Record order therefore does not matter,
+// and a floor never moves backwards.  Malformed records and rows are
+// skipped whole, never half-applied.
+#pragma once
+
+#include <cstdint>
+#include <map>
+#include <span>
+#include <utility>
+
+#include "amoeba/common/serial.hpp"
+#include "amoeba/storage/record.hpp"
+
+namespace amoeba::storage {
+
+class Backend;
+
+/// Completed reply bodies persisted per client; older ones age out (their
+/// duplicates still drop via the floor).
+inline constexpr std::size_t kReplyBodiesPerClient = 8;
+/// Replies whose data exceeds this are persisted floor-only.
+inline constexpr std::size_t kReplyBodyMaxBytes = 4096;
+
+/// One client's persisted suppression state.
+struct ReplyRow {
+  std::uint64_t floor = 0;                 // highest seq ever claimed
+  std::map<std::uint64_t, Buffer> bodies;  // seq -> encoded reply body
+};
+
+/// (source machine, client id) -> row.
+using ReplyRows = std::map<std::pair<std::uint32_t, std::uint64_t>, ReplyRow>;
+
+/// Appends one framed reply_floor record with stream LSN `lsn` to `out`.
+void encode_reply_floor(std::uint32_t src, std::uint64_t client,
+                        std::uint64_t seq, std::uint64_t lsn, Buffer& out);
+
+/// Appends one framed reply_body record with stream LSN `lsn` to `out`.
+void encode_reply_body(std::uint32_t src, std::uint64_t client,
+                       std::uint64_t seq, std::span<const std::uint8_t> body,
+                       std::uint64_t lsn, Buffer& out);
+
+/// Folds one decoded reply-stream record into `rows`.  Returns false, and
+/// leaves `rows` untouched, for a record that is not a well-formed
+/// reply_floor / reply_body.
+bool merge_reply_record(const Record& record, ReplyRows& rows);
+
+/// Serializes `rows` as a reply-stream snapshot subsuming every stream
+/// record with lsn <= `applied_lsn`.
+[[nodiscard]] Buffer encode_reply_snapshot(const ReplyRows& rows,
+                                           std::uint64_t applied_lsn);
+
+/// Folds a reply-stream snapshot into `rows` and reports its applied LSN.
+/// An empty image is an empty snapshot.  Malformed rows are skipped whole;
+/// returns false (nothing merged) when the image's own framing is corrupt.
+bool merge_reply_snapshot(std::span<const std::uint8_t> image,
+                          ReplyRows& rows, std::uint64_t& applied_lsn);
+
+/// Folds a legacy `reply-floors` metadata image -- the whole-volume image
+/// of earlier versions, magic-led "RCV2" or floors-only -- into `rows`
+/// (the migration path).  Malformed rows are skipped whole.
+void merge_legacy_reply_image(std::span<const std::uint8_t> image,
+                              ReplyRows& rows);
+
+/// Everything `backend`'s reply stream holds: its snapshot, then every
+/// journal record past the snapshot's applied LSN.  `last_lsn` receives the
+/// highest stream LSN seen.  Throws UsageError on a corrupt snapshot (the
+/// object store's rule: a volume that cannot be read must not boot).
+[[nodiscard]] ReplyRows read_reply_stream(const Backend& backend,
+                                          std::uint64_t& last_lsn);
+
+}  // namespace amoeba::storage

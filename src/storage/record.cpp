@@ -1,5 +1,7 @@
 #include "amoeba/storage/record.hpp"
 
+#include <algorithm>
+
 namespace amoeba::storage {
 namespace {
 
@@ -106,7 +108,7 @@ std::vector<Record> decode_journal(std::span<const std::uint8_t> journal,
     record.lsn = r.u64();
     record.payload = r.bytes();
     if (!r.ok() || record.type < RecordType::create ||
-        record.type > RecordType::delta) {
+        record.type > RecordType::rep_applied) {
       if (torn_tail != nullptr) {
         *torn_tail = true;
       }
@@ -147,7 +149,9 @@ bool decode_snapshot(std::span<const std::uint8_t> bytes,
   }
   applied_lsn = r.u64();
   const std::uint32_t count = r.u32();
-  out.reserve(count);
+  // A slot takes at least 16 bytes: a hostile count cannot force a huge
+  // reserve before the reads below fail.
+  out.reserve(std::min<std::size_t>(count, r.remaining() / 16));
   for (std::uint32_t i = 0; i < count; ++i) {
     SnapshotSlot slot;
     slot.object = r.object();

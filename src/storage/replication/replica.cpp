@@ -1,8 +1,11 @@
 #include "amoeba/storage/replication/replica.hpp"
 
+#include <algorithm>
+#include <future>
 #include <utility>
 
 #include "amoeba/common/serial.hpp"
+#include "amoeba/storage/record.hpp"
 #include "amoeba/storage/replication/wire.hpp"
 
 namespace amoeba::storage {
@@ -12,12 +15,24 @@ ReplicaApplier::ReplicaApplier(std::shared_ptr<Backend> local)
   if (local_ == nullptr) {
     throw UsageError("ReplicaApplier: null backend");
   }
+  // The floor is the newer of the one persisted at the last snapshot
+  // install and the last cycle frame's own marker.
   const Buffer floor = local_->get_meta(kRepAppliedKey);
   if (!floor.empty()) {
     Reader r(floor);
     const std::uint64_t applied = r.u64();
     if (r.exhausted()) {
       applied_ = applied;
+    }
+  }
+  for (const Record& record :
+       decode_journal(local_->read_journal(local_->reply_stream()))) {
+    if (record.type == RecordType::rep_applied) {
+      Reader r(record.payload);
+      const std::uint64_t applied = r.u64();
+      if (r.exhausted()) {
+        applied_ = std::max(applied_, applied);
+      }
     }
   }
 }
@@ -47,11 +62,27 @@ Result<std::uint64_t> ReplicaApplier::apply_cycle(
   for (auto& [key, value] : cycle.metas) {
     local_->put_meta(key, value);
   }
-  if (!cycle.appends.empty()) {
-    local_->append_journal_batch(std::move(cycle.appends));
-  }
+  // The cycle plus its applied marker go down as ONE group -- one
+  // commit-log frame, one fsync on a file volume: the backup can never
+  // hold half a cycle (an effect without its reply-stream floor), nor a
+  // floor that claims a cycle it lacks.
+  Writer marker;
+  marker.u64(cycle.rep_lsn);
+  Buffer record;
+  encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
+                     marker.buffer(), record);
+  cycle.appends.push_back({local_->reply_stream(), std::move(record)});
+  std::promise<void> durable;
+  local_->submit_append_group(
+      std::move(cycle.appends), [&durable](std::exception_ptr error) {
+        if (error != nullptr) {
+          durable.set_exception(std::move(error));
+        } else {
+          durable.set_value();
+        }
+      });
+  durable.get_future().get();  // rethrows a failed write
   applied_ = cycle.rep_lsn;
-  persist_floor_locked();
   return applied_;
 }
 
@@ -65,7 +96,7 @@ Result<std::uint64_t> ReplicaApplier::install_snapshot(
   if (rep_lsn <= applied_) {
     return applied_;
   }
-  if (shard >= local_->shard_count()) {
+  if (shard >= local_->stream_count()) {
     return ErrorCode::invalid_argument;
   }
   local_->install_snapshot(shard, bytes);

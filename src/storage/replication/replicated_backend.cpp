@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "amoeba/storage/group_commit.hpp"
+#include "amoeba/storage/record.hpp"
 #include "amoeba/storage/replication/replica.hpp"
 
 namespace amoeba::storage {
@@ -139,10 +140,6 @@ void ReplicatedBackend::install_snapshot(std::size_t shard,
 void ReplicatedBackend::put_meta(std::string_view key,
                                  std::span<const std::uint8_t> value) {
   local_->put_meta(key, value);
-  // Relaxed: see append_journal.
-  if (committer_bound_.load(std::memory_order_relaxed)) {
-    return;  // coalesced metadata ships inside the flush-cycle frame
-  }
   if (key.starts_with(kRepMetaPrefix)) {
     return;  // replication-internal keys never leave the volume
   }
@@ -163,7 +160,7 @@ void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
   }
   committer.set_post_flush_hook(
       [this](const GroupCommitter::FlushCycle& cycle) {
-        ship_group_cycle(*cycle.metas, *cycle.appends);
+        ship_mini_cycle({}, *cycle.appends);
       });
 }
 
@@ -285,35 +282,12 @@ void ReplicatedBackend::ship_mini_cycle(std::span<const MetaImage> metas,
   await_acks(shipment);
 }
 
-void ReplicatedBackend::ship_group_cycle(
-    const std::map<std::string, Buffer, std::less<>>& metas,
-    const std::vector<ShardAppend>& appends) {
-  std::shared_ptr<Shipment> shipment;
-  {
-    const std::lock_guard lock(mutex_);
-    if (peers_.empty()) {
-      return;
-    }
-    std::vector<MetaImage> images;
-    images.reserve(metas.size());
-    for (const auto& [key, value] : metas) {
-      if (std::string_view(key).starts_with(kRepMetaPrefix)) {
-        continue;
-      }
-      images.push_back({key, value});
-    }
-    const std::uint64_t lsn = ++next_lsn_;
-    shipment = broadcast_locked(lsn, false, 0,
-                                encode_cycle_frame(lsn, images, appends));
-  }
-  await_acks(shipment);
-}
-
 void ReplicatedBackend::resync_locked() {
   if (peers_.empty()) {
     return;
   }
-  const std::size_t shards = local_->shard_count();
+  // Every stream: the object shards and the reply stream.
+  const std::size_t shards = local_->stream_count();
   // Snapshots first -- including empty ones, which reset a shard a stale
   // replica may hold junk in -- each adopting its LSN as the new floor...
   for (std::size_t s = 0; s < shards; ++s) {
@@ -326,6 +300,17 @@ void ReplicatedBackend::resync_locked() {
   std::vector<ShardAppend> appends;
   for (std::size_t s = 0; s < shards; ++s) {
     Buffer journal = local_->read_journal(s);
+    if (s == local_->reply_stream()) {
+      // A volume promoted from backup still carries its own rep_applied
+      // markers; like `rep.` metadata they are volume-private.
+      Buffer kept;
+      for (const Record& record : decode_journal(journal)) {
+        if (record.type != RecordType::rep_applied) {
+          encode_record(record, kept);
+        }
+      }
+      journal = std::move(kept);
+    }
     if (!journal.empty()) {
       appends.push_back({s, std::move(journal)});
     }

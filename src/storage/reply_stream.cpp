@@ -1,0 +1,179 @@
+#include "amoeba/storage/reply_stream.hpp"
+
+#include <algorithm>
+#include <vector>
+
+#include "amoeba/common/error.hpp"
+#include "amoeba/storage/backend.hpp"
+
+namespace amoeba::storage {
+namespace {
+
+/// Leading magic of the legacy body-carrying `reply-floors` image ("RCV2").
+/// The floors-only image before it starts with its row count instead; the
+/// magic is far above any plausible count, so the two parse unambiguously.
+constexpr std::uint32_t kLegacyImageMagic = 0x52435632u;
+
+void merge_row(ReplyRows& rows, std::uint32_t src, std::uint64_t client,
+               std::uint64_t floor,
+               std::vector<std::pair<std::uint64_t, Buffer>>&& bodies) {
+  ReplyRow& row = rows[{src, client}];
+  row.floor = std::max(row.floor, floor);
+  for (auto& [seq, body] : bodies) {
+    row.floor = std::max(row.floor, seq);
+    row.bodies.insert_or_assign(seq, std::move(body));
+  }
+  while (row.bodies.size() > kReplyBodiesPerClient) {
+    row.bodies.erase(row.bodies.begin());
+  }
+}
+
+/// Reads `count` (seq, body) pairs; false on underflow or a hostile count.
+bool read_bodies(Reader& r, std::uint32_t count,
+                 std::vector<std::pair<std::uint64_t, Buffer>>& out) {
+  if (count > r.remaining()) {
+    return false;  // each body takes at least 12 bytes: reject before reserve
+  }
+  out.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint64_t seq = r.u64();
+    Buffer body = r.bytes();
+    if (!r.ok() || seq == 0) {
+      return false;
+    }
+    out.emplace_back(seq, std::move(body));
+  }
+  return true;
+}
+
+}  // namespace
+
+void encode_reply_floor(std::uint32_t src, std::uint64_t client,
+                        std::uint64_t seq, std::uint64_t lsn, Buffer& out) {
+  Writer payload;
+  payload.u32(src);
+  payload.u64(client);
+  payload.u64(seq);
+  encode_record_into(RecordType::reply_floor, ObjectNumber{}, 0, lsn,
+                     payload.buffer(), out);
+}
+
+void encode_reply_body(std::uint32_t src, std::uint64_t client,
+                       std::uint64_t seq, std::span<const std::uint8_t> body,
+                       std::uint64_t lsn, Buffer& out) {
+  Writer payload;
+  payload.u32(src);
+  payload.u64(client);
+  payload.u64(seq);
+  payload.bytes(body);
+  encode_record_into(RecordType::reply_body, ObjectNumber{}, 0, lsn,
+                     payload.buffer(), out);
+}
+
+bool merge_reply_record(const Record& record, ReplyRows& rows) {
+  if (record.type != RecordType::reply_floor &&
+      record.type != RecordType::reply_body) {
+    return false;
+  }
+  Reader r(record.payload);
+  const std::uint32_t src = r.u32();
+  const std::uint64_t client = r.u64();
+  const std::uint64_t seq = r.u64();
+  std::vector<std::pair<std::uint64_t, Buffer>> bodies;
+  if (record.type == RecordType::reply_body) {
+    bodies.emplace_back(seq, r.bytes());
+  }
+  if (!r.exhausted() || seq == 0) {
+    return false;
+  }
+  merge_row(rows, src, client, seq, std::move(bodies));
+  return true;
+}
+
+Buffer encode_reply_snapshot(const ReplyRows& rows,
+                             std::uint64_t applied_lsn) {
+  std::vector<SnapshotSlot> slots;
+  slots.reserve(rows.size());
+  for (const auto& [key, row] : rows) {
+    Writer w;
+    w.u32(key.first);
+    w.u64(key.second);
+    w.u64(row.floor);
+    w.u32(static_cast<std::uint32_t>(row.bodies.size()));
+    for (const auto& [seq, body] : row.bodies) {
+      w.u64(seq);
+      w.bytes(body);
+    }
+    slots.push_back({ObjectNumber{}, 0, w.take()});
+  }
+  return encode_snapshot(slots, applied_lsn);
+}
+
+bool merge_reply_snapshot(std::span<const std::uint8_t> image,
+                          ReplyRows& rows, std::uint64_t& applied_lsn) {
+  std::vector<SnapshotSlot> slots;
+  if (!decode_snapshot(image, slots, applied_lsn)) {
+    applied_lsn = 0;
+    return false;
+  }
+  for (const SnapshotSlot& slot : slots) {
+    Reader r(slot.payload);
+    const std::uint32_t src = r.u32();
+    const std::uint64_t client = r.u64();
+    const std::uint64_t floor = r.u64();
+    std::vector<std::pair<std::uint64_t, Buffer>> bodies;
+    if (!read_bodies(r, r.u32(), bodies) || !r.exhausted()) {
+      continue;  // malformed row: skipped whole
+    }
+    merge_row(rows, src, client, floor, std::move(bodies));
+  }
+  return true;
+}
+
+void merge_legacy_reply_image(std::span<const std::uint8_t> image,
+                              ReplyRows& rows) {
+  if (image.empty()) {
+    return;
+  }
+  Reader r(image);
+  std::uint32_t count = r.u32();
+  const bool with_bodies = count == kLegacyImageMagic;
+  if (with_bodies) {
+    count = r.u32();  // the magic-led image puts its row count second
+  }
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+    const std::uint32_t src = r.u32();
+    const std::uint64_t client = r.u64();
+    const std::uint64_t floor = r.u64();
+    std::vector<std::pair<std::uint64_t, Buffer>> bodies;
+    if (with_bodies && !read_bodies(r, r.u32(), bodies)) {
+      return;  // a torn row leaves no way to find the next one
+    }
+    if (!r.ok()) {
+      return;
+    }
+    if (floor != 0 || !bodies.empty()) {
+      merge_row(rows, src, client, floor, std::move(bodies));
+    }
+  }
+}
+
+ReplyRows read_reply_stream(const Backend& backend, std::uint64_t& last_lsn) {
+  ReplyRows rows;
+  const std::size_t stream = backend.reply_stream();
+  std::uint64_t applied = 0;
+  if (!merge_reply_snapshot(backend.read_snapshot(stream), rows, applied)) {
+    throw UsageError("reply stream: corrupt snapshot on recovery");
+  }
+  last_lsn = applied;
+  for (const Record& record : decode_journal(backend.read_journal(stream))) {
+    if (record.lsn <= applied) {
+      continue;  // already folded into the snapshot (compaction race)
+    }
+    (void)merge_reply_record(record, rows);  // malformed: skipped whole
+    last_lsn = std::max(last_lsn, record.lsn);
+  }
+  return rows;
+}
+
+}  // namespace amoeba::storage

@@ -365,6 +365,7 @@ void UringFileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
         chain->offset = commit_log_bytes_;
         chain->iov = {chain->frame.data(), chain->frame.size()};
         commit_log_bytes_ += chain->frame.size();
+        commit_split_.clear();
         push = !hold_;
         chain->pushed = push;
         id = chain->id;

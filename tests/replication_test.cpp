@@ -172,7 +172,6 @@ TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
   std::atomic<std::uint64_t> hook_covered{0};
   std::atomic<std::uint64_t> hook_bytes{0};
   committer.set_post_flush_hook([&](const GroupCommitter::FlushCycle& cycle) {
-    ASSERT_NE(cycle.metas, nullptr);
     ASSERT_NE(cycle.appends, nullptr);
     std::uint64_t seen = 0;
     for (const ShardAppend& a : *cycle.appends) {

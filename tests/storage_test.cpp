@@ -72,7 +72,7 @@ TEST(RecordCodec, DeltaRecordRoundTrips) {
   // One past the last known type is rejected, ending the parse.
   Buffer bad;
   encode_record({static_cast<RecordType>(
-                     static_cast<std::uint8_t>(RecordType::delta) + 1),
+                     static_cast<std::uint8_t>(RecordType::rep_applied) + 1),
                  ObjectNumber(1), 0, 1, {}},
                 bad);
   torn = false;
@@ -528,20 +528,6 @@ TEST(GroupCommitTest, GroupsNeverTearAcrossCaptureImages) {
     }
   }
   EXPECT_EQ(committer.stats().records, 128u);
-}
-
-TEST(GroupCommitTest, MetaCoalescesLatestImageWins) {
-  auto backend = std::make_shared<MemoryBackend>(1);
-  GroupCommitter committer(backend);
-  (void)committer.enqueue_meta("floors", Buffer{1});
-  (void)committer.enqueue_meta("floors", Buffer{2});
-  const auto t = committer.enqueue_meta("floors", Buffer{3});
-  committer.wait_durable(t);
-  EXPECT_EQ(backend->get_meta("floors"), Buffer{3});
-  // At least one write reached the backend; at most one per cycle.
-  const auto stats = committer.stats();
-  EXPECT_GE(stats.meta_writes, 1u);
-  EXPECT_LE(stats.meta_writes, 3u);
 }
 
 TEST(GroupCommitTest, DrainCoversEverythingEnqueued) {
