@@ -76,9 +76,12 @@
 // with an assigned commit ticket; the mutating operation then releases
 // the shard lock and blocks until the flusher reports the ticket durable,
 // so "durable on return" still holds while one backend write + one fsync
-// per flush cycle covers every record that piled up meanwhile.  Handlers
-// that can pipeline use Opened::release_async() to carry the ticket as a
-// future and wait through ShardedObjectStore::wait_durable() later.
+// per flush cycle covers every record that piled up meanwhile.  Inside a
+// storage::RequestScope (an rpc request) the wait is deferred instead:
+// the request blocks once, for all its effects, before its reply leaves.
+// Handlers that can pipeline use Opened::release_async() to carry the
+// ticket as a future and wait through ShardedObjectStore::wait_durable()
+// later.
 // Without a committer every append is synchronous on the mutator thread
 // (the PR-5 shape, still supported).
 //
@@ -508,8 +511,10 @@ class ShardedObjectStore {
   }
 
   /// Blocks until the given group-commit ticket is durable (no-op for
-  /// ticket 0 or a store without a committer).  Pairs with
-  /// Opened::release_async() for pipelined mutation windows.
+  /// ticket 0 or a store without a committer); inside a
+  /// storage::RequestScope it only records the ticket for the scope's
+  /// settle().  Pairs with Opened::release_async() for pipelined mutation
+  /// windows.
   void wait_durable(std::uint64_t ticket) {
     if (ticket != 0 && durability_.committer != nullptr) {
       durability_.committer->wait_durable(ticket);
@@ -517,20 +522,14 @@ class ShardedObjectStore {
   }
 
   /// The accessor releases above run in destructors, which must not
-  /// throw.  Inside a request handler a durability wait that fails there
-  /// (a failed flush, a fenced deposed primary) is recorded for the rpc
-  /// layer, which then answers `internal` rather than acknowledge the
-  /// effect (storage::ReleaseFailureScope).  Anywhere else the process
-  /// stops, as it did when the exception escaped the destructor: nothing
-  /// may carry on as if the effect were durable.
+  /// throw.  Inside a request handler the wait is deferred to the
+  /// request's storage::RequestScope, whose settle() reports a failure
+  /// (a failed flush, a fenced deposed primary) as the `internal` reply.
+  /// Anywhere else a failed wait stops the process, as an exception
+  /// escaping a destructor always did: nothing may carry on as if the
+  /// effect were durable.
   void wait_durable_on_release(std::uint64_t ticket) noexcept {
-    try {
-      wait_durable(ticket);
-    } catch (const std::exception&) {
-      if (!storage::ReleaseFailureScope::note()) {
-        std::terminate();
-      }
-    }
+    wait_durable(ticket);
   }
 
   /// The server workhorse: look the object up by the (unencrypted) object
@@ -1395,7 +1394,8 @@ class ShardedObjectStore {
   /// so far is made durable: the snapshot may hold an effect whose request
   /// floor (rpc::Service's reply stream, enqueued before the handler ran)
   /// still waits in the queue, and a crash -- or a backup that applied the
-  /// shipped snapshot -- must never keep the effect without its floor.  A
+  /// shipped snapshot -- must never keep the effect without its floor.
+  /// drain() blocks even inside a request's storage::RequestScope.  A
   /// failed committer skips the compaction; its waiters hear the failure.
   void snapshot_shard_locked(std::size_t s, Shard& shard) {
     if (durability_.committer != nullptr) {

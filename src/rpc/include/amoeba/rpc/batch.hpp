@@ -6,8 +6,8 @@
 // transport can pipeline, the remaining per-transaction cost is the frame
 // itself -- one-shot port generation, F-box admission, two mailbox
 // rendezvous.  Packing independent sub-requests into one frame amortizes
-// all of it, and the server side fans the sub-requests across the sharded
-// object store.
+// all of it, and the server runs the sub-requests in order on one worker
+// and waits for their durability once, before the batched reply.
 //
 // Wire format (all integers little-endian, see common/serial.hpp):
 //

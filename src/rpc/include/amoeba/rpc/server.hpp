@@ -14,10 +14,8 @@
 // Batch envelopes (rpc/batch.hpp): a frame carrying kBatchOpcode is
 // unpacked here and each sub-request dispatched through the same handle()
 // path, producing one batched reply with per-entry status.  Envelope-level
-// checks (signature, filter) run once per frame; wide envelopes can
-// optionally be fanned across transient helper threads
-// (set_batch_fan_out), which is safe because handlers already tolerate
-// multi-worker concurrency.
+// checks (signature, filter) run once per frame, and the entries run in
+// order on the receiving worker.
 //
 // At-most-once duplicate suppression (docs/PROTOCOL.md §5): requests
 // stamped with kFlagAtMostOnce carry the issuing transport's (client, seq)
@@ -43,13 +41,15 @@
 // cache to the volume's reply stream (storage/reply_stream.hpp).  A fresh
 // claim ENQUEUES a reply_floor record -- the highest sequence number ever
 // claimed -- without waiting; the handler's effects are enqueued after it,
-// so a crash image never holds an effect without its floor.  The worker
-// then waits for durability ONCE, after the handler and before the reply
-// leaves: a mutate's own effects wait already covers the floor's smaller
-// ticket, a read waits on the floor ticket itself.  No reply is sent
-// before its floor is durable, so after a crash+restart a duplicate of any
-// pre-crash transaction is DROPPED (an operation may be lost to the torn
-// tail, but never runs twice).  Completed reply BODIES follow as
+// so a crash image never holds an effect without its floor.  Claim and
+// handler run inside a storage::RequestScope, which turns every
+// durability wait (the floor's, each effect's, each envelope entry's)
+// into a recorded ticket; the worker blocks ONCE, after the handler and
+// before the reply leaves, and a handler's outgoing call settles first
+// (rpc::Transport).  No reply is sent before its floor is durable, so
+// after a crash+restart a duplicate of any pre-crash transaction is
+// DROPPED (an operation may be lost to the torn tail, but never runs
+// twice).  Completed reply BODIES follow as
 // reply_body records, best effort (no wait), so a post-restart duplicate
 // of a recently completed transaction is re-answered instead of timing
 // out.  Each record is O(1) bytes; the stream compacts into a snapshot of
@@ -141,12 +141,6 @@ class Service {
   /// signature is replayable and §2.4's source addresses take over.
   /// Thread-safe; applies from the next delivered frame.
   void set_allowed_signatures(std::vector<Port> published_signatures);
-
-  /// Fans sub-requests of one batch envelope across up to `helpers`
-  /// transient threads (1 = in the receiving worker, the default; pays off
-  /// when handlers block or compute, not for cheap table lookups).
-  /// Thread-safe; takes effect on the next envelope.
-  void set_batch_fan_out(int helpers);
 
   // ---- at-most-once reply cache ---------------------------------------
 
@@ -413,7 +407,6 @@ class Service {
   Port get_port_;
   std::string name_;
   std::vector<std::jthread> workers_;
-  std::atomic<int> batch_fan_out_{1};
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
   mutable std::mutex filter_mutex_;  // guards filter_ and signatures_

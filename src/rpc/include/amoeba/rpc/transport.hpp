@@ -127,6 +127,12 @@ class Transport {
   /// §5.1).  Thread-safe: any number of threads may issue and pipeline
   /// concurrently, and each thread may keep any number of transactions in
   /// flight.
+  ///
+  /// Called from a service handler (a thread with a storage::RequestScope
+  /// open), it first makes every effect the handler recorded so far
+  /// durable: no message leaves a worker before the effects it may depend
+  /// on.  If that fails, nothing is sent and the future fails with
+  /// ErrorCode::internal.
   [[nodiscard]] Future trans_async(net::Message request,
                                    std::chrono::milliseconds timeout);
 

@@ -102,13 +102,6 @@ void Service::set_allowed_signatures(std::vector<Port> published_signatures) {
   allowed_signatures_ = std::move(published_signatures);
 }
 
-void Service::set_batch_fan_out(int helpers) {
-  if (helpers < 1) {
-    throw UsageError("Service::set_batch_fan_out: need at least one helper");
-  }
-  batch_fan_out_.store(helpers, std::memory_order_relaxed);
-}
-
 void Service::on(std::uint16_t opcode, Handler handler) {
   if (!workers_.empty()) {
     throw UsageError("Service::on: register handlers before start()");
@@ -679,18 +672,12 @@ net::Message Service::handle_one(const net::Delivery& request) {
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
   net::Message reply;
-  const storage::ReleaseFailureScope releases;
   try {
     reply = handle(request);
   } catch (const std::exception&) {
     // A handler failure (bad_alloc on an oversized request, a violated
     // precondition) must not take the whole service process down; the
     // offending client gets the invariant-failure status instead.
-    reply = net::make_reply(request.message, ErrorCode::internal);
-  }
-  if (releases.failed()) {
-    // The handler's effects never became durable (failed flush, fenced
-    // deposed primary, §9.4): never acknowledge them.
     reply = net::make_reply(request.message, ErrorCode::internal);
   }
   if (metrics != nullptr) {
@@ -721,7 +708,9 @@ net::Message Service::handle_batch(const net::Delivery& request) {
   }
   batched_requests_.fetch_add(subs->size(), std::memory_order_relaxed);
   std::vector<BatchReply> replies(subs->size());
-  const auto process = [&](std::size_t i) {
+  // Entries run in order on this worker, inside the envelope's request
+  // scope: their durability waits all settle once, after the last entry.
+  for (std::size_t i = 0; i < subs->size(); ++i) {
     BatchRequest& sub = (*subs)[i];
     net::Delivery sub_request;
     sub_request.src = request.src;
@@ -743,28 +732,6 @@ net::Message Service::handle_batch(const net::Delivery& request) {
                             sub_reply.header.capability,
                             sub_reply.header.params,
                             std::move(sub_reply.data)};
-  };
-  const std::size_t fan_out =
-      std::min<std::size_t>(
-          static_cast<std::size_t>(
-              batch_fan_out_.load(std::memory_order_relaxed)),
-          subs->size());
-  if (fan_out <= 1) {
-    for (std::size_t i = 0; i < subs->size(); ++i) {
-      process(i);
-    }
-  } else {
-    // Strided fan-out across transient helpers; handlers are already safe
-    // under multi-worker concurrency, so this adds parallelism, not risk.
-    std::vector<std::jthread> helpers;
-    helpers.reserve(fan_out);
-    for (std::size_t h = 0; h < fan_out; ++h) {
-      helpers.emplace_back([&, h] {
-        for (std::size_t i = h; i < replies.size(); i += fan_out) {
-          process(i);
-        }
-      });
-    }
   }
   net::Message reply = net::make_reply(request.message, ErrorCode::ok);
   reply.header.flags |= net::kFlagBatch;
@@ -792,7 +759,9 @@ void Service::run(std::stop_token stop, std::latch& ready) {
     net::Message reply;
     bool executed = true;      // false: answered without running a handler
     bool cache_reply = false;  // true: claimed fresh, publish after handling
-    std::uint64_t floor_ticket = 0;
+    // Every durability wait of the claim and the handler -- floor, effects,
+    // each envelope entry's -- is recorded here and settled once below.
+    storage::RequestScope durability;
     if (!allowed_signatures.empty() &&
         std::find(allowed_signatures.begin(), allowed_signatures.end(),
                   delivery->message.header.signature) ==
@@ -832,10 +801,13 @@ void Service::run(std::stop_token stop, std::latch& ready) {
             // snapshot drains it first), so no crash image holds an effect
             // without its floor.
             try {
-              floor_ticket = persist_reply_floor(
+              const std::uint64_t floor_ticket = persist_reply_floor(
                   ClientKey{delivery->src.value(),
                             delivery->message.header.client},
                   delivery->message.header.seq);
+              if (floor_ticket != 0) {
+                reply_committer_->wait_durable(floor_ticket);  // deferred
+              }
             } catch (const std::exception&) {
               // A synchronous volume refused the floor: the operation
               // must not execute; the client hears the truth.
@@ -850,20 +822,17 @@ void Service::run(std::stop_token stop, std::latch& ready) {
                     ? handle_batch(*delivery)
                     : handle_one(*delivery);
       }
+      // The request's one durability wait (§8.4): no reply leaves before
+      // its floor and every effect its handler -- or any entry of its
+      // envelope -- recorded are durable.  A volume that refuses
+      // durability (failed flush, fenced deposed primary, §9.4) turns the
+      // whole reply, envelope included, into the truth.
+      try {
+        durability.settle();
+      } catch (const std::exception&) {
+        reply = net::make_reply(delivery->message, ErrorCode::internal);
+      }
       if (cache_reply) {
-        // The request's one durability wait (§8.4): no reply leaves
-        // before its floor is durable.  A mutate's handler already waited
-        // on its effects, whose tickets follow the floor's, so this
-        // returns at once; a read blocks here.  A volume that refuses
-        // durability (failed flush, fenced deposed primary, §9.4) turns
-        // the reply into the truth.
-        try {
-          if (floor_ticket != 0) {
-            reply_committer_->wait_durable(floor_ticket);
-          }
-        } catch (const std::exception&) {
-          reply = net::make_reply(delivery->message, ErrorCode::internal);
-        }
         // Cached in pre-dest, pre-filter form; a re-send recomputes the
         // destination from the duplicate and re-seals per transmission.
         store_reply(*delivery, reply);

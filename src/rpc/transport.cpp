@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "amoeba/storage/group_commit.hpp"
+
 namespace amoeba::rpc {
 
 using Clock = std::chrono::steady_clock;
@@ -204,6 +206,14 @@ Future Transport::trans_async(net::Message request,
                               std::chrono::milliseconds timeout) {
   auto state = std::make_shared<Future::State>();
   Future future(state);
+  try {
+    storage::RequestScope::settle_current();
+  } catch (const std::exception&) {
+    // The effects this call may carry are not durable and never will be;
+    // the request scope still holds them, so the reply fails too.
+    state->outcome.emplace(ErrorCode::internal);  // not shared yet
+    return future;
+  }
 
   // One lock hold covers the per-transaction bookkeeping: stats, the
   // signature/filter snapshot, the at-most-once (client, seq) stamp, the

@@ -20,21 +20,38 @@ namespace {
   }
 }
 
-thread_local ReleaseFailureScope* innermost_scope = nullptr;
+thread_local RequestScope* innermost_scope = nullptr;
 
 }  // namespace
 
-ReleaseFailureScope::ReleaseFailureScope() noexcept
+RequestScope::RequestScope() noexcept
     : outer_(std::exchange(innermost_scope, this)) {}
 
-ReleaseFailureScope::~ReleaseFailureScope() { innermost_scope = outer_; }
+RequestScope::~RequestScope() { innermost_scope = outer_; }
 
-bool ReleaseFailureScope::note() noexcept {
-  if (innermost_scope == nullptr) {
-    return false;
+RequestScope* RequestScope::current() noexcept { return innermost_scope; }
+
+void RequestScope::defer(GroupCommitter& committer, std::uint64_t ticket) {
+  for (Pending& p : pending_) {
+    if (p.committer == &committer) {
+      p.ticket = std::max(p.ticket, ticket);  // tickets are volume-monotone
+      return;
+    }
   }
-  innermost_scope->failed_ = true;
-  return true;
+  pending_.push_back({&committer, ticket});
+}
+
+void RequestScope::settle() {
+  for (const Pending& p : pending_) {
+    p.committer->block_until(p.ticket);
+  }
+  pending_.clear();
+}
+
+void RequestScope::settle_current() {
+  if (innermost_scope != nullptr) {
+    innermost_scope->settle();
+  }
 }
 
 GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend,
@@ -58,7 +75,13 @@ GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend,
 }
 
 GroupCommitter::~GroupCommitter() {
-  flusher_.request_stop();
+  {
+    // Under the mutex: the flusher tests the stop flag under it and then
+    // sleeps, so a stop requested between the two would be a lost wakeup
+    // and the join below would hang.
+    const std::lock_guard lock(mutex_);
+    flusher_.request_stop();
+  }
   work_cv_.notify_all();
   // jthread joins; the flusher drains every pending enqueue AND waits out
   // every in-flight async completion first (completions touch this
@@ -124,6 +147,14 @@ void GroupCommitter::wait_durable(Ticket ticket) {
   if (ticket == 0) {
     return;
   }
+  if (RequestScope* scope = RequestScope::current(); scope != nullptr) {
+    scope->defer(*this, ticket);
+    return;
+  }
+  block_until(ticket);
+}
+
+void GroupCommitter::block_until(Ticket ticket) {
   std::unique_lock lock(mutex_);
   if (durable_ >= ticket) {
     return;  // already durable (even if a later cycle has since failed)
@@ -156,7 +187,7 @@ void GroupCommitter::drain() {
     const std::lock_guard lock(mutex_);
     last = issued_;
   }
-  wait_durable(last);
+  block_until(last);
 }
 
 GroupCommitter::Stats GroupCommitter::stats() const {

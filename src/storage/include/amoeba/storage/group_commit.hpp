@@ -80,29 +80,43 @@ struct GroupCommitOptions {
   static constexpr std::chrono::microseconds kDefaultLingerCeiling{200};
 };
 
-/// Marks the calling thread as running one request handler.  The object
-/// store's accessor releases wait for durability in destructors, which
-/// cannot throw; a wait that fails there inside a scope is recorded in
-/// it, for the handler's caller to turn into an error reply.  Outside any
-/// scope such a failure ends the process, as an exception escaping a
-/// destructor always did.  Scopes nest (innermost wins).
-class ReleaseFailureScope {
+class GroupCommitter;
+
+/// Defers the calling thread's durability waits to one point: while a
+/// scope is open, GroupCommitter::wait_durable records the largest ticket
+/// per committer and returns without blocking (accessor releases,
+/// ShardedObjectStore::create, a request's reply floor).  settle() then
+/// blocks once per committer.  rpc::Service opens one scope per request,
+/// around claim and handler, and settles before the reply leaves;
+/// rpc::Transport settles before a handler's outgoing call.  drain()
+/// always blocks.  Scopes nest (innermost wins).
+class RequestScope {
  public:
-  ReleaseFailureScope() noexcept;
-  ~ReleaseFailureScope();
-  ReleaseFailureScope(const ReleaseFailureScope&) = delete;
-  ReleaseFailureScope& operator=(const ReleaseFailureScope&) = delete;
+  RequestScope() noexcept;
+  ~RequestScope();
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
 
-  /// True once a release inside this scope failed its durability wait.
-  [[nodiscard]] bool failed() const noexcept { return failed_; }
+  /// Blocks until every recorded ticket is durable, then forgets them.
+  /// Throws as wait_durable does if a committer failed first; the tickets
+  /// stay recorded, so a later settle() throws again.
+  void settle();
 
-  /// Records a failed release in the calling thread's innermost scope;
-  /// false when the thread has none open.
-  static bool note() noexcept;
+  /// Settles the calling thread's innermost scope; no-op without one.
+  static void settle_current();
 
  private:
-  ReleaseFailureScope* outer_;
-  bool failed_ = false;
+  friend class GroupCommitter;
+  struct Pending {
+    GroupCommitter* committer;
+    std::uint64_t ticket;
+  };
+  /// The innermost open scope of the calling thread, or null.
+  [[nodiscard]] static RequestScope* current() noexcept;
+  void defer(GroupCommitter& committer, std::uint64_t ticket);
+
+  RequestScope* outer_;
+  std::vector<Pending> pending_;  // one entry per committer
 };
 
 class GroupCommitter {
@@ -209,12 +223,15 @@ class GroupCommitter {
   /// Blocks until every enqueue with a ticket at or below `ticket` is on
   /// the backend.  Throws UsageError if the flusher failed (disk full)
   /// before covering it -- durability is never reported optimistically.
+  /// Inside a RequestScope it only records the ticket; the scope's
+  /// settle() does the blocking.
   void wait_durable(Ticket ticket);
 
   /// Non-blocking durability probe.
   [[nodiscard]] bool is_durable(Ticket ticket) const;
 
-  /// Blocks until everything enqueued so far is durable.
+  /// Blocks until everything enqueued so far is durable, RequestScope or
+  /// not (a shard snapshot install depends on it).
   void drain();
 
   [[nodiscard]] Stats stats() const;
@@ -233,6 +250,10 @@ class GroupCommitter {
   }
 
  private:
+  friend class RequestScope;
+  /// wait_durable's blocking half, which no scope defers.
+  void block_until(Ticket ticket);
+
   /// One claimed flush cycle, alive from claim until its completion has
   /// been processed.  Owns the bytes the backend writes and the hook
   /// ships; shared with the backend's completion callback, which may

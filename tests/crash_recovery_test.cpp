@@ -37,6 +37,7 @@
 #include "amoeba/core/schemes.hpp"
 #include "amoeba/kernel/memory_server.hpp"
 #include "amoeba/net/network.hpp"
+#include "amoeba/rpc/batch.hpp"
 #include "amoeba/rpc/transport.hpp"
 #include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/bank_server.hpp"
@@ -228,6 +229,107 @@ TEST_F(BankCrashSuite, KilledAtEveryJournalBarrierRecoversConsistently) {
     EXPECT_EQ(dollars(bob_), after_first_replay)
         << "a pre-crash transfer re-executed after restart";
     EXPECT_EQ(total_money(), kMint);
+    shutdown();
+  }
+}
+
+TEST_F(BankCrashSuite, PayrollEnvelopeKilledAtEveryJournalBarrier) {
+  // A payroll (BankClient::transfer_many) is ONE request: its floor is
+  // enqueued first, and its entries' effects settle together after the
+  // last entry.  Image the volume at EVERY flush group while payrolls run:
+  // each image must conserve money, and replaying every payroll envelope
+  // after the restart must never pay anyone twice -- an envelope whose
+  // floor the image holds drops or is re-answered, never re-executed.
+  constexpr int kStaff = 6;
+  constexpr int kPayrolls = 5;
+  boot(backend_);
+  alice_ = client_->create_account().value();
+  std::vector<core::Capability> staff;
+  for (int i = 0; i < kStaff; ++i) {
+    staff.push_back(client_->create_account().value());
+  }
+  ASSERT_TRUE(client_
+                  ->mint(bank_->master_capability(), alice_,
+                         currency::kDollar, kMint)
+                  .ok());
+  std::vector<BankClient::Transfer> payroll;
+  for (const core::Capability& member : staff) {
+    payroll.push_back({alice_, member, currency::kDollar, kAmount});
+  }
+
+  std::mutex images_mutex;
+  std::vector<std::shared_ptr<storage::MemoryBackend>> images;
+  backend_->set_append_hook([&](std::uint64_t) {
+    const std::lock_guard lock(images_mutex);
+    images.push_back(backend_->capture());
+  });
+  // The envelopes exactly as the transport stamped them (client id, seq),
+  // so the restarted bank sees true duplicates.
+  std::mutex envelopes_mutex;
+  std::vector<net::Message> envelopes;
+  {
+    const net::TapHandle tap = net_.attach_tap([&](const net::TapRecord& rec) {
+      if (rec.kind == net::FrameKind::data &&
+          rec.src == client_machine_.id() &&
+          rec.message.header.opcode == rpc::kBatchOpcode &&
+          (rec.message.header.flags & net::kFlagRetransmit) == 0) {
+        const std::lock_guard lock(envelopes_mutex);
+        envelopes.push_back(rec.message);
+      }
+    });
+    for (int p = 0; p < kPayrolls; ++p) {
+      for (const Result<void>& paid : client_->transfer_many(payroll)) {
+        ASSERT_TRUE(paid.ok()) << "payroll " << p;
+      }
+    }
+  }
+  backend_->set_append_hook(nullptr);
+  shutdown();
+  ASSERT_EQ(envelopes.size(), static_cast<std::size_t>(kPayrolls));
+  ASSERT_GE(images.size(), 2u) << "payrolls produced no journal barriers";
+
+  const auto staff_dollars = [&] {
+    std::vector<std::int64_t> out;
+    for (const core::Capability& member : staff) {
+      out.push_back(dollars(member));
+    }
+    return out;
+  };
+  const auto conserved = [&](const std::vector<std::int64_t>& paid) {
+    std::int64_t total = dollars(alice_);
+    for (const std::int64_t amount : paid) {
+      total += amount;
+    }
+    return total == kMint;
+  };
+  for (std::size_t img = 0; img < images.size(); ++img) {
+    SCOPED_TRACE("crash image " + std::to_string(img));
+    boot(images[img]);
+    const std::vector<std::int64_t> recovered = staff_dollars();
+    EXPECT_TRUE(conserved(recovered));
+
+    const Port replay_get(0x4848);
+    net::Receiver replay_replies = client_machine_.listen(replay_get);
+    const auto replay = [&] {
+      for (net::Message frame : envelopes) {
+        frame.header.reply = replay_get;
+        ASSERT_TRUE(client_machine_.transmit(frame, bank_machine_.id()));
+      }
+      quiesce(*bank_);
+    };
+    replay();
+    const std::vector<std::int64_t> after_first_replay = staff_dollars();
+    EXPECT_TRUE(conserved(after_first_replay));
+    for (int i = 0; i < kStaff; ++i) {
+      EXPECT_GE(after_first_replay[i], recovered[i]);
+      EXPECT_LE(after_first_replay[i], kPayrolls * kAmount)
+          << "a payroll envelope re-executed after restart (staff " << i
+          << ")";
+      EXPECT_EQ(after_first_replay[i] % kAmount, 0);
+    }
+    replay();
+    EXPECT_EQ(staff_dollars(), after_first_replay)
+        << "a replayed payroll envelope re-executed";
     shutdown();
   }
 }

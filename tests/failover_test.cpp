@@ -11,7 +11,9 @@
 //     pre-crash master (zero re-minting, so old money still mints),
 //   * a duplicate of an in-flight pre-crash transfer is suppressed (the
 //     shipped reply-cache floors survive the failover),
-//   * money is conserved and the promoted bank takes new transfers.
+//   * money is conserved and the promoted bank takes new transfers,
+//   * a deposed primary, fenced by the promotion, answers a batch
+//     envelope `internal` as a whole.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -220,6 +222,39 @@ TEST_F(FailoverSuite, PromotedBackupServesEveryPreCrashCapability) {
   ASSERT_TRUE(client_->transfer(alice_, bob_, currency::kDollar, 100).ok());
   EXPECT_EQ(dollars(bob_), pre_crash_bob + 100);
   EXPECT_EQ(dollars(alice_) + dollars(bob_), kMint);
+}
+
+TEST_F(FailoverSuite, FencedDeposedPrimaryAnswersEnvelopesInternal) {
+  // Split brain: the backup is promoted while the old primary still runs.
+  // A payroll envelope sent to the deposed primary executes its entries,
+  // but their effects can never become durable (the promoted backup
+  // refuses the shipment, §9.4), so the whole envelope answers
+  // `internal` -- never `ok`, not even per entry.
+  replicated_ = rpc::replicate_to(
+      primary_volume_, storage::AckMode::ack_one, primary_machine_, 23,
+      {{"backup", replica_->volume_capability()}});
+  bank_ = std::make_unique<BankServer>(primary_machine_, kBankPort,
+                                       scheme(), 1, replicated_);
+  bank_->start(2);
+  transport_ = std::make_unique<rpc::Transport>(client_machine_, seed_++);
+  client_ = std::make_unique<BankClient>(*transport_, bank_->put_port());
+  alice_ = client_->create_account().value();
+  bob_ = client_->create_account().value();
+  ASSERT_TRUE(client_
+                  ->mint(bank_->master_capability(), alice_,
+                         currency::kDollar, kMint)
+                  .ok());
+  ASSERT_TRUE(
+      rpc::rep_promote(*transport_, replica_->volume_capability()).ok());
+
+  rpc::TypedBatch payroll(*transport_, bank_->put_port());
+  for (int i = 0; i < 8; ++i) {
+    (void)payroll.add(bank_ops::kTransfer, alice_,
+                      {currency::kDollar, kAmount, bob_});
+  }
+  const auto replies = payroll.run();
+  ASSERT_FALSE(replies.ok()) << "a fenced primary acknowledged an envelope";
+  EXPECT_EQ(replies.error(), ErrorCode::internal);
 }
 
 TEST_F(FailoverSuite, PromotedVolumeCanReplicateOnward) {

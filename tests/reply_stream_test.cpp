@@ -9,8 +9,10 @@
 //     tombstone bound;
 //   * a legacy whole-volume `reply-floors` image is migrated, then emptied;
 //   * the decoders survive field-level mutation (AMOEBA_TEST_SEED);
-//   * a request waits for durability once, after its handler, and its
-//     reply never leaves before its floor is durable;
+//   * a request -- a whole batch envelope included -- waits for
+//     durability once, after its handler, and its reply never leaves
+//     before its floor and effects are durable;
+//   * a handler's outgoing call never leaves before its effects do;
 //   * a shard snapshot installed while a request's floor is still queued
 //     never leaves its effect without that floor, on the primary or on a
 //     backup that applied the shipped snapshot.
@@ -38,6 +40,7 @@
 #include "amoeba/core/object_store.hpp"
 #include "amoeba/core/schemes.hpp"
 #include "amoeba/net/network.hpp"
+#include "amoeba/rpc/batch.hpp"
 #include "amoeba/rpc/server.hpp"
 #include "amoeba/rpc/transport.hpp"
 #include "amoeba/rpc/typed.hpp"
@@ -744,6 +747,165 @@ TEST(ReplyStreamTest, OneDurabilityWaitPerRequestAfterTheHandler) {
     EXPECT_GE(row->second.floor, seq);
   }
   EXPECT_EQ(service.executions.load(), 41);
+
+  // A 32-entry envelope of mutates is one request: its entries' effects
+  // and its floor settle in one wait after the last entry, not one each,
+  // and the envelope's reply waits for all of them.
+  constexpr std::size_t kEntries = 32;
+  const auto envelope = [&](std::uint64_t envelope_seq) {
+    std::vector<rpc::BatchRequest> entries(kEntries);
+    for (rpc::BatchRequest& entry : entries) {
+      entry.opcode = CountingService::kEffect;
+    }
+    net::Message request =
+        stamped(service.put_port(), rpc::kBatchOpcode, kClient, envelope_seq,
+                reply_get, rpc::encode_batch(entries));
+    request.header.flags |= net::kFlagBatch;
+    return request;
+  };
+  const auto expect_all_ok = [&](const net::Message& reply) {
+    EXPECT_EQ(reply.header.status, ErrorCode::ok);
+    const auto subs = rpc::decode_batch_reply(reply.data);
+    ASSERT_TRUE(subs.has_value());
+    ASSERT_EQ(subs->size(), kEntries);
+    for (const rpc::BatchReply& sub : *subs) {
+      EXPECT_EQ(sub.status, ErrorCode::ok);
+    }
+  };
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = false;
+  }
+  const int before_envelope = service.executions.load();
+  ASSERT_TRUE(
+      client_machine.transmit(envelope(seq++), server_machine.id()));
+  for (int i = 0; i < 200 && service.executions.load() <
+                                 before_envelope + static_cast<int>(kEntries);
+       ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(service.executions.load(),
+            before_envelope + static_cast<int>(kEntries))
+      << "an entry blocked on durability before the next one ran";
+  EXPECT_FALSE(replies.receive({}, 100ms).has_value())
+      << "an envelope reply left before its effects were durable";
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = true;
+  }
+  gate_cv.notify_all();
+  const auto gated = replies.receive({}, 2'000ms);
+  ASSERT_TRUE(gated.has_value());
+  expect_all_ok(gated->message);
+
+  for (int i = 0; i < 8; ++i, ++seq) {
+    const std::uint64_t waits_before =
+        service.committer().stats().blocking_waits;
+    ASSERT_TRUE(client_machine.transmit(envelope(seq), server_machine.id()));
+    const auto reply = replies.receive({}, 2'000ms);
+    ASSERT_TRUE(reply.has_value());
+    expect_all_ok(reply->message);
+    EXPECT_LE(service.committer().stats().blocking_waits - waits_before, 1u)
+        << "envelope #" << i;
+  }
+  EXPECT_EQ(service.executions.load(), 41 + 9 * static_cast<int>(kEntries));
+}
+
+// ---------------------------------------------------------------------
+// No outgoing call before the effects it may depend on.
+
+/// A plain service that counts the requests it receives.
+class SinkService final : public rpc::Service {
+ public:
+  static constexpr std::uint16_t kPing = 0x0201;
+
+  SinkService(net::Machine& machine, Port port)
+      : Service(machine, port, "sink") {
+    on(kPing, [this](const net::Delivery& request) {
+      ++received;
+      return net::make_reply(request.message, ErrorCode::ok);
+    });
+  }
+  ~SinkService() override { stop(); }
+
+  std::atomic<int> received{0};
+};
+
+/// kForward journals one effect, then calls `downstream` through its own
+/// Transport before replying (the flat-file server's shape, which calls
+/// the block server mid-handler).
+class ForwardingService final : public rpc::Service {
+ public:
+  static constexpr std::uint16_t kForward = 0x0202;
+
+  ForwardingService(net::Machine& machine, Port port,
+                    std::shared_ptr<storage::Backend> volume, Port downstream)
+      : Service(machine, port, "forwarding"),
+        committer_(std::make_shared<storage::GroupCommitter>(volume)),
+        transport_(machine, 17) {
+    attach_durability(volume, committer_);
+    on(kForward, [this, downstream](const net::Delivery& request) {
+      Buffer record;
+      storage::encode_record_into(storage::RecordType::mutate, ObjectNumber(1),
+                                  0, ++effect_lsn_, {}, record);
+      committer_->wait_durable(committer_->enqueue(0, record));
+      net::Message ping;
+      ping.header.dest = downstream;
+      ping.header.opcode = SinkService::kPing;
+      const auto answer = transport_.trans(std::move(ping), 2'000ms);
+      return net::make_reply(request.message,
+                             answer.ok() ? answer.value().message.header.status
+                                         : answer.error());
+    });
+  }
+  ~ForwardingService() override { stop(); }
+
+  [[nodiscard]] storage::GroupCommitter& committer() { return *committer_; }
+
+ private:
+  std::shared_ptr<storage::GroupCommitter> committer_;
+  rpc::Transport transport_;
+  std::atomic<std::uint64_t> effect_lsn_{0};
+};
+
+TEST(ReplyStreamTest, OutgoingCallWaitsForTheHandlersEffects) {
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& sink_machine = net.add_machine("sink");
+  net::Machine& client_machine = net.add_machine("client");
+  SinkService sink(sink_machine, Port(0xC5C5));
+  sink.start(1);
+  // Declared before the service: its committer's last cycles run the hook.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool open = false;
+  ForwardingService service(server_machine, Port(0xC6C6),
+                            std::make_shared<storage::MemoryBackend>(2),
+                            sink.put_port());
+  service.committer().set_post_flush_hook([&](const auto&) {
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return open; });
+  });
+  service.start(1);
+  const Port reply_get(0x5656);
+  net::Receiver replies = client_machine.listen(reply_get);
+
+  ASSERT_TRUE(client_machine.transmit(
+      stamped(service.put_port(), ForwardingService::kForward, 0xF0F0, 1,
+              reply_get),
+      server_machine.id()));
+  std::this_thread::sleep_for(150ms);
+  EXPECT_EQ(sink.received.load(), 0)
+      << "the downstream call left before the handler's effect was durable";
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = true;
+  }
+  gate_cv.notify_all();
+  const auto reply = replies.receive({}, 2'000ms);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
+  EXPECT_EQ(sink.received.load(), 1);
 }
 
 // ---------------------------------------------------------------------

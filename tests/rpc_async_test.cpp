@@ -2,7 +2,7 @@
 // out-of-order completion, the one-shot completion registry, the
 // generation-guarded (port -> machine) cache under pipelining, concurrent
 // set_default_timeout, and the batch envelope (codec, dispatch, per-entry
-// status, fan-out).
+// status).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -446,35 +446,6 @@ TEST(BatchTest, RunAsyncPipelinesWholeEnvelopes) {
     }
   }
   EXPECT_EQ(service.batched_requests(), 32u);
-}
-
-TEST(BatchTest, FanOutRunsSubRequestsConcurrently) {
-  net::Network net;
-  net::Machine& sm = net.add_machine("server");
-  net::Machine& cm = net.add_machine("client");
-  Service service(sm, Port(0x200C), "sleepy");
-  service.on(1, [](const net::Delivery& request) {
-    std::this_thread::sleep_for(200ms);
-    return net::make_reply(request.message, ErrorCode::ok);
-  });
-  service.set_batch_fan_out(4);
-  service.start();
-  Transport transport(cm, 1);
-
-  Batch batch(transport, service.put_port());
-  for (int i = 0; i < 4; ++i) {
-    batch.add(1);
-  }
-  const auto begin = std::chrono::steady_clock::now();
-  auto replies = batch.run(5'000ms);
-  const auto elapsed = std::chrono::steady_clock::now() - begin;
-  ASSERT_TRUE(replies.ok());
-  for (const auto& reply : replies.value()) {
-    EXPECT_EQ(reply.status, ErrorCode::ok);
-  }
-  // Four 200ms handlers fanned across four helpers: well under the 800ms a
-  // sequential pass would need.
-  EXPECT_LT(elapsed, 600ms);
 }
 
 TEST(BatchTest, ReservedOpcodeCannotBeRegistered) {
