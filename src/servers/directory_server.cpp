@@ -34,6 +34,26 @@ namespace {
                                               : code;
 }
 
+/// Delta-patch kinds (docs/PROTOCOL.md §8.2): a directory mutation
+/// journals the one entry it changed, never the whole map.
+enum class PatchKind : std::uint8_t { enter = 1, remove = 2 };
+
+[[nodiscard]] Buffer enter_patch(const std::string& name,
+                                 const core::CapabilityBytes& capability) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(PatchKind::enter));
+  w.str(name);
+  w.raw(capability);
+  return w.take();
+}
+
+[[nodiscard]] Buffer remove_patch(const std::string& name) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(PatchKind::remove));
+  w.str(name);
+  return w.take();
+}
+
 }  // namespace
 
 core::Durability<DirectoryServer::Directory> DirectoryServer::durability(
@@ -61,6 +81,29 @@ core::Durability<DirectoryServer::Directory> DirectoryServer::durability(
       dir.emplace(std::move(name), capability);
     }
     return r.ok();
+  };
+  d.apply_delta = [](Reader& r, Directory& dir) {
+    // An enter replays as an upsert and a remove as an erase-if-present,
+    // so a patch applied twice (replayed prefixes) converges.  A patch is
+    // exactly one entry: any unknown kind, short field or trailing byte
+    // refuses the volume rather than half-applying it.
+    const std::uint8_t kind = r.u8();
+    std::string name = r.str();
+    if (kind == static_cast<std::uint8_t>(PatchKind::enter)) {
+      core::CapabilityBytes capability{};
+      r.raw(capability);
+      if (!r.exhausted()) {
+        return false;
+      }
+      dir.insert_or_assign(std::move(name), capability);
+      return true;
+    }
+    if (kind == static_cast<std::uint8_t>(PatchKind::remove) &&
+        r.exhausted()) {
+      dir.erase(name);
+      return true;
+    }
+    return false;
   };
   return d;
 }
@@ -118,8 +161,9 @@ Result<void> DirectoryServer::do_enter(const dir_ops::EnterRequest& req,
   if (dir.value->contains(req.name)) {
     return ErrorCode::exists;
   }
-  dir.value->emplace(req.name, core::pack(req.target));
-  dir.mark_dirty();
+  const core::CapabilityBytes capability = core::pack(req.target);
+  dir.value->emplace(req.name, capability);
+  dir.mark_dirty_delta(enter_patch(req.name, capability));
   return {};
 }
 
@@ -128,7 +172,7 @@ Result<void> DirectoryServer::do_remove(const dir_ops::NameRequest& req,
   if (dir.value->erase(req.name) == 0) {
     return ErrorCode::not_found;
   }
-  dir.mark_dirty();
+  dir.mark_dirty_delta(remove_patch(req.name));
   return {};
 }
 

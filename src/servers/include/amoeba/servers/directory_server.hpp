@@ -92,13 +92,18 @@ class DirectoryServer final : public rpc::Service {
                   std::shared_ptr<storage::Backend> backend = nullptr);
   ~DirectoryServer() override { stop(); }  // quiesce workers before members die
 
- private:
   using Directory = std::map<std::string, core::CapabilityBytes>;
-  using Store = core::ObjectStore<Directory>;
 
+  /// The directory volume's codecs: full images for creates and
+  /// snapshots, one-entry delta patches (docs/PROTOCOL.md §8.2) for
+  /// dir.enter and dir.remove.  Public so a store built on them (e.g.
+  /// with a small `compact_after`) writes volumes this server recovers.
   [[nodiscard]] static core::Durability<Directory> durability(
       std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
+
+ private:
+  using Store = core::ObjectStore<Directory>;
 
   [[nodiscard]] Result<rpc::CapabilityReply> do_lookup(
       const dir_ops::NameRequest& req, Store::Opened& dir);

@@ -122,9 +122,12 @@ class ReplicatedBackend final : public Backend {
   /// Attaches a backup and resyncs it: the primary's current snapshots,
   /// journals and metadata (minus "rep."-prefixed keys) are broadcast as
   /// fresh shipments, so the new peer converges from any starting state
-  /// and existing peers just fast-forward their floors.  Thread-safe;
-  /// peers cannot be detached (stop the backup instead -- its queue
-  /// simply stops draining).
+  /// and existing peers just fast-forward their floors.  The peer's
+  /// shipper first probes its applied floor (heartbeat, retried until it
+  /// answers) and numbers on above it, so a primary restarted over its
+  /// own volume never ships below a floor its earlier incarnation left.
+  /// Thread-safe; peers cannot be detached (stop the backup instead --
+  /// its queue simply stops draining).
   void attach_peer(std::shared_ptr<ReplicationLink> link);
 
   /// Called by the GroupCommitter constructor when it finds this decorator
@@ -170,6 +173,11 @@ class ReplicatedBackend final : public Backend {
     std::condition_variable cv;  // wakes the shipper
     std::deque<std::shared_ptr<Shipment>> queue;
     std::uint64_t acked = 0;  // guarded by `mutex`
+    /// Shipments numbered under a foreign floor (probe_floor):
+    /// never offered, acknowledged once the peer's floor reaches
+    /// `resync_end`, the last LSN of the resync that subsumes them.
+    std::vector<std::shared_ptr<Shipment>> parked;  // guarded by `mutex`
+    std::uint64_t resync_end = 0;                   // guarded by `mutex`
     std::jthread shipper;     // last member: started after the above
   };
 
@@ -188,6 +196,12 @@ class ReplicatedBackend final : public Backend {
   /// Broadcasts the volume's current snapshots + journals + metadata as
   /// fresh shipments (attach and gap recovery).
   void resync_locked();
+  /// The shipper's first step: learns the peer's floor (retrying until
+  /// the heartbeat answers).  If the floor reaches the first queued
+  /// shipment, it comes from another numbering (an earlier incarnation of
+  /// this primary): numbers on above it, parks the queue and resyncs.
+  /// False if stopped before the peer ever answered.
+  [[nodiscard]] bool probe_floor(Peer& peer, const std::stop_token& stop);
   void shipper(Peer& peer, const std::stop_token& stop);
 
   std::shared_ptr<Backend> local_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "amoeba/storage/group_commit.hpp"
@@ -189,8 +190,8 @@ ReplicatedBackend::Stats ReplicatedBackend::stats() const {
   out.peers.reserve(peers_.size());
   for (const auto& peer : peers_) {
     const std::lock_guard plock(peer->mutex);
-    out.peers.push_back(
-        {peer->link->peer_name(), peer->acked, peer->queue.size()});
+    out.peers.push_back({peer->link->peer_name(), peer->acked,
+                         peer->queue.size() + peer->parked.size()});
   }
   return out;
 }
@@ -333,7 +334,53 @@ void ReplicatedBackend::resync_locked() {
                          encode_cycle_frame(lsn, metas, appends));
 }
 
+bool ReplicatedBackend::probe_floor(Peer& peer, const std::stop_token& stop) {
+  // A backup that outlived an earlier incarnation of this primary holds a
+  // floor from that numbering, and answers every shipment at or below it
+  // as a duplicate without applying it.  Learn the floor before offering
+  // anything.
+  std::uint64_t floor;
+  for (;;) {
+    std::uint64_t shipped;
+    {
+      const std::lock_guard lock(mutex_);
+      shipped = next_lsn_;
+    }
+    const Result<std::uint64_t> probed = peer.link->heartbeat(shipped);
+    if (probed.ok()) {
+      floor = probed.value();
+      break;
+    }
+    if (stop.stop_requested()) {
+      return false;  // never reached: nothing to drain
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::lock_guard lock(mutex_);
+  {
+    const std::lock_guard plock(peer.mutex);
+    // Only this thread pops, and attach queued its resync: the front is
+    // the first shipment the peer would be offered.
+    if (floor < peer.queue.front()->rep_lsn) {
+      return true;
+    }
+    // Park the queue: every queued shipment's bytes are already on the
+    // local volume, so the resync below subsumes them all.
+    std::move(peer.queue.begin(), peer.queue.end(),
+              std::back_inserter(peer.parked));
+    peer.queue.clear();
+  }
+  next_lsn_ = std::max(next_lsn_, floor);
+  resync_locked();
+  const std::lock_guard plock(peer.mutex);
+  peer.resync_end = next_lsn_;
+  return true;
+}
+
 void ReplicatedBackend::shipper(Peer& peer, const std::stop_token& stop) {
+  if (!probe_floor(peer, stop)) {
+    return;
+  }
   for (;;) {
     std::shared_ptr<Shipment> next;
     {
@@ -403,17 +450,26 @@ void ReplicatedBackend::shipper(Peer& peer, const std::stop_token& stop) {
       // retransmission harmless.
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
+    std::vector<std::shared_ptr<Shipment>> settled;
     {
       const std::lock_guard plock(peer.mutex);
       peer.queue.pop_front();  // only this thread pops: front is `next`
       if (rotated) {
         peer.queue.push_back(next);
       }
+      if (!peer.parked.empty() && peer.acked >= peer.resync_end) {
+        settled = std::exchange(peer.parked, {});  // the resync landed
+      }
     }
     if (acked) {
+      settled.push_back(next);
+    }
+    if (!settled.empty()) {
       {
         const std::lock_guard lock(ack_mutex_);
-        ++next->acks;
+        for (const auto& shipment : settled) {
+          ++shipment->acks;
+        }
       }
       ack_cv_.notify_all();
     }

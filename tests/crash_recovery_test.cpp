@@ -434,6 +434,11 @@ TEST_F(ServerRestartSuite, DirectoryRecoversNameSpace) {
     ASSERT_TRUE(client.enter(root, "tmp", sub).ok());
     ASSERT_TRUE(client.enter(sub, "deep", root).ok());
     ASSERT_TRUE(client.remove(root, "tmp").ok());
+    // A name removed and entered again under another capability: replay
+    // must end on the second capability, not the first or neither.
+    ASSERT_TRUE(client.enter(root, "etc", sub).ok());
+    ASSERT_TRUE(client.remove(root, "etc").ok());
+    ASSERT_TRUE(client.enter(root, "etc", root).ok());
   }
   const auto image = backend->capture();
   DirectoryServer dir(server_machine_, Port(0xD1E), scheme(), 99, image);
@@ -445,6 +450,12 @@ TEST_F(ServerRestartSuite, DirectoryRecoversNameSpace) {
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit.value(), sub);
   EXPECT_FALSE(client.lookup(root, "tmp").ok());  // the remove survived
+  const auto reentered = client.lookup(root, "etc");
+  ASSERT_TRUE(reentered.ok());
+  EXPECT_EQ(reentered.value(), root);
+  const auto names = client.list(root);
+  ASSERT_TRUE(names.ok());
+  ASSERT_EQ(names.value().size(), 2u);  // bin and etc
   const auto entries = client.list(sub);
   ASSERT_TRUE(entries.ok());
   ASSERT_EQ(entries.value().size(), 1u);

@@ -166,6 +166,78 @@ TEST(ReplicaApplierTest, PromoteFencesFurtherShipments) {
   EXPECT_EQ(refused_snap.error(), ErrorCode::immutable);
 }
 
+/// A link straight into an in-process applier whose first
+/// `failed_probes` heartbeats time out.
+class DirectLink final : public ReplicationLink {
+ public:
+  DirectLink(ReplicaApplier& applier, int failed_probes)
+      : applier_(&applier), failed_probes_(failed_probes) {}
+
+  [[nodiscard]] std::string peer_name() const override { return "backup"; }
+  [[nodiscard]] Result<std::uint64_t> ship_cycle(
+      std::span<const std::uint8_t> frame) override {
+    return applier_->apply_cycle(frame);
+  }
+  [[nodiscard]] Result<std::uint64_t> ship_snapshot(
+      std::uint64_t rep_lsn, std::size_t shard,
+      std::span<const std::uint8_t> bytes) override {
+    return applier_->install_snapshot(rep_lsn, shard, bytes);
+  }
+  [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
+    if (failed_probes_ > 0) {
+      --failed_probes_;
+      return ErrorCode::timeout;
+    }
+    return applier_->applied();
+  }
+
+ private:
+  ReplicaApplier* applier_;
+  int failed_probes_;
+};
+
+TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
+  // The backup outlived an earlier primary; the new primary's numbering
+  // starts at 1, and every shipment at or below the backup's floor would
+  // be acked as a duplicate never applied.  The shipper's first
+  // heartbeats time out: it must retry, learn the floor, and number above
+  // it before offering anything.  Floor 1 equals the first snapshot's
+  // LSN, whose duplicate ack would look exactly like an apply.
+  for (const std::uint64_t stale_floor : {1, 40}) {
+    SCOPED_TRACE("stale floor " + std::to_string(stale_floor));
+    auto backup = std::make_shared<MemoryBackend>(4);
+    ReplicaApplier applier(backup);
+    ASSERT_TRUE(
+        applier.install_snapshot(stale_floor, 0, bytes_of("stale")).ok());
+    auto local = std::make_shared<MemoryBackend>(4);
+    local->append_journal(1, bytes_of("rec-1"));
+    local->put_meta("reply-floors", bytes_of("floors"));
+
+    ReplicatedBackend primary(local, AckMode::ack_one);
+    primary.attach_peer(std::make_shared<DirectLink>(applier, 3));
+    bool synced = false;
+    for (int i = 0; i < 2000 && !synced; ++i) {
+      const auto stats = primary.stats();
+      synced = stats.peers[0].queued == 0 &&
+               stats.peers[0].acked_lsn >= stats.shipped_lsn;
+      std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_TRUE(synced) << "parked shipments were never acknowledged";
+    EXPECT_GT(applier.applied(), stale_floor);
+    // ack_one: returns once the backup applied it, above the old floor.
+    primary.append_journal(2, bytes_of("rec-2"));
+    // Object shards only: the backup's reply stream adds its own
+    // rep_applied markers.
+    for (std::size_t s = 0; s < local->shard_count(); ++s) {
+      EXPECT_EQ(backup->read_journal(s), local->read_journal(s))
+          << "journal " << s;
+      EXPECT_EQ(backup->read_snapshot(s), local->read_snapshot(s))
+          << "snapshot " << s;
+    }
+    EXPECT_EQ(backup->get_meta("reply-floors"), bytes_of("floors"));
+  }
+}
+
 TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
   auto backend = std::make_shared<MemoryBackend>(4);
   GroupCommitter committer(backend);
@@ -238,9 +310,12 @@ class ReplicationSuite : public ::testing::Test {
     }
   }
 
-  void boot(storage::AckMode mode) {
+  /// Boots the primary bank on `local_` (recovering whatever it holds).
+  /// `link_seed` names the replication link's at-most-once client; a
+  /// restarted primary is a new client to the backup.
+  void boot(storage::AckMode mode, std::uint64_t link_seed = 21) {
     replicated_ = rpc::replicate_to(
-        local_, mode, bank_machine_, 21,
+        local_, mode, bank_machine_, link_seed,
         {{"backup", replica_->volume_capability()}});
     bank_ = std::make_unique<BankServer>(bank_machine_, Port(0xBA22),
                                          scheme(), 1, replicated_);
@@ -337,6 +412,23 @@ TEST_F(ReplicationSuite, AckOneShipsEveryFlushCycleToTheBackup) {
   ASSERT_TRUE(wait_synced());
   expect_volumes_equal();
   EXPECT_GT(replica_->applier().applied(), 0u);
+}
+
+TEST_F(ReplicationSuite, PrimaryRestartKeepsTheBackupAPrefix) {
+  boot(storage::AckMode::ack_one);
+  workload(25);
+  ASSERT_TRUE(wait_synced());
+  const std::uint64_t floor_before = replica_->applier().applied();
+  shutdown();
+  // The bank restarts on its own volume.  Its shipment numbering starts
+  // over, below the floor the backup already holds: the restarted
+  // primary must learn that floor and number above it, or the backup
+  // answers every shipment as a duplicate without applying it.
+  boot(storage::AckMode::ack_one, 22);
+  workload(3);
+  ASSERT_TRUE(wait_synced());
+  EXPECT_GT(replica_->applier().applied(), floor_before);
+  expect_volumes_equal();
 }
 
 TEST_F(ReplicationSuite, AsyncModeCatchesUpAndConverges) {

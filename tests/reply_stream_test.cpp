@@ -1049,6 +1049,17 @@ TEST(ReplyStreamTest, ShardSnapshotNeverHoldsAnEffectWithoutItsFloor) {
       const std::lock_guard lock(images_mutex);
       images.clear();
     }
+    // The counter's create compacted at once, and that snapshot ships
+    // without an ack wait: let it land before clearing, or its image (a
+    // counter of 0, before any bump) would be checked as a bump's.
+    for (int i = 0; i < 1000; ++i) {
+      const auto stats = primary->stats();
+      if (stats.peers[0].queued == 0 &&
+          stats.peers[0].acked_lsn >= stats.shipped_lsn) {
+        break;
+      }
+      std::this_thread::sleep_for(1ms);
+    }
     (void)link->take_images();
     for (std::uint64_t seq = 1; seq <= kBumps; ++seq) {
       ASSERT_TRUE(client_machine.transmit(

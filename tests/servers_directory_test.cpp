@@ -2,13 +2,26 @@
 // cross-server path walk the paper highlights.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "amoeba/common/rng.hpp"
 #include "amoeba/servers/common.hpp"
 #include "amoeba/servers/directory_server.hpp"
 #include "amoeba/servers/flat_file_server.hpp"
 #include "amoeba/servers/block_server.hpp"
+#include "amoeba/storage/backend.hpp"
+#include "amoeba/storage/record.hpp"
+#include "test_seed.hpp"
 
 namespace amoeba::servers {
 namespace {
@@ -301,6 +314,404 @@ TEST(BatchedPathWalk, FileInTheMiddleOfAPathIsInvalidArgument) {
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].error(), ErrorCode::invalid_argument);  // ENOTDIR
   EXPECT_EQ(results[1].value(), file);
+}
+
+// ---------------------------------------------------------------------
+// Durable directories.  dir.enter and dir.remove journal one-entry delta
+// patches (docs/PROTOCOL.md §8.2) instead of re-encoding the whole map,
+// so the bytes an enter writes do not grow with the directory.
+
+/// A directory's contents as list() reports them.
+using Listing = std::map<std::string, core::Capability>;
+
+[[nodiscard]] std::shared_ptr<const core::ProtectionScheme> durable_scheme() {
+  static const std::shared_ptr<const core::ProtectionScheme> shared = [] {
+    Rng rng(37);
+    return std::shared_ptr<const core::ProtectionScheme>(
+        core::make_scheme(core::SchemeKind::commutative, rng));
+  }();
+  return shared;
+}
+
+[[nodiscard]] core::Capability entry_cap(std::uint32_t tag) {
+  return core::Capability{Port(0xC0DE00000000ULL + tag), ObjectNumber(tag),
+                          Rights::all(), CheckField(tag * 104729ULL + 1)};
+}
+
+/// Patches built from the format in docs/PROTOCOL.md §8.2, independently
+/// of the server's own encoder: kind u8 (1 enter, 2 remove), name str,
+/// and for an enter the 16-byte capability.
+[[nodiscard]] Buffer enter_patch(const std::string& name,
+                                 const core::Capability& target) {
+  Writer w;
+  w.u8(1);
+  w.str(name);
+  w.raw(core::pack(target));
+  return w.take();
+}
+
+[[nodiscard]] Buffer remove_patch(const std::string& name) {
+  Writer w;
+  w.u8(2);
+  w.str(name);
+  return w.take();
+}
+
+/// Journal bytes in the object shards (the reply stream excluded).
+[[nodiscard]] std::uint64_t object_journal_bytes(
+    const storage::Backend& volume) {
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < volume.shard_count(); ++s) {
+    total += volume.read_journal(s).size();
+  }
+  return total;
+}
+
+/// One step of a directory workload: an enter when `target` is set, a
+/// remove otherwise.
+struct DirStep {
+  std::size_t dir = 0;
+  std::string name;
+  std::optional<core::Capability> target;
+};
+
+/// Enters, removes, then re-enters under new capabilities, interleaved
+/// across two directories.
+[[nodiscard]] std::vector<DirStep> two_directory_workload() {
+  std::vector<DirStep> steps;
+  std::uint32_t tag = 1;
+  for (int round = 0; round < 3; ++round) {
+    for (const char* name : {"bin", "etc", "usr"}) {
+      for (std::size_t dir = 0; dir < 2; ++dir) {
+        std::optional<core::Capability> target;
+        if (round != 1) {
+          target = entry_cap(tag++);
+        }
+        steps.push_back({dir, name, target});
+      }
+    }
+  }
+  return steps;
+}
+
+/// states[i] is the contents of every directory after the first i steps.
+template <std::size_t N>
+[[nodiscard]] std::vector<std::array<Listing, N>> acknowledged_states(
+    const std::vector<DirStep>& steps) {
+  std::vector<std::array<Listing, N>> states(1);
+  for (const DirStep& step : steps) {
+    std::array<Listing, N> next = states.back();
+    if (step.target.has_value()) {
+      next[step.dir][step.name] = *step.target;
+    } else {
+      next[step.dir].erase(step.name);
+    }
+    states.push_back(std::move(next));
+  }
+  return states;
+}
+
+class DurableDirectorySuite : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kGetPort = 0xD1D2;
+
+  DurableDirectorySuite()
+      : server_machine_(net_.add_machine("dirserver")),
+        client_machine_(net_.add_machine("client")),
+        transport_(client_machine_, 9) {}
+
+  /// Boots a directory server on `volume` (recovering whatever it holds).
+  [[nodiscard]] std::unique_ptr<DirectoryServer> boot(
+      std::shared_ptr<storage::Backend> volume) {
+    auto server = std::make_unique<DirectoryServer>(
+        server_machine_, Port(kGetPort), durable_scheme(), seed_++,
+        std::move(volume));
+    server->start(1);
+    transport_.flush_cache();
+    return server;
+  }
+
+  [[nodiscard]] std::optional<Listing> listing(const core::Capability& dir) {
+    DirectoryClient client(transport_, dir.server_port);
+    const auto entries = client.list(dir);
+    if (!entries.ok()) {
+      return std::nullopt;
+    }
+    Listing out;
+    for (const DirEntry& entry : entries.value()) {
+      out.emplace(entry.name, entry.capability);
+    }
+    return out;
+  }
+
+  /// Runs `steps` through `apply` while capturing the volume at every
+  /// journal append, then recovers a directory server from each image:
+  /// its two directories must equal the state after the steps that were
+  /// acknowledged when the image was taken, or after one more (the step
+  /// in flight).
+  template <typename Apply>
+  void sweep_every_barrier(
+      const std::shared_ptr<storage::MemoryBackend>& volume,
+      const std::array<core::Capability, 2>& dirs,
+      const std::vector<DirStep>& steps, Apply apply,
+      const std::function<void()>& before_recovery) {
+    struct Image {
+      std::shared_ptr<storage::MemoryBackend> volume;
+      std::size_t acked;
+    };
+    std::mutex images_mutex;
+    std::vector<Image> images;
+    std::atomic<std::size_t> acked{0};
+    volume->set_append_hook([&](std::uint64_t) {
+      const std::lock_guard lock(images_mutex);
+      images.push_back({volume->capture(), acked.load()});
+    });
+    for (const DirStep& step : steps) {
+      ASSERT_TRUE(apply(step)) << "step " << acked.load();
+      acked.fetch_add(1);
+    }
+    volume->set_append_hook(nullptr);
+    before_recovery();
+    ASSERT_GE(images.size(), steps.size());
+
+    std::printf("%zu steps, %zu crash images\n", steps.size(), images.size());
+    const auto states = acknowledged_states<2>(steps);
+    for (std::size_t img = 0; img < images.size(); ++img) {
+      SCOPED_TRACE("crash image " + std::to_string(img) + ", " +
+                   std::to_string(images[img].acked) + " steps acknowledged");
+      auto server = boot(images[img].volume);
+      const auto first = listing(dirs[0]);
+      const auto second = listing(dirs[1]);
+      ASSERT_TRUE(first.has_value() && second.has_value())
+          << "a directory capability stopped validating";
+      const std::array<Listing, 2> recovered = {*first, *second};
+      bool prefix = false;
+      for (std::size_t i = images[img].acked;
+           i < states.size() && i <= images[img].acked + 1; ++i) {
+        prefix = prefix || states[i] == recovered;
+      }
+      EXPECT_TRUE(prefix) << "recovered state is no acknowledged prefix";
+      server->stop();
+    }
+  }
+
+  net::Network net_;
+  net::Machine& server_machine_;
+  net::Machine& client_machine_;
+  rpc::Transport transport_;
+  std::uint64_t seed_ = 1;
+};
+
+TEST_F(DurableDirectorySuite, JournalBytesPerEnterStayFlatAsTheDirectoryGrows) {
+  auto volume = std::make_shared<storage::MemoryBackend>(16);
+  auto server = boot(volume);
+  DirectoryClient client(transport_, server->put_port());
+  const core::Capability dir = client.create_dir().value();
+  constexpr std::uint32_t kNames = 2000;
+  constexpr std::uint32_t kWindow = 100;
+  std::vector<std::uint64_t> marks;  // journal bytes at each window edge
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    if (i == 0 || i == kWindow || i == kNames - kWindow) {
+      marks.push_back(object_journal_bytes(*volume));
+    }
+    ASSERT_TRUE(
+        client.enter(dir, "acct-" + std::to_string(i), entry_cap(i)).ok())
+        << "enter " << i;
+  }
+  marks.push_back(object_journal_bytes(*volume));
+  // No compaction ran, so the journal sizes are the bytes written.
+  for (std::size_t s = 0; s < volume->shard_count(); ++s) {
+    ASSERT_TRUE(volume->read_snapshot(s).empty()) << "shard " << s;
+  }
+  const double first = static_cast<double>(marks[1] - marks[0]) / kWindow;
+  const double last = static_cast<double>(marks[3] - marks[2]) / kWindow;
+  std::printf("journal bytes per enter: first %u names %.1f, last %u %.1f\n",
+              kWindow, first, kWindow, last);
+  EXPECT_LE(last, 1.5 * first);
+  // A whole-image record would hold every entry: > 2,000 x 20 bytes.
+  EXPECT_LT(last, 128.0);
+  server->stop();
+}
+
+TEST_F(DurableDirectorySuite, EveryBarrierRecoversAnAcknowledgedPrefix) {
+  auto volume = std::make_shared<storage::MemoryBackend>(16);
+  auto server = boot(volume);
+  DirectoryClient client(transport_, server->put_port());
+  const std::array<core::Capability, 2> dirs = {client.create_dir().value(),
+                                                client.create_dir().value()};
+  sweep_every_barrier(
+      volume, dirs, two_directory_workload(),
+      [&](const DirStep& step) {
+        return step.target.has_value()
+                   ? client.enter(dirs[step.dir], step.name, *step.target).ok()
+                   : client.remove(dirs[step.dir], step.name).ok();
+      },
+      [&] {
+        server->stop();
+        server.reset();
+      });
+}
+
+TEST_F(DurableDirectorySuite, SnapshotsFoldDeltaChainsMidSweep) {
+  // The same sweep on a store that compacts every 8 records: images land
+  // before, inside and after each snapshot that folds a delta chain, and
+  // the server's own recovery reads them all.
+  auto volume = std::make_shared<storage::MemoryBackend>(16);
+  core::Durability<DirectoryServer::Directory> durability =
+      DirectoryServer::durability(volume, nullptr);
+  durability.compact_after = 8;
+  core::ObjectStore<DirectoryServer::Directory> store(
+      durable_scheme(), server_machine_.fbox().listen_port(Port(kGetPort)),
+      77, core::ObjectStore<DirectoryServer::Directory>::kDefaultShards,
+      std::move(durability));
+  const std::array<core::Capability, 2> dirs = {
+      store.create(DirectoryServer::Directory{}),
+      store.create(DirectoryServer::Directory{})};
+  const auto steps = two_directory_workload();
+  sweep_every_barrier(
+      volume, dirs, steps,
+      [&](const DirStep& step) {
+        auto opened = store.open(dirs[step.dir], core::rights::kWrite);
+        if (!opened.ok()) {
+          return false;
+        }
+        DirectoryServer::Directory& entries = *opened.value().value;
+        if (step.target.has_value()) {
+          entries.insert_or_assign(step.name, core::pack(*step.target));
+          opened.value().mark_dirty_delta(
+              enter_patch(step.name, *step.target));
+        } else {
+          entries.erase(step.name);
+          opened.value().mark_dirty_delta(remove_patch(step.name));
+        }
+        return true;
+      },
+      [] {});
+  bool compacted = false;
+  for (std::size_t s = 0; s < volume->shard_count(); ++s) {
+    compacted = compacted || !volume->read_snapshot(s).empty();
+  }
+  EXPECT_TRUE(compacted) << "no snapshot folded a delta chain";
+}
+
+TEST_F(DurableDirectorySuite, MutatedPatchFieldsRefuseOrRecoverAPrefix) {
+  // Field-level mutation of the directory's delta records.  With the
+  // checksum recomputed, a mutated kind byte, name length, or
+  // capability (truncated, or trailing bytes) must make recovery refuse
+  // the volume with UsageError; a frame whose checksum no longer matches
+  // is a torn tail, and recovery must stop exactly before it.
+  auto volume = std::make_shared<storage::MemoryBackend>(16);
+  core::Capability dir;
+  std::vector<DirStep> steps;
+  {
+    auto server = boot(volume);
+    DirectoryClient client(transport_, server->put_port());
+    dir = client.create_dir().value();
+    std::uint32_t tag = 1;
+    for (const char* name : {"alpha", "beta", "gamma", "delta"}) {
+      steps.push_back({0, name, entry_cap(tag++)});
+    }
+    steps.push_back({0, "beta", std::nullopt});
+    steps.push_back({0, "beta", entry_cap(tag++)});
+    steps.push_back({0, "gamma", std::nullopt});
+    for (const DirStep& step : steps) {
+      ASSERT_TRUE(step.target.has_value()
+                      ? client.enter(dir, step.name, *step.target).ok()
+                      : client.remove(dir, step.name).ok());
+    }
+    server->stop();
+  }
+  const auto states = acknowledged_states<1>(steps);
+
+  // The directory's shard: its create record, then one delta per step.
+  std::size_t shard = volume->shard_count();
+  std::vector<storage::Record> records;
+  for (std::size_t s = 0; s < volume->shard_count(); ++s) {
+    auto decoded = storage::decode_journal(volume->read_journal(s));
+    if (!decoded.empty()) {
+      shard = s;
+      records = std::move(decoded);
+    }
+  }
+  ASSERT_LT(shard, volume->shard_count());
+  ASSERT_EQ(records.size(), steps.size() + 1);
+  ASSERT_EQ(records[0].type, storage::RecordType::create);
+
+  Rng rng(test::seed_base(14) * 0x9E3779B97F4A7C15ULL + 14);
+  for (int iter = 0; iter < 150; ++iter) {
+    const std::size_t k = rng.below(steps.size());  // the mutated step
+    std::vector<storage::Record> mutated = records;
+    Buffer& patch = mutated[k + 1].payload;
+    ASSERT_EQ(mutated[k + 1].type, storage::RecordType::delta);
+    const std::uint64_t which = iter % 5;
+    switch (which) {
+      case 0:  // kind byte
+        patch[0] = static_cast<std::uint8_t>(patch[0] + 1 + rng.below(255));
+        break;
+      case 1: {  // name length
+        const std::uint32_t length = static_cast<std::uint32_t>(
+            patch[1] | patch[2] << 8 | patch[3] << 16 | patch[4] << 24);
+        std::uint32_t bent = length;
+        while (bent == length) {
+          bent = rng.below(2) == 0
+                     ? static_cast<std::uint32_t>(rng.below(length + 24))
+                     : static_cast<std::uint32_t>(rng.next());
+        }
+        for (int b = 0; b < 4; ++b) {
+          patch[1 + b] = static_cast<std::uint8_t>(bent >> (8 * b));
+        }
+        break;
+      }
+      case 2:  // truncated tail (the capability of an enter)
+        patch.resize(patch.size() - 1 - rng.below(std::min<std::size_t>(
+                                              patch.size(), 17)));
+        break;
+      case 3:  // trailing bytes
+        for (std::uint64_t n = 1 + rng.below(8); n > 0; --n) {
+          patch.push_back(static_cast<std::uint8_t>(rng.next()));
+        }
+        break;
+      default:
+        break;  // torn frame: damaged below, after framing
+    }
+    Buffer journal;
+    for (const storage::Record& record : mutated) {
+      storage::encode_record(record, journal);
+      if (which == 4 && &record == &mutated[k + 1]) {
+        // A payload byte flipped after framing: the checksum fails.
+        journal[journal.size() - 1 - rng.below(record.payload.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.below(255));
+      }
+    }
+    auto image = std::make_shared<storage::MemoryBackend>(16);
+    for (std::size_t s = 0; s < volume->shard_count(); ++s) {
+      const Buffer bytes = s == shard ? journal : volume->read_journal(s);
+      if (!bytes.empty()) {
+        image->append_journal(s, bytes);
+      }
+    }
+    SCOPED_TRACE("iteration " + std::to_string(iter) + ", step " +
+                 std::to_string(k) + ", mutation " + std::to_string(which) +
+                 " (seed base " + std::to_string(test::seed_base(14)) + ")");
+    std::unique_ptr<DirectoryServer> server;
+    bool refused = false;
+    try {
+      server = boot(image);
+    } catch (const UsageError&) {
+      refused = true;
+    }
+    if (which == 4) {
+      // Torn: the prefix before the damaged frame, nothing of it or after.
+      ASSERT_FALSE(refused);
+      EXPECT_EQ(listing(dir), std::optional<Listing>(states[k][0]));
+      server->stop();
+    } else {
+      EXPECT_TRUE(refused) << "a mutated patch was accepted";
+      if (server != nullptr) {
+        server->stop();
+      }
+    }
+  }
 }
 
 }  // namespace
