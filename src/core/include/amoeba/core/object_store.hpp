@@ -1387,7 +1387,7 @@ class ShardedObjectStore {
   /// time under this same lock, so `shard.lsn` here covers every record
   /// ever framed for the shard -- including ones still sitting in the
   /// committer's queue.  If the flusher writes such a record AFTER the
-  /// install truncates the journal, replay skips it (lsn <= applied_lsn)
+  /// install, replay skips it (lsn <= applied_lsn)
   /// and the snapshot, which already reflects its effect, wins.
   ///
   /// The install itself bypasses that queue, so first every ticket issued

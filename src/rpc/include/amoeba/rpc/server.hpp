@@ -419,8 +419,8 @@ class Service {
   std::shared_ptr<storage::GroupCommitter> reply_committer_;
   /// Orders the reply stream: LSN assignment + append (held for one
   /// enqueue, O(1)), so a snapshot's LSN covers exactly the records
-  /// appended before it.  Guards the four fields below.  A committed
-  /// volume's snapshot runs outside it (append_reply_record).
+  /// appended before it.  Guards the four fields below.  The snapshot
+  /// itself runs outside it (append_reply_record).
   std::mutex reply_append_mutex_;
   std::uint64_t reply_lsn_ = 0;  // last stream LSN assigned
   /// Record bytes appended since the last snapshot, and the count that

@@ -471,24 +471,12 @@ std::uint64_t Service::append_reply_record(const ClientKey& key,
     }
     reply_stream_bytes_ += framed;
     if (reply_stream_bytes_ >= reply_snapshot_due_ && !reply_snapshotting_) {
-      if (reply_committer_ == nullptr) {
-        // Synchronous appends land in the stream's own journal, which the
-        // install truncates: no append may pass it.
-        const std::size_t image = snapshot_reply_stream(reply_lsn_);
-        if (image != 0) {
-          reply_stream_bytes_ = 0;
-          reply_snapshot_due_ =
-              std::max<std::uint64_t>(image, kReplySnapshotMinBytes);
-        }
-      } else {
-        // Committed records reach the volume through the commit log, and
-        // an install drops only records at or below its LSN there, so the
-        // scan, encode and install run outside the mutex: other workers'
-        // appends go on meanwhile.
-        reply_snapshotting_ = true;
-        snapshot_lsn = reply_lsn_;
-        snapshot_bytes = reply_stream_bytes_;
-      }
+      // An install drops only records at or below its LSN, on every
+      // volume, so the scan, encode and install run outside the mutex:
+      // other workers' appends go on meanwhile.
+      reply_snapshotting_ = true;
+      snapshot_lsn = reply_lsn_;
+      snapshot_bytes = reply_stream_bytes_;
     }
   }
   if (snapshot_lsn != 0) {

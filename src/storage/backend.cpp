@@ -1,16 +1,15 @@
 #include "amoeba/storage/backend.hpp"
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <iterator>
 
 #include "amoeba/common/error.hpp"
 #include "amoeba/storage/record.hpp"
@@ -36,22 +35,34 @@ IoCounters& this_thread_io_counters() {
 
 // ----------------------------------------------------------------- Backend
 
-void Backend::submit_append_group(std::vector<ShardAppend>&& appends,
-                                  AppendCompletion complete) {
-  // Synchronous adapter: append_journal_batch is durable on return, so the
-  // completion fires inline.  An async backend overrides this to complete
-  // from its reaping side instead.
-  std::exception_ptr error;
-  try {
-    append_journal_batch(std::move(appends));
-  } catch (...) {
-    error = std::current_exception();
+void Backend::append_journal_batch(std::vector<ShardAppend>&& appends) {
+  // Blocking backends complete inline, so the common wait is two
+  // uncontended locks.  The completion notifies under the lock: once the
+  // waiter can see `done`, the completion no longer touches this frame.
+  struct Wait {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool done = false;
+    std::exception_ptr error;
+  } wait;
+  submit_append_group(std::move(appends), [w = &wait](std::exception_ptr e) {
+    const std::lock_guard lock(w->mutex);
+    w->error = std::move(e);
+    w->done = true;
+    w->cv.notify_one();
+  });
+  std::unique_lock lock(wait.mutex);
+  wait.cv.wait(lock, [&wait] { return wait.done; });
+  if (wait.error != nullptr) {
+    std::rethrow_exception(wait.error);
   }
-  if (complete) {
-    complete(error);
-  } else if (error) {
-    std::rethrow_exception(error);
-  }
+}
+
+void Backend::append_journal(std::size_t shard,
+                             std::span<const std::uint8_t> bytes) {
+  std::vector<ShardAppend> group;
+  group.push_back({shard, Buffer(bytes.begin(), bytes.end())});
+  append_journal_batch(std::move(group));
 }
 
 // ----------------------------------------------------------- MemoryBackend
@@ -64,42 +75,40 @@ MemoryBackend::MemoryBackend(std::size_t shards) {
   }
 }
 
-void MemoryBackend::append_journal(std::size_t shard,
-                                   std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  {
-    const std::lock_guard lock(s.mutex);
-    s.journal.insert(s.journal.end(), bytes.begin(), bytes.end());
-  }
-  appends_.fetch_add(1, std::memory_order_relaxed);
-  hook_after_append();
-}
-
-void MemoryBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
+void MemoryBackend::submit_append_group(std::vector<ShardAppend>&& appends,
+                                        AppendCompletion complete) {
   if (appends.empty()) {
+    complete(nullptr);
     return;
   }
-  // All involved shard locks held together (ascending order, matching
-  // capture()), so a crash image contains the whole group or none of it.
-  std::vector<std::size_t> order;
-  order.reserve(appends.size());
-  for (const ShardAppend& a : appends) {
-    order.push_back(a.shard);
+  std::exception_ptr error;
+  try {
+    // All involved shard locks held together (ascending order, matching
+    // capture()), so a crash image contains the whole group or none of it.
+    std::vector<std::size_t> order;
+    order.reserve(appends.size());
+    for (const ShardAppend& a : appends) {
+      order.push_back(a.shard);
+    }
+    std::sort(order.begin(), order.end());
+    order.erase(std::unique(order.begin(), order.end()), order.end());
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(order.size());
+    for (const std::size_t s : order) {
+      locks.emplace_back(shards_.at(s)->mutex);
+    }
+    for (const ShardAppend& a : appends) {
+      Buffer& journal = shards_[a.shard]->journal;
+      journal.insert(journal.end(), a.bytes.begin(), a.bytes.end());
+    }
+  } catch (...) {
+    error = std::current_exception();
   }
-  std::sort(order.begin(), order.end());
-  order.erase(std::unique(order.begin(), order.end()), order.end());
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(order.size());
-  for (const std::size_t s : order) {
-    locks.emplace_back(shards_.at(s)->mutex);
+  if (error == nullptr) {
+    appends_.fetch_add(appends.size(), std::memory_order_relaxed);
+    hook_after_append();
   }
-  for (const ShardAppend& a : appends) {
-    Buffer& journal = shards_[a.shard]->journal;
-    journal.insert(journal.end(), a.bytes.begin(), a.bytes.end());
-  }
-  locks.clear();
-  appends_.fetch_add(appends.size(), std::memory_order_relaxed);
-  hook_after_append();
+  complete(error);
 }
 
 Buffer MemoryBackend::read_journal(std::size_t shard) const {
@@ -257,12 +266,10 @@ void fsync_or_throw(int fd, const std::filesystem::path& dir,
   return out;
 }
 
-// Commit-log group frame: `length u32 | checksum u32 | body`, where body is
-// `count u32 | count x (shard u32, len u32, len bytes)` and each entry's
-// bytes are that shard's already-framed journal records.  The checksum
-// covers the WHOLE body, so a group is on the recovered volume entirely or
-// not at all -- the cross-shard atomicity a pile of per-shard files cannot
-// provide.
+// commit.log is a run of group frames (storage/record.hpp's
+// encode_group_frame) whose runs are already-framed journal records.  The
+// checksum covers the WHOLE body, so a group is on the recovered volume
+// entirely or not at all.
 constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
 
 inline std::uint32_t load_u32(const std::uint8_t* p) {
@@ -277,73 +284,63 @@ inline std::uint64_t load_u64(const std::uint8_t* p) {
          static_cast<std::uint64_t>(load_u32(p + 4)) << 32;
 }
 
-inline void put_u32(Buffer& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-inline void patch_u32(Buffer& out, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
-/// Walks commit-log group frames, invoking `entry(shard, record_bytes)` for
-/// every entry of every intact frame.  Stops silently at the first torn or
-/// corrupt frame: a crash mid-append loses the unacknowledged tail group
-/// and nothing before it.
-template <typename Fn>
-void for_each_commit_entry(std::span<const std::uint8_t> log, Fn&& entry) {
+/// Splits commit.log into per-stream record runs.  Stops silently at the
+/// first torn, corrupt or malformed frame: a crash mid-append loses the
+/// unacknowledged tail group and nothing before it.
+[[nodiscard]] std::vector<Buffer> split_commit_log(
+    std::span<const std::uint8_t> log, std::size_t streams) {
+  std::vector<Buffer> split(streams);
+  std::vector<ShardAppend> group;
   std::size_t pos = 0;
   while (pos < log.size()) {
     Reader frame(log.subspan(pos));
     const std::uint32_t length = frame.u32();
     const std::uint32_t checksum = frame.u32();
     if (!frame.ok() || frame.remaining() < length) {
-      return;  // torn tail: the final group never got acknowledged
+      break;  // torn tail: the final group never got acknowledged
     }
     const auto body = log.subspan(pos + 8, length);
-    if (frame_checksum(body) != checksum) {
-      return;
+    if (frame_checksum(body) != checksum || !decode_group_body(body, group)) {
+      break;
     }
-    Reader r(body);
-    const std::uint32_t count = r.u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t shard = r.u32();
-      const Buffer bytes = r.bytes();
-      if (!r.ok()) {
-        return;  // checksummed body should never underrun; stop defensively
+    for (const ShardAppend& a : group) {
+      if (a.shard < streams) {
+        split[a.shard].insert(split[a.shard].end(), a.bytes.begin(),
+                              a.bytes.end());
       }
-      entry(static_cast<std::size_t>(shard), bytes);
     }
     pos += 8 + length;
   }
+  return split;
 }
 
 }  // namespace
 
 FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
-    : directory_(std::move(directory)), object_shards_(shards) {
+    : directory_(std::move(directory)),
+      object_shards_(shards),
+      snapshot_mutexes_(shards + 1) {
   check_shards(shards);
   std::filesystem::create_directories(directory_);
+  // Formats 1 and 2 kept a journal file per stream.  A server only ever
+  // left them empty; records in one come from a synchronous writer of an
+  // older binary, and recovering without them would lose acknowledged
+  // state.
+  for (std::size_t s = 0; s <= shards; ++s) {
+    const auto legacy =
+        directory_ / (s == shards ? std::string("reply.journal")
+                                  : "shard-" + std::to_string(s) + ".journal");
+    std::error_code ec;
+    if (std::filesystem::file_size(legacy, ec) > 0 && !ec) {
+      throw UsageError("FileBackend: " + legacy.string() +
+                       " holds per-stream journal records, which this "
+                       "on-disk format does not read; refusing the volume");
+    }
+  }
   dir_fd_ = ::open(directory_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dir_fd_ < 0) {
     throw UsageError("FileBackend: cannot open directory " +
                      directory_.string());
-  }
-  shards_.reserve(shards + 1);
-  for (std::size_t s = 0; s <= shards; ++s) {  // + the reply stream
-    auto shard = std::make_unique<Shard>();
-    shard->journal_fd =
-        ::open(journal_path(s).c_str(),
-               O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (shard->journal_fd < 0) {
-      throw UsageError("FileBackend: cannot open journal in " +
-                       directory_.string());
-    }
-    shards_.push_back(std::move(shard));
   }
   commit_fd_ = ::open(commit_log_path().c_str(),
                       O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
@@ -356,35 +353,23 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
   // GC floors: a commit-log record at or below its shard's snapshot LSN is
   // already subsumed.  Seed from the on-disk snapshots so a reopened
   // volume's first GC is as effective as a long-lived one's.
-  commit_floor_.assign(shards_.size(), 0);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  commit_floor_.assign(stream_count(), 0);
+  for (std::size_t s = 0; s < commit_floor_.size(); ++s) {
     commit_floor_[s] = peek_snapshot_lsn(read_file(snapshot_path(s)));
   }
-  // Newly created journal/commit-log files live in the directory inode;
-  // without this fsync a crash could unlink them even after their contents
-  // were acknowledged durable.
+  // A newly created commit.log lives in the directory inode; without this
+  // fsync a crash could unlink it even after its contents were
+  // acknowledged durable.
   fsync_or_throw(dir_fd_, directory_, "volume open");
 }
 
 FileBackend::~FileBackend() {
-  for (const auto& shard : shards_) {
-    if (shard->journal_fd >= 0) {
-      ::close(shard->journal_fd);
-    }
-  }
   if (commit_fd_ >= 0) {
     ::close(commit_fd_);
   }
   if (dir_fd_ >= 0) {
     ::close(dir_fd_);
   }
-}
-
-std::filesystem::path FileBackend::journal_path(std::size_t shard) const {
-  if (shard == reply_stream()) {
-    return directory_ / "reply.journal";
-  }
-  return directory_ / ("shard-" + std::to_string(shard) + ".journal");
 }
 
 std::filesystem::path FileBackend::snapshot_path(std::size_t shard) const {
@@ -454,147 +439,21 @@ std::filesystem::path FileBackend::meta_path(std::string_view key) const {
   return directory_ / ("meta-" + escape_meta_key(key) + ".bin");
 }
 
-void FileBackend::append_journal(std::size_t shard,
-                                 std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
-  // A write-ahead append that did not reach the disk must not be reported
-  // as durable -- the store's caller would otherwise reply to a client
-  // with an effect the volume cannot recover.  Hence the real fsync; the
-  // per-record cost of this path is exactly what the group-commit flusher
-  // amortizes away.
-  write_all(s.journal_fd, bytes, directory_, "journal");
-  fsync_or_throw(s.journal_fd, directory_, "journal");
-}
-
-void FileBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
-  // A real disk offers no cross-file atomicity; per-shard gathered appends
-  // with torn-tail-tolerant framing are the honest contract here.  All
-  // entries of one shard go down as a single contiguous write (the flusher
-  // already concatenated its queue per shard, so the common case is one
-  // writev entry per touched shard), then ONE fsync per touched fd --
-  // grouping is where the whole PR's win comes from.
-  std::vector<std::size_t> touched;
-  touched.reserve(appends.size());
-  for (const ShardAppend& a : appends) {
-    touched.push_back(a.shard);
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const std::size_t shard : touched) {
-    Shard& s = *shards_.at(shard);
-    const std::lock_guard lock(s.mutex);
-    std::vector<iovec> iov;
-    for (const ShardAppend& a : appends) {
-      if (a.shard == shard && !a.bytes.empty()) {
-        iov.push_back({const_cast<std::uint8_t*>(a.bytes.data()),
-                       a.bytes.size()});
-      }
-    }
-    std::size_t at = 0;
-    while (at < iov.size()) {
-      const std::size_t batch = std::min<std::size_t>(iov.size() - at, 512);
-      ++this_thread_io_counters().writes;
-      ssize_t n = ::writev(s.journal_fd, iov.data() + at,
-                           static_cast<int>(batch));
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        throw UsageError("FileBackend: journal writev failed (" +
-                         std::string(std::strerror(errno)) + ") in " +
-                         directory_.string());
-      }
-      // Consume fully written iovecs; resume a partially written one with
-      // a plain write_all on its remainder (short writev tails are rare
-      // enough that simplicity beats iovec surgery).
-      while (at < iov.size() &&
-             n >= static_cast<ssize_t>(iov[at].iov_len)) {
-        n -= static_cast<ssize_t>(iov[at].iov_len);
-        ++at;
-      }
-      if (at < iov.size() && n > 0) {
-        const auto* base = static_cast<const std::uint8_t*>(iov[at].iov_base);
-        write_all(s.journal_fd,
-                  {base + n, iov[at].iov_len - static_cast<std::size_t>(n)},
-                  directory_, "journal");
-        ++at;
-      }
-    }
-    fsync_or_throw(s.journal_fd, directory_, "journal");
-  }
-}
-
 Buffer FileBackend::read_journal(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  // Both locks (std::scoped_lock's deadlock-avoiding acquire): the shard's
-  // own journal file and its commit-log records must come from one
-  // consistent instant.
-  const std::scoped_lock lock(s.mutex, commit_mutex_);
-  Buffer own = read_file(journal_path(shard));
-  const Buffer grouped = commit_log_records_locked(shard);
-  if (grouped.empty()) {
-    return own;
-  }
-  if (own.empty()) {
-    return grouped;
-  }
-  // Sync appends and group commits interleave in wall time, but each
-  // stamps the shard's monotone LSN sequence at encode time (under the
-  // store's shard lock), so an LSN merge reconstructs the true order.
-  const std::vector<Record> a = decode_journal(own);
-  const std::vector<Record> b = decode_journal(grouped);
-  Buffer merged;
-  merged.reserve(own.size() + grouped.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    const bool from_own =
-        j == b.size() || (i < a.size() && a[i].lsn <= b[j].lsn);
-    encode_record(from_own ? a[i++] : b[j++], merged);
-  }
-  return merged;
+  const std::lock_guard lock(commit_mutex_);
+  return commit_split_locked().at(shard);
 }
 
-Buffer FileBackend::commit_log_records_locked(std::size_t shard) const {
+const std::vector<Buffer>& FileBackend::commit_split_locked() const {
   // An async subclass may still have acknowledged-to-nobody frames in
   // flight; recovery must read a log with every completed frame on it.
   quiesce_commit_locked();
   // Every write to the log (append, GC rewrite) clears the split.
   if (commit_split_.empty()) {
-    const Buffer log = read_file(commit_log_path());
-    commit_split_.assign(shards_.size(), Buffer{});
-    for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
-      if (sh < commit_split_.size()) {
-        commit_split_[sh].insert(commit_split_[sh].end(), bytes.begin(),
-                                 bytes.end());
-      }
-    });
+    commit_split_ =
+        split_commit_log(read_file(commit_log_path()), stream_count());
   }
-  return commit_split_.at(shard);
-}
-
-void FileBackend::encode_group_frame(const std::vector<ShardAppend>& appends,
-                                     Buffer& frame) {
-  frame.clear();
-  std::size_t total = 12;
-  for (const ShardAppend& a : appends) {
-    total += 8 + a.bytes.size();
-  }
-  frame.reserve(total);
-  put_u32(frame, 0);  // length placeholder
-  put_u32(frame, 0);  // checksum placeholder
-  const std::size_t body_at = frame.size();
-  put_u32(frame, static_cast<std::uint32_t>(appends.size()));
-  for (const ShardAppend& a : appends) {
-    put_u32(frame, static_cast<std::uint32_t>(a.shard));
-    put_u32(frame, static_cast<std::uint32_t>(a.bytes.size()));
-    frame.insert(frame.end(), a.bytes.begin(), a.bytes.end());
-  }
-  const auto body = std::span<const std::uint8_t>(frame.data() + body_at,
-                                                  frame.size() - body_at);
-  patch_u32(frame, 0, static_cast<std::uint32_t>(body.size()));
-  patch_u32(frame, 4, frame_checksum(body));
+  return commit_split_;
 }
 
 void FileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
@@ -603,12 +462,20 @@ void FileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
                 [](const ShardAppend& a) { return a.bytes.empty(); });
   std::exception_ptr error;
   try {
+    for (const ShardAppend& a : appends) {
+      if (a.shard >= stream_count()) {
+        throw UsageError("FileBackend: append to stream " +
+                         std::to_string(a.shard) + " of " +
+                         std::to_string(stream_count()));
+      }
+    }
     if (!appends.empty()) {
       const std::lock_guard lock(commit_mutex_);
       encode_group_frame(appends, commit_frame_);
-      // The whole point of the commit log: one contiguous write and ONE
-      // fsync make the entire group durable, where the per-shard journal
-      // files would pay one fsync per touched shard.
+      // One contiguous write and ONE fsync make the entire group durable.
+      // A write-ahead append that did not reach the disk must not be
+      // reported as durable -- the caller would otherwise reply to a
+      // client with an effect the volume cannot recover.
       commit_split_.clear();
       write_all(commit_fd_, commit_frame_, directory_, "commit log");
       fsync_or_throw(commit_fd_, directory_, "commit log");
@@ -617,11 +484,7 @@ void FileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
   } catch (...) {
     error = std::current_exception();
   }
-  if (complete) {
-    complete(error);
-  } else if (error) {
-    std::rethrow_exception(error);
-  }
+  complete(error);
 }
 
 void FileBackend::replace_file_durably(const std::filesystem::path& path,
@@ -656,25 +519,15 @@ void FileBackend::replace_file_durably(const std::filesystem::path& path,
 
 void FileBackend::install_snapshot(std::size_t shard,
                                    std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
+  const std::lock_guard lock(snapshot_mutexes_.at(shard));
   replace_file_durably(snapshot_path(shard), bytes, "snapshot");
-  // Truncate the journal: records are replay-idempotent and LSN-gated, so
-  // a crash between the rename and this truncate only replays records the
-  // snapshot already holds.  O_APPEND repositions every later write, so
-  // the fd stays valid across the truncate.
-  if (::ftruncate(s.journal_fd, 0) != 0) {
-    throw UsageError("FileBackend: journal truncate failed in " +
-                     directory_.string());
-  }
-  fsync_or_throw(s.journal_fd, directory_, "journal");
   // Advance the commit-log GC floor (every record of this shard already in
   // the log was framed -- LSN-stamped -- before this snapshot was encoded,
   // so the snapshot subsumes them all), and rewrite the log once it has
   // grown past the threshold.  LSN gating makes the lag harmless: a stale
   // record left in the log replays as a no-op.
   const std::lock_guard commit_lock(commit_mutex_);
-  commit_floor_.at(shard) =
+  commit_floor_[shard] =
       std::max(commit_floor_[shard], peek_snapshot_lsn(bytes));
   // Threshold plus a low-water doubling guard: when a rewrite barely
   // shrinks the log (other shards' records still live), the next one
@@ -687,21 +540,17 @@ void FileBackend::install_snapshot(std::size_t shard,
 }
 
 void FileBackend::gc_commit_log_locked() {
-  // The rewrite swaps commit_fd_ to a fresh inode; in-flight ring writes
-  // against the old one would be silently dropped.  Drain them first.
-  quiesce_commit_locked();
   // This runs on a mutator's snapshot-install path, so it stays a linear
-  // byte scan: group checksums were just re-verified by the frame walk,
-  // and a record's LSN sits at a fixed offset, so surviving frames are
-  // copied as opaque spans -- no record decode, no per-record allocation.
-  const Buffer log = read_file(commit_log_path());
-  std::vector<Buffer> per_shard(shards_.size());
-  for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
-    if (sh >= per_shard.size()) {
-      return;
-    }
-    const std::uint64_t floor = commit_floor_[sh];
-    Buffer& kept = per_shard[sh];
+  // byte scan: a record's LSN sits at a fixed offset, so surviving
+  // records are copied as opaque spans -- no record decode, no per-record
+  // allocation.  (commit_split_locked() quiesces the ring first: the
+  // rewrite swaps commit_fd_ to a fresh inode, and in-flight ring writes
+  // against the old one would be silently dropped.)
+  const std::vector<Buffer>& split = commit_split_locked();
+  std::vector<ShardAppend> survivors;
+  for (std::size_t sh = 0; sh < split.size(); ++sh) {
+    const Buffer& bytes = split[sh];
+    Buffer kept;
     std::size_t pos = 0;
     while (pos + 8 <= bytes.size()) {
       const std::uint32_t length = load_u32(bytes.data() + pos);
@@ -710,37 +559,22 @@ void FileBackend::gc_commit_log_locked() {
       }
       // Record frame: length u32 | checksum u32 | type u8 | object u32 |
       // secret u64 | lsn u64 | payload -- the LSN lives at offset 21.
-      if (load_u64(bytes.data() + pos + 21) > floor) {
+      if (load_u64(bytes.data() + pos + 21) > commit_floor_[sh]) {
         const auto* from = bytes.data() + pos;
         kept.insert(kept.end(), from, from + 8 + length);
       }
       pos += 8 + length;
     }
-  });
-  // Survivors collapse into ONE frame: the rewrite is an atomic whole-file
-  // replacement, so per-group framing buys nothing here.
-  Buffer rebuilt;
-  std::uint32_t entries = 0;
-  put_u32(rebuilt, 0);  // length placeholder
-  put_u32(rebuilt, 0);  // checksum placeholder
-  put_u32(rebuilt, 0);  // entry-count placeholder
-  for (std::size_t sh = 0; sh < per_shard.size(); ++sh) {
-    const Buffer& kept = per_shard[sh];
     if (!kept.empty()) {
-      put_u32(rebuilt, static_cast<std::uint32_t>(sh));
-      put_u32(rebuilt, static_cast<std::uint32_t>(kept.size()));
-      rebuilt.insert(rebuilt.end(), kept.begin(), kept.end());
-      ++entries;
+      survivors.push_back({sh, std::move(kept)});
     }
   }
-  if (entries == 0) {
-    rebuilt.clear();  // nothing left: an empty log beats an empty frame
-  } else {
-    patch_u32(rebuilt, 8, entries);
-    const auto body =
-        std::span<const std::uint8_t>(rebuilt.data() + 8, rebuilt.size() - 8);
-    patch_u32(rebuilt, 0, static_cast<std::uint32_t>(body.size()));
-    patch_u32(rebuilt, 4, frame_checksum(body));
+  // Survivors collapse into ONE frame: the rewrite is an atomic whole-file
+  // replacement, so per-group framing buys nothing here.  Nothing left:
+  // an empty log beats an empty frame.
+  Buffer rebuilt;
+  if (!survivors.empty()) {
+    encode_group_frame(survivors, rebuilt);
   }
   replace_file_durably(commit_log_path(), rebuilt, "commit log");
   // The O_APPEND fd still points at the replaced inode; reopen the new one.
@@ -758,8 +592,7 @@ void FileBackend::gc_commit_log_locked() {
 }
 
 Buffer FileBackend::read_snapshot(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
+  const std::lock_guard lock(snapshot_mutexes_.at(shard));
   return read_file(snapshot_path(shard));
 }
 
@@ -791,11 +624,8 @@ std::vector<std::string> FileBackend::meta_keys() const {
 }
 
 bool FileBackend::empty() const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  for (std::size_t s = 0; s < stream_count(); ++s) {
     std::error_code ec;
-    if (std::filesystem::file_size(journal_path(s), ec) > 0 && !ec) {
-      return false;
-    }
     if (std::filesystem::exists(snapshot_path(s), ec)) {
       return false;
     }

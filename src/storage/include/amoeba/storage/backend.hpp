@@ -5,35 +5,34 @@
 // object shards every volume reserves one more journal stream, the REPLY
 // STREAM (index reply_stream() == shard_count()): rpc::Service persists
 // its at-most-once reply cache there as O(1)-byte records
-// (storage/reply_stream.hpp).  The object store never addresses it.  Two
+// (storage/reply_stream.hpp).  The object store never addresses it.
+//
+// Every journal write is an append GROUP -- per-stream runs of framed
+// records that land atomically -- through the one virtual write method,
+// submit_append_group().  append_journal() and append_journal_batch() are
+// that method plus a wait: a synchronous append is a group of one.  Two
 // implementations:
 //
 //   * MemoryBackend -- byte-for-byte the same layout in process memory.
 //     The crash/restart test harness runs on it: an append hook fires at
-//     every journal barrier (after the Nth append), and capture() deep-
-//     copies the whole volume under its locks -- exactly the disk image a
+//     every journal barrier (after each group), and capture() deep-copies
+//     the whole volume under its locks -- exactly the disk image a
 //     machine losing power at that instant would leave behind.  Recovery
 //     from a captured image IS the simulated crash+restart.
-//   * FileBackend -- one directory on the real filesystem
-//     (shard-N.journal / shard-N.snap / reply.journal / reply.snap /
-//     meta-KEY.bin / commit.log), journals
-//     appended through raw fds and fsync'd per append group
+//   * FileBackend -- one directory on the real filesystem holding ONE
+//     journal, commit.log, plus shard-N.snap / reply.snap / meta-KEY.bin.
+//     Each group is one checksummed commit.log frame -- one write(2), one
+//     fsync(2), however many streams it touches -- so a torn tail drops a
+//     whole group, never half of one.  Snapshots and metadata are
+//     installed via write-temp + fsync + rename + directory fsync
 //     (std::ofstream::flush() only reaches the page cache, not the
-//     platter), snapshots and metadata installed via write-temp + fsync +
-//     rename + directory fsync.  Group-committed appends
-//     (submit_append_group) land in commit.log as ONE checksummed frame
-//     per group -- one write(2), one fsync(2), regardless of how many
-//     shards the group touches -- and recovery merges commit-log records
-//     into each shard's journal by LSN.  This is the durable deployment
-//     shape and what bench_e14 measures.
+//     platter).  This is the durable deployment shape and what bench_e14
+//     measures.
 //
-// Concurrency: every method is thread-safe.  Journals of different shards
-// never contend (per-shard locks), which is what lets journaling ride the
-// object store's per-shard mutexes without reintroducing a global lock on
-// the PR-1 hot path.  append_journal_batch() appends to several shards
-// ATOMICALLY with respect to capture(): a two-shard mutation (a bank
-// transfer's debit+credit) is either entirely on the captured image or not
-// at all, so a crash cannot tear money in half.
+// Concurrency: every method is thread-safe.  A group is atomic with
+// respect to capture() and to a crash: a two-shard mutation (a bank
+// transfer's debit+credit) is either entirely on the image or not at all,
+// so a crash cannot tear money in half.
 #pragma once
 
 #include <atomic>
@@ -50,19 +49,14 @@
 #include <vector>
 
 #include "amoeba/common/serial.hpp"
+#include "amoeba/storage/record.hpp"
 
 namespace amoeba::storage {
 
-/// One shard-addressed journal append, for the multi-shard atomic form.
-struct ShardAppend {
-  std::size_t shard = 0;
-  Buffer bytes;
-};
-
 /// Completion of an async append group: invoked exactly once, with a null
 /// exception_ptr on success or the failure that kept the group off the
-/// disk.  May run on the submitting thread (sync adapter) or on a backend
-/// reaper thread (io_uring) -- callers must not assume which.
+/// disk.  May run on the submitting thread (a blocking backend) or on a
+/// backend reaper thread (io_uring) -- callers must not assume which.
 using AppendCompletion = std::function<void(std::exception_ptr)>;
 
 /// Counters an async backend exposes so callers can see the submission
@@ -100,27 +94,23 @@ class Backend {
   /// Object shards plus the reply stream: the valid journal indexes.
   [[nodiscard]] std::size_t stream_count() const { return shard_count() + 1; }
 
-  /// Appends one framed record to a shard's journal (durable on return).
-  virtual void append_journal(std::size_t shard,
-                              std::span<const std::uint8_t> bytes) = 0;
-
-  /// Appends to several shards' journals as one atomic group with respect
-  /// to capture()/recovery images (all appended or none on the image).
-  virtual void append_journal_batch(std::vector<ShardAppend>&& appends) = 0;
-
-  /// Submit/complete-shaped async append: appends the whole group with the
-  /// same capture() atomicity as append_journal_batch() and invokes
-  /// `complete` exactly once -- with a null exception_ptr when every byte
-  /// is durable, with the failure otherwise.  The base implementation is
-  /// the synchronous adapter (append, then complete inline on the calling
-  /// thread); UringFileBackend overrides it to submit to its ring and
-  /// complete from the reaping side, and the group-commit flusher
-  /// (storage/group_commit.hpp) is its only caller -- so such a backend
-  /// drops in without touching the object store.  Completions of
+  /// The one write primitive: appends the whole group atomically with
+  /// respect to capture() and to a crash, and invokes `complete` exactly
+  /// once -- with a null exception_ptr when every byte is durable, with
+  /// the failure otherwise.  Failures are reported through `complete`; a
+  /// call that throws instead never runs it.  A blocking backend
+  /// completes inline on the calling thread; UringFileBackend submits to
+  /// its ring and completes from the reaping side.  Completions of
   /// successive calls fire in submission order (the commit log is a
   /// sequential structure; recovery depends on it having no gaps).
   virtual void submit_append_group(std::vector<ShardAppend>&& appends,
-                                   AppendCompletion complete);
+                                   AppendCompletion complete) = 0;
+
+  /// submit_append_group() and wait: durable on return, throws on failure.
+  void append_journal_batch(std::vector<ShardAppend>&& appends);
+  /// A group of one framed record run (durable on return).
+  void append_journal(std::size_t shard,
+                      std::span<const std::uint8_t> bytes);
 
   /// Submission-pipeline counters; all-zero/sync for blocking backends.
   [[nodiscard]] virtual AsyncIoStats async_io_stats() const { return {}; }
@@ -128,9 +118,10 @@ class Backend {
   /// Whole-journal read (recovery).
   [[nodiscard]] virtual Buffer read_journal(std::size_t shard) const = 0;
 
-  /// Atomically replaces the shard's snapshot AND truncates its journal
-  /// (log compaction).  Replay-idempotent records make the file-backend
-  /// window between rename and truncate harmless.
+  /// Atomically replaces the shard's snapshot (log compaction).  Journal
+  /// records at or below its applied LSN are dead from then on: the
+  /// memory backend drops them, the file backend drops them at its next
+  /// commit.log rewrite, and replay skips any still there.
   virtual void install_snapshot(std::size_t shard,
                                 std::span<const std::uint8_t> bytes) = 0;
 
@@ -159,9 +150,9 @@ class MemoryBackend final : public Backend {
   [[nodiscard]] std::size_t shard_count() const override {
     return shards_.size() - 1;  // the last entry is the reply stream
   }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
+  /// Appends under every touched shard lock and completes inline.
+  void submit_append_group(std::vector<ShardAppend>&& appends,
+                           AppendCompletion complete) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
@@ -178,7 +169,7 @@ class MemoryBackend final : public Backend {
   /// snapshots the volume at chosen barriers.
   void set_append_hook(std::function<void(std::uint64_t)> hook);
 
-  /// Total journal appends so far (batch = one per entry).
+  /// Total journal appends so far (a group counts one per entry).
   [[nodiscard]] std::uint64_t append_count() const {
     return appends_.load(std::memory_order_relaxed);
   }
@@ -213,23 +204,18 @@ class MemoryBackend final : public Backend {
 class FileBackend : public Backend {
  public:
   /// Creates the directory if needed; an existing volume must have been
-  /// written with the same shard count.
+  /// written with the same shard count.  Throws UsageError naming the file
+  /// when the directory holds a non-empty per-stream journal
+  /// (`shard-N.journal`, `reply.journal`) of an older on-disk format:
+  /// such volumes are refused, not migrated (docs/PROTOCOL.md §8).
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 
   [[nodiscard]] std::size_t shard_count() const override {
     return object_shards_;
   }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
-  /// Group commit: the whole group goes down as ONE checksummed frame in
-  /// the volume-wide commit.log -- one write, one fsync, however many
-  /// shards it spans.  Beyond amortizing the fsync (this is where the
-  /// flusher's batching actually reaches the platter), the single frame
-  /// gives a multi-shard group REAL on-disk atomicity: per-shard journal
-  /// files can always tear a pair between two files' fsyncs, a torn
-  /// commit-log frame drops the whole group at recovery.
+  /// The whole group goes down as ONE checksummed commit.log frame -- one
+  /// write, one fsync, however many streams it spans -- completed inline.
   void submit_append_group(std::vector<ShardAppend>&& appends,
                            AppendCompletion complete) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
@@ -247,14 +233,8 @@ class FileBackend : public Backend {
   }
 
  protected:
-  /// Encodes `appends` as one complete commit-log group frame
-  /// (`length u32 | checksum u32 | body`) into `frame` (cleared first).
-  /// Shared by the sync append below and the ring submission path.
-  static void encode_group_frame(const std::vector<ShardAppend>& appends,
-                                 Buffer& frame);
-
   /// Called with commit_mutex_ held before any read of commit.log that
-  /// must observe every acknowledged frame (recovery merge, GC, empty())
+  /// must observe every acknowledged frame (recovery, GC, empty())
   /// and before gc_commit_log_locked() swaps commit_fd_ to a new inode.
   /// The base backend writes synchronously, so there is never in-flight
   /// I/O to wait out; UringFileBackend overrides this to drain its ring.
@@ -262,9 +242,8 @@ class FileBackend : public Backend {
   /// ordering: reaper threads never take it).
   virtual void quiesce_commit_locked() const {}
 
-  /// Commit-log state, all guarded by commit_mutex_.  Lock order: a shard
-  /// mutex (when held at all) is taken BEFORE commit_mutex_; the flusher
-  /// takes only commit_mutex_ and never touches the per-shard fds.
+  /// Commit-log state, all guarded by commit_mutex_.  Lock order: a
+  /// snapshot mutex (when held at all) is taken BEFORE commit_mutex_.
   /// Protected rather than private so UringFileBackend's submission path
   /// can append to the same log under the same lock.
   mutable std::mutex commit_mutex_;
@@ -279,12 +258,6 @@ class FileBackend : public Backend {
   [[nodiscard]] std::filesystem::path commit_log_path() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    int journal_fd = -1;  // O_APPEND; fsync'd per append group
-  };
-
-  [[nodiscard]] std::filesystem::path journal_path(std::size_t shard) const;
   [[nodiscard]] std::filesystem::path snapshot_path(std::size_t shard) const;
   [[nodiscard]] std::filesystem::path meta_path(std::string_view key) const;
   /// write-temp + fsync + rename + directory fsync (the full atomic
@@ -293,18 +266,18 @@ class FileBackend : public Backend {
   void replace_file_durably(const std::filesystem::path& path,
                             std::span<const std::uint8_t> bytes,
                             const char* what);
-  /// Concatenated framed records for `shard` extracted from commit.log,
-  /// in append order (= ascending LSN per shard), through commit_split_.
-  /// Caller holds commit_mutex_.
-  [[nodiscard]] Buffer commit_log_records_locked(std::size_t shard) const;
+  /// commit.log's records per stream, in append order (= ascending LSN
+  /// per stream), through commit_split_.  Caller holds commit_mutex_.
+  [[nodiscard]] const std::vector<Buffer>& commit_split_locked() const;
   /// Rewrites commit.log dropping every record a shard snapshot already
   /// subsumes (lsn <= that shard's floor).  Caller holds commit_mutex_.
   void gc_commit_log_locked();
 
   std::filesystem::path directory_;
-  std::size_t object_shards_;  // shards_ holds one more: the reply stream
+  std::size_t object_shards_;  // streams: one more, the reply stream
   int dir_fd_ = -1;  // fsync'd after every rename into the directory
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// One per stream: serializes a snapshot's install against its reads.
+  mutable std::vector<std::mutex> snapshot_mutexes_;
   mutable std::mutex meta_mutex_;
   std::uint64_t commit_gc_low_ = 0;  // log size after the last GC rewrite
   std::vector<std::uint64_t> commit_floor_;  // per-stream snapshot applied LSN

@@ -20,7 +20,7 @@
 //     never reports a ticket whose bytes a crash image could lack.
 //   * enqueue_group() places all entries under one queue-mutex hold, so a
 //     flush cycle carries a multi-shard group entirely or not at all; the
-//     backend's append_journal_batch atomicity w.r.t. capture() then keeps
+//     backend's group atomicity w.r.t. capture() and crashes then keeps
 //     a bank transfer's debit+credit untearable, exactly as in the
 //     synchronous path.
 //   * The volume's reply stream (Backend::reply_stream()) is one more

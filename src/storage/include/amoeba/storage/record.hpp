@@ -4,7 +4,7 @@
 // notes, and Amoeba's durable bullet/directory servers in spirit): every
 // state change of an object-store shard is first appended to that shard's
 // journal as one self-delimiting record; a snapshot is a compact image of
-// every live slot, after which the journal restarts empty.  Recovery
+// every live slot, after which the records it subsumes are dead.  Recovery
 // replays snapshot-then-journal.  Records carry everything a capability
 // needs to survive a crash -- the object number, the secret check-field
 // number, and the serialized payload -- so capabilities issued before the
@@ -15,8 +15,13 @@
 // append-only journal; decode_journal() stops cleanly at the first
 // truncated or corrupt frame instead of failing recovery, which is exactly
 // the contract a torn final write needs.  Replay is idempotent: applying a
-// prefix of the journal twice (snapshot installed, journal not yet
-// truncated when the power died) converges to the same table.
+// prefix of the journal twice (a snapshot installed while the records it
+// subsumes are still in the log) converges to the same table.
+//
+// Groups.  Records travel in groups of per-stream runs (ShardAppend): one
+// group is one commit.log frame on a file volume and the append section
+// of one replication cycle frame.  Both encode the group body with
+// encode_group_body() and read it back with decode_group_body().
 #pragma once
 
 #include <cstdint>
@@ -49,9 +54,8 @@ enum class RecordType : std::uint8_t {
 /// object image (valid for create/mutate); `secret` is the check-field
 /// secret (valid for create/rotate).  `lsn` is the shard-local log
 /// sequence number: replay skips records at or below the snapshot's
-/// applied LSN, which makes the file backend's crash window between
-/// snapshot rename and journal truncate harmless (stale records replay as
-/// no-ops instead of regressing payloads).
+/// applied LSN, so records a snapshot subsumes but the journal still holds
+/// replay as no-ops instead of regressing payloads.
 struct Record {
   RecordType type = RecordType::create;
   ObjectNumber object;
@@ -61,8 +65,27 @@ struct Record {
 };
 
 /// FNV-1a over `bytes`: the checksum every frame in the storage layer uses
-/// (journal records here, and the file backend's commit-log group frames).
+/// (journal records here, commit-log frames, replication cycle frames).
 [[nodiscard]] std::uint32_t frame_checksum(std::span<const std::uint8_t> bytes);
+
+/// One stream-addressed run of framed records: an entry of a group.
+struct ShardAppend {
+  std::size_t shard = 0;
+  Buffer bytes;
+};
+
+/// Appends a group body to `out`:
+/// `count u32 | count x (stream u32 | run u32 + bytes)`.
+void encode_group_body(std::span<const ShardAppend> appends, Buffer& out);
+
+/// Encodes `appends` as one commit.log frame into `frame` (cleared first):
+/// `length u32 | checksum u32 | group body`.
+void encode_group_frame(std::span<const ShardAppend> appends, Buffer& frame);
+
+/// Decodes a group body that fills `body` exactly.  False on a count
+/// larger than the bytes left, a short entry, or trailing bytes.
+[[nodiscard]] bool decode_group_body(std::span<const std::uint8_t> body,
+                                     std::vector<ShardAppend>& out);
 
 /// Appends one framed record to `out` (length + checksum + body).
 void encode_record(const Record& record, Buffer& out);

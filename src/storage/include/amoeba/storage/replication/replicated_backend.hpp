@@ -8,10 +8,10 @@
 //   * Under a GroupCommitter (the normal server arrangement) the committer
 //     binds itself at construction and the post-flush hook ships each
 //     flush cycle as ONE cycle frame -- the exact journal bytes that just
-//     hit the local disk.  The decorator's own append paths then stand
+//     hit the local disk.  The decorator's own append path then stands
 //     down (forward-only), so a cycle is never shipped twice.
 //   * Driven directly (no committer -- the synchronous-durability
-//     arrangement), each append/batch write ships as its own mini-cycle.
+//     arrangement), each append group ships as its own mini-cycle.
 //     Per-shard ordering is preserved because the store holds the shard
 //     lock across the local write and the enqueue.
 //   * install_snapshot (compaction) and put_meta always ship, under
@@ -98,9 +98,6 @@ class ReplicatedBackend final : public Backend {
 
   // --- Backend: reads forward, writes land locally then ship. ---
   [[nodiscard]] std::size_t shard_count() const override;
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
   void submit_append_group(std::vector<ShardAppend>&& appends,
                            AppendCompletion complete) override;
   /// Forwards the local volume's ring counters (zero/sync for blocking

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "amoeba/common/serial.hpp"
-#include "amoeba/storage/backend.hpp"
+#include "amoeba/storage/record.hpp"
 
 namespace amoeba::storage {
 

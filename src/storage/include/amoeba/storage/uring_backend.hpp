@@ -18,15 +18,16 @@
 //
 // Ordering: IOSQE_IO_DRAIN on each chain's writev serializes chains, so
 // frame N+1 can never land on disk before frame N -- recovery's torn-tail
-// rule and the LSN merge both assume the log has no holes.  On any chain
+// rule assumes the log has no holes.  On any chain
 // failure the reaper waits for every in-flight chain to finish, truncates
 // commit.log back to the FIRST failed chain's start offset (removing any
 // later frame that landed past the gap), and fails every outstanding
 // completion in order; the committer latches and nothing was ever
 // acknowledged optimistically.
 //
-// Everything else -- recovery merge, snapshots, GC, metadata, the
-// per-shard sync journals -- is inherited from FileBackend; the
+// Every append goes this way: a synchronous append_journal() is a group
+// of one that waits for its CQE.  Everything else -- recovery, snapshots,
+// GC, metadata -- is inherited from FileBackend; the
 // quiesce_commit_locked() override drains the ring before any of those
 // paths read or replace commit.log.
 //

@@ -71,6 +71,49 @@ void encode_record_into(RecordType type, ObjectNumber object,
   patch_u32(out, frame_at + 4, frame_checksum(body));
 }
 
+void encode_group_body(std::span<const ShardAppend> appends, Buffer& out) {
+  std::size_t need = out.size() + 4;
+  for (const ShardAppend& a : appends) {
+    need += 8 + a.bytes.size();
+  }
+  out.reserve(need);
+  put_u32(out, static_cast<std::uint32_t>(appends.size()));
+  for (const ShardAppend& a : appends) {
+    put_u32(out, static_cast<std::uint32_t>(a.shard));
+    put_u32(out, static_cast<std::uint32_t>(a.bytes.size()));
+    out.insert(out.end(), a.bytes.begin(), a.bytes.end());
+  }
+}
+
+void encode_group_frame(std::span<const ShardAppend> appends, Buffer& frame) {
+  frame.assign(8, 0);  // length and checksum placeholders
+  encode_group_body(appends, frame);
+  const auto body =
+      std::span<const std::uint8_t>(frame.data() + 8, frame.size() - 8);
+  patch_u32(frame, 0, static_cast<std::uint32_t>(body.size()));
+  patch_u32(frame, 4, frame_checksum(body));
+}
+
+bool decode_group_body(std::span<const std::uint8_t> body,
+                       std::vector<ShardAppend>& out) {
+  out.clear();
+  Reader r(body);
+  const std::uint32_t count = r.u32();
+  if (!r.ok() || count > r.remaining()) {
+    return false;  // hostile count: reject before allocating
+  }
+  out.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t shard = r.u32();
+    Buffer bytes = r.bytes();
+    if (!r.ok()) {
+      return false;
+    }
+    out.push_back({static_cast<std::size_t>(shard), std::move(bytes)});
+  }
+  return r.exhausted();
+}
+
 void encode_record(const Record& record, Buffer& out) {
   encode_record_into(record.type, record.object, record.secret, record.lsn,
                      record.payload, out);

@@ -1,7 +1,6 @@
 #include "amoeba/storage/replication/replica.hpp"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "amoeba/common/serial.hpp"
@@ -72,16 +71,7 @@ Result<std::uint64_t> ReplicaApplier::apply_cycle(
   encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
                      marker.buffer(), record);
   cycle.appends.push_back({local_->reply_stream(), std::move(record)});
-  std::promise<void> durable;
-  local_->submit_append_group(
-      std::move(cycle.appends), [&durable](std::exception_ptr error) {
-        if (error != nullptr) {
-          durable.set_exception(std::move(error));
-        } else {
-          durable.set_value();
-        }
-      });
-  durable.get_future().get();  // rethrows a failed write
+  local_->append_journal_batch(std::move(cycle.appends));
   applied_ = cycle.rep_lsn;
   return applied_;
 }

@@ -79,49 +79,34 @@ std::vector<std::string> ReplicatedBackend::meta_keys() const {
 
 bool ReplicatedBackend::empty() const { return local_->empty(); }
 
-void ReplicatedBackend::append_journal(std::size_t shard,
-                                       std::span<const std::uint8_t> bytes) {
-  local_->append_journal(shard, bytes);
-  // Relaxed everywhere committer_bound_ is read: it flips false->true once,
-  // before the committer's flusher starts, so every thread that can reach
-  // these paths already observes the final value through the committer's
-  // own synchronization -- the load needs no ordering of its own.
-  if (committer_bound_.load(std::memory_order_relaxed)) {
-    return;  // this write reaches backups inside its flush cycle's frame
-  }
-  // Direct (synchronous-durability) path: ship a mini-cycle.  The store
-  // holds the shard lock across this call, so per-shard shipment order
-  // matches local journal order.
-  const ShardAppend append{shard, Buffer(bytes.begin(), bytes.end())};
-  ship_mini_cycle({}, std::span(&append, 1));
-}
-
-void ReplicatedBackend::append_journal_batch(
-    std::vector<ShardAppend>&& appends) {
-  // Relaxed: see append_journal.
-  if (committer_bound_.load(std::memory_order_relaxed)) {
-    local_->append_journal_batch(std::move(appends));
-    return;
-  }
-  std::vector<ShardAppend> to_ship = appends;  // local write consumes them
-  local_->append_journal_batch(std::move(appends));
-  ship_mini_cycle({}, to_ship);
-}
-
 void ReplicatedBackend::submit_append_group(std::vector<ShardAppend>&& appends,
                                             AppendCompletion complete) {
-  // Relaxed: see append_journal.
+  // Relaxed everywhere committer_bound_ is read: it flips false->true once,
+  // before the committer's flusher starts, so every thread that can reach
+  // this path already observes the final value through the committer's
+  // own synchronization -- the load needs no ordering of its own.
   if (committer_bound_.load(std::memory_order_relaxed)) {
     // Committer traffic: the forwarded completion fires on the local
     // volume's reaping side (CQE of the linked fdatasync under io_uring);
     // the committer's ordered drain then runs the ship hook strictly
-    // after it, in LSN order -- §8.5's acknowledgement rule.
+    // after it, in LSN order -- §8.5's acknowledgement rule.  The cycle
+    // reaches backups inside its flush cycle's frame.
     local_->submit_append_group(std::move(appends), std::move(complete));
     return;
   }
-  std::vector<ShardAppend> to_ship = appends;
-  local_->submit_append_group(std::move(appends), std::move(complete));
-  ship_mini_cycle({}, to_ship);
+  // Direct (synchronous-durability) path: land the group locally, then
+  // ship it as a mini-cycle; it is complete once both are.  The store
+  // holds the shard lock across this call, so per-shard shipment order
+  // matches local journal order.
+  std::exception_ptr error;
+  try {
+    const std::vector<ShardAppend> to_ship = appends;
+    local_->append_journal_batch(std::move(appends));
+    ship_mini_cycle({}, to_ship);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  complete(error);
 }
 
 void ReplicatedBackend::install_snapshot(std::size_t shard,
@@ -152,7 +137,7 @@ void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
   {
     // Relaxed store/load under mutex_: the mutex orders the bind itself;
     // the flag's cross-thread visibility rides the committer's flusher
-    // start (see the relaxed-read comment at append_journal).
+    // start (see the relaxed-read comment at submit_append_group).
     const std::lock_guard lock(mutex_);
     if (committer_bound_.load(std::memory_order_relaxed)) {
       throw UsageError("ReplicatedBackend: already bound to a committer");

@@ -14,12 +14,8 @@ Buffer encode_cycle_frame(std::uint64_t rep_lsn,
     w.str(meta.key);
     w.bytes(meta.value);
   }
-  w.u32(static_cast<std::uint32_t>(appends.size()));
-  for (const ShardAppend& append : appends) {
-    w.u32(static_cast<std::uint32_t>(append.shard));
-    w.bytes(append.bytes);
-  }
-  const Buffer body = w.take();
+  Buffer body = w.take();
+  encode_group_body(appends, body);
   Writer frame;
   frame.u32(static_cast<std::uint32_t>(body.size()));
   frame.u32(frame_checksum(body));
@@ -55,22 +51,9 @@ bool decode_cycle_frame(std::span<const std::uint8_t> bytes,
     }
     out.metas.emplace_back(std::move(key), std::move(value));
   }
-  const std::uint32_t append_count = r.u32();
-  if (!r.ok() || append_count > r.remaining()) {
-    return false;
-  }
-  out.appends.clear();
-  out.appends.reserve(append_count);
-  for (std::uint32_t i = 0; i < append_count; ++i) {
-    const std::uint32_t shard = r.u32();
-    Buffer record_bytes = r.bytes();
-    if (!r.ok()) {
-      return false;
-    }
-    out.appends.push_back(
-        {static_cast<std::size_t>(shard), std::move(record_bytes)});
-  }
-  return r.exhausted();
+  // The rest of the body is the append section: a commit.log group body.
+  return decode_group_body(body.subspan(body.size() - r.remaining()),
+                           out.appends);
 }
 
 }  // namespace amoeba::storage

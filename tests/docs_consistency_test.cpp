@@ -1,17 +1,24 @@
 // docs/PROTOCOL.md must not drift from the code: every opcode table row in
 // the spec is checked, field for field, against the live descriptor
 // registry (Service::registered_ops()) of every server, in both
-// directions.  CI runs this test as the docs job; on mismatch it prints
-// the table block the spec should contain, so regenerating the doc is a
-// copy-paste.
+// directions, and §8.1's file table against the files a FileBackend
+// volume really holds.  CI runs this test as the docs job; on mismatch it
+// prints the table block the spec should contain, so regenerating the
+// doc is a copy-paste.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "amoeba/common/rng.hpp"
@@ -26,6 +33,7 @@
 #include "amoeba/servers/multiversion_server.hpp"
 #include "amoeba/softprot/handshake.hpp"
 #include "amoeba/softprot/keystore.hpp"
+#include "amoeba/storage/backend.hpp"
 
 namespace amoeba {
 namespace {
@@ -186,6 +194,91 @@ TEST(DocsConsistency, ProtocolCoversTheAtMostOnceMachinery) {
     EXPECT_NE(text.find(needle), std::string::npos)
         << "PROTOCOL.md lost required content: " << needle;
   }
+}
+
+/// The first column of every table row inside PROTOCOL.md §8.1: the file
+/// names of a FileBackend volume, with `N` and `KEY` placeholders.
+std::vector<std::string> volume_layout_files() {
+  std::ifstream in(kProtocolPath);
+  EXPECT_TRUE(in.good()) << "cannot open " << kProtocolPath;
+  std::vector<std::string> files;
+  bool inside = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.starts_with("### ")) {
+      inside = line.starts_with("### 8.1 ");
+      continue;
+    }
+    if (!inside || !line.starts_with("| `")) {
+      continue;
+    }
+    files.push_back(trim(line.substr(1, line.find('|', 1) - 1)));
+  }
+  return files;
+}
+
+/// True when `name` matches a §8.1 file name, in which `N` stands for a
+/// number and `KEY` for an escaped metadata key.
+bool matches_file_pattern(std::string_view name, std::string_view pattern) {
+  if (pattern.empty()) {
+    return name.empty();
+  }
+  const bool key = pattern.starts_with("KEY");
+  if (key || pattern.front() == 'N') {
+    const auto allowed = [key](char c) {
+      return std::isdigit(static_cast<unsigned char>(c)) != 0 ||
+             (key && (std::isalpha(static_cast<unsigned char>(c)) != 0 ||
+                      c == '%' || c == '-'));
+    };
+    for (std::size_t n = 0; n < name.size() && allowed(name[n]); ++n) {
+      if (matches_file_pattern(name.substr(n + 1),
+                               pattern.substr(key ? 3 : 1))) {
+        return true;
+      }
+    }
+    return false;
+  }
+  return !name.empty() && name.front() == pattern.front() &&
+         matches_file_pattern(name.substr(1), pattern.substr(1));
+}
+
+TEST(DocsConsistency, VolumeLayoutTableMatchesAFileVolume) {
+  const auto documented = volume_layout_files();
+  ASSERT_FALSE(documented.empty()) << "PROTOCOL.md §8.1 lost its file table";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("amoeba-docs-volume-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    // Every kind of write a volume takes: one group append, a snapshot on
+    // an object shard and on the reply stream, one metadata blob.
+    storage::FileBackend volume(dir, 4);
+    std::vector<storage::ShardAppend> group;
+    group.push_back({1, Buffer{1}});
+    group.push_back({volume.reply_stream(), Buffer{2}});
+    volume.append_journal_batch(std::move(group));
+    volume.install_snapshot(2, storage::encode_snapshot({}, 1));
+    volume.install_snapshot(volume.reply_stream(),
+                            storage::encode_snapshot({}, 1));
+    volume.put_meta("rep.applied", Buffer{3});
+  }
+  std::set<std::string> unmatched(documented.begin(), documented.end());
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    bool matched = false;
+    for (const std::string& file : documented) {
+      if (matches_file_pattern(name, file)) {
+        matched = true;
+        unmatched.erase(file);
+      }
+    }
+    EXPECT_TRUE(matched) << "a file volume holds " << name
+                         << ", which PROTOCOL.md §8.1 does not list";
+  }
+  for (const std::string& file : unmatched) {
+    ADD_FAILURE() << "PROTOCOL.md §8.1 lists " << file
+                  << ", which the file volume does not hold";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

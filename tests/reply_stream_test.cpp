@@ -75,16 +75,6 @@ class CountingBackend final : public storage::Backend {
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_->shard_count();
   }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override {
-    bytes_ += bytes.size();
-    inner_->append_journal(shard, bytes);
-  }
-  void append_journal_batch(
-      std::vector<storage::ShardAppend>&& appends) override {
-    count(appends);
-    inner_->append_journal_batch(std::move(appends));
-  }
   void submit_append_group(std::vector<storage::ShardAppend>&& appends,
                            storage::AppendCompletion complete) override {
     count(appends);

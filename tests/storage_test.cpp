@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -183,6 +183,8 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
     EXPECT_TRUE(backend.empty());
     backend.append_journal(0, Buffer{1, 2});
     backend.append_journal(0, Buffer{3});
+    // Streams 0..2: two object shards and the reply stream.
+    EXPECT_THROW(backend.append_journal(3, Buffer{4}), UsageError);
     backend.install_snapshot(1, Buffer{9, 9});
     backend.put_meta("reply-floors", Buffer{5});
   }
@@ -192,12 +194,13 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
     EXPECT_EQ(backend.read_journal(0), (Buffer{1, 2, 3}));
     EXPECT_EQ(backend.read_snapshot(1), (Buffer{9, 9}));
     EXPECT_EQ(backend.get_meta("reply-floors"), Buffer{5});
-    // Compaction truncates the journal durably too.
+    // A snapshot install replaces the image durably and leaves the journal
+    // to commit.log's GC: replay skips whatever the image subsumes.
     backend.install_snapshot(0, Buffer{8});
   }
   {
     FileBackend backend(dir, 2);
-    EXPECT_TRUE(backend.read_journal(0).empty());
+    EXPECT_EQ(backend.read_journal(0), (Buffer{1, 2, 3}));
     EXPECT_EQ(backend.read_snapshot(0), Buffer{8});
   }
   std::filesystem::remove_all(dir);
@@ -221,27 +224,6 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
                     std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir;
-}
-
-/// Drives the asynchronous submit contract synchronously: one group, block
-/// until its completion reports, rethrow its error.  What a sync backend
-/// completes inline, an io_uring backend completes from its reaper.
-void submit_group_sync(Backend& backend, std::vector<ShardAppend>&& appends) {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  std::exception_ptr error;
-  backend.submit_append_group(std::move(appends), [&](std::exception_ptr e) {
-    const std::lock_guard lock(mutex);
-    error = std::move(e);
-    done = true;
-    cv.notify_one();
-  });
-  std::unique_lock lock(mutex);
-  cv.wait(lock, [&] { return done; });
-  if (error != nullptr) {
-    std::rethrow_exception(error);
-  }
 }
 
 /// The commit-log suite runs against BOTH writers of the one on-disk
@@ -300,16 +282,16 @@ TEST_P(CommitLogBackends, GroupedAppendsRecoverAcrossReopen) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(CommitLogBackends, SyncAndGroupedAppendsMergeByLsn) {
-  const auto dir = fresh_dir("commit-merge");
+TEST_P(CommitLogBackends, SyncAndGroupedAppendsRecoverInLsnOrder) {
+  const auto dir = fresh_dir("commit-order");
   auto backend = make(dir, 2);
-  // Wall-time order: sync lsn 1, grouped lsn 2, sync lsn 3.  The grouped
-  // record lives in commit.log, the sync ones in shard-0.journal; recovery
-  // must splice them back into LSN order.
-  backend->append_journal(0, frame(1, 1));
-  std::vector<ShardAppend> group;
-  group.push_back({0, frame(2, 2)});
-  submit_group_sync(*backend, std::move(group));
+  {
+    // Wall-time order: sync lsn 1, grouped lsn 2, sync lsn 3.  Every one
+    // is a commit.log frame, so the log's order is the LSN order.
+    backend->append_journal(0, frame(1, 1));
+    GroupCommitter committer(backend);
+    committer.wait_durable(committer.enqueue(0, frame(2, 2)));
+  }
   backend->append_journal(0, frame(3, 3));
   bool torn = true;
   const auto records = decode_journal(backend->read_journal(0), &torn);
@@ -319,6 +301,10 @@ TEST_P(CommitLogBackends, SyncAndGroupedAppendsMergeByLsn) {
   EXPECT_EQ(records[1].lsn, 2u);
   EXPECT_EQ(records[2].lsn, 3u);
   EXPECT_EQ(records[1].object.value(), 2u);
+  // commit.log is the volume's only journal.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".journal") << entry.path();
+  }
   backend.reset();
   std::filesystem::remove_all(dir);
 }
@@ -330,11 +316,11 @@ TEST_P(CommitLogBackends, TornGroupFrameDropsTheWholeGroup) {
     std::vector<ShardAppend> first;
     first.push_back({0, frame(1, 1)});
     first.push_back({1, frame(2, 1)});
-    submit_group_sync(*backend, std::move(first));
+    backend->append_journal_batch(std::move(first));
     std::vector<ShardAppend> second;
     second.push_back({0, frame(3, 2)});
     second.push_back({1, frame(4, 2)});
-    submit_group_sync(*backend, std::move(second));
+    backend->append_journal_batch(std::move(second));
   }
   // Chop one byte off the tail: the second group's frame no longer
   // checksums.  Recovery must drop BOTH of its entries -- a multi-shard
@@ -359,71 +345,85 @@ TEST_P(CommitLogBackends, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
   // Exhaustive crash-image sweep over the second group's region of
   // commit.log: truncation at EVERY length and a bit flip at EVERY byte
   // offset must each leave recovery holding exactly the first group --
-  // never half of the second, never less than all of the first.
+  // never half of the second, never less than all of the first.  Both
+  // writers of a two-shard group are swept: the group committer and a
+  // synchronous append_journal_batch.
   const auto dir = fresh_dir("commit-fuzz");
   const auto log = dir / "commit.log";
-  std::uintmax_t first_end = 0;
-  {
-    auto backend = make(dir, 2);
-    std::vector<ShardAppend> first;
-    first.push_back({0, frame(1, 1)});
-    first.push_back({1, frame(2, 1)});
-    submit_group_sync(*backend, std::move(first));
-    first_end = std::filesystem::file_size(log);
-    std::vector<ShardAppend> second;
-    second.push_back({0, frame(3, 2)});
-    second.push_back({1, frame(4, 2)});
-    submit_group_sync(*backend, std::move(second));
-  }
-  Buffer pristine;
-  {
-    std::ifstream in(log, std::ios::binary);
-    pristine.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(pristine.size(), first_end);
+  for (const bool committed : {true, false}) {
+    SCOPED_TRACE(committed ? "group commit" : "append_journal_batch");
+    std::filesystem::remove_all(dir);
+    std::uintmax_t first_end = 0;
+    {
+      auto backend = make(dir, 2);
+      std::optional<GroupCommitter> committer;
+      if (committed) {
+        committer.emplace(backend);
+      }
+      const auto append = [&](std::uint32_t object, std::uint64_t lsn) {
+        std::vector<ShardAppend> group;
+        group.push_back({0, frame(object, lsn)});
+        group.push_back({1, frame(object + 1, lsn)});
+        if (committer) {
+          committer->wait_durable(committer->enqueue_group(std::move(group)));
+        } else {
+          backend->append_journal_batch(std::move(group));
+        }
+      };
+      append(1, 1);
+      first_end = std::filesystem::file_size(log);
+      append(3, 2);
+    }
+    Buffer pristine;
+    {
+      std::ifstream in(log, std::ios::binary);
+      pristine.assign(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(pristine.size(), first_end);
 
-  const auto write_log = [&](const Buffer& bytes) {
-    std::ofstream out(log, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  };
-  const auto expect_exactly_first_group = [&] {
-    FileBackend backend(dir, 2);
-    bool torn = true;
-    const auto shard0 = decode_journal(backend.read_journal(0), &torn);
-    EXPECT_FALSE(torn);
-    ASSERT_EQ(shard0.size(), 1u);
-    EXPECT_EQ(shard0[0].object.value(), 1u);
-    EXPECT_EQ(shard0[0].lsn, 1u);
-    const auto shard1 = decode_journal(backend.read_journal(1), &torn);
-    ASSERT_EQ(shard1.size(), 1u);
-    EXPECT_EQ(shard1[0].object.value(), 2u);
-  };
+    const auto write_log = [&](const Buffer& bytes) {
+      std::ofstream out(log, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    };
+    const auto expect_exactly_first_group = [&] {
+      FileBackend backend(dir, 2);
+      bool torn = true;
+      const auto shard0 = decode_journal(backend.read_journal(0), &torn);
+      EXPECT_FALSE(torn);
+      ASSERT_EQ(shard0.size(), 1u);
+      EXPECT_EQ(shard0[0].object.value(), 1u);
+      EXPECT_EQ(shard0[0].lsn, 1u);
+      const auto shard1 = decode_journal(backend.read_journal(1), &torn);
+      ASSERT_EQ(shard1.size(), 1u);
+      EXPECT_EQ(shard1[0].object.value(), 2u);
+    };
 
-  // Torn write: the crash image ends anywhere inside the second frame.
-  for (std::size_t len = first_end; len < pristine.size(); ++len) {
-    SCOPED_TRACE("truncate to " + std::to_string(len));
-    write_log(Buffer(pristine.begin(),
-                     pristine.begin() + static_cast<std::ptrdiff_t>(len)));
-    expect_exactly_first_group();
-  }
-  // Rot: any single flipped bit in the second frame (length word,
-  // checksum word, or body) trips the frame checksum.
-  for (std::size_t at = first_end; at < pristine.size(); ++at) {
-    SCOPED_TRACE("flip byte " + std::to_string(at));
-    Buffer bent = pristine;
-    bent[at] ^= 0x01;
-    write_log(bent);
-    expect_exactly_first_group();
-  }
-  // The unharmed image still recovers both groups (the sweep above did
-  // not pass vacuously).
-  write_log(pristine);
-  {
-    FileBackend backend(dir, 2);
-    EXPECT_EQ(decode_journal(backend.read_journal(0)).size(), 2u);
-    EXPECT_EQ(decode_journal(backend.read_journal(1)).size(), 2u);
+    // Torn write: the crash image ends anywhere inside the second frame.
+    for (std::size_t len = first_end; len < pristine.size(); ++len) {
+      SCOPED_TRACE("truncate to " + std::to_string(len));
+      write_log(Buffer(pristine.begin(),
+                       pristine.begin() + static_cast<std::ptrdiff_t>(len)));
+      expect_exactly_first_group();
+    }
+    // Rot: any single flipped bit in the second frame (length word,
+    // checksum word, or body) trips the frame checksum.
+    for (std::size_t at = first_end; at < pristine.size(); ++at) {
+      SCOPED_TRACE("flip byte " + std::to_string(at));
+      Buffer bent = pristine;
+      bent[at] ^= 0x01;
+      write_log(bent);
+      expect_exactly_first_group();
+    }
+    // The unharmed image still recovers both groups (the sweep above did
+    // not pass vacuously).
+    write_log(pristine);
+    {
+      FileBackend backend(dir, 2);
+      EXPECT_EQ(decode_journal(backend.read_journal(0)).size(), 2u);
+      EXPECT_EQ(decode_journal(backend.read_journal(1)).size(), 2u);
+    }
   }
   std::filesystem::remove_all(dir);
 }
@@ -444,7 +444,7 @@ TEST_P(CommitLogBackends, SnapshotGcRewritesAwaySubsumedRecords) {
   std::vector<ShardAppend> group;
   group.push_back({0, std::move(run0)});
   group.push_back({1, frame(7, 1)});
-  submit_group_sync(*backend, std::move(group));
+  backend->append_journal_batch(std::move(group));
   ASSERT_GT(std::filesystem::file_size(log), std::uint64_t{8} << 20);
   // A shard-0 snapshot at the top LSN subsumes every shard-0 record in the
   // log; installing it crosses the threshold and triggers the rewrite
@@ -460,11 +460,107 @@ TEST_P(CommitLogBackends, SnapshotGcRewritesAwaySubsumedRecords) {
   // in the rewritten log, not the unlinked one.
   std::vector<ShardAppend> after;
   after.push_back({0, frame(8, kShard0Records + 1)});
-  submit_group_sync(*backend, std::move(after));
+  backend->append_journal_batch(std::move(after));
   const auto shard0 = decode_journal(backend->read_journal(0));
   ASSERT_EQ(shard0.size(), 1u);
   EXPECT_EQ(shard0[0].object.value(), 8u);
   backend.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendTest, BlockingSyscallsPerInstallAndSyncBatch) {
+  // A snapshot install is the temp file's write + fsync and the directory
+  // fsync -- no journal to truncate.  A synchronous two-shard batch is
+  // one commit.log frame: one write, one fsync.
+  const auto dir = fresh_dir("syscalls");
+  FileBackend backend(dir, 2);
+  const IoCounters& io = this_thread_io_counters();
+  IoCounters before = io;
+  backend.install_snapshot(0, encode_snapshot({}, 1));
+  EXPECT_EQ(io.writes - before.writes, 1u);
+  EXPECT_EQ(io.fsyncs - before.fsyncs, 2u);
+  before = io;
+  std::vector<ShardAppend> pair;
+  pair.push_back({0, frame(1, 2)});
+  pair.push_back({1, frame(2, 1)});
+  backend.append_journal_batch(std::move(pair));
+  EXPECT_EQ(io.writes - before.writes, 1u);
+  EXPECT_EQ(io.fsyncs - before.fsyncs, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+void write_file(const std::filesystem::path& path, const Buffer& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(FileBackendTest, NonEmptyPerStreamJournalIsRefused) {
+  // Records in a format-2 per-stream journal are refused, not migrated:
+  // opening without them would lose acknowledged state.
+  const auto dir = fresh_dir("legacy-journal");
+  std::filesystem::create_directories(dir);
+  write_file(dir / "shard-0.journal", frame(1, 1));
+  try {
+    FileBackend backend(dir, 2);
+    ADD_FAILURE() << "a non-empty shard-0.journal was accepted";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("shard-0.journal"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
+  // A format-2 server volume, laid out byte by byte: an empty journal file
+  // per stream, group frames in commit.log, snapshots and metadata.
+  const auto dir = fresh_dir("legacy-v2");
+  std::filesystem::create_directories(dir);
+  for (const char* name :
+       {"shard-0.journal", "shard-1.journal", "reply.journal"}) {
+    write_file(dir / name, {});
+  }
+  Buffer log;
+  for (const auto& [stream, object] :
+       {std::pair{0u, 1u}, std::pair{2u, 3u}, std::pair{0u, 4u}}) {
+    Writer body;
+    body.u32(1);
+    body.u32(stream);
+    body.bytes(frame(object, object));
+    Writer group;
+    group.u32(static_cast<std::uint32_t>(body.buffer().size()));
+    group.u32(frame_checksum(body.buffer()));
+    group.raw(body.buffer());
+    log.insert(log.end(), group.buffer().begin(), group.buffer().end());
+  }
+  write_file(dir / "commit.log", log);
+  const Buffer image =
+      encode_snapshot({{ObjectNumber(9), 0x5EC2E7, Buffer{7}}}, 5);
+  write_file(dir / "shard-1.snap", image);
+  write_file(dir / "meta-floors.bin", Buffer{5});
+  {
+    FileBackend backend(dir, 2);
+    EXPECT_FALSE(backend.empty());
+    bool torn = true;
+    const auto shard0 = decode_journal(backend.read_journal(0), &torn);
+    EXPECT_FALSE(torn);
+    ASSERT_EQ(shard0.size(), 2u);
+    EXPECT_EQ(shard0[0].object.value(), 1u);
+    EXPECT_EQ(shard0[1].object.value(), 4u);
+    const auto reply =
+        decode_journal(backend.read_journal(backend.reply_stream()), &torn);
+    ASSERT_EQ(reply.size(), 1u);
+    EXPECT_EQ(reply[0].object.value(), 3u);
+    EXPECT_TRUE(backend.read_journal(1).empty());
+    EXPECT_EQ(backend.read_snapshot(1), image);
+    EXPECT_EQ(backend.get_meta("floors"), Buffer{5});
+    // New groups append behind the old frames.
+    backend.append_journal(1, frame(6, 6));
+  }
+  FileBackend reopened(dir, 2);
+  EXPECT_EQ(decode_journal(reopened.read_journal(0)).size(), 2u);
+  EXPECT_EQ(decode_journal(reopened.read_journal(1)).size(), 1u);
   std::filesystem::remove_all(dir);
 }
 
@@ -552,13 +648,6 @@ class ExplodingBackend final : public Backend {
 
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_.shard_count();
-  }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override {
-    inner_.append_journal(shard, bytes);
-  }
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override {
-    inner_.append_journal_batch(std::move(appends));
   }
   // Throws SYNCHRONOUSLY instead of reporting through the completion:
   // the committer must latch either way.
