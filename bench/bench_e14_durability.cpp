@@ -29,10 +29,6 @@
 //   --flush-interval=N    flusher linger CEILING in microseconds (0, the
 //                         default, leaves the adaptive waiter-gated linger
 //                         its built-in ceiling)
-//   --backend=KIND        uring  force the io_uring contrast leg (prints a
-//                                waiver note + skips its gate on fallback)
-//                         file   skip the io_uring leg entirely
-//                         (default: run it when the runtime probe passes)
 #include <benchmark/benchmark.h>
 
 #include <charconv>
@@ -49,7 +45,6 @@
 #include "amoeba/core/schemes.hpp"
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/group_commit.hpp"
-#include "amoeba/storage/uring_backend.hpp"
 
 namespace {
 
@@ -63,8 +58,6 @@ constexpr int kObjects = 4096;
 constexpr int kWindow = 4096;
 
 std::chrono::microseconds g_flush_interval{0};  // --flush-interval=N
-enum class UringLeg : std::uint8_t { automatic, forced, off };
-UringLeg g_uring_leg = UringLeg::automatic;  // --backend=uring|file
 
 [[nodiscard]] std::shared_ptr<const core::ProtectionScheme> scheme() {
   static const std::shared_ptr<const core::ProtectionScheme> shared = [] {
@@ -232,22 +225,6 @@ void BM_MutateGroupedFileBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_MutateGroupedFileBackend);
 
-void BM_MutateGroupedUringBackend(benchmark::State& state) {
-  if (!storage::UringFileBackend::available()) {
-    state.SkipWithError("io_uring unavailable (probe or AMOEBA_NO_URING)");
-    return;
-  }
-  const auto dir = std::filesystem::temp_directory_path() / "amoeba-e14-bmu";
-  std::filesystem::remove_all(dir);
-  {
-    Rig rig(std::make_shared<storage::UringFileBackend>(dir, 16),
-            /*grouped=*/true);
-    mutate_loop_pipelined(state, rig);
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_MutateGroupedUringBackend);
-
 void BM_PairMutateJournaled(benchmark::State& state) {
   // The transfer shape: two objects, one atomic journal append group.
   Rig rig(std::make_shared<storage::MemoryBackend>(16));
@@ -373,49 +350,30 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
     std::filesystem::remove_all(dir);
     return ms;
   }();
+  // The grouped leg also counts the mutator thread's own blocking
+  // write/fsync calls: the flusher writes the commit log, so only the
+  // compaction snapshots the mutator installs show up here.
   double grouped_file_ms = 0;
   storage::GroupCommitter::Stats flusher_stats;
+  std::uint64_t mutator_blocked_syscalls = 0;
   {
     const auto dir = tmp / "amoeba-e14-grouped";
     std::filesystem::remove_all(dir);
     {
       Rig rig(std::make_shared<storage::FileBackend>(dir, 16),
               /*grouped=*/true);
-      grouped_file_ms = timed_mutates(rig, ops);
-      flusher_stats = rig.store->committer()->stats();
-    }
-    std::filesystem::remove_all(dir);
-  }
-
-  // The io_uring leg: same grouped pipeline, but the flusher SUBMITS the
-  // commit-log frame instead of blocking in write+fsync.  The mutator
-  // thread's own blocking-I/O counter delta is reported alongside
-  // (nonzero only for compaction snapshots, which stay synchronous).
-  const bool uring_requested = g_uring_leg != UringLeg::off;
-  const bool uring_ok =
-      uring_requested && storage::UringFileBackend::available();
-  double uring_file_ms = 0;
-  storage::GroupCommitter::Stats uring_stats;
-  std::uint64_t mutator_blocked_syscalls = 0;
-  if (uring_ok) {
-    const auto dir = tmp / "amoeba-e14-uring";
-    std::filesystem::remove_all(dir);
-    {
-      Rig rig(std::make_shared<storage::UringFileBackend>(dir, 16),
-              /*grouped=*/true);
       const storage::IoCounters before = storage::this_thread_io_counters();
-      uring_file_ms = timed_mutates(rig, ops);
+      grouped_file_ms = timed_mutates(rig, ops);
       const storage::IoCounters after = storage::this_thread_io_counters();
       mutator_blocked_syscalls = (after.writes - before.writes) +
                                  (after.fsyncs - before.fsyncs);
-      uring_stats = rig.store->committer()->stats();
+      flusher_stats = rig.store->committer()->stats();
     }
     std::filesystem::remove_all(dir);
   }
 
   const double per_op_sync_file_us = sync_file_ms * 1e3 / sync_file_ops;
   const double per_op_grouped_file_us = grouped_file_ms * 1e3 / ops;
-  const double per_op_uring_us = uring_ok ? uring_file_ms * 1e3 / ops : 0;
   const double headline = grouped_file_ms / memory_ms;
   std::printf(
       "\nE14 durability contrast (pure mutate: every op journals)\n"
@@ -426,7 +384,8 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
       "per record, %d ops)\n"
       "  grouped,      FileBackend     : %9.1f ms  (%6.2f us/op, window "
       "%d)\n"
-      "  flusher: %llu groups, %llu records, max group %llu\n"
+      "  flusher: %llu groups, %llu records, max group %llu; "
+      "%llu blocking mutator syscalls\n"
       "  grouped-file / in-memory      : %9.2fx  (acceptance bar: <= "
       "1.5x)%s\n"
       "  grouped-file / sync-file      : %9.3fx per op (must be < 1)\n",
@@ -437,27 +396,9 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
       static_cast<unsigned long long>(flusher_stats.groups),
       static_cast<unsigned long long>(flusher_stats.records),
       static_cast<unsigned long long>(flusher_stats.max_group),
+      static_cast<unsigned long long>(mutator_blocked_syscalls),
       headline, headline <= 1.5 ? "  PASS" : "  FAIL",
       per_op_grouped_file_us / per_op_sync_file_us);
-  if (uring_ok) {
-    std::printf(
-        "  grouped,      UringBackend    : %9.1f ms  (%6.2f us/op)\n"
-        "  uring flusher: %llu groups, %llu SQEs, %llu CQEs, "
-        "%llu blocking flusher syscalls, %llu blocking mutator syscalls\n"
-        "  uring-file / grouped-file     : %9.3fx per op\n",
-        uring_file_ms, per_op_uring_us,
-        static_cast<unsigned long long>(uring_stats.groups),
-        static_cast<unsigned long long>(uring_stats.sqe_submitted),
-        static_cast<unsigned long long>(uring_stats.cqe_completed),
-        static_cast<unsigned long long>(uring_stats.flusher_io_syscalls),
-        static_cast<unsigned long long>(mutator_blocked_syscalls),
-        per_op_uring_us / per_op_grouped_file_us);
-  } else {
-    std::printf(
-        "  grouped,      UringBackend    : %s -- gate waived\n",
-        uring_requested ? "io_uring unavailable (probe or AMOEBA_NO_URING)"
-                        : "skipped (--backend=file)");
-  }
 
   if (std::FILE* json = std::fopen("BENCH_durability.json", "a")) {
     std::fprintf(
@@ -468,31 +409,14 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
         "\"grouped_memory_ms\": %.3f, \"sync_file_us_per_op\": %.3f, "
         "\"grouped_file_ms\": %.3f, \"grouped_file_us_per_op\": %.3f, "
         "\"grouped_file_vs_in_memory\": %.3f, \"flush_groups\": %llu, "
-        "\"max_group\": %llu",
+        "\"max_group\": %llu, \"mutator_blocked_syscalls\": %llu}\n",
         smoke ? "smoke" : "full", ops, kWindow,
         static_cast<long long>(g_flush_interval.count()), memory_ms,
         sync_mem_ms, grouped_mem_ms, per_op_sync_file_us, grouped_file_ms,
         per_op_grouped_file_us, headline,
         static_cast<unsigned long long>(flusher_stats.groups),
-        static_cast<unsigned long long>(flusher_stats.max_group));
-    if (uring_ok) {
-      std::fprintf(
-          json,
-          ", \"uring_file_ms\": %.3f, \"uring_file_us_per_op\": %.3f, "
-          "\"uring_vs_grouped_file\": %.3f, "
-          "\"mutator_blocked_syscalls\": %llu, "
-          "\"uring_flusher_io_syscalls\": %llu, \"uring_sqe\": %llu, "
-          "\"uring_cqe\": %llu",
-          uring_file_ms, per_op_uring_us,
-          per_op_uring_us / per_op_grouped_file_us,
-          static_cast<unsigned long long>(mutator_blocked_syscalls),
-          static_cast<unsigned long long>(uring_stats.flusher_io_syscalls),
-          static_cast<unsigned long long>(uring_stats.sqe_submitted),
-          static_cast<unsigned long long>(uring_stats.cqe_completed));
-    } else {
-      std::fprintf(json, ", \"uring\": \"unavailable\"");
-    }
-    std::fprintf(json, "}\n");
+        static_cast<unsigned long long>(flusher_stats.max_group),
+        static_cast<unsigned long long>(mutator_blocked_syscalls));
     std::fclose(json);
   }
 
@@ -505,21 +429,6 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
                  "E14 FAIL: grouped FileBackend (%.2f us/op) did not beat "
                  "per-record fsync (%.2f us/op)\n",
                  per_op_grouped_file_us, per_op_sync_file_us);
-    return 1;
-  }
-  // The async gate: submitting the commit log must not be SLOWER than
-  // blocking in it.  The grace absorbs single-core scheduler noise -- the
-  // failure this guards against (a serialized ring, a reaper that blocks
-  // the flusher) costs 40%+ -- and is wider in smoke mode, whose 40k-op
-  // legs land within ~±20% run to run on a loaded 1-core CI box (the
-  // 400k-op full run amortizes to ~±10%).  Waived (with the note printed
-  // above) when the probe or AMOEBA_NO_URING forced the fallback.
-  const double uring_grace = smoke ? 1.35 : 1.15;
-  if (uring_ok && per_op_uring_us > per_op_grouped_file_us * uring_grace) {
-    std::fprintf(stderr,
-                 "E14 FAIL: uring backend (%.2f us/op) regressed past "
-                 "grouped sync (%.2f us/op)\n",
-                 per_op_uring_us, per_op_grouped_file_us);
     return 1;
   }
   return 0;
@@ -541,12 +450,6 @@ int main(int argc, char** argv) {
       const auto* begin = arg.data() + prefix.size();
       std::from_chars(begin, arg.data() + arg.size(), us);
       g_flush_interval = std::chrono::microseconds(us);
-      continue;
-    }
-    if (constexpr std::string_view prefix = "--backend=";
-        arg.starts_with(prefix)) {
-      const std::string_view kind = arg.substr(prefix.size());
-      g_uring_leg = kind == "uring" ? UringLeg::forced : UringLeg::off;
       continue;
     }
     args.push_back(argv[i]);

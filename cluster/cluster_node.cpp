@@ -6,7 +6,6 @@
 //                [--listen PORT] [--base N] [--seed N] [--incarnation N]
 //                [--peer host:port]...
 //                [--replica-cap HEX32 --replica-name NAME]
-//                [--backend uring|file|memory]
 //
 // The process is designed to be SIGKILLed: all durable state lives in
 // the volume (storage layer journal), all identity in fixed GET-ports,
@@ -35,7 +34,6 @@
 #include "amoeba/servers/directory_server.hpp"
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/replication/replicated_backend.hpp"
-#include "amoeba/storage/uring_backend.hpp"
 #include "cluster_proto.hpp"
 
 namespace amoeba::cluster {
@@ -55,7 +53,6 @@ struct Options {
   std::vector<net::PeerAddress> peers;
   std::optional<core::Capability> replica_cap;
   std::string replica_name = "replica";
-  storage::BackendKind backend = storage::BackendKind::file;
 };
 
 [[noreturn]] void usage(const char* why) {
@@ -100,13 +97,6 @@ Options parse(int argc, char** argv) {
       opt.replica_cap = core::unpack(*bytes);
     } else if (arg == "--replica-name") {
       opt.replica_name = next(i);
-    } else if (arg == "--backend") {
-      const std::string kind = next(i);
-      try {
-        opt.backend = storage::parse_backend_kind(kind);
-      } catch (const std::exception&) {
-        usage("--backend wants uring|file|memory");
-      }
     } else {
       usage(("unknown flag " + arg).c_str());
     }
@@ -163,16 +153,7 @@ int run(const Options& opt) {
     }
   }
 
-  // --backend=uring asks for the io_uring journal path but degrades to the
-  // synchronous FileBackend when the kernel refuses (same on-disk layout
-  // either way); note which one actually came up so operators can tell.
-  auto local = storage::make_backend(opt.backend, opt.volume);
-  if (opt.backend == storage::BackendKind::uring) {
-    std::fprintf(stderr, "cluster_node %s: backend=uring %s\n",
-                 opt.name.c_str(),
-                 local->async_io_stats().async ? "(active)"
-                                               : "(unavailable; file fallback)");
-  }
+  auto local = std::make_shared<storage::FileBackend>(opt.volume);
 
   if (opt.role == "replica") {
     rpc::ReplicaServer replica(machine, Port(kReplicaGetPort), scheme,

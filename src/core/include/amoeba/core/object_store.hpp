@@ -451,13 +451,6 @@ class ShardedObjectStore {
     std::uint64_t recovered_objects = 0;    // live slots after recovery
     std::uint64_t replayed_records = 0;     // journal records applied
     bool recovered = false;                 // this store was rebuilt
-    // Group-commit submission pipeline (zero without a committer; the
-    // ring counters additionally stay zero on sync backends).  Mirrors
-    // storage::GroupCommitter::Stats -- see that struct for semantics.
-    std::uint64_t inflight_cycles = 0;
-    std::uint64_t sqe_submitted = 0;
-    std::uint64_t cqe_completed = 0;
-    std::uint64_t linger_us_current = 0;
   };
 
   /// Creates an object and mints its owner capability carrying `rights`.
@@ -901,13 +894,6 @@ class ShardedObjectStore {
       total.journal_records += shard->journal_records;
       total.journal_bytes += shard->journal_bytes;
       total.snapshots += shard->snapshots;
-    }
-    if (durability_.committer != nullptr) {
-      const auto gc = durability_.committer->stats();
-      total.inflight_cycles = gc.inflight_cycles;
-      total.sqe_submitted = gc.sqe_submitted;
-      total.cqe_completed = gc.cqe_completed;
-      total.linger_us_current = gc.linger_us_current;
     }
     return total;
   }

@@ -581,10 +581,8 @@ void Service::attach_durability(
   // A replicated volume makes this service a replication primary: publish
   // the role, peer count and shipping lag through std_info's detail line
   // (docs/PROTOCOL.md §9.5).  A group committer likewise publishes its
-  // flush-pipeline counters (docs/PROTOCOL.md §8.5) -- under an async
-  // backend these are the observable proof that submissions are riding the
-  // ring (gc.sqe grows) rather than blocking the flusher.  The shared_ptrs
-  // keep the decorator/committer alive as long as the provider.
+  // flush counters (docs/PROTOCOL.md §8.5).  The shared_ptrs keep the
+  // decorator/committer alive as long as the provider.
   const auto replicated =
       std::dynamic_pointer_cast<storage::ReplicatedBackend>(backend);
   if (replicated != nullptr || committer != nullptr) {
@@ -607,9 +605,6 @@ void Service::attach_durability(
       if (committer != nullptr) {
         const storage::GroupCommitter::Stats gc = committer->stats();
         line += " gc.groups=" + std::to_string(gc.groups);
-        line += " gc.inflight=" + std::to_string(gc.inflight_cycles);
-        line += " gc.sqe=" + std::to_string(gc.sqe_submitted);
-        line += " gc.cqe=" + std::to_string(gc.cqe_completed);
         line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
       }
       return line;

@@ -6,9 +6,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
 #include <fstream>
 
 #include "amoeba/common/error.hpp"
@@ -26,37 +24,13 @@ void check_shards(std::size_t shards) {
 }  // namespace
 
 IoCounters& this_thread_io_counters() {
-  // One instance per thread: the mutator asserts ITS counters stayed flat
-  // while the uring reaper was doing the writing, so the counters must not
-  // be shared across threads.
+  // One instance per thread: a mutator's count must not include the
+  // flusher's commit-log writes, so the counters are not shared.
   thread_local IoCounters counters;
   return counters;
 }
 
 // ----------------------------------------------------------------- Backend
-
-void Backend::append_journal_batch(std::vector<ShardAppend>&& appends) {
-  // Blocking backends complete inline, so the common wait is two
-  // uncontended locks.  The completion notifies under the lock: once the
-  // waiter can see `done`, the completion no longer touches this frame.
-  struct Wait {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    std::exception_ptr error;
-  } wait;
-  submit_append_group(std::move(appends), [w = &wait](std::exception_ptr e) {
-    const std::lock_guard lock(w->mutex);
-    w->error = std::move(e);
-    w->done = true;
-    w->cv.notify_one();
-  });
-  std::unique_lock lock(wait.mutex);
-  wait.cv.wait(lock, [&wait] { return wait.done; });
-  if (wait.error != nullptr) {
-    std::rethrow_exception(wait.error);
-  }
-}
 
 void Backend::append_journal(std::size_t shard,
                              std::span<const std::uint8_t> bytes) {
@@ -75,14 +49,11 @@ MemoryBackend::MemoryBackend(std::size_t shards) {
   }
 }
 
-void MemoryBackend::submit_append_group(std::vector<ShardAppend>&& appends,
-                                        AppendCompletion complete) {
+void MemoryBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
   if (appends.empty()) {
-    complete(nullptr);
     return;
   }
-  std::exception_ptr error;
-  try {
+  {
     // All involved shard locks held together (ascending order, matching
     // capture()), so a crash image contains the whole group or none of it.
     std::vector<std::size_t> order;
@@ -101,14 +72,9 @@ void MemoryBackend::submit_append_group(std::vector<ShardAppend>&& appends,
       Buffer& journal = shards_[a.shard]->journal;
       journal.insert(journal.end(), a.bytes.begin(), a.bytes.end());
     }
-  } catch (...) {
-    error = std::current_exception();
   }
-  if (error == nullptr) {
-    appends_.fetch_add(appends.size(), std::memory_order_relaxed);
-    hook_after_append();
-  }
-  complete(error);
+  appends_.fetch_add(appends.size(), std::memory_order_relaxed);
+  hook_after_append();
 }
 
 Buffer MemoryBackend::read_journal(std::size_t shard) const {
@@ -445,9 +411,6 @@ Buffer FileBackend::read_journal(std::size_t shard) const {
 }
 
 const std::vector<Buffer>& FileBackend::commit_split_locked() const {
-  // An async subclass may still have acknowledged-to-nobody frames in
-  // flight; recovery must read a log with every completed frame on it.
-  quiesce_commit_locked();
   // Every write to the log (append, GC rewrite) clears the split.
   if (commit_split_.empty()) {
     commit_split_ =
@@ -456,35 +419,29 @@ const std::vector<Buffer>& FileBackend::commit_split_locked() const {
   return commit_split_;
 }
 
-void FileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
-                                      AppendCompletion complete) {
+void FileBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
   std::erase_if(appends,
                 [](const ShardAppend& a) { return a.bytes.empty(); });
-  std::exception_ptr error;
-  try {
-    for (const ShardAppend& a : appends) {
-      if (a.shard >= stream_count()) {
-        throw UsageError("FileBackend: append to stream " +
-                         std::to_string(a.shard) + " of " +
-                         std::to_string(stream_count()));
-      }
+  for (const ShardAppend& a : appends) {
+    if (a.shard >= stream_count()) {
+      throw UsageError("FileBackend: append to stream " +
+                       std::to_string(a.shard) + " of " +
+                       std::to_string(stream_count()));
     }
-    if (!appends.empty()) {
-      const std::lock_guard lock(commit_mutex_);
-      encode_group_frame(appends, commit_frame_);
-      // One contiguous write and ONE fsync make the entire group durable.
-      // A write-ahead append that did not reach the disk must not be
-      // reported as durable -- the caller would otherwise reply to a
-      // client with an effect the volume cannot recover.
-      commit_split_.clear();
-      write_all(commit_fd_, commit_frame_, directory_, "commit log");
-      fsync_or_throw(commit_fd_, directory_, "commit log");
-      commit_log_bytes_ += commit_frame_.size();
-    }
-  } catch (...) {
-    error = std::current_exception();
   }
-  complete(error);
+  if (appends.empty()) {
+    return;
+  }
+  const std::lock_guard lock(commit_mutex_);
+  encode_group_frame(appends, commit_frame_);
+  // One contiguous write and ONE fsync make the entire group durable.
+  // A write-ahead append that did not reach the disk must not be
+  // reported as durable -- the caller would otherwise reply to a
+  // client with an effect the volume cannot recover.
+  commit_split_.clear();
+  write_all(commit_fd_, commit_frame_, directory_, "commit log");
+  fsync_or_throw(commit_fd_, directory_, "commit log");
+  commit_log_bytes_ += commit_frame_.size();
 }
 
 void FileBackend::replace_file_durably(const std::filesystem::path& path,
@@ -543,9 +500,7 @@ void FileBackend::gc_commit_log_locked() {
   // This runs on a mutator's snapshot-install path, so it stays a linear
   // byte scan: a record's LSN sits at a fixed offset, so surviving
   // records are copied as opaque spans -- no record decode, no per-record
-  // allocation.  (commit_split_locked() quiesces the ring first: the
-  // rewrite swaps commit_fd_ to a fresh inode, and in-flight ring writes
-  // against the old one would be silently dropped.)
+  // allocation.
   const std::vector<Buffer>& split = commit_split_locked();
   std::vector<ShardAppend> survivors;
   for (std::size_t sh = 0; sh < split.size(); ++sh) {
@@ -632,7 +587,6 @@ bool FileBackend::empty() const {
   }
   {
     const std::lock_guard lock(commit_mutex_);
-    quiesce_commit_locked();
     if (commit_log_bytes_ > 0) {
       return false;
     }

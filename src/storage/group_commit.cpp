@@ -83,10 +83,9 @@ GroupCommitter::~GroupCommitter() {
     flusher_.request_stop();
   }
   work_cv_.notify_all();
-  // jthread joins; the flusher drains every pending enqueue AND waits out
-  // every in-flight async completion first (completions touch this
-  // object), so a server shutting down cleanly never strands
-  // acknowledged-to-nobody bytes in the queue.
+  // jthread joins; the flusher drains every pending enqueue first, so a
+  // server shutting down cleanly never strands acknowledged-to-nobody
+  // bytes in the queue.
 }
 
 std::shared_ptr<GroupCommitter> GroupCommitter::create(
@@ -191,18 +190,8 @@ void GroupCommitter::drain() {
 }
 
 GroupCommitter::Stats GroupCommitter::stats() const {
-  Stats out;
-  {
-    const std::lock_guard lock(mutex_);
-    out = stats_;
-    out.inflight_cycles = inflight_.size();
-  }
-  // The ring counters live on the backend (zero/sync for blocking ones);
-  // folding them in here gives durability_stats()/std_info one surface.
-  const AsyncIoStats io = backend_->async_io_stats();
-  out.sqe_submitted = io.sqe_submitted;
-  out.cqe_completed = io.cqe_completed;
-  return out;
+  const std::lock_guard lock(mutex_);
+  return stats_;
 }
 
 void GroupCommitter::set_post_flush_hook(PostFlushHook hook) {
@@ -213,181 +202,97 @@ void GroupCommitter::set_post_flush_hook(PostFlushHook hook) {
   post_flush_hook_ = std::move(hook);
 }
 
-void GroupCommitter::on_cycle_complete(const std::shared_ptr<Cycle>& cycle,
-                                       std::exception_ptr error) {
-  std::unique_lock lock(mutex_);
-  if (cycle->done) {
-    return;  // defensive: a backend must complete exactly once
-  }
-  cycle->done = true;
-  cycle->error = std::move(error);
-  drain_completions_locked(lock);
-}
-
-void GroupCommitter::drain_completions_locked(
-    std::unique_lock<std::mutex>& lock) {
-  if (draining_) {
-    return;  // the thread inside the drain will pick this cycle up too
-  }
-  draining_ = true;
-  while (!inflight_.empty() && inflight_.front()->done) {
-    const std::shared_ptr<Cycle> cycle = inflight_.front();
-    if (!failure_.empty()) {
-      // Already latched: the cycle's outcome no longer matters, nothing
-      // past the failure is ever reported durable.
-      inflight_.pop_front();
-      inflight_cv_.notify_all();
-      continue;
-    }
-    if (cycle->error != nullptr) {
-      failure_ = describe(cycle->error);
-      inflight_.pop_front();
-      durable_cv_.notify_all();
-      inflight_cv_.notify_all();
-      work_cv_.notify_all();  // the flusher stops claiming on failure
-      continue;
-    }
-    const PostFlushHook hook = post_flush_hook_;
-    if (hook != nullptr) {
-      // After the local write, before the waiters release: the hook
-      // (replication shipping) sees exactly what hit the disk, and a
-      // released waiter knows the cycle was already offered to -- and,
-      // per the ack mode, acknowledged by -- the backups.  Unlocked, and
-      // strictly one cycle at a time in LSN order: `draining_` keeps a
-      // concurrent completer out while the mutex is down.
-      lock.unlock();
-      std::exception_ptr hook_error;
-      try {
-        hook(FlushCycle{cycle->covered, cycle->bytes, &cycle->appends});
-      } catch (...) {
-        hook_error = std::current_exception();
-      }
-      lock.lock();
-      if (hook_error != nullptr) {
-        // A hook failure (replication fencing) latches exactly like a
-        // backend write failure: durability -- which now includes the
-        // hook's ack contract -- is never reported optimistically.
-        failure_ = describe(hook_error);
-        inflight_.pop_front();
-        durable_cv_.notify_all();
-        inflight_cv_.notify_all();
-        work_cv_.notify_all();
-        continue;
-      }
-    }
-    durable_ = std::max(durable_, cycle->covered);
-    ++stats_.groups;
-    stats_.records += cycle->records;
-    stats_.max_group = std::max(stats_.max_group, cycle->records);
-    stats_.flush_cycle_bytes += cycle->bytes;
-    inflight_.pop_front();
-    durable_cv_.notify_all();
-    inflight_cv_.notify_all();
-  }
-  draining_ = false;
-}
-
 void GroupCommitter::flusher(const std::stop_token& stop) {
-  const auto ceiling =
-      options_.flush_interval.count() > 0
-          ? options_.flush_interval
-          : (options_.adaptive_linger ? Options::kDefaultLingerCeiling
-                                      : std::chrono::microseconds{0});
-  const IoCounters& io = this_thread_io_counters();
-  std::unique_lock lock(mutex_);
+  const auto ceiling = options_.flush_interval.count() > 0
+                           ? options_.flush_interval
+                           : Options::kDefaultLingerCeiling;
   for (;;) {
-    flusher_waiting_ = true;
-    work_cv_.wait(lock, [&] {
-      return stop.stop_requested() || issued_ > taken_ || !failure_.empty();
-    });
-    flusher_waiting_ = false;
-    if (!failure_.empty() || issued_ == taken_) {
-      break;  // latched, or stopped with an empty queue
-    }
-    if (ceiling.count() > 0 && !stop.stop_requested()) {
-      const auto start = std::chrono::steady_clock::now();
-      if (options_.adaptive_linger) {
-        // Grow the cycle while nobody is blocked on it; a waiter's
-        // arrival (wait_durable notifies) collapses the linger at once.
+    Ticket covered = 0;
+    std::vector<ShardAppend> appends;
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
+    PostFlushHook hook;
+    {
+      std::unique_lock lock(mutex_);
+      flusher_waiting_ = true;
+      work_cv_.wait(
+          lock, [&] { return stop.stop_requested() || issued_ > taken_; });
+      flusher_waiting_ = false;
+      if (issued_ == taken_) {
+        return;  // stopped with an empty queue
+      }
+      if (!stop.stop_requested()) {
+        // Grow the cycle while nobody is blocked on it; a waiter's arrival
+        // (wait_durable notifies) collapses the linger at once.
+        const auto start = std::chrono::steady_clock::now();
         work_cv_.wait_until(lock, start + ceiling, [&] {
-          return waiters_ > 0 || stop.stop_requested() || !failure_.empty();
+          return waiters_ > 0 || stop.stop_requested();
         });
+        stats_.linger_us_current = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
       } else {
-        work_cv_.wait_for(lock, ceiling,
-                          [&] { return stop.stop_requested(); });
+        stats_.linger_us_current = 0;
       }
-      stats_.linger_us_current = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-    } else {
-      stats_.linger_us_current = 0;
-    }
-    // Backpressure: with an async backend the submit returns immediately,
-    // so bound how many cycles may be in flight -- the queue keeps
-    // growing while we wait here, which is the "widen under backlog" half
-    // of the pacing (the ring amortizes, the queue batches).
-    inflight_cv_.wait(lock, [&] {
-      return inflight_.size() < options_.max_inflight_cycles ||
-             !failure_.empty() || stop.stop_requested();
-    });
-    if (!failure_.empty()) {
-      break;
-    }
-    // Claim everything queued so far as one cycle; mutators keep enqueuing
-    // the moment the lock drops (that overlap is the whole amortization).
-    auto cycle = std::make_shared<Cycle>();
-    cycle->covered = issued_;
-    taken_ = issued_;
-    cycle->appends.reserve(dirty_shards_.size());
-    for (const std::size_t s : dirty_shards_) {
-      cycle->appends.push_back({s, std::exchange(pending_[s], Buffer{})});
-    }
-    dirty_shards_.clear();
-    cycle->records = std::exchange(pending_records_, 0);
-    for (const ShardAppend& a : cycle->appends) {
-      cycle->bytes += a.bytes.size();
-    }
-    const bool has_hook = post_flush_hook_ != nullptr;
-    inflight_.push_back(cycle);
-    lock.unlock();
-
-    if (cycle->appends.empty()) {
-      // Nothing to write (an empty group): settles inline; the ordered
-      // drain still holds it behind any earlier cycle whose CQE is
-      // outstanding.
-      on_cycle_complete(cycle, nullptr);
-    } else {
-      // With a hook installed the group must survive the write (the hook
-      // ships these exact bytes), so the backend gets its own copy;
-      // without one, ownership moves as before.
-      std::vector<ShardAppend> to_disk =
-          has_hook ? cycle->appends : std::move(cycle->appends);
-      try {
-        backend_->submit_append_group(
-            std::move(to_disk), [this, cycle](std::exception_ptr error) {
-              on_cycle_complete(cycle, std::move(error));
-            });
-      } catch (...) {
-        // Backends are expected to report through the completion, but a
-        // synchronous throw (a decorator that validates, a test double)
-        // must latch identically; on_cycle_complete drops the second
-        // settle if the backend managed both.
-        on_cycle_complete(cycle, std::current_exception());
+      // Claim everything queued so far as one cycle; mutators keep
+      // enqueuing the moment the lock drops (that overlap is the whole
+      // amortization).
+      covered = issued_;
+      taken_ = issued_;
+      appends.reserve(dirty_shards_.size());
+      for (const std::size_t s : dirty_shards_) {
+        appends.push_back({s, std::exchange(pending_[s], Buffer{})});
       }
+      dirty_shards_.clear();
+      records = std::exchange(pending_records_, 0);
+      hook = post_flush_hook_;
+    }
+    for (const ShardAppend& a : appends) {
+      bytes += a.bytes.size();
     }
 
-    lock.lock();
-    // The zero-blocking-syscall proof: under an io_uring backend this
-    // stays at zero because the ring, not this thread, runs the
-    // write+fdatasync.
-    stats_.flusher_io_syscalls = io.writes + io.fsyncs;
+    // Write, then hook, then release: the hook (replication shipping) sees
+    // exactly what hit the disk, and a released waiter knows the cycle was
+    // already offered to -- and, per the ack mode, acknowledged by -- the
+    // backups.  Only this thread writes, so cycles reach the disk and the
+    // hook strictly in ticket order.
+    std::exception_ptr error;
+    try {
+      if (!appends.empty()) {
+        // With a hook installed the group must survive the write (the hook
+        // ships these exact bytes), so the backend gets its own copy.
+        backend_->append_journal_batch(
+            hook != nullptr ? std::vector<ShardAppend>(appends)
+                            : std::move(appends));
+      }
+      if (hook != nullptr) {
+        hook(FlushCycle{covered, bytes, &appends});
+      }
+    } catch (...) {
+      error = std::current_exception();
+    }
+
+    // Released here and re-taken for the next claim: the waiters this
+    // cycle wakes get the mutex in between, and the next claim gathers
+    // what queued up meanwhile.  Holding it across both halves made cycles
+    // smaller on the cluster benchmark (more flushes per request).
+    const std::lock_guard lock(mutex_);
+    if (error != nullptr) {
+      // A backend write failure or a hook failure (replication fencing)
+      // latches: durability -- which includes the hook's ack contract --
+      // is never reported optimistically.
+      failure_ = describe(error);
+      durable_cv_.notify_all();
+      return;
+    }
+    durable_ = covered;
+    ++stats_.groups;
+    stats_.records += records;
+    stats_.max_group = std::max(stats_.max_group, records);
+    stats_.flush_cycle_bytes += bytes;
+    durable_cv_.notify_all();
   }
-  // Shutdown/failure path: async completions still in flight touch this
-  // object (mutex_, the cycle deque, the cvs) -- wait them out before the
-  // destructor tears those members down.  Every submitted chain completes
-  // (the uring reaper errors them at worst), so this terminates.
-  inflight_cv_.wait(lock, [&] { return inflight_.empty(); });
 }
 
 }  // namespace amoeba::storage

@@ -9,8 +9,8 @@
 //
 // Every journal write is an append GROUP -- per-stream runs of framed
 // records that land atomically -- through the one virtual write method,
-// submit_append_group().  append_journal() and append_journal_batch() are
-// that method plus a wait: a synchronous append is a group of one.  Two
+// append_journal_batch(), which returns once the group is durable and
+// throws when it is not.  append_journal() is a group of one.  Two
 // implementations:
 //
 //   * MemoryBackend -- byte-for-byte the same layout in process memory.
@@ -37,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -53,26 +52,11 @@
 
 namespace amoeba::storage {
 
-/// Completion of an async append group: invoked exactly once, with a null
-/// exception_ptr on success or the failure that kept the group off the
-/// disk.  May run on the submitting thread (a blocking backend) or on a
-/// backend reaper thread (io_uring) -- callers must not assume which.
-using AppendCompletion = std::function<void(std::exception_ptr)>;
-
-/// Counters an async backend exposes so callers can see the submission
-/// pipeline (and tests can prove the flusher never blocks in write(2)).
-struct AsyncIoStats {
-  std::uint64_t sqe_submitted = 0;  // SQEs pushed to the ring (2 per group)
-  std::uint64_t cqe_completed = 0;  // CQEs reaped off the ring
-  std::uint64_t inflight = 0;       // groups submitted but not yet complete
-  bool async = false;               // true only for a live io_uring backend
-};
-
-/// Per-thread blocking-syscall counters, bumped by every write(2)/writev(2)
-/// and fsync(2)/fdatasync(2) the storage layer issues on the calling
-/// thread.  Same spirit as PR 7's CountedMutex: the io_uring proof is a
-/// runtime assertion that the mutator's and flusher's counters stay flat
-/// across the steady-state mutate path, not a comment.
+/// Per-thread blocking-syscall counters, bumped by every write(2) and
+/// fsync(2) the storage layer issues on the calling thread.  Same spirit
+/// as CountedMutex: which thread pays for durability (a mutator
+/// installing a snapshot, or the group-commit flusher writing a cycle) is
+/// a runtime counter, not a comment.
 struct IoCounters {
   std::uint64_t writes = 0;  // blocking write/writev calls
   std::uint64_t fsyncs = 0;  // blocking fsync/fdatasync calls
@@ -95,25 +79,13 @@ class Backend {
   [[nodiscard]] std::size_t stream_count() const { return shard_count() + 1; }
 
   /// The one write primitive: appends the whole group atomically with
-  /// respect to capture() and to a crash, and invokes `complete` exactly
-  /// once -- with a null exception_ptr when every byte is durable, with
-  /// the failure otherwise.  Failures are reported through `complete`; a
-  /// call that throws instead never runs it.  A blocking backend
-  /// completes inline on the calling thread; UringFileBackend submits to
-  /// its ring and completes from the reaping side.  Completions of
-  /// successive calls fire in submission order (the commit log is a
-  /// sequential structure; recovery depends on it having no gaps).
-  virtual void submit_append_group(std::vector<ShardAppend>&& appends,
-                                   AppendCompletion complete) = 0;
-
-  /// submit_append_group() and wait: durable on return, throws on failure.
-  void append_journal_batch(std::vector<ShardAppend>&& appends);
+  /// respect to capture() and to a crash, on the calling thread.  Returns
+  /// once every byte is durable; throws when the group may not be, and
+  /// then nothing of it may be reported durable.
+  virtual void append_journal_batch(std::vector<ShardAppend>&& appends) = 0;
   /// A group of one framed record run (durable on return).
   void append_journal(std::size_t shard,
                       std::span<const std::uint8_t> bytes);
-
-  /// Submission-pipeline counters; all-zero/sync for blocking backends.
-  [[nodiscard]] virtual AsyncIoStats async_io_stats() const { return {}; }
 
   /// Whole-journal read (recovery).
   [[nodiscard]] virtual Buffer read_journal(std::size_t shard) const = 0;
@@ -150,9 +122,8 @@ class MemoryBackend final : public Backend {
   [[nodiscard]] std::size_t shard_count() const override {
     return shards_.size() - 1;  // the last entry is the reply stream
   }
-  /// Appends under every touched shard lock and completes inline.
-  void submit_append_group(std::vector<ShardAppend>&& appends,
-                           AppendCompletion complete) override;
+  /// Appends under every touched shard lock.
+  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
@@ -197,11 +168,8 @@ class MemoryBackend final : public Backend {
   std::function<void(std::uint64_t)> hook_;
 };
 
-/// Directory-on-disk volume: the durable deployment backend.  Not final:
-/// UringFileBackend (storage/uring_backend.hpp) subclasses it, replacing
-/// only the commit-log append with ring submission -- every recovery,
-/// snapshot, and metadata path is shared.
-class FileBackend : public Backend {
+/// Directory-on-disk volume: the durable deployment backend.
+class FileBackend final : public Backend {
  public:
   /// Creates the directory if needed; an existing volume must have been
   /// written with the same shard count.  Throws UsageError naming the file
@@ -215,9 +183,8 @@ class FileBackend : public Backend {
     return object_shards_;
   }
   /// The whole group goes down as ONE checksummed commit.log frame -- one
-  /// write, one fsync, however many streams it spans -- completed inline.
-  void submit_append_group(std::vector<ShardAppend>&& appends,
-                           AppendCompletion complete) override;
+  /// write, one fsync, however many streams it spans.
+  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
@@ -232,32 +199,8 @@ class FileBackend : public Backend {
     return directory_;
   }
 
- protected:
-  /// Called with commit_mutex_ held before any read of commit.log that
-  /// must observe every acknowledged frame (recovery, GC, empty())
-  /// and before gc_commit_log_locked() swaps commit_fd_ to a new inode.
-  /// The base backend writes synchronously, so there is never in-flight
-  /// I/O to wait out; UringFileBackend overrides this to drain its ring.
-  /// Must NOT be called from a completion/reaper context (commit_mutex_
-  /// ordering: reaper threads never take it).
-  virtual void quiesce_commit_locked() const {}
-
-  /// Commit-log state, all guarded by commit_mutex_.  Lock order: a
-  /// snapshot mutex (when held at all) is taken BEFORE commit_mutex_.
-  /// Protected rather than private so UringFileBackend's submission path
-  /// can append to the same log under the same lock.
-  mutable std::mutex commit_mutex_;
-  int commit_fd_ = -1;  // O_APPEND; one fsync per group frame
-  std::uint64_t commit_log_bytes_ = 0;
-  Buffer commit_frame_;  // reused staging buffer for group frames
-  /// commit.log split into per-stream record runs, kept while the log is
-  /// unchanged: recovery reads every stream back to back, and each read
-  /// would otherwise walk the whole log again.  Appends drop it.
-  mutable std::vector<Buffer> commit_split_;
-
-  [[nodiscard]] std::filesystem::path commit_log_path() const;
-
  private:
+  [[nodiscard]] std::filesystem::path commit_log_path() const;
   [[nodiscard]] std::filesystem::path snapshot_path(std::size_t shard) const;
   [[nodiscard]] std::filesystem::path meta_path(std::string_view key) const;
   /// write-temp + fsync + rename + directory fsync (the full atomic
@@ -276,6 +219,16 @@ class FileBackend : public Backend {
   std::filesystem::path directory_;
   std::size_t object_shards_;  // streams: one more, the reply stream
   int dir_fd_ = -1;  // fsync'd after every rename into the directory
+  /// Commit-log state, all guarded by commit_mutex_.  Lock order: a
+  /// snapshot mutex (when held at all) is taken BEFORE commit_mutex_.
+  mutable std::mutex commit_mutex_;
+  int commit_fd_ = -1;  // O_APPEND; one fsync per group frame
+  std::uint64_t commit_log_bytes_ = 0;
+  Buffer commit_frame_;  // reused staging buffer for group frames
+  /// commit.log split into per-stream record runs, kept while the log is
+  /// unchanged: recovery reads every stream back to back, and each read
+  /// would otherwise walk the whole log again.  Appends drop it.
+  mutable std::vector<Buffer> commit_split_;
   /// One per stream: serializes a snapshot's install against its reads.
   mutable std::vector<std::mutex> snapshot_mutexes_;
   mutable std::mutex meta_mutex_;

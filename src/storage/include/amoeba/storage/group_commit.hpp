@@ -9,7 +9,7 @@
 // RELEASE the lock, and block -- or carry the ticket as a future and keep
 // going -- until the flusher reports the ticket durable.  One flusher per
 // volume drains every shard's pending bytes and issues a single multi-shard
-// submit_append_group() per cycle: one gather write and one fsync cover
+// append_journal_batch() per cycle: one gather write and one fsync cover
 // every record that piled up while the previous fsync was in flight, which
 // is the self-tuning property (load grows groups, idle volumes flush
 // immediately).
@@ -33,16 +33,16 @@
 //     every issued ticket durable (drain()) before it installs a shard
 //     snapshot, which may already hold a queued effect.
 //
-// A backend write failure (disk full) latches the committer into a failed
-// state: wait_durable() then throws instead of ever reporting durability
-// that does not exist.
+// A cycle is durable once its backend write has returned and the
+// post-flush hook has run; only then does the flusher advance the durable
+// ticket.  A backend write that throws (disk full) latches the committer
+// into a failed state: wait_durable() then throws instead of ever
+// reporting durability that does not exist.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -59,23 +59,14 @@ namespace amoeba::storage {
 struct GroupCommitOptions {
   /// CEILING of the flusher's linger: the longest it may hold a claim to
   /// let concurrent mutators grow the group.  0 (the default) leaves the
-  /// adaptive policy its built-in ceiling (kDefaultLingerCeiling); with
-  /// adaptive_linger off, 0 means flush immediately and a nonzero value
-  /// is an unconditional fixed linger (the old --flush-interval knob).
-  std::chrono::microseconds flush_interval{0};
-  /// Waiter-gated pacing: the flusher lingers (growing the cycle, up to
-  /// the ceiling) only while NO thread is blocked in wait_durable -- the
-  /// moment a waiter arrives the linger collapses and the cycle flushes.
+  /// built-in ceiling, kDefaultLingerCeiling.  The linger is waiter-gated:
+  /// the flusher lingers only while NO thread is blocked in wait_durable,
+  /// and the moment a waiter arrives it collapses and the cycle flushes.
   /// Pipelined mutators (release_async) therefore get wide cycles and few
   /// condvar round trips -- the fix for the grouped-memory > sync-memory
   /// inversion bench_e14 exposed on one core -- while synchronous waiters
   /// keep their immediate-flush latency.
-  bool adaptive_linger = true;
-  /// Backpressure for async backends: how many submitted-but-uncompleted
-  /// flush cycles may be outstanding before the flusher stops claiming.
-  /// Irrelevant for sync backends (completion is inline, so the count
-  /// never exceeds one).
-  std::size_t max_inflight_cycles = 4;
+  std::chrono::microseconds flush_interval{0};
 
   static constexpr std::chrono::microseconds kDefaultLingerCeiling{200};
 };
@@ -132,14 +123,7 @@ class GroupCommitter {
     std::uint64_t records = 0;       // journal appends those cycles carried
     std::uint64_t max_group = 0;     // largest single cycle, in records
     std::uint64_t flush_cycle_bytes = 0;  // journal bytes those cycles wrote
-    // --- async submission pipeline (PR 10) ---
-    std::uint64_t inflight_cycles = 0;  // submitted, completion pending (now)
-    std::uint64_t sqe_submitted = 0;    // backend ring SQEs (0 when sync)
-    std::uint64_t cqe_completed = 0;    // backend ring CQEs (0 when sync)
     std::uint64_t linger_us_current = 0;  // last adaptive linger applied
-    std::uint64_t flusher_io_syscalls = 0;  // blocking write/fsync calls the
-                                            // flusher thread has made (the
-                                            // zero-syscall proof under uring)
     std::uint64_t blocking_waits = 0;  // wait_durable calls that had to block
   };
 
@@ -237,11 +221,12 @@ class GroupCommitter {
   [[nodiscard]] Stats stats() const;
 
   /// Installs the post-flush hook (one subscriber; throws on a second).
-  /// Runs on the flusher thread after the cycle's backend writes complete
-  /// and before its waiters release; a hook that throws latches the
-  /// committer into the failed state exactly like a backend write failure
-  /// (durability -- which now includes the hook's ack contract -- is never
-  /// reported optimistically).  Constructing a GroupCommitter over a
+  /// Runs on the flusher thread after the cycle's backend write returns
+  /// and before its waiters release, one cycle at a time in ticket order;
+  /// a hook that throws latches the committer into the failed state
+  /// exactly like a backend write failure (durability -- which now
+  /// includes the hook's ack contract -- is never reported
+  /// optimistically).  Constructing a GroupCommitter over a
   /// ReplicatedBackend installs the shipping hook automatically.
   void set_post_flush_hook(PostFlushHook hook);
 
@@ -254,31 +239,7 @@ class GroupCommitter {
   /// wait_durable's blocking half, which no scope defers.
   void block_until(Ticket ticket);
 
-  /// One claimed flush cycle, alive from claim until its completion has
-  /// been processed.  Owns the bytes the backend writes and the hook
-  /// ships; shared with the backend's completion callback, which may
-  /// outlive the flusher's local scope on an async backend.
-  struct Cycle {
-    Ticket covered = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t records = 0;
-    std::vector<ShardAppend> appends;
-    std::exception_ptr error;  // set by the completion; null on success
-    bool done = false;         // completion arrived (guarded by mutex_)
-  };
-
   void flusher(const std::stop_token& stop);
-  /// Backend completion entry point: marks the cycle settled and runs the
-  /// ordered drain.  Called from the flusher (sync backends, meta-only
-  /// cycles) or from a backend reaper thread (io_uring).
-  void on_cycle_complete(const std::shared_ptr<Cycle>& cycle,
-                         std::exception_ptr error);
-  /// Processes settled cycles STRICTLY from the front of inflight_: hook,
-  /// then durable_ advance, then waiter wakeup -- submission order, which
-  /// on an async backend is CQE order (docs/PROTOCOL.md §8.5).  `lock`
-  /// holds mutex_; dropped across each hook invocation (the draining_
-  /// flag keeps a second completer from processing cycles concurrently).
-  void drain_completions_locked(std::unique_lock<std::mutex>& lock);
 
   std::shared_ptr<Backend> backend_;
   Options options_;
@@ -286,18 +247,15 @@ class GroupCommitter {
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;            // wakes the flusher
   mutable std::condition_variable durable_cv_;  // wakes ticket waiters
-  std::condition_variable inflight_cv_;  // wakes backpressure/drain waits
   std::vector<Buffer> pending_;                // per-shard gathered bytes
   std::vector<std::size_t> dirty_shards_;      // shards with pending bytes
   std::uint64_t pending_records_ = 0;
   Ticket issued_ = 0;   // highest ticket handed out
   Ticket taken_ = 0;    // highest ticket a flush cycle has claimed
   Ticket durable_ = 0;  // highest ticket reported durable
-  std::deque<std::shared_ptr<Cycle>> inflight_;  // claimed, not yet drained
-  bool draining_ = false;        // a thread is inside the ordered drain
   bool flusher_waiting_ = false;  // flusher parked on work_cv_ (see enqueue)
   std::size_t waiters_ = 0;      // threads blocked in wait_durable
-  std::string failure_;  // non-empty once a backend write failed
+  std::string failure_;  // non-empty once a backend write or the hook failed
   Stats stats_;
   PostFlushHook post_flush_hook_;
 

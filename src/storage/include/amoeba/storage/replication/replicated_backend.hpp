@@ -98,14 +98,7 @@ class ReplicatedBackend final : public Backend {
 
   // --- Backend: reads forward, writes land locally then ship. ---
   [[nodiscard]] std::size_t shard_count() const override;
-  void submit_append_group(std::vector<ShardAppend>&& appends,
-                           AppendCompletion complete) override;
-  /// Forwards the local volume's ring counters (zero/sync for blocking
-  /// locals), so a committer over a replicated uring volume still reports
-  /// its submission pipeline.
-  [[nodiscard]] AsyncIoStats async_io_stats() const override {
-    return local_->async_io_stats();
-  }
+  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;

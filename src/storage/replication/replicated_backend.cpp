@@ -79,34 +79,26 @@ std::vector<std::string> ReplicatedBackend::meta_keys() const {
 
 bool ReplicatedBackend::empty() const { return local_->empty(); }
 
-void ReplicatedBackend::submit_append_group(std::vector<ShardAppend>&& appends,
-                                            AppendCompletion complete) {
+void ReplicatedBackend::append_journal_batch(
+    std::vector<ShardAppend>&& appends) {
   // Relaxed everywhere committer_bound_ is read: it flips false->true once,
   // before the committer's flusher starts, so every thread that can reach
   // this path already observes the final value through the committer's
   // own synchronization -- the load needs no ordering of its own.
   if (committer_bound_.load(std::memory_order_relaxed)) {
-    // Committer traffic: the forwarded completion fires on the local
-    // volume's reaping side (CQE of the linked fdatasync under io_uring);
-    // the committer's ordered drain then runs the ship hook strictly
-    // after it, in LSN order -- §8.5's acknowledgement rule.  The cycle
-    // reaches backups inside its flush cycle's frame.
-    local_->submit_append_group(std::move(appends), std::move(complete));
+    // Committer traffic: the committer runs the ship hook after this
+    // local write returns, in ticket order -- §8.5's acknowledgement
+    // rule.  The cycle reaches backups inside its flush cycle's frame.
+    local_->append_journal_batch(std::move(appends));
     return;
   }
   // Direct (synchronous-durability) path: land the group locally, then
-  // ship it as a mini-cycle; it is complete once both are.  The store
+  // ship it as a mini-cycle; it is durable once both are.  The store
   // holds the shard lock across this call, so per-shard shipment order
   // matches local journal order.
-  std::exception_ptr error;
-  try {
-    const std::vector<ShardAppend> to_ship = appends;
-    local_->append_journal_batch(std::move(appends));
-    ship_mini_cycle({}, to_ship);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  complete(error);
+  const std::vector<ShardAppend> to_ship = appends;
+  local_->append_journal_batch(std::move(appends));
+  ship_mini_cycle({}, to_ship);
 }
 
 void ReplicatedBackend::install_snapshot(std::size_t shard,
@@ -137,7 +129,7 @@ void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
   {
     // Relaxed store/load under mutex_: the mutex orders the bind itself;
     // the flag's cross-thread visibility rides the committer's flusher
-    // start (see the relaxed-read comment at submit_append_group).
+    // start (see the relaxed-read comment at append_journal_batch).
     const std::lock_guard lock(mutex_);
     if (committer_bound_.load(std::memory_order_relaxed)) {
       throw UsageError("ReplicatedBackend: already bound to a committer");

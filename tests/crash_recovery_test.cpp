@@ -20,12 +20,9 @@
 // end-to-end round trip are covered at the bottom.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <csignal>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -47,9 +44,6 @@
 #include "amoeba/servers/flat_file_server.hpp"
 #include "amoeba/servers/multiversion_server.hpp"
 #include "amoeba/storage/backend.hpp"
-#include "amoeba/storage/group_commit.hpp"
-#include "amoeba/storage/record.hpp"
-#include "amoeba/storage/uring_backend.hpp"
 
 namespace amoeba::servers {
 namespace {
@@ -629,87 +623,6 @@ TEST_F(ServerRestartSuite, FileBackendSurvivesRealProcessBoundaryShape) {
         client.mint(master, account, currency::kDollar, 1).ok());
     EXPECT_EQ(client.balance(account, currency::kDollar).value(), 124);
   }
-  std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// io_uring SIGKILL: a cycle submitted to the committer but whose SQEs
-// never completed must die with the process -- its tickets were never
-// released, so losing it breaks no durability promise -- while every
-// acknowledged record recovers through the plain (fallback) FileBackend.
-
-TEST(UringCrashSuite, SigkillWithCqesPendingLosesOnlyUnacknowledgedRecords) {
-  if (!storage::UringFileBackend::available()) {
-    GTEST_SKIP() << "io_uring unavailable (probe or AMOEBA_NO_URING)";
-  }
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("amoeba-uring-crash-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  constexpr std::uint32_t kDurable = 16;
-  constexpr std::uint32_t kHeldObject = 999;
-
-  const pid_t child = ::fork();
-  ASSERT_NE(child, -1);
-  if (child == 0) {
-    // Child: never returns into gtest.  Success is dying by SIGKILL with
-    // one cycle claimed-but-unpushed; any other exit is a harness bug.
-    try {
-      auto backend = std::make_shared<storage::UringFileBackend>(dir, 4);
-      storage::GroupCommitter committer(backend);
-      storage::GroupCommitter::Ticket last = 0;
-      for (std::uint32_t i = 0; i < kDurable; ++i) {
-        Buffer record;
-        storage::encode_record({storage::RecordType::mutate,
-                                ObjectNumber(i), 0x5EC2E7, i + 1,
-                                Buffer{1}},
-                               record);
-        last = committer.enqueue(i % 4, record);
-      }
-      committer.wait_durable(last);  // the acknowledged prefix
-      // Hold the ring: the flusher claims and submits the next cycle, but
-      // its SQEs never reach the kernel -- the exact
-      // submitted-but-uncompleted window a power cut can hit.
-      backend->set_hold_submissions(true);
-      Buffer held;
-      storage::encode_record({storage::RecordType::mutate,
-                              ObjectNumber(kHeldObject), 0x5EC2E7, 99,
-                              Buffer{2}},
-                             held);
-      (void)committer.enqueue(0, held);
-      for (int i = 0; i < 2000 && committer.stats().inflight_cycles == 0;
-           ++i) {
-        std::this_thread::sleep_for(1ms);
-      }
-      if (committer.stats().inflight_cycles == 0) {
-        std::_Exit(3);  // the held cycle was never claimed
-      }
-      ::kill(::getpid(), SIGKILL);
-    } catch (...) {
-    }
-    std::_Exit(4);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
-      << "child exited with status " << status
-      << " instead of dying by SIGKILL";
-
-  // Recovery through the plain FileBackend (what a post-crash boot on a
-  // ringless kernel would use): all acknowledged records, no trace of the
-  // held cycle.
-  storage::FileBackend reopened(dir, 4);
-  std::size_t decoded = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    bool torn = false;
-    for (const auto& record :
-         storage::decode_journal(reopened.read_journal(s), &torn)) {
-      EXPECT_NE(record.object.value(), kHeldObject)
-          << "an unacknowledged record surfaced after the crash";
-      ++decoded;
-    }
-    EXPECT_FALSE(torn) << "shard " << s;
-  }
-  EXPECT_EQ(decoded, kDurable);
   std::filesystem::remove_all(dir);
 }
 

@@ -6,8 +6,13 @@
 // or double-apply an LSN) and the deposed-primary fence.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -239,36 +244,70 @@ TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
 }
 
 TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
-  auto backend = std::make_shared<MemoryBackend>(4);
-  GroupCommitter committer(backend);
-  std::atomic<std::uint64_t> hook_covered{0};
-  std::atomic<std::uint64_t> hook_bytes{0};
-  committer.set_post_flush_hook([&](const GroupCommitter::FlushCycle& cycle) {
-    ASSERT_NE(cycle.appends, nullptr);
-    std::uint64_t seen = 0;
-    for (const ShardAppend& a : *cycle.appends) {
-      seen += a.bytes.size();
-    }
-    EXPECT_EQ(seen, cycle.bytes);
-    hook_bytes.fetch_add(seen);
-    hook_covered.store(cycle.ticket);
-  });
-  // One subscriber only.
-  EXPECT_THROW(committer.set_post_flush_hook([](const auto&) {}),
-               UsageError);
+  // The §8.5 acknowledgement order on a real volume, over many cycles:
+  // the hook (what replication ships from) fires only once the cycle's
+  // commit.log frame is on the volume, strictly in ticket order, and
+  // before any waiter the cycle covers is released.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("amoeba-hook-order-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    auto backend = std::make_shared<FileBackend>(dir, 4);
+    GroupCommitter committer(backend);
+    std::mutex mutex;
+    std::vector<GroupCommitter::Ticket> hooked;  // guarded by `mutex`
+    std::uint64_t hook_bytes = 0;                // guarded by `mutex`
+    committer.set_post_flush_hook(
+        [&](const GroupCommitter::FlushCycle& cycle) {
+          ASSERT_NE(cycle.appends, nullptr);
+          std::uint64_t seen = 0;
+          for (const ShardAppend& a : *cycle.appends) {
+            seen += a.bytes.size();
+            // The cycle's frame is already in commit.log: each stream's
+            // recovered journal ends with exactly these bytes.
+            const Buffer journal = backend->read_journal(a.shard);
+            ASSERT_GE(journal.size(), a.bytes.size()) << "stream " << a.shard;
+            EXPECT_TRUE(std::equal(a.bytes.begin(), a.bytes.end(),
+                                   journal.end() - static_cast<std::ptrdiff_t>(
+                                                       a.bytes.size())))
+                << "hook fired before stream " << a.shard << " was written";
+          }
+          EXPECT_EQ(seen, cycle.bytes);
+          const std::lock_guard lock(mutex);
+          if (!hooked.empty()) {
+            EXPECT_GT(cycle.ticket, hooked.back()) << "out of ticket order";
+          }
+          hooked.push_back(cycle.ticket);
+          hook_bytes += seen;
+        });
+    // One subscriber only.
+    EXPECT_THROW(committer.set_post_flush_hook([](const auto&) {}),
+                 UsageError);
 
-  const Buffer record = bytes_of("framed-record");
-  const auto t1 = committer.enqueue(1, record);
-  committer.wait_durable(t1);
-  // Ordering contract: the hook for the covering cycle ran BEFORE the
-  // wait released, and it saw the exact bytes that hit the backend.
-  EXPECT_GE(hook_covered.load(), t1);
-  const auto t2 = committer.enqueue(2, record);
-  committer.wait_durable(t2);
-  EXPECT_GE(hook_covered.load(), t2);
-  committer.drain();
-  EXPECT_EQ(hook_bytes.load(), 2 * record.size());
-  EXPECT_EQ(committer.stats().flush_cycle_bytes, 2 * record.size());
+    constexpr std::uint32_t kCycles = 8;
+    std::uint64_t enqueued = 0;
+    for (std::uint32_t i = 0; i < kCycles; ++i) {
+      const Buffer record = bytes_of("framed-record-" + std::to_string(i));
+      // A single-stream record, then a two-stream group in the same wait.
+      (void)committer.enqueue(i % 4, record);
+      std::vector<ShardAppend> group;
+      group.push_back({(i + 1) % 4, record});
+      group.push_back({(i + 2) % 4, record});
+      const auto ticket = committer.enqueue_group(std::move(group));
+      enqueued += 3 * record.size();
+      committer.wait_durable(ticket);
+      // The hook for the covering cycle ran BEFORE the wait released.
+      const std::lock_guard lock(mutex);
+      ASSERT_FALSE(hooked.empty());
+      EXPECT_GE(hooked.back(), ticket);
+    }
+    committer.drain();
+    const std::lock_guard lock(mutex);
+    EXPECT_GE(hooked.size(), std::size_t{kCycles});
+    EXPECT_EQ(hook_bytes, enqueued);
+    EXPECT_EQ(committer.stats().flush_cycle_bytes, enqueued);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

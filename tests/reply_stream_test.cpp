@@ -75,10 +75,10 @@ class CountingBackend final : public storage::Backend {
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_->shard_count();
   }
-  void submit_append_group(std::vector<storage::ShardAppend>&& appends,
-                           storage::AppendCompletion complete) override {
+  void append_journal_batch(
+      std::vector<storage::ShardAppend>&& appends) override {
     count(appends);
-    inner_->submit_append_group(std::move(appends), std::move(complete));
+    inner_->append_journal_batch(std::move(appends));
   }
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
     return inner_->read_journal(shard);

@@ -6,7 +6,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,7 +25,6 @@
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/record.hpp"
-#include "amoeba/storage/uring_backend.hpp"
 
 namespace amoeba::storage {
 namespace {
@@ -226,38 +224,10 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
   return dir;
 }
 
-/// The commit-log suite runs against BOTH writers of the one on-disk
-/// format: the sync FileBackend and, kernel permitting, UringFileBackend.
-/// Recovery always reopens with the plain FileBackend -- a crash image
-/// must recover the same regardless of which backend wrote it.
-class CommitLogBackends : public ::testing::TestWithParam<BackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == BackendKind::uring &&
-        !UringFileBackend::available()) {
-      GTEST_SKIP() << "io_uring unavailable (probe or AMOEBA_NO_URING)";
-    }
-  }
-  [[nodiscard]] std::shared_ptr<FileBackend> make(
-      const std::filesystem::path& dir, std::size_t shards) const {
-    if (GetParam() == BackendKind::uring) {
-      return std::make_shared<UringFileBackend>(dir, shards);
-    }
-    return std::make_shared<FileBackend>(dir, shards);
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(CommitLog, CommitLogBackends,
-                         ::testing::Values(BackendKind::file,
-                                           BackendKind::uring),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST_P(CommitLogBackends, GroupedAppendsRecoverAcrossReopen) {
+TEST(CommitLogTest, GroupedAppendsRecoverAcrossReopen) {
   const auto dir = fresh_dir("commit-log");
   {
-    auto backend = make(dir, 4);
+    auto backend = std::make_shared<FileBackend>(dir, 4);
     GroupCommitter committer(backend);
     (void)committer.enqueue(0, frame(10, 1));
     (void)committer.enqueue(2, frame(20, 1));
@@ -282,9 +252,9 @@ TEST_P(CommitLogBackends, GroupedAppendsRecoverAcrossReopen) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(CommitLogBackends, SyncAndGroupedAppendsRecoverInLsnOrder) {
+TEST(CommitLogTest, SyncAndGroupedAppendsRecoverInLsnOrder) {
   const auto dir = fresh_dir("commit-order");
-  auto backend = make(dir, 2);
+  auto backend = std::make_shared<FileBackend>(dir, 2);
   {
     // Wall-time order: sync lsn 1, grouped lsn 2, sync lsn 3.  Every one
     // is a commit.log frame, so the log's order is the LSN order.
@@ -309,10 +279,10 @@ TEST_P(CommitLogBackends, SyncAndGroupedAppendsRecoverInLsnOrder) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(CommitLogBackends, TornGroupFrameDropsTheWholeGroup) {
+TEST(CommitLogTest, TornGroupFrameDropsTheWholeGroup) {
   const auto dir = fresh_dir("commit-torn");
   {
-    auto backend = make(dir, 2);
+    auto backend = std::make_shared<FileBackend>(dir, 2);
     std::vector<ShardAppend> first;
     first.push_back({0, frame(1, 1)});
     first.push_back({1, frame(2, 1)});
@@ -341,7 +311,7 @@ TEST_P(CommitLogBackends, TornGroupFrameDropsTheWholeGroup) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(CommitLogBackends, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
+TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
   // Exhaustive crash-image sweep over the second group's region of
   // commit.log: truncation at EVERY length and a bit flip at EVERY byte
   // offset must each leave recovery holding exactly the first group --
@@ -355,7 +325,7 @@ TEST_P(CommitLogBackends, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
     std::filesystem::remove_all(dir);
     std::uintmax_t first_end = 0;
     {
-      auto backend = make(dir, 2);
+      auto backend = std::make_shared<FileBackend>(dir, 2);
       std::optional<GroupCommitter> committer;
       if (committed) {
         committer.emplace(backend);
@@ -428,10 +398,10 @@ TEST_P(CommitLogBackends, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(CommitLogBackends, SnapshotGcRewritesAwaySubsumedRecords) {
+TEST(CommitLogTest, SnapshotGcRewritesAwaySubsumedRecords) {
   const auto dir = fresh_dir("commit-gc");
   const auto log = dir / "commit.log";
-  auto backend = make(dir, 2);
+  auto backend = std::make_shared<FileBackend>(dir, 2);
   // Push the log past the GC threshold (8 MiB) with shard-0 records, plus
   // a few shard-1 records that must survive the rewrite.
   constexpr std::uint64_t kShard0Records = 160000;
@@ -447,9 +417,7 @@ TEST_P(CommitLogBackends, SnapshotGcRewritesAwaySubsumedRecords) {
   backend->append_journal_batch(std::move(group));
   ASSERT_GT(std::filesystem::file_size(log), std::uint64_t{8} << 20);
   // A shard-0 snapshot at the top LSN subsumes every shard-0 record in the
-  // log; installing it crosses the threshold and triggers the rewrite
-  // (which on the uring backend first quiesces the ring: the inode swap
-  // must not race in-flight chains).
+  // log; installing it crosses the threshold and triggers the rewrite.
   backend->install_snapshot(0, encode_snapshot({}, kShard0Records));
   EXPECT_LT(std::filesystem::file_size(log), 4096u);
   EXPECT_TRUE(decode_journal(backend->read_journal(0)).empty());
@@ -649,10 +617,7 @@ class ExplodingBackend final : public Backend {
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_.shard_count();
   }
-  // Throws SYNCHRONOUSLY instead of reporting through the completion:
-  // the committer must latch either way.
-  void submit_append_group(std::vector<ShardAppend>&& /*appends*/,
-                           AppendCompletion /*complete*/) override {
+  void append_journal_batch(std::vector<ShardAppend>&& /*appends*/) override {
     throw std::runtime_error("disk full");
   }
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
@@ -747,137 +712,6 @@ TEST(GroupCommitTest, ConcurrentEnqueueStorm) {
     decoded += records.size();
   }
   EXPECT_EQ(decoded, kThreads * kPerThread);
-}
-
-// --------------------------------------------------------- io_uring backend
-
-TEST(UringBackendTest, FactoryFallsBackAndParsesKinds) {
-  EXPECT_EQ(parse_backend_kind("memory"), BackendKind::memory);
-  EXPECT_EQ(parse_backend_kind("file"), BackendKind::file);
-  EXPECT_EQ(parse_backend_kind("uring"), BackendKind::uring);
-  EXPECT_THROW((void)parse_backend_kind("floppy"), UsageError);
-  const auto dir = fresh_dir("backend-factory");
-  // memory ignores the directory; uring degrades to FileBackend when the
-  // probe fails -- either way the caller gets a working volume.
-  EXPECT_TRUE(make_backend(BackendKind::memory, dir)->empty());
-  auto vol = make_backend(BackendKind::uring, dir);
-  ASSERT_NE(vol, nullptr);
-  vol->append_journal(0, frame(1, 1));
-  EXPECT_EQ(decode_journal(vol->read_journal(0)).size(), 1u);
-  EXPECT_EQ(vol->async_io_stats().async, UringFileBackend::available());
-  vol.reset();
-  std::filesystem::remove_all(dir);
-}
-
-TEST(UringBackendTest, SteadyStateMutatePathMakesNoBlockingIoSyscalls) {
-  // THE acceptance proof for the async backend: with the ring up, neither
-  // the mutator thread (enqueues) nor the flusher thread (submits SQEs)
-  // ever enters write(2)/fsync(2) on the pure-mutate path -- the kernel
-  // side of the ring runs the I/O.
-  if (!UringFileBackend::available()) {
-    GTEST_SKIP() << "io_uring unavailable (probe or AMOEBA_NO_URING)";
-  }
-  const auto dir = fresh_dir("uring-syscalls");
-  constexpr std::uint32_t kRecords = 512;
-  {
-    auto backend = std::make_shared<UringFileBackend>(dir, 4);
-    GroupCommitter committer(backend);
-    const IoCounters before = this_thread_io_counters();
-    GroupCommitter::Ticket last = 0;
-    for (std::uint32_t i = 0; i < kRecords; ++i) {
-      last = committer.enqueue(i % 4, frame(i, i + 1));
-    }
-    committer.wait_durable(last);
-    const IoCounters after = this_thread_io_counters();
-    EXPECT_EQ(after.writes, before.writes) << "mutator blocked in write(2)";
-    EXPECT_EQ(after.fsyncs, before.fsyncs) << "mutator blocked in fsync(2)";
-    const auto stats = committer.stats();
-    EXPECT_EQ(stats.flusher_io_syscalls, 0u) << "flusher blocked in I/O";
-    EXPECT_GT(stats.sqe_submitted, 0u);
-    EXPECT_EQ(stats.cqe_completed, stats.sqe_submitted);
-    EXPECT_EQ(stats.records, kRecords);
-  }
-  // And the bytes are really there: a plain FileBackend recovers them all.
-  {
-    FileBackend reopened(dir, 4);
-    std::size_t decoded = 0;
-    for (std::size_t s = 0; s < 4; ++s) {
-      bool torn = false;
-      decoded += decode_journal(reopened.read_journal(s), &torn).size();
-      EXPECT_FALSE(torn);
-    }
-    EXPECT_EQ(decoded, kRecords);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(UringBackendTest, PostFlushHookFiresInLsnOrderOnlyAfterCqes) {
-  // The §8.5 ack-ordering contract, observed through the committer's
-  // post-flush hook (what replication ships from): while cycles sit
-  // submitted-but-uncompleted NOTHING ships, and releasing them fires the
-  // hook strictly in cycle (LSN) order.
-  if (!UringFileBackend::available()) {
-    GTEST_SKIP() << "io_uring unavailable (probe or AMOEBA_NO_URING)";
-  }
-  const auto dir = fresh_dir("uring-hook-order");
-  {
-    auto backend = std::make_shared<UringFileBackend>(dir, 2);
-    backend->set_hold_submissions(true);
-    GroupCommitter committer(backend);
-    std::mutex mutex;
-    std::vector<GroupCommitter::Ticket> shipped;
-    committer.set_post_flush_hook([&](const GroupCommitter::FlushCycle& c) {
-      const std::lock_guard lock(mutex);
-      shipped.push_back(c.ticket);
-    });
-    std::vector<GroupCommitter::Ticket> tickets;
-    for (std::uint32_t i = 0; i < 3; ++i) {
-      tickets.push_back(committer.enqueue(0, frame(i, i + 1)));
-      // One held cycle per enqueue: wait for the flusher to claim it.
-      for (int spin = 0;
-           spin < 2000 && committer.stats().inflight_cycles <= i; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      ASSERT_EQ(committer.stats().inflight_cycles, i + 1);
-    }
-    {
-      const std::lock_guard lock(mutex);
-      EXPECT_TRUE(shipped.empty()) << "shipped before any CQE arrived";
-    }
-    EXPECT_FALSE(committer.is_durable(tickets.front()));
-    backend->set_hold_submissions(false);
-    committer.wait_durable(tickets.back());
-    const std::lock_guard lock(mutex);
-    EXPECT_EQ(shipped, tickets) << "ship order diverged from LSN order";
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(UringBackendTest, HeldSubmissionsDeferDurabilityUntilReleased) {
-  // The submitted-but-uncompleted window, held open deliberately: a cycle
-  // whose SQEs never reached the kernel must not release tickets, and
-  // releasing the hold must complete everything in order.
-  if (!UringFileBackend::available()) {
-    GTEST_SKIP() << "io_uring unavailable (probe or AMOEBA_NO_URING)";
-  }
-  const auto dir = fresh_dir("uring-held");
-  {
-    auto backend = std::make_shared<UringFileBackend>(dir, 2);
-    backend->set_hold_submissions(true);
-    GroupCommitter committer(backend);
-    const auto ticket = committer.enqueue(0, frame(1, 1));
-    // The flusher claims and "submits" promptly; the chain stays staged.
-    for (int i = 0; i < 2000 && committer.stats().inflight_cycles == 0;
-         ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_GE(committer.stats().inflight_cycles, 1u);
-    EXPECT_FALSE(committer.is_durable(ticket));
-    backend->set_hold_submissions(false);
-    committer.wait_durable(ticket);
-    EXPECT_TRUE(committer.is_durable(ticket));
-  }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
