@@ -78,7 +78,8 @@
 // so "durable on return" still holds while one backend write + one fsync
 // per flush cycle covers every record that piled up meanwhile.  Inside a
 // storage::RequestScope (an rpc request) the wait is deferred instead:
-// the request blocks once, for all its effects, before its reply leaves.
+// the service's replier waits once, for all the request's effects, before
+// its reply leaves.
 // Handlers that can pipeline use Opened::release_async() to carry the
 // ticket as a future and wait through ShardedObjectStore::wait_durable()
 // later.
@@ -505,8 +506,8 @@ class ShardedObjectStore {
 
   /// Blocks until the given group-commit ticket is durable (no-op for
   /// ticket 0 or a store without a committer); inside a
-  /// storage::RequestScope it only records the ticket for the scope's
-  /// settle().  Pairs with Opened::release_async() for pipelined mutation
+  /// storage::RequestScope it only records the ticket for the request's
+  /// one wait.  Pairs with Opened::release_async() for pipelined mutation
   /// windows.
   void wait_durable(std::uint64_t ticket) {
     if (ticket != 0 && durability_.committer != nullptr) {
@@ -516,8 +517,9 @@ class ShardedObjectStore {
 
   /// The accessor releases above run in destructors, which must not
   /// throw.  Inside a request handler the wait is deferred to the
-  /// request's storage::RequestScope, whose settle() reports a failure
-  /// (a failed flush, a fenced deposed primary) as the `internal` reply.
+  /// request's storage::RequestScope, whose one wait (the service's
+  /// replier makes it) reports a failure (a failed flush, a fenced deposed
+  /// primary) as the `internal` reply.
   /// Anywhere else a failed wait stops the process, as an exception
   /// escaping a destructor always did: nothing may carry on as if the
   /// effect were durable.

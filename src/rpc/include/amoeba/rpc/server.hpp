@@ -44,21 +44,31 @@
 // so a crash image never holds an effect without its floor.  Claim and
 // handler run inside a storage::RequestScope, which turns every
 // durability wait (the floor's, each effect's, each envelope entry's)
-// into a recorded ticket; the worker blocks ONCE, after the handler and
-// before the reply leaves, and a handler's outgoing call settles first
-// (rpc::Transport).  No reply is sent before its floor is durable, so
-// after a crash+restart a duplicate of any pre-crash transaction is
-// DROPPED (an operation may be lost to the torn tail, but never runs
-// twice).  Completed reply BODIES follow as
+// into a recorded ticket.  The worker does not wait on them: it moves the
+// tickets out of the scope, parks them with the reply on the service's
+// one REPLIER thread, and goes back to receive().  The replier waits on
+// the parked tickets in ticket order -- its wait is what makes the
+// committer flush -- then caches, seals and sends each reply, so one
+// flush covers every request the workers handled while the previous one
+// was being written (flush pipelining).  A request that recorded no
+// ticket replies from its worker; a handler's outgoing call settles first,
+// on the worker (rpc::Transport).  No reply is sent before its floor is
+// durable, so after a crash+restart a duplicate of any pre-crash
+// transaction is DROPPED (an operation may be lost to the torn tail, but
+// never runs twice); a duplicate of a parked request is dropped like any
+// still-executing one.  Completed reply BODIES follow as
 // reply_body records, best effort (no wait), so a post-restart duplicate
 // of a recently completed transaction is re-answered instead of timing
 // out.  Each record is O(1) bytes; the stream compacts into a snapshot of
 // the in-memory cache -- bounded like the cache itself -- once the records
-// since the last snapshot outgrow it.
+// since the last snapshot outgrow it.  Only a worker installs that
+// snapshot (two fsyncs), never the replier, whose delay every parked
+// reply would share.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <latch>
 #include <map>
@@ -72,12 +82,8 @@
 #include "amoeba/common/serial.hpp"
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/filter.hpp"
+#include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/reply_stream.hpp"
-
-namespace amoeba::storage {
-class Backend;
-class GroupCommitter;
-}  // namespace amoeba::storage
 
 namespace amoeba::rpc {
 
@@ -97,22 +103,29 @@ class Service {
   /// Binds the service to a machine and its secret get-port.  The service
   /// does not listen until start() is called.
   Service(net::Machine& machine, Port get_port, std::string name);
-  /// Joins the workers.  Concrete subclasses must call stop() in their own
-  /// destructor: by the time this base destructor runs, the subclass state
-  /// (stores, tables) is already gone and the vtable has been rewound, so
-  /// a still-running worker would race both.
+  /// Joins the workers and the replier.  Concrete subclasses must call
+  /// stop() in their own destructor: by the time this base destructor
+  /// runs, the subclass state (stores, tables, the committers parked
+  /// replies wait on) is already gone and the vtable has been rewound, so
+  /// a still-running worker or replier would race both.
   virtual ~Service();
 
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Spawns `workers` listener threads.  Idempotent start/stop pairs.
-  /// Blocks until every worker's GET is registered, so a request issued
-  /// right after start() cannot race the registrations.
+  /// Spawns `workers` listener threads plus one replier thread, which
+  /// sends the replies that wait for durability (see the header comment).
+  /// Idempotent start/stop pairs.  Blocks until every worker's GET is
+  /// registered, so a request issued right after start() cannot race the
+  /// registrations.
   void start(int workers = 1);
 
-  /// Stops all workers and waits for them to exit (jthread join).  Safe to
-  /// call repeatedly; in-flight handlers finish before their worker exits.
+  /// Stops all workers and waits for them to exit (jthread join), then
+  /// lets the replier send every parked reply -- each still waits for its
+  /// durability -- and joins it.  Safe to call repeatedly; in-flight
+  /// handlers finish before their worker exits.  Called from a subclass
+  /// destructor, it drains the replier before the subclass state (the
+  /// committers the parked tickets name) is destroyed.
   void stop();
 
   /// Moves a stopped service to another machine (process migration for the
@@ -187,9 +200,9 @@ class Service {
   ///
   /// The two-argument form enqueues the records on the volume's group
   /// committer -- they ride the flush cycles of the handlers' own effects,
-  /// and the worker waits once, before replying.  `committer` may be null:
-  /// records are then appended synchronously, the floor before the handler
-  /// runs.
+  /// and the replier waits once per request, before replying.
+  /// `committer` may be null: records are then appended synchronously,
+  /// the floor before the handler runs.
   void attach_durability(std::shared_ptr<storage::Backend> backend);
   void attach_durability(std::shared_ptr<storage::Backend> backend,
                          std::shared_ptr<storage::GroupCommitter> committer);
@@ -287,7 +300,27 @@ class Service {
   /// overloads after the raw registration validated the opcode).
   void note_op(OpInfo info);
 
+  /// A handled request whose reply waits for durability: what a worker
+  /// parks on the replier.
+  struct ParkedReply {
+    net::Delivery request;  // payload dropped: source and header suffice
+    net::Message reply;     // pre-dest, pre-filter form
+    bool cache_reply = false;  // claimed fresh: publish in the reply cache
+    std::shared_ptr<MessageFilter> filter;  // the worker's snapshot
+    storage::RequestScope::Tickets tickets;
+  };
+
+  /// Worker loop: receive, gate, claim, handle; then reply at once, or
+  /// park the reply when the request recorded durability tickets.
   void run(std::stop_token stop, std::latch& ready);
+  /// Replier loop: waits on parked tickets in ticket order and sends each
+  /// reply once durable; drains the queue before it exits.
+  void reply_loop(std::stop_token stop);
+  /// Publishes `reply` in the cache when `cache_reply`, then seals and
+  /// transmits it to the request's reply port.  The replier passes
+  /// `may_snapshot` false (see append_reply_record).
+  void send_reply(const net::Delivery& request, net::Message reply,
+                  bool cache_reply, MessageFilter* filter, bool may_snapshot);
   [[nodiscard]] net::Message handle_batch(const net::Delivery& request);
   [[nodiscard]] net::Message handle_one(const net::Delivery& request);
 
@@ -359,10 +392,11 @@ class Service {
   void evict_reply_cache_client(const ClientKey& excluded,
                                 bool want_tombstones);
   /// Publishes the reply of a claimed request and evicts beyond the
-  /// per-client window.
-  void store_reply(const net::Delivery& request, const net::Message& reply);
+  /// per-client window.  `may_snapshot`: see append_reply_record.
+  void store_reply(const net::Delivery& request, const net::Message& reply,
+                   bool may_snapshot);
   /// Journals a reply_floor record for a fresh claim (write-ahead for the
-  /// suppression state) and returns its commit ticket, which the worker
+  /// suppression state) and returns its commit ticket, which the request
   /// waits on before replying; 0 when already durable (synchronous
   /// volume) or not durable at all.  Throws when a synchronous volume
   /// refuses the append.
@@ -373,14 +407,17 @@ class Service {
   /// guarantee; the body only upgrades a post-restart duplicate from
   /// "dropped" to "re-answered", so losing it to a crash is safe.
   void persist_reply_body(const ClientKey& key, std::uint64_t seq,
-                          const net::Message& reply);
+                          const net::Message& reply, bool may_snapshot);
   /// Appends one reply-stream record: `body` null frames a reply_floor,
   /// otherwise a reply_body.  Assigns the stream LSN in append order, and
   /// compacts the stream once the records appended since the last
-  /// snapshot outgrow it (amortized O(1) bytes per request).
+  /// snapshot outgrow it (amortized O(1) bytes per request).  With
+  /// `may_snapshot` false a due compaction is left to the next append
+  /// that may take it (the replier's appends pass false).
   [[nodiscard]] std::uint64_t append_reply_record(const ClientKey& key,
                                                   std::uint64_t seq,
-                                                  const Buffer* body);
+                                                  const Buffer* body,
+                                                  bool may_snapshot);
   /// Installs a reply-stream snapshot imaging the in-memory cache as of
   /// stream LSN `lsn`.  Returns the image's size, or 0 if the volume
   /// refused it (the journal still holds every record; a later append
@@ -407,6 +444,11 @@ class Service {
   Port get_port_;
   std::string name_;
   std::vector<std::jthread> workers_;
+  // Replies parked by workers for the replier; guarded by parked_mutex_.
+  std::mutex parked_mutex_;
+  std::condition_variable_any parked_cv_;
+  std::vector<ParkedReply> parked_;
+  std::jthread replier_;
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
   mutable std::mutex filter_mutex_;  // guards filter_ and signatures_

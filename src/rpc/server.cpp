@@ -66,6 +66,7 @@ void Service::start(int workers) {
   // Block until every worker has its GET registered, so a trans() issued
   // right after start() cannot race the registrations.
   std::latch ready(workers);
+  replier_ = std::jthread([this](std::stop_token st) { reply_loop(st); });
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back(
@@ -79,6 +80,12 @@ void Service::stop() {
     w.request_stop();
   }
   workers_.clear();  // jthread destructor joins
+  // No worker parks anything now; the replier sends what is parked, each
+  // reply once durable, and then exits.
+  if (replier_.joinable()) {
+    replier_.request_stop();
+    replier_.join();
+  }
 }
 
 void Service::rebind(net::Machine& machine) {
@@ -306,7 +313,7 @@ Service::DupVerdict Service::claim_request(const net::Delivery& request,
 }
 
 void Service::store_reply(const net::Delivery& request,
-                          const net::Message& reply) {
+                          const net::Message& reply, bool may_snapshot) {
   const ClientKey key{request.src.value(), request.message.header.client};
   const std::uint64_t seq = request.message.header.seq;
   bool published = false;
@@ -340,7 +347,7 @@ void Service::store_reply(const net::Delivery& request,
     }
   }
   if (published) {
-    persist_reply_body(key, seq, reply);  // outside the stripe lock
+    persist_reply_body(key, seq, reply, may_snapshot);  // outside the lock
   }
 }
 
@@ -435,7 +442,8 @@ void Service::prune_reply_cache() {
 
 std::uint64_t Service::append_reply_record(const ClientKey& key,
                                            std::uint64_t seq,
-                                           const Buffer* body) {
+                                           const Buffer* body,
+                                           bool may_snapshot) {
   const auto encode = [&](std::uint64_t lsn, Buffer& out) {
     if (body == nullptr) {
       storage::encode_reply_floor(key.src, key.client, seq, lsn, out);
@@ -470,7 +478,8 @@ std::uint64_t Service::append_reply_record(const ClientKey& key,
       framed = frame.size();
     }
     reply_stream_bytes_ += framed;
-    if (reply_stream_bytes_ >= reply_snapshot_due_ && !reply_snapshotting_) {
+    if (may_snapshot && reply_stream_bytes_ >= reply_snapshot_due_ &&
+        !reply_snapshotting_) {
       // An install drops only records at or below its LSN, on every
       // volume, so the scan, encode and install run outside the mutex:
       // other workers' appends go on meanwhile.
@@ -536,11 +545,12 @@ std::uint64_t Service::persist_reply_floor(const ClientKey& key,
   if (reply_backend_ == nullptr) {
     return 0;
   }
-  return append_reply_record(key, seq, nullptr);
+  return append_reply_record(key, seq, nullptr, /*may_snapshot=*/true);
 }
 
 void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
-                                 const net::Message& reply) {
+                                 const net::Message& reply,
+                                 bool may_snapshot) {
   if (reply_backend_ == nullptr ||
       reply.data.size() > storage::kReplyBodyMaxBytes) {
     return;  // bulk replies stay floor-only
@@ -548,7 +558,7 @@ void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
   Writer body;
   encode_reply_body(reply, body);
   try {
-    (void)append_reply_record(key, seq, &body.buffer());
+    (void)append_reply_record(key, seq, &body.buffer(), may_snapshot);
   } catch (const std::exception&) {
     // Best effort (see the header): the duplicate drops via the floor.
   }
@@ -605,6 +615,8 @@ void Service::attach_durability(
       if (committer != nullptr) {
         const storage::GroupCommitter::Stats gc = committer->stats();
         line += " gc.groups=" + std::to_string(gc.groups);
+        line += " gc.records=" + std::to_string(gc.records);
+        line += " gc.max_group=" + std::to_string(gc.max_group);
         line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
       }
       return line;
@@ -743,7 +755,8 @@ void Service::run(std::stop_token stop, std::latch& ready) {
     bool executed = true;      // false: answered without running a handler
     bool cache_reply = false;  // true: claimed fresh, publish after handling
     // Every durability wait of the claim and the handler -- floor, effects,
-    // each envelope entry's -- is recorded here and settled once below.
+    // each envelope entry's -- is recorded here, and waited on once, by
+    // the replier (below).
     storage::RequestScope durability;
     if (!allowed_signatures.empty() &&
         std::find(allowed_signatures.begin(), allowed_signatures.end(),
@@ -789,7 +802,7 @@ void Service::run(std::stop_token stop, std::latch& ready) {
                             delivery->message.header.client},
                   delivery->message.header.seq);
               if (floor_ticket != 0) {
-                reply_committer_->wait_durable(floor_ticket);  // deferred
+                reply_committer_->wait_durable(floor_ticket);  // recorded
               }
             } catch (const std::exception&) {
               // A synchronous volume refused the floor: the operation
@@ -805,37 +818,93 @@ void Service::run(std::stop_token stop, std::latch& ready) {
                     ? handle_batch(*delivery)
                     : handle_one(*delivery);
       }
-      // The request's one durability wait (§8.4): no reply leaves before
-      // its floor and every effect its handler -- or any entry of its
-      // envelope -- recorded are durable.  A volume that refuses
-      // durability (failed flush, fenced deposed primary, §9.4) turns the
-      // whole reply, envelope included, into the truth.
-      try {
-        durability.settle();
-      } catch (const std::exception&) {
-        reply = net::make_reply(delivery->message, ErrorCode::internal);
-      }
-      if (cache_reply) {
-        // Cached in pre-dest, pre-filter form; a re-send recomputes the
-        // destination from the duplicate and re-seals per transmission.
-        store_reply(*delivery, reply);
-      }
     }
     if (executed) {
       requests_served_.fetch_add(1, std::memory_order_relaxed);
     }
-    const Port reply_port = delivery->message.header.reply;
-    if (reply_port.is_null()) {
-      continue;  // one-way request
+    // The request's one durability wait (§8.4) is the replier's: no reply
+    // leaves before its floor and every effect its handler -- or any entry
+    // of its envelope -- recorded are durable.  This worker moves on.
+    storage::RequestScope::Tickets tickets = durability.take_pending();
+    if (tickets.empty()) {
+      send_reply(*delivery, std::move(reply), cache_reply, filter.get(),
+                 /*may_snapshot=*/true);
+      continue;
     }
-    reply.header.dest = reply_port;
-    reply.header.opcode = delivery->message.header.opcode;
-    if (filter != nullptr) {
-      filter->outgoing(reply, delivery->src);
+    delivery->message.data = {};
+    {
+      const std::lock_guard lock(parked_mutex_);
+      parked_.push_back(ParkedReply{std::move(*delivery), std::move(reply),
+                                    cache_reply, std::move(filter),
+                                    std::move(tickets)});
     }
-    // Reply straight to the stamped source machine; no locate needed.
-    machine_->transmit(std::move(reply), delivery->src);
+    parked_cv_.notify_one();
   }
+}
+
+void Service::reply_loop(std::stop_token stop) {
+  std::vector<ParkedReply> batch;
+  for (;;) {
+    {
+      std::unique_lock lock(parked_mutex_);
+      // Returns false only once stopped with nothing parked: stop() joins
+      // the workers first, so every parked reply is sent before exit.
+      if (!parked_cv_.wait(lock, stop, [&] { return !parked_.empty(); })) {
+        return;
+      }
+      batch.swap(parked_);
+    }
+    // Ticket order: a cycle releases every ticket at or below its own, so
+    // one wait here releases the replies queued behind it as well.
+    // (Tickets of different committers do not compare; any order is
+    // correct for them.)
+    const auto key = [](const ParkedReply& p) {
+      std::uint64_t ticket = 0;
+      for (const storage::RequestScope::Pending& t : p.tickets) {
+        ticket = std::max(ticket, t.ticket);
+      }
+      return ticket;
+    };
+    std::stable_sort(batch.begin(), batch.end(),
+                     [&](const ParkedReply& a, const ParkedReply& b) {
+                       return key(a) < key(b);
+                     });
+    for (ParkedReply& parked : batch) {
+      // A volume that refuses durability (failed flush, fenced deposed
+      // primary, §9.4) turns the whole reply, envelope included, into the
+      // truth -- and that is what the reply cache keeps.
+      try {
+        storage::RequestScope::settle(parked.tickets);
+      } catch (const std::exception&) {
+        parked.reply =
+            net::make_reply(parked.request.message, ErrorCode::internal);
+      }
+      send_reply(parked.request, std::move(parked.reply), parked.cache_reply,
+                 parked.filter.get(), /*may_snapshot=*/false);
+    }
+    batch.clear();
+  }
+}
+
+void Service::send_reply(const net::Delivery& request, net::Message reply,
+                         bool cache_reply, MessageFilter* filter,
+                         bool may_snapshot) {
+  if (cache_reply) {
+    // Cached in pre-dest, pre-filter form; a re-send recomputes the
+    // destination from the duplicate and re-seals per transmission.
+    store_reply(request, reply, may_snapshot);
+  }
+  const Port reply_port = request.message.header.reply;
+  if (reply_port.is_null()) {
+    return;  // one-way request
+  }
+  reply.header.dest = reply_port;
+  reply.header.opcode = request.message.header.opcode;
+  if (filter != nullptr) {
+    filter->outgoing(reply, request.src);
+  }
+  // Reply straight to the stamped source machine; no locate needed.
+  machine_->transmit(std::move(reply), request.src);
 }
 
 }  // namespace amoeba::rpc

@@ -42,10 +42,18 @@ void RequestScope::defer(GroupCommitter& committer, std::uint64_t ticket) {
 }
 
 void RequestScope::settle() {
-  for (const Pending& p : pending_) {
+  settle(pending_);
+  pending_.clear();
+}
+
+RequestScope::Tickets RequestScope::take_pending() noexcept {
+  return std::exchange(pending_, {});
+}
+
+void RequestScope::settle(const Tickets& tickets) {
+  for (const Pending& p : tickets) {
     p.committer->block_until(p.ticket);
   }
-  pending_.clear();
 }
 
 void RequestScope::settle_current() {

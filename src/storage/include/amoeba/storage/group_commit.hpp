@@ -78,11 +78,20 @@ class GroupCommitter;
 /// per committer and returns without blocking (accessor releases,
 /// ShardedObjectStore::create, a request's reply floor).  settle() then
 /// blocks once per committer.  rpc::Service opens one scope per request,
-/// around claim and handler, and settles before the reply leaves;
-/// rpc::Transport settles before a handler's outgoing call.  drain()
-/// always blocks.  Scopes nest (innermost wins).
+/// around claim and handler; it does not settle it on the worker but
+/// moves the recorded tickets out (take_pending()) and hands them with
+/// the reply to its replier thread, which waits on them (settle(tickets))
+/// before the reply leaves.  rpc::Transport settles before a handler's
+/// outgoing call.  drain() always blocks.  Scopes nest (innermost wins).
 class RequestScope {
  public:
+  /// One committer's largest recorded ticket.
+  struct Pending {
+    GroupCommitter* committer;
+    std::uint64_t ticket;
+  };
+  using Tickets = std::vector<Pending>;  // one entry per committer
+
   RequestScope() noexcept;
   ~RequestScope();
   RequestScope(const RequestScope&) = delete;
@@ -93,21 +102,26 @@ class RequestScope {
   /// stay recorded, so a later settle() throws again.
   void settle();
 
+  /// Moves the recorded tickets out, leaving the scope with none: the
+  /// caller takes over the wait, on any thread, with settle(tickets).
+  /// The committers must outlive that wait.
+  [[nodiscard]] Tickets take_pending() noexcept;
+
+  /// Blocks until every ticket in `tickets` is durable.  Throws as
+  /// wait_durable does if a committer failed first.
+  static void settle(const Tickets& tickets);
+
   /// Settles the calling thread's innermost scope; no-op without one.
   static void settle_current();
 
  private:
   friend class GroupCommitter;
-  struct Pending {
-    GroupCommitter* committer;
-    std::uint64_t ticket;
-  };
   /// The innermost open scope of the calling thread, or null.
   [[nodiscard]] static RequestScope* current() noexcept;
   void defer(GroupCommitter& committer, std::uint64_t ticket);
 
   RequestScope* outer_;
-  std::vector<Pending> pending_;  // one entry per committer
+  Tickets pending_;
 };
 
 class GroupCommitter {

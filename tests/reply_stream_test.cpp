@@ -12,6 +12,11 @@
 //   * a request -- a whole batch envelope included -- waits for
 //     durability once, after its handler, and its reply never leaves
 //     before its floor and effects are durable;
+//   * that wait is the replier's: one worker handles request after
+//     request while their replies wait for a shared flush, a failed
+//     flush answers every parked reply `internal`, destroying the server
+//     sends what is parked, and only a worker installs the reply-stream
+//     snapshot;
 //   * a handler's outgoing call never leaves before its effects do;
 //   * a shard snapshot installed while a request's floor is still queued
 //     never leaves its effect without that floor, on the primary or on a
@@ -31,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -122,7 +128,8 @@ class CountingBackend final : public storage::Backend {
 
 /// A minimal durable service.  kEcho answers with the request's data;
 /// kEffect first journals one record on object shard 0 and waits for it
-/// (a mutating handler's shape).  Both count their executions.
+/// (a mutating handler's shape).  Both count their executions and note
+/// the thread they ran on.
 class CountingService final : public rpc::Service {
  public:
   static constexpr std::uint16_t kEcho = 0x0101;
@@ -130,19 +137,23 @@ class CountingService final : public rpc::Service {
 
   CountingService(net::Machine& machine, Port port,
                   std::shared_ptr<storage::Backend> volume,
-                  std::size_t window, std::size_t max_clients)
+                  std::size_t window, std::size_t max_clients,
+                  storage::GroupCommitOptions options = {})
       : Service(machine, port, "counting"),
-        committer_(std::make_shared<storage::GroupCommitter>(volume)) {
+        committer_(
+            std::make_shared<storage::GroupCommitter>(volume, options)) {
     set_reply_cache_limits(window, max_clients);
     attach_durability(volume, committer_);
     on(kEcho, [this](const net::Delivery& request) {
       ++executions;
+      handler_thread = std::this_thread::get_id();
       net::Message reply = net::make_reply(request.message, ErrorCode::ok);
       reply.data = request.message.data;
       return reply;
     });
     on(kEffect, [this](const net::Delivery& request) {
       ++executions;
+      handler_thread = std::this_thread::get_id();
       Buffer record;
       storage::encode_record_into(storage::RecordType::mutate, ObjectNumber(1),
                                   0, ++effect_lsn_, {}, record);
@@ -155,11 +166,86 @@ class CountingService final : public rpc::Service {
   [[nodiscard]] storage::GroupCommitter& committer() { return *committer_; }
 
   std::atomic<int> executions{0};
+  std::atomic<std::thread::id> handler_thread{};
 
  private:
   std::shared_ptr<storage::GroupCommitter> committer_;
   std::atomic<std::uint64_t> effect_lsn_{0};
 };
+
+/// A memory volume whose journal writes wait at a gate: while it is
+/// closed, a flush cycle stays in its backend write, and once it opens
+/// the write goes through -- or throws, when opened with `fail`.
+class GatedBackend final : public storage::Backend {
+ public:
+  explicit GatedBackend(std::size_t shards)
+      : inner_(std::make_shared<storage::MemoryBackend>(shards)) {}
+
+  void close() {
+    const std::lock_guard lock(mutex_);
+    open_ = false;
+  }
+  void open(bool fail = false) {
+    {
+      const std::lock_guard lock(mutex_);
+      open_ = true;
+      fail_ = fail;
+    }
+    cv_.notify_all();
+  }
+
+  [[nodiscard]] std::size_t shard_count() const override {
+    return inner_->shard_count();
+  }
+  void append_journal_batch(
+      std::vector<storage::ShardAppend>&& appends) override {
+    {
+      std::unique_lock lock(mutex_);
+      cv_.wait(lock, [&] { return open_; });
+      if (fail_) {
+        throw std::runtime_error("GatedBackend: write failed");
+      }
+    }
+    inner_->append_journal_batch(std::move(appends));
+  }
+  [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
+    return inner_->read_journal(shard);
+  }
+  void install_snapshot(std::size_t shard,
+                        std::span<const std::uint8_t> bytes) override {
+    inner_->install_snapshot(shard, bytes);
+  }
+  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
+    return inner_->read_snapshot(shard);
+  }
+  void put_meta(std::string_view key,
+                std::span<const std::uint8_t> value) override {
+    inner_->put_meta(key, value);
+  }
+  [[nodiscard]] Buffer get_meta(std::string_view key) const override {
+    return inner_->get_meta(key);
+  }
+  [[nodiscard]] std::vector<std::string> meta_keys() const override {
+    return inner_->meta_keys();
+  }
+  [[nodiscard]] bool empty() const override { return inner_->empty(); }
+
+ private:
+  std::shared_ptr<storage::MemoryBackend> inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  bool fail_ = false;
+};
+
+/// Polls until `done()` holds or two seconds pass; returns done().
+template <typename Pred>
+[[nodiscard]] bool eventually(Pred done) {
+  for (int i = 0; i < 2'000 && !done(); ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  return done();
+}
 
 /// One hand-stamped at-most-once request from `client`/`seq`.
 [[nodiscard]] net::Message stamped(Port dest, std::uint16_t opcode,
@@ -799,6 +885,228 @@ TEST(ReplyStreamTest, OneDurabilityWaitPerRequestAfterTheHandler) {
         << "envelope #" << i;
   }
   EXPECT_EQ(service.executions.load(), 41 + 9 * static_cast<int>(kEntries));
+}
+
+// ---------------------------------------------------------------------
+// Replies wait on the replier, not on a worker.
+
+/// A `kEntries`-entry envelope of kEffect entries from `client`/`seq`.
+[[nodiscard]] net::Message effect_envelope(Port dest, std::uint64_t client,
+                                           std::uint64_t seq, Port reply,
+                                           std::size_t entries) {
+  std::vector<rpc::BatchRequest> subs(entries);
+  for (rpc::BatchRequest& sub : subs) {
+    sub.opcode = CountingService::kEffect;
+  }
+  net::Message request = stamped(dest, rpc::kBatchOpcode, client, seq, reply,
+                                 rpc::encode_batch(subs));
+  request.header.flags |= net::kFlagBatch;
+  return request;
+}
+
+TEST(ReplyStreamTest, OneWorkerHandlesEveryRequestWhileRepliesWaitForAFlush) {
+  // One worker, and a flush cycle held at the acknowledgement point: the
+  // worker must go on handling the other clients' requests instead of
+  // waiting for the first one's durability, and once the cycle completes
+  // every reply leaves after at most one more cycle.  The linger ceiling
+  // is long, so a cycle starts only when a thread waits for one.
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& client_machine = net.add_machine("client");
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool open = true;
+  storage::GroupCommitOptions options;
+  options.flush_interval = 10s;
+  CountingService service(server_machine, Port(0xC7C7),
+                          std::make_shared<storage::MemoryBackend>(2), 16, 64,
+                          options);
+  service.committer().set_post_flush_hook([&](const auto&) {
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return open; });
+  });
+  service.start(1);
+  const Port reply_get(0x5858);
+  net::Receiver replies = client_machine.listen(reply_get);
+
+  constexpr int kClients = 8;
+  const std::uint64_t groups_before = service.committer().stats().groups;
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = false;
+  }
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(client_machine.transmit(
+        stamped(service.put_port(), CountingService::kEffect, 0xD000 + c, 1,
+                reply_get),
+        server_machine.id()));
+  }
+  EXPECT_TRUE(eventually([&] { return service.executions.load() == kClients; }))
+      << "the worker waited for a flush: " << service.executions.load()
+      << " of " << kClients << " handlers ran";
+  EXPECT_FALSE(replies.receive({}, 100ms).has_value())
+      << "a reply left before its flush was durable";
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = true;
+  }
+  gate_cv.notify_all();
+  for (int c = 0; c < kClients; ++c) {
+    const auto reply = replies.receive({}, 2'000ms);
+    ASSERT_TRUE(reply.has_value()) << "reply " << c;
+    EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
+  }
+  EXPECT_LE(service.committer().stats().groups - groups_before, 2u)
+      << "the parked replies did not share their flushes";
+}
+
+TEST(ReplyStreamTest, ParkedRepliesAnswerInternalWhenTheFlushFails) {
+  // A single request and a 32-entry envelope are parked behind a cycle
+  // whose backend write then throws: the committer latches failed, both
+  // answer `internal` -- no envelope entry reads ok -- and a retransmit
+  // of either is answered from the reply cache, not executed again.
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& client_machine = net.add_machine("client");
+  auto volume = std::make_shared<GatedBackend>(2);
+  CountingService service(server_machine, Port(0xC8C8), volume, 16, 64);
+  struct FailOnExit {  // a failed assertion must not leave the gate shut
+    GatedBackend& volume;
+    ~FailOnExit() { volume.open(/*fail=*/true); }
+  } fail_on_exit{*volume};
+  service.start(1);
+  const Port reply_get(0x5959);
+  net::Receiver replies = client_machine.listen(reply_get);
+  constexpr std::uint64_t kSingle = 0xE001;
+  constexpr std::uint64_t kPayroll = 0xE002;
+  constexpr std::size_t kEntries = 32;
+
+  volume->close();
+  const net::Message single =
+      stamped(service.put_port(), CountingService::kEffect, kSingle, 1,
+              reply_get);
+  const net::Message payroll =
+      effect_envelope(service.put_port(), kPayroll, 1, reply_get, kEntries);
+  ASSERT_TRUE(client_machine.transmit(single, server_machine.id()));
+  ASSERT_TRUE(eventually([&] { return service.executions.load() == 1; }));
+  ASSERT_TRUE(client_machine.transmit(payroll, server_machine.id()));
+  ASSERT_TRUE(eventually([&] {
+    return service.executions.load() == 1 + static_cast<int>(kEntries);
+  }));
+  EXPECT_FALSE(replies.receive({}, 100ms).has_value())
+      << "a reply left before its flush was durable";
+  volume->open(/*fail=*/true);
+
+  const auto expect_internal = [&](const net::Message& reply) {
+    EXPECT_EQ(reply.header.status, ErrorCode::internal);
+    const auto entries = rpc::decode_batch_reply(reply.data);
+    if (entries.has_value()) {
+      for (const rpc::BatchReply& entry : *entries) {
+        EXPECT_NE(entry.status, ErrorCode::ok) << "an entry read ok";
+      }
+    }
+  };
+  for (int i = 0; i < 2; ++i) {
+    const auto reply = replies.receive({}, 2'000ms);
+    ASSERT_TRUE(reply.has_value()) << "reply " << i;
+    expect_internal(reply->message);
+  }
+  const int executed = service.executions.load();
+  ASSERT_TRUE(client_machine.transmit(single, server_machine.id()));
+  ASSERT_TRUE(client_machine.transmit(payroll, server_machine.id()));
+  for (int i = 0; i < 2; ++i) {
+    const auto reply = replies.receive({}, 2'000ms);
+    ASSERT_TRUE(reply.has_value()) << "retransmit " << i;
+    expect_internal(reply->message);
+  }
+  EXPECT_EQ(service.executions.load(), executed) << "a retransmit ran again";
+  EXPECT_EQ(service.reply_cache_stats().replies_resent, 2u);
+}
+
+TEST(ReplyStreamTest, DestroyingAServerSendsItsParkedReplies) {
+  // The server is destroyed while its replies are parked behind a closed
+  // gate that another thread opens: destruction waits for them, sends
+  // them, and only then lets the committer they wait on go.
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& client_machine = net.add_machine("client");
+  const Port reply_get(0x5A5A);
+  net::Receiver replies = client_machine.listen(reply_get);
+  auto volume = std::make_shared<GatedBackend>(2);
+  constexpr int kClients = 4;
+  std::jthread opener;
+  {
+    CountingService service(server_machine, Port(0xC9C9), volume, 16, 64);
+    // Destroyed just before the server: the gate opens from `opener`
+    // while the server's destructor is already waiting.
+    struct OpenLater {
+      std::jthread& opener;
+      GatedBackend& volume;
+      ~OpenLater() {
+        opener = std::jthread([&gate = volume] {
+          std::this_thread::sleep_for(50ms);
+          gate.open();
+        });
+      }
+    } open_later{opener, *volume};
+    service.start(1);
+    volume->close();
+    for (int c = 0; c < kClients; ++c) {
+      ASSERT_TRUE(client_machine.transmit(
+          stamped(service.put_port(), CountingService::kEffect, 0xF000 + c,
+                  1, reply_get),
+          server_machine.id()));
+    }
+    ASSERT_TRUE(
+        eventually([&] { return service.executions.load() == kClients; }));
+    EXPECT_FALSE(replies.receive({}, 50ms).has_value())
+        << "a reply left before its flush was durable";
+  }
+  opener.join();
+  for (int c = 0; c < kClients; ++c) {
+    const auto reply = replies.receive({}, 2'000ms);
+    ASSERT_TRUE(reply.has_value()) << "parked reply " << c << " was lost";
+    EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
+  }
+}
+
+TEST(ReplyStreamTest, OnlyAWorkerInstallsTheReplyStreamSnapshot) {
+  // Reply bodies are appended by the replier, and a 1 KiB body is what
+  // usually carries the stream past its snapshot threshold; the install
+  // (temp file, two fsyncs, rename on a file volume) must still run on a
+  // worker, never on the replier every parked reply waits behind.
+  auto volume = std::make_shared<CountingBackend>(
+      std::make_shared<storage::MemoryBackend>(2));
+  std::mutex installers_mutex;
+  std::vector<std::thread::id> installers;
+  volume->after_install = [&](std::size_t stream) {
+    if (stream == volume->reply_stream()) {
+      const std::lock_guard lock(installers_mutex);
+      installers.push_back(std::this_thread::get_id());
+    }
+  };
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& client_machine = net.add_machine("client");
+  CountingService service(server_machine, Port(0xCACA), volume, 16, 64);
+  service.start(1);
+  const Port reply_get(0x5B5B);
+  net::Receiver replies = client_machine.listen(reply_get);
+  const Buffer body(1024, 0x5A);
+  for (std::uint64_t seq = 1; seq <= 300; ++seq) {
+    ASSERT_TRUE(client_machine.transmit(
+        stamped(service.put_port(), CountingService::kEcho, 0xABC, seq,
+                reply_get, body),
+        server_machine.id()));
+    ASSERT_TRUE(replies.receive({}, 2'000ms).has_value()) << "seq " << seq;
+  }
+  service.stop();
+  const std::thread::id worker = service.handler_thread.load();
+  const std::lock_guard lock(installers_mutex);
+  EXPECT_GE(installers.size(), 3u) << "the stream never compacted";
+  for (const std::thread::id installer : installers) {
+    EXPECT_EQ(installer, worker) << "a snapshot was installed off the worker";
+  }
 }
 
 // ---------------------------------------------------------------------
