@@ -189,12 +189,11 @@ class Service {
 
   // ---- durable restart support ----------------------------------------
 
-  /// Wires the at-most-once reply cache to a storage volume's reply stream:
-  /// restores the per-client suppression floors and reply bodies the
-  /// previous incarnation left there (and migrates a legacy `reply-floors`
-  /// metadata image, see docs/PROTOCOL.md §8.4), then journals a floor
-  /// record for every freshly claimed at-most-once request and a body
-  /// record for every completed one.  Rows restored beyond the cache's
+  /// Wires the at-most-once reply cache to a storage volume's reply stream
+  /// (docs/PROTOCOL.md §8.4): restores the per-client suppression floors
+  /// and reply bodies the previous incarnation left there, then journals a
+  /// floor record for every freshly claimed at-most-once request and a
+  /// body record for every completed one.  Rows restored beyond the cache's
   /// current limits are pruned like live overflow.  Null backend: no-op.
   /// Call from the server constructor, before start().
   ///

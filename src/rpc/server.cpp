@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -17,11 +16,6 @@
 namespace amoeba::rpc {
 
 namespace {
-/// Metadata key of the legacy whole-volume reply-cache image, read once at
-/// attach for migration and emptied once the reply stream subsumes it
-/// (docs/PROTOCOL.md §8.4).
-constexpr std::string_view kReplyFloorsKey = "reply-floors";
-
 /// Serializes one completed reply in wire-independent form: everything a
 /// re-send needs except the fields recomputed per transmission (dest,
 /// opcode) or known from the persisted key (client, seq).
@@ -622,27 +616,13 @@ void Service::attach_durability(
       return line;
     });
   }
-  // Recovery: the reply stream, plus the whole-volume image earlier
-  // versions kept as metadata (max-merge makes the order irrelevant).
   std::uint64_t last_lsn = 0;
-  storage::ReplyRows rows = storage::read_reply_stream(*backend, last_lsn);
-  const Buffer legacy = backend->get_meta(kReplyFloorsKey);
-  storage::merge_legacy_reply_image(legacy, rows);
-  restore_reply_rows(rows);
+  restore_reply_rows(storage::read_reply_stream(*backend, last_lsn));
   prune_reply_cache();
   const std::lock_guard lock(reply_append_mutex_);
   reply_lsn_ = last_lsn;
   reply_backend_ = std::move(backend);
   reply_committer_ = std::move(committer);
-  if (!legacy.empty()) {
-    // Migration: fold the legacy image into a stream snapshot, and only
-    // once that is durable empty the blob (a crash in between leaves both,
-    // which max-merge reads the same).
-    if (snapshot_reply_stream(reply_lsn_) == 0) {
-      throw UsageError("Service: cannot snapshot the migrated reply cache");
-    }
-    reply_backend_->put_meta(kReplyFloorsKey, {});
-  }
 }
 
 net::Message Service::handle(const net::Delivery& request) {

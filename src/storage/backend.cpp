@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -111,28 +110,6 @@ Buffer MemoryBackend::read_snapshot(std::size_t shard) const {
   return s.snapshot;
 }
 
-void MemoryBackend::put_meta(std::string_view key,
-                             std::span<const std::uint8_t> value) {
-  const std::lock_guard lock(meta_mutex_);
-  meta_[std::string(key)] = Buffer(value.begin(), value.end());
-}
-
-Buffer MemoryBackend::get_meta(std::string_view key) const {
-  const std::lock_guard lock(meta_mutex_);
-  const auto it = meta_.find(key);
-  return it == meta_.end() ? Buffer{} : it->second;
-}
-
-std::vector<std::string> MemoryBackend::meta_keys() const {
-  const std::lock_guard lock(meta_mutex_);
-  std::vector<std::string> keys;
-  keys.reserve(meta_.size());
-  for (const auto& [key, value] : meta_) {
-    keys.push_back(key);
-  }
-  return keys;
-}
-
 bool MemoryBackend::empty() const {
   for (const auto& shard : shards_) {
     const std::lock_guard lock(shard->mutex);
@@ -140,8 +117,7 @@ bool MemoryBackend::empty() const {
       return false;
     }
   }
-  const std::lock_guard lock(meta_mutex_);
-  return meta_.empty();
+  return true;
 }
 
 void MemoryBackend::set_append_hook(std::function<void(std::uint64_t)> hook) {
@@ -167,8 +143,8 @@ void MemoryBackend::hook_after_append() {
 
 std::shared_ptr<MemoryBackend> MemoryBackend::capture() const {
   auto image = std::make_shared<MemoryBackend>(shard_count());
-  // Every shard lock ascending, then meta: multi-shard append groups are
-  // either fully on the image or fully absent.
+  // Every shard lock ascending: multi-shard append groups are either fully
+  // on the image or fully absent.
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) {
@@ -177,10 +153,6 @@ std::shared_ptr<MemoryBackend> MemoryBackend::capture() const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     image->shards_[s]->journal = shards_[s]->journal;
     image->shards_[s]->snapshot = shards_[s]->snapshot;
-  }
-  {
-    const std::lock_guard meta_lock(meta_mutex_);
-    image->meta_ = meta_;
   }
   image->appends_.store(appends_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -288,19 +260,21 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
       snapshot_mutexes_(shards + 1) {
   check_shards(shards);
   std::filesystem::create_directories(directory_);
-  // Formats 1 and 2 kept a journal file per stream.  A server only ever
-  // left them empty; records in one come from a synchronous writer of an
+  // Formats 1 and 2 kept a journal file per stream, and formats 1 to 3 a
+  // metadata area of meta-KEY.bin blobs.  A server only ever left the
+  // journals empty; records in one come from a synchronous writer of an
   // older binary, and recovering without them would lose acknowledged
-  // state.
-  for (std::size_t s = 0; s <= shards; ++s) {
-    const auto legacy =
-        directory_ / (s == shards ? std::string("reply.journal")
-                                  : "shard-" + std::to_string(s) + ".journal");
+  // state.  A blob is format 1's unmigrated reply-floors image (dropping
+  // it would re-execute requests) or a format-3 backup's applied floor.
+  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
+    const std::string name = entry.path().filename().string();
+    const bool legacy = name.ends_with(".journal") ||
+                        (name.starts_with("meta-") && name.ends_with(".bin"));
     std::error_code ec;
-    if (std::filesystem::file_size(legacy, ec) > 0 && !ec) {
-      throw UsageError("FileBackend: " + legacy.string() +
-                       " holds per-stream journal records, which this "
-                       "on-disk format does not read; refusing the volume");
+    if (legacy && std::filesystem::file_size(entry.path(), ec) > 0 && !ec) {
+      throw UsageError("FileBackend: " + entry.path().string() +
+                       " holds data of an older on-disk format, which this "
+                       "format does not read; refusing the volume");
     }
   }
   dir_fd_ = ::open(directory_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
@@ -347,62 +321,6 @@ std::filesystem::path FileBackend::snapshot_path(std::size_t shard) const {
 
 std::filesystem::path FileBackend::commit_log_path() const {
   return directory_ / "commit.log";
-}
-
-namespace {
-
-/// Filename-safe, LOSSLESS key encoding: alphanumerics and '-' pass
-/// through, every other byte becomes %XX.  Reversible so meta_keys() can
-/// reconstruct the original keys from a directory listing (the replication
-/// resync path replays them on the backup under their true names).
-[[nodiscard]] std::string escape_meta_key(std::string_view key) {
-  static constexpr char kHex[] = "0123456789ABCDEF";
-  std::string safe;
-  safe.reserve(key.size());
-  for (const char c : key) {
-    const auto byte = static_cast<unsigned char>(c);
-    if (std::isalnum(byte) != 0 || c == '-') {
-      safe.push_back(c);
-    } else {
-      safe.push_back('%');
-      safe.push_back(kHex[byte >> 4]);
-      safe.push_back(kHex[byte & 0xF]);
-    }
-  }
-  return safe;
-}
-
-[[nodiscard]] std::string unescape_meta_key(std::string_view safe) {
-  std::string key;
-  key.reserve(safe.size());
-  for (std::size_t i = 0; i < safe.size(); ++i) {
-    if (safe[i] == '%' && i + 2 < safe.size()) {
-      const auto nibble = [](char c) -> int {
-        if (c >= '0' && c <= '9') {
-          return c - '0';
-        }
-        if (c >= 'A' && c <= 'F') {
-          return c - 'A' + 10;
-        }
-        return -1;
-      };
-      const int hi = nibble(safe[i + 1]);
-      const int lo = nibble(safe[i + 2]);
-      if (hi >= 0 && lo >= 0) {
-        key.push_back(static_cast<char>((hi << 4) | lo));
-        i += 2;
-        continue;
-      }
-    }
-    key.push_back(safe[i]);
-  }
-  return key;
-}
-
-}  // namespace
-
-std::filesystem::path FileBackend::meta_path(std::string_view key) const {
-  return directory_ / ("meta-" + escape_meta_key(key) + ".bin");
 }
 
 Buffer FileBackend::read_journal(std::size_t shard) const {
@@ -551,33 +469,6 @@ Buffer FileBackend::read_snapshot(std::size_t shard) const {
   return read_file(snapshot_path(shard));
 }
 
-void FileBackend::put_meta(std::string_view key,
-                           std::span<const std::uint8_t> value) {
-  const std::lock_guard lock(meta_mutex_);
-  // An unwritten floor image must not replace the durable one (the
-  // write-ahead ordering of §8.4 depends on it); replace_file_durably
-  // fsyncs the content before the rename and the directory after it.
-  replace_file_durably(meta_path(key), value, "metadata");
-}
-
-Buffer FileBackend::get_meta(std::string_view key) const {
-  const std::lock_guard lock(meta_mutex_);
-  return read_file(meta_path(key));
-}
-
-std::vector<std::string> FileBackend::meta_keys() const {
-  const std::lock_guard lock(meta_mutex_);
-  std::vector<std::string> keys;
-  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
-    const auto name = entry.path().filename().string();
-    if (name.starts_with("meta-") && name.ends_with(".bin")) {
-      keys.push_back(unescape_meta_key(
-          std::string_view(name).substr(5, name.size() - 9)));
-    }
-  }
-  return keys;
-}
-
 bool FileBackend::empty() const {
   for (std::size_t s = 0; s < stream_count(); ++s) {
     std::error_code ec;
@@ -585,21 +476,8 @@ bool FileBackend::empty() const {
       return false;
     }
   }
-  {
-    const std::lock_guard lock(commit_mutex_);
-    if (commit_log_bytes_ > 0) {
-      return false;
-    }
-  }
-  const std::lock_guard lock(meta_mutex_);
-  for (const auto& entry :
-       std::filesystem::directory_iterator(directory_)) {
-    const auto name = entry.path().filename().string();
-    if (name.starts_with("meta-")) {
-      return false;
-    }
-  }
-  return true;
+  const std::lock_guard lock(commit_mutex_);
+  return commit_log_bytes_ == 0;
 }
 
 }  // namespace amoeba::storage

@@ -1,11 +1,13 @@
 // Pluggable storage volumes behind the durable object store.
 //
 // A Backend is one "disk" holding, per shard, an append-only journal and
-// the most recent snapshot, plus a small named-metadata area.  Next to the
-// object shards every volume reserves one more journal stream, the REPLY
-// STREAM (index reply_stream() == shard_count()): rpc::Service persists
-// its at-most-once reply cache there as O(1)-byte records
-// (storage/reply_stream.hpp).  The object store never addresses it.
+// the most recent snapshot.  Next to the object shards every volume
+// reserves one more journal stream, the REPLY STREAM (index
+// reply_stream() == shard_count()): rpc::Service persists its
+// at-most-once reply cache there as O(1)-byte records
+// (storage/reply_stream.hpp), and a replication backup keeps its applied
+// floor there (replication/replica.hpp).  The object store never
+// addresses it.
 //
 // Every journal write is an append GROUP -- per-stream runs of framed
 // records that land atomically -- through the one virtual write method,
@@ -20,14 +22,13 @@
 //     machine losing power at that instant would leave behind.  Recovery
 //     from a captured image IS the simulated crash+restart.
 //   * FileBackend -- one directory on the real filesystem holding ONE
-//     journal, commit.log, plus shard-N.snap / reply.snap / meta-KEY.bin.
-//     Each group is one checksummed commit.log frame -- one write(2), one
-//     fsync(2), however many streams it touches -- so a torn tail drops a
-//     whole group, never half of one.  Snapshots and metadata are
-//     installed via write-temp + fsync + rename + directory fsync
-//     (std::ofstream::flush() only reaches the page cache, not the
-//     platter).  This is the durable deployment shape and what bench_e14
-//     measures.
+//     journal, commit.log, plus shard-N.snap / reply.snap.  Each group is
+//     one checksummed commit.log frame -- one write(2), one fsync(2),
+//     however many streams it touches -- so a torn tail drops a whole
+//     group, never half of one.  Snapshots are installed via write-temp +
+//     fsync + rename + directory fsync (std::ofstream::flush() only
+//     reaches the page cache, not the platter).  This is the durable
+//     deployment shape and what bench_e14 measures.
 //
 // Concurrency: every method is thread-safe.  A group is atomic with
 // respect to capture() and to a crash: a two-shard mutation (a bank
@@ -39,12 +40,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "amoeba/common/serial.hpp"
@@ -100,17 +98,8 @@ class Backend {
   /// Whole-snapshot read (recovery); empty when none was installed.
   [[nodiscard]] virtual Buffer read_snapshot(std::size_t shard) const = 0;
 
-  /// Small named metadata blobs, replaced atomically per put.
-  virtual void put_meta(std::string_view key,
-                        std::span<const std::uint8_t> value) = 0;
-  [[nodiscard]] virtual Buffer get_meta(std::string_view key) const = 0;
-  /// Every metadata key currently on the volume (unspecified order).  The
-  /// replication resync path walks this to ship a new backup the whole
-  /// metadata area.
-  [[nodiscard]] virtual std::vector<std::string> meta_keys() const = 0;
-
-  /// True when the volume holds no journal bytes, snapshots, or metadata
-  /// (a fresh disk: the store initializes instead of recovering).
+  /// True when the volume holds no journal bytes or snapshots (a fresh
+  /// disk: the store initializes instead of recovering).
   [[nodiscard]] virtual bool empty() const = 0;
 };
 
@@ -128,10 +117,6 @@ class MemoryBackend final : public Backend {
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override;
-  void put_meta(std::string_view key,
-                std::span<const std::uint8_t> value) override;
-  [[nodiscard]] Buffer get_meta(std::string_view key) const override;
-  [[nodiscard]] std::vector<std::string> meta_keys() const override;
   [[nodiscard]] bool empty() const override;
 
   /// Installs the journal-barrier hook: invoked after every journal append
@@ -146,8 +131,8 @@ class MemoryBackend final : public Backend {
   }
 
   /// Deep copy of the volume as of now -- the disk image a crash at this
-  /// instant would leave.  Takes every shard lock (ascending) plus the
-  /// meta lock, so multi-shard append groups are never torn across it.
+  /// instant would leave.  Takes every shard lock (ascending), so
+  /// multi-shard append groups are never torn across it.
   [[nodiscard]] std::shared_ptr<MemoryBackend> capture() const;
 
  private:
@@ -160,8 +145,6 @@ class MemoryBackend final : public Backend {
   void hook_after_append();
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex meta_mutex_;
-  std::map<std::string, Buffer, std::less<>> meta_;
   std::atomic<std::uint64_t> appends_{0};
   std::atomic<bool> hook_set_{false};  // fast-path gate for hook_after_append
   mutable std::mutex hook_mutex_;
@@ -174,8 +157,9 @@ class FileBackend final : public Backend {
   /// Creates the directory if needed; an existing volume must have been
   /// written with the same shard count.  Throws UsageError naming the file
   /// when the directory holds a non-empty per-stream journal
-  /// (`shard-N.journal`, `reply.journal`) of an older on-disk format:
-  /// such volumes are refused, not migrated (docs/PROTOCOL.md §8).
+  /// (`shard-N.journal`, `reply.journal`) or metadata blob
+  /// (`meta-KEY.bin`) of an older on-disk format: such volumes are
+  /// refused, not migrated (docs/PROTOCOL.md §8).
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 
@@ -189,10 +173,6 @@ class FileBackend final : public Backend {
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override;
-  void put_meta(std::string_view key,
-                std::span<const std::uint8_t> value) override;
-  [[nodiscard]] Buffer get_meta(std::string_view key) const override;
-  [[nodiscard]] std::vector<std::string> meta_keys() const override;
   [[nodiscard]] bool empty() const override;
 
   [[nodiscard]] const std::filesystem::path& directory() const {
@@ -202,7 +182,6 @@ class FileBackend final : public Backend {
  private:
   [[nodiscard]] std::filesystem::path commit_log_path() const;
   [[nodiscard]] std::filesystem::path snapshot_path(std::size_t shard) const;
-  [[nodiscard]] std::filesystem::path meta_path(std::string_view key) const;
   /// write-temp + fsync + rename + directory fsync (the full atomic
   /// replacement recipe -- a rename alone is not durable until the
   /// directory entry itself reaches the disk).
@@ -231,7 +210,6 @@ class FileBackend final : public Backend {
   mutable std::vector<Buffer> commit_split_;
   /// One per stream: serializes a snapshot's install against its reads.
   mutable std::vector<std::mutex> snapshot_mutexes_;
-  mutable std::mutex meta_mutex_;
   std::uint64_t commit_gc_low_ = 0;  // log size after the last GC rewrite
   std::vector<std::uint64_t> commit_floor_;  // per-stream snapshot applied LSN
 };

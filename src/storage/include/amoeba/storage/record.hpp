@@ -83,7 +83,8 @@ void encode_group_body(std::span<const ShardAppend> appends, Buffer& out);
 void encode_group_frame(std::span<const ShardAppend> appends, Buffer& frame);
 
 /// Decodes a group body that fills `body` exactly.  False on a count
-/// larger than the bytes left, a short entry, or trailing bytes.
+/// larger than the bytes left can hold (8 per entry), a short entry, or
+/// trailing bytes.
 [[nodiscard]] bool decode_group_body(std::span<const std::uint8_t> body,
                                      std::vector<ShardAppend>& out);
 

@@ -2,24 +2,25 @@
 //
 // A ReplicaApplier owns a local volume and applies the primary's shipments
 // to it in shipment order: cycle frames append the primary's journal
-// records (and metadata images) byte for byte, snapshot shipments replace
-// one shard's snapshot exactly as local compaction would.  The volume a
-// long-running applier maintains is therefore the same volume the primary
-// would leave behind on its own disk -- secrets, reply-cache floors and
-// all -- which is the whole failover story: promote the backup, construct
-// servers over its volume, and every pre-crash capability validates with
-// nothing re-minted.
+// records byte for byte, snapshot shipments replace one shard's snapshot
+// exactly as local compaction would.  The volume a long-running applier
+// maintains is therefore the same volume the primary would leave behind
+// on its own disk -- secrets, reply-cache floors and all -- which is the
+// whole failover story: promote the backup, construct servers over its
+// volume, and every pre-crash capability validates with nothing
+// re-minted.
 //
 // Idempotence is LSN-floor gated.  Every shipment carries a replication
 // LSN assigned in primary ship order; the applier keeps the floor of
-// applied LSNs.  A cycle is appended as ONE group together with a
-// rep_applied marker record naming its LSN (on a file volume: one
-// commit-log frame, one fsync), so the floor is durable exactly when the
-// cycle is; a snapshot install persists the floor to the volume's own
-// metadata area instead (`rep.applied`, AFTER the install -- safe, because
-// replay is idempotent, so a shipment replayed across that crash window
-// converges).  The marker lives in the backup's reply stream and never
-// ships (ReplicatedBackend's resync strips it).  At or below
+// applied LSNs, and its one durable home is the rep_applied marker records
+// of the backup's own reply stream.  A cycle is appended as ONE group
+// together with a marker naming its LSN (on a file volume: one commit-log
+// frame, one fsync), so the floor is durable exactly when the cycle is.  A
+// snapshot install appends its marker as a group of one AFTER the install
+// returns: a crash in between leaves the floor too low, never too high,
+// which costs at most one resync (replay is idempotent, so a shipment
+// replayed across that window converges).  Markers never ship
+// (ReplicatedBackend's resync strips them).  At or below
 // the floor: a duplicate (a lossy link's retransmission), acknowledged
 // without re-applying.  Exactly floor+1: applied.  Further ahead: a gap --
 // rejected with `conflict`, which the primary answers with a full resync.
@@ -33,39 +34,33 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string_view>
 
 #include "amoeba/common/error.hpp"
 #include "amoeba/storage/backend.hpp"
 
 namespace amoeba::storage {
 
-/// Metadata keys the replication layer itself owns on a backup volume.
-/// The primary never ships keys under this prefix (a resync must not
-/// clobber the backup's own applied floor).
-inline constexpr std::string_view kRepMetaPrefix = "rep.";
-/// The applier's LSN floor as of its last snapshot install (u64, Writer
-/// encoding); later cycles carry theirs as rep_applied records.
-inline constexpr std::string_view kRepAppliedKey = "rep.applied";
-
 class ReplicaApplier {
  public:
   /// Adopts `local` as the backup volume; restores the applied floor the
-  /// previous incarnation persisted (a restarted backup resumes exactly
-  /// where its volume left off -- the primary's retransmits below the
-  /// floor are acknowledged as duplicates).
+  /// previous incarnation persisted, the largest rep_applied marker in the
+  /// reply stream (a restarted backup resumes exactly where its volume
+  /// left off -- the primary's retransmits below the floor are
+  /// acknowledged as duplicates).
   explicit ReplicaApplier(std::shared_ptr<Backend> local);
 
   /// Applies one encoded cycle frame (replication/wire.hpp).  Returns the
   /// applied floor on success and for suppressed duplicates;
-  /// `invalid_argument` for a torn/corrupt frame, `conflict` for a gap,
+  /// `invalid_argument` for a torn/corrupt frame or one naming a stream
+  /// this volume lacks (nothing is appended), `conflict` for a gap,
   /// `immutable` once promoted.
   [[nodiscard]] Result<std::uint64_t> apply_cycle(
       std::span<const std::uint8_t> frame);
 
-  /// Applies one shipped shard snapshot (replaces the shard's snapshot and
-  /// truncates its journal, like local compaction) and adopts `rep_lsn` as
-  /// the floor.  Same duplicate/promoted answers as apply_cycle.
+  /// Applies one shipped shard snapshot (replaces the shard's snapshot,
+  /// like local compaction) and adopts `rep_lsn` as the floor, appending
+  /// its marker once the install returned.  Same duplicate/promoted
+  /// answers as apply_cycle.
   [[nodiscard]] Result<std::uint64_t> install_snapshot(
       std::uint64_t rep_lsn, std::size_t shard,
       std::span<const std::uint8_t> bytes);
@@ -82,7 +77,8 @@ class ReplicaApplier {
   }
 
  private:
-  void persist_floor_locked();
+  /// The reply-stream run of one rep_applied marker naming `rep_lsn`.
+  [[nodiscard]] ShardAppend floor_marker(std::uint64_t rep_lsn) const;
 
   mutable std::mutex mutex_;
   std::shared_ptr<Backend> local_;

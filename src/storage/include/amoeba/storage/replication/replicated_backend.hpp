@@ -14,8 +14,8 @@
 //     arrangement), each append group ships as its own mini-cycle.
 //     Per-shard ordering is preserved because the store holds the shard
 //     lock across the local write and the enqueue.
-//   * install_snapshot (compaction) and put_meta always ship, under
-//     either arrangement: backups compact when the primary does.
+//   * install_snapshot (compaction) always ships, under either
+//     arrangement: backups compact when the primary does.
 //
 // The ack mode decides when a mutator's durability wait releases:
 //   async    local disk only; shipping is fire-and-forget.
@@ -28,9 +28,9 @@
 // retried until acknowledged -- the at-most-once RPC layer plus the
 // replica's LSN floor make retransmits harmless.  A backup that answers
 // `conflict` (LSN gap: it restarted, or attached mid-stream) triggers a
-// full resync: the primary broadcasts its current snapshots, journals and
-// metadata as fresh shipments that every peer can adopt (snapshot
-// shipments MOVE the replica floor rather than gap-checking against it).
+// full resync: the primary broadcasts its current snapshots and journals
+// as fresh shipments that every peer can adopt (snapshot shipments MOVE
+// the replica floor rather than gap-checking against it).
 #pragma once
 
 #include <atomic>
@@ -103,15 +103,11 @@ class ReplicatedBackend final : public Backend {
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override;
-  void put_meta(std::string_view key,
-                std::span<const std::uint8_t> value) override;
-  [[nodiscard]] Buffer get_meta(std::string_view key) const override;
-  [[nodiscard]] std::vector<std::string> meta_keys() const override;
   [[nodiscard]] bool empty() const override;
 
-  /// Attaches a backup and resyncs it: the primary's current snapshots,
-  /// journals and metadata (minus "rep."-prefixed keys) are broadcast as
-  /// fresh shipments, so the new peer converges from any starting state
+  /// Attaches a backup and resyncs it: the primary's current snapshots
+  /// and journals (minus rep_applied markers) are broadcast as fresh
+  /// shipments, so the new peer converges from any starting state
   /// and existing peers just fast-forward their floors.  The peer's
   /// shipper first probes its applied floor (heartbeat, retried until it
   /// answers) and numbers on above it, so a primary restarted over its
@@ -181,10 +177,9 @@ class ReplicatedBackend final : public Backend {
   void await_acks(const std::shared_ptr<Shipment>& shipment);
   /// Encodes + broadcasts one cycle frame -- a direct-path mini-cycle or a
   /// committer flush cycle (the post-flush hook body) -- then waits.
-  void ship_mini_cycle(std::span<const MetaImage> metas,
-                       std::span<const ShardAppend> appends);
-  /// Broadcasts the volume's current snapshots + journals + metadata as
-  /// fresh shipments (attach and gap recovery).
+  void ship_mini_cycle(std::span<const ShardAppend> appends);
+  /// Broadcasts the volume's current snapshots + journals as fresh
+  /// shipments (attach and gap recovery).
   void resync_locked();
   /// The shipper's first step: learns the peer's floor (retrying until
   /// the heartbeat answers).  If the floor reaches the first queued

@@ -73,12 +73,6 @@ bool merge_reply_record(const Record& record, ReplyRows& rows);
 bool merge_reply_snapshot(std::span<const std::uint8_t> image,
                           ReplyRows& rows, std::uint64_t& applied_lsn);
 
-/// Folds a legacy `reply-floors` metadata image -- the whole-volume image
-/// of earlier versions, magic-led "RCV2" or floors-only -- into `rows`
-/// (the migration path).  Malformed rows are skipped whole.
-void merge_legacy_reply_image(std::span<const std::uint8_t> image,
-                              ReplyRows& rows);
-
 /// Everything `backend`'s reply stream holds: its snapshot, then every
 /// journal record past the snapshot's applied LSN.  `last_lsn` receives the
 /// highest stream LSN seen.  Throws UsageError on a corrupt snapshot (the

@@ -99,8 +99,10 @@ bool decode_group_body(std::span<const std::uint8_t> body,
   out.clear();
   Reader r(body);
   const std::uint32_t count = r.u32();
-  if (!r.ok() || count > r.remaining()) {
-    return false;  // hostile count: reject before allocating
+  // Every entry takes at least 8 bytes (stream and run length): a hostile
+  // count is rejected before it sizes an allocation.
+  if (!r.ok() || count > r.remaining() / 8) {
+    return false;
   }
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

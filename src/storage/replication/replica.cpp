@@ -14,16 +14,7 @@ ReplicaApplier::ReplicaApplier(std::shared_ptr<Backend> local)
   if (local_ == nullptr) {
     throw UsageError("ReplicaApplier: null backend");
   }
-  // The floor is the newer of the one persisted at the last snapshot
-  // install and the last cycle frame's own marker.
-  const Buffer floor = local_->get_meta(kRepAppliedKey);
-  if (!floor.empty()) {
-    Reader r(floor);
-    const std::uint64_t applied = r.u64();
-    if (r.exhausted()) {
-      applied_ = applied;
-    }
-  }
+  // The floor is the largest marker still in the reply stream.
   for (const Record& record :
        decode_journal(local_->read_journal(local_->reply_stream()))) {
     if (record.type == RecordType::rep_applied) {
@@ -36,10 +27,13 @@ ReplicaApplier::ReplicaApplier(std::shared_ptr<Backend> local)
   }
 }
 
-void ReplicaApplier::persist_floor_locked() {
-  Writer w;
-  w.u64(applied_);
-  local_->put_meta(kRepAppliedKey, w.take());
+ShardAppend ReplicaApplier::floor_marker(std::uint64_t rep_lsn) const {
+  Writer marker;
+  marker.u64(rep_lsn);
+  Buffer record;
+  encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
+                     marker.buffer(), record);
+  return {local_->reply_stream(), std::move(record)};
 }
 
 Result<std::uint64_t> ReplicaApplier::apply_cycle(
@@ -52,25 +46,22 @@ Result<std::uint64_t> ReplicaApplier::apply_cycle(
   if (!decode_cycle_frame(frame, cycle)) {
     return ErrorCode::invalid_argument;
   }
+  for (const ShardAppend& a : cycle.appends) {
+    if (a.shard >= local_->stream_count()) {
+      return ErrorCode::invalid_argument;  // a stream this volume lacks
+    }
+  }
   if (cycle.rep_lsn <= applied_) {
     return applied_;  // duplicate shipment: ack without re-applying
   }
   if (cycle.rep_lsn != applied_ + 1) {
     return ErrorCode::conflict;  // gap: the primary must resync us
   }
-  for (auto& [key, value] : cycle.metas) {
-    local_->put_meta(key, value);
-  }
   // The cycle plus its applied marker go down as ONE group -- one
   // commit-log frame, one fsync on a file volume: the backup can never
   // hold half a cycle (an effect without its reply-stream floor), nor a
   // floor that claims a cycle it lacks.
-  Writer marker;
-  marker.u64(cycle.rep_lsn);
-  Buffer record;
-  encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
-                     marker.buffer(), record);
-  cycle.appends.push_back({local_->reply_stream(), std::move(record)});
+  cycle.appends.push_back(floor_marker(cycle.rep_lsn));
   local_->append_journal_batch(std::move(cycle.appends));
   applied_ = cycle.rep_lsn;
   return applied_;
@@ -92,9 +83,13 @@ Result<std::uint64_t> ReplicaApplier::install_snapshot(
   local_->install_snapshot(shard, bytes);
   // Adopt, don't gap-check: a snapshot subsumes every shipment behind it,
   // and in-order FIFO shipping already offered those to us.  This is what
-  // lets a full resync land on any floor.
+  // lets a full resync land on any floor.  The marker, a group of one,
+  // goes down only once the install returned: a marker written first
+  // could claim a snapshot the volume lacks after a crash, and the install
+  // itself may drop older markers (a reply-stream install drops the
+  // records it subsumes; a commit.log GC rewrite drops every marker).
+  local_->append_journal_batch({floor_marker(rep_lsn)});
   applied_ = rep_lsn;
-  persist_floor_locked();
   return applied_;
 }
 

@@ -7,7 +7,6 @@
 
 #include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/record.hpp"
-#include "amoeba/storage/replication/replica.hpp"
 
 namespace amoeba::storage {
 
@@ -69,14 +68,6 @@ Buffer ReplicatedBackend::read_snapshot(std::size_t shard) const {
   return local_->read_snapshot(shard);
 }
 
-Buffer ReplicatedBackend::get_meta(std::string_view key) const {
-  return local_->get_meta(key);
-}
-
-std::vector<std::string> ReplicatedBackend::meta_keys() const {
-  return local_->meta_keys();
-}
-
 bool ReplicatedBackend::empty() const { return local_->empty(); }
 
 void ReplicatedBackend::append_journal_batch(
@@ -98,7 +89,7 @@ void ReplicatedBackend::append_journal_batch(
   // matches local journal order.
   const std::vector<ShardAppend> to_ship = appends;
   local_->append_journal_batch(std::move(appends));
-  ship_mini_cycle({}, to_ship);
+  ship_mini_cycle(to_ship);
 }
 
 void ReplicatedBackend::install_snapshot(std::size_t shard,
@@ -115,16 +106,6 @@ void ReplicatedBackend::install_snapshot(std::size_t shard,
                          Buffer(bytes.begin(), bytes.end()));
 }
 
-void ReplicatedBackend::put_meta(std::string_view key,
-                                 std::span<const std::uint8_t> value) {
-  local_->put_meta(key, value);
-  if (key.starts_with(kRepMetaPrefix)) {
-    return;  // replication-internal keys never leave the volume
-  }
-  const MetaImage meta{key, value};
-  ship_mini_cycle(std::span(&meta, 1), {});
-}
-
 void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
   {
     // Relaxed store/load under mutex_: the mutex orders the bind itself;
@@ -138,7 +119,7 @@ void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
   }
   committer.set_post_flush_hook(
       [this](const GroupCommitter::FlushCycle& cycle) {
-        ship_mini_cycle({}, *cycle.appends);
+        ship_mini_cycle(*cycle.appends);
       });
 }
 
@@ -245,8 +226,7 @@ void ReplicatedBackend::await_acks(
   // (teardown), so an unmet ack count is reported as nothing.
 }
 
-void ReplicatedBackend::ship_mini_cycle(std::span<const MetaImage> metas,
-                                        std::span<const ShardAppend> appends) {
+void ReplicatedBackend::ship_mini_cycle(std::span<const ShardAppend> appends) {
   std::shared_ptr<Shipment> shipment;
   {
     const std::lock_guard lock(mutex_);
@@ -255,7 +235,7 @@ void ReplicatedBackend::ship_mini_cycle(std::span<const MetaImage> metas,
     }
     const std::uint64_t lsn = ++next_lsn_;
     shipment = broadcast_locked(lsn, false, 0,
-                                encode_cycle_frame(lsn, metas, appends));
+                                encode_cycle_frame(lsn, appends));
   }
   await_acks(shipment);
 }
@@ -271,8 +251,7 @@ void ReplicatedBackend::resync_locked() {
   for (std::size_t s = 0; s < shards; ++s) {
     (void)broadcast_locked(++next_lsn_, true, s, local_->read_snapshot(s));
   }
-  // ...then one cycle frame carrying every journal tail and every
-  // metadata image (minus replication-internal keys), which lands at
+  // ...then one cycle frame carrying every journal tail, which lands at
   // exactly floor+1.  Cycles already queued behind this point re-apply
   // on top; journal replay's LSN gating makes that a no-op.
   std::vector<ShardAppend> appends;
@@ -280,7 +259,7 @@ void ReplicatedBackend::resync_locked() {
     Buffer journal = local_->read_journal(s);
     if (s == local_->reply_stream()) {
       // A volume promoted from backup still carries its own rep_applied
-      // markers; like `rep.` metadata they are volume-private.
+      // markers; they are volume-private.
       Buffer kept;
       for (const Record& record : decode_journal(journal)) {
         if (record.type != RecordType::rep_applied) {
@@ -293,22 +272,8 @@ void ReplicatedBackend::resync_locked() {
       appends.push_back({s, std::move(journal)});
     }
   }
-  std::vector<std::pair<std::string, Buffer>> images;
-  for (std::string& key : local_->meta_keys()) {
-    if (std::string_view(key).starts_with(kRepMetaPrefix)) {
-      continue;
-    }
-    Buffer value = local_->get_meta(key);
-    images.emplace_back(std::move(key), std::move(value));
-  }
-  std::vector<MetaImage> metas;
-  metas.reserve(images.size());
-  for (const auto& [key, value] : images) {
-    metas.push_back({key, value});
-  }
   const std::uint64_t lsn = ++next_lsn_;
-  (void)broadcast_locked(lsn, false, 0,
-                         encode_cycle_frame(lsn, metas, appends));
+  (void)broadcast_locked(lsn, false, 0, encode_cycle_frame(lsn, appends));
 }
 
 bool ReplicatedBackend::probe_floor(Peer& peer, const std::stop_token& stop) {

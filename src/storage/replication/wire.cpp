@@ -5,15 +5,9 @@
 namespace amoeba::storage {
 
 Buffer encode_cycle_frame(std::uint64_t rep_lsn,
-                          std::span<const MetaImage> metas,
                           std::span<const ShardAppend> appends) {
   Writer w;
   w.u64(rep_lsn);
-  w.u32(static_cast<std::uint32_t>(metas.size()));
-  for (const MetaImage& meta : metas) {
-    w.str(meta.key);
-    w.bytes(meta.value);
-  }
   Buffer body = w.take();
   encode_group_body(appends, body);
   Writer frame;
@@ -37,23 +31,11 @@ bool decode_cycle_frame(std::span<const std::uint8_t> bytes,
   }
   Reader r(body);
   out.rep_lsn = r.u64();
-  const std::uint32_t meta_count = r.u32();
-  if (!r.ok() || meta_count > r.remaining()) {
-    return false;  // hostile count: reject before allocating
-  }
-  out.metas.clear();
-  out.metas.reserve(meta_count);
-  for (std::uint32_t i = 0; i < meta_count; ++i) {
-    std::string key = r.str();
-    Buffer value = r.bytes();
-    if (!r.ok()) {
-      return false;
-    }
-    out.metas.emplace_back(std::move(key), std::move(value));
+  if (!r.ok()) {
+    return false;
   }
   // The rest of the body is the append section: a commit.log group body.
-  return decode_group_body(body.subspan(body.size() - r.remaining()),
-                           out.appends);
+  return decode_group_body(body.subspan(8), out.appends);
 }
 
 }  // namespace amoeba::storage

@@ -9,11 +9,6 @@
 namespace amoeba::storage {
 namespace {
 
-/// Leading magic of the legacy body-carrying `reply-floors` image ("RCV2").
-/// The floors-only image before it starts with its row count instead; the
-/// magic is far above any plausible count, so the two parse unambiguously.
-constexpr std::uint32_t kLegacyImageMagic = 0x52435632u;
-
 void merge_row(ReplyRows& rows, std::uint32_t src, std::uint64_t client,
                std::uint64_t floor,
                std::vector<std::pair<std::uint64_t, Buffer>>&& bodies) {
@@ -128,34 +123,6 @@ bool merge_reply_snapshot(std::span<const std::uint8_t> image,
     merge_row(rows, src, client, floor, std::move(bodies));
   }
   return true;
-}
-
-void merge_legacy_reply_image(std::span<const std::uint8_t> image,
-                              ReplyRows& rows) {
-  if (image.empty()) {
-    return;
-  }
-  Reader r(image);
-  std::uint32_t count = r.u32();
-  const bool with_bodies = count == kLegacyImageMagic;
-  if (with_bodies) {
-    count = r.u32();  // the magic-led image puts its row count second
-  }
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    const std::uint32_t src = r.u32();
-    const std::uint64_t client = r.u64();
-    const std::uint64_t floor = r.u64();
-    std::vector<std::pair<std::uint64_t, Buffer>> bodies;
-    if (with_bodies && !read_bodies(r, r.u32(), bodies)) {
-      return;  // a torn row leaves no way to find the next one
-    }
-    if (!r.ok()) {
-      return;
-    }
-    if (floor != 0 || !bodies.empty()) {
-      merge_row(rows, src, client, floor, std::move(bodies));
-    }
-  }
 }
 
 ReplyRows read_reply_stream(const Backend& backend, std::uint64_t& last_lsn) {

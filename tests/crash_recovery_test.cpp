@@ -355,9 +355,9 @@ TEST_F(BankCrashSuite, StdDestroyNeverReexecutesAcrossRestart) {
 
   // The destroy's reply body is persisted best effort (enqueued, not
   // awaited).  A subsequent at-most-once claim persists ITS floor with a
-  // durability wait, and the metadata image is coalesced latest-wins, so
-  // after this balance call the body-carrying image is durably on the
-  // volume -- the capture below is deterministic.
+  // durability wait, and the body record was enqueued before that floor,
+  // so after this balance call the body is durably on the volume -- the
+  // capture below is deterministic.
   ASSERT_TRUE(client_->balance(alice_, currency::kDollar).ok());
 
   // Crash now; restart from the image.
@@ -368,7 +368,7 @@ TEST_F(BankCrashSuite, StdDestroyNeverReexecutesAcrossRestart) {
   // The object stayed destroyed across the crash...
   EXPECT_FALSE(client_->balance(doomed, currency::kDollar).ok());
   // ...and the replayed duplicate is RE-ANSWERED from the restored reply
-  // cache (the completed reply's body rides the persisted metadata image)
+  // cache (the completed reply's body rides the reply stream)
   // without re-executing the handler: requests_served must not move.
   const auto served_before = bank_->requests_served();
   ASSERT_TRUE(client_machine_.transmit(destroy_frame, bank_machine_.id()));

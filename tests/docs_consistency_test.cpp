@@ -218,21 +218,16 @@ std::vector<std::string> volume_layout_files() {
 }
 
 /// True when `name` matches a §8.1 file name, in which `N` stands for a
-/// number and `KEY` for an escaped metadata key.
+/// number.
 bool matches_file_pattern(std::string_view name, std::string_view pattern) {
   if (pattern.empty()) {
     return name.empty();
   }
-  const bool key = pattern.starts_with("KEY");
-  if (key || pattern.front() == 'N') {
-    const auto allowed = [key](char c) {
-      return std::isdigit(static_cast<unsigned char>(c)) != 0 ||
-             (key && (std::isalpha(static_cast<unsigned char>(c)) != 0 ||
-                      c == '%' || c == '-'));
-    };
-    for (std::size_t n = 0; n < name.size() && allowed(name[n]); ++n) {
-      if (matches_file_pattern(name.substr(n + 1),
-                               pattern.substr(key ? 3 : 1))) {
+  if (pattern.front() == 'N') {
+    for (std::size_t n = 0;
+         n < name.size() && std::isdigit(static_cast<unsigned char>(name[n]));
+         ++n) {
+      if (matches_file_pattern(name.substr(n + 1), pattern.substr(1))) {
         return true;
       }
     }
@@ -250,7 +245,7 @@ TEST(DocsConsistency, VolumeLayoutTableMatchesAFileVolume) {
   std::filesystem::remove_all(dir);
   {
     // Every kind of write a volume takes: one group append, a snapshot on
-    // an object shard and on the reply stream, one metadata blob.
+    // an object shard and on the reply stream.
     storage::FileBackend volume(dir, 4);
     std::vector<storage::ShardAppend> group;
     group.push_back({1, Buffer{1}});
@@ -259,7 +254,6 @@ TEST(DocsConsistency, VolumeLayoutTableMatchesAFileVolume) {
     volume.install_snapshot(2, storage::encode_snapshot({}, 1));
     volume.install_snapshot(volume.reply_stream(),
                             storage::encode_snapshot({}, 1));
-    volume.put_meta("rep.applied", Buffer{3});
   }
   std::set<std::string> unmatched(documented.begin(), documented.end());
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {

@@ -42,11 +42,54 @@ using namespace std::chrono_literals;
 }
 
 [[nodiscard]] Buffer sample_frame(std::uint64_t lsn) {
-  const Buffer floor_image = bytes_of("floors");
-  const std::vector<MetaImage> metas = {{"reply-floors", floor_image}};
   const std::vector<ShardAppend> appends = {{0, bytes_of("rec-a")},
                                             {3, bytes_of("rec-b")}};
-  return encode_cycle_frame(lsn, metas, appends);
+  return encode_cycle_frame(lsn, appends);
+}
+
+/// One framed mutate record (what a real store journals).
+[[nodiscard]] Buffer record(std::uint32_t object, std::uint64_t lsn) {
+  Buffer out;
+  encode_record({RecordType::mutate, ObjectNumber(object), 0x5EC2E7, lsn,
+                 Buffer{static_cast<std::uint8_t>(object & 0xFF)}},
+                out);
+  return out;
+}
+
+/// A cycle frame carrying one record on `stream`.
+[[nodiscard]] Buffer one_run_frame(std::uint64_t lsn, std::size_t stream) {
+  const std::vector<ShardAppend> appends = {
+      {stream, record(static_cast<std::uint32_t>(lsn), lsn)}};
+  return encode_cycle_frame(lsn, appends);
+}
+
+void store_u32(Buffer& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void store_u64(Buffer& bytes, std::size_t at, std::uint64_t v) {
+  store_u32(bytes, at, static_cast<std::uint32_t>(v));
+  store_u32(bytes, at + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+/// Rewrites a cycle frame's length and checksum over its (bent) body, so
+/// the checksum cannot mask a bent field from the decoder.
+void reseal(Buffer& frame) {
+  const std::span<const std::uint8_t> body(frame.data() + 8,
+                                           frame.size() - 8);
+  store_u32(frame, 0, static_cast<std::uint32_t>(body.size()));
+  store_u32(frame, 4, frame_checksum(body));
+}
+
+/// Every journal of `volume`, by stream.
+[[nodiscard]] std::vector<Buffer> journals(const Backend& volume) {
+  std::vector<Buffer> out;
+  for (std::size_t s = 0; s < volume.stream_count(); ++s) {
+    out.push_back(volume.read_journal(s));
+  }
+  return out;
 }
 
 TEST(ReplicationWireTest, CycleFrameRoundTrips) {
@@ -54,9 +97,6 @@ TEST(ReplicationWireTest, CycleFrameRoundTrips) {
   CycleFrame decoded;
   ASSERT_TRUE(decode_cycle_frame(frame, decoded));
   EXPECT_EQ(decoded.rep_lsn, 7u);
-  ASSERT_EQ(decoded.metas.size(), 1u);
-  EXPECT_EQ(decoded.metas[0].first, "reply-floors");
-  EXPECT_EQ(decoded.metas[0].second, bytes_of("floors"));
   ASSERT_EQ(decoded.appends.size(), 2u);
   EXPECT_EQ(decoded.appends[0].shard, 0u);
   EXPECT_EQ(decoded.appends[0].bytes, bytes_of("rec-a"));
@@ -119,20 +159,214 @@ TEST(ReplicaApplierTest, FloorGatesDuplicatesAndGaps) {
 }
 
 TEST(ReplicaApplierTest, FloorSurvivesRestart) {
-  auto backend = std::make_shared<MemoryBackend>(4);
+  // A restarted backup resumes at its persisted floor -- the reply
+  // stream's last rep_applied marker, whatever the last shipment was --
+  // so the primary's retransmissions of applied shipments stay duplicates.
+  const auto expect_resumes_at = [](const std::shared_ptr<Backend>& volume,
+                                    std::uint64_t floor) {
+    ReplicaApplier restarted(volume);
+    EXPECT_EQ(restarted.applied(), floor);
+    const std::vector<Buffer> before = journals(*volume);
+    const auto dup = restarted.apply_cycle(one_run_frame(floor, 0));
+    ASSERT_TRUE(dup.ok());
+    EXPECT_EQ(dup.value(), floor);
+    EXPECT_EQ(journals(*volume), before) << "duplicate re-applied";
+  };
   {
-    ReplicaApplier applier(backend);
-    ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
-    ASSERT_TRUE(applier.apply_cycle(sample_frame(2)).ok());
+    SCOPED_TRACE("cycle frames");
+    auto backend = std::make_shared<MemoryBackend>(4);
+    {
+      ReplicaApplier applier(backend);
+      ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
+      ASSERT_TRUE(applier.apply_cycle(sample_frame(2)).ok());
+    }
+    expect_resumes_at(backend, 2);
   }
-  // A restarted backup resumes at its persisted floor: the primary's
-  // retransmissions of already-applied shipments stay duplicates.
-  ReplicaApplier restarted(backend);
-  EXPECT_EQ(restarted.applied(), 2u);
-  const Buffer before = backend->read_journal(0);
-  const auto dup = restarted.apply_cycle(sample_frame(2));
-  ASSERT_TRUE(dup.ok());
-  EXPECT_EQ(backend->read_journal(0), before);
+  for (const std::size_t stream : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(stream == 4 ? "snapshot on the reply stream"
+                             : "snapshot on an object shard");
+    auto backend = std::make_shared<MemoryBackend>(4);
+    ASSERT_EQ(backend->reply_stream(), 4u);
+    {
+      ReplicaApplier applier(backend);
+      ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
+      ASSERT_TRUE(applier.apply_cycle(sample_frame(2)).ok());
+      ASSERT_TRUE(
+          applier.install_snapshot(3, stream, encode_snapshot({}, 9)).ok());
+    }
+    expect_resumes_at(backend, 3);
+  }
+  {
+    // A snapshot whose install rewrites commit.log (the log has crossed
+    // its 8 MiB GC threshold): the rewrite drops every earlier marker, so
+    // the floor survives only in the marker written after the install.
+    SCOPED_TRACE("snapshot install that rewrites commit.log");
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("amoeba-replica-gc-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    constexpr std::uint64_t kRecords = 160000;
+    {
+      auto volume = std::make_shared<FileBackend>(dir, 2);
+      ReplicaApplier applier(volume);
+      Buffer run;
+      for (std::uint64_t lsn = 1; lsn <= kRecords; ++lsn) {
+        encode_record({RecordType::mutate, ObjectNumber(100), 0x5EC2E7, lsn,
+                       Buffer(24, 0xAB)},
+                      run);
+      }
+      std::vector<ShardAppend> big;
+      big.push_back({0, std::move(run)});
+      ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(1, big)).ok());
+      ASSERT_TRUE(applier.apply_cycle(one_run_frame(2, 1)).ok());
+      ASSERT_GT(std::filesystem::file_size(dir / "commit.log"),
+                std::uint64_t{8} << 20);
+      ASSERT_TRUE(
+          applier.install_snapshot(3, 0, encode_snapshot({}, kRecords)).ok());
+      EXPECT_LT(std::filesystem::file_size(dir / "commit.log"), 4096u)
+          << "the install did not rewrite commit.log";
+    }
+    expect_resumes_at(std::make_shared<FileBackend>(dir, 2), 3);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(ReplicaApplierTest, OutOfRangeStreamIsRefusedBeforeAnyAppend) {
+  // A frame naming a stream this volume lacks is hostile input: refused
+  // as invalid_argument, with nothing of it appended.  The bent frame is
+  // re-sealed, so the checksum does not mask the bad index.
+  auto backend = std::make_shared<MemoryBackend>(4);
+  ReplicaApplier applier(backend);
+  ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
+  const std::vector<Buffer> before = journals(*backend);
+  // sample_frame's body: rep_lsn u64 | count u32 | stream u32 | length
+  // u32 | "rec-a" | stream u32 | ...: the second run's stream is at 33.
+  const Buffer good = sample_frame(2);
+  constexpr std::size_t kSecondStream = 8 + 8 + 4 + 8 + 5;
+  for (const std::uint32_t stream : {5u, 6u, 0xFFFFFFFFu}) {
+    SCOPED_TRACE("stream " + std::to_string(stream));
+    Buffer bent = good;
+    store_u32(bent, kSecondStream, stream);
+    reseal(bent);
+    CycleFrame decoded;
+    ASSERT_TRUE(decode_cycle_frame(bent, decoded));
+    ASSERT_EQ(decoded.appends.at(1).shard, stream);
+    const auto refused = applier.apply_cycle(bent);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error(), ErrorCode::invalid_argument);
+    EXPECT_EQ(applier.applied(), 1u);
+    EXPECT_EQ(journals(*backend), before) << "a refused cycle appended";
+  }
+  // The unbent frame still applies on top.
+  const auto applied = applier.apply_cycle(good);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(applied.value(), 2u);
+}
+
+TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
+  // Field-level mutation of cycle frames (docs/PROTOCOL.md §9.2): bend
+  // rep_lsn, the append count, a stream index or a run length, re-seal
+  // the checksum so the bend reaches the decoder, and offer the frame to
+  // an applier at floor 1.  The frame is either applied whole -- every
+  // run plus the marker, nothing else -- or leaves every journal byte for
+  // byte as it was; and the decoder never sizes an allocation by more
+  // entries than its input can hold.  AMOEBA_TEST_SEED picks the bends.
+  Rng rng(test::seed_base(43) * 0x9E3779B97F4A7C15ULL + 18);
+  // Runs on two object shards and the reply stream (index 4).
+  const std::vector<ShardAppend> appends = {
+      {0, record(1, 5)}, {2, record(2, 5)}, {4, record(3, 5)}};
+  const Buffer pristine = encode_cycle_frame(2, appends);
+  constexpr std::size_t kRepLsn = 8;
+  constexpr std::size_t kCount = 16;
+  std::vector<std::size_t> stream_at;
+  std::size_t pos = 20;
+  for (const ShardAppend& a : appends) {
+    stream_at.push_back(pos);
+    pos += 8 + a.bytes.size();
+  }
+  ASSERT_EQ(pos, pristine.size());
+  const auto bent_u32 = [&](std::uint32_t original) -> std::uint32_t {
+    switch (rng.below(6)) {
+      case 0:
+        return original + 1;
+      case 1:
+        return original - 1;
+      case 2:
+        return static_cast<std::uint32_t>(rng.below(8));
+      case 3:
+        return static_cast<std::uint32_t>(rng.below(pristine.size() + 1));
+      case 4:
+        return 0xFFFFFFFFu - static_cast<std::uint32_t>(rng.below(4));
+      default:
+        return static_cast<std::uint32_t>(rng.next());
+    }
+  };
+  int applied_whole = 0;
+  int refused = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    Buffer bent = pristine;
+    for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
+      const std::size_t run = rng.below(appends.size());
+      switch (rng.below(4)) {
+        case 0: {
+          const std::uint64_t choices[] = {0, 1, 2, 3, ~std::uint64_t{0},
+                                           rng.next()};
+          store_u64(bent, kRepLsn, choices[rng.below(6)]);
+          break;
+        }
+        case 1:
+          store_u32(bent, kCount, bent_u32(3));
+          break;
+        case 2:
+          store_u32(bent, stream_at[run],
+                    bent_u32(static_cast<std::uint32_t>(appends[run].shard)));
+          break;
+        default:
+          store_u32(bent, stream_at[run] + 4,
+                    bent_u32(static_cast<std::uint32_t>(
+                        appends[run].bytes.size())));
+          break;
+      }
+    }
+    reseal(bent);
+    CycleFrame decoded;
+    const bool decodes = decode_cycle_frame(bent, decoded);
+    EXPECT_LE(decoded.appends.capacity(), bent.size() / 8)
+        << "an allocation sized past the input";
+
+    auto volume = std::make_shared<MemoryBackend>(4);
+    ReplicaApplier applier(volume);
+    ASSERT_TRUE(applier.apply_cycle(one_run_frame(1, 1)).ok());
+    const std::vector<Buffer> before = journals(*volume);
+    const auto result = applier.apply_cycle(bent);
+    const std::vector<Buffer> after = journals(*volume);
+    if (applier.applied() == 1) {
+      ++refused;
+      EXPECT_EQ(after, before) << "a rejected frame touched a journal";
+    } else {
+      ++applied_whole;
+      ASSERT_TRUE(decodes);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(decoded.rep_lsn, 2u);
+      EXPECT_EQ(applier.applied(), 2u);
+      std::vector<Buffer> expected = before;
+      for (const ShardAppend& a : decoded.appends) {
+        expected.at(a.shard).insert(expected.at(a.shard).end(),
+                                    a.bytes.begin(), a.bytes.end());
+      }
+      Writer floor;
+      floor.u64(2);
+      encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
+                         floor.buffer(), expected.at(volume->reply_stream()));
+      EXPECT_EQ(after, expected) << "a frame was applied in part";
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "iteration " << iter << " (seed base "
+             << test::seed_base(43) << ")";
+    }
+  }
+  // Neither outcome was vacuous.
+  EXPECT_GT(applied_whole, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(ReplicaApplierTest, SnapshotAdoptsItsLsnAsFloor) {
@@ -216,7 +450,6 @@ TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
         applier.install_snapshot(stale_floor, 0, bytes_of("stale")).ok());
     auto local = std::make_shared<MemoryBackend>(4);
     local->append_journal(1, bytes_of("rec-1"));
-    local->put_meta("reply-floors", bytes_of("floors"));
 
     ReplicatedBackend primary(local, AckMode::ack_one);
     primary.attach_peer(std::make_shared<DirectLink>(applier, 3));
@@ -239,7 +472,132 @@ TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
       EXPECT_EQ(backup->read_snapshot(s), local->read_snapshot(s))
           << "snapshot " << s;
     }
-    EXPECT_EQ(backup->get_meta("reply-floors"), bytes_of("floors"));
+  }
+}
+
+/// Forwards to an in-process applier and logs every shipment it newly
+/// applies (its floor moved to exactly that shipment's LSN).
+class RecordingLink final : public ReplicationLink {
+ public:
+  struct Applied {
+    std::uint64_t rep_lsn = 0;
+    bool snapshot = false;
+    std::size_t shard = 0;
+    Buffer bytes;  // snapshot image
+    std::vector<ShardAppend> runs;  // cycle frames
+  };
+
+  explicit RecordingLink(ReplicaApplier& applier) : applier_(&applier) {}
+
+  [[nodiscard]] std::string peer_name() const override { return "backup"; }
+  [[nodiscard]] Result<std::uint64_t> ship_cycle(
+      std::span<const std::uint8_t> frame) override {
+    const auto floor = applier_->apply_cycle(frame);
+    CycleFrame cycle;
+    if (floor.ok() && decode_cycle_frame(frame, cycle) &&
+        floor.value() == cycle.rep_lsn) {
+      log({cycle.rep_lsn, false, 0, {}, std::move(cycle.appends)});
+    }
+    return floor;
+  }
+  [[nodiscard]] Result<std::uint64_t> ship_snapshot(
+      std::uint64_t rep_lsn, std::size_t shard,
+      std::span<const std::uint8_t> bytes) override {
+    const auto floor = applier_->install_snapshot(rep_lsn, shard, bytes);
+    if (floor.ok() && floor.value() == rep_lsn) {
+      log({rep_lsn, true, shard, Buffer(bytes.begin(), bytes.end()), {}});
+    }
+    return floor;
+  }
+  [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
+    return applier_->applied();
+  }
+
+  [[nodiscard]] std::vector<Applied> applied() const {
+    const std::lock_guard lock(mutex_);
+    return applied_;
+  }
+
+ private:
+  void log(Applied shipment) {
+    const std::lock_guard lock(mutex_);
+    applied_.push_back(std::move(shipment));
+  }
+
+  ReplicaApplier* applier_;
+  mutable std::mutex mutex_;
+  std::vector<Applied> applied_;
+};
+
+/// True when `image` holds all of `shipment`: its snapshot, or every run
+/// of its cycle inside the run's journal.
+[[nodiscard]] bool holds(const MemoryBackend& image,
+                         const RecordingLink::Applied& shipment) {
+  if (shipment.snapshot) {
+    return image.read_snapshot(shipment.shard) == shipment.bytes;
+  }
+  return std::all_of(
+      shipment.runs.begin(), shipment.runs.end(), [&](const ShardAppend& a) {
+        const Buffer journal = image.read_journal(a.shard);
+        return std::search(journal.begin(), journal.end(), a.bytes.begin(),
+                           a.bytes.end()) != journal.end();
+      });
+}
+
+TEST(ReplicaApplierTest, ResyncImagesNeverHoldAFloorAheadOfTheirContent) {
+  // Crash the backup at every journal barrier of a full resync and reopen
+  // an applier on each image: its floor must never exceed the last
+  // shipment that image fully holds.  Every stream of the primary has a
+  // distinct non-empty snapshot and a journal tail, so each shipment
+  // leaves a trace an image can be checked for.
+  auto local = std::make_shared<MemoryBackend>(4);
+  for (std::size_t s = 0; s < local->stream_count(); ++s) {
+    const auto object = static_cast<std::uint32_t>(s + 1);
+    local->install_snapshot(
+        s, encode_snapshot({{ObjectNumber(object), 0x5EC2E7, Buffer{7}}}, 10));
+    local->append_journal(s, record(object, 11));
+  }
+  auto backup = std::make_shared<MemoryBackend>(4);
+  ReplicaApplier applier(backup);
+  std::mutex images_mutex;
+  std::vector<std::shared_ptr<MemoryBackend>> images;
+  backup->set_append_hook([&](std::uint64_t) {
+    auto image = backup->capture();
+    const std::lock_guard lock(images_mutex);
+    images.push_back(std::move(image));
+  });
+  auto link = std::make_shared<RecordingLink>(applier);
+  {
+    ReplicatedBackend primary(local, AckMode::ack_one);
+    primary.attach_peer(link);
+    bool synced = false;
+    for (int i = 0; i < 2000 && !synced; ++i) {
+      const auto stats = primary.stats();
+      synced = stats.peers[0].queued == 0 &&
+               stats.peers[0].acked_lsn >= stats.shipped_lsn;
+      std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_TRUE(synced) << "the resync never landed";
+  }
+  backup->set_append_hook(nullptr);
+  const std::vector<RecordingLink::Applied> shipped = link->applied();
+  // One snapshot per stream, then the catch-all cycle frame.
+  ASSERT_EQ(shipped.size(), local->stream_count() + 1);
+  const std::lock_guard lock(images_mutex);
+  // Each shipment ends in exactly one journal barrier: a cycle's group,
+  // or the floor marker a snapshot install appends after itself.
+  ASSERT_EQ(images.size(), shipped.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    SCOPED_TRACE("barrier " + std::to_string(i));
+    std::uint64_t held = 0;
+    for (const RecordingLink::Applied& shipment : shipped) {
+      if (holds(*images[i], shipment)) {
+        held = std::max(held, shipment.rep_lsn);
+      }
+    }
+    const ReplicaApplier reopened(images[i]);
+    EXPECT_LE(reopened.applied(), held) << "the floor ran ahead of the image";
+    EXPECT_EQ(reopened.applied(), shipped[i].rep_lsn);
   }
 }
 
@@ -392,21 +750,14 @@ class ReplicationSuite : public ::testing::Test {
   }
 
   /// The whole point of journal shipping: the backup volume is
-  /// byte-equivalent to the primary's own disk (minus the backup's
-  /// private floor key).
+  /// byte-equivalent to the primary's own disk (object shards; the
+  /// backup's reply stream adds its private floor markers).
   void expect_volumes_equal() {
     for (std::size_t s = 0; s < local_->shard_count(); ++s) {
       EXPECT_EQ(local_->read_journal(s), backup_backend_->read_journal(s))
           << "journal shard " << s;
       EXPECT_EQ(local_->read_snapshot(s), backup_backend_->read_snapshot(s))
           << "snapshot shard " << s;
-    }
-    for (const std::string& key : local_->meta_keys()) {
-      if (key.starts_with(storage::kRepMetaPrefix)) {
-        continue;
-      }
-      EXPECT_EQ(local_->get_meta(key), backup_backend_->get_meta(key))
-          << "meta " << key;
     }
   }
 
@@ -558,20 +909,14 @@ TEST_F(ReplicationSuite, DirectPathShipsMiniCyclesWithoutACommitter) {
       {{"backup", replica_->volume_capability()}});
   const Buffer record = {0x01, 0x02, 0x03};
   direct->append_journal(2, record);
-  const Buffer floor_image = {0x09};
-  direct->put_meta("reply-floors", floor_image);
   std::vector<storage::ShardAppend> group;
   group.push_back({0, record});
   group.push_back({1, record});
   direct->append_journal_batch(std::move(group));
-  // rep.-prefixed keys are volume-private: never shipped.
-  direct->put_meta("rep.private", floor_image);
   // ack_one: every call above waited for the backup's durable apply.
   EXPECT_EQ(backup_backend_->read_journal(2), record);
   EXPECT_EQ(backup_backend_->read_journal(0), record);
   EXPECT_EQ(backup_backend_->read_journal(1), record);
-  EXPECT_EQ(backup_backend_->get_meta("reply-floors"), floor_image);
-  EXPECT_TRUE(backup_backend_->get_meta("rep.private").empty());
   // Compaction ships too (async): the backup compacts when the primary
   // does.
   const Buffer image = {0x42, 0x42};
@@ -657,7 +1002,7 @@ TEST_F(ReplicationSuite, LateAttachResyncsAWholeVolume) {
   replicated_ = solo;
   workload(10);
   // ...then attach: the resync broadcast must rebuild the backup from
-  // scratch (snapshots reset, journals + metas follow).
+  // scratch (snapshots reset, journals follow).
   solo->attach_peer(std::make_shared<rpc::TransportReplicationLink>(
       bank_machine_, 61, "backup", replica_->volume_capability()));
   ASSERT_TRUE(wait_synced());

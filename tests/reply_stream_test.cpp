@@ -7,7 +7,6 @@
 //   * bytes written per request stay flat as clients churn;
 //   * a restarted server never recovers more rows than the cache's own
 //     tombstone bound;
-//   * a legacy whole-volume `reply-floors` image is migrated, then emptied;
 //   * the decoders survive field-level mutation (AMOEBA_TEST_SEED);
 //   * a request -- a whole batch envelope included -- waits for
 //     durability once, after its handler, and its reply never leaves
@@ -66,8 +65,8 @@ namespace {
 using namespace std::chrono_literals;
 
 /// Forwards to another volume and counts every byte handed to it for
-/// writing: journal runs (plus their commit-log frame headers), snapshots
-/// and metadata.  `after_install`, when set, runs after each snapshot
+/// writing: journal runs (plus their commit-log frame headers) and
+/// snapshots.  `after_install`, when set, runs after each snapshot
 /// install with the stream's index.
 class CountingBackend final : public storage::Backend {
  public:
@@ -99,17 +98,6 @@ class CountingBackend final : public storage::Backend {
   }
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
     return inner_->read_snapshot(shard);
-  }
-  void put_meta(std::string_view key,
-                std::span<const std::uint8_t> value) override {
-    bytes_ += value.size();
-    inner_->put_meta(key, value);
-  }
-  [[nodiscard]] Buffer get_meta(std::string_view key) const override {
-    return inner_->get_meta(key);
-  }
-  [[nodiscard]] std::vector<std::string> meta_keys() const override {
-    return inner_->meta_keys();
   }
   [[nodiscard]] bool empty() const override { return inner_->empty(); }
 
@@ -217,16 +205,6 @@ class GatedBackend final : public storage::Backend {
   }
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
     return inner_->read_snapshot(shard);
-  }
-  void put_meta(std::string_view key,
-                std::span<const std::uint8_t> value) override {
-    inner_->put_meta(key, value);
-  }
-  [[nodiscard]] Buffer get_meta(std::string_view key) const override {
-    return inner_->get_meta(key);
-  }
-  [[nodiscard]] std::vector<std::string> meta_keys() const override {
-    return inner_->meta_keys();
   }
   [[nodiscard]] bool empty() const override { return inner_->empty(); }
 
@@ -415,77 +393,6 @@ TEST(ReplyStreamTest, RecoveredRowsNeverExceedTheTombstoneBound) {
   return w.take();
 }
 
-TEST(ReplyStreamTest, LegacyReplyFloorsImageIsMigrated) {
-  net::Network net;
-  net::Machine& server_machine = net.add_machine("server");
-  net::Machine& client_machine = net.add_machine("client");
-  auto volume = std::make_shared<storage::MemoryBackend>(4);
-  constexpr std::uint64_t kClient = 0xAB;
-  // The RCV2 image of earlier versions: client kClient claimed up to seq 5;
-  // seqs 4 and 5 completed with persisted bodies.
-  Writer image;
-  image.u32(0x52435632u);  // "RCV2"
-  image.u32(1);
-  image.u32(client_machine.id().value());
-  image.u64(kClient);
-  image.u64(5);
-  image.u32(2);
-  image.u64(4);
-  image.bytes(reply_body("four"));
-  image.u64(5);
-  image.bytes(reply_body("five"));
-  volume->put_meta("reply-floors", image.buffer());
-
-  const Port reply_get(0x5353);
-  net::Receiver replies = client_machine.listen(reply_get);
-  const auto send = [&](const rpc::Service& service, std::uint64_t seq) {
-    ASSERT_TRUE(client_machine.transmit(
-        stamped(service.put_port(), CountingService::kEcho, kClient, seq,
-                reply_get, bytes_of("fresh")),
-        server_machine.id()));
-  };
-  {
-    CountingService service(server_machine, Port(0xC1C1), volume, 16, 64);
-    // Attaching folded the image into the reply stream's first snapshot,
-    // then emptied the blob.
-    EXPECT_TRUE(volume->get_meta("reply-floors").empty());
-    EXPECT_FALSE(volume->read_snapshot(volume->reply_stream()).empty());
-    service.start(1);
-    send(service, 5);  // body persisted: re-answered
-    auto reply = replies.receive({}, 2'000ms);
-    ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->message.data, bytes_of("five"));
-    send(service, 3);  // floor only: dropped
-    EXPECT_FALSE(replies.receive({}, 150ms).has_value());
-    EXPECT_EQ(service.executions.load(), 0);
-    send(service, 6);  // above the floor: a fresh transaction
-    reply = replies.receive({}, 2'000ms);
-    ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->message.data, bytes_of("fresh"));
-    EXPECT_EQ(service.executions.load(), 1);
-    service.committer().drain();
-  }
-  // Second restart, from the reply stream alone: every seq is still
-  // suppressed -- re-answered where a body survives, dropped otherwise.
-  CountingService service(server_machine, Port(0xC1C1), volume, 16, 64);
-  service.start(1);
-  const std::map<std::uint64_t, std::string_view> answered = {
-      {4, "four"}, {5, "five"}, {6, "fresh"}};
-  for (const std::uint64_t seq : {1, 3, 4, 5, 6}) {
-    send(service, seq);
-    const auto it = answered.find(seq);
-    const auto reply =
-        replies.receive({}, it == answered.end() ? 150ms : 2'000ms);
-    if (it == answered.end()) {
-      EXPECT_FALSE(reply.has_value()) << "seq " << seq;
-    } else {
-      ASSERT_TRUE(reply.has_value()) << "seq " << seq;
-      EXPECT_EQ(reply->message.data, bytes_of(it->second));
-    }
-  }
-  EXPECT_EQ(service.executions.load(), 0);
-}
-
 // ---------------------------------------------------------------------
 // Field-level fuzzing of the reply-stream decoders.
 
@@ -607,7 +514,7 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
 
   for (int iter = 0; iter < 3000; ++iter) {
     storage::ReplyRows rows = base;
-    switch (iter % 4) {
+    switch (iter % 3) {
       case 0:
       case 1: {
         // One reply_floor / reply_body record with a mutated payload.
@@ -634,7 +541,7 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
         }
         break;
       }
-      case 2: {
+      default: {
         // A reply-stream snapshot: mutate the header, a slot frame, or a
         // row inside a slot.
         std::vector<Field> image = {{4, 0x414D534Eu, {}},
@@ -661,18 +568,6 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
         if (!storage::merge_reply_snapshot(serialize(image), rows, applied)) {
           EXPECT_TRUE(same_rows(rows, unchanged)) << "half-applied image";
         }
-        break;
-      }
-      default: {
-        // The legacy metadata image the migration reads.
-        std::vector<Field> image = {{4, 0x52435632u, {}}, {4, 1, {}}};
-        for (Field& f : row_fields(2, 20, 4 + rng.below(4), bodies)) {
-          image.push_back(std::move(f));
-        }
-        for (std::uint64_t m = 1 + rng.below(3); m > 0; --m) {
-          mutate(image, rng);
-        }
-        storage::merge_legacy_reply_image(serialize(image), rows);
         break;
       }
     }

@@ -25,6 +25,7 @@
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/record.hpp"
+#include "amoeba/storage/replication/replica.hpp"
 
 namespace amoeba::storage {
 namespace {
@@ -131,7 +132,7 @@ TEST(SnapshotCodec, RoundTripsSlotsAndAppliedLsn) {
   EXPECT_FALSE(decode_snapshot(garbage, out, lsn));
 }
 
-TEST(MemoryBackendTest, JournalSnapshotMetaAndCapture) {
+TEST(MemoryBackendTest, JournalSnapshotAndCapture) {
   MemoryBackend backend(4);
   EXPECT_TRUE(backend.empty());
   const Buffer a{1, 2, 3};
@@ -139,10 +140,6 @@ TEST(MemoryBackendTest, JournalSnapshotMetaAndCapture) {
   EXPECT_FALSE(backend.empty());
   EXPECT_EQ(backend.read_journal(1), a);
   EXPECT_TRUE(backend.read_journal(0).empty());
-
-  backend.put_meta("floors", Buffer{9});
-  EXPECT_EQ(backend.get_meta("floors"), Buffer{9});
-  EXPECT_TRUE(backend.get_meta("absent").empty());
 
   // Capture is a deep copy: later writes don't leak into the image.
   const auto image = backend.capture();
@@ -184,14 +181,12 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
     // Streams 0..2: two object shards and the reply stream.
     EXPECT_THROW(backend.append_journal(3, Buffer{4}), UsageError);
     backend.install_snapshot(1, Buffer{9, 9});
-    backend.put_meta("reply-floors", Buffer{5});
   }
   {
     FileBackend backend(dir, 2);
     EXPECT_FALSE(backend.empty());
     EXPECT_EQ(backend.read_journal(0), (Buffer{1, 2, 3}));
     EXPECT_EQ(backend.read_snapshot(1), (Buffer{9, 9}));
-    EXPECT_EQ(backend.get_meta("reply-floors"), Buffer{5});
     // A snapshot install replaces the image durably and leaves the journal
     // to commit.log's GC: replay skips whatever the image subsumes.
     backend.install_snapshot(0, Buffer{8});
@@ -457,6 +452,28 @@ TEST(FileBackendTest, BlockingSyscallsPerInstallAndSyncBatch) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FileBackendTest, BlockingSyscallsPerShippedSnapshotInstall) {
+  // A backup installing a shipped snapshot pays the install (1 write, 2
+  // fsyncs) and then its applied-floor marker, one commit.log frame (1
+  // write, 1 fsync): the floor has no file of its own.
+  const auto dir = fresh_dir("syscalls-backup");
+  auto volume = std::make_shared<FileBackend>(dir, 2);
+  ReplicaApplier applier(volume);
+  const IoCounters& io = this_thread_io_counters();
+  for (const std::size_t stream : {std::size_t{0}, volume->reply_stream()}) {
+    SCOPED_TRACE("stream " + std::to_string(stream));
+    const IoCounters before = io;
+    const std::uint64_t rep_lsn = applier.applied() + 1;
+    ASSERT_TRUE(
+        applier.install_snapshot(rep_lsn, stream, encode_snapshot({}, 1))
+            .ok());
+    EXPECT_EQ(io.writes - before.writes, 2u);
+    EXPECT_EQ(io.fsyncs - before.fsyncs, 3u);
+  }
+  volume.reset();
+  std::filesystem::remove_all(dir);
+}
+
 void write_file(const std::filesystem::path& path, const Buffer& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -464,25 +481,31 @@ void write_file(const std::filesystem::path& path, const Buffer& bytes) {
 }
 
 TEST(FileBackendTest, NonEmptyPerStreamJournalIsRefused) {
-  // Records in a format-2 per-stream journal are refused, not migrated:
-  // opening without them would lose acknowledged state.
-  const auto dir = fresh_dir("legacy-journal");
-  std::filesystem::create_directories(dir);
-  write_file(dir / "shard-0.journal", frame(1, 1));
-  try {
-    FileBackend backend(dir, 2);
-    ADD_FAILURE() << "a non-empty shard-0.journal was accepted";
-  } catch (const UsageError& e) {
-    EXPECT_NE(std::string(e.what()).find("shard-0.journal"),
-              std::string::npos)
-        << e.what();
+  // Records in a format-2 per-stream journal, and a format-1 reply-floors
+  // image (never migrated: dropping it would re-execute requests), are
+  // refused, not migrated: opening without them would lose acknowledged
+  // state.  Empty files of either kind are ignored.
+  for (const char* name : {"shard-0.journal", "meta-reply-floors.bin"}) {
+    SCOPED_TRACE(name);
+    const auto dir = fresh_dir("legacy-journal");
+    std::filesystem::create_directories(dir);
+    write_file(dir / name, {});
+    { FileBackend accepted(dir, 2); }
+    write_file(dir / name, frame(1, 1));
+    try {
+      FileBackend backend(dir, 2);
+      ADD_FAILURE() << "a non-empty " << name << " was accepted";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    std::filesystem::remove_all(dir);
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
   // A format-2 server volume, laid out byte by byte: an empty journal file
-  // per stream, group frames in commit.log, snapshots and metadata.
+  // per stream, group frames in commit.log and snapshots.
   const auto dir = fresh_dir("legacy-v2");
   std::filesystem::create_directories(dir);
   for (const char* name :
@@ -506,7 +529,6 @@ TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
   const Buffer image =
       encode_snapshot({{ObjectNumber(9), 0x5EC2E7, Buffer{7}}}, 5);
   write_file(dir / "shard-1.snap", image);
-  write_file(dir / "meta-floors.bin", Buffer{5});
   {
     FileBackend backend(dir, 2);
     EXPECT_FALSE(backend.empty());
@@ -522,7 +544,6 @@ TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
     EXPECT_EQ(reply[0].object.value(), 3u);
     EXPECT_TRUE(backend.read_journal(1).empty());
     EXPECT_EQ(backend.read_snapshot(1), image);
-    EXPECT_EQ(backend.get_meta("floors"), Buffer{5});
     // New groups append behind the old frames.
     backend.append_journal(1, frame(6, 6));
   }
@@ -629,16 +650,6 @@ class ExplodingBackend final : public Backend {
   }
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
     return inner_.read_snapshot(shard);
-  }
-  void put_meta(std::string_view key,
-                std::span<const std::uint8_t> value) override {
-    inner_.put_meta(key, value);
-  }
-  [[nodiscard]] Buffer get_meta(std::string_view key) const override {
-    return inner_.get_meta(key);
-  }
-  [[nodiscard]] std::vector<std::string> meta_keys() const override {
-    return inner_.meta_keys();
   }
   [[nodiscard]] bool empty() const override { return inner_.empty(); }
 
