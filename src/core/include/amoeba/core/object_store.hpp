@@ -71,11 +71,11 @@
 // (Opened2) flush their two dirty payloads as ONE atomic journal group,
 // so a crash image can never hold half a bank transfer.
 //
-// Group commit.  With Durability::committer set, the framed record is
-// ENQUEUED (under the shard lock) to the volume's group-commit flusher
-// with an assigned commit ticket; the mutating operation then releases
-// the shard lock and blocks until the flusher reports the ticket durable,
-// so "durable on return" still holds while one backend write + one fsync
+// Group commit.  The framed record is ENQUEUED (under the shard lock) to
+// the volume's group-commit flusher (Durability::committer) with an
+// assigned commit ticket; the mutating operation then releases the shard
+// lock and blocks until the flusher reports the ticket durable, so
+// "durable on return" still holds while one backend write + one fsync
 // per flush cycle covers every record that piled up meanwhile.  Inside a
 // storage::RequestScope (an rpc request) the wait is deferred instead:
 // the service's replier waits once, for all the request's effects, before
@@ -83,21 +83,20 @@
 // Handlers that can pipeline use Opened::release_async() to carry the
 // ticket as a future and wait through ShardedObjectStore::wait_durable()
 // later.
-// Without a committer every append is synchronous on the mutator thread
-// (the PR-5 shape, still supported).
 //
 // Shards self-compact: after `compact_after` records a shard serializes
-// its live slots into a snapshot and restarts its journal.  The recovery
-// constructor (a Durability whose backend is non-empty) replays
-// snapshot-then-journal to rebuild every shard -- secrets, payloads, free
-// lists -- tolerating a torn final record.
+// its live slots into a snapshot image and queues it behind its records
+// (GroupCommitter::install_snapshot); the flusher installs it, so the
+// mutator never writes the volume itself.  The recovery constructor (a
+// committer whose volume is non-empty) replays snapshot-then-journal to
+// rebuild every shard -- secrets, payloads, free lists -- tolerating a
+// torn final record.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -120,15 +119,14 @@ namespace amoeba::core {
 
 /// Attaches a store to a storage volume.  `encode`/`decode` are the
 /// payload codecs (a server declares how its object type serializes);
-/// both are required when `backend` is set.  A non-empty backend triggers
-/// recovery; an empty one starts a fresh durable store.
+/// both are required when `committer` is set.  A non-empty volume
+/// triggers recovery; an empty one starts a fresh durable store.
 template <typename T>
 struct Durability {
-  std::shared_ptr<storage::Backend> backend;  // null = in-memory only
-  /// Group-commit queue for `backend` (must wrap the same volume).  When
-  /// set, journal appends are enqueued and batched by the volume's flusher
-  /// and mutators block -- after releasing the shard lock -- on their
-  /// commit ticket; when null, every append is synchronous.
+  /// The volume's group-commit queue, and through backend() the volume
+  /// itself; null = in-memory only.  Journal appends and snapshot images
+  /// are enqueued and written by its flusher, and mutators block -- after
+  /// releasing the shard lock -- on their commit ticket.
   std::shared_ptr<storage::GroupCommitter> committer;
   std::function<void(Writer&, const T&)> encode;
   std::function<bool(Reader&, T&)> decode;
@@ -168,21 +166,15 @@ class ShardedObjectStore {
     if (shards == 0 || (shards & (shards - 1)) != 0) {
       throw UsageError("ObjectStore shard count must be a power of two");
     }
-    if (durability_.backend != nullptr) {
+    if (durable()) {
       if (!durability_.encode || !durability_.decode) {
         throw UsageError("ObjectStore: durable stores need payload codecs");
       }
-      if (durability_.backend->shard_count() != shards) {
+      if (volume().shard_count() != shards) {
         throw UsageError(
             "ObjectStore: backend shard count must match the store's "
             "(object-number layout is per-shard)");
       }
-    }
-    if (durability_.committer != nullptr &&
-        durability_.committer->backend() != durability_.backend) {
-      throw UsageError(
-          "ObjectStore: the committer must wrap the store's own backend "
-          "(tickets are per-volume)");
     }
     shards_.reserve(shards);
     // Highest slot index a shard can ever hold in the 24-bit object space
@@ -194,7 +186,7 @@ class ShardedObjectStore {
       shards_.push_back(std::make_unique<Shard>(
           seed ^ (0x9E3779B97F4A7C15ULL * (s + 1)), max_slots));
     }
-    if (durability_.backend != nullptr && !durability_.backend->empty()) {
+    if (durable() && !volume().empty()) {
       recover();
     }
   }
@@ -505,7 +497,7 @@ class ShardedObjectStore {
   }
 
   /// Blocks until the given group-commit ticket is durable (no-op for
-  /// ticket 0 or a store without a committer); inside a
+  /// ticket 0 or an in-memory store); inside a
   /// storage::RequestScope it only records the ticket for the request's
   /// one wait.  Pairs with Opened::release_async() for pipelined mutation
   /// windows.
@@ -843,17 +835,19 @@ class ShardedObjectStore {
   }
 
   /// Folds every shard's journal into a fresh snapshot now (manual log
-  /// compaction; also what a clean shutdown would call).  No-op for
-  /// in-memory stores.
+  /// compaction; also what a clean shutdown would call) and waits until
+  /// the images are installed.  No-op for in-memory stores.
   void compact() {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       return;
     }
+    std::uint64_t ticket = 0;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
       const std::unique_lock lock(shard.mutex);
-      snapshot_shard_locked(s, shard);
+      ticket = snapshot_shard_locked(s, shard);
     }
+    wait_durable(ticket);
   }
 
   [[nodiscard]] std::size_t live_count() const {
@@ -863,7 +857,7 @@ class ShardedObjectStore {
   [[nodiscard]] Port server_port() const { return server_port_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] bool durable() const {
-    return durability_.backend != nullptr;
+    return durability_.committer != nullptr;
   }
 
   /// Aggregate validated-capability cache statistics across shards.
@@ -880,15 +874,15 @@ class ShardedObjectStore {
     return total;
   }
 
-  /// Journal/recovery counters (zeroes for an in-memory store).
-  /// The store's group committer -- null for in-memory and synchronously
-  /// journaled stores.  Exposed for flusher statistics (benchmarks print
-  /// group sizes) and for sharing one committer across stores of a volume.
+  /// The store's group committer -- null for in-memory stores.  Exposed
+  /// for flusher statistics (benchmarks print group sizes) and for sharing
+  /// one committer across stores of a volume.
   [[nodiscard]] const std::shared_ptr<storage::GroupCommitter>& committer()
       const {
     return durability_.committer;
   }
 
+  /// Journal/recovery counters (zeroes for an in-memory store).
   [[nodiscard]] DurabilityStats durability_stats() const {
     DurabilityStats total = recovery_stats_;
     for (const auto& shard : shards_) {
@@ -981,6 +975,11 @@ class ShardedObjectStore {
     Writer scratch_payload;  // reused per append: no steady-state allocs
     Buffer scratch_frame;
   };
+
+  /// A durable store's volume: its committer's backend.
+  [[nodiscard]] storage::Backend& volume() const {
+    return *durability_.committer->backend();
+  }
 
   [[nodiscard]] std::size_t shard_index(ObjectNumber object) const {
     return object.value() & (shards_.size() - 1);
@@ -1220,14 +1219,10 @@ class ShardedObjectStore {
   }
 
   /// Appends one single-shard record to the volume: LSN assignment and
-  /// shard counters here (under the shard lock), then either
-  /// * group commit -- the record is ENCODED DIRECTLY into the
-  ///   committer's staging buffer via enqueue_with(), skipping the
-  ///   frame-to-scratch copy the pre-encoded enqueue() path pays, or
-  /// * synchronous mode -- framed into the shard scratch and appended on
-  ///   this thread (returns 0, already durable).
-  /// Caller holds the shard mutex; group-committed callers wait on the
-  /// returned ticket AFTER dropping it.
+  /// shard counters here (under the shard lock), and the record ENCODED
+  /// DIRECTLY into the committer's staging buffer via enqueue_with(),
+  /// skipping a frame-to-scratch copy.  Caller holds the shard mutex and
+  /// waits on the returned ticket AFTER dropping it.
   [[nodiscard]] std::uint64_t submit_raw_locked(
       std::size_t s, Shard& shard, storage::RecordType type,
       ObjectNumber object, std::uint64_t secret,
@@ -1235,35 +1230,27 @@ class ShardedObjectStore {
     const std::uint64_t lsn = ++shard.lsn;
     ++shard.journal_records;
     ++shard.records_pending;
-    std::uint64_t ticket = 0;
-    if (durability_.committer != nullptr) {
-      std::size_t framed = 0;
-      ticket = durability_.committer->enqueue_with(s, [&](Buffer& staging) {
-        const std::size_t before = staging.size();
-        storage::encode_record_into(type, object, secret, lsn, payload,
-                                    staging);
-        framed = staging.size() - before;
-      });
-      shard.journal_bytes += framed;
-    } else {
-      shard.scratch_frame.clear();
-      storage::encode_record_into(type, object, secret, lsn, payload,
-                                  shard.scratch_frame);
-      shard.journal_bytes += shard.scratch_frame.size();
-      durability_.backend->append_journal(s, shard.scratch_frame);
-    }
+    std::size_t framed = 0;
+    const std::uint64_t ticket =
+        durability_.committer->enqueue_with(s, [&](Buffer& staging) {
+          const std::size_t before = staging.size();
+          storage::encode_record_into(type, object, secret, lsn, payload,
+                                      staging);
+          framed = staging.size() - before;
+        });
+    shard.journal_bytes += framed;
     maybe_compact_locked(s, shard);
     return ticket;
   }
 
   /// Appends one record to the shard's journal and runs the compaction
-  /// check.  No-op without a backend (returns 0).
+  /// check.  No-op for an in-memory store (returns 0).
   [[nodiscard]] std::uint64_t journal_locked(std::size_t s, Shard& shard,
                                              storage::RecordType type,
                                              ObjectNumber object,
                                              std::uint64_t secret,
                                              const T* payload) {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       return 0;
     }
     shard.scratch_payload.clear();
@@ -1278,7 +1265,7 @@ class ShardedObjectStore {
   /// the owning shard's mutex.
   [[nodiscard]] std::uint64_t journal_mutate_locked(ObjectNumber object,
                                                     const T& value) {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       return 0;
     }
     const std::size_t s = shard_index(object);
@@ -1290,7 +1277,7 @@ class ShardedObjectStore {
   /// holds the owning shard's mutex.
   [[nodiscard]] std::uint64_t journal_delta_locked(ObjectNumber object,
                                                    const Buffer& patch) {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       return 0;
     }
     if (!durability_.apply_delta) {
@@ -1308,7 +1295,7 @@ class ShardedObjectStore {
   /// flushes (their destructors run right after).  Caller holds both
   /// shard locks; the returned ticket is waited on after they drop.
   [[nodiscard]] std::uint64_t journal_pair_locked(Opened& a, Opened& b) {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       a.dirty_ = false;
       b.dirty_ = false;
       a.deltas_.clear();
@@ -1345,13 +1332,9 @@ class ShardedObjectStore {
     if (group.empty()) {
       return 0;
     }
-    std::uint64_t ticket = 0;
-    if (durability_.committer != nullptr) {
-      // One enqueue_group: no flush-cycle boundary can split the pair.
-      ticket = durability_.committer->enqueue_group(std::move(group));
-    } else {
-      durability_.backend->append_journal_batch(std::move(group));
-    }
+    // One enqueue_group: no flush-cycle boundary can split the pair.
+    const std::uint64_t ticket =
+        durability_.committer->enqueue_group(std::move(group));
     for (Opened* member : {&a, &b}) {
       if (member->value != nullptr && member->store_ != nullptr) {
         const std::size_t s = shard_index(member->object);
@@ -1361,38 +1344,29 @@ class ShardedObjectStore {
     return ticket;
   }
 
+  /// Auto-compaction waits on nothing: the image rides the queue behind
+  /// the records it folds, and no caller's durability depends on it.
   void maybe_compact_locked(std::size_t s, Shard& shard) {
     if (durability_.compact_after != 0 &&
         shard.records_pending >= durability_.compact_after) {
-      snapshot_shard_locked(s, shard);
+      (void)snapshot_shard_locked(s, shard);
     }
   }
 
-  /// Serializes the shard's live slots into a snapshot and restarts its
-  /// journal.  Caller holds the shard mutex.
+  /// Serializes the shard's live slots into a snapshot image and queues
+  /// it for the flusher; returns its ticket.  Caller holds the shard
+  /// mutex.
   ///
-  /// Safe against the group-commit queue: records are LSN-stamped at frame
-  /// time under this same lock, so `shard.lsn` here covers every record
-  /// ever framed for the shard -- including ones still sitting in the
-  /// committer's queue.  If the flusher writes such a record AFTER the
-  /// install, replay skips it (lsn <= applied_lsn)
-  /// and the snapshot, which already reflects its effect, wins.
-  ///
-  /// The install itself bypasses that queue, so first every ticket issued
-  /// so far is made durable: the snapshot may hold an effect whose request
-  /// floor (rpc::Service's reply stream, enqueued before the handler ran)
-  /// still waits in the queue, and a crash -- or a backup that applied the
-  /// shipped snapshot -- must never keep the effect without its floor.
-  /// drain() blocks even inside a request's storage::RequestScope.  A
-  /// failed committer skips the compaction; its waiters hear the failure.
-  void snapshot_shard_locked(std::size_t s, Shard& shard) {
-    if (durability_.committer != nullptr) {
-      try {
-        durability_.committer->drain();
-      } catch (const std::exception&) {
-        return;
-      }
-    }
+  /// Records are LSN-stamped at frame time under this same lock and
+  /// enqueued before it drops, so `shard.lsn` covers exactly the records
+  /// with smaller tickets than the image's.  The flusher writes those
+  /// records -- and the reply-stream floors of their requests, which
+  /// were enqueued earlier still -- before it installs the image, so no
+  /// crash image and no backup ever holds an effect without its floor.
+  /// Records framed after the image land in the same cycle or a later
+  /// one and survive the install (replay skips lsn <= applied_lsn).
+  [[nodiscard]] std::uint64_t snapshot_shard_locked(std::size_t s,
+                                                    Shard& shard) {
     std::vector<storage::SnapshotSlot> slots;
     const std::uint32_t limit =
         shard.slot_limit.load(std::memory_order_relaxed);
@@ -1410,21 +1384,22 @@ class ShardedObjectStore {
       image.payload = w.take();
       slots.push_back(std::move(image));
     }
-    durability_.backend->install_snapshot(
-        s, storage::encode_snapshot(slots, shard.lsn));
     shard.records_pending = 0;
     ++shard.snapshots;
+    return durability_.committer->install_snapshot(
+        s, storage::encode_snapshot(slots, shard.lsn));
   }
 
   /// Rebuilds every shard from snapshot-then-journal.  Runs from the
   /// constructor (no concurrency yet).
   void recover() {
+    const storage::Backend& backend = volume();
     recovery_stats_.recovered = true;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
       std::vector<storage::SnapshotSlot> snapshot;
       std::uint64_t applied_lsn = 0;
-      if (!storage::decode_snapshot(durability_.backend->read_snapshot(s),
+      if (!storage::decode_snapshot(backend.read_snapshot(s),
                                     snapshot, applied_lsn)) {
         throw UsageError("ObjectStore: corrupt shard snapshot on recovery");
       }
@@ -1441,7 +1416,7 @@ class ShardedObjectStore {
       }
       shard.lsn = applied_lsn;
       const auto records =
-          storage::decode_journal(durability_.backend->read_journal(s));
+          storage::decode_journal(backend.read_journal(s));
       for (const storage::Record& record : records) {
         if (record.lsn <= applied_lsn) {
           continue;  // already folded into the snapshot (compaction race)

@@ -133,7 +133,6 @@ class MemoryServer final : public rpc::Service {
   using Store = core::ObjectStore<Payload>;
 
   [[nodiscard]] static core::Durability<Payload> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   [[nodiscard]] Result<rpc::CapabilityReply> do_create_segment(

@@ -5,13 +5,11 @@
 namespace amoeba::kernel {
 
 core::Durability<MemoryServer::Payload> MemoryServer::durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
+  if (committer == nullptr) {
     return {};
   }
   core::Durability<Payload> d;
-  d.backend = std::move(backend);
   d.committer = std::move(committer);
   d.encode = [](Writer& w, const Payload& payload) {
     if (const auto* segment = std::get_if<Segment>(&payload)) {
@@ -60,7 +58,7 @@ MemoryServer::MemoryServer(net::Machine& machine, Port get_port,
     : rpc::Service(machine, get_port, "memory"),
       committer_(storage::GroupCommitter::create(backend)),
       store_(std::move(scheme), machine.fbox().listen_port(get_port), seed,
-             Store::kDefaultShards, durability(backend, committer_)),
+             Store::kDefaultShards, durability(committer_)),
       memory_limit_(memory_limit) {
   if (store_.durability_stats().recovered) {
     // Restart path: the machine budget is derived state -- recompute it
@@ -74,7 +72,7 @@ MemoryServer::MemoryServer(net::Machine& machine, Port get_port,
     const std::lock_guard lock(memory_mutex_);
     memory_in_use_ = in_use;
   }
-  attach_durability(std::move(backend), committer_);
+  attach_durability(committer_);
   // std.destroy must return a segment's bytes to the machine budget.
   rpc::register_std_ops(
       *this, store_,

@@ -38,11 +38,12 @@
 // single-map implementation.
 //
 // Restart semantics (docs/PROTOCOL.md §8.4): attach_durability() wires the
-// cache to the volume's reply stream (storage/reply_stream.hpp).  A fresh
-// claim ENQUEUES a reply_floor record -- the highest sequence number ever
-// claimed -- without waiting; the handler's effects are enqueued after it,
-// so a crash image never holds an effect without its floor.  Claim and
-// handler run inside a storage::RequestScope, which turns every
+// cache to the reply stream (storage/reply_stream.hpp) of the volume its
+// group committer writes.  A fresh claim ENQUEUES a reply_floor record --
+// the highest sequence number ever claimed -- without waiting; the
+// handler's effects, and any snapshot image that folds them, are enqueued
+// after it, so a crash image never holds an effect without its floor.
+// Claim and handler run inside a storage::RequestScope, which turns every
 // durability wait (the floor's, each effect's, each envelope entry's)
 // into a recorded ticket.  The worker does not wait on them: it moves the
 // tickets out of the scope, parks them with the reply on the service's
@@ -61,9 +62,9 @@
 // of a recently completed transaction is re-answered instead of timing
 // out.  Each record is O(1) bytes; the stream compacts into a snapshot of
 // the in-memory cache -- bounded like the cache itself -- once the records
-// since the last snapshot outgrow it.  Only a worker installs that
-// snapshot (two fsyncs), never the replier, whose delay every parked
-// reply would share.
+// since the last snapshot outgrow it.  The image is queued on the
+// committer like a record, and its flusher installs it: neither a worker
+// nor the replier ever writes the volume.
 #pragma once
 
 #include <array>
@@ -189,22 +190,17 @@ class Service {
 
   // ---- durable restart support ----------------------------------------
 
-  /// Wires the at-most-once reply cache to a storage volume's reply stream
-  /// (docs/PROTOCOL.md §8.4): restores the per-client suppression floors
-  /// and reply bodies the previous incarnation left there, then journals a
-  /// floor record for every freshly claimed at-most-once request and a
-  /// body record for every completed one.  Rows restored beyond the cache's
-  /// current limits are pruned like live overflow.  Null backend: no-op.
-  /// Call from the server constructor, before start().
-  ///
-  /// The two-argument form enqueues the records on the volume's group
-  /// committer -- they ride the flush cycles of the handlers' own effects,
-  /// and the replier waits once per request, before replying.
-  /// `committer` may be null: records are then appended synchronously,
-  /// the floor before the handler runs.
-  void attach_durability(std::shared_ptr<storage::Backend> backend);
-  void attach_durability(std::shared_ptr<storage::Backend> backend,
-                         std::shared_ptr<storage::GroupCommitter> committer);
+  /// Wires the at-most-once reply cache to the reply stream of the volume
+  /// `committer` writes (docs/PROTOCOL.md §8.4): restores the per-client
+  /// suppression floors and reply bodies the previous incarnation left
+  /// there, then enqueues a floor record for every freshly claimed
+  /// at-most-once request and a body record for every completed one.  The
+  /// records ride the flush cycles of the handlers' own effects, and the
+  /// replier waits once per request, before replying.  Rows restored
+  /// beyond the cache's current limits are pruned like live overflow.
+  /// Null committer: no-op.  Call from the server constructor, before
+  /// start().
+  void attach_durability(std::shared_ptr<storage::GroupCommitter> committer);
 
   // ---- per-operation metrics (ROADMAP follow-up from PR 3) -------------
 
@@ -225,7 +221,8 @@ class Service {
   /// Installs the provider for the service's deployment line in detailed
   /// std_info replies (replication role, peers, lag).  Unset, info_detail()
   /// reports "role=standalone".  Call before start(); attach_durability
-  /// installs one automatically when its backend is replicated.
+  /// installs one (the committer's flush counters, after the replication
+  /// role when the volume is replicated).
   void set_info_detail(std::function<std::string()> provider);
   /// The current deployment line.  Safe while workers run: the provider
   /// reads its own thread-safe sources.
@@ -316,10 +313,9 @@ class Service {
   /// reply once durable; drains the queue before it exits.
   void reply_loop(std::stop_token stop);
   /// Publishes `reply` in the cache when `cache_reply`, then seals and
-  /// transmits it to the request's reply port.  The replier passes
-  /// `may_snapshot` false (see append_reply_record).
+  /// transmits it to the request's reply port.
   void send_reply(const net::Delivery& request, net::Message reply,
-                  bool cache_reply, MessageFilter* filter, bool may_snapshot);
+                  bool cache_reply, MessageFilter* filter);
   [[nodiscard]] net::Message handle_batch(const net::Delivery& request);
   [[nodiscard]] net::Message handle_one(const net::Delivery& request);
 
@@ -391,14 +387,11 @@ class Service {
   void evict_reply_cache_client(const ClientKey& excluded,
                                 bool want_tombstones);
   /// Publishes the reply of a claimed request and evicts beyond the
-  /// per-client window.  `may_snapshot`: see append_reply_record.
-  void store_reply(const net::Delivery& request, const net::Message& reply,
-                   bool may_snapshot);
+  /// per-client window.
+  void store_reply(const net::Delivery& request, const net::Message& reply);
   /// Journals a reply_floor record for a fresh claim (write-ahead for the
   /// suppression state) and returns its commit ticket, which the request
-  /// waits on before replying; 0 when already durable (synchronous
-  /// volume) or not durable at all.  Throws when a synchronous volume
-  /// refuses the append.
+  /// waits on before replying; 0 when the service is not durable.
   [[nodiscard]] std::uint64_t persist_reply_floor(const ClientKey& key,
                                                   std::uint64_t seq);
   /// Journals a completed reply's body, best effort and WITHOUT waiting:
@@ -406,21 +399,17 @@ class Service {
   /// guarantee; the body only upgrades a post-restart duplicate from
   /// "dropped" to "re-answered", so losing it to a crash is safe.
   void persist_reply_body(const ClientKey& key, std::uint64_t seq,
-                          const net::Message& reply, bool may_snapshot);
-  /// Appends one reply-stream record: `body` null frames a reply_floor,
-  /// otherwise a reply_body.  Assigns the stream LSN in append order, and
-  /// compacts the stream once the records appended since the last
-  /// snapshot outgrow it (amortized O(1) bytes per request).  With
-  /// `may_snapshot` false a due compaction is left to the next append
-  /// that may take it (the replier's appends pass false).
+                          const net::Message& reply);
+  /// Enqueues one reply-stream record: `body` null frames a reply_floor,
+  /// otherwise a reply_body.  Assigns the stream LSN in enqueue order, and
+  /// compacts the stream once the records enqueued since the last
+  /// snapshot outgrow it (amortized O(1) bytes per request).
   [[nodiscard]] std::uint64_t append_reply_record(const ClientKey& key,
                                                   std::uint64_t seq,
-                                                  const Buffer* body,
-                                                  bool may_snapshot);
-  /// Installs a reply-stream snapshot imaging the in-memory cache as of
-  /// stream LSN `lsn`.  Returns the image's size, or 0 if the volume
-  /// refused it (the journal still holds every record; a later append
-  /// retries).
+                                                  const Buffer* body);
+  /// Queues a reply-stream snapshot imaging the in-memory cache as of
+  /// stream LSN `lsn` on the committer, which installs it.  Returns the
+  /// image's size.
   std::size_t snapshot_reply_stream(std::uint64_t lsn);
   /// Primes the cache with recovered rows: floors always, completed
   /// replies where a body decodes (those duplicates are re-answered).
@@ -456,12 +445,11 @@ class Service {
   mutable std::mutex info_detail_mutex_;       // guards info_detail_
   std::function<std::string()> info_detail_;   // deployment-line provider
   // Reply-stream persistence; set by attach_durability before start().
-  std::shared_ptr<storage::Backend> reply_backend_;
   std::shared_ptr<storage::GroupCommitter> reply_committer_;
-  /// Orders the reply stream: LSN assignment + append (held for one
+  /// Orders the reply stream: LSN assignment + enqueue (held for one
   /// enqueue, O(1)), so a snapshot's LSN covers exactly the records
-  /// appended before it.  Guards the four fields below.  The snapshot
-  /// itself runs outside it (append_reply_record).
+  /// enqueued before it.  Guards the four fields below.  The snapshot's
+  /// scan and encode run outside it (append_reply_record).
   std::mutex reply_append_mutex_;
   std::uint64_t reply_lsn_ = 0;  // last stream LSN assigned
   /// Record bytes appended since the last snapshot, and the count that

@@ -307,7 +307,7 @@ Service::DupVerdict Service::claim_request(const net::Delivery& request,
 }
 
 void Service::store_reply(const net::Delivery& request,
-                          const net::Message& reply, bool may_snapshot) {
+                          const net::Message& reply) {
   const ClientKey key{request.src.value(), request.message.header.client};
   const std::uint64_t seq = request.message.header.seq;
   bool published = false;
@@ -341,7 +341,7 @@ void Service::store_reply(const net::Delivery& request,
     }
   }
   if (published) {
-    persist_reply_body(key, seq, reply, may_snapshot);  // outside the lock
+    persist_reply_body(key, seq, reply);  // outside the lock
   }
 }
 
@@ -436,16 +436,7 @@ void Service::prune_reply_cache() {
 
 std::uint64_t Service::append_reply_record(const ClientKey& key,
                                            std::uint64_t seq,
-                                           const Buffer* body,
-                                           bool may_snapshot) {
-  const auto encode = [&](std::uint64_t lsn, Buffer& out) {
-    if (body == nullptr) {
-      storage::encode_reply_floor(key.src, key.client, seq, lsn, out);
-    } else {
-      storage::encode_reply_body(key.src, key.client, seq, *body, lsn, out);
-    }
-  };
-  const std::size_t stream = reply_backend_->reply_stream();
+                                           const Buffer* body) {
   std::uint64_t ticket = 0;
   std::uint64_t snapshot_lsn = 0;  // nonzero: this append takes the snapshot
   std::uint64_t snapshot_bytes = 0;
@@ -453,30 +444,27 @@ std::uint64_t Service::append_reply_record(const ClientKey& key,
     const std::lock_guard lock(reply_append_mutex_);
     const std::uint64_t lsn = ++reply_lsn_;
     std::size_t framed = 0;
-    if (reply_committer_ != nullptr) {
-      // No flusher wake-up: a floor joins the cycle its handler's first
-      // effect or its post-handler wait starts, and a body, which nobody
-      // waits for, the next request's -- neither pays for a cycle alone.
-      ticket = reply_committer_->enqueue_with(
-          stream,
-          [&](Buffer& staging) {
-            const std::size_t before = staging.size();
-            encode(lsn, staging);
-            framed = staging.size() - before;
-          },
-          /*wake_flusher=*/false);
-    } else {
-      Buffer frame;
-      encode(lsn, frame);
-      reply_backend_->append_journal(stream, frame);
-      framed = frame.size();
-    }
+    // No flusher wake-up: a floor joins the cycle its handler's first
+    // effect or its post-handler wait starts, and a body, which nobody
+    // waits for, the next request's -- neither pays for a cycle alone.
+    ticket = reply_committer_->enqueue_with(
+        reply_committer_->backend()->reply_stream(),
+        [&](Buffer& staging) {
+          const std::size_t before = staging.size();
+          if (body == nullptr) {
+            storage::encode_reply_floor(key.src, key.client, seq, lsn, staging);
+          } else {
+            storage::encode_reply_body(key.src, key.client, seq, *body, lsn,
+                                       staging);
+          }
+          framed = staging.size() - before;
+        },
+        /*wake_flusher=*/false);
     reply_stream_bytes_ += framed;
-    if (may_snapshot && reply_stream_bytes_ >= reply_snapshot_due_ &&
-        !reply_snapshotting_) {
+    if (reply_stream_bytes_ >= reply_snapshot_due_ && !reply_snapshotting_) {
       // An install drops only records at or below its LSN, on every
-      // volume, so the scan, encode and install run outside the mutex:
-      // other workers' appends go on meanwhile.
+      // volume, so the scan and encode run outside the mutex: other
+      // workers' appends go on meanwhile.
       reply_snapshotting_ = true;
       snapshot_lsn = reply_lsn_;
       snapshot_bytes = reply_stream_bytes_;
@@ -486,11 +474,9 @@ std::uint64_t Service::append_reply_record(const ClientKey& key,
     const std::size_t image = snapshot_reply_stream(snapshot_lsn);
     const std::lock_guard lock(reply_append_mutex_);
     reply_snapshotting_ = false;
-    if (image != 0) {
-      reply_stream_bytes_ -= snapshot_bytes;
-      reply_snapshot_due_ =
-          std::max<std::uint64_t>(image, kReplySnapshotMinBytes);
-    }
+    reply_stream_bytes_ -= snapshot_bytes;
+    reply_snapshot_due_ =
+        std::max<std::uint64_t>(image, kReplySnapshotMinBytes);
   }
   return ticket;
 }
@@ -499,8 +485,9 @@ std::size_t Service::snapshot_reply_stream(std::uint64_t lsn) {
   // Every record with an LSN up to `lsn` has already updated the
   // in-memory cache the scan below reads (the cache changes before its
   // record takes an LSN) -- possibly with later state, which only moves
-  // floors up.  Records still queued in the committer replay as no-ops
-  // under the snapshot's LSN.
+  // floors up.  The image is queued behind every record up to `lsn`, and
+  // the flusher installs it after writing them; records queued after it
+  // survive the install and replay as no-ops under its LSN.
   storage::ReplyRows rows;
   for (const ReplyCacheStripe& stripe : reply_cache_stripes_) {
     const std::lock_guard stripe_lock(stripe.mutex);
@@ -525,37 +512,30 @@ std::size_t Service::snapshot_reply_stream(std::uint64_t lsn) {
       }
     }
   }
-  const Buffer image = storage::encode_reply_snapshot(rows, lsn);
-  try {
-    reply_backend_->install_snapshot(reply_backend_->reply_stream(), image);
-  } catch (const std::exception&) {
-    return 0;
-  }
-  return image.size();
+  Buffer image = storage::encode_reply_snapshot(rows, lsn);
+  const std::size_t size = image.size();
+  (void)reply_committer_->install_snapshot(
+      reply_committer_->backend()->reply_stream(), std::move(image));
+  return size;
 }
 
 std::uint64_t Service::persist_reply_floor(const ClientKey& key,
                                            std::uint64_t seq) {
-  if (reply_backend_ == nullptr) {
+  if (reply_committer_ == nullptr) {
     return 0;
   }
-  return append_reply_record(key, seq, nullptr, /*may_snapshot=*/true);
+  return append_reply_record(key, seq, nullptr);
 }
 
 void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
-                                 const net::Message& reply,
-                                 bool may_snapshot) {
-  if (reply_backend_ == nullptr ||
+                                 const net::Message& reply) {
+  if (reply_committer_ == nullptr ||
       reply.data.size() > storage::kReplyBodyMaxBytes) {
     return;  // bulk replies stay floor-only
   }
   Writer body;
   encode_reply_body(reply, body);
-  try {
-    (void)append_reply_record(key, seq, &body.buffer(), may_snapshot);
-  } catch (const std::exception&) {
-    // Best effort (see the header): the duplicate drops via the floor.
-  }
+  (void)append_reply_record(key, seq, &body.buffer());
 }
 
 void Service::set_info_detail(std::function<std::string()> provider) {
@@ -572,56 +552,48 @@ std::string Service::info_detail() const {
   return provider != nullptr ? provider() : std::string("role=standalone");
 }
 
-void Service::attach_durability(std::shared_ptr<storage::Backend> backend) {
-  attach_durability(std::move(backend), nullptr);
-}
-
 void Service::attach_durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
+  if (committer == nullptr) {
     return;
   }
   // A replicated volume makes this service a replication primary: publish
   // the role, peer count and shipping lag through std_info's detail line
-  // (docs/PROTOCOL.md §9.5).  A group committer likewise publishes its
-  // flush counters (docs/PROTOCOL.md §8.5).  The shared_ptrs keep the
-  // decorator/committer alive as long as the provider.
-  const auto replicated =
-      std::dynamic_pointer_cast<storage::ReplicatedBackend>(backend);
-  if (replicated != nullptr || committer != nullptr) {
-    set_info_detail([replicated, committer] {
-      std::string line;
-      if (replicated != nullptr) {
-        replicated->heartbeat();  // refresh acked floors before reporting
-        const storage::ReplicatedBackend::Stats stats = replicated->stats();
-        line = "role=primary mode=";
-        line += to_string(stats.mode);
-        line += " peers=" + std::to_string(stats.peers.size());
-        line += " shipped=" + std::to_string(stats.shipped_lsn);
-        for (const auto& peer : stats.peers) {
-          line += " " + peer.name +
-                  ".lag=" + std::to_string(stats.shipped_lsn - peer.acked_lsn);
-        }
-      } else {
-        line = "role=standalone";
+  // (docs/PROTOCOL.md §9.5), after the committer's flush counters
+  // (docs/PROTOCOL.md §8.5).  The shared_ptrs keep the decorator and the
+  // committer alive as long as the provider.
+  const auto replicated = std::dynamic_pointer_cast<storage::ReplicatedBackend>(
+      committer->backend());
+  set_info_detail([replicated, committer] {
+    std::string line;
+    if (replicated != nullptr) {
+      replicated->heartbeat();  // refresh acked floors before reporting
+      const storage::ReplicatedBackend::Stats stats = replicated->stats();
+      line = "role=primary mode=";
+      line += to_string(stats.mode);
+      line += " peers=" + std::to_string(stats.peers.size());
+      line += " shipped=" + std::to_string(stats.shipped_lsn);
+      for (const auto& peer : stats.peers) {
+        line += " " + peer.name +
+                ".lag=" + std::to_string(stats.shipped_lsn - peer.acked_lsn);
       }
-      if (committer != nullptr) {
-        const storage::GroupCommitter::Stats gc = committer->stats();
-        line += " gc.groups=" + std::to_string(gc.groups);
-        line += " gc.records=" + std::to_string(gc.records);
-        line += " gc.max_group=" + std::to_string(gc.max_group);
-        line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
-      }
-      return line;
-    });
-  }
+    } else {
+      line = "role=standalone";
+    }
+    const storage::GroupCommitter::Stats gc = committer->stats();
+    line += " gc.groups=" + std::to_string(gc.groups);
+    line += " gc.records=" + std::to_string(gc.records);
+    line += " gc.installs=" + std::to_string(gc.installs);
+    line += " gc.max_group=" + std::to_string(gc.max_group);
+    line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
+    return line;
+  });
   std::uint64_t last_lsn = 0;
-  restore_reply_rows(storage::read_reply_stream(*backend, last_lsn));
+  restore_reply_rows(storage::read_reply_stream(*committer->backend(),
+                                                last_lsn));
   prune_reply_cache();
   const std::lock_guard lock(reply_append_mutex_);
   reply_lsn_ = last_lsn;
-  reply_backend_ = std::move(backend);
   reply_committer_ = std::move(committer);
 }
 
@@ -772,23 +744,16 @@ void Service::run(std::stop_token stop, std::latch& ready) {
           case DupVerdict::fresh:
             cache_reply = true;
             // Write-ahead for the suppression state: the floor record is
-            // enqueued BEFORE the handler can enqueue any effect, and an
-            // effect never reaches the volume ahead of the queue (a shard
-            // snapshot drains it first), so no crash image holds an effect
-            // without its floor.
-            try {
-              const std::uint64_t floor_ticket = persist_reply_floor(
-                  ClientKey{delivery->src.value(),
-                            delivery->message.header.client},
-                  delivery->message.header.seq);
-              if (floor_ticket != 0) {
-                reply_committer_->wait_durable(floor_ticket);  // recorded
-              }
-            } catch (const std::exception&) {
-              // A synchronous volume refused the floor: the operation
-              // must not execute; the client hears the truth.
-              reply = net::make_reply(delivery->message, ErrorCode::internal);
-              executed = false;
+            // enqueued BEFORE the handler can enqueue any effect, and
+            // nothing reaches the volume out of queue order (a shard
+            // snapshot is a queue entry too), so no crash image holds an
+            // effect without its floor.
+            if (const std::uint64_t floor_ticket = persist_reply_floor(
+                    ClientKey{delivery->src.value(),
+                              delivery->message.header.client},
+                    delivery->message.header.seq);
+                floor_ticket != 0) {
+              reply_committer_->wait_durable(floor_ticket);  // recorded
             }
             break;
         }
@@ -807,8 +772,7 @@ void Service::run(std::stop_token stop, std::latch& ready) {
     // of its envelope -- recorded are durable.  This worker moves on.
     storage::RequestScope::Tickets tickets = durability.take_pending();
     if (tickets.empty()) {
-      send_reply(*delivery, std::move(reply), cache_reply, filter.get(),
-                 /*may_snapshot=*/true);
+      send_reply(*delivery, std::move(reply), cache_reply, filter.get());
       continue;
     }
     delivery->message.data = {};
@@ -860,19 +824,18 @@ void Service::reply_loop(std::stop_token stop) {
             net::make_reply(parked.request.message, ErrorCode::internal);
       }
       send_reply(parked.request, std::move(parked.reply), parked.cache_reply,
-                 parked.filter.get(), /*may_snapshot=*/false);
+                 parked.filter.get());
     }
     batch.clear();
   }
 }
 
 void Service::send_reply(const net::Delivery& request, net::Message reply,
-                         bool cache_reply, MessageFilter* filter,
-                         bool may_snapshot) {
+                         bool cache_reply, MessageFilter* filter) {
   if (cache_reply) {
     // Cached in pre-dest, pre-filter form; a re-send recomputes the
     // destination from the duplicate and re-seals per transmission.
-    store_reply(request, reply, may_snapshot);
+    store_reply(request, reply);
   }
   const Port reply_port = request.message.header.reply;
   if (reply_port.is_null()) {

@@ -57,13 +57,11 @@ enum class PatchKind : std::uint8_t { enter = 1, remove = 2 };
 }  // namespace
 
 core::Durability<DirectoryServer::Directory> DirectoryServer::durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
+  if (committer == nullptr) {
     return {};
   }
   core::Durability<Directory> d;
-  d.backend = std::move(backend);
   d.committer = std::move(committer);
   d.encode = [](Writer& w, const Directory& dir) {
     w.u32(static_cast<std::uint32_t>(dir.size()));
@@ -115,8 +113,8 @@ DirectoryServer::DirectoryServer(
     : rpc::Service(machine, get_port, "directory"),
       committer_(storage::GroupCommitter::create(backend)),
       store_(std::move(scheme), machine.fbox().listen_port(get_port), seed,
-             Store::kDefaultShards, durability(backend, committer_)) {
-  attach_durability(std::move(backend), committer_);
+             Store::kDefaultShards, durability(committer_)) {
+  attach_durability(committer_);
   // std.destroy keeps the delete semantics: only empty directories die.
   rpc::register_std_ops(
       *this, store_,

@@ -139,10 +139,9 @@ class BankServer final : public rpc::Service {
   };
   using Store = core::ObjectStore<Account>;
 
-  /// Payload codec + backend wiring for the durable store (empty handle
-  /// when `backend` is null).
+  /// Payload codec + committer wiring for the durable store (empty handle
+  /// when `committer` is null).
   [[nodiscard]] static core::Durability<Account> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   [[nodiscard]] Result<bank_ops::BalanceReply> do_balance(

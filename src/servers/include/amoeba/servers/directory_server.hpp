@@ -99,7 +99,6 @@ class DirectoryServer final : public rpc::Service {
   /// dir.enter and dir.remove.  Public so a store built on them (e.g.
   /// with a small `compact_after`) writes volumes this server recovers.
   [[nodiscard]] static core::Durability<Directory> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
  private:

@@ -108,7 +108,6 @@ class FlatFileServer final : public rpc::Service {
   using Store = core::ObjectStore<Inode>;
 
   [[nodiscard]] static core::Durability<Inode> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   /// Charges `blocks` worth of space to the inode's payer; no-op when

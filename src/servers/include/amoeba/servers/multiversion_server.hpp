@@ -118,7 +118,6 @@ class MultiVersionServer final : public rpc::Service {
   /// pages_mutex_ (taken AFTER a shard lock, matching every handler);
   /// pages_ is declared before store_ so recovery may fill it.
   [[nodiscard]] core::Durability<Payload> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   [[nodiscard]] Result<rpc::CapabilityReply> do_new_version(

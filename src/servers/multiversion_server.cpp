@@ -3,13 +3,11 @@
 namespace amoeba::servers {
 
 core::Durability<MultiVersionServer::Payload> MultiVersionServer::durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
+  if (committer == nullptr) {
     return {};
   }
   core::Durability<Payload> d;
-  d.backend = std::move(backend);
   d.committer = std::move(committer);
   const auto encode_tree = [this](Writer& w, std::uint32_t root) {
     // Caller (an accessor flush or snapshot) holds the shard lock;
@@ -128,8 +126,8 @@ MultiVersionServer::MultiVersionServer(
       pages_(page_size),
       committer_(storage::GroupCommitter::create(backend)),
       store_(std::move(scheme), machine.fbox().listen_port(get_port), seed,
-             Store::kDefaultShards, durability(backend, committer_)) {
-  attach_durability(std::move(backend), committer_);
+             Store::kDefaultShards, durability(committer_)) {
+  attach_durability(committer_);
   // std.destroy must release the page-tree references a plain slot
   // destroy would leak.
   rpc::register_std_ops(

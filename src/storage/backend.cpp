@@ -20,6 +20,23 @@ void check_shards(std::size_t shards) {
   }
 }
 
+/// The records of one stream's journal a snapshot at `floor` does not
+/// subsume (lsn > floor), in order, copied as opaque spans: no record
+/// decode, no per-record allocation.  Stops at a malformed record.
+[[nodiscard]] Buffer records_above(std::span<const std::uint8_t> bytes,
+                                   std::uint64_t floor) {
+  Buffer kept;
+  std::size_t pos = 0;
+  while (const auto record = peek_record(bytes.subspan(pos))) {
+    if (record->lsn > floor) {
+      kept.insert(kept.end(), bytes.begin() + pos,
+                  bytes.begin() + pos + record->size);
+    }
+    pos += record->size;
+  }
+  return kept;
+}
+
 }  // namespace
 
 IoCounters& this_thread_io_counters() {
@@ -87,21 +104,10 @@ void MemoryBackend::install_snapshot(std::size_t shard,
   Shard& s = *shards_.at(shard);
   const std::lock_guard lock(s.mutex);
   s.snapshot.assign(bytes.begin(), bytes.end());
-  if (shard != reply_stream()) {
-    s.journal.clear();  // compaction: the snapshot subsumes the log
-    return;
-  }
-  // The reply stream's snapshot is installed while appends go on
-  // (rpc::Service): drop exactly the records it subsumes, as commit.log's
-  // GC floor does on a file volume.
-  const std::uint64_t applied = peek_snapshot_lsn(bytes);
-  Buffer kept;
-  for (const Record& record : decode_journal(s.journal)) {
-    if (record.lsn > applied) {
-      encode_record(record, kept);
-    }
-  }
-  s.journal = std::move(kept);
+  // A flush cycle writes its appends before its images, so the journal may
+  // already hold records newer than this image: drop exactly the records
+  // it subsumes, as commit.log's GC floor does on a file volume.
+  s.journal = records_above(s.journal, peek_snapshot_lsn(bytes));
 }
 
 Buffer MemoryBackend::read_snapshot(std::size_t shard) const {
@@ -209,18 +215,6 @@ void fsync_or_throw(int fd, const std::filesystem::path& dir,
 // checksum covers the WHOLE body, so a group is on the recovered volume
 // entirely or not at all.
 constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
-
-inline std::uint32_t load_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-inline std::uint64_t load_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(load_u32(p)) |
-         static_cast<std::uint64_t>(load_u32(p + 4)) << 32;
-}
 
 /// Splits commit.log into per-stream record runs.  Stops silently at the
 /// first torn, corrupt or malformed frame: a crash mid-append loses the
@@ -396,11 +390,11 @@ void FileBackend::install_snapshot(std::size_t shard,
                                    std::span<const std::uint8_t> bytes) {
   const std::lock_guard lock(snapshot_mutexes_.at(shard));
   replace_file_durably(snapshot_path(shard), bytes, "snapshot");
-  // Advance the commit-log GC floor (every record of this shard already in
-  // the log was framed -- LSN-stamped -- before this snapshot was encoded,
-  // so the snapshot subsumes them all), and rewrite the log once it has
-  // grown past the threshold.  LSN gating makes the lag harmless: a stale
-  // record left in the log replays as a no-op.
+  // Advance the commit-log GC floor (the log may already hold records
+  // newer than the image -- a flush cycle writes its appends first -- so
+  // only those at or below its LSN are subsumed), and rewrite the log once
+  // it has grown past the threshold.  LSN gating makes the lag harmless: a
+  // stale record left in the log replays as a no-op.
   const std::lock_guard commit_lock(commit_mutex_);
   commit_floor_[shard] =
       std::max(commit_floor_[shard], peek_snapshot_lsn(bytes));
@@ -415,29 +409,10 @@ void FileBackend::install_snapshot(std::size_t shard,
 }
 
 void FileBackend::gc_commit_log_locked() {
-  // This runs on a mutator's snapshot-install path, so it stays a linear
-  // byte scan: a record's LSN sits at a fixed offset, so surviving
-  // records are copied as opaque spans -- no record decode, no per-record
-  // allocation.
   const std::vector<Buffer>& split = commit_split_locked();
   std::vector<ShardAppend> survivors;
   for (std::size_t sh = 0; sh < split.size(); ++sh) {
-    const Buffer& bytes = split[sh];
-    Buffer kept;
-    std::size_t pos = 0;
-    while (pos + 8 <= bytes.size()) {
-      const std::uint32_t length = load_u32(bytes.data() + pos);
-      if (length < 25 || pos + 8 + length > bytes.size()) {
-        break;  // malformed tail inside a checksummed group: stop here
-      }
-      // Record frame: length u32 | checksum u32 | type u8 | object u32 |
-      // secret u64 | lsn u64 | payload -- the LSN lives at offset 21.
-      if (load_u64(bytes.data() + pos + 21) > commit_floor_[sh]) {
-        const auto* from = bytes.data() + pos;
-        kept.insert(kept.end(), from, from + 8 + length);
-      }
-      pos += 8 + length;
-    }
+    Buffer kept = records_above(split[sh], commit_floor_[sh]);
     if (!kept.empty()) {
       survivors.push_back({sh, std::move(kept)});
     }

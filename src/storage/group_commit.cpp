@@ -62,19 +62,17 @@ void RequestScope::settle_current() {
   }
 }
 
-GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend,
-                               Options options)
-    : backend_(std::move(backend)), options_(options) {
+GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend)
+    : backend_(std::move(backend)) {
   if (backend_ == nullptr) {
     throw UsageError("GroupCommitter: null backend");
   }
   pending_.resize(backend_->stream_count());  // object shards + reply stream
   // A replicated volume binds itself to its committer: every flush cycle
   // then ships through the post-flush hook (the exact bytes that hit the
-  // local disk, ack-mode wait included), and the decorator's own append
-  // paths stand down for committer traffic.  Wiring this here means a
-  // server gains replication by being handed a ReplicatedBackend --
-  // no server code changes.
+  // local disk, ack-mode wait included).  Wiring this here means a server
+  // gains replication by being handed a ReplicatedBackend -- no server
+  // code changes.
   if (auto* replicated = dynamic_cast<ReplicatedBackend*>(backend_.get())) {
     replicated->bind_committer(*this);
   }
@@ -97,57 +95,46 @@ GroupCommitter::~GroupCommitter() {
 }
 
 std::shared_ptr<GroupCommitter> GroupCommitter::create(
-    const std::shared_ptr<Backend>& backend, Options options) {
+    const std::shared_ptr<Backend>& backend) {
   return backend == nullptr ? nullptr
-                            : std::make_shared<GroupCommitter>(backend,
-                                                               options);
+                            : std::make_shared<GroupCommitter>(backend);
+}
+
+Buffer& GroupCommitter::pending_locked(std::size_t shard) {
+  Buffer& pending = pending_.at(shard);
+  if (pending.empty()) {
+    dirty_shards_.push_back(shard);
+  }
+  ++pending_records_;
+  return pending;
 }
 
 GroupCommitter::Ticket GroupCommitter::enqueue(
     std::size_t shard, std::span<const std::uint8_t> bytes) {
-  bool wake;
-  Ticket ticket;
-  {
-    const std::lock_guard lock(mutex_);
-    Buffer& pending = pending_.at(shard);
-    if (pending.empty()) {
-      dirty_shards_.push_back(shard);
-    }
+  return enqueue_with(shard, [&](Buffer& pending) {
     pending.insert(pending.end(), bytes.begin(), bytes.end());
-    ++pending_records_;
-    wake = flusher_waiting_;  // batched wakeup: see enqueue_with
-    ticket = ++issued_;
-  }
-  if (wake) {
-    work_cv_.notify_one();
-  }
-  return ticket;
+  });
 }
 
 GroupCommitter::Ticket GroupCommitter::enqueue_group(
     std::vector<ShardAppend>&& appends) {
-  bool wake;
-  Ticket ticket;
-  {
-    // One mutex hold for the whole group: a flush-cycle boundary can never
-    // split it, so the backend batch append (atomic w.r.t. capture())
-    // receives the group intact.
-    const std::lock_guard lock(mutex_);
-    for (const ShardAppend& a : appends) {
-      Buffer& pending = pending_.at(a.shard);
-      if (pending.empty()) {
-        dirty_shards_.push_back(a.shard);
-      }
-      pending.insert(pending.end(), a.bytes.begin(), a.bytes.end());
-      ++pending_records_;
-    }
-    wake = flusher_waiting_;
-    ticket = ++issued_;
-  }
-  if (wake) {
-    work_cv_.notify_one();
-  }
-  return ticket;
+  // One mutex hold for the whole group: a flush-cycle boundary can never
+  // split it, so the backend batch append (atomic w.r.t. capture())
+  // receives the group intact.
+  return insert(
+      [&] {
+        for (const ShardAppend& a : appends) {
+          Buffer& pending = pending_locked(a.shard);
+          pending.insert(pending.end(), a.bytes.begin(), a.bytes.end());
+        }
+      },
+      /*wake_flusher=*/true);
+}
+
+GroupCommitter::Ticket GroupCommitter::install_snapshot(std::size_t stream,
+                                                        Buffer image) {
+  return insert([&] { installs_.push_back({stream, std::move(image)}); },
+                /*wake_flusher=*/true);
 }
 
 void GroupCommitter::wait_durable(Ticket ticket) {
@@ -188,15 +175,6 @@ bool GroupCommitter::is_durable(Ticket ticket) const {
   return durable_ >= ticket;
 }
 
-void GroupCommitter::drain() {
-  Ticket last;
-  {
-    const std::lock_guard lock(mutex_);
-    last = issued_;
-  }
-  block_until(last);
-}
-
 GroupCommitter::Stats GroupCommitter::stats() const {
   const std::lock_guard lock(mutex_);
   return stats_;
@@ -211,12 +189,10 @@ void GroupCommitter::set_post_flush_hook(PostFlushHook hook) {
 }
 
 void GroupCommitter::flusher(const std::stop_token& stop) {
-  const auto ceiling = options_.flush_interval.count() > 0
-                           ? options_.flush_interval
-                           : Options::kDefaultLingerCeiling;
   for (;;) {
     Ticket covered = 0;
     std::vector<ShardAppend> appends;
+    std::vector<Install> installs;
     std::uint64_t records = 0;
     std::uint64_t bytes = 0;
     PostFlushHook hook;
@@ -233,7 +209,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
         // Grow the cycle while nobody is blocked on it; a waiter's arrival
         // (wait_durable notifies) collapses the linger at once.
         const auto start = std::chrono::steady_clock::now();
-        work_cv_.wait_until(lock, start + ceiling, [&] {
+        work_cv_.wait_until(lock, start + kLingerCeiling, [&] {
           return waiters_ > 0 || stop.stop_requested();
         });
         stats_.linger_us_current = static_cast<std::uint64_t>(
@@ -253,6 +229,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
         appends.push_back({s, std::exchange(pending_[s], Buffer{})});
       }
       dirty_shards_.clear();
+      installs = std::exchange(installs_, {});
       records = std::exchange(pending_records_, 0);
       hook = post_flush_hook_;
     }
@@ -260,11 +237,13 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       bytes += a.bytes.size();
     }
 
-    // Write, then hook, then release: the hook (replication shipping) sees
-    // exactly what hit the disk, and a released waiter knows the cycle was
-    // already offered to -- and, per the ack mode, acknowledged by -- the
-    // backups.  Only this thread writes, so cycles reach the disk and the
-    // hook strictly in ticket order.
+    // Write, then hook, then install, then release: the hook (replication
+    // shipping) sees exactly what hit the disk, an image lands after the
+    // records -- floors included -- of every effect it holds, and a
+    // released waiter knows the cycle was already offered to -- and, per
+    // the ack mode, acknowledged by -- the backups.  Only this thread
+    // writes, so cycles reach the disk and the hook strictly in ticket
+    // order.
     std::exception_ptr error;
     try {
       if (!appends.empty()) {
@@ -273,9 +252,12 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
         backend_->append_journal_batch(
             hook != nullptr ? std::vector<ShardAppend>(appends)
                             : std::move(appends));
+        if (hook != nullptr) {
+          hook(FlushCycle{covered, bytes, &appends});
+        }
       }
-      if (hook != nullptr) {
-        hook(FlushCycle{covered, bytes, &appends});
+      for (const Install& install : installs) {
+        backend_->install_snapshot(install.stream, install.image);
       }
     } catch (...) {
       error = std::current_exception();
@@ -287,9 +269,9 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     // smaller on the cluster benchmark (more flushes per request).
     const std::lock_guard lock(mutex_);
     if (error != nullptr) {
-      // A backend write failure or a hook failure (replication fencing)
-      // latches: durability -- which includes the hook's ack contract --
-      // is never reported optimistically.
+      // A failed write, hook (replication fencing) or install latches:
+      // durability -- which includes the hook's ack contract -- is never
+      // reported optimistically.
       failure_ = describe(error);
       durable_cv_.notify_all();
       return;
@@ -297,6 +279,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     durable_ = covered;
     ++stats_.groups;
     stats_.records += records;
+    stats_.installs += installs.size();
     stats_.max_group = std::max(stats_.max_group, records);
     stats_.flush_cycle_bytes += bytes;
     durable_cv_.notify_all();

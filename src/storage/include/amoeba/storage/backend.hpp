@@ -12,8 +12,10 @@
 // Every journal write is an append GROUP -- per-stream runs of framed
 // records that land atomically -- through the one virtual write method,
 // append_journal_batch(), which returns once the group is durable and
-// throws when it is not.  append_journal() is a group of one.  Two
-// implementations:
+// throws when it is not.  append_journal() is a group of one.  A server
+// never writes a volume itself: its GroupCommitter's flusher is the one
+// writer, of journal groups and snapshot installs alike
+// (group_commit.hpp).  Two implementations:
 //
 //   * MemoryBackend -- byte-for-byte the same layout in process memory.
 //     The crash/restart test harness runs on it: an append hook fires at
@@ -52,9 +54,9 @@ namespace amoeba::storage {
 
 /// Per-thread blocking-syscall counters, bumped by every write(2) and
 /// fsync(2) the storage layer issues on the calling thread.  Same spirit
-/// as CountedMutex: which thread pays for durability (a mutator
-/// installing a snapshot, or the group-commit flusher writing a cycle) is
-/// a runtime counter, not a comment.
+/// as CountedMutex: which thread pays for durability (the group-commit
+/// flusher writing a cycle and installing its snapshots, never a mutator)
+/// is a runtime counter, not a comment.
 struct IoCounters {
   std::uint64_t writes = 0;  // blocking write/writev calls
   std::uint64_t fsyncs = 0;  // blocking fsync/fdatasync calls
@@ -91,7 +93,8 @@ class Backend {
   /// Atomically replaces the shard's snapshot (log compaction).  Journal
   /// records at or below its applied LSN are dead from then on: the
   /// memory backend drops them, the file backend drops them at its next
-  /// commit.log rewrite, and replay skips any still there.
+  /// commit.log rewrite, and replay skips any still there.  Records above
+  /// it stay: a flush cycle writes its records before its images.
   virtual void install_snapshot(std::size_t shard,
                                 std::span<const std::uint8_t> bytes) = 0;
 

@@ -1,5 +1,5 @@
 // Group commit: one asynchronous flusher amortizing many journal appends
-// into one backend write per cycle.
+// into one backend write per cycle -- and the volume's only writer.
 //
 // PR 5 made every state change durable by appending (and, on FileBackend,
 // flushing) one record at a time on the mutator thread -- correct, but the
@@ -14,28 +14,32 @@
 // is the self-tuning property (load grows groups, idle volumes flush
 // immediately).
 //
+// A snapshot install (a shard's compaction, the reply stream's image) is a
+// queue entry too: install_snapshot() takes a ticket like an append, and
+// the flusher runs it after its cycle's appends.  Nothing else writes the
+// volume, so no mutator thread ever blocks on a write(2) or fsync(2).
+//
 // Ordering guarantees:
 //   * Tickets are the volume-wide commit LSN: wait_durable(t) returns only
-//     after EVERY enqueue with ticket <= t is on the backend.  The flusher
+//     after EVERY entry with ticket <= t is on the backend.  The flusher
 //     never reports a ticket whose bytes a crash image could lack.
 //   * enqueue_group() places all entries under one queue-mutex hold, so a
 //     flush cycle carries a multi-shard group entirely or not at all; the
 //     backend's group atomicity w.r.t. capture() and crashes then keeps
-//     a bank transfer's debit+credit untearable, exactly as in the
-//     synchronous path.
+//     a bank transfer's debit+credit untearable.
 //   * The volume's reply stream (Backend::reply_stream()) is one more
 //     queue: rpc::Service enqueues a request's floor record at claim time,
 //     so it takes a smaller ticket than -- and lands in the same or an
 //     earlier cycle than -- every effect the handler enqueues after it.  A
 //     crash image may hold a floor without its effect (operation lost,
 //     safe) but never an effect without its floor (operation doubled).
-//     Writes that bypass the queue must keep that: the object store makes
-//     every issued ticket durable (drain()) before it installs a shard
-//     snapshot, which may already hold a queued effect.
+//   * A cycle runs in one order: write its appends, run the post-flush
+//     hook (replication ships the cycle), install its snapshot images in
+//     ticket order, release its waiters.  An image holds only effects
+//     whose records -- and those records' floors -- took smaller tickets,
+//     so they reach the disk and every backup before the image does.
 //
-// A cycle is durable once its backend write has returned and the
-// post-flush hook has run; only then does the flusher advance the durable
-// ticket.  A backend write that throws (disk full) latches the committer
+// A backend write, a hook or an install that throws latches the committer
 // into a failed state: wait_durable() then throws instead of ever
 // reporting durability that does not exist.
 #pragma once
@@ -55,22 +59,6 @@
 
 namespace amoeba::storage {
 
-/// Tuning of one GroupCommitter.
-struct GroupCommitOptions {
-  /// CEILING of the flusher's linger: the longest it may hold a claim to
-  /// let concurrent mutators grow the group.  0 (the default) leaves the
-  /// built-in ceiling, kDefaultLingerCeiling.  The linger is waiter-gated:
-  /// the flusher lingers only while NO thread is blocked in wait_durable,
-  /// and the moment a waiter arrives it collapses and the cycle flushes.
-  /// Pipelined mutators (release_async) therefore get wide cycles and few
-  /// condvar round trips -- the fix for the grouped-memory > sync-memory
-  /// inversion bench_e14 exposed on one core -- while synchronous waiters
-  /// keep their immediate-flush latency.
-  std::chrono::microseconds flush_interval{0};
-
-  static constexpr std::chrono::microseconds kDefaultLingerCeiling{200};
-};
-
 class GroupCommitter;
 
 /// Defers the calling thread's durability waits to one point: while a
@@ -82,7 +70,7 @@ class GroupCommitter;
 /// moves the recorded tickets out (take_pending()) and hands them with
 /// the reply to its replier thread, which waits on them (settle(tickets))
 /// before the reply leaves.  rpc::Transport settles before a handler's
-/// outgoing call.  drain() always blocks.  Scopes nest (innermost wins).
+/// outgoing call.  Scopes nest (innermost wins).
 class RequestScope {
  public:
   /// One committer's largest recorded ticket.
@@ -130,11 +118,18 @@ class GroupCommitter {
   /// (what in-memory paths hand around so callers need no null checks).
   using Ticket = std::uint64_t;
 
-  using Options = GroupCommitOptions;
+  /// The longest the flusher holds a claim to let concurrent mutators
+  /// grow the group.  The linger is waiter-gated: the flusher lingers only
+  /// while NO thread is blocked in wait_durable, and the moment a waiter
+  /// arrives it collapses and the cycle flushes.  Pipelined mutators
+  /// (release_async) therefore get wide cycles and few condvar round
+  /// trips, while synchronous waiters keep their immediate-flush latency.
+  static constexpr std::chrono::microseconds kLingerCeiling{200};
 
   struct Stats {
     std::uint64_t groups = 0;        // flush cycles that reached the backend
     std::uint64_t records = 0;       // journal appends those cycles carried
+    std::uint64_t installs = 0;      // snapshot images those cycles installed
     std::uint64_t max_group = 0;     // largest single cycle, in records
     std::uint64_t flush_cycle_bytes = 0;  // journal bytes those cycles wrote
     std::uint64_t linger_us_current = 0;  // last adaptive linger applied
@@ -154,9 +149,8 @@ class GroupCommitter {
   };
   using PostFlushHook = std::function<void(const FlushCycle&)>;
 
-  explicit GroupCommitter(std::shared_ptr<Backend> backend,
-                          Options options = {});
-  /// Drains every pending enqueue to the backend, then joins the flusher.
+  explicit GroupCommitter(std::shared_ptr<Backend> backend);
+  /// Drains every pending entry to the backend, then joins the flusher.
   ~GroupCommitter();
 
   GroupCommitter(const GroupCommitter&) = delete;
@@ -165,7 +159,7 @@ class GroupCommitter {
   /// Null-safe factory: a committer for `backend`, or null when `backend`
   /// is null (the in-memory server constructors pass the null through).
   [[nodiscard]] static std::shared_ptr<GroupCommitter> create(
-      const std::shared_ptr<Backend>& backend, Options options = {});
+      const std::shared_ptr<Backend>& backend);
 
   /// Queues one framed record for `shard`'s journal (any index below the
   /// backend's stream_count(), the reply stream included); the bytes are
@@ -190,35 +184,21 @@ class GroupCommitter {
   template <typename EncodeFn>
   [[nodiscard]] Ticket enqueue_with(std::size_t shard, EncodeFn&& encode,
                                     bool wake_flusher = true) {
-    bool wake;
-    Ticket ticket;
-    {
-      const std::lock_guard lock(mutex_);
-      Buffer& pending = pending_.at(shard);
-      if (pending.empty()) {
-        dirty_shards_.push_back(shard);
-      }
-      encode(pending);
-      ++pending_records_;
-      // Batched-wakeup lever: notify only when the flusher is actually
-      // parked on work_cv_.  While it claims, writes, or lingers, the
-      // notify (a futex syscall plus, on one core, often a context
-      // switch) would be pure overhead -- the flusher re-checks the
-      // queue under the mutex before it ever sleeps again.
-      wake = wake_flusher && flusher_waiting_;
-      ticket = ++issued_;
-    }
-    if (wake) {
-      work_cv_.notify_one();
-    }
-    return ticket;
+    return insert([&] { encode(pending_locked(shard)); }, wake_flusher);
   }
 
   /// Queues a multi-shard record group under ONE mutex hold, so no flush
   /// cycle boundary can fall inside it (the pair-mutation atomicity).
   [[nodiscard]] Ticket enqueue_group(std::vector<ShardAppend>&& appends);
 
-  /// Blocks until every enqueue with a ticket at or below `ticket` is on
+  /// Queues a snapshot image for `stream` (an object shard's compaction or
+  /// the reply stream's image).  The flusher installs it after the
+  /// appends of its cycle -- so after every record enqueued before it --
+  /// and before it releases the cycle's waiters.  An install that throws
+  /// latches the committer like a failed write.
+  [[nodiscard]] Ticket install_snapshot(std::size_t stream, Buffer image);
+
+  /// Blocks until every entry with a ticket at or below `ticket` is on
   /// the backend.  Throws UsageError if the flusher failed (disk full)
   /// before covering it -- durability is never reported optimistically.
   /// Inside a RequestScope it only records the ticket; the scope's
@@ -228,16 +208,13 @@ class GroupCommitter {
   /// Non-blocking durability probe.
   [[nodiscard]] bool is_durable(Ticket ticket) const;
 
-  /// Blocks until everything enqueued so far is durable, RequestScope or
-  /// not (a shard snapshot install depends on it).
-  void drain();
-
   [[nodiscard]] Stats stats() const;
 
   /// Installs the post-flush hook (one subscriber; throws on a second).
   /// Runs on the flusher thread after the cycle's backend write returns
-  /// and before its waiters release, one cycle at a time in ticket order;
-  /// a hook that throws latches the committer into the failed state
+  /// and before its snapshot installs and its waiters' release, one cycle
+  /// at a time in ticket order (a cycle that carries only installs skips
+  /// it); a hook that throws latches the committer into the failed state
   /// exactly like a backend write failure (durability -- which now
   /// includes the hook's ack contract -- is never reported
   /// optimistically).  Constructing a GroupCommitter over a
@@ -253,23 +230,55 @@ class GroupCommitter {
   /// wait_durable's blocking half, which no scope defers.
   void block_until(Ticket ticket);
 
+  /// A queued snapshot image.
+  struct Install {
+    std::size_t stream;
+    Buffer image;
+  };
+
+  /// The one queue insert: runs `fill` (which stages the entry) and takes
+  /// the next ticket under one mutex hold.
+  template <typename FillFn>
+  [[nodiscard]] Ticket insert(FillFn&& fill, bool wake_flusher) {
+    bool wake;
+    Ticket ticket;
+    {
+      const std::lock_guard lock(mutex_);
+      fill();
+      // Batched-wakeup lever: notify only when the flusher is actually
+      // parked on work_cv_.  While it claims, writes, or lingers, the
+      // notify (a futex syscall plus, on one core, often a context
+      // switch) would be pure overhead -- the flusher re-checks the
+      // queue under the mutex before it ever sleeps again.
+      wake = wake_flusher && flusher_waiting_;
+      ticket = ++issued_;
+    }
+    if (wake) {
+      work_cv_.notify_one();
+    }
+    return ticket;
+  }
+  /// `shard`'s staging buffer, counted as holding one more record.
+  /// Caller holds mutex_.
+  [[nodiscard]] Buffer& pending_locked(std::size_t shard);
+
   void flusher(const std::stop_token& stop);
 
   std::shared_ptr<Backend> backend_;
-  Options options_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;            // wakes the flusher
   mutable std::condition_variable durable_cv_;  // wakes ticket waiters
   std::vector<Buffer> pending_;                // per-shard gathered bytes
   std::vector<std::size_t> dirty_shards_;      // shards with pending bytes
+  std::vector<Install> installs_;              // queued images, ticket order
   std::uint64_t pending_records_ = 0;
   Ticket issued_ = 0;   // highest ticket handed out
   Ticket taken_ = 0;    // highest ticket a flush cycle has claimed
   Ticket durable_ = 0;  // highest ticket reported durable
   bool flusher_waiting_ = false;  // flusher parked on work_cv_ (see enqueue)
   std::size_t waiters_ = 0;      // threads blocked in wait_durable
-  std::string failure_;  // non-empty once a backend write or the hook failed
+  std::string failure_;  // non-empty once a write, hook or install failed
   Stats stats_;
   PostFlushHook post_flush_hook_;
 

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -104,6 +105,15 @@ void encode_record_into(RecordType type, ObjectNumber object,
 /// journal ended mid-frame.
 [[nodiscard]] std::vector<Record> decode_journal(
     std::span<const std::uint8_t> journal, bool* torn_tail = nullptr);
+
+/// The frame size and LSN of the record framed at the front of a journal
+/// byte run, read from the header alone (no checksum, no decode).
+struct RecordHeader {
+  std::size_t size = 0;  // the whole frame: length + checksum + body
+  std::uint64_t lsn = 0;
+};
+[[nodiscard]] std::optional<RecordHeader> peek_record(
+    std::span<const std::uint8_t> bytes);
 
 /// One live slot inside a shard snapshot.
 struct SnapshotSlot {

@@ -2,8 +2,10 @@
 //
 // A ReplicaApplier owns a local volume and applies the primary's shipments
 // to it in shipment order: cycle frames append the primary's journal
-// records byte for byte, snapshot shipments replace one shard's snapshot
-// exactly as local compaction would.  The volume a long-running applier
+// records byte for byte -- less the front of a resync's journal tails,
+// which a stream already holding those LSNs skips -- and snapshot
+// shipments replace one shard's snapshot exactly as local compaction
+// would.  The volume a long-running applier
 // maintains is therefore the same volume the primary would leave behind
 // on its own disk -- secrets, reply-cache floors and all -- which is the
 // whole failover story: promote the backup, construct servers over its
@@ -34,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <vector>
 
 #include "amoeba/common/error.hpp"
 #include "amoeba/storage/backend.hpp"
@@ -83,6 +86,10 @@ class ReplicaApplier {
   mutable std::mutex mutex_;
   std::shared_ptr<Backend> local_;
   std::uint64_t applied_ = 0;
+  /// Per stream, the highest record LSN the volume holds (its snapshot's,
+  /// or its newest journal record's): a shipped run's records at or below
+  /// it are already here.
+  std::vector<std::uint64_t> held_;
   bool promoted_ = false;
 };
 

@@ -2,20 +2,18 @@
 //
 // ReplicatedBackend is a Backend decorator: reads go straight to the
 // wrapped local volume, writes land locally FIRST and are then shipped to
-// every attached backup as LSN-stamped shipments.  Which writes ship as
-// what depends on how the volume is driven:
+// every attached backup as LSN-stamped shipments.  Its writer is the
+// volume's GroupCommitter, which binds itself at construction:
 //
-//   * Under a GroupCommitter (the normal server arrangement) the committer
-//     binds itself at construction and the post-flush hook ships each
-//     flush cycle as ONE cycle frame -- the exact journal bytes that just
-//     hit the local disk.  The decorator's own append path then stands
-//     down (forward-only), so a cycle is never shipped twice.
-//   * Driven directly (no committer -- the synchronous-durability
-//     arrangement), each append group ships as its own mini-cycle.
-//     Per-shard ordering is preserved because the store holds the shard
-//     lock across the local write and the enqueue.
-//   * install_snapshot (compaction) always ships, under either
-//     arrangement: backups compact when the primary does.
+//   * append_journal_batch() only lands the group locally; the
+//     committer's post-flush hook then ships the flush cycle as ONE cycle
+//     frame -- the exact journal bytes that just hit the local disk.
+//   * install_snapshot() (a compaction, run by the flusher after its
+//     cycle's hook) lands locally and ships the image: backups compact
+//     when the primary does, and receive every record the image holds
+//     first.
+//
+// Appends handed to the decorator without a committer are not shipped.
 //
 // The ack mode decides when a mutator's durability wait releases:
 //   async    local disk only; shipping is fire-and-forget.
@@ -33,7 +31,6 @@
 // the replica floor rather than gap-checking against it).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -117,9 +114,7 @@ class ReplicatedBackend final : public Backend {
   void attach_peer(std::shared_ptr<ReplicationLink> link);
 
   /// Called by the GroupCommitter constructor when it finds this decorator
-  /// as its backend: installs the cycle-shipping post-flush hook and
-  /// switches the append paths to forward-only.  Throws UsageError on
-  /// a second bind (one committer per volume).
+  /// as its backend: installs the cycle-shipping post-flush hook.
   void bind_committer(GroupCommitter& committer);
 
   struct PeerStats {
@@ -175,9 +170,9 @@ class ReplicatedBackend final : public Backend {
   /// UsageError if a backup answered `immutable` (it was promoted: this
   /// primary is fenced and must stop reporting durability).
   void await_acks(const std::shared_ptr<Shipment>& shipment);
-  /// Encodes + broadcasts one cycle frame -- a direct-path mini-cycle or a
-  /// committer flush cycle (the post-flush hook body) -- then waits.
-  void ship_mini_cycle(std::span<const ShardAppend> appends);
+  /// Encodes + broadcasts one flush cycle's frame (the post-flush hook
+  /// body), then waits for the acks the mode requires.
+  void ship_cycle(std::span<const ShardAppend> appends);
   /// Broadcasts the volume's current snapshots + journals as fresh
   /// shipments (attach and gap recovery).
   void resync_locked();
@@ -191,10 +186,6 @@ class ReplicatedBackend final : public Backend {
 
   std::shared_ptr<Backend> local_;
   const AckMode mode_;
-  /// True once a GroupCommitter bound itself: append traffic then arrives
-  /// via the flusher and ships through the hook, so the direct paths
-  /// forward without shipping.  Set before the flusher starts.
-  std::atomic<bool> committer_bound_{false};
 
   mutable std::mutex mutex_;  // orders LSN assignment + queue pushes
   std::uint64_t next_lsn_ = 0;

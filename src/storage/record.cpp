@@ -165,6 +165,22 @@ std::vector<Record> decode_journal(std::span<const std::uint8_t> journal,
   return records;
 }
 
+std::optional<RecordHeader> peek_record(std::span<const std::uint8_t> bytes) {
+  // Frame: length u32 | checksum u32 | type u8 | object u32 | secret u64 |
+  // lsn u64 | payload.
+  Reader r(bytes);
+  const std::uint32_t length = r.u32();
+  r.u32();
+  r.u8();
+  r.u32();
+  r.u64();
+  const std::uint64_t lsn = r.u64();
+  if (!r.ok() || length < 25 || bytes.size() - 8 < length) {
+    return std::nullopt;
+  }
+  return RecordHeader{8 + std::size_t{length}, lsn};
+}
+
 Buffer encode_snapshot(const std::vector<SnapshotSlot>& slots,
                        std::uint64_t applied_lsn) {
   Writer w;

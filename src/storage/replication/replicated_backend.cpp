@@ -72,32 +72,19 @@ bool ReplicatedBackend::empty() const { return local_->empty(); }
 
 void ReplicatedBackend::append_journal_batch(
     std::vector<ShardAppend>&& appends) {
-  // Relaxed everywhere committer_bound_ is read: it flips false->true once,
-  // before the committer's flusher starts, so every thread that can reach
-  // this path already observes the final value through the committer's
-  // own synchronization -- the load needs no ordering of its own.
-  if (committer_bound_.load(std::memory_order_relaxed)) {
-    // Committer traffic: the committer runs the ship hook after this
-    // local write returns, in ticket order -- §8.5's acknowledgement
-    // rule.  The cycle reaches backups inside its flush cycle's frame.
-    local_->append_journal_batch(std::move(appends));
-    return;
-  }
-  // Direct (synchronous-durability) path: land the group locally, then
-  // ship it as a mini-cycle; it is durable once both are.  The store
-  // holds the shard lock across this call, so per-shard shipment order
-  // matches local journal order.
-  const std::vector<ShardAppend> to_ship = appends;
+  // Lands locally only: the bound committer runs the ship hook after this
+  // write returns, in ticket order -- §8.5's acknowledgement rule.  The
+  // group reaches backups inside its flush cycle's frame.
   local_->append_journal_batch(std::move(appends));
-  ship_mini_cycle(to_ship);
 }
 
 void ReplicatedBackend::install_snapshot(std::size_t shard,
                                          std::span<const std::uint8_t> bytes) {
   local_->install_snapshot(shard, bytes);
-  // Compaction ships under either arrangement (it never rides the
-  // committer), and never waits for acks: replacing a snapshot is not
-  // client-visible durability, so async shipping costs nothing.
+  // The flusher installs after its cycle's hook has shipped the frame, so
+  // the backups receive every record the image holds before the image.
+  // No ack wait: replacing a snapshot is not client-visible durability,
+  // so async shipping costs nothing.
   const std::lock_guard lock(mutex_);
   if (peers_.empty()) {
     return;
@@ -107,19 +94,9 @@ void ReplicatedBackend::install_snapshot(std::size_t shard,
 }
 
 void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
-  {
-    // Relaxed store/load under mutex_: the mutex orders the bind itself;
-    // the flag's cross-thread visibility rides the committer's flusher
-    // start (see the relaxed-read comment at append_journal_batch).
-    const std::lock_guard lock(mutex_);
-    if (committer_bound_.load(std::memory_order_relaxed)) {
-      throw UsageError("ReplicatedBackend: already bound to a committer");
-    }
-    committer_bound_.store(true, std::memory_order_relaxed);
-  }
   committer.set_post_flush_hook(
       [this](const GroupCommitter::FlushCycle& cycle) {
-        ship_mini_cycle(*cycle.appends);
+        ship_cycle(*cycle.appends);
       });
 }
 
@@ -226,7 +203,7 @@ void ReplicatedBackend::await_acks(
   // (teardown), so an unmet ack count is reported as nothing.
 }
 
-void ReplicatedBackend::ship_mini_cycle(std::span<const ShardAppend> appends) {
+void ReplicatedBackend::ship_cycle(std::span<const ShardAppend> appends) {
   std::shared_ptr<Shipment> shipment;
   {
     const std::lock_guard lock(mutex_);

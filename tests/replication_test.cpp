@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "amoeba/common/error.hpp"
 #include "amoeba/common/rng.hpp"
+#include "amoeba/core/object_store.hpp"
 #include "amoeba/core/schemes.hpp"
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/replication.hpp"
@@ -30,6 +32,7 @@
 #include "amoeba/storage/replication/replica.hpp"
 #include "amoeba/storage/replication/replicated_backend.hpp"
 #include "amoeba/storage/replication/wire.hpp"
+#include "amoeba/storage/reply_stream.hpp"
 #include "test_seed.hpp"
 
 namespace amoeba::storage {
@@ -228,6 +231,31 @@ TEST(ReplicaApplierTest, FloorSurvivesRestart) {
     expect_resumes_at(std::make_shared<FileBackend>(dir, 2), 3);
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(ReplicaApplierTest, ResyncedTailsAppendOnlyWhatAStreamLacks) {
+  // A backup holding records 1..3 of stream 0 adopts a snapshot at 2 (a
+  // resync's, or a compaction shipped after the cycle that carried 3),
+  // then receives the primary's journal tail 3..4: it appends 4 alone, so
+  // its journal matches the primary's instead of holding 3 twice.
+  const auto run = [](std::uint64_t from, std::uint64_t to) {
+    Buffer out;
+    for (std::uint64_t lsn = from; lsn <= to; ++lsn) {
+      const Buffer one = record(static_cast<std::uint32_t>(lsn), lsn);
+      out.insert(out.end(), one.begin(), one.end());
+    }
+    return std::vector<ShardAppend>{{0, out}};
+  };
+  auto backend = std::make_shared<MemoryBackend>(4);
+  ReplicaApplier applier(backend);
+  ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(1, run(1, 3))).ok());
+  ASSERT_TRUE(applier.install_snapshot(2, 0, encode_snapshot({}, 2)).ok());
+  ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(3, run(3, 4))).ok());
+  EXPECT_EQ(backend->read_journal(0), run(3, 4)[0].bytes);
+  // A restarted applier learns what each stream holds from the volume.
+  ReplicaApplier restarted(backend);
+  ASSERT_TRUE(restarted.apply_cycle(encode_cycle_frame(4, run(4, 5))).ok());
+  EXPECT_EQ(backend->read_journal(0), run(3, 5)[0].bytes);
 }
 
 TEST(ReplicaApplierTest, OutOfRangeStreamIsRefusedBeforeAnyAppend) {
@@ -451,19 +479,20 @@ TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
     auto local = std::make_shared<MemoryBackend>(4);
     local->append_journal(1, bytes_of("rec-1"));
 
-    ReplicatedBackend primary(local, AckMode::ack_one);
-    primary.attach_peer(std::make_shared<DirectLink>(applier, 3));
+    auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::ack_one);
+    primary->attach_peer(std::make_shared<DirectLink>(applier, 3));
     bool synced = false;
     for (int i = 0; i < 2000 && !synced; ++i) {
-      const auto stats = primary.stats();
+      const auto stats = primary->stats();
       synced = stats.peers[0].queued == 0 &&
                stats.peers[0].acked_lsn >= stats.shipped_lsn;
       std::this_thread::sleep_for(1ms);
     }
     ASSERT_TRUE(synced) << "parked shipments were never acknowledged";
     EXPECT_GT(applier.applied(), stale_floor);
-    // ack_one: returns once the backup applied it, above the old floor.
-    primary.append_journal(2, bytes_of("rec-2"));
+    // ack_one: durable once the backup applied it, above the old floor.
+    GroupCommitter committer(primary);
+    committer.wait_durable(committer.enqueue(2, bytes_of("rec-2")));
     // Object shards only: the backup's reply stream adds its own
     // rep_applied markers.
     for (std::size_t s = 0; s < local->shard_count(); ++s) {
@@ -476,7 +505,8 @@ TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
 }
 
 /// Forwards to an in-process applier and logs every shipment it newly
-/// applies (its floor moved to exactly that shipment's LSN).
+/// applies (its floor moved to exactly that shipment's LSN), then runs
+/// `after_apply` (when set) with the shipment's kind.
 class RecordingLink final : public ReplicationLink {
  public:
   struct Applied {
@@ -488,6 +518,8 @@ class RecordingLink final : public ReplicationLink {
   };
 
   explicit RecordingLink(ReplicaApplier& applier) : applier_(&applier) {}
+
+  std::function<void(bool snapshot)> after_apply;  // set before attaching
 
   [[nodiscard]] std::string peer_name() const override { return "backup"; }
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
@@ -520,8 +552,14 @@ class RecordingLink final : public ReplicationLink {
 
  private:
   void log(Applied shipment) {
-    const std::lock_guard lock(mutex_);
-    applied_.push_back(std::move(shipment));
+    const bool snapshot = shipment.snapshot;
+    {
+      const std::lock_guard lock(mutex_);
+      applied_.push_back(std::move(shipment));
+    }
+    if (after_apply) {
+      after_apply(snapshot);
+    }
   }
 
   ReplicaApplier* applier_;
@@ -601,6 +639,143 @@ TEST(ReplicaApplierTest, ResyncImagesNeverHoldAFloorAheadOfTheirContent) {
   }
 }
 
+/// The counter a snapshot image of shard 0 holds (0 when it holds none).
+[[nodiscard]] std::uint32_t image_counter(const Buffer& image) {
+  std::vector<SnapshotSlot> slots;
+  std::uint64_t lsn = 0;
+  if (!decode_snapshot(image, slots, lsn) || slots.empty()) {
+    return 0;
+  }
+  Reader r(slots.front().payload);
+  return r.u32();
+}
+
+/// The floor reply-stream records `records` give client (1, 1), folded
+/// into `rows`.
+[[nodiscard]] std::uint64_t fold_floor(std::span<const std::uint8_t> records,
+                                       ReplyRows& rows) {
+  for (const Record& record : decode_journal(records)) {
+    (void)merge_reply_record(record, rows);
+  }
+  const auto it = rows.find({1, 1});
+  return it == rows.end() ? 0 : it->second.floor;
+}
+
+TEST(ReplicationOrderTest, SnapshotsShipAfterTheFloorsOfTheirEffects) {
+  // Each "request" enqueues its floor on the reply stream, then sets a
+  // counter to its sequence number in a store that compacts after every
+  // record, so each effect is folded into an image queued right behind
+  // it.  The backup must apply every image after the cycle frame that
+  // carries the floors of the effects it holds, and no image of either
+  // volume -- the primary's captured inside the post-flush hook, the
+  // backup's right after each snapshot it applies -- may hold an effect
+  // without its floor.
+  constexpr std::uint64_t kRequests = 24;
+  auto local = std::make_shared<MemoryBackend>(1);
+  auto backup = std::make_shared<MemoryBackend>(1);
+  ReplicaApplier applier(backup);
+  auto link = std::make_shared<RecordingLink>(applier);
+  std::mutex images_mutex;
+  std::vector<std::shared_ptr<MemoryBackend>> images;
+  // ack_one: a cycle frame is applied while the flusher waits for its ack
+  // inside the hook, so the primary's capture is taken inside the hook.
+  link->after_apply = [&](bool snapshot) {
+    auto image = snapshot ? backup->capture() : local->capture();
+    const std::lock_guard lock(images_mutex);
+    images.push_back(std::move(image));
+  };
+  auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::ack_one);
+  primary->attach_peer(link);
+  const auto synced = [&] {
+    for (int i = 0; i < 2000; ++i) {
+      const auto stats = primary->stats();
+      if (stats.peers[0].queued == 0 &&
+          stats.peers[0].acked_lsn >= stats.shipped_lsn) {
+        return true;
+      }
+      std::this_thread::sleep_for(1ms);
+    }
+    return false;
+  };
+  ASSERT_TRUE(synced()) << "the attach resync never landed";
+  auto committer = std::make_shared<GroupCommitter>(primary);
+  {
+    core::Durability<int> durability;
+    durability.committer = committer;
+    durability.encode = [](Writer& w, const int& v) {
+      w.u32(static_cast<std::uint32_t>(v));
+    };
+    durability.decode = [](Reader& r, int& v) {
+      v = static_cast<int>(r.u32());
+      return r.ok();
+    };
+    durability.compact_after = 1;
+    Rng rng(7);
+    const std::shared_ptr<const core::ProtectionScheme> scheme =
+        core::make_scheme(core::SchemeKind::one_way_xor, rng);
+    core::ObjectStore<int> store(scheme, Port(0x0D0D), 1, 1,
+                                 std::move(durability));
+    const core::Capability counter = store.create(0);
+    for (std::uint64_t seq = 1; seq <= kRequests; ++seq) {
+      RequestScope scope;  // a request's shape: floor, effect, one wait
+      Buffer floor;
+      encode_reply_floor(1, 1, seq, seq, floor);
+      committer->wait_durable(committer->enqueue(local->reply_stream(), floor));
+      {
+        auto opened = store.open(counter, Rights::all());
+        ASSERT_TRUE(opened.ok());
+        *opened.value().value = static_cast<int>(seq);
+        opened.value().mark_dirty();
+      }
+      scope.settle();
+    }
+    store.compact();  // returns with every image installed
+  }
+  ASSERT_TRUE(synced()) << "the snapshot shipments never landed";
+  // The create's image, one per request, and compact()'s.
+  EXPECT_EQ(committer->stats().installs, kRequests + 2);
+
+  // Apply order: every image after the floors of the effects it holds.
+  ReplyRows shipped_rows;
+  std::uint64_t shipped_floor = 0;
+  std::size_t images_shipped = 0;
+  for (const RecordingLink::Applied& shipment : link->applied()) {
+    if (!shipment.snapshot) {
+      for (const ShardAppend& run : shipment.runs) {
+        if (run.shard == local->reply_stream()) {
+          shipped_floor = fold_floor(run.bytes, shipped_rows);
+        }
+      }
+    } else if (shipment.shard == 0) {
+      ++images_shipped;
+      EXPECT_LE(image_counter(shipment.bytes), shipped_floor)
+          << "snapshot " << shipment.rep_lsn << " shipped before its floor";
+    }
+  }
+  EXPECT_GE(images_shipped, kRequests + 2);
+
+  // Crash images: no image holds an effect its reply stream lacks a
+  // floor for.
+  const std::lock_guard lock(images_mutex);
+  ASSERT_GE(images.size(), kRequests);
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    std::uint64_t last_lsn = 0;
+    const ReplyRows rows = read_reply_stream(*images[i], last_lsn);
+    const auto row = rows.find({1, 1});
+    const std::uint64_t floor = row == rows.end() ? 0 : row->second.floor;
+    EXPECT_LE(image_counter(images[i]->read_snapshot(0)), floor)
+        << "image " << i << " holds an effect without its floor";
+  }
+
+  // The backup compacted with the primary: same image, and the shipped
+  // snapshot dropped the journal records it subsumes.
+  EXPECT_EQ(backup->read_snapshot(0), local->read_snapshot(0));
+  EXPECT_TRUE(local->read_journal(0).empty());
+  EXPECT_TRUE(backup->read_journal(0).empty())
+      << "a shipped snapshot must truncate the backup's journal too";
+  EXPECT_EQ(image_counter(backup->read_snapshot(0)), kRequests);
+}
+
 TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
   // The §8.5 acknowledgement order on a real volume, over many cycles:
   // the hook (what replication ships from) fires only once the cycle's
@@ -659,7 +834,7 @@ TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
       ASSERT_FALSE(hooked.empty());
       EXPECT_GE(hooked.back(), ticket);
     }
-    committer.drain();
+    // The last wait covered every enqueue: tickets are one sequence.
     const std::lock_guard lock(mutex);
     EXPECT_GE(hooked.size(), std::size_t{kCycles});
     EXPECT_EQ(hook_bytes, enqueued);
@@ -899,35 +1074,6 @@ TEST_F(ReplicationSuite, PromotedBackupFencesTheDeposedPrimary) {
   // instead of reporting durability the cluster no longer honors.
   const auto fenced = client_->transfer(alice_, bob_, currency::kDollar, 7);
   EXPECT_FALSE(fenced.ok());
-}
-
-TEST_F(ReplicationSuite, DirectPathShipsMiniCyclesWithoutACommitter) {
-  // No committer, no server: drive the decorator's own Backend interface
-  // (the synchronous-durability arrangement).
-  auto direct = rpc::replicate_to(
-      local_, storage::AckMode::ack_one, bank_machine_, 31,
-      {{"backup", replica_->volume_capability()}});
-  const Buffer record = {0x01, 0x02, 0x03};
-  direct->append_journal(2, record);
-  std::vector<storage::ShardAppend> group;
-  group.push_back({0, record});
-  group.push_back({1, record});
-  direct->append_journal_batch(std::move(group));
-  // ack_one: every call above waited for the backup's durable apply.
-  EXPECT_EQ(backup_backend_->read_journal(2), record);
-  EXPECT_EQ(backup_backend_->read_journal(0), record);
-  EXPECT_EQ(backup_backend_->read_journal(1), record);
-  // Compaction ships too (async): the backup compacts when the primary
-  // does.
-  const Buffer image = {0x42, 0x42};
-  direct->install_snapshot(2, image);
-  for (int i = 0; i < 1000 && backup_backend_->read_snapshot(2) != image;
-       ++i) {
-    std::this_thread::sleep_for(2ms);
-  }
-  EXPECT_EQ(backup_backend_->read_snapshot(2), image);
-  EXPECT_TRUE(backup_backend_->read_journal(2).empty())
-      << "snapshot install must truncate the shipped journal too";
 }
 
 TEST_F(ReplicationSuite, AttachPeerRacesPromotionUnderFlushStorm) {

@@ -14,12 +14,12 @@
 //   * that wait is the replier's: one worker handles request after
 //     request while their replies wait for a shared flush, a failed
 //     flush answers every parked reply `internal`, destroying the server
-//     sends what is parked, and only a worker installs the reply-stream
-//     snapshot;
+//     sends what is parked, and only the committer's flusher installs the
+//     reply-stream snapshot;
 //   * a handler's outgoing call never leaves before its effects do;
-//   * a shard snapshot installed while a request's floor is still queued
-//     never leaves its effect without that floor, on the primary or on a
-//     backup that applied the shipped snapshot.
+//   * a shard compaction inside a handler waits on no flush, and its
+//     snapshot never leaves an effect without its floor, on the primary
+//     or on a backup that applied the shipped snapshot.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -125,13 +125,11 @@ class CountingService final : public rpc::Service {
 
   CountingService(net::Machine& machine, Port port,
                   std::shared_ptr<storage::Backend> volume,
-                  std::size_t window, std::size_t max_clients,
-                  storage::GroupCommitOptions options = {})
+                  std::size_t window, std::size_t max_clients)
       : Service(machine, port, "counting"),
-        committer_(
-            std::make_shared<storage::GroupCommitter>(volume, options)) {
+        committer_(std::make_shared<storage::GroupCommitter>(volume)) {
     set_reply_cache_limits(window, max_clients);
-    attach_durability(volume, committer_);
+    attach_durability(committer_);
     on(kEcho, [this](const net::Delivery& request) {
       ++executions;
       handler_thread = std::this_thread::get_id();
@@ -351,8 +349,7 @@ TEST(ReplyStreamTest, RecoveredRowsNeverExceedTheTombstoneBound) {
       }
     }
     EXPECT_LE(service.reply_cache_stats().clients, kBound);
-    service.committer().drain();
-  }
+  }  // the committer's destructor drains its queue
   // The stream compacted at least once, and its snapshot is bounded like
   // the cache it images.
   storage::ReplyRows snapshot;
@@ -803,22 +800,35 @@ TEST(ReplyStreamTest, OneWorkerHandlesEveryRequestWhileRepliesWaitForAFlush) {
   // One worker, and a flush cycle held at the acknowledgement point: the
   // worker must go on handling the other clients' requests instead of
   // waiting for the first one's durability, and once the cycle completes
-  // every reply leaves after at most one more cycle.  The linger ceiling
-  // is long, so a cycle starts only when a thread waits for one.
+  // every reply leaves after at most one more cycle.  The gate lets
+  // exactly two cycles through once it opens and holds any third, so the
+  // replies must share those two.
   net::Network net;
   net::Machine& server_machine = net.add_machine("server");
   net::Machine& client_machine = net.add_machine("client");
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
-  bool open = true;
-  storage::GroupCommitOptions options;
-  options.flush_interval = 10s;
+  int passes = -1;  // cycles the gate still lets through; -1: unlimited
   CountingService service(server_machine, Port(0xC7C7),
-                          std::make_shared<storage::MemoryBackend>(2), 16, 64,
-                          options);
+                          std::make_shared<storage::MemoryBackend>(2), 16, 64);
+  struct OpenOnExit {  // the server's destructor must not hang on the gate
+    std::mutex& mutex;
+    std::condition_variable& cv;
+    int& passes;
+    ~OpenOnExit() {
+      {
+        const std::lock_guard lock(mutex);
+        passes = -1;
+      }
+      cv.notify_all();
+    }
+  } open_on_exit{gate_mutex, gate_cv, passes};
   service.committer().set_post_flush_hook([&](const auto&) {
     std::unique_lock lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return open; });
+    gate_cv.wait(lock, [&] { return passes != 0; });
+    if (passes > 0) {
+      --passes;
+    }
   });
   service.start(1);
   const Port reply_get(0x5858);
@@ -828,7 +838,7 @@ TEST(ReplyStreamTest, OneWorkerHandlesEveryRequestWhileRepliesWaitForAFlush) {
   const std::uint64_t groups_before = service.committer().stats().groups;
   {
     const std::lock_guard lock(gate_mutex);
-    open = false;
+    passes = 0;
   }
   for (int c = 0; c < kClients; ++c) {
     ASSERT_TRUE(client_machine.transmit(
@@ -843,7 +853,7 @@ TEST(ReplyStreamTest, OneWorkerHandlesEveryRequestWhileRepliesWaitForAFlush) {
       << "a reply left before its flush was durable";
   {
     const std::lock_guard lock(gate_mutex);
-    open = true;
+    passes = 2;
   }
   gate_cv.notify_all();
   for (int c = 0; c < kClients; ++c) {
@@ -965,11 +975,12 @@ TEST(ReplyStreamTest, DestroyingAServerSendsItsParkedReplies) {
   }
 }
 
-TEST(ReplyStreamTest, OnlyAWorkerInstallsTheReplyStreamSnapshot) {
+TEST(ReplyStreamTest, OnlyTheFlusherInstallsTheReplyStreamSnapshot) {
   // Reply bodies are appended by the replier, and a 1 KiB body is what
   // usually carries the stream past its snapshot threshold; the install
-  // (temp file, two fsyncs, rename on a file volume) must still run on a
-  // worker, never on the replier every parked reply waits behind.
+  // (temp file, two fsyncs, rename on a file volume) must run on the
+  // committer's flusher -- the thread that runs the post-flush hook --
+  // never on the replier every parked reply waits behind, nor on a worker.
   auto volume = std::make_shared<CountingBackend>(
       std::make_shared<storage::MemoryBackend>(2));
   std::mutex installers_mutex;
@@ -984,6 +995,9 @@ TEST(ReplyStreamTest, OnlyAWorkerInstallsTheReplyStreamSnapshot) {
   net::Machine& server_machine = net.add_machine("server");
   net::Machine& client_machine = net.add_machine("client");
   CountingService service(server_machine, Port(0xCACA), volume, 16, 64);
+  std::atomic<std::thread::id> flusher{};
+  service.committer().set_post_flush_hook(
+      [&](const auto&) { flusher = std::this_thread::get_id(); });
   service.start(1);
   const Port reply_get(0x5B5B);
   net::Receiver replies = client_machine.listen(reply_get);
@@ -997,10 +1011,13 @@ TEST(ReplyStreamTest, OnlyAWorkerInstallsTheReplyStreamSnapshot) {
   }
   service.stop();
   const std::thread::id worker = service.handler_thread.load();
+  ASSERT_NE(flusher.load(), std::thread::id{}) << "no cycle ran the hook";
   const std::lock_guard lock(installers_mutex);
   EXPECT_GE(installers.size(), 3u) << "the stream never compacted";
   for (const std::thread::id installer : installers) {
-    EXPECT_EQ(installer, worker) << "a snapshot was installed off the worker";
+    EXPECT_EQ(installer, flusher.load())
+        << "a snapshot was installed off the flusher";
+    EXPECT_NE(installer, worker) << "a worker installed a snapshot";
   }
 }
 
@@ -1036,7 +1053,7 @@ class ForwardingService final : public rpc::Service {
       : Service(machine, port, "forwarding"),
         committer_(std::make_shared<storage::GroupCommitter>(volume)),
         transport_(machine, 17) {
-    attach_durability(volume, committer_);
+    attach_durability(committer_);
     on(kForward, [this, downstream](const net::Delivery& request) {
       Buffer record;
       storage::encode_record_into(storage::RecordType::mutate, ObjectNumber(1),
@@ -1106,8 +1123,8 @@ TEST(ReplyStreamTest, OutgoingCallWaitsForTheHandlersEffects) {
 
 /// A durable service over an object store that compacts after every
 /// journal record: kBump increments one counter object, so each request's
-/// effect is folded into a shard snapshot -- installed outside the commit
-/// queue -- the moment its handler releases the object.
+/// effect is folded into a shard snapshot -- queued right behind the
+/// effect -- the moment its handler releases the object.
 class CompactingService final : public rpc::Service {
  public:
   static constexpr std::uint16_t kBump = 0x0103;
@@ -1117,20 +1134,27 @@ class CompactingService final : public rpc::Service {
                     std::optional<core::Capability> counter = std::nullopt)
       : Service(machine, port, "compacting"),
         committer_(std::make_shared<storage::GroupCommitter>(volume)),
-        store_(scheme(), port, 5, 1, durability(volume, committer_)),
+        store_(scheme(), port, 5, 1, durability(committer_)),
         counter_(counter.has_value() ? *counter : store_.create(0)) {
-    attach_durability(volume, committer_);
+    attach_durability(committer_);
     on(kBump, [this](const net::Delivery& request) {
-      auto opened = store_.open(counter_, Rights::all());
-      if (!opened.ok()) {
-        return net::make_reply(request.message, opened.error());
-      }
-      ++*opened.value().value;
-      opened.value().mark_dirty();
+      {
+        auto opened = store_.open(counter_, Rights::all());
+        if (!opened.ok()) {
+          return net::make_reply(request.message, opened.error());
+        }
+        ++*opened.value().value;
+        opened.value().mark_dirty();
+      }  // released: journaled, and the shard's compaction queued
+      ++handled;
       return net::make_reply(request.message, ErrorCode::ok);
     });
   }
   ~CompactingService() override { stop(); }
+
+  [[nodiscard]] storage::GroupCommitter& committer() { return *committer_; }
+
+  std::atomic<int> handled{0};  // kBump handlers that returned
 
   [[nodiscard]] const core::Capability& counter() const { return counter_; }
   [[nodiscard]] int value() {
@@ -1140,10 +1164,8 @@ class CompactingService final : public rpc::Service {
 
  private:
   [[nodiscard]] static core::Durability<int> durability(
-      std::shared_ptr<storage::Backend> volume,
       std::shared_ptr<storage::GroupCommitter> committer) {
     core::Durability<int> d;
-    d.backend = std::move(volume);
     d.committer = std::move(committer);
     d.encode = [](Writer& w, const int& v) {
       w.u32(static_cast<std::uint32_t>(v));
@@ -1202,13 +1224,77 @@ class ImagingLink final : public storage::ReplicationLink {
   std::vector<std::shared_ptr<storage::MemoryBackend>> images_;
 };
 
+TEST(ReplyStreamTest, CompactionInAHandlerWaitsOnNoFlush) {
+  // A bump's effect triggers a shard compaction while the flush cycle
+  // carrying its floor and effect is held at the post-flush hook.  The
+  // image is queued behind them, so the handler returns at once -- only
+  // its reply waits for the cycle -- and the flusher installs the image
+  // once the cycle goes on.
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& client_machine = net.add_machine("client");
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool open = true;
+  CompactingService service(server_machine, Port(0xC3C3),
+                            std::make_shared<storage::MemoryBackend>(1));
+  struct OpenOnExit {  // the server's destructor must not hang on the gate
+    std::mutex& mutex;
+    std::condition_variable& cv;
+    bool& open;
+    ~OpenOnExit() {
+      {
+        const std::lock_guard lock(mutex);
+        open = true;
+      }
+      cv.notify_all();
+    }
+  } open_on_exit{gate_mutex, gate_cv, open};
+  service.committer().set_post_flush_hook([&](const auto&) {
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return open; });
+  });
+  service.start(1);
+  const Port reply_get(0x5454);
+  net::Receiver replies = client_machine.listen(reply_get);
+  // The counter's create compacted at once: let that image land first.
+  ASSERT_TRUE(
+      eventually([&] { return service.committer().stats().installs == 1; }));
+
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = false;
+  }
+  ASSERT_TRUE(client_machine.transmit(
+      stamped(service.put_port(), CompactingService::kBump, 0xB0C, 1,
+              reply_get),
+      server_machine.id()));
+  EXPECT_TRUE(eventually([&] { return service.handled.load() == 1; }))
+      << "the handler waited for the held cycle";
+  EXPECT_FALSE(replies.receive({}, 100ms).has_value())
+      << "a reply left before its flush was durable";
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = true;
+  }
+  gate_cv.notify_all();
+  const auto reply = replies.receive({}, 2'000ms);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
+  EXPECT_TRUE(
+      eventually([&] { return service.committer().stats().installs == 2; }))
+      << "the bump's image was never installed";
+  EXPECT_EQ(service.value(), 1);
+}
+
 TEST(ReplyStreamTest, ShardSnapshotNeverHoldsAnEffectWithoutItsFloor) {
   // Each bump's floor is queued, not yet durable, when its handler's
-  // effect triggers a compaction; the snapshot install bypasses the queue
-  // and ships to the backup at once.  Image the primary right after each
-  // install, and the backup right after it applies each shipped snapshot:
-  // a server restarted (or promoted) from any of those images must not
-  // run a bump whose effect the image already holds a second time.
+  // effect triggers a compaction; the image is queued behind the floor,
+  // installed by the flusher and shipped to the backup.  Image the
+  // primary right after each install, and the backup right after it
+  // applies each shipped snapshot: a server restarted (or promoted) from
+  // any of those images must not run a bump whose effect the image
+  // already holds a second time.
   auto local = std::make_shared<storage::MemoryBackend>(1);
   auto tapped = std::make_shared<CountingBackend>(local);
   std::mutex images_mutex;

@@ -20,6 +20,7 @@
 #include "amoeba/servers/flat_file_server.hpp"
 #include "amoeba/servers/block_server.hpp"
 #include "amoeba/storage/backend.hpp"
+#include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/record.hpp"
 #include "test_seed.hpp"
 
@@ -558,7 +559,7 @@ TEST_F(DurableDirectorySuite, SnapshotsFoldDeltaChainsMidSweep) {
   // the server's own recovery reads them all.
   auto volume = std::make_shared<storage::MemoryBackend>(16);
   core::Durability<DirectoryServer::Directory> durability =
-      DirectoryServer::durability(volume, nullptr);
+      DirectoryServer::durability(storage::GroupCommitter::create(volume));
   durability.compact_after = 8;
   core::ObjectStore<DirectoryServer::Directory> store(
       durable_scheme(), server_machine_.fbox().listen_port(Port(kGetPort)),

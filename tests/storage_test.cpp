@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -217,6 +218,20 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
                     std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+TEST(MemoryBackendTest, InstallDropsOnlyTheRecordsTheImageSubsumes) {
+  // A flush cycle writes its appends before its images, so a stream's
+  // journal may already hold records newer than the image it installs:
+  // every stream keeps exactly the records above the image's LSN.
+  MemoryBackend backend(1);
+  for (const std::size_t stream : {std::size_t{0}, backend.reply_stream()}) {
+    for (std::uint32_t lsn = 1; lsn <= 3; ++lsn) {
+      backend.append_journal(stream, frame(lsn, lsn));
+    }
+    backend.install_snapshot(stream, encode_snapshot({}, 2));
+    EXPECT_EQ(backend.read_journal(stream), frame(3, 3)) << "stream " << stream;
+  }
 }
 
 TEST(CommitLogTest, GroupedAppendsRecoverAcrossReopen) {
@@ -615,37 +630,32 @@ TEST(GroupCommitTest, GroupsNeverTearAcrossCaptureImages) {
   EXPECT_EQ(committer.stats().records, 128u);
 }
 
-TEST(GroupCommitTest, DrainCoversEverythingEnqueued) {
-  auto backend = std::make_shared<MemoryBackend>(2);
-  GroupCommitter committer(backend);
-  GroupCommitter::Ticket last = 0;
-  for (std::uint32_t i = 0; i < 32; ++i) {
-    last = committer.enqueue(i % 2, frame(i, i + 1));
-  }
-  committer.drain();
-  EXPECT_TRUE(committer.is_durable(last));
-  bool torn = false;
-  EXPECT_EQ(decode_journal(backend->read_journal(0), &torn).size() +
-                decode_journal(backend->read_journal(1), &torn).size(),
-            32u);
-}
-
-/// Delegating backend whose append path throws: the disk-full shape.
+/// Delegating memory volume whose appends -- or, with `Fails::installs`,
+/// whose snapshot installs -- throw: the disk-full shape.
 class ExplodingBackend final : public Backend {
  public:
-  explicit ExplodingBackend(std::size_t shards) : inner_(shards) {}
+  enum class Fails { appends, installs };
+
+  explicit ExplodingBackend(std::size_t shards, Fails fails = Fails::appends)
+      : inner_(shards), fails_(fails) {}
 
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_.shard_count();
   }
-  void append_journal_batch(std::vector<ShardAppend>&& /*appends*/) override {
-    throw std::runtime_error("disk full");
+  void append_journal_batch(std::vector<ShardAppend>&& appends) override {
+    if (fails_ == Fails::appends) {
+      throw std::runtime_error("disk full");
+    }
+    inner_.append_journal_batch(std::move(appends));
   }
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
     return inner_.read_journal(shard);
   }
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override {
+    if (fails_ == Fails::installs) {
+      throw std::runtime_error("disk full");
+    }
     inner_.install_snapshot(shard, bytes);
   }
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
@@ -655,6 +665,7 @@ class ExplodingBackend final : public Backend {
 
  private:
   MemoryBackend inner_;
+  Fails fails_;
 };
 
 TEST(GroupCommitTest, BackendFailureLatchesAndNeverLies) {
@@ -667,7 +678,49 @@ TEST(GroupCommitTest, BackendFailureLatchesAndNeverLies) {
   // is never reported for bytes the volume does not hold.
   const auto t2 = committer.enqueue(1, frame(2, 1));
   EXPECT_THROW(committer.wait_durable(t2), UsageError);
-  EXPECT_THROW(committer.drain(), UsageError);
+}
+
+TEST(GroupCommitTest, FailedInstallFailsItsCycleAndLatches) {
+  // A record and a snapshot image claimed by one cycle whose install
+  // throws: the record reaches the volume (appends go first), yet its
+  // waiter is told the truth -- the cycle failed -- and so is every later
+  // one.
+  auto backend =
+      std::make_shared<ExplodingBackend>(2, ExplodingBackend::Fails::installs);
+  GroupCommitter committer(backend);
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool held = false;  // the first cycle reached the hook
+  bool open = false;
+  committer.set_post_flush_hook([&](const auto&) {
+    std::unique_lock lock(gate_mutex);
+    held = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return open; });
+  });
+  const auto first = committer.enqueue(0, frame(1, 1));
+  {
+    // With the first cycle held at its hook, the next two entries queue
+    // up for one cycle together.
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return held; });
+  }
+  const auto record = committer.enqueue(1, frame(2, 1));
+  const auto image = committer.install_snapshot(0, encode_snapshot({}, 1));
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = true;
+  }
+  gate_cv.notify_all();
+  committer.wait_durable(first);
+  EXPECT_THROW(committer.wait_durable(record), UsageError);
+  EXPECT_FALSE(committer.is_durable(record));
+  EXPECT_FALSE(committer.is_durable(image));
+  EXPECT_FALSE(backend->read_journal(1).empty())
+      << "the cycle's appends were not written before its install";
+  const auto later = committer.enqueue(1, frame(3, 2));
+  EXPECT_THROW(committer.wait_durable(later), UsageError);
+  EXPECT_EQ(committer.stats().installs, 0u);
 }
 
 TEST(GroupCommitTest, NullBackendIsRejectedAndFactoryPassesNullThrough) {
@@ -703,7 +756,6 @@ TEST(GroupCommitTest, ConcurrentEnqueueStorm) {
   for (auto& thread : threads) {
     thread.join();
   }
-  committer.drain();
   const auto stats = committer.stats();
   EXPECT_EQ(stats.records, kThreads * kPerThread);
   EXPECT_GE(stats.max_group, 1u);
@@ -733,10 +785,14 @@ namespace {
 
 constexpr Port kPort{0x5A5A5A5A5A5AULL};
 
-[[nodiscard]] Durability<int> int_codec(
-    std::shared_ptr<storage::Backend> backend, std::size_t compact_after = 0) {
+/// A group-committed int store on `backend`; `with_delta` adds a patch
+/// codec (one u32 increment, replayed exactly once per record: recovery
+/// is LSN-gated, so non-idempotent patches are still safe).
+[[nodiscard]] Durability<int> committed_codec(
+    const std::shared_ptr<storage::Backend>& backend,
+    bool with_delta = false, std::size_t compact_after = 0) {
   Durability<int> d;
-  d.backend = std::move(backend);
+  d.committer = storage::GroupCommitter::create(backend);
   d.encode = [](Writer& w, const int& v) {
     w.u32(static_cast<std::uint32_t>(v));
   };
@@ -744,6 +800,12 @@ constexpr Port kPort{0x5A5A5A5A5A5AULL};
     v = static_cast<int>(r.u32());
     return r.ok();
   };
+  if (with_delta) {
+    d.apply_delta = [](Reader& r, int& v) {
+      v += static_cast<int>(r.u32());
+      return r.ok();
+    };
+  }
   if (compact_after != 0) {
     d.compact_after = compact_after;
   }
@@ -763,7 +825,7 @@ TEST(DurableStore, RecoversObjectsSecretsAndFreeList) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   std::vector<Capability> caps;
   {
-    ObjectStore<int> store(scheme(), kPort, 1, 16, int_codec(backend));
+    ObjectStore<int> store(scheme(), kPort, 1, 16, committed_codec(backend));
     EXPECT_TRUE(store.durable());
     for (int i = 0; i < 40; ++i) {
       caps.push_back(store.create(i));
@@ -781,7 +843,8 @@ TEST(DurableStore, RecoversObjectsSecretsAndFreeList) {
     EXPECT_GT(stats.journal_bytes, 0u);
   }
   // "Restart": a fresh store on the same volume.
-  ObjectStore<int> recovered(scheme(), kPort, 999, 16, int_codec(backend));
+  ObjectStore<int> recovered(scheme(), kPort, 999, 16,
+                             committed_codec(backend));
   const auto stats = recovered.durability_stats();
   EXPECT_TRUE(stats.recovered);
   EXPECT_EQ(stats.recovered_objects, 39u);
@@ -809,18 +872,18 @@ TEST(DurableStore, RevocationSurvivesRestart) {
   Capability original;
   Capability fresh;
   {
-    ObjectStore<int> store(scheme(), kPort, 2, 16, int_codec(backend));
+    ObjectStore<int> store(scheme(), kPort, 2, 16, committed_codec(backend));
     original = store.create(1);
     fresh = store.revoke(original).value();
   }
-  ObjectStore<int> recovered(scheme(), kPort, 3, 16, int_codec(backend));
+  ObjectStore<int> recovered(scheme(), kPort, 3, 16, committed_codec(backend));
   EXPECT_FALSE(recovered.open(original, Rights::none()).ok());
   EXPECT_TRUE(recovered.open(fresh, Rights::none()).ok());
 }
 
 TEST(DurableStore, PairMutationsJournalAtomically) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
-  ObjectStore<int> store(scheme(), kPort, 4, 16, int_codec(backend));
+  ObjectStore<int> store(scheme(), kPort, 4, 16, committed_codec(backend));
   const Capability a = store.create(10);
   const Capability b = store.create(20);
   const auto before = backend->append_count();
@@ -834,7 +897,7 @@ TEST(DurableStore, PairMutationsJournalAtomically) {
   }
   // Both mutates landed, delivered as one batch (one hook firing).
   EXPECT_EQ(backend->append_count(), before + 2);
-  ObjectStore<int> recovered(scheme(), kPort, 5, 16, int_codec(backend));
+  ObjectStore<int> recovered(scheme(), kPort, 5, 16, committed_codec(backend));
   EXPECT_EQ(*recovered.open(a, Rights::none()).value().value, 11);
   EXPECT_EQ(*recovered.open(b, Rights::none()).value().value, 21);
 }
@@ -844,7 +907,8 @@ TEST(DurableStore, CompactionFoldsJournalIntoSnapshot) {
   std::vector<Capability> caps;
   {
     ObjectStore<int> store(scheme(), kPort, 6, 16,
-                           int_codec(backend, /*compact_after=*/3));
+                           committed_codec(backend, /*with_delta=*/false,
+                                           /*compact_after=*/3));
     for (int i = 0; i < 64; ++i) {
       caps.push_back(store.create(i));
     }
@@ -859,7 +923,7 @@ TEST(DurableStore, CompactionFoldsJournalIntoSnapshot) {
     EXPECT_GT(store.durability_stats().snapshots, 0u);
   }
   ObjectStore<int> recovered(scheme(), kPort, 7, 16,
-                             int_codec(backend, 3));
+                             committed_codec(backend, false, 3));
   ASSERT_EQ(recovered.live_count(), 64u);
   for (int i = 0; i < 64; ++i) {
     auto opened =
@@ -873,7 +937,7 @@ TEST(DurableStore, ExplicitCompactThenRecoverIsExact) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   Capability cap;
   {
-    ObjectStore<int> store(scheme(), kPort, 8, 16, int_codec(backend));
+    ObjectStore<int> store(scheme(), kPort, 8, 16, committed_codec(backend));
     cap = store.create(1);
     {
       auto opened = store.open(cap, Rights::all());
@@ -886,13 +950,13 @@ TEST(DurableStore, ExplicitCompactThenRecoverIsExact) {
   for (std::size_t s = 0; s < 16; ++s) {
     EXPECT_TRUE(backend->read_journal(s).empty());
   }
-  ObjectStore<int> recovered(scheme(), kPort, 9, 16, int_codec(backend));
+  ObjectStore<int> recovered(scheme(), kPort, 9, 16, committed_codec(backend));
   EXPECT_EQ(*recovered.open(cap, Rights::none()).value().value, 2);
 }
 
 TEST(DurableStore, TornJournalTailLosesOnlyTheTornRecord) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
-  ObjectStore<int> store(scheme(), kPort, 10, 16, int_codec(backend));
+  ObjectStore<int> store(scheme(), kPort, 10, 16, committed_codec(backend));
   const Capability a = store.create(1);  // lands in shard of object 0
   const Capability b = store.create(2);
   // Simulate a crash that tore b's create record: rebuild a volume with
@@ -907,15 +971,16 @@ TEST(DurableStore, TornJournalTailLosesOnlyTheTornRecord) {
       torn->append_journal(s, journal);
     }
   }
-  ObjectStore<int> recovered(scheme(), kPort, 11, 16, int_codec(torn));
+  ObjectStore<int> recovered(scheme(), kPort, 11, 16, committed_codec(torn));
   EXPECT_TRUE(recovered.open(a, Rights::none()).ok());
   EXPECT_FALSE(recovered.open(b, Rights::none()).ok());
 }
 
 TEST(DurableStore, MismatchedShardCountIsRejected) {
   auto backend = std::make_shared<storage::MemoryBackend>(8);
-  EXPECT_THROW(ObjectStore<int>(scheme(), kPort, 1, 16, int_codec(backend)),
-               UsageError);
+  EXPECT_THROW(
+      ObjectStore<int>(scheme(), kPort, 1, 16, committed_codec(backend)),
+      UsageError);
 }
 
 TEST(DurableStore, FileBackendRoundTrip) {
@@ -925,7 +990,7 @@ TEST(DurableStore, FileBackendRoundTrip) {
   Capability cap;
   {
     auto backend = std::make_shared<storage::FileBackend>(dir, 16);
-    ObjectStore<int> store(scheme(), kPort, 12, 16, int_codec(backend));
+    ObjectStore<int> store(scheme(), kPort, 12, 16, committed_codec(backend));
     cap = store.create(41);
     auto opened = store.open(cap, Rights::all());
     *opened.value().value = 42;
@@ -933,29 +998,14 @@ TEST(DurableStore, FileBackendRoundTrip) {
   }
   {
     auto backend = std::make_shared<storage::FileBackend>(dir, 16);
-    ObjectStore<int> recovered(scheme(), kPort, 13, 16, int_codec(backend));
+    ObjectStore<int> recovered(scheme(), kPort, 13, 16,
+                               committed_codec(backend));
     EXPECT_EQ(*recovered.open(cap, Rights::none()).value().value, 42);
   }
   std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------------- group-committed store
-
-[[nodiscard]] Durability<int> committed_codec(
-    const std::shared_ptr<storage::Backend>& backend,
-    bool with_delta = false, std::size_t compact_after = 0) {
-  Durability<int> d = int_codec(backend, compact_after);
-  d.committer = storage::GroupCommitter::create(backend);
-  if (with_delta) {
-    // Patch format: one u32 increment (replayed exactly once per record:
-    // recovery is LSN-gated, so non-idempotent patches are still safe).
-    d.apply_delta = [](Reader& r, int& v) {
-      v += static_cast<int>(r.u32());
-      return r.ok();
-    };
-  }
-  return d;
-}
 
 TEST(GroupCommittedStore, MutationsRecoverAfterAsyncJournaling) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
@@ -1115,15 +1165,6 @@ TEST(GroupCommittedStore, DeltaWithoutCodecIsRejectedAtMarkTime) {
   Writer patch;
   patch.u32(1);
   opened.value().mark_dirty_delta(patch.take());
-}
-
-TEST(GroupCommittedStore, ForeignCommitterIsRejected) {
-  auto backend = std::make_shared<storage::MemoryBackend>(16);
-  auto other = std::make_shared<storage::MemoryBackend>(16);
-  Durability<int> d = int_codec(backend);
-  d.committer = storage::GroupCommitter::create(other);
-  EXPECT_THROW(ObjectStore<int>(scheme(), kPort, 33, 16, std::move(d)),
-               UsageError);
 }
 
 TEST(GroupCommittedStore, ConcurrentMutatorsStorm) {
