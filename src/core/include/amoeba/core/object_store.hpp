@@ -86,11 +86,11 @@
 //
 // Shards self-compact: after `compact_after` records a shard serializes
 // its live slots into a snapshot image and queues it behind its records
-// (GroupCommitter::install_snapshot); the flusher installs it, so the
-// mutator never writes the volume itself.  The recovery constructor (a
-// committer whose volume is non-empty) replays snapshot-then-journal to
-// rebuild every shard -- secrets, payloads, free lists -- tolerating a
-// torn final record.
+// as a snapshot record (GroupCommitter::install_snapshot); the flusher
+// writes it with its cycle, so the mutator never writes the volume
+// itself.  The recovery constructor (a committer whose volume is
+// non-empty) replays snapshot-then-journal to rebuild every shard --
+// secrets, payloads, free lists -- tolerating a torn final record.
 #pragma once
 
 #include <algorithm>
@@ -1359,12 +1359,11 @@ class ShardedObjectStore {
   ///
   /// Records are LSN-stamped at frame time under this same lock and
   /// enqueued before it drops, so `shard.lsn` covers exactly the records
-  /// with smaller tickets than the image's.  The flusher writes those
-  /// records -- and the reply-stream floors of their requests, which
-  /// were enqueued earlier still -- before it installs the image, so no
-  /// crash image and no backup ever holds an effect without its floor.
-  /// Records framed after the image land in the same cycle or a later
-  /// one and survive the install (replay skips lsn <= applied_lsn).
+  /// with smaller tickets than the image's.  Those records -- and the
+  /// reply-stream floors of their requests, which were enqueued earlier
+  /// still -- land in the image's group or an earlier one, so no crash
+  /// image and no backup ever holds an effect without its floor.  Records
+  /// framed after the image carry larger LSNs and stay live beside it.
   [[nodiscard]] std::uint64_t snapshot_shard_locked(std::size_t s,
                                                     Shard& shard) {
     std::vector<storage::SnapshotSlot> slots;
@@ -1415,12 +1414,10 @@ class ShardedObjectStore {
         slot.live.store(true, std::memory_order_relaxed);
       }
       shard.lsn = applied_lsn;
+      // read_journal holds only the records above the image's LSN.
       const auto records =
           storage::decode_journal(backend.read_journal(s));
       for (const storage::Record& record : records) {
-        if (record.lsn <= applied_lsn) {
-          continue;  // already folded into the snapshot (compaction race)
-        }
         apply_record(shard, record, s);
         shard.lsn = record.lsn;
         ++recovery_stats_.replayed_records;
@@ -1538,6 +1535,7 @@ class ShardedObjectStore {
       case storage::RecordType::reply_floor:
       case storage::RecordType::reply_body:
       case storage::RecordType::rep_applied:
+      case storage::RecordType::snapshot:
         break;  // rejected above
     }
   }

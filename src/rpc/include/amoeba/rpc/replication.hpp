@@ -52,17 +52,6 @@ struct AppendGroupRequest {
       Layout<AppendGroupRequest, RawData<&AppendGroupRequest::frame>>;
 };
 
-/// One shard snapshot image; the backup adopts `rep_lsn` as its floor.
-struct InstallSnapshotRequest {
-  std::uint64_t rep_lsn = 0;
-  std::uint64_t shard = 0;
-  Buffer bytes;
-  using Wire = Layout<InstallSnapshotRequest,
-                      Param<0, &InstallSnapshotRequest::rep_lsn>,
-                      Param<1, &InstallSnapshotRequest::shard>,
-                      RawData<&InstallSnapshotRequest::bytes>>;
-};
-
 /// No-op probe carrying the primary's highest shipped LSN (the backup
 /// learns its own lag; the primary learns the applied floor).
 struct HeartbeatRequest {
@@ -73,8 +62,6 @@ struct HeartbeatRequest {
 
 inline constexpr Op<AppendGroupRequest, AckReply> kAppendGroup{
     0x0701, "rep.append_group", core::rights::kWrite};
-inline constexpr Op<InstallSnapshotRequest, AckReply> kInstallSnapshot{
-    0x0702, "rep.install_snapshot", core::rights::kWrite};
 inline constexpr Op<HeartbeatRequest, AckReply> kHeartbeat{
     0x0703, "rep.heartbeat", Rights::none()};
 /// Failover: seal this backup against further shipments and return its
@@ -131,9 +118,6 @@ class TransportReplicationLink final : public storage::ReplicationLink {
   [[nodiscard]] std::string peer_name() const override;
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
       std::span<const std::uint8_t> frame) override;
-  [[nodiscard]] Result<std::uint64_t> ship_snapshot(
-      std::uint64_t rep_lsn, std::size_t shard,
-      std::span<const std::uint8_t> bytes) override;
   [[nodiscard]] Result<std::uint64_t> heartbeat(
       std::uint64_t shipped) override;
 

@@ -63,8 +63,8 @@
 // out.  Each record is O(1) bytes; the stream compacts into a snapshot of
 // the in-memory cache -- bounded like the cache itself -- once the records
 // since the last snapshot outgrow it.  The image is queued on the
-// committer like a record, and its flusher installs it: neither a worker
-// nor the replier ever writes the volume.
+// committer as a snapshot record and rides a flush cycle's group: neither
+// a worker nor the replier ever writes the volume.
 #pragma once
 
 #include <array>
@@ -221,8 +221,9 @@ class Service {
   /// Installs the provider for the service's deployment line in detailed
   /// std_info replies (replication role, peers, lag).  Unset, info_detail()
   /// reports "role=standalone".  Call before start(); attach_durability
-  /// installs one (the committer's flush counters, after the replication
-  /// role when the volume is replicated).
+  /// installs one (the committer's flush counters and the volume's
+  /// commit.log rewrites, after the replication role when the volume is
+  /// replicated).
   void set_info_detail(std::function<std::string()> provider);
   /// The current deployment line.  Safe while workers run: the provider
   /// reads its own thread-safe sources.
@@ -407,9 +408,8 @@ class Service {
   [[nodiscard]] std::uint64_t append_reply_record(const ClientKey& key,
                                                   std::uint64_t seq,
                                                   const Buffer* body);
-  /// Queues a reply-stream snapshot imaging the in-memory cache as of
-  /// stream LSN `lsn` on the committer, which installs it.  Returns the
-  /// image's size.
+  /// Queues a reply-stream snapshot record imaging the in-memory cache as
+  /// of stream LSN `lsn` on the committer.  Returns the image's size.
   std::size_t snapshot_reply_stream(std::uint64_t lsn);
   /// Primes the cache with recovered rows: floors always, completed
   /// replies where a body decodes (those duplicates are re-answered).

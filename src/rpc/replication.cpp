@@ -35,16 +35,6 @@ ReplicaServer::ReplicaServer(net::Machine& machine, Port get_port,
        }
        return rep_ops::AckReply{applied.value()};
      });
-  on(rep_ops::kInstallSnapshot, store_,
-     [this](const auto& call) -> Result<rep_ops::AckReply> {
-       const auto applied = applier_.install_snapshot(
-           call.body.rep_lsn, static_cast<std::size_t>(call.body.shard),
-           call.body.bytes);
-       if (!applied.ok()) {
-         return applied.error();
-       }
-       return rep_ops::AckReply{applied.value()};
-     });
   on(rep_ops::kHeartbeat, store_,
      [this](const auto&) -> Result<rep_ops::AckReply> {
        return rep_ops::AckReply{applier_.applied()};
@@ -71,21 +61,6 @@ Result<std::uint64_t> TransportReplicationLink::ship_cycle(
   request.frame.assign(frame.begin(), frame.end());
   const auto reply = call(transport_, volume_.server_port,
                           rep_ops::kAppendGroup, volume_, request);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().applied;
-}
-
-Result<std::uint64_t> TransportReplicationLink::ship_snapshot(
-    std::uint64_t rep_lsn, std::size_t shard,
-    std::span<const std::uint8_t> bytes) {
-  rep_ops::InstallSnapshotRequest request;
-  request.rep_lsn = rep_lsn;
-  request.shard = shard;
-  request.bytes.assign(bytes.begin(), bytes.end());
-  const auto reply = call(transport_, volume_.server_port,
-                          rep_ops::kInstallSnapshot, volume_, request);
   if (!reply.ok()) {
     return reply.error();
   }

@@ -485,9 +485,9 @@ std::size_t Service::snapshot_reply_stream(std::uint64_t lsn) {
   // Every record with an LSN up to `lsn` has already updated the
   // in-memory cache the scan below reads (the cache changes before its
   // record takes an LSN) -- possibly with later state, which only moves
-  // floors up.  The image is queued behind every record up to `lsn`, and
-  // the flusher installs it after writing them; records queued after it
-  // survive the install and replay as no-ops under its LSN.
+  // floors up.  The image is queued behind every record up to `lsn`, so
+  // it lands in their group or a later one; records above `lsn`, queued
+  // before or after it, stay live beside it.
   storage::ReplyRows rows;
   for (const ReplyCacheStripe& stripe : reply_cache_stripes_) {
     const std::lock_guard stripe_lock(stripe.mutex);
@@ -512,11 +512,10 @@ std::size_t Service::snapshot_reply_stream(std::uint64_t lsn) {
       }
     }
   }
-  Buffer image = storage::encode_reply_snapshot(rows, lsn);
-  const std::size_t size = image.size();
+  const Buffer image = storage::encode_reply_snapshot(rows, lsn);
   (void)reply_committer_->install_snapshot(
-      reply_committer_->backend()->reply_stream(), std::move(image));
-  return size;
+      reply_committer_->backend()->reply_stream(), image);
+  return image.size();
 }
 
 std::uint64_t Service::persist_reply_floor(const ClientKey& key,
@@ -586,6 +585,10 @@ void Service::attach_durability(
     line += " gc.installs=" + std::to_string(gc.installs);
     line += " gc.max_group=" + std::to_string(gc.max_group);
     line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
+    const storage::Backend::RewriteStats gc_log =
+        committer->backend()->rewrite_stats();
+    line += " gc.rewrites=" + std::to_string(gc_log.rewrites);
+    line += " gc.rewrite_us_max=" + std::to_string(gc_log.rewrite_us_max);
     return line;
   });
   std::uint64_t last_lsn = 0;

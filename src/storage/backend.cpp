@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 
@@ -20,21 +21,12 @@ void check_shards(std::size_t shards) {
   }
 }
 
-/// The records of one stream's journal a snapshot at `floor` does not
-/// subsume (lsn > floor), in order, copied as opaque spans: no record
-/// decode, no per-record allocation.  Stops at a malformed record.
-[[nodiscard]] Buffer records_above(std::span<const std::uint8_t> bytes,
-                                   std::uint64_t floor) {
-  Buffer kept;
-  std::size_t pos = 0;
-  while (const auto record = peek_record(bytes.subspan(pos))) {
-    if (record->lsn > floor) {
-      kept.insert(kept.end(), bytes.begin() + pos,
-                  bytes.begin() + pos + record->size);
-    }
-    pos += record->size;
-  }
-  return kept;
+/// The frame size of a normal-form run's leading snapshot record; 0 when
+/// its first record is not one.
+[[nodiscard]] std::size_t image_record_size(
+    std::span<const std::uint8_t> run) {
+  const auto first = peek_record(run);
+  return first && first->type == RecordType::snapshot ? first->size : 0;
 }
 
 }  // namespace
@@ -53,6 +45,26 @@ void Backend::append_journal(std::size_t shard,
   std::vector<ShardAppend> group;
   group.push_back({shard, Buffer(bytes.begin(), bytes.end())});
   append_journal_batch(std::move(group));
+}
+
+Buffer Backend::read_snapshot(std::size_t stream) const {
+  const Buffer run = read_stream(stream);
+  const std::size_t size = image_record_size(run);
+  if (size == 0) {
+    return {};
+  }
+  // Record frame: length u32 | checksum u32 | type u8 | object u32 |
+  // secret u64 | lsn u64 | payload (u32 length + bytes).
+  const std::span<const std::uint8_t> record(run.data(), size);
+  Reader r(record.subspan(8 + 21));
+  return r.bytes();
+}
+
+Buffer Backend::read_journal(std::size_t stream) const {
+  Buffer run = read_stream(stream);
+  run.erase(run.begin(), run.begin() + static_cast<std::ptrdiff_t>(
+                                           image_record_size(run)));
+  return run;
 }
 
 // ----------------------------------------------------------- MemoryBackend
@@ -85,41 +97,27 @@ void MemoryBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
       locks.emplace_back(shards_.at(s)->mutex);
     }
     for (const ShardAppend& a : appends) {
-      Buffer& journal = shards_[a.shard]->journal;
-      journal.insert(journal.end(), a.bytes.begin(), a.bytes.end());
+      Buffer& records = shards_[a.shard]->records;
+      records.insert(records.end(), a.bytes.begin(), a.bytes.end());
+      if (holds_snapshot(a.bytes)) {
+        records = live_records(records);
+      }
     }
   }
   appends_.fetch_add(appends.size(), std::memory_order_relaxed);
   hook_after_append();
 }
 
-Buffer MemoryBackend::read_journal(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
+Buffer MemoryBackend::read_stream(std::size_t stream) const {
+  const Shard& s = *shards_.at(stream);
   const std::lock_guard lock(s.mutex);
-  return s.journal;
-}
-
-void MemoryBackend::install_snapshot(std::size_t shard,
-                                     std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
-  s.snapshot.assign(bytes.begin(), bytes.end());
-  // A flush cycle writes its appends before its images, so the journal may
-  // already hold records newer than this image: drop exactly the records
-  // it subsumes, as commit.log's GC floor does on a file volume.
-  s.journal = records_above(s.journal, peek_snapshot_lsn(bytes));
-}
-
-Buffer MemoryBackend::read_snapshot(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
-  return s.snapshot;
+  return live_records(s.records);
 }
 
 bool MemoryBackend::empty() const {
   for (const auto& shard : shards_) {
     const std::lock_guard lock(shard->mutex);
-    if (!shard->journal.empty() || !shard->snapshot.empty()) {
+    if (!shard->records.empty()) {
       return false;
     }
   }
@@ -157,8 +155,7 @@ std::shared_ptr<MemoryBackend> MemoryBackend::capture() const {
     locks.emplace_back(shard->mutex);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    image->shards_[s]->journal = shards_[s]->journal;
-    image->shards_[s]->snapshot = shards_[s]->snapshot;
+    image->shards_[s]->records = shards_[s]->records;
   }
   image->appends_.store(appends_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -216,9 +213,11 @@ void fsync_or_throw(int fd, const std::filesystem::path& dir,
 // entirely or not at all.
 constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
 
-/// Splits commit.log into per-stream record runs.  Stops silently at the
-/// first torn, corrupt or malformed frame: a crash mid-append loses the
-/// unacknowledged tail group and nothing before it.
+/// Splits commit.log into per-stream live runs (normal form).  A run that
+/// brings a snapshot record reduces its stream at once, so the split never
+/// holds a superseded image.  Stops silently at the first torn, corrupt or
+/// malformed frame: a crash mid-append loses the unacknowledged tail group
+/// and nothing before it.
 [[nodiscard]] std::vector<Buffer> split_commit_log(
     std::span<const std::uint8_t> log, std::size_t streams) {
   std::vector<Buffer> split(streams);
@@ -232,16 +231,24 @@ constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
       break;  // torn tail: the final group never got acknowledged
     }
     const auto body = log.subspan(pos + 8, length);
-    if (frame_checksum(body) != checksum || !decode_group_body(body, group)) {
+    // A group naming a stream the volume lacks is malformed, whole.
+    if (frame_checksum(body) != checksum || !decode_group_body(body, group) ||
+        std::any_of(group.begin(), group.end(), [&](const ShardAppend& a) {
+          return a.shard >= streams;
+        })) {
       break;
     }
     for (const ShardAppend& a : group) {
-      if (a.shard < streams) {
-        split[a.shard].insert(split[a.shard].end(), a.bytes.begin(),
-                              a.bytes.end());
+      Buffer& run = split[a.shard];
+      run.insert(run.end(), a.bytes.begin(), a.bytes.end());
+      if (holds_snapshot(a.bytes)) {
+        run = live_records(run);
       }
     }
     pos += 8 + length;
+  }
+  for (Buffer& run : split) {
+    run = live_records(run);
   }
   return split;
 }
@@ -249,20 +256,20 @@ constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
 }  // namespace
 
 FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
-    : directory_(std::move(directory)),
-      object_shards_(shards),
-      snapshot_mutexes_(shards + 1) {
+    : directory_(std::move(directory)), object_shards_(shards) {
   check_shards(shards);
   std::filesystem::create_directories(directory_);
-  // Formats 1 and 2 kept a journal file per stream, and formats 1 to 3 a
-  // metadata area of meta-KEY.bin blobs.  A server only ever left the
-  // journals empty; records in one come from a synchronous writer of an
-  // older binary, and recovering without them would lose acknowledged
-  // state.  A blob is format 1's unmigrated reply-floors image (dropping
-  // it would re-execute requests) or a format-3 backup's applied floor.
+  // Formats 1 and 2 kept a journal file per stream, formats 1 to 3 a
+  // metadata area of meta-KEY.bin blobs, and formats 1 to 4 a snapshot
+  // file per stream.  A server only ever left the journals empty; records
+  // in one come from a synchronous writer of an older binary, and
+  // recovering without them would lose acknowledged state.  A blob is
+  // format 1's unmigrated reply-floors image (dropping it would re-execute
+  // requests) or a format-3 backup's applied floor.  A snapshot file holds
+  // state commit.log's records no longer do.
   for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
     const std::string name = entry.path().filename().string();
-    const bool legacy = name.ends_with(".journal") ||
+    const bool legacy = name.ends_with(".journal") || name.ends_with(".snap") ||
                         (name.starts_with("meta-") && name.ends_with(".bin"));
     std::error_code ec;
     if (legacy && std::filesystem::file_size(entry.path(), ec) > 0 && !ec) {
@@ -284,13 +291,6 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
   }
   const off_t size = ::lseek(commit_fd_, 0, SEEK_END);
   commit_log_bytes_ = size > 0 ? static_cast<std::uint64_t>(size) : 0;
-  // GC floors: a commit-log record at or below its shard's snapshot LSN is
-  // already subsumed.  Seed from the on-disk snapshots so a reopened
-  // volume's first GC is as effective as a long-lived one's.
-  commit_floor_.assign(stream_count(), 0);
-  for (std::size_t s = 0; s < commit_floor_.size(); ++s) {
-    commit_floor_[s] = peek_snapshot_lsn(read_file(snapshot_path(s)));
-  }
   // A newly created commit.log lives in the directory inode; without this
   // fsync a crash could unlink it even after its contents were
   // acknowledged durable.
@@ -306,20 +306,13 @@ FileBackend::~FileBackend() {
   }
 }
 
-std::filesystem::path FileBackend::snapshot_path(std::size_t shard) const {
-  if (shard == reply_stream()) {
-    return directory_ / "reply.snap";
-  }
-  return directory_ / ("shard-" + std::to_string(shard) + ".snap");
-}
-
 std::filesystem::path FileBackend::commit_log_path() const {
   return directory_ / "commit.log";
 }
 
-Buffer FileBackend::read_journal(std::size_t shard) const {
+Buffer FileBackend::read_stream(std::size_t stream) const {
   const std::lock_guard lock(commit_mutex_);
-  return commit_split_locked().at(shard);
+  return commit_split_locked().at(stream);
 }
 
 const std::vector<Buffer>& FileBackend::commit_split_locked() const {
@@ -354,54 +347,9 @@ void FileBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
   write_all(commit_fd_, commit_frame_, directory_, "commit log");
   fsync_or_throw(commit_fd_, directory_, "commit log");
   commit_log_bytes_ += commit_frame_.size();
-}
-
-void FileBackend::replace_file_durably(const std::filesystem::path& path,
-                                       std::span<const std::uint8_t> bytes,
-                                       const char* what) {
-  const auto tmp = path.string() + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    throw UsageError(std::string("FileBackend: cannot open temp ") + what +
-                     " in " + directory_.string());
-  }
-  try {
-    // Content must be on the platter BEFORE the rename makes it reachable:
-    // an unwritten image must never replace the durable one (the old copy
-    // is the shard's only recoverable state).
-    write_all(fd, bytes, directory_, what);
-    fsync_or_throw(fd, directory_, what);
-  } catch (...) {
-    ::close(fd);
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
-  }
-  ::close(fd);
-  std::filesystem::rename(tmp, path);
-  // The rename itself lives in the directory inode; without this fsync a
-  // crash can roll the directory back to the old entry even though the
-  // new file's content is safe.
-  fsync_or_throw(dir_fd_, directory_, what);
-}
-
-void FileBackend::install_snapshot(std::size_t shard,
-                                   std::span<const std::uint8_t> bytes) {
-  const std::lock_guard lock(snapshot_mutexes_.at(shard));
-  replace_file_durably(snapshot_path(shard), bytes, "snapshot");
-  // Advance the commit-log GC floor (the log may already hold records
-  // newer than the image -- a flush cycle writes its appends first -- so
-  // only those at or below its LSN are subsumed), and rewrite the log once
-  // it has grown past the threshold.  LSN gating makes the lag harmless: a
-  // stale record left in the log replays as a no-op.
-  const std::lock_guard commit_lock(commit_mutex_);
-  commit_floor_[shard] =
-      std::max(commit_floor_[shard], peek_snapshot_lsn(bytes));
   // Threshold plus a low-water doubling guard: when a rewrite barely
-  // shrinks the log (other shards' records still live), the next one
-  // waits until the log has doubled instead of thrashing rewrites at
-  // every snapshot.
+  // shrinks the log (other streams' records still live), the next one
+  // waits until the log has doubled instead of thrashing rewrites.
   if (commit_log_bytes_ >= kCommitLogGcBytes &&
       commit_log_bytes_ >= 2 * commit_gc_low_) {
     gc_commit_log_locked();
@@ -409,12 +357,12 @@ void FileBackend::install_snapshot(std::size_t shard,
 }
 
 void FileBackend::gc_commit_log_locked() {
+  const auto start = std::chrono::steady_clock::now();
   const std::vector<Buffer>& split = commit_split_locked();
   std::vector<ShardAppend> survivors;
   for (std::size_t sh = 0; sh < split.size(); ++sh) {
-    Buffer kept = records_above(split[sh], commit_floor_[sh]);
-    if (!kept.empty()) {
-      survivors.push_back({sh, std::move(kept)});
+    if (!split[sh].empty()) {
+      survivors.push_back({sh, split[sh]});
     }
   }
   // Survivors collapse into ONE frame: the rewrite is an atomic whole-file
@@ -424,33 +372,49 @@ void FileBackend::gc_commit_log_locked() {
   if (!survivors.empty()) {
     encode_group_frame(survivors, rebuilt);
   }
-  replace_file_durably(commit_log_path(), rebuilt, "commit log");
-  // The O_APPEND fd still points at the replaced inode; reopen the new one.
-  const int fresh = ::open(commit_log_path().c_str(),
-                           O_WRONLY | O_APPEND | O_CLOEXEC);
+  // Write-temp + fsync + rename + directory fsync.  The content must be
+  // on the platter BEFORE the rename makes it reachable, and the rename
+  // itself lives in the directory inode: without the last fsync a crash
+  // can roll the directory back to the old log.
+  const auto tmp = commit_log_path().string() + ".tmp";
+  const int fresh = ::open(tmp.c_str(),
+                           O_WRONLY | O_APPEND | O_CREAT | O_TRUNC | O_CLOEXEC,
+                           0644);
   if (fresh < 0) {
-    throw UsageError("FileBackend: cannot reopen commit log in " +
+    throw UsageError("FileBackend: cannot open temp commit log in " +
                      directory_.string());
   }
+  try {
+    write_all(fresh, rebuilt, directory_, "commit log rewrite");
+    fsync_or_throw(fresh, directory_, "commit log rewrite");
+    std::filesystem::rename(tmp, commit_log_path());
+  } catch (...) {
+    ::close(fresh);
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
+  // The fd written above is the new log's own: it becomes the append fd.
   ::close(commit_fd_);
   commit_fd_ = fresh;
+  fsync_or_throw(dir_fd_, directory_, "commit log rewrite");
   commit_log_bytes_ = rebuilt.size();
   commit_gc_low_ = rebuilt.size();
   commit_split_.clear();
+  ++rewrite_stats_.rewrites;
+  rewrite_stats_.rewrite_us_max = std::max<std::uint64_t>(
+      rewrite_stats_.rewrite_us_max,
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
 }
 
-Buffer FileBackend::read_snapshot(std::size_t shard) const {
-  const std::lock_guard lock(snapshot_mutexes_.at(shard));
-  return read_file(snapshot_path(shard));
+Backend::RewriteStats FileBackend::rewrite_stats() const {
+  const std::lock_guard lock(commit_mutex_);
+  return rewrite_stats_;
 }
 
 bool FileBackend::empty() const {
-  for (std::size_t s = 0; s < stream_count(); ++s) {
-    std::error_code ec;
-    if (std::filesystem::exists(snapshot_path(s), ec)) {
-      return false;
-    }
-  }
   const std::lock_guard lock(commit_mutex_);
   return commit_log_bytes_ == 0;
 }

@@ -105,7 +105,6 @@ Buffer& GroupCommitter::pending_locked(std::size_t shard) {
   if (pending.empty()) {
     dirty_shards_.push_back(shard);
   }
-  ++pending_records_;
   return pending;
 }
 
@@ -126,15 +125,20 @@ GroupCommitter::Ticket GroupCommitter::enqueue_group(
         for (const ShardAppend& a : appends) {
           Buffer& pending = pending_locked(a.shard);
           pending.insert(pending.end(), a.bytes.begin(), a.bytes.end());
+          ++pending_records_;
         }
       },
       /*wake_flusher=*/true);
 }
 
-GroupCommitter::Ticket GroupCommitter::install_snapshot(std::size_t stream,
-                                                        Buffer image) {
-  return insert([&] { installs_.push_back({stream, std::move(image)}); },
-                /*wake_flusher=*/true);
+GroupCommitter::Ticket GroupCommitter::install_snapshot(
+    std::size_t stream, std::span<const std::uint8_t> image) {
+  return insert(
+      [&] {
+        encode_snapshot_record(image, pending_locked(stream));
+        ++pending_installs_;
+      },
+      /*wake_flusher=*/true);
 }
 
 void GroupCommitter::wait_durable(Ticket ticket) {
@@ -192,8 +196,8 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
   for (;;) {
     Ticket covered = 0;
     std::vector<ShardAppend> appends;
-    std::vector<Install> installs;
     std::uint64_t records = 0;
+    std::uint64_t installs = 0;
     std::uint64_t bytes = 0;
     PostFlushHook hook;
     {
@@ -229,21 +233,19 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
         appends.push_back({s, std::exchange(pending_[s], Buffer{})});
       }
       dirty_shards_.clear();
-      installs = std::exchange(installs_, {});
       records = std::exchange(pending_records_, 0);
+      installs = std::exchange(pending_installs_, 0);
       hook = post_flush_hook_;
     }
     for (const ShardAppend& a : appends) {
       bytes += a.bytes.size();
     }
 
-    // Write, then hook, then install, then release: the hook (replication
-    // shipping) sees exactly what hit the disk, an image lands after the
-    // records -- floors included -- of every effect it holds, and a
-    // released waiter knows the cycle was already offered to -- and, per
-    // the ack mode, acknowledged by -- the backups.  Only this thread
-    // writes, so cycles reach the disk and the hook strictly in ticket
-    // order.
+    // Write, then hook, then release: the hook (replication shipping) sees
+    // exactly what hit the disk, and a released waiter knows the cycle was
+    // already offered to -- and, per the ack mode, acknowledged by -- the
+    // backups.  Only this thread writes, so cycles reach the disk and the
+    // hook strictly in ticket order.
     std::exception_ptr error;
     try {
       if (!appends.empty()) {
@@ -256,9 +258,6 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
           hook(FlushCycle{covered, bytes, &appends});
         }
       }
-      for (const Install& install : installs) {
-        backend_->install_snapshot(install.stream, install.image);
-      }
     } catch (...) {
       error = std::current_exception();
     }
@@ -269,7 +268,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     // smaller on the cluster benchmark (more flushes per request).
     const std::lock_guard lock(mutex_);
     if (error != nullptr) {
-      // A failed write, hook (replication fencing) or install latches:
+      // A failed write or hook (replication fencing) latches:
       // durability -- which includes the hook's ack contract -- is never
       // reported optimistically.
       failure_ = describe(error);
@@ -279,7 +278,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     durable_ = covered;
     ++stats_.groups;
     stats_.records += records;
-    stats_.installs += installs.size();
+    stats_.installs += installs;
     stats_.max_group = std::max(stats_.max_group, records);
     stats_.flush_cycle_bytes += bytes;
     durable_cv_.notify_all();

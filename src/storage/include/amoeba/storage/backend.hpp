@@ -1,20 +1,21 @@
 // Pluggable storage volumes behind the durable object store.
 //
-// A Backend is one "disk" holding, per shard, an append-only journal and
-// the most recent snapshot.  Next to the object shards every volume
-// reserves one more journal stream, the REPLY STREAM (index
-// reply_stream() == shard_count()): rpc::Service persists its
-// at-most-once reply cache there as O(1)-byte records
-// (storage/reply_stream.hpp), and a replication backup keeps its applied
-// floor there (replication/replica.hpp).  The object store never
+// A Backend is one "disk" holding, per stream, a run of framed records:
+// journal records and snapshot records (storage/record.hpp), whose
+// state -- the newest snapshot plus the records above it -- recovery
+// reads back.  Next to the object shards every volume reserves one more
+// stream, the REPLY STREAM (index reply_stream() == shard_count()):
+// rpc::Service persists its at-most-once reply cache there as O(1)-byte
+// records (storage/reply_stream.hpp), and a replication backup keeps its
+// applied floor there (replication/replica.hpp).  The object store never
 // addresses it.
 //
-// Every journal write is an append GROUP -- per-stream runs of framed
-// records that land atomically -- through the one virtual write method,
+// Every write is an append GROUP -- per-stream runs of framed records
+// that land atomically -- through the one virtual write method,
 // append_journal_batch(), which returns once the group is durable and
 // throws when it is not.  append_journal() is a group of one.  A server
 // never writes a volume itself: its GroupCommitter's flusher is the one
-// writer, of journal groups and snapshot installs alike
+// writer, and a snapshot image rides its cycle's group as a record
 // (group_commit.hpp).  Two implementations:
 //
 //   * MemoryBackend -- byte-for-byte the same layout in process memory.
@@ -24,13 +25,10 @@
 //     machine losing power at that instant would leave behind.  Recovery
 //     from a captured image IS the simulated crash+restart.
 //   * FileBackend -- one directory on the real filesystem holding ONE
-//     journal, commit.log, plus shard-N.snap / reply.snap.  Each group is
-//     one checksummed commit.log frame -- one write(2), one fsync(2),
-//     however many streams it touches -- so a torn tail drops a whole
-//     group, never half of one.  Snapshots are installed via write-temp +
-//     fsync + rename + directory fsync (std::ofstream::flush() only
-//     reaches the page cache, not the platter).  This is the durable
-//     deployment shape and what bench_e14 measures.
+//     file, commit.log.  Each group is one checksummed commit.log frame
+//     -- one write(2), one fsync(2), however many streams and images it
+//     carries -- so a torn tail drops a whole group, never half of one.
+//     This is the durable deployment shape and what bench_e14 measures.
 //
 // Concurrency: every method is thread-safe.  A group is atomic with
 // respect to capture() and to a crash: a two-shard mutation (a bank
@@ -55,8 +53,8 @@ namespace amoeba::storage {
 /// Per-thread blocking-syscall counters, bumped by every write(2) and
 /// fsync(2) the storage layer issues on the calling thread.  Same spirit
 /// as CountedMutex: which thread pays for durability (the group-commit
-/// flusher writing a cycle and installing its snapshots, never a mutator)
-/// is a runtime counter, not a comment.
+/// flusher writing a cycle, its images included, never a mutator) is a
+/// runtime counter, not a comment.
 struct IoCounters {
   std::uint64_t writes = 0;  // blocking write/writev calls
   std::uint64_t fsyncs = 0;  // blocking fsync/fdatasync calls
@@ -87,22 +85,27 @@ class Backend {
   void append_journal(std::size_t shard,
                       std::span<const std::uint8_t> bytes);
 
-  /// Whole-journal read (recovery).
-  [[nodiscard]] virtual Buffer read_journal(std::size_t shard) const = 0;
+  /// The stream's state as one normal-form run (record.hpp's
+  /// live_records): its newest snapshot record, if it has one, first, then
+  /// every other record still live, in log order.
+  [[nodiscard]] virtual Buffer read_stream(std::size_t stream) const = 0;
 
-  /// Atomically replaces the shard's snapshot (log compaction).  Journal
-  /// records at or below its applied LSN are dead from then on: the
-  /// memory backend drops them, the file backend drops them at its next
-  /// commit.log rewrite, and replay skips any still there.  Records above
-  /// it stay: a flush cycle writes its records before its images.
-  virtual void install_snapshot(std::size_t shard,
-                                std::span<const std::uint8_t> bytes) = 0;
+  /// The image of the stream's newest snapshot record (recovery); empty
+  /// when it has none.
+  [[nodiscard]] Buffer read_snapshot(std::size_t stream) const;
+  /// The stream's live records above that image (recovery replays them).
+  [[nodiscard]] Buffer read_journal(std::size_t stream) const;
 
-  /// Whole-snapshot read (recovery); empty when none was installed.
-  [[nodiscard]] virtual Buffer read_snapshot(std::size_t shard) const = 0;
+  /// commit.log GC rewrites this volume ran and the longest one; zero on
+  /// a volume without a commit.log.
+  struct RewriteStats {
+    std::uint64_t rewrites = 0;
+    std::uint64_t rewrite_us_max = 0;
+  };
+  [[nodiscard]] virtual RewriteStats rewrite_stats() const { return {}; }
 
-  /// True when the volume holds no journal bytes or snapshots (a fresh
-  /// disk: the store initializes instead of recovering).
+  /// True when the volume holds no records (a fresh disk: the store
+  /// initializes instead of recovering).
   [[nodiscard]] virtual bool empty() const = 0;
 };
 
@@ -114,12 +117,10 @@ class MemoryBackend final : public Backend {
   [[nodiscard]] std::size_t shard_count() const override {
     return shards_.size() - 1;  // the last entry is the reply stream
   }
-  /// Appends under every touched shard lock.
+  /// Appends under every touched shard lock; a run carrying a snapshot
+  /// record reduces its stream to its live records.
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
-  [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
-  void install_snapshot(std::size_t shard,
-                        std::span<const std::uint8_t> bytes) override;
-  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override;
+  [[nodiscard]] Buffer read_stream(std::size_t stream) const override;
   [[nodiscard]] bool empty() const override;
 
   /// Installs the journal-barrier hook: invoked after every journal append
@@ -141,8 +142,7 @@ class MemoryBackend final : public Backend {
  private:
   struct Shard {
     mutable std::mutex mutex;
-    Buffer journal;
-    Buffer snapshot;
+    Buffer records;  // the stream's run, reduced at each snapshot record
   };
 
   void hook_after_append();
@@ -160,9 +160,9 @@ class FileBackend final : public Backend {
   /// Creates the directory if needed; an existing volume must have been
   /// written with the same shard count.  Throws UsageError naming the file
   /// when the directory holds a non-empty per-stream journal
-  /// (`shard-N.journal`, `reply.journal`) or metadata blob
-  /// (`meta-KEY.bin`) of an older on-disk format: such volumes are
-  /// refused, not migrated (docs/PROTOCOL.md §8).
+  /// (`shard-N.journal`, `reply.journal`), metadata blob (`meta-KEY.bin`)
+  /// or snapshot file (`shard-N.snap`, `reply.snap`) of an older on-disk
+  /// format: such volumes are refused, not migrated (docs/PROTOCOL.md §8).
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 
@@ -170,12 +170,11 @@ class FileBackend final : public Backend {
     return object_shards_;
   }
   /// The whole group goes down as ONE checksummed commit.log frame -- one
-  /// write, one fsync, however many streams it spans.
+  /// write, one fsync, however many streams it spans.  Then, past the GC
+  /// threshold, the log is rewritten to its streams' live records.
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
-  [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
-  void install_snapshot(std::size_t shard,
-                        std::span<const std::uint8_t> bytes) override;
-  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override;
+  [[nodiscard]] Buffer read_stream(std::size_t stream) const override;
+  [[nodiscard]] RewriteStats rewrite_stats() const override;
   [[nodiscard]] bool empty() const override;
 
   [[nodiscard]] const std::filesystem::path& directory() const {
@@ -184,37 +183,27 @@ class FileBackend final : public Backend {
 
  private:
   [[nodiscard]] std::filesystem::path commit_log_path() const;
-  [[nodiscard]] std::filesystem::path snapshot_path(std::size_t shard) const;
-  /// write-temp + fsync + rename + directory fsync (the full atomic
-  /// replacement recipe -- a rename alone is not durable until the
-  /// directory entry itself reaches the disk).
-  void replace_file_durably(const std::filesystem::path& path,
-                            std::span<const std::uint8_t> bytes,
-                            const char* what);
-  /// commit.log's records per stream, in append order (= ascending LSN
-  /// per stream), through commit_split_.  Caller holds commit_mutex_.
+  /// commit.log's live records per stream, in normal form, through
+  /// commit_split_.  Caller holds commit_mutex_.
   [[nodiscard]] const std::vector<Buffer>& commit_split_locked() const;
-  /// Rewrites commit.log dropping every record a shard snapshot already
-  /// subsumes (lsn <= that shard's floor).  Caller holds commit_mutex_.
+  /// Rewrites commit.log to its streams' live records (write-temp + fsync
+  /// + rename + directory fsync).  Caller holds commit_mutex_.
   void gc_commit_log_locked();
 
   std::filesystem::path directory_;
   std::size_t object_shards_;  // streams: one more, the reply stream
   int dir_fd_ = -1;  // fsync'd after every rename into the directory
-  /// Commit-log state, all guarded by commit_mutex_.  Lock order: a
-  /// snapshot mutex (when held at all) is taken BEFORE commit_mutex_.
+  /// Commit-log state, all guarded by commit_mutex_.
   mutable std::mutex commit_mutex_;
   int commit_fd_ = -1;  // O_APPEND; one fsync per group frame
   std::uint64_t commit_log_bytes_ = 0;
   Buffer commit_frame_;  // reused staging buffer for group frames
-  /// commit.log split into per-stream record runs, kept while the log is
+  /// commit.log split into per-stream live runs, kept while the log is
   /// unchanged: recovery reads every stream back to back, and each read
   /// would otherwise walk the whole log again.  Appends drop it.
   mutable std::vector<Buffer> commit_split_;
-  /// One per stream: serializes a snapshot's install against its reads.
-  mutable std::vector<std::mutex> snapshot_mutexes_;
   std::uint64_t commit_gc_low_ = 0;  // log size after the last GC rewrite
-  std::vector<std::uint64_t> commit_floor_;  // per-stream snapshot applied LSN
+  RewriteStats rewrite_stats_;
 };
 
 }  // namespace amoeba::storage

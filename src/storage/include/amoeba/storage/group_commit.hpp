@@ -14,10 +14,11 @@
 // is the self-tuning property (load grows groups, idle volumes flush
 // immediately).
 //
-// A snapshot install (a shard's compaction, the reply stream's image) is a
-// queue entry too: install_snapshot() takes a ticket like an append, and
-// the flusher runs it after its cycle's appends.  Nothing else writes the
-// volume, so no mutator thread ever blocks on a write(2) or fsync(2).
+// A snapshot image (a shard's compaction, the reply stream's image) is a
+// queue entry too: install_snapshot() queues it as a snapshot record in
+// its stream's run, so it reaches the disk inside its cycle's one group,
+// after the records queued before it.  Nothing else writes the volume, so
+// no mutator thread ever blocks on a write(2) or fsync(2).
 //
 // Ordering guarantees:
 //   * Tickets are the volume-wide commit LSN: wait_durable(t) returns only
@@ -33,15 +34,15 @@
 //     earlier cycle than -- every effect the handler enqueues after it.  A
 //     crash image may hold a floor without its effect (operation lost,
 //     safe) but never an effect without its floor (operation doubled).
-//   * A cycle runs in one order: write its appends, run the post-flush
-//     hook (replication ships the cycle), install its snapshot images in
-//     ticket order, release its waiters.  An image holds only effects
-//     whose records -- and those records' floors -- took smaller tickets,
-//     so they reach the disk and every backup before the image does.
+//   * A cycle runs in one order: write its group, run the post-flush hook
+//     (replication ships the cycle), release its waiters.  An image holds
+//     only effects whose records -- and those records' floors -- took
+//     smaller tickets, so they reach the disk and every backup in the
+//     image's group or an earlier one.
 //
-// A backend write, a hook or an install that throws latches the committer
-// into a failed state: wait_durable() then throws instead of ever
-// reporting durability that does not exist.
+// A backend write or a hook that throws latches the committer into a
+// failed state: wait_durable() then throws instead of ever reporting
+// durability that does not exist.
 #pragma once
 
 #include <chrono>
@@ -129,7 +130,7 @@ class GroupCommitter {
   struct Stats {
     std::uint64_t groups = 0;        // flush cycles that reached the backend
     std::uint64_t records = 0;       // journal appends those cycles carried
-    std::uint64_t installs = 0;      // snapshot images those cycles installed
+    std::uint64_t installs = 0;      // snapshot images those cycles wrote
     std::uint64_t max_group = 0;     // largest single cycle, in records
     std::uint64_t flush_cycle_bytes = 0;  // journal bytes those cycles wrote
     std::uint64_t linger_us_current = 0;  // last adaptive linger applied
@@ -144,7 +145,7 @@ class GroupCommitter {
   struct FlushCycle {
     Ticket ticket = 0;        // highest ticket the cycle covers
     std::uint64_t bytes = 0;  // journal bytes the cycle carried
-    /// The cycle's per-shard journal appends, as written.
+    /// The cycle's per-stream runs, as written (images included).
     const std::vector<ShardAppend>* appends = nullptr;
   };
   using PostFlushHook = std::function<void(const FlushCycle&)>;
@@ -184,7 +185,12 @@ class GroupCommitter {
   template <typename EncodeFn>
   [[nodiscard]] Ticket enqueue_with(std::size_t shard, EncodeFn&& encode,
                                     bool wake_flusher = true) {
-    return insert([&] { encode(pending_locked(shard)); }, wake_flusher);
+    return insert(
+        [&] {
+          encode(pending_locked(shard));
+          ++pending_records_;
+        },
+        wake_flusher);
   }
 
   /// Queues a multi-shard record group under ONE mutex hold, so no flush
@@ -192,11 +198,11 @@ class GroupCommitter {
   [[nodiscard]] Ticket enqueue_group(std::vector<ShardAppend>&& appends);
 
   /// Queues a snapshot image for `stream` (an object shard's compaction or
-  /// the reply stream's image).  The flusher installs it after the
-  /// appends of its cycle -- so after every record enqueued before it --
-  /// and before it releases the cycle's waiters.  An install that throws
-  /// latches the committer like a failed write.
-  [[nodiscard]] Ticket install_snapshot(std::size_t stream, Buffer image);
+  /// the reply stream's image) as a snapshot record in that stream's run,
+  /// behind every record enqueued before it.  Its lsn is the image's
+  /// applied LSN.
+  [[nodiscard]] Ticket install_snapshot(std::size_t stream,
+                                        std::span<const std::uint8_t> image);
 
   /// Blocks until every entry with a ticket at or below `ticket` is on
   /// the backend.  Throws UsageError if the flusher failed (disk full)
@@ -212,9 +218,8 @@ class GroupCommitter {
 
   /// Installs the post-flush hook (one subscriber; throws on a second).
   /// Runs on the flusher thread after the cycle's backend write returns
-  /// and before its snapshot installs and its waiters' release, one cycle
-  /// at a time in ticket order (a cycle that carries only installs skips
-  /// it); a hook that throws latches the committer into the failed state
+  /// and before its waiters' release, one cycle at a time in ticket order;
+  /// a hook that throws latches the committer into the failed state
   /// exactly like a backend write failure (durability -- which now
   /// includes the hook's ack contract -- is never reported
   /// optimistically).  Constructing a GroupCommitter over a
@@ -229,12 +234,6 @@ class GroupCommitter {
   friend class RequestScope;
   /// wait_durable's blocking half, which no scope defers.
   void block_until(Ticket ticket);
-
-  /// A queued snapshot image.
-  struct Install {
-    std::size_t stream;
-    Buffer image;
-  };
 
   /// The one queue insert: runs `fill` (which stages the entry) and takes
   /// the next ticket under one mutex hold.
@@ -258,8 +257,7 @@ class GroupCommitter {
     }
     return ticket;
   }
-  /// `shard`'s staging buffer, counted as holding one more record.
-  /// Caller holds mutex_.
+  /// `shard`'s staging buffer, marked dirty.  Caller holds mutex_.
   [[nodiscard]] Buffer& pending_locked(std::size_t shard);
 
   void flusher(const std::stop_token& stop);
@@ -271,14 +269,14 @@ class GroupCommitter {
   mutable std::condition_variable durable_cv_;  // wakes ticket waiters
   std::vector<Buffer> pending_;                // per-shard gathered bytes
   std::vector<std::size_t> dirty_shards_;      // shards with pending bytes
-  std::vector<Install> installs_;              // queued images, ticket order
   std::uint64_t pending_records_ = 0;
+  std::uint64_t pending_installs_ = 0;
   Ticket issued_ = 0;   // highest ticket handed out
   Ticket taken_ = 0;    // highest ticket a flush cycle has claimed
   Ticket durable_ = 0;  // highest ticket reported durable
   bool flusher_waiting_ = false;  // flusher parked on work_cv_ (see enqueue)
   std::size_t waiters_ = 0;      // threads blocked in wait_durable
-  std::string failure_;  // non-empty once a write, hook or install failed
+  std::string failure_;  // non-empty once a write or hook failed
   Stats stats_;
   PostFlushHook post_flush_hook_;
 

@@ -18,6 +18,14 @@
 // prefix of the journal twice (a snapshot installed while the records it
 // subsumes are still in the log) converges to the same table.
 //
+// Snapshot records.  A snapshot image travels as one more record type,
+// `snapshot`, whose lsn is the image's applied LSN: it rides a group like
+// any append.  A stream's STATE is its newest snapshot record plus every
+// non-snapshot record with a larger lsn, wherever that sits in the log
+// (and the newest rep_applied marker, which has no lsn order).
+// live_records() applies the rule; every reader of a volume goes through
+// it.
+//
 // Groups.  Records travel in groups of per-stream runs (ShardAppend): one
 // group is one commit.log frame on a file volume and the append section
 // of one replication cycle frame.  Both encode the group body with
@@ -49,6 +57,8 @@ enum class RecordType : std::uint8_t {
   rep_applied = 8,  // backup volumes' reply stream only: the replication
                     // LSN of the cycle its commit frame applied
                     // (storage/replication/replica.hpp)
+  snapshot = 9,     // any stream: payload is a whole snapshot image (the
+                    // encode_snapshot() bytes), lsn its applied LSN
 };
 
 /// Decoded journal record.  `payload` is the server-defined serialized
@@ -106,14 +116,30 @@ void encode_record_into(RecordType type, ObjectNumber object,
 [[nodiscard]] std::vector<Record> decode_journal(
     std::span<const std::uint8_t> journal, bool* torn_tail = nullptr);
 
-/// The frame size and LSN of the record framed at the front of a journal
-/// byte run, read from the header alone (no checksum, no decode).
+/// The frame size, type and LSN of the record framed at the front of a
+/// journal byte run, read from the header alone (no checksum, no decode).
 struct RecordHeader {
   std::size_t size = 0;  // the whole frame: length + checksum + body
+  RecordType type = RecordType::create;
   std::uint64_t lsn = 0;
 };
 [[nodiscard]] std::optional<RecordHeader> peek_record(
     std::span<const std::uint8_t> bytes);
+
+/// Appends one framed snapshot record carrying `image` to `out`; its lsn
+/// is the image's applied LSN (0 for an empty image).
+void encode_snapshot_record(std::span<const std::uint8_t> image, Buffer& out);
+
+/// True when the run holds a snapshot record.
+[[nodiscard]] bool holds_snapshot(std::span<const std::uint8_t> run);
+
+/// One stream's record run reduced to its state: the newest snapshot
+/// record first, then, in run order, every non-snapshot record above its
+/// lsn (all of them when it has none) and the newest rep_applied marker.
+/// Stops at a malformed record, as replay does.  This is the run's normal
+/// form: what Backend::read_stream returns and what a commit.log GC
+/// rewrite writes back.
+[[nodiscard]] Buffer live_records(std::span<const std::uint8_t> run);
 
 /// One live slot inside a shard snapshot.
 struct SnapshotSlot {
@@ -136,8 +162,7 @@ struct SnapshotSlot {
                                    std::uint64_t& applied_lsn);
 
 /// Header-only read of a snapshot image's applied LSN (0 for an empty or
-/// malformed image).  The file backend uses this as its commit-log GC
-/// floor without paying for a full slot decode.
+/// malformed image): a snapshot record's lsn, without a full slot decode.
 [[nodiscard]] std::uint64_t peek_snapshot_lsn(
     std::span<const std::uint8_t> bytes);
 

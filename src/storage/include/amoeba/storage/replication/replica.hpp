@@ -1,15 +1,13 @@
 // The backup side of primary/backup replication (docs/PROTOCOL.md §9).
 //
-// A ReplicaApplier owns a local volume and applies the primary's shipments
-// to it in shipment order: cycle frames append the primary's journal
-// records byte for byte -- less the front of a resync's journal tails,
-// which a stream already holding those LSNs skips -- and snapshot
-// shipments replace one shard's snapshot exactly as local compaction
-// would.  The volume a long-running applier
-// maintains is therefore the same volume the primary would leave behind
-// on its own disk -- secrets, reply-cache floors and all -- which is the
-// whole failover story: promote the backup, construct servers over its
-// volume, and every pre-crash capability validates with nothing
+// A ReplicaApplier owns a local volume and applies the primary's cycle
+// frames to it in shipment order, appending the primary's records byte
+// for byte -- snapshot records included -- less the records a resync
+// re-ships that a stream already holds.  The volume a long-running
+// applier maintains is therefore the same volume the primary would leave
+// behind on its own disk -- secrets, reply-cache floors and all -- which
+// is the whole failover story: promote the backup, construct servers over
+// its volume, and every pre-crash capability validates with nothing
 // re-minted.
 //
 // Idempotence is LSN-floor gated.  Every shipment carries a replication
@@ -17,19 +15,13 @@
 // applied LSNs, and its one durable home is the rep_applied marker records
 // of the backup's own reply stream.  A cycle is appended as ONE group
 // together with a marker naming its LSN (on a file volume: one commit-log
-// frame, one fsync), so the floor is durable exactly when the cycle is.  A
-// snapshot install appends its marker as a group of one AFTER the install
-// returns: a crash in between leaves the floor too low, never too high,
-// which costs at most one resync (replay is idempotent, so a shipment
-// replayed across that window converges).  Markers never ship
-// (ReplicatedBackend's resync strips them).  At or below
-// the floor: a duplicate (a lossy link's retransmission), acknowledged
-// without re-applying.  Exactly floor+1: applied.  Further ahead: a gap --
-// rejected with `conflict`, which the primary answers with a full resync.
-// Snapshot shipments ADOPT their LSN as the new floor instead of gap-
-// checking: a snapshot subsumes all history behind it (that is what makes
-// resync work), and FIFO in-order shipping guarantees everything below it
-// was already offered.
+// frame, one fsync), so the floor is durable exactly when the cycle is.
+// Markers never ship (ReplicatedBackend's resync strips them).  At or
+// below the floor: a duplicate (a lossy link's retransmission),
+// acknowledged without re-applying.  Exactly floor+1: applied.  Further
+// ahead: a gap -- rejected with `conflict`, which the primary answers with
+// a resync -- unless the frame images every stream, as a resync does: it
+// then holds the whole volume, so it ADOPTS its LSN as the new floor.
 #pragma once
 
 #include <cstdint>
@@ -55,18 +47,10 @@ class ReplicaApplier {
   /// Applies one encoded cycle frame (replication/wire.hpp).  Returns the
   /// applied floor on success and for suppressed duplicates;
   /// `invalid_argument` for a torn/corrupt frame or one naming a stream
-  /// this volume lacks (nothing is appended), `conflict` for a gap,
-  /// `immutable` once promoted.
+  /// this volume lacks (nothing is appended), `conflict` for a gap that a
+  /// frame imaging every stream would close, `immutable` once promoted.
   [[nodiscard]] Result<std::uint64_t> apply_cycle(
       std::span<const std::uint8_t> frame);
-
-  /// Applies one shipped shard snapshot (replaces the shard's snapshot,
-  /// like local compaction) and adopts `rep_lsn` as the floor, appending
-  /// its marker once the install returned.  Same duplicate/promoted
-  /// answers as apply_cycle.
-  [[nodiscard]] Result<std::uint64_t> install_snapshot(
-      std::uint64_t rep_lsn, std::size_t shard,
-      std::span<const std::uint8_t> bytes);
 
   /// Seals the applier: every later shipment is refused with `immutable`
   /// (the fencing half of failover -- a deposed primary still shipping
@@ -87,8 +71,8 @@ class ReplicaApplier {
   std::shared_ptr<Backend> local_;
   std::uint64_t applied_ = 0;
   /// Per stream, the highest record LSN the volume holds (its snapshot's,
-  /// or its newest journal record's): a shipped run's records at or below
-  /// it are already here.
+  /// or its newest journal record's): a shipped run's journal records at
+  /// or below it are already here.
   std::vector<std::uint64_t> held_;
   bool promoted_ = false;
 };

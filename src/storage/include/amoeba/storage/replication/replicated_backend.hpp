@@ -7,11 +7,8 @@
 //
 //   * append_journal_batch() only lands the group locally; the
 //     committer's post-flush hook then ships the flush cycle as ONE cycle
-//     frame -- the exact journal bytes that just hit the local disk.
-//   * install_snapshot() (a compaction, run by the flusher after its
-//     cycle's hook) lands locally and ships the image: backups compact
-//     when the primary does, and receive every record the image holds
-//     first.
+//     frame -- the exact records, snapshot records included, that just
+//     hit the local disk.  Backups compact when the primary does.
 //
 // Appends handed to the decorator without a committer are not shipped.
 //
@@ -26,9 +23,10 @@
 // retried until acknowledged -- the at-most-once RPC layer plus the
 // replica's LSN floor make retransmits harmless.  A backup that answers
 // `conflict` (LSN gap: it restarted, or attached mid-stream) triggers a
-// full resync: the primary broadcasts its current snapshots and journals
-// as fresh shipments that every peer can adopt (snapshot shipments MOVE
-// the replica floor rather than gap-checking against it).
+// full resync: the primary broadcasts ONE cycle frame holding, per
+// stream, a snapshot record of its current image and the records above
+// it.  A frame that images every stream MOVES the replica floor rather
+// than gap-checking against it, so every peer can adopt it.
 #pragma once
 
 #include <condition_variable>
@@ -75,11 +73,6 @@ class ReplicationLink {
   [[nodiscard]] virtual Result<std::uint64_t> ship_cycle(
       std::span<const std::uint8_t> frame) = 0;
 
-  /// Offers one shard snapshot image, floor-adopting at `rep_lsn`.
-  [[nodiscard]] virtual Result<std::uint64_t> ship_snapshot(
-      std::uint64_t rep_lsn, std::size_t shard,
-      std::span<const std::uint8_t> bytes) = 0;
-
   /// No-op probe: returns the backup's applied floor (lag measurement).
   [[nodiscard]] virtual Result<std::uint64_t> heartbeat(
       std::uint64_t shipped) = 0;
@@ -96,16 +89,14 @@ class ReplicatedBackend final : public Backend {
   // --- Backend: reads forward, writes land locally then ship. ---
   [[nodiscard]] std::size_t shard_count() const override;
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
-  [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
-  void install_snapshot(std::size_t shard,
-                        std::span<const std::uint8_t> bytes) override;
-  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override;
+  [[nodiscard]] Buffer read_stream(std::size_t stream) const override;
+  [[nodiscard]] RewriteStats rewrite_stats() const override;
   [[nodiscard]] bool empty() const override;
 
-  /// Attaches a backup and resyncs it: the primary's current snapshots
-  /// and journals (minus rep_applied markers) are broadcast as fresh
-  /// shipments, so the new peer converges from any starting state
-  /// and existing peers just fast-forward their floors.  The peer's
+  /// Attaches a backup and resyncs it: the primary's current streams
+  /// (minus rep_applied markers) are broadcast as one fresh shipment, so
+  /// the new peer converges from any starting state and existing peers
+  /// just fast-forward their floors.  The peer's
   /// shipper first probes its applied floor (heartbeat, retried until it
   /// answers) and numbers on above it, so a primary restarted over its
   /// own volume never ships below a floor its earlier incarnation left.
@@ -141,9 +132,8 @@ class ReplicatedBackend final : public Backend {
  private:
   struct Shipment {
     std::uint64_t rep_lsn = 0;
-    bool snapshot = false;
-    std::size_t shard = 0;  // snapshot shipments only
-    Buffer bytes;           // cycle frame, or raw snapshot image
+    bool resync = false;    // images every stream (resync_locked)
+    Buffer frame;           // the encoded cycle frame
     std::size_t needed = 0;  // acks that release the enqueuer's wait
     std::size_t acks = 0;    // guarded by the owning backend's ack_mutex_
   };
@@ -162,10 +152,10 @@ class ReplicatedBackend final : public Backend {
     std::jthread shipper;     // last member: started after the above
   };
 
-  /// Wraps `bytes` as shipment `rep_lsn` and pushes it onto every peer's
-  /// queue, stamping the ack count the current mode requires.
-  [[nodiscard]] std::shared_ptr<Shipment> broadcast_locked(
-      std::uint64_t rep_lsn, bool snapshot, std::size_t shard, Buffer bytes);
+  /// Encodes `appends` as shipment `++next_lsn_`, pushes it onto every
+  /// peer's queue and stamps the ack count the current mode requires.
+  std::shared_ptr<Shipment> broadcast_locked(
+      std::span<const ShardAppend> appends, bool resync);
   /// Blocks until the shipment's stamped ack count is reached.  Throws
   /// UsageError if a backup answered `immutable` (it was promoted: this
   /// primary is fenced and must stop reporting durability).
@@ -173,8 +163,8 @@ class ReplicatedBackend final : public Backend {
   /// Encodes + broadcasts one flush cycle's frame (the post-flush hook
   /// body), then waits for the acks the mode requires.
   void ship_cycle(std::span<const ShardAppend> appends);
-  /// Broadcasts the volume's current snapshots + journals as fresh
-  /// shipments (attach and gap recovery).
+  /// Broadcasts the volume's current streams as one shipment that images
+  /// every stream (attach and gap recovery).
   void resync_locked();
   /// The shipper's first step: learns the peer's floor (retrying until
   /// the heartbeat answers).  If the floor reaches the first queued

@@ -1,18 +1,20 @@
 // Replication shipment framing (docs/PROTOCOL.md §9.2).
 //
 // The primary ships each group-commit flush cycle to its backups as ONE
-// cycle frame: a replication LSN and the per-shard journal appends --
-// byte for byte what just became durable on the primary's own volume (the
-// group-commit post-flush hook hands them over; nothing is re-encoded).  The frame is checksummed as a
-// whole, so a backup applies an entire cycle or rejects it: the same
-// all-or-nothing property the commit.log gives a local crash image, now
-// carried across the wire.
+// cycle frame: a replication LSN and the per-stream runs -- snapshot
+// records included, byte for byte what just became durable on the
+// primary's own volume (the group-commit post-flush hook hands them over;
+// nothing is re-encoded).  A resync is one such frame too, imaging every
+// stream.  The frame is checksummed as a whole, so a backup applies an
+// entire cycle or rejects it: the same all-or-nothing property the
+// commit.log gives a local crash image, now carried across the wire.
 //
 // The rep LSN is a volume-wide shipment sequence number, assigned in ship
 // order.  A backup keeps the floor of applied LSNs: frames at or below the
 // floor are duplicates (acknowledged, not re-applied -- though re-applying
 // would converge, journal replay being idempotent), frames more than one
-// ahead are gaps (rejected; the primary answers with a full resync).
+// ahead are gaps (rejected, unless they image every stream; the primary
+// answers with a full resync).
 #pragma once
 
 #include <cstdint>

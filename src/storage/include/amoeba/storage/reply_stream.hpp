@@ -10,9 +10,9 @@
 //
 // Each record is O(1) bytes, so persisting a request no longer costs an
 // image of every client the server has seen.  The stream compacts like an
-// object shard: install_snapshot() replaces it with a snapshot (the §8.3
-// frame, one slot per client row) whose applied LSN gates replay, so
-// commit.log GC and replica resync cover it unchanged.
+// object shard: a snapshot record (the §8.3 image, one slot per client
+// row) replaces every record at or below its LSN, so commit.log GC and
+// replica resync cover it unchanged.
 //
 // Replay is a max-merge: a row's floor is the highest seq any record or
 // snapshot row names, and bodies are keyed by seq (the highest

@@ -153,7 +153,7 @@ std::vector<Record> decode_journal(std::span<const std::uint8_t> journal,
     record.lsn = r.u64();
     record.payload = r.bytes();
     if (!r.ok() || record.type < RecordType::create ||
-        record.type > RecordType::rep_applied) {
+        record.type > RecordType::snapshot) {
       if (torn_tail != nullptr) {
         *torn_tail = true;
       }
@@ -171,14 +171,69 @@ std::optional<RecordHeader> peek_record(std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
   const std::uint32_t length = r.u32();
   r.u32();
-  r.u8();
+  const auto type = static_cast<RecordType>(r.u8());
   r.u32();
   r.u64();
   const std::uint64_t lsn = r.u64();
   if (!r.ok() || length < 25 || bytes.size() - 8 < length) {
     return std::nullopt;
   }
-  return RecordHeader{8 + std::size_t{length}, lsn};
+  return RecordHeader{8 + std::size_t{length}, type, lsn};
+}
+
+void encode_snapshot_record(std::span<const std::uint8_t> image, Buffer& out) {
+  encode_record_into(RecordType::snapshot, ObjectNumber{}, 0,
+                     peek_snapshot_lsn(image), image, out);
+}
+
+bool holds_snapshot(std::span<const std::uint8_t> run) {
+  std::size_t pos = 0;
+  while (const auto record = peek_record(run.subspan(pos))) {
+    if (record->type == RecordType::snapshot) {
+      return true;
+    }
+    pos += record->size;
+  }
+  return false;
+}
+
+Buffer live_records(std::span<const std::uint8_t> run) {
+  // First pass: where the newest snapshot record and marker sit.  Records
+  // are copied as opaque spans: no decode, no per-record allocation.
+  std::optional<RecordHeader> image;
+  std::size_t image_at = 0;
+  std::size_t marker_at = run.size();
+  std::size_t pos = 0;
+  while (const auto record = peek_record(run.subspan(pos))) {
+    if (record->type == RecordType::snapshot) {
+      image = record;
+      image_at = pos;
+    } else if (record->type == RecordType::rep_applied) {
+      marker_at = pos;
+    }
+    pos += record->size;
+  }
+  const std::size_t end = pos;
+  const std::uint64_t floor = image ? image->lsn : 0;
+  Buffer live;
+  live.reserve(end);
+  if (image) {
+    live.insert(live.end(), run.begin() + image_at,
+                run.begin() + image_at + image->size);
+  }
+  for (pos = 0; pos < end;) {
+    const RecordHeader record = *peek_record(run.subspan(pos));
+    const bool keep = record.type == RecordType::rep_applied
+                          ? pos == marker_at
+                          : record.type != RecordType::snapshot &&
+                                record.lsn > floor;
+    if (keep) {
+      live.insert(live.end(), run.begin() + pos,
+                  run.begin() + pos + record.size);
+    }
+    pos += record.size;
+  }
+  return live;
 }
 
 Buffer encode_snapshot(const std::vector<SnapshotSlot>& slots,

@@ -10,23 +10,35 @@
 namespace amoeba::storage {
 namespace {
 
-/// Drops the leading records of `run` at or below `held` and returns the
-/// highest LSN among the whole records left (at least `held`).  A
-/// malformed record ends the scan; it and everything after it stay.
-std::uint64_t drop_held_prefix(Buffer& run, std::uint64_t held) {
+/// Drops the journal records of `run` at or below `held` -- a snapshot
+/// record stays, whatever its lsn: it replaces the stream's image -- and
+/// returns the highest LSN in the run (at least `held`).  A malformed
+/// record ends the scan; it and everything after it stay.
+std::uint64_t drop_held(Buffer& run, std::uint64_t held) {
   const std::span<const std::uint8_t> bytes(run);
+  Buffer kept;
   std::uint64_t last = held;
-  std::size_t keep_from = 0;
   std::size_t pos = 0;
   while (const auto record = peek_record(bytes.subspan(pos))) {
-    if (record->lsn <= held && keep_from == pos) {
-      keep_from = pos + record->size;  // still inside what the stream holds
+    if (record->type == RecordType::snapshot || record->lsn > held) {
+      kept.insert(kept.end(), bytes.begin() + pos,
+                  bytes.begin() + pos + record->size);
     }
     last = std::max(last, record->lsn);
     pos += record->size;
   }
-  run.erase(run.begin(), run.begin() + static_cast<std::ptrdiff_t>(keep_from));
+  kept.insert(kept.end(), bytes.begin() + pos, bytes.end());
+  run = std::move(kept);
   return last;
+}
+
+/// True when every one of `streams` gets a snapshot record from `cycle`.
+bool images_every_stream(const CycleFrame& cycle, std::size_t streams) {
+  std::vector<bool> imaged(streams, false);
+  for (const ShardAppend& a : cycle.appends) {
+    imaged[a.shard] = imaged[a.shard] || holds_snapshot(a.bytes);
+  }
+  return std::find(imaged.begin(), imaged.end(), false) == imaged.end();
 }
 
 }  // namespace
@@ -37,11 +49,11 @@ ReplicaApplier::ReplicaApplier(std::shared_ptr<Backend> local)
     throw UsageError("ReplicaApplier: null backend");
   }
   // The floor is the largest marker still in the reply stream; each
-  // stream holds up to its snapshot's or its newest record's LSN.
+  // stream holds up to its image's or its newest record's LSN (a snapshot
+  // record's lsn is its image's).
   held_.assign(local_->stream_count(), 0);
   for (std::size_t s = 0; s < held_.size(); ++s) {
-    held_[s] = peek_snapshot_lsn(local_->read_snapshot(s));
-    for (const Record& record : decode_journal(local_->read_journal(s))) {
+    for (const Record& record : decode_journal(local_->read_stream(s))) {
       if (record.type != RecordType::rep_applied) {
         held_[s] = std::max(held_[s], record.lsn);
         continue;
@@ -82,17 +94,20 @@ Result<std::uint64_t> ReplicaApplier::apply_cycle(
   if (cycle.rep_lsn <= applied_) {
     return applied_;  // duplicate shipment: ack without re-applying
   }
-  if (cycle.rep_lsn != applied_ + 1) {
+  // A gap needs a frame that images every stream (a resync's): it holds
+  // the whole volume, so it lands on any floor.
+  if (cycle.rep_lsn != applied_ + 1 &&
+      !images_every_stream(cycle, local_->stream_count())) {
     return ErrorCode::conflict;  // gap: the primary must resync us
   }
-  // A resync re-ships whole journal tails, whose front this volume may
-  // already hold (it is a prefix of the primary's history, and a shipped
-  // snapshot keeps the records above its LSN): append only what each
-  // stream lacks, so the journals stay the primary's byte for byte.
+  // A resync re-ships each stream's image and the records above it, whose
+  // front this volume may already hold (it is a prefix of the primary's
+  // history): append only what each stream lacks, so every stream's state
+  // stays the primary's record for record.
   std::vector<std::uint64_t> held = held_;
   for (ShardAppend& a : cycle.appends) {
     held[a.shard] =
-        std::max(held[a.shard], drop_held_prefix(a.bytes, held_[a.shard]));
+        std::max(held[a.shard], drop_held(a.bytes, held_[a.shard]));
   }
   // The cycle plus its applied marker go down as ONE group -- one
   // commit-log frame, one fsync on a file volume: the backup can never
@@ -102,33 +117,6 @@ Result<std::uint64_t> ReplicaApplier::apply_cycle(
   local_->append_journal_batch(std::move(cycle.appends));
   applied_ = cycle.rep_lsn;
   held_ = std::move(held);
-  return applied_;
-}
-
-Result<std::uint64_t> ReplicaApplier::install_snapshot(
-    std::uint64_t rep_lsn, std::size_t shard,
-    std::span<const std::uint8_t> bytes) {
-  const std::lock_guard lock(mutex_);
-  if (promoted_) {
-    return ErrorCode::immutable;
-  }
-  if (rep_lsn <= applied_) {
-    return applied_;
-  }
-  if (shard >= local_->stream_count()) {
-    return ErrorCode::invalid_argument;
-  }
-  local_->install_snapshot(shard, bytes);
-  held_[shard] = std::max(held_[shard], peek_snapshot_lsn(bytes));
-  // Adopt, don't gap-check: a snapshot subsumes every shipment behind it,
-  // and in-order FIFO shipping already offered those to us.  This is what
-  // lets a full resync land on any floor.  The marker, a group of one,
-  // goes down only once the install returned: a marker written first
-  // could claim a snapshot the volume lacks after a crash, and the install
-  // itself may drop older markers (a reply-stream install drops the
-  // records it subsumes; a commit.log GC rewrite drops every marker).
-  local_->append_journal_batch({floor_marker(rep_lsn)});
-  applied_ = rep_lsn;
   return applied_;
 }
 

@@ -60,12 +60,12 @@ std::size_t ReplicatedBackend::shard_count() const {
   return local_->shard_count();
 }
 
-Buffer ReplicatedBackend::read_journal(std::size_t shard) const {
-  return local_->read_journal(shard);
+Buffer ReplicatedBackend::read_stream(std::size_t stream) const {
+  return local_->read_stream(stream);
 }
 
-Buffer ReplicatedBackend::read_snapshot(std::size_t shard) const {
-  return local_->read_snapshot(shard);
+Backend::RewriteStats ReplicatedBackend::rewrite_stats() const {
+  return local_->rewrite_stats();
 }
 
 bool ReplicatedBackend::empty() const { return local_->empty(); }
@@ -76,21 +76,6 @@ void ReplicatedBackend::append_journal_batch(
   // write returns, in ticket order -- §8.5's acknowledgement rule.  The
   // group reaches backups inside its flush cycle's frame.
   local_->append_journal_batch(std::move(appends));
-}
-
-void ReplicatedBackend::install_snapshot(std::size_t shard,
-                                         std::span<const std::uint8_t> bytes) {
-  local_->install_snapshot(shard, bytes);
-  // The flusher installs after its cycle's hook has shipped the frame, so
-  // the backups receive every record the image holds before the image.
-  // No ack wait: replacing a snapshot is not client-visible durability,
-  // so async shipping costs nothing.
-  const std::lock_guard lock(mutex_);
-  if (peers_.empty()) {
-    return;
-  }
-  (void)broadcast_locked(++next_lsn_, true, shard,
-                         Buffer(bytes.begin(), bytes.end()));
 }
 
 void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
@@ -152,13 +137,12 @@ void ReplicatedBackend::heartbeat() {
 }
 
 std::shared_ptr<ReplicatedBackend::Shipment>
-ReplicatedBackend::broadcast_locked(std::uint64_t rep_lsn, bool snapshot,
-                                    std::size_t shard, Buffer bytes) {
+ReplicatedBackend::broadcast_locked(std::span<const ShardAppend> appends,
+                                    bool resync) {
   auto shipment = std::make_shared<Shipment>();
-  shipment->rep_lsn = rep_lsn;
-  shipment->snapshot = snapshot;
-  shipment->shard = shard;
-  shipment->bytes = std::move(bytes);
+  shipment->rep_lsn = ++next_lsn_;
+  shipment->resync = resync;
+  shipment->frame = encode_cycle_frame(shipment->rep_lsn, appends);
   switch (mode_) {
     case AckMode::async:
       shipment->needed = 0;
@@ -210,9 +194,7 @@ void ReplicatedBackend::ship_cycle(std::span<const ShardAppend> appends) {
     if (peers_.empty()) {
       return;
     }
-    const std::uint64_t lsn = ++next_lsn_;
-    shipment = broadcast_locked(lsn, false, 0,
-                                encode_cycle_frame(lsn, appends));
+    shipment = broadcast_locked(appends, /*resync=*/false);
   }
   await_acks(shipment);
 }
@@ -221,36 +203,31 @@ void ReplicatedBackend::resync_locked() {
   if (peers_.empty()) {
     return;
   }
-  // Every stream: the object shards and the reply stream.
-  const std::size_t shards = local_->stream_count();
-  // Snapshots first -- including empty ones, which reset a shard a stale
-  // replica may hold junk in -- each adopting its LSN as the new floor...
-  for (std::size_t s = 0; s < shards; ++s) {
-    (void)broadcast_locked(++next_lsn_, true, s, local_->read_snapshot(s));
-  }
-  // ...then one cycle frame carrying every journal tail, which lands at
-  // exactly floor+1.  Cycles already queued behind this point re-apply
-  // on top; journal replay's LSN gating makes that a no-op.
+  // Every stream -- the object shards and the reply stream -- as its
+  // snapshot record (an empty image too, which resets a stream a stale
+  // replica may hold junk in) and the records above it.  Cycles already
+  // queued behind this point re-ship records the frame holds; the backup
+  // appends only what each stream lacks.
   std::vector<ShardAppend> appends;
-  for (std::size_t s = 0; s < shards; ++s) {
-    Buffer journal = local_->read_journal(s);
-    if (s == local_->reply_stream()) {
-      // A volume promoted from backup still carries its own rep_applied
-      // markers; they are volume-private.
-      Buffer kept;
-      for (const Record& record : decode_journal(journal)) {
-        if (record.type != RecordType::rep_applied) {
-          encode_record(record, kept);
-        }
+  for (std::size_t s = 0; s < local_->stream_count(); ++s) {
+    const Buffer live = local_->read_stream(s);
+    Buffer run;
+    if (!holds_snapshot(live)) {
+      encode_snapshot_record({}, run);
+    }
+    // A volume promoted from backup still carries its own rep_applied
+    // marker; it is volume-private.
+    std::size_t pos = 0;
+    while (const auto record = peek_record(std::span(live).subspan(pos))) {
+      if (record->type != RecordType::rep_applied) {
+        run.insert(run.end(), live.begin() + pos,
+                   live.begin() + pos + record->size);
       }
-      journal = std::move(kept);
+      pos += record->size;
     }
-    if (!journal.empty()) {
-      appends.push_back({s, std::move(journal)});
-    }
+    appends.push_back({s, std::move(run)});
   }
-  const std::uint64_t lsn = ++next_lsn_;
-  (void)broadcast_locked(lsn, false, 0, encode_cycle_frame(lsn, appends));
+  (void)broadcast_locked(appends, /*resync=*/true);
 }
 
 bool ReplicatedBackend::probe_floor(Peer& peer, const std::stop_token& stop) {
@@ -315,10 +292,7 @@ void ReplicatedBackend::shipper(Peer& peer, const std::stop_token& stop) {
     bool acked = false;
     bool rotated = false;
     for (;;) {
-      const Result<std::uint64_t> floor =
-          next->snapshot ? peer.link->ship_snapshot(next->rep_lsn,
-                                                    next->shard, next->bytes)
-                         : peer.link->ship_cycle(next->bytes);
+      const Result<std::uint64_t> floor = peer.link->ship_cycle(next->frame);
       if (floor.ok()) {
         {
           const std::lock_guard plock(peer.mutex);
@@ -344,18 +318,18 @@ void ReplicatedBackend::shipper(Peer& peer, const std::stop_token& stop) {
       if (floor.error() == ErrorCode::conflict) {
         // LSN gap: the backup is behind our stream (it restarted, or
         // lost state).  Queue a resync broadcast -- unless one is
-        // already pending here (its snapshot shipments are still in the
-        // queue) -- then rotate the gapped shipment behind it: once the
-        // snapshots adopt the floor, everything rotated lands at or
-        // below it and acks as a duplicate.  (Every queued shipment's
-        // bytes are on the local volume -- shipments are broadcast after
-        // their local write -- so the resync read subsumes them all.)
+        // already pending here -- then rotate the gapped shipment behind
+        // it: once the resync adopts its floor, everything rotated lands
+        // at or below it and acks as a duplicate.  (Every queued
+        // shipment's bytes are on the local volume -- shipments are
+        // broadcast after their local write -- so the resync read
+        // subsumes them all.)
         bool resync_pending;
         {
           const std::lock_guard plock(peer.mutex);
           resync_pending =
               std::any_of(peer.queue.begin(), peer.queue.end(),
-                          [](const auto& s) { return s->snapshot; });
+                          [](const auto& s) { return s->resync; });
         }
         if (!resync_pending) {
           const std::lock_guard lock(mutex_);

@@ -133,10 +133,8 @@ ReplyRows read_reply_stream(const Backend& backend, std::uint64_t& last_lsn) {
     throw UsageError("reply stream: corrupt snapshot on recovery");
   }
   last_lsn = applied;
+  // read_journal holds only the records above the image's LSN.
   for (const Record& record : decode_journal(backend.read_journal(stream))) {
-    if (record.lsn <= applied) {
-      continue;  // already folded into the snapshot (compaction race)
-    }
     (void)merge_reply_record(record, rows);  // malformed: skipped whole
     last_lsn = std::max(last_lsn, record.lsn);
   }

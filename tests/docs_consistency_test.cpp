@@ -34,6 +34,7 @@
 #include "amoeba/softprot/handshake.hpp"
 #include "amoeba/softprot/keystore.hpp"
 #include "amoeba/storage/backend.hpp"
+#include "amoeba/storage/group_commit.hpp"
 
 namespace amoeba {
 namespace {
@@ -246,14 +247,15 @@ TEST(DocsConsistency, VolumeLayoutTableMatchesAFileVolume) {
   {
     // Every kind of write a volume takes: one group append, a snapshot on
     // an object shard and on the reply stream.
-    storage::FileBackend volume(dir, 4);
+    auto volume = std::make_shared<storage::FileBackend>(dir, 4);
     std::vector<storage::ShardAppend> group;
     group.push_back({1, Buffer{1}});
-    group.push_back({volume.reply_stream(), Buffer{2}});
-    volume.append_journal_batch(std::move(group));
-    volume.install_snapshot(2, storage::encode_snapshot({}, 1));
-    volume.install_snapshot(volume.reply_stream(),
-                            storage::encode_snapshot({}, 1));
+    group.push_back({volume->reply_stream(), Buffer{2}});
+    volume->append_journal_batch(std::move(group));
+    storage::GroupCommitter committer(volume);
+    (void)committer.install_snapshot(2, storage::encode_snapshot({}, 1));
+    committer.wait_durable(committer.install_snapshot(
+        volume->reply_stream(), storage::encode_snapshot({}, 1)));
   }
   std::set<std::string> unmatched(documented.begin(), documented.end());
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {

@@ -11,9 +11,12 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,6 +96,53 @@ void reseal(Buffer& frame) {
     out.push_back(volume.read_journal(s));
   }
   return out;
+}
+
+/// `a` followed by `b`: record runs concatenate.
+[[nodiscard]] Buffer operator+(Buffer a, const Buffer& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// `image` as one framed snapshot record.
+[[nodiscard]] Buffer snapshot_record(const Buffer& image) {
+  Buffer out;
+  encode_snapshot_record(image, out);
+  return out;
+}
+
+/// `run` less its rep_applied markers (a backup's private records).
+[[nodiscard]] Buffer without_markers(const Buffer& run) {
+  Buffer out;
+  for (const Record& record : decode_journal(run)) {
+    if (record.type != RecordType::rep_applied) {
+      encode_record(record, out);
+    }
+  }
+  return out;
+}
+
+/// A resync's runs over `volume`: every stream's state, an empty image
+/// standing in for a stream without one.
+[[nodiscard]] std::vector<ShardAppend> resync_runs(const Backend& volume) {
+  std::vector<ShardAppend> runs;
+  for (std::size_t s = 0; s < volume.stream_count(); ++s) {
+    runs.push_back({s, snapshot_record(volume.read_snapshot(s)) +
+                           volume.read_journal(s)});
+  }
+  return runs;
+}
+
+/// The backup holds the primary's state, stream for stream: the same
+/// image and the same records above it (less the backup's markers).
+void expect_same_state(const Backend& primary, const Backend& backup) {
+  for (std::size_t s = 0; s < primary.stream_count(); ++s) {
+    EXPECT_EQ(backup.read_snapshot(s), primary.read_snapshot(s))
+        << "image of stream " << s;
+    EXPECT_EQ(without_markers(backup.read_journal(s)),
+              primary.read_journal(s))
+        << "records of stream " << s;
+  }
 }
 
 TEST(ReplicationWireTest, CycleFrameRoundTrips) {
@@ -186,47 +236,52 @@ TEST(ReplicaApplierTest, FloorSurvivesRestart) {
     expect_resumes_at(backend, 2);
   }
   for (const std::size_t stream : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(stream == 4 ? "snapshot on the reply stream"
-                             : "snapshot on an object shard");
+    SCOPED_TRACE(stream == 4 ? "image on the reply stream"
+                             : "image on an object shard");
     auto backend = std::make_shared<MemoryBackend>(4);
     ASSERT_EQ(backend->reply_stream(), 4u);
     {
       ReplicaApplier applier(backend);
       ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
       ASSERT_TRUE(applier.apply_cycle(sample_frame(2)).ok());
-      ASSERT_TRUE(
-          applier.install_snapshot(3, stream, encode_snapshot({}, 9)).ok());
+      // The image subsumes every record at or below its lsn, the markers'
+      // lsn 0 among them: the newest marker stays live regardless.
+      const std::vector<ShardAppend> image = {
+          {stream, snapshot_record(encode_snapshot({}, 9))}};
+      ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(3, image)).ok());
     }
     expect_resumes_at(backend, 3);
   }
   {
-    // A snapshot whose install rewrites commit.log (the log has crossed
-    // its 8 MiB GC threshold): the rewrite drops every earlier marker, so
-    // the floor survives only in the marker written after the install.
-    SCOPED_TRACE("snapshot install that rewrites commit.log");
+    // A cycle whose image takes commit.log past its 8 MiB GC threshold:
+    // the rewrite keeps the newest marker, which names that cycle.
+    SCOPED_TRACE("image whose cycle rewrites commit.log");
     const auto dir = std::filesystem::temp_directory_path() /
                      ("amoeba-replica-gc-" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
     constexpr std::uint64_t kRecords = 160000;
-    {
-      auto volume = std::make_shared<FileBackend>(dir, 2);
-      ReplicaApplier applier(volume);
+    const auto records = [](std::uint64_t from, std::uint64_t to) {
       Buffer run;
-      for (std::uint64_t lsn = 1; lsn <= kRecords; ++lsn) {
+      for (std::uint64_t lsn = from; lsn <= to; ++lsn) {
         encode_record({RecordType::mutate, ObjectNumber(100), 0x5EC2E7, lsn,
                        Buffer(24, 0xAB)},
                       run);
       }
-      std::vector<ShardAppend> big;
-      big.push_back({0, std::move(run)});
-      ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(1, big)).ok());
+      return run;
+    };
+    {
+      auto volume = std::make_shared<FileBackend>(dir, 2);
+      ReplicaApplier applier(volume);
+      const std::vector<ShardAppend> first = {{0, records(1, kRecords / 2)}};
+      ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(1, first)).ok());
       ASSERT_TRUE(applier.apply_cycle(one_run_frame(2, 1)).ok());
-      ASSERT_GT(std::filesystem::file_size(dir / "commit.log"),
-                std::uint64_t{8} << 20);
-      ASSERT_TRUE(
-          applier.install_snapshot(3, 0, encode_snapshot({}, kRecords)).ok());
+      const std::vector<ShardAppend> last = {
+          {0, records(kRecords / 2 + 1, kRecords) +
+                  snapshot_record(encode_snapshot({}, kRecords))}};
+      ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(3, last)).ok());
+      EXPECT_EQ(volume->rewrite_stats().rewrites, 1u);
       EXPECT_LT(std::filesystem::file_size(dir / "commit.log"), 4096u)
-          << "the install did not rewrite commit.log";
+          << "the cycle did not rewrite commit.log";
     }
     expect_resumes_at(std::make_shared<FileBackend>(dir, 2), 3);
     std::filesystem::remove_all(dir);
@@ -234,28 +289,47 @@ TEST(ReplicaApplierTest, FloorSurvivesRestart) {
 }
 
 TEST(ReplicaApplierTest, ResyncedTailsAppendOnlyWhatAStreamLacks) {
-  // A backup holding records 1..3 of stream 0 adopts a snapshot at 2 (a
-  // resync's, or a compaction shipped after the cycle that carried 3),
-  // then receives the primary's journal tail 3..4: it appends 4 alone, so
-  // its journal matches the primary's instead of holding 3 twice.
+  // The primary's history, shipped cycle by cycle: records 1..3 of stream
+  // 0, then a compaction (an image at 2 and record 4 behind it).  Then
+  // the primary restarts and resyncs in one frame that images every
+  // stream: the backup already holds records 3 and 4 above the image, so
+  // it appends each stream's image alone -- never dropped as held, though
+  // its lsn is below what the stream holds -- and the records it lacks.
+  // A restarted applier learns what each stream holds from the volume.
   const auto run = [](std::uint64_t from, std::uint64_t to) {
     Buffer out;
     for (std::uint64_t lsn = from; lsn <= to; ++lsn) {
-      const Buffer one = record(static_cast<std::uint32_t>(lsn), lsn);
-      out.insert(out.end(), one.begin(), one.end());
+      out = out + record(static_cast<std::uint32_t>(lsn), lsn);
     }
-    return std::vector<ShardAppend>{{0, out}};
+    return out;
   };
+  auto primary = std::make_shared<MemoryBackend>(4);
   auto backend = std::make_shared<MemoryBackend>(4);
   ReplicaApplier applier(backend);
-  ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(1, run(1, 3))).ok());
-  ASSERT_TRUE(applier.install_snapshot(2, 0, encode_snapshot({}, 2)).ok());
-  ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(3, run(3, 4))).ok());
-  EXPECT_EQ(backend->read_journal(0), run(3, 4)[0].bytes);
-  // A restarted applier learns what each stream holds from the volume.
+  const auto ship = [&](ReplicaApplier& to, std::uint64_t rep_lsn,
+                        std::vector<ShardAppend> runs) {
+    primary->append_journal_batch(std::vector<ShardAppend>(runs));
+    ASSERT_TRUE(to.apply_cycle(encode_cycle_frame(rep_lsn, runs)).ok());
+    EXPECT_EQ(to.applied(), rep_lsn);
+  };
+  ship(applier, 1, {{0, run(1, 3)}});
+  const Buffer image = encode_snapshot({{ObjectNumber(2), 1, Buffer{2}}}, 2);
+  ship(applier, 2, {{0, snapshot_record(image) + run(4, 4)}});
+  expect_same_state(*primary, *backend);
+  // The restart resync lands on a gap: it images every stream.
+  ASSERT_TRUE(
+      applier.apply_cycle(encode_cycle_frame(7, resync_runs(*primary))).ok());
+  EXPECT_EQ(applier.applied(), 7u);
+  EXPECT_EQ(backend->read_journal(0), run(3, 4));
+  expect_same_state(*primary, *backend);
   ReplicaApplier restarted(backend);
-  ASSERT_TRUE(restarted.apply_cycle(encode_cycle_frame(4, run(4, 5))).ok());
-  EXPECT_EQ(backend->read_journal(0), run(3, 5)[0].bytes);
+  EXPECT_EQ(restarted.applied(), 7u);
+  // A tail overlapping what the stream holds appends only record 5.
+  const std::vector<ShardAppend> tail = {{0, run(4, 5)}};
+  ASSERT_TRUE(restarted.apply_cycle(encode_cycle_frame(8, tail)).ok());
+  primary->append_journal(0, run(5, 5));
+  EXPECT_EQ(backend->read_journal(0), run(3, 5));
+  expect_same_state(*primary, *backend);
 }
 
 TEST(ReplicaApplierTest, OutOfRangeStreamIsRefusedBeforeAnyAppend) {
@@ -288,6 +362,45 @@ TEST(ReplicaApplierTest, OutOfRangeStreamIsRefusedBeforeAnyAppend) {
   const auto applied = applier.apply_cycle(good);
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(applied.value(), 2u);
+}
+
+/// Every stream of `volume` in normal form (images included).
+[[nodiscard]] std::vector<Buffer> streams(const Backend& volume) {
+  std::vector<Buffer> out;
+  for (std::size_t s = 0; s < volume.stream_count(); ++s) {
+    out.push_back(volume.read_stream(s));
+  }
+  return out;
+}
+
+/// The group an applier holding `held` (per stream) appends for `cycle`:
+/// each run less its journal records at or below what the stream holds --
+/// snapshot records stay -- then the marker naming the cycle.
+[[nodiscard]] std::vector<ShardAppend> applied_runs(
+    const CycleFrame& cycle, const std::vector<std::uint64_t>& held) {
+  std::vector<ShardAppend> group;
+  for (const ShardAppend& a : cycle.appends) {
+    Buffer kept;  // a file volume's frame leaves out a run left empty
+    std::size_t pos = 0;
+    while (const auto r = peek_record(std::span(a.bytes).subspan(pos))) {
+      if (r->type == RecordType::snapshot || r->lsn > held.at(a.shard)) {
+        kept.insert(kept.end(), a.bytes.begin() + pos,
+                    a.bytes.begin() + pos + r->size);
+      }
+      pos += r->size;
+    }
+    kept.insert(kept.end(), a.bytes.begin() + pos, a.bytes.end());
+    if (!kept.empty()) {
+      group.push_back({a.shard, std::move(kept)});
+    }
+  }
+  Writer floor;
+  floor.u64(cycle.rep_lsn);
+  Buffer marker;
+  encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
+                     floor.buffer(), marker);
+  group.push_back({held.size() - 1, std::move(marker)});
+  return group;
 }
 
 TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
@@ -364,9 +477,9 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
     auto volume = std::make_shared<MemoryBackend>(4);
     ReplicaApplier applier(volume);
     ASSERT_TRUE(applier.apply_cycle(one_run_frame(1, 1)).ok());
-    const std::vector<Buffer> before = journals(*volume);
+    const std::vector<Buffer> before = streams(*volume);
     const auto result = applier.apply_cycle(bent);
-    const std::vector<Buffer> after = journals(*volume);
+    const std::vector<Buffer> after = streams(*volume);
     if (applier.applied() == 1) {
       ++refused;
       EXPECT_EQ(after, before) << "a rejected frame touched a journal";
@@ -376,15 +489,18 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
       ASSERT_TRUE(result.ok());
       EXPECT_EQ(decoded.rep_lsn, 2u);
       EXPECT_EQ(applier.applied(), 2u);
+      // One group: each stream takes its runs, reduced at an image.
       std::vector<Buffer> expected = before;
-      for (const ShardAppend& a : decoded.appends) {
-        expected.at(a.shard).insert(expected.at(a.shard).end(),
-                                    a.bytes.begin(), a.bytes.end());
+      for (const ShardAppend& a : applied_runs(decoded, {0, 1, 0, 0, 0})) {
+        Buffer& stream = expected.at(a.shard);
+        stream = stream + a.bytes;
+        if (holds_snapshot(a.bytes)) {
+          stream = live_records(stream);
+        }
       }
-      Writer floor;
-      floor.u64(2);
-      encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
-                         floor.buffer(), expected.at(volume->reply_stream()));
+      for (Buffer& stream : expected) {
+        stream = live_records(stream);
+      }
       EXPECT_EQ(after, expected) << "a frame was applied in part";
     }
     if (::testing::Test::HasFailure()) {
@@ -397,26 +513,170 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
   EXPECT_GT(refused, 0);
 }
 
-TEST(ReplicaApplierTest, SnapshotAdoptsItsLsnAsFloor) {
+[[nodiscard]] Buffer read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::filesystem::path& path, const Buffer& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ReplicationWireFuzz, BentSnapshotRecordsApplyWholeOrLeaveTheLogAlone) {
+  // Field-level mutation of a frame that images every stream, on a file
+  // volume: bend a record's type, its lsn, a snapshot record's image
+  // length, or the frame's rep_lsn; re-seal the record's and the frame's
+  // checksums so the bend reaches the applier.  The frame is either
+  // applied whole -- commit.log gains exactly one group frame, the runs
+  // less what the streams hold plus the marker -- or leaves commit.log
+  // byte for byte as it was.  AMOEBA_TEST_SEED picks the bends.
+  Rng rng(test::seed_base(43) * 0x9E3779B97F4A7C15ULL + 19);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("amoeba-image-fuzz-" + std::to_string(::getpid()));
+  const auto log = dir / "commit.log";
+  std::filesystem::remove_all(dir);
+  {
+    auto volume = std::make_shared<FileBackend>(dir, 2);
+    ReplicaApplier applier(volume);
+    ASSERT_TRUE(applier.apply_cycle(one_run_frame(1, 1)).ok());
+  }
+  const Buffer base = read_bytes(log);
+  const std::vector<std::uint64_t> held = {0, 1, 0};
+  // Streams 0, 1 and the reply stream (2): an image with a record above
+  // it, an empty image, and a record above an image placed before it.
+  const std::vector<ShardAppend> appends = {
+      {0, snapshot_record(encode_snapshot({{ObjectNumber(4), 9, Buffer{4}}},
+                                          5)) +
+              record(10, 6)},
+      {1, snapshot_record({})},
+      {2, record(11, 3) + snapshot_record(encode_snapshot({}, 2))}};
+  const Buffer pristine = encode_cycle_frame(2, appends);
+  // Where each record sits in the frame: header 8, rep_lsn 8, count 4,
+  // then per run its stream and length words.
+  struct At {
+    std::size_t record;
+    bool image;
+  };
+  std::vector<At> records;
+  std::size_t pos = 20;
+  for (const ShardAppend& a : appends) {
+    pos += 8;
+    std::size_t in_run = 0;
+    while (const auto r = peek_record(std::span(a.bytes).subspan(in_run))) {
+      records.push_back({pos + in_run, r->type == RecordType::snapshot});
+      in_run += r->size;
+    }
+    pos += a.bytes.size();
+  }
+  ASSERT_EQ(pos, pristine.size());
+  // A record's body: type u8 at +8, lsn u64 at +21, payload length at +29.
+  const auto reseal_record = [](Buffer& frame, std::size_t at) {
+    std::uint32_t length = 0;
+    for (int i = 0; i < 4; ++i) {
+      length |= static_cast<std::uint32_t>(frame[at + i]) << (8 * i);
+    }
+    store_u32(frame, at + 4,
+              frame_checksum(std::span(frame).subspan(at + 8, length)));
+  };
+  int applied_whole = 0;
+  int refused = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    Buffer bent = pristine;
+    for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
+      const At at = records[rng.below(records.size())];
+      switch (rng.below(4)) {
+        case 0:
+          bent[at.record + 8] = static_cast<std::uint8_t>(
+              rng.below(2) == 0 ? rng.below(12) : rng.next());
+          break;
+        case 1: {
+          const std::uint64_t choices[] = {0, 1, 5, 6, ~std::uint64_t{0},
+                                           rng.next()};
+          store_u64(bent, at.record + 21, choices[rng.below(6)]);
+          break;
+        }
+        case 2: {
+          // The payload (image) length: off by one, zero, or huge.
+          const std::uint32_t choices[] = {0, 1, 0xFFFFFFFFu,
+                                           static_cast<std::uint32_t>(
+                                               rng.next())};
+          store_u32(bent, at.record + 29, choices[rng.below(4)]);
+          break;
+        }
+        default: {
+          const std::uint64_t choices[] = {0, 1, 2, 3, 40, rng.next()};
+          store_u64(bent, 8, choices[rng.below(6)]);
+          break;
+        }
+      }
+      reseal_record(bent, at.record);
+    }
+    reseal(bent);
+    CycleFrame decoded;
+    ASSERT_TRUE(decode_cycle_frame(bent, decoded));
+
+    write_bytes(log, base);
+    auto volume = std::make_shared<FileBackend>(dir, 2);
+    ReplicaApplier applier(volume);
+    ASSERT_EQ(applier.applied(), 1u);
+    const auto result = applier.apply_cycle(bent);
+    const Buffer after = read_bytes(log);
+    if (applier.applied() == 1) {
+      ++refused;
+      EXPECT_EQ(after, base) << "a refused frame touched commit.log";
+    } else {
+      ++applied_whole;
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(applier.applied(), decoded.rep_lsn);
+      Buffer expected = base;
+      Buffer frame;
+      encode_group_frame(applied_runs(decoded, held), frame);
+      expected.insert(expected.end(), frame.begin(), frame.end());
+      EXPECT_EQ(after, expected) << "a frame was applied in part";
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "iteration " << iter << " (seed base "
+             << test::seed_base(43) << ")";
+    }
+  }
+  // Neither outcome was vacuous.
+  EXPECT_GT(applied_whole, 0);
+  EXPECT_GT(refused, 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReplicaApplierTest, FrameImagingEveryStreamAdoptsItsLsnAsFloor) {
   auto backend = std::make_shared<MemoryBackend>(4);
+  auto primary = std::make_shared<MemoryBackend>(4);
+  primary->append_journal(
+      2, snapshot_record(encode_snapshot({{ObjectNumber(2), 1, Buffer{1}}},
+                                         3)) +
+             record(2, 4));
   ReplicaApplier applier(backend);
-  // A resync snapshot lands on any floor -- no gap check.
-  const Buffer image = bytes_of("snapshot-image");
-  const auto adopted = applier.install_snapshot(10, 2, image);
+  // A resync frame lands on any floor -- no gap check.
+  const auto adopted =
+      applier.apply_cycle(encode_cycle_frame(10, resync_runs(*primary)));
   ASSERT_TRUE(adopted.ok());
   EXPECT_EQ(adopted.value(), 10u);
-  EXPECT_EQ(backend->read_snapshot(2), image);
+  expect_same_state(*primary, *backend);
   // The stream continues right behind it...
   EXPECT_TRUE(applier.apply_cycle(sample_frame(11)).ok());
   // ...and everything at or below the adopted floor is a duplicate.
-  const auto stale = applier.install_snapshot(5, 1, image);
+  const std::vector<Buffer> before = journals(*backend);
+  const auto stale =
+      applier.apply_cycle(encode_cycle_frame(5, resync_runs(*primary)));
   ASSERT_TRUE(stale.ok());
   EXPECT_EQ(stale.value(), 11u);
-  EXPECT_TRUE(backend->read_snapshot(1).empty());
-  // Out-of-range shards are hostile input, not a crash.
-  const auto bad = applier.install_snapshot(12, 99, image);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error(), ErrorCode::invalid_argument);
+  EXPECT_EQ(journals(*backend), before);
+  // A frame that leaves one stream without an image still needs floor+1.
+  std::vector<ShardAppend> partial = resync_runs(*primary);
+  partial.pop_back();
+  const auto gap = applier.apply_cycle(encode_cycle_frame(13, partial));
+  ASSERT_FALSE(gap.ok());
+  EXPECT_EQ(gap.error(), ErrorCode::conflict);
 }
 
 TEST(ReplicaApplierTest, PromoteFencesFurtherShipments) {
@@ -428,9 +688,6 @@ TEST(ReplicaApplierTest, PromoteFencesFurtherShipments) {
   const auto refused = applier.apply_cycle(sample_frame(2));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error(), ErrorCode::immutable);
-  const auto refused_snap = applier.install_snapshot(9, 0, bytes_of("x"));
-  ASSERT_FALSE(refused_snap.ok());
-  EXPECT_EQ(refused_snap.error(), ErrorCode::immutable);
 }
 
 /// A link straight into an in-process applier whose first
@@ -444,11 +701,6 @@ class DirectLink final : public ReplicationLink {
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
       std::span<const std::uint8_t> frame) override {
     return applier_->apply_cycle(frame);
-  }
-  [[nodiscard]] Result<std::uint64_t> ship_snapshot(
-      std::uint64_t rep_lsn, std::size_t shard,
-      std::span<const std::uint8_t> bytes) override {
-    return applier_->install_snapshot(rep_lsn, shard, bytes);
   }
   [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
     if (failed_probes_ > 0) {
@@ -468,16 +720,22 @@ TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
   // starts at 1, and every shipment at or below the backup's floor would
   // be acked as a duplicate never applied.  The shipper's first
   // heartbeats time out: it must retry, learn the floor, and number above
-  // it before offering anything.  Floor 1 equals the first snapshot's
-  // LSN, whose duplicate ack would look exactly like an apply.
+  // it before offering anything.  Floor 1 equals the resync's LSN, whose
+  // duplicate ack would look exactly like an apply.
   for (const std::uint64_t stale_floor : {1, 40}) {
     SCOPED_TRACE("stale floor " + std::to_string(stale_floor));
     auto backup = std::make_shared<MemoryBackend>(4);
     ReplicaApplier applier(backup);
-    ASSERT_TRUE(
-        applier.install_snapshot(stale_floor, 0, bytes_of("stale")).ok());
+    auto stale = std::make_shared<MemoryBackend>(4);
+    stale->append_journal(
+        0, snapshot_record(encode_snapshot({{ObjectNumber(8), 1, Buffer{8}}},
+                                           7)));
+    ASSERT_TRUE(applier
+                    .apply_cycle(encode_cycle_frame(stale_floor,
+                                                    resync_runs(*stale)))
+                    .ok());
     auto local = std::make_shared<MemoryBackend>(4);
-    local->append_journal(1, bytes_of("rec-1"));
+    local->append_journal(1, record(1, 1));
 
     auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::ack_one);
     primary->attach_peer(std::make_shared<DirectLink>(applier, 3));
@@ -492,34 +750,20 @@ TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
     EXPECT_GT(applier.applied(), stale_floor);
     // ack_one: durable once the backup applied it, above the old floor.
     GroupCommitter committer(primary);
-    committer.wait_durable(committer.enqueue(2, bytes_of("rec-2")));
-    // Object shards only: the backup's reply stream adds its own
-    // rep_applied markers.
-    for (std::size_t s = 0; s < local->shard_count(); ++s) {
-      EXPECT_EQ(backup->read_journal(s), local->read_journal(s))
-          << "journal " << s;
-      EXPECT_EQ(backup->read_snapshot(s), local->read_snapshot(s))
-          << "snapshot " << s;
-    }
+    committer.wait_durable(committer.enqueue(2, record(2, 1)));
+    // The resync's empty image reset the stale shard 0.
+    expect_same_state(*local, *backup);
   }
 }
 
-/// Forwards to an in-process applier and logs every shipment it newly
-/// applies (its floor moved to exactly that shipment's LSN), then runs
-/// `after_apply` (when set) with the shipment's kind.
+/// Forwards to an in-process applier and logs every frame it newly
+/// applies (its floor moved to exactly that frame's LSN), then runs
+/// `after_apply` (when set).
 class RecordingLink final : public ReplicationLink {
  public:
-  struct Applied {
-    std::uint64_t rep_lsn = 0;
-    bool snapshot = false;
-    std::size_t shard = 0;
-    Buffer bytes;  // snapshot image
-    std::vector<ShardAppend> runs;  // cycle frames
-  };
-
   explicit RecordingLink(ReplicaApplier& applier) : applier_(&applier) {}
 
-  std::function<void(bool snapshot)> after_apply;  // set before attaching
+  std::function<void()> after_apply;  // set before attaching
 
   [[nodiscard]] std::string peer_name() const override { return "backup"; }
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
@@ -528,16 +772,13 @@ class RecordingLink final : public ReplicationLink {
     CycleFrame cycle;
     if (floor.ok() && decode_cycle_frame(frame, cycle) &&
         floor.value() == cycle.rep_lsn) {
-      log({cycle.rep_lsn, false, 0, {}, std::move(cycle.appends)});
-    }
-    return floor;
-  }
-  [[nodiscard]] Result<std::uint64_t> ship_snapshot(
-      std::uint64_t rep_lsn, std::size_t shard,
-      std::span<const std::uint8_t> bytes) override {
-    const auto floor = applier_->install_snapshot(rep_lsn, shard, bytes);
-    if (floor.ok() && floor.value() == rep_lsn) {
-      log({rep_lsn, true, shard, Buffer(bytes.begin(), bytes.end()), {}});
+      {
+        const std::lock_guard lock(mutex_);
+        applied_.push_back(std::move(cycle));
+      }
+      if (after_apply) {
+        after_apply();
+      }
     }
     return floor;
   }
@@ -545,55 +786,29 @@ class RecordingLink final : public ReplicationLink {
     return applier_->applied();
   }
 
-  [[nodiscard]] std::vector<Applied> applied() const {
+  [[nodiscard]] std::vector<CycleFrame> applied() const {
     const std::lock_guard lock(mutex_);
     return applied_;
   }
 
  private:
-  void log(Applied shipment) {
-    const bool snapshot = shipment.snapshot;
-    {
-      const std::lock_guard lock(mutex_);
-      applied_.push_back(std::move(shipment));
-    }
-    if (after_apply) {
-      after_apply(snapshot);
-    }
-  }
-
   ReplicaApplier* applier_;
   mutable std::mutex mutex_;
-  std::vector<Applied> applied_;
+  std::vector<CycleFrame> applied_;
 };
 
-/// True when `image` holds all of `shipment`: its snapshot, or every run
-/// of its cycle inside the run's journal.
-[[nodiscard]] bool holds(const MemoryBackend& image,
-                         const RecordingLink::Applied& shipment) {
-  if (shipment.snapshot) {
-    return image.read_snapshot(shipment.shard) == shipment.bytes;
-  }
-  return std::all_of(
-      shipment.runs.begin(), shipment.runs.end(), [&](const ShardAppend& a) {
-        const Buffer journal = image.read_journal(a.shard);
-        return std::search(journal.begin(), journal.end(), a.bytes.begin(),
-                           a.bytes.end()) != journal.end();
-      });
-}
-
-TEST(ReplicaApplierTest, ResyncImagesNeverHoldAFloorAheadOfTheirContent) {
-  // Crash the backup at every journal barrier of a full resync and reopen
-  // an applier on each image: its floor must never exceed the last
-  // shipment that image fully holds.  Every stream of the primary has a
-  // distinct non-empty snapshot and a journal tail, so each shipment
-  // leaves a trace an image can be checked for.
+TEST(ReplicaApplierTest, ResyncIsOneBarrierHoldingItsWholeFloor) {
+  // A full resync onto an empty backup is ONE shipment the backup lands
+  // as one journal barrier: the crash image taken there holds every
+  // stream of the primary -- distinct images and the records above them
+  // -- and a floor naming the resync, never a floor without its content.
   auto local = std::make_shared<MemoryBackend>(4);
   for (std::size_t s = 0; s < local->stream_count(); ++s) {
     const auto object = static_cast<std::uint32_t>(s + 1);
-    local->install_snapshot(
-        s, encode_snapshot({{ObjectNumber(object), 0x5EC2E7, Buffer{7}}}, 10));
-    local->append_journal(s, record(object, 11));
+    local->append_journal(
+        s, snapshot_record(encode_snapshot(
+               {{ObjectNumber(object), 0x5EC2E7, Buffer{7}}}, 10)) +
+               record(object, 11));
   }
   auto backup = std::make_shared<MemoryBackend>(4);
   ReplicaApplier applier(backup);
@@ -618,25 +833,12 @@ TEST(ReplicaApplierTest, ResyncImagesNeverHoldAFloorAheadOfTheirContent) {
     ASSERT_TRUE(synced) << "the resync never landed";
   }
   backup->set_append_hook(nullptr);
-  const std::vector<RecordingLink::Applied> shipped = link->applied();
-  // One snapshot per stream, then the catch-all cycle frame.
-  ASSERT_EQ(shipped.size(), local->stream_count() + 1);
+  ASSERT_EQ(link->applied().size(), 1u);
   const std::lock_guard lock(images_mutex);
-  // Each shipment ends in exactly one journal barrier: a cycle's group,
-  // or the floor marker a snapshot install appends after itself.
-  ASSERT_EQ(images.size(), shipped.size());
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    SCOPED_TRACE("barrier " + std::to_string(i));
-    std::uint64_t held = 0;
-    for (const RecordingLink::Applied& shipment : shipped) {
-      if (holds(*images[i], shipment)) {
-        held = std::max(held, shipment.rep_lsn);
-      }
-    }
-    const ReplicaApplier reopened(images[i]);
-    EXPECT_LE(reopened.applied(), held) << "the floor ran ahead of the image";
-    EXPECT_EQ(reopened.applied(), shipped[i].rep_lsn);
-  }
+  ASSERT_EQ(images.size(), 1u);
+  const ReplicaApplier reopened(images[0]);
+  EXPECT_EQ(reopened.applied(), link->applied()[0].rep_lsn);
+  expect_same_state(*local, *images[0]);
 }
 
 /// The counter a snapshot image of shard 0 holds (0 when it holds none).
@@ -665,11 +867,11 @@ TEST(ReplicationOrderTest, SnapshotsShipAfterTheFloorsOfTheirEffects) {
   // Each "request" enqueues its floor on the reply stream, then sets a
   // counter to its sequence number in a store that compacts after every
   // record, so each effect is folded into an image queued right behind
-  // it.  The backup must apply every image after the cycle frame that
-  // carries the floors of the effects it holds, and no image of either
-  // volume -- the primary's captured inside the post-flush hook, the
-  // backup's right after each snapshot it applies -- may hold an effect
-  // without its floor.
+  // it.  Every image must reach the backup in the cycle frame that
+  // carries the floors of the effects it holds or a later one, and no
+  // image of either volume -- both captured inside the post-flush hook,
+  // right after the backup applied a frame -- may hold an effect without
+  // its floor.
   constexpr std::uint64_t kRequests = 24;
   auto local = std::make_shared<MemoryBackend>(1);
   auto backup = std::make_shared<MemoryBackend>(1);
@@ -679,10 +881,12 @@ TEST(ReplicationOrderTest, SnapshotsShipAfterTheFloorsOfTheirEffects) {
   std::vector<std::shared_ptr<MemoryBackend>> images;
   // ack_one: a cycle frame is applied while the flusher waits for its ack
   // inside the hook, so the primary's capture is taken inside the hook.
-  link->after_apply = [&](bool snapshot) {
-    auto image = snapshot ? backup->capture() : local->capture();
+  link->after_apply = [&] {
+    auto primary_image = local->capture();
+    auto backup_image = backup->capture();
     const std::lock_guard lock(images_mutex);
-    images.push_back(std::move(image));
+    images.push_back(std::move(primary_image));
+    images.push_back(std::move(backup_image));
   };
   auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::ack_one);
   primary->attach_peer(link);
@@ -735,24 +939,31 @@ TEST(ReplicationOrderTest, SnapshotsShipAfterTheFloorsOfTheirEffects) {
   // The create's image, one per request, and compact()'s.
   EXPECT_EQ(committer->stats().installs, kRequests + 2);
 
-  // Apply order: every image after the floors of the effects it holds.
+  // Apply order: every image in or after the frame carrying the floors of
+  // the effects it holds.  A frame lands whole, so its own floors count.
   ReplyRows shipped_rows;
   std::uint64_t shipped_floor = 0;
   std::size_t images_shipped = 0;
-  for (const RecordingLink::Applied& shipment : link->applied()) {
-    if (!shipment.snapshot) {
-      for (const ShardAppend& run : shipment.runs) {
-        if (run.shard == local->reply_stream()) {
-          shipped_floor = fold_floor(run.bytes, shipped_rows);
-        }
+  for (const CycleFrame& frame : link->applied()) {
+    for (const ShardAppend& run : frame.appends) {
+      if (run.shard == local->reply_stream()) {
+        shipped_floor = fold_floor(run.bytes, shipped_rows);
       }
-    } else if (shipment.shard == 0) {
-      ++images_shipped;
-      EXPECT_LE(image_counter(shipment.bytes), shipped_floor)
-          << "snapshot " << shipment.rep_lsn << " shipped before its floor";
+    }
+    for (const ShardAppend& run : frame.appends) {
+      for (const Record& record : decode_journal(run.bytes)) {
+        if (run.shard != 0 || record.type != RecordType::snapshot) {
+          continue;
+        }
+        ++images_shipped;
+        EXPECT_LE(image_counter(record.payload), shipped_floor)
+            << "frame " << frame.rep_lsn << " shipped an image before its "
+            << "floor";
+      }
     }
   }
-  EXPECT_GE(images_shipped, kRequests + 2);
+  // The resync's empty image, the create's, one per request, compact()'s.
+  EXPECT_GE(images_shipped, kRequests + 3);
 
   // Crash images: no image holds an effect its reply stream lacks a
   // floor for.
@@ -768,7 +979,7 @@ TEST(ReplicationOrderTest, SnapshotsShipAfterTheFloorsOfTheirEffects) {
   }
 
   // The backup compacted with the primary: same image, and the shipped
-  // snapshot dropped the journal records it subsumes.
+  // snapshot record subsumes the journal records below it.
   EXPECT_EQ(backup->read_snapshot(0), local->read_snapshot(0));
   EXPECT_TRUE(local->read_journal(0).empty());
   EXPECT_TRUE(backup->read_journal(0).empty())
@@ -820,7 +1031,7 @@ TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
     constexpr std::uint32_t kCycles = 8;
     std::uint64_t enqueued = 0;
     for (std::uint32_t i = 0; i < kCycles; ++i) {
-      const Buffer record = bytes_of("framed-record-" + std::to_string(i));
+      const Buffer record = storage::record(i, i + 1);
       // A single-stream record, then a two-stream group in the same wait.
       (void)committer.enqueue(i % 4, record);
       std::vector<ShardAppend> group;
@@ -924,16 +1135,11 @@ class ReplicationSuite : public ::testing::Test {
     return false;
   }
 
-  /// The whole point of journal shipping: the backup volume is
-  /// byte-equivalent to the primary's own disk (object shards; the
-  /// backup's reply stream adds its private floor markers).
+  /// The whole point of journal shipping: the backup volume holds the
+  /// primary's own state, stream for stream (the backup's reply stream
+  /// adds its private floor markers).
   void expect_volumes_equal() {
-    for (std::size_t s = 0; s < local_->shard_count(); ++s) {
-      EXPECT_EQ(local_->read_journal(s), backup_backend_->read_journal(s))
-          << "journal shard " << s;
-      EXPECT_EQ(local_->read_snapshot(s), backup_backend_->read_snapshot(s))
-          << "snapshot shard " << s;
-    }
+    storage::expect_same_state(*local_, *backup_backend_);
   }
 
   void workload(int transfers) {
@@ -983,16 +1189,33 @@ TEST_F(ReplicationSuite, PrimaryRestartKeepsTheBackupAPrefix) {
   boot(storage::AckMode::ack_one);
   workload(25);
   ASSERT_TRUE(wait_synced());
-  const std::uint64_t floor_before = replica_->applier().applied();
-  shutdown();
+  shutdown();  // its last flush ships too (pending reply bodies)
+  const std::uint64_t floor_down = replica_->applier().applied();
+  // While the bank is down its reply stream compacts: an image at the
+  // stream's last LSN, whose records the backup already holds.
+  {
+    std::uint64_t last_lsn = 0;
+    const storage::ReplyRows rows =
+        storage::read_reply_stream(*local_, last_lsn);
+    const Buffer image = storage::encode_reply_snapshot(rows, last_lsn);
+    storage::GroupCommitter committer(local_);
+    committer.wait_durable(
+        committer.install_snapshot(local_->reply_stream(), image));
+  }
   // The bank restarts on its own volume.  Its shipment numbering starts
   // over, below the floor the backup already holds: the restarted
   // primary must learn that floor and number above it, or the backup
-  // answers every shipment as a duplicate without applying it.
+  // answers every shipment as a duplicate without applying it.  Its
+  // resync is one frame, whose reply-stream image the backup must take
+  // although its lsn is below what the stream holds.
   boot(storage::AckMode::ack_one, 22);
+  ASSERT_TRUE(wait_synced());
+  EXPECT_EQ(replica_->applier().applied(), floor_down + 1);
+  expect_volumes_equal();
+  EXPECT_FALSE(backup_backend_->read_snapshot(local_->reply_stream()).empty());
   workload(3);
   ASSERT_TRUE(wait_synced());
-  EXPECT_GT(replica_->applier().applied(), floor_before);
+  EXPECT_GT(replica_->applier().applied(), floor_down + 1);
   expect_volumes_equal();
 }
 

@@ -24,6 +24,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -56,6 +57,7 @@
 #include "amoeba/storage/record.hpp"
 #include "amoeba/storage/replication/replica.hpp"
 #include "amoeba/storage/replication/replicated_backend.hpp"
+#include "amoeba/storage/replication/wire.hpp"
 #include "amoeba/storage/reply_stream.hpp"
 #include "test_seed.hpp"
 
@@ -65,9 +67,9 @@ namespace {
 using namespace std::chrono_literals;
 
 /// Forwards to another volume and counts every byte handed to it for
-/// writing: journal runs (plus their commit-log frame headers) and
-/// snapshots.  `after_install`, when set, runs after each snapshot
-/// install with the stream's index.
+/// writing: record runs, images included, plus their commit-log frame
+/// headers.  `after_install`, when set, runs after each group with the
+/// index of every stream whose run carried a snapshot record.
 class CountingBackend final : public storage::Backend {
  public:
   explicit CountingBackend(std::shared_ptr<storage::Backend> inner)
@@ -83,21 +85,21 @@ class CountingBackend final : public storage::Backend {
   void append_journal_batch(
       std::vector<storage::ShardAppend>&& appends) override {
     count(appends);
+    std::vector<std::size_t> imaged;
+    for (const storage::ShardAppend& a : appends) {
+      if (storage::holds_snapshot(a.bytes)) {
+        imaged.push_back(a.shard);
+      }
+    }
     inner_->append_journal_batch(std::move(appends));
-  }
-  [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
-    return inner_->read_journal(shard);
-  }
-  void install_snapshot(std::size_t shard,
-                        std::span<const std::uint8_t> bytes) override {
-    bytes_ += bytes.size();
-    inner_->install_snapshot(shard, bytes);
     if (after_install) {
-      after_install(shard);
+      for (const std::size_t stream : imaged) {
+        after_install(stream);
+      }
     }
   }
-  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
-    return inner_->read_snapshot(shard);
+  [[nodiscard]] Buffer read_stream(std::size_t stream) const override {
+    return inner_->read_stream(stream);
   }
   [[nodiscard]] bool empty() const override { return inner_->empty(); }
 
@@ -194,15 +196,8 @@ class GatedBackend final : public storage::Backend {
     }
     inner_->append_journal_batch(std::move(appends));
   }
-  [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
-    return inner_->read_journal(shard);
-  }
-  void install_snapshot(std::size_t shard,
-                        std::span<const std::uint8_t> bytes) override {
-    inner_->install_snapshot(shard, bytes);
-  }
-  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
-    return inner_->read_snapshot(shard);
+  [[nodiscard]] Buffer read_stream(std::size_t stream) const override {
+    return inner_->read_stream(stream);
   }
   [[nodiscard]] bool empty() const override { return inner_->empty(); }
 
@@ -595,8 +590,8 @@ TEST(ReplyStreamFuzz, MutatedStreamsNeverCrashARestart) {
     if (iter % 2 == 0) {
       mutate(image, rng);
     }
-    volume->install_snapshot(volume->reply_stream(), serialize(image));
     Buffer journal;
+    storage::encode_snapshot_record(serialize(image), journal);
     std::vector<Field> record = {{4, 3, {}}, {8, 30, {}}, {8, 12, {}}};
     mutate(record, rng);
     storage::encode_record_into(storage::RecordType::reply_floor,
@@ -613,9 +608,9 @@ TEST(ReplyStreamFuzz, MutatedStreamsNeverCrashARestart) {
 }
 
 TEST(ReplyStreamTest, SnapshotInstallKeepsRecordsPastItsLsn) {
-  // rpc::Service installs a committed volume's reply-stream snapshot while
+  // rpc::Service queues a committed volume's reply-stream snapshot while
   // other workers go on appending: a record past the snapshot's LSN that
-  // reached the volume first must survive the install.
+  // reached the volume first must survive the image.
   const auto dir = std::filesystem::temp_directory_path() /
                    ("amoeba_reply_install_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
@@ -633,7 +628,8 @@ TEST(ReplyStreamTest, SnapshotInstallKeepsRecordsPastItsLsn) {
       }
       storage::ReplyRows rows;
       rows[{1, 0xAA}].floor = 2;
-      volume->install_snapshot(stream, storage::encode_reply_snapshot(rows, 2));
+      committer.wait_durable(committer.install_snapshot(
+          stream, storage::encode_reply_snapshot(rows, 2)));
       std::uint64_t last_lsn = 0;
       const storage::ReplyRows recovered =
           storage::read_reply_stream(*volume, last_lsn);
@@ -977,10 +973,10 @@ TEST(ReplyStreamTest, DestroyingAServerSendsItsParkedReplies) {
 
 TEST(ReplyStreamTest, OnlyTheFlusherInstallsTheReplyStreamSnapshot) {
   // Reply bodies are appended by the replier, and a 1 KiB body is what
-  // usually carries the stream past its snapshot threshold; the install
-  // (temp file, two fsyncs, rename on a file volume) must run on the
-  // committer's flusher -- the thread that runs the post-flush hook --
-  // never on the replier every parked reply waits behind, nor on a worker.
+  // usually carries the stream past its snapshot threshold; the image's
+  // write must run on the committer's flusher -- the thread that runs
+  // the post-flush hook -- never on the replier every parked reply waits
+  // behind, nor on a worker.
   auto volume = std::make_shared<CountingBackend>(
       std::make_shared<storage::MemoryBackend>(2));
   std::mutex installers_mutex;
@@ -1184,8 +1180,8 @@ class CompactingService final : public rpc::Service {
 };
 
 /// Hands shipments straight to a backup's applier, and images the backup
-/// volume right after each object-shard snapshot it applies -- before any
-/// later cycle frame can land.
+/// volume right after each frame it applies that carries an object-shard
+/// snapshot -- before any later cycle frame can land.
 class ImagingLink final : public storage::ReplicationLink {
  public:
   explicit ImagingLink(std::shared_ptr<storage::MemoryBackend> volume)
@@ -1194,14 +1190,15 @@ class ImagingLink final : public storage::ReplicationLink {
   [[nodiscard]] std::string peer_name() const override { return "backup"; }
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
       std::span<const std::uint8_t> frame) override {
-    return applier_.apply_cycle(frame);
-  }
-  [[nodiscard]] Result<std::uint64_t> ship_snapshot(
-      std::uint64_t rep_lsn, std::size_t shard,
-      std::span<const std::uint8_t> bytes) override {
-    const Result<std::uint64_t> applied =
-        applier_.install_snapshot(rep_lsn, shard, bytes);
-    if (shard < volume_->shard_count()) {
+    const Result<std::uint64_t> applied = applier_.apply_cycle(frame);
+    storage::CycleFrame cycle;
+    if (applied.ok() && storage::decode_cycle_frame(frame, cycle) &&
+        applied.value() == cycle.rep_lsn &&
+        std::any_of(cycle.appends.begin(), cycle.appends.end(),
+                    [&](const storage::ShardAppend& a) {
+                      return a.shard < volume_->shard_count() &&
+                             storage::holds_snapshot(a.bytes);
+                    })) {
       const std::lock_guard lock(mutex_);
       images_.push_back(volume_->capture());
     }

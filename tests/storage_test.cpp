@@ -6,6 +6,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -27,9 +29,13 @@
 #include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/record.hpp"
 #include "amoeba/storage/replication/replica.hpp"
+#include "amoeba/storage/replication/replicated_backend.hpp"
+#include "test_seed.hpp"
 
 namespace amoeba::storage {
 namespace {
+
+using namespace std::chrono_literals;
 
 TEST(RecordCodec, RoundTripsAllRecordTypes) {
   Buffer journal;
@@ -72,7 +78,7 @@ TEST(RecordCodec, DeltaRecordRoundTrips) {
   // One past the last known type is rejected, ending the parse.
   Buffer bad;
   encode_record({static_cast<RecordType>(
-                     static_cast<std::uint8_t>(RecordType::rep_applied) + 1),
+                     static_cast<std::uint8_t>(RecordType::snapshot) + 1),
                  ObjectNumber(1), 0, 1, {}},
                 bad);
   torn = false;
@@ -133,10 +139,52 @@ TEST(SnapshotCodec, RoundTripsSlotsAndAppliedLsn) {
   EXPECT_FALSE(decode_snapshot(garbage, out, lsn));
 }
 
+/// One framed record of a given object/lsn, for feeding the committer what
+/// a real store would (decode_journal must parse what the flusher lands).
+[[nodiscard]] Buffer frame(std::uint32_t object, std::uint64_t lsn) {
+  Buffer out;
+  encode_record({RecordType::mutate, ObjectNumber(object), 0x5EC2E7, lsn,
+                 Buffer{static_cast<std::uint8_t>(object & 0xFF)}},
+                out);
+  return out;
+}
+
+[[nodiscard]] std::filesystem::path fresh_dir(const char* tag) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   (std::string("amoeba-") + tag + "-" +
+                    std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// `a` followed by `b`: record runs concatenate.
+[[nodiscard]] Buffer operator+(Buffer a, const Buffer& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// `run` less its rep_applied markers (a backup's private records).
+[[nodiscard]] Buffer without_markers(const Buffer& run) {
+  Buffer out;
+  for (const Record& record : decode_journal(run)) {
+    if (record.type != RecordType::rep_applied) {
+      encode_record(record, out);
+    }
+  }
+  return out;
+}
+
+/// `image` as one framed snapshot record.
+[[nodiscard]] Buffer snapshot_record(const Buffer& image) {
+  Buffer out;
+  encode_snapshot_record(image, out);
+  return out;
+}
+
 TEST(MemoryBackendTest, JournalSnapshotAndCapture) {
   MemoryBackend backend(4);
   EXPECT_TRUE(backend.empty());
-  const Buffer a{1, 2, 3};
+  const Buffer a = frame(1, 1);
   backend.append_journal(1, a);
   EXPECT_FALSE(backend.empty());
   EXPECT_EQ(backend.read_journal(1), a);
@@ -144,13 +192,14 @@ TEST(MemoryBackendTest, JournalSnapshotAndCapture) {
 
   // Capture is a deep copy: later writes don't leak into the image.
   const auto image = backend.capture();
-  backend.append_journal(1, Buffer{4});
-  backend.install_snapshot(1, Buffer{7, 7});
+  backend.append_journal(1, frame(2, 2));
+  const Buffer snapshot = encode_snapshot({}, 2);
+  backend.append_journal(1, snapshot_record(snapshot));
   EXPECT_EQ(image->read_journal(1), a);
   EXPECT_TRUE(image->read_snapshot(1).empty());
-  // install_snapshot truncated the live journal (compaction contract).
+  // The snapshot record subsumes both records (compaction contract).
   EXPECT_TRUE(backend.read_journal(1).empty());
-  EXPECT_EQ(backend.read_snapshot(1), (Buffer{7, 7}));
+  EXPECT_EQ(backend.read_snapshot(1), snapshot);
 }
 
 TEST(MemoryBackendTest, AppendHookFiresWithRunningCount) {
@@ -171,67 +220,65 @@ TEST(MemoryBackendTest, AppendHookFiresWithRunningCount) {
 }
 
 TEST(FileBackendTest, PersistsAcrossReopen) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("amoeba-storage-test-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
+  const auto dir = fresh_dir("storage-test");
+  const Buffer image1 = encode_snapshot({{ObjectNumber(1), 9, Buffer{9}}}, 5);
+  const Buffer image0 = encode_snapshot({}, 2);
   {
     FileBackend backend(dir, 2);
     EXPECT_TRUE(backend.empty());
-    backend.append_journal(0, Buffer{1, 2});
-    backend.append_journal(0, Buffer{3});
+    backend.append_journal(0, frame(1, 1));
+    backend.append_journal(0, frame(2, 2));
     // Streams 0..2: two object shards and the reply stream.
-    EXPECT_THROW(backend.append_journal(3, Buffer{4}), UsageError);
-    backend.install_snapshot(1, Buffer{9, 9});
+    EXPECT_THROW(backend.append_journal(3, frame(4, 4)), UsageError);
+    backend.append_journal(1, snapshot_record(image1));
   }
   {
     FileBackend backend(dir, 2);
     EXPECT_FALSE(backend.empty());
-    EXPECT_EQ(backend.read_journal(0), (Buffer{1, 2, 3}));
-    EXPECT_EQ(backend.read_snapshot(1), (Buffer{9, 9}));
-    // A snapshot install replaces the image durably and leaves the journal
-    // to commit.log's GC: replay skips whatever the image subsumes.
-    backend.install_snapshot(0, Buffer{8});
+    EXPECT_EQ(backend.read_journal(0), frame(1, 1) + frame(2, 2));
+    EXPECT_EQ(backend.read_snapshot(1), image1);
+    // An image at lsn 2 subsumes shard 0's records; one above stays.
+    backend.append_journal(0, snapshot_record(image0) + frame(3, 3));
   }
   {
     FileBackend backend(dir, 2);
-    EXPECT_EQ(backend.read_journal(0), (Buffer{1, 2, 3}));
-    EXPECT_EQ(backend.read_snapshot(0), Buffer{8});
+    EXPECT_EQ(backend.read_journal(0), frame(3, 3));
+    EXPECT_EQ(backend.read_snapshot(0), image0);
+    EXPECT_EQ(backend.read_snapshot(1), image1);
   }
+  // The volume is one file.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"commit.log"});
   std::filesystem::remove_all(dir);
 }
 
-// ------------------------------------------------------------ group commit
-
-/// One framed record of a given object/lsn, for feeding the committer what
-/// a real store would (decode_journal must parse what the flusher lands).
-[[nodiscard]] Buffer frame(std::uint32_t object, std::uint64_t lsn) {
-  Buffer out;
-  encode_record({RecordType::mutate, ObjectNumber(object), 0x5EC2E7, lsn,
-                 Buffer{static_cast<std::uint8_t>(object & 0xFF)}},
-                out);
-  return out;
-}
-
-[[nodiscard]] std::filesystem::path fresh_dir(const char* tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("amoeba-") + tag + "-" +
-                    std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-TEST(MemoryBackendTest, InstallDropsOnlyTheRecordsTheImageSubsumes) {
-  // A flush cycle writes its appends before its images, so a stream's
-  // journal may already hold records newer than the image it installs:
-  // every stream keeps exactly the records above the image's LSN.
-  MemoryBackend backend(1);
-  for (const std::size_t stream : {std::size_t{0}, backend.reply_stream()}) {
-    for (std::uint32_t lsn = 1; lsn <= 3; ++lsn) {
-      backend.append_journal(stream, frame(lsn, lsn));
+TEST(BackendTest, StreamStateIsTheNewestImageAndTheRecordsAboveIt) {
+  // A stream's state is its newest snapshot record plus every other
+  // record above that image's lsn, wherever it sits: the reply stream can
+  // queue a record above an image before the image itself.  Every stream
+  // of both volume kinds reads back by the same rule.
+  const auto dir = fresh_dir("stream-state");
+  const std::vector<std::shared_ptr<Backend>> volumes = {
+      std::make_shared<MemoryBackend>(1),
+      std::make_shared<FileBackend>(dir, 1)};
+  for (const auto& backend : volumes) {
+    for (const std::size_t stream : {std::size_t{0}, backend->reply_stream()}) {
+      SCOPED_TRACE("stream " + std::to_string(stream));
+      const Buffer older = encode_snapshot({}, 1);
+      const Buffer newer = encode_snapshot({}, 2);
+      backend->append_journal(stream, frame(1, 1) + snapshot_record(older));
+      backend->append_journal(stream, frame(2, 2) + frame(4, 4));
+      backend->append_journal(stream, snapshot_record(newer) + frame(3, 3));
+      EXPECT_EQ(backend->read_snapshot(stream), newer);
+      EXPECT_EQ(backend->read_journal(stream), frame(4, 4) + frame(3, 3));
+      EXPECT_EQ(backend->read_stream(stream),
+                snapshot_record(newer) + frame(4, 4) + frame(3, 3));
     }
-    backend.install_snapshot(stream, encode_snapshot({}, 2));
-    EXPECT_EQ(backend.read_journal(stream), frame(3, 3)) << "stream " << stream;
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CommitLogTest, GroupedAppendsRecoverAcrossReopen) {
@@ -324,12 +371,16 @@ TEST(CommitLogTest, TornGroupFrameDropsTheWholeGroup) {
 TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
   // Exhaustive crash-image sweep over the second group's region of
   // commit.log: truncation at EVERY length and a bit flip at EVERY byte
-  // offset must each leave recovery holding exactly the first group --
-  // never half of the second, never less than all of the first.  Both
+  // offset must each leave recovery holding exactly the first group, or
+  // both whole -- never half of the second, never less than all of the
+  // first.  The second group carries a shard-0 image at lsn 2 behind a
+  // shard-0 record at lsn 3 (a record above an image may precede it), so
+  // both groups recover as that image with the record on top.  Both
   // writers of a two-shard group are swept: the group committer and a
   // synchronous append_journal_batch.
   const auto dir = fresh_dir("commit-fuzz");
   const auto log = dir / "commit.log";
+  const Buffer image = encode_snapshot({{ObjectNumber(2), 7, Buffer{7}}}, 2);
   for (const bool committed : {true, false}) {
     SCOPED_TRACE(committed ? "group commit" : "append_journal_batch");
     std::filesystem::remove_all(dir);
@@ -340,19 +391,19 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
       if (committed) {
         committer.emplace(backend);
       }
-      const auto append = [&](std::uint32_t object, std::uint64_t lsn) {
+      const auto append = [&](Buffer run0, Buffer run1) {
         std::vector<ShardAppend> group;
-        group.push_back({0, frame(object, lsn)});
-        group.push_back({1, frame(object + 1, lsn)});
+        group.push_back({0, std::move(run0)});
+        group.push_back({1, std::move(run1)});
         if (committer) {
           committer->wait_durable(committer->enqueue_group(std::move(group)));
         } else {
           backend->append_journal_batch(std::move(group));
         }
       };
-      append(1, 1);
+      append(frame(1, 1), frame(2, 1));
       first_end = std::filesystem::file_size(log);
-      append(3, 2);
+      append(frame(3, 3) + snapshot_record(image), frame(4, 2));
     }
     Buffer pristine;
     {
@@ -367,17 +418,20 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
       out.write(reinterpret_cast<const char*>(bytes.data()),
                 static_cast<std::streamsize>(bytes.size()));
     };
-    const auto expect_exactly_first_group = [&] {
-      FileBackend backend(dir, 2);
-      bool torn = true;
-      const auto shard0 = decode_journal(backend.read_journal(0), &torn);
-      EXPECT_FALSE(torn);
-      ASSERT_EQ(shard0.size(), 1u);
-      EXPECT_EQ(shard0[0].object.value(), 1u);
-      EXPECT_EQ(shard0[0].lsn, 1u);
-      const auto shard1 = decode_journal(backend.read_journal(1), &torn);
-      ASSERT_EQ(shard1.size(), 1u);
-      EXPECT_EQ(shard1[0].object.value(), 2u);
+    // Which groups the volume recovers: 1, 2, or 0 for anything else.
+    const auto recovered_groups = [&] {
+      const FileBackend backend(dir, 2);
+      if (backend.read_snapshot(0).empty() &&
+          backend.read_journal(0) == frame(1, 1) &&
+          backend.read_journal(1) == frame(2, 1)) {
+        return 1;
+      }
+      if (backend.read_snapshot(0) == image &&
+          backend.read_journal(0) == frame(3, 3) &&
+          backend.read_journal(1) == frame(2, 1) + frame(4, 2)) {
+        return 2;
+      }
+      return 0;
     };
 
     // Torn write: the crash image ends anywhere inside the second frame.
@@ -385,7 +439,7 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
       SCOPED_TRACE("truncate to " + std::to_string(len));
       write_log(Buffer(pristine.begin(),
                        pristine.begin() + static_cast<std::ptrdiff_t>(len)));
-      expect_exactly_first_group();
+      EXPECT_EQ(recovered_groups(), 1);
     }
     // Rot: any single flipped bit in the second frame (length word,
     // checksum word, or body) trips the frame checksum.
@@ -394,17 +448,171 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
       Buffer bent = pristine;
       bent[at] ^= 0x01;
       write_log(bent);
-      expect_exactly_first_group();
+      EXPECT_NE(recovered_groups(), 0);
     }
-    // The unharmed image still recovers both groups (the sweep above did
-    // not pass vacuously).
+    // The unharmed image recovers both groups (the sweep above did not
+    // pass vacuously).
     write_log(pristine);
+    EXPECT_EQ(recovered_groups(), 2);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// The snapshot records in a record run.
+[[nodiscard]] std::size_t images_in(std::span<const std::uint8_t> run) {
+  std::size_t images = 0;
+  std::size_t pos = 0;
+  while (const auto record = peek_record(run.subspan(pos))) {
+    images += record->type == RecordType::snapshot ? 1 : 0;
+    pos += record->size;
+  }
+  return images;
+}
+
+TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
+  // Field-level mutation of a commit.log frame that carries images: bend
+  // the group count, a stream index, a run length, a record's type or
+  // lsn, a snapshot record's image length, or a field inside an image
+  // (its magic, applied LSN or slot count); re-seal the record and frame
+  // checksums so the bend reaches the decoders.  Recovery must never
+  // crash, and the volume reads back as the first group alone or as both
+  // groups whole: exactly what a memory volume holds after the same
+  // groups.  AMOEBA_TEST_SEED picks the bends.
+  Rng rng(test::seed_base(20) * 0x9E3779B97F4A7C15ULL + 20);
+  const auto dir = fresh_dir("commit-image-fuzz");
+  const auto log = dir / "commit.log";
+  std::filesystem::create_directories(dir);
+  const std::vector<ShardAppend> first = {{0, frame(1, 1)},
+                                          {1, frame(2, 1)}};
+  const std::vector<ShardAppend> second = {
+      {0, frame(3, 3) + snapshot_record(encode_snapshot(
+                            {{ObjectNumber(2), 7, Buffer{7, 7}}}, 2))},
+      {1, frame(4, 2)},
+      {2, snapshot_record(encode_snapshot({}, 1)) + frame(5, 2)}};
+  Buffer base;
+  encode_group_frame(first, base);
+  Buffer pristine;
+  encode_group_frame(second, pristine);
+  // Field offsets inside the second frame: header 8, count at 8, then per
+  // run its stream and length words and its records.
+  struct At {
+    std::size_t record;
+    bool image;
+  };
+  std::vector<std::size_t> run_at;
+  std::vector<At> records;
+  std::size_t pos = 12;
+  for (const ShardAppend& a : second) {
+    run_at.push_back(pos);
+    pos += 8;
+    std::size_t in_run = 0;
+    while (const auto r = peek_record(std::span(a.bytes).subspan(in_run))) {
+      records.push_back({pos + in_run, r->type == RecordType::snapshot});
+      in_run += r->size;
+    }
+    pos += a.bytes.size();
+  }
+  ASSERT_EQ(pos, pristine.size());
+  const auto put_u32 = [](Buffer& b, std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      b.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  const auto get_u32 = [](const Buffer& b, std::size_t at) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<std::uint32_t>(b.at(at + i)) << (8 * i);
+    }
+    return v;
+  };
+  const auto bent_u32 = [&](std::uint32_t original) -> std::uint32_t {
+    const std::uint32_t choices[] = {original + 1, original - 1, 0,
+                                     0xFFFFFFFFu,
+                                     static_cast<std::uint32_t>(rng.next())};
+    return choices[rng.below(5)];
+  };
+  int whole = 0;
+  int dropped = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    Buffer bent = pristine;
+    for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
+      const At at = records[rng.below(records.size())];
+      const std::size_t run = run_at[rng.below(run_at.size())];
+      switch (rng.below(7)) {
+        case 0:
+          put_u32(bent, 8, bent_u32(3));
+          break;
+        case 1:
+          put_u32(bent, run, bent_u32(get_u32(bent, run)));
+          break;
+        case 2:
+          put_u32(bent, run + 4, bent_u32(get_u32(bent, run + 4)));
+          break;
+        case 3:
+          bent[at.record + 8] = static_cast<std::uint8_t>(rng.below(12));
+          break;
+        case 4:
+          put_u32(bent, at.record + 21 + 4 * rng.below(2),
+                  static_cast<std::uint32_t>(rng.next()));
+          break;
+        case 5:
+          if (at.image) {
+            const std::size_t length_at = at.record + 29;
+            put_u32(bent, length_at, bent_u32(get_u32(bent, length_at)));
+          }
+          break;
+        default:
+          if (at.image) {
+            // The image itself: magic at +33, applied LSN at +39, slot
+            // count at +47.
+            const std::size_t field[] = {33, 39, 47};
+            const std::size_t f = at.record + field[rng.below(3)];
+            put_u32(bent, f, bent_u32(get_u32(bent, f)));
+          }
+          break;
+      }
+      // Re-seal the record, when its length word still fits the frame.
+      const std::uint32_t length = get_u32(bent, at.record);
+      if (at.record + 8 + std::size_t{length} <= bent.size()) {
+        put_u32(bent, at.record + 4,
+                frame_checksum(std::span(bent).subspan(at.record + 8, length)));
+      }
+    }
+    put_u32(bent, 4, frame_checksum(std::span(bent).subspan(8)));
+    std::vector<ShardAppend> decoded;
+    const bool decodes =
+        decode_group_body(std::span(bent).subspan(8), decoded) &&
+        std::all_of(decoded.begin(), decoded.end(),
+                    [](const ShardAppend& a) { return a.shard < 3; });
+    MemoryBackend reference(2);
+    reference.append_journal_batch(std::vector<ShardAppend>(first));
+    if (decodes) {
+      reference.append_journal_batch(std::move(decoded));
+    }
     {
-      FileBackend backend(dir, 2);
-      EXPECT_EQ(decode_journal(backend.read_journal(0)).size(), 2u);
-      EXPECT_EQ(decode_journal(backend.read_journal(1)).size(), 2u);
+      std::ofstream out(log, std::ios::binary | std::ios::trunc);
+      const Buffer bytes = base + bent;
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    const FileBackend recovered(dir, 2);
+    for (std::size_t s = 0; s < recovered.stream_count(); ++s) {
+      EXPECT_EQ(recovered.read_stream(s), reference.read_stream(s))
+          << "stream " << s;
+      std::vector<SnapshotSlot> slots;
+      std::uint64_t lsn = 0;
+      (void)decode_snapshot(recovered.read_snapshot(s), slots, lsn);
+      (void)decode_journal(recovered.read_journal(s));
+    }
+    ++(decodes ? whole : dropped);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "iteration " << iter << " (seed base " << test::seed_base(20)
+             << ")";
     }
   }
+  // Neither outcome was vacuous.
+  EXPECT_GT(whole, 0);
+  EXPECT_GT(dropped, 0);
   std::filesystem::remove_all(dir);
 }
 
@@ -412,52 +620,86 @@ TEST(CommitLogTest, SnapshotGcRewritesAwaySubsumedRecords) {
   const auto dir = fresh_dir("commit-gc");
   const auto log = dir / "commit.log";
   auto backend = std::make_shared<FileBackend>(dir, 2);
-  // Push the log past the GC threshold (8 MiB) with shard-0 records, plus
-  // a few shard-1 records that must survive the rewrite.
+  MemoryBackend reference(2);  // the same groups, never rewritten
+  const auto append = [&](std::vector<ShardAppend> group) {
+    reference.append_journal_batch(std::vector<ShardAppend>(group));
+    backend->append_journal_batch(std::move(group));
+  };
+  // Shard 0: 160,000 records (past the 8 MiB GC threshold in the second
+  // group) with an image at 40,000 in the first group and a newer one at
+  // 159,999 in the second.  Shard 1: a superseded image and a newer one,
+  // each with a record above it.
   constexpr std::uint64_t kShard0Records = 160000;
-  Buffer run0;
-  for (std::uint64_t lsn = 1; lsn <= kShard0Records; ++lsn) {
-    encode_record({RecordType::mutate, ObjectNumber(100), 0x5EC2E7, lsn,
-                   Buffer(24, 0xAB)},
-                  run0);
-  }
-  std::vector<ShardAppend> group;
-  group.push_back({0, std::move(run0)});
-  group.push_back({1, frame(7, 1)});
-  backend->append_journal_batch(std::move(group));
-  ASSERT_GT(std::filesystem::file_size(log), std::uint64_t{8} << 20);
-  // A shard-0 snapshot at the top LSN subsumes every shard-0 record in the
-  // log; installing it crosses the threshold and triggers the rewrite.
-  backend->install_snapshot(0, encode_snapshot({}, kShard0Records));
+  const auto records = [](std::uint64_t from, std::uint64_t to) {
+    Buffer run;
+    for (std::uint64_t lsn = from; lsn <= to; ++lsn) {
+      encode_record({RecordType::mutate, ObjectNumber(100), 0x5EC2E7, lsn,
+                     Buffer(24, 0xAB)},
+                    run);
+    }
+    return run;
+  };
+  const Buffer old0 = encode_snapshot({}, 40000);
+  const Buffer new0 = encode_snapshot({}, kShard0Records - 1);
+  const Buffer old1 = encode_snapshot({}, 1);
+  const Buffer new1 = encode_snapshot({{ObjectNumber(7), 1, Buffer{1}}}, 2);
+  append({{0, records(1, 40000) + snapshot_record(old0) +
+                  records(40001, 80000)},
+          {1, frame(7, 1) + snapshot_record(old1) + frame(7, 2)}});
+  ASSERT_LT(std::filesystem::file_size(log), std::uint64_t{8} << 20);
+  EXPECT_EQ(backend->rewrite_stats().rewrites, 0u);
+  append({{0, records(80001, kShard0Records - 1) + snapshot_record(new0) +
+                  records(kShard0Records, kShard0Records)},
+          {1, snapshot_record(new1) + frame(7, 3)}});
+  // The append crossed the threshold and rewrote the log to each stream's
+  // newest image and the records above it.
+  EXPECT_EQ(backend->rewrite_stats().rewrites, 1u);
   EXPECT_LT(std::filesystem::file_size(log), 4096u);
-  EXPECT_TRUE(decode_journal(backend->read_journal(0)).empty());
-  const auto shard1 = decode_journal(backend->read_journal(1));
-  ASSERT_EQ(shard1.size(), 1u);
-  EXPECT_EQ(shard1[0].object.value(), 7u);
+  const std::vector<Buffer> expected = {
+      snapshot_record(new0) + records(kShard0Records, kShard0Records),
+      snapshot_record(new1) + frame(7, 3), Buffer{}};
+  for (std::size_t s = 0; s < backend->stream_count(); ++s) {
+    SCOPED_TRACE("stream " + std::to_string(s));
+    EXPECT_EQ(backend->read_stream(s), expected[s]);
+    // Recovery reads what it read before the rewrite.
+    EXPECT_EQ(backend->read_stream(s), reference.read_stream(s));
+  }
   // The rewrite reopened the append fd on the new inode: later groups land
   // in the rewritten log, not the unlinked one.
-  std::vector<ShardAppend> after;
-  after.push_back({0, frame(8, kShard0Records + 1)});
-  backend->append_journal_batch(std::move(after));
-  const auto shard0 = decode_journal(backend->read_journal(0));
-  ASSERT_EQ(shard0.size(), 1u);
-  EXPECT_EQ(shard0[0].object.value(), 8u);
+  append({{0, frame(8, kShard0Records + 1)}});
+  FileBackend reopened(dir, 2);
+  EXPECT_EQ(decode_journal(reopened.read_journal(0)).size(), 2u);
+  EXPECT_EQ(reopened.read_snapshot(0), new0);
   backend.reset();
   std::filesystem::remove_all(dir);
 }
 
-TEST(FileBackendTest, BlockingSyscallsPerInstallAndSyncBatch) {
-  // A snapshot install is the temp file's write + fsync and the directory
-  // fsync -- no journal to truncate.  A synchronous two-shard batch is
-  // one commit.log frame: one write, one fsync.
+TEST(CommitLogTest, SplitHoldsOnlyEachStreamsNewestImage) {
+  // Below the GC threshold superseded images stay in commit.log, but the
+  // per-stream split recovery reads holds one image per stream: its memory
+  // does not grow with the images the log has seen.
+  const auto dir = fresh_dir("commit-split");
+  {
+    FileBackend backend(dir, 1);
+    for (std::uint64_t lsn = 1; lsn <= 50; ++lsn) {
+      backend.append_journal(
+          0, frame(1, lsn) + snapshot_record(encode_snapshot({}, lsn)));
+    }
+  }
+  const FileBackend backend(dir, 1);
+  EXPECT_EQ(images_in(backend.read_stream(0)), 1u);
+  EXPECT_EQ(peek_snapshot_lsn(backend.read_snapshot(0)), 50u);
+  EXPECT_TRUE(backend.read_journal(0).empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendTest, BlockingSyscallsPerSyncBatch) {
+  // A synchronous two-shard batch is one commit.log frame: one write, one
+  // fsync.
   const auto dir = fresh_dir("syscalls");
   FileBackend backend(dir, 2);
   const IoCounters& io = this_thread_io_counters();
-  IoCounters before = io;
-  backend.install_snapshot(0, encode_snapshot({}, 1));
-  EXPECT_EQ(io.writes - before.writes, 1u);
-  EXPECT_EQ(io.fsyncs - before.fsyncs, 2u);
-  before = io;
+  const IoCounters before = io;
   std::vector<ShardAppend> pair;
   pair.push_back({0, frame(1, 2)});
   pair.push_back({1, frame(2, 1)});
@@ -467,24 +709,131 @@ TEST(FileBackendTest, BlockingSyscallsPerInstallAndSyncBatch) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(FileBackendTest, BlockingSyscallsPerShippedSnapshotInstall) {
-  // A backup installing a shipped snapshot pays the install (1 write, 2
-  // fsyncs) and then its applied-floor marker, one commit.log frame (1
-  // write, 1 fsync): the floor has no file of its own.
-  const auto dir = fresh_dir("syscalls-backup");
-  auto volume = std::make_shared<FileBackend>(dir, 2);
-  ReplicaApplier applier(volume);
-  const IoCounters& io = this_thread_io_counters();
-  for (const std::size_t stream : {std::size_t{0}, volume->reply_stream()}) {
-    SCOPED_TRACE("stream " + std::to_string(stream));
-    const IoCounters before = io;
-    const std::uint64_t rep_lsn = applier.applied() + 1;
-    ASSERT_TRUE(
-        applier.install_snapshot(rep_lsn, stream, encode_snapshot({}, 1))
-            .ok());
-    EXPECT_EQ(io.writes - before.writes, 2u);
-    EXPECT_EQ(io.fsyncs - before.fsyncs, 3u);
+TEST(FileBackendTest, CycleCarryingACompactionImageIsOneWriteAndOneFsync) {
+  // A flush cycle holding records and a compaction image is one commit.log
+  // frame on the flusher: one write, one fsync, no other file.
+  const auto dir = fresh_dir("syscalls-image");
+  auto backend = std::make_shared<FileBackend>(dir, 2);
+  GroupCommitter committer(backend);
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool held = false;  // the first cycle reached the hook
+  bool open = false;
+  IoCounters flusher_before;
+  IoCounters flusher_after;
+  committer.set_post_flush_hook([&](const auto&) {
+    std::unique_lock lock(gate_mutex);
+    flusher_after = this_thread_io_counters();
+    if (!held) {
+      flusher_before = flusher_after;
+      held = true;
+      gate_cv.notify_all();
+      gate_cv.wait(lock, [&] { return open; });
+    }
+  });
+  const auto first = committer.enqueue(1, frame(9, 1));
+  {
+    // With the first cycle held at its hook, the next entries queue up
+    // for one cycle together.
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return held; });
   }
+  (void)committer.enqueue(0, frame(1, 1));
+  (void)committer.enqueue(0, frame(2, 2));
+  const auto image =
+      committer.install_snapshot(0, encode_snapshot({}, 2));
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = true;
+  }
+  gate_cv.notify_all();
+  committer.wait_durable(first);
+  committer.wait_durable(image);
+  {
+    const std::lock_guard lock(gate_mutex);
+    EXPECT_EQ(flusher_after.writes - flusher_before.writes, 1u);
+    EXPECT_EQ(flusher_after.fsyncs - flusher_before.fsyncs, 1u);
+  }
+  EXPECT_EQ(committer.stats().installs, 1u);
+  EXPECT_EQ(committer.stats().groups, 2u);
+  EXPECT_EQ(backend->read_snapshot(0), encode_snapshot({}, 2));
+  EXPECT_TRUE(backend->read_journal(0).empty());
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "commit.log");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendTest, FirstResyncOntoAnEmptyBackupIsOneWriteAndOneFsync) {
+  // A primary with every stream of a 16-shard volume imaged (a compaction
+  // each, records above the images) resyncs an empty file-backed backup:
+  // ONE shipment, which the backup lands as one commit.log frame -- one
+  // write, one fsync -- marker included, and commit.log stays its only
+  // file.  The backup ends holding the primary's state stream for stream.
+  const auto dir = fresh_dir("syscalls-resync");
+  auto primary = std::make_shared<MemoryBackend>(16);
+  for (std::size_t s = 0; s < primary->stream_count(); ++s) {
+    primary->append_journal(
+        s, frame(static_cast<std::uint32_t>(s), 1) +
+               snapshot_record(encode_snapshot(
+                   {{ObjectNumber(static_cast<std::uint32_t>(s)), 3,
+                     Buffer{1}}},
+                   1)) +
+               frame(static_cast<std::uint32_t>(s), 2));
+  }
+  auto volume = std::make_shared<FileBackend>(dir, 16);
+  ReplicaApplier applier(volume);
+
+  /// Applies every shipment on the shipping thread, counting the backup's
+  /// syscalls there.
+  struct CountingLink final : ReplicationLink {
+    explicit CountingLink(ReplicaApplier& a) : applier(a) {}
+    [[nodiscard]] std::string peer_name() const override { return "backup"; }
+    [[nodiscard]] Result<std::uint64_t> ship_cycle(
+        std::span<const std::uint8_t> frame) override {
+      const IoCounters before = this_thread_io_counters();
+      const auto floor = applier.apply_cycle(frame);
+      const std::lock_guard lock(mutex);
+      ++shipments;
+      writes += this_thread_io_counters().writes - before.writes;
+      fsyncs += this_thread_io_counters().fsyncs - before.fsyncs;
+      return floor;
+    }
+    [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
+      return applier.applied();
+    }
+    ReplicaApplier& applier;
+    std::mutex mutex;
+    std::uint64_t shipments = 0, writes = 0, fsyncs = 0;
+  };
+  auto link = std::make_shared<CountingLink>(applier);
+  {
+    ReplicatedBackend replicated(primary, AckMode::async);
+    replicated.attach_peer(link);
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (applier.applied() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  {
+    const std::lock_guard lock(link->mutex);
+    EXPECT_EQ(link->shipments, 1u);
+    EXPECT_EQ(link->writes, 1u);
+    EXPECT_EQ(link->fsyncs, 1u);
+  }
+  EXPECT_EQ(applier.applied(), 1u);
+  for (std::size_t s = 0; s < primary->stream_count(); ++s) {
+    EXPECT_EQ(volume->read_snapshot(s), primary->read_snapshot(s)) << s;
+    EXPECT_EQ(without_markers(volume->read_journal(s)),
+              primary->read_journal(s))
+        << s;
+  }
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"commit.log"});
   volume.reset();
   std::filesystem::remove_all(dir);
 }
@@ -496,11 +845,12 @@ void write_file(const std::filesystem::path& path, const Buffer& bytes) {
 }
 
 TEST(FileBackendTest, NonEmptyPerStreamJournalIsRefused) {
-  // Records in a format-2 per-stream journal, and a format-1 reply-floors
-  // image (never migrated: dropping it would re-execute requests), are
-  // refused, not migrated: opening without them would lose acknowledged
-  // state.  Empty files of either kind are ignored.
-  for (const char* name : {"shard-0.journal", "meta-reply-floors.bin"}) {
+  // Records in a format-2 per-stream journal, a format-1 reply-floors
+  // image (never migrated: dropping it would re-execute requests) and a
+  // format-4 snapshot file are refused, not migrated: opening without them
+  // would lose acknowledged state.  Empty files of each kind are ignored.
+  for (const char* name : {"shard-0.journal", "meta-reply-floors.bin",
+                           "shard-1.snap", "reply.snap"}) {
     SCOPED_TRACE(name);
     const auto dir = fresh_dir("legacy-journal");
     std::filesystem::create_directories(dir);
@@ -519,8 +869,9 @@ TEST(FileBackendTest, NonEmptyPerStreamJournalIsRefused) {
 }
 
 TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
-  // A format-2 server volume, laid out byte by byte: an empty journal file
-  // per stream, group frames in commit.log and snapshots.
+  // A format-2 server volume without snapshots, laid out byte by byte: an
+  // empty journal file per stream, group frames in commit.log and empty
+  // snapshot files.
   const auto dir = fresh_dir("legacy-v2");
   std::filesystem::create_directories(dir);
   for (const char* name :
@@ -541,9 +892,7 @@ TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
     log.insert(log.end(), group.buffer().begin(), group.buffer().end());
   }
   write_file(dir / "commit.log", log);
-  const Buffer image =
-      encode_snapshot({{ObjectNumber(9), 0x5EC2E7, Buffer{7}}}, 5);
-  write_file(dir / "shard-1.snap", image);
+  write_file(dir / "shard-1.snap", {});
   {
     FileBackend backend(dir, 2);
     EXPECT_FALSE(backend.empty());
@@ -558,7 +907,7 @@ TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
     ASSERT_EQ(reply.size(), 1u);
     EXPECT_EQ(reply[0].object.value(), 3u);
     EXPECT_TRUE(backend.read_journal(1).empty());
-    EXPECT_EQ(backend.read_snapshot(1), image);
+    EXPECT_TRUE(backend.read_snapshot(1).empty());
     // New groups append behind the old frames.
     backend.append_journal(1, frame(6, 6));
   }
@@ -634,38 +983,17 @@ TEST(GroupCommitTest, GroupsNeverTearAcrossCaptureImages) {
 /// whose snapshot installs -- throw: the disk-full shape.
 class ExplodingBackend final : public Backend {
  public:
-  enum class Fails { appends, installs };
+  explicit ExplodingBackend(std::size_t shards) : shards_(shards) {}
 
-  explicit ExplodingBackend(std::size_t shards, Fails fails = Fails::appends)
-      : inner_(shards), fails_(fails) {}
-
-  [[nodiscard]] std::size_t shard_count() const override {
-    return inner_.shard_count();
+  [[nodiscard]] std::size_t shard_count() const override { return shards_; }
+  void append_journal_batch(std::vector<ShardAppend>&&) override {
+    throw std::runtime_error("disk full");
   }
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override {
-    if (fails_ == Fails::appends) {
-      throw std::runtime_error("disk full");
-    }
-    inner_.append_journal_batch(std::move(appends));
-  }
-  [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
-    return inner_.read_journal(shard);
-  }
-  void install_snapshot(std::size_t shard,
-                        std::span<const std::uint8_t> bytes) override {
-    if (fails_ == Fails::installs) {
-      throw std::runtime_error("disk full");
-    }
-    inner_.install_snapshot(shard, bytes);
-  }
-  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
-    return inner_.read_snapshot(shard);
-  }
-  [[nodiscard]] bool empty() const override { return inner_.empty(); }
+  [[nodiscard]] Buffer read_stream(std::size_t) const override { return {}; }
+  [[nodiscard]] bool empty() const override { return true; }
 
  private:
-  MemoryBackend inner_;
-  Fails fails_;
+  std::size_t shards_;
 };
 
 TEST(GroupCommitTest, BackendFailureLatchesAndNeverLies) {
@@ -680,47 +1008,53 @@ TEST(GroupCommitTest, BackendFailureLatchesAndNeverLies) {
   EXPECT_THROW(committer.wait_durable(t2), UsageError);
 }
 
-TEST(GroupCommitTest, FailedInstallFailsItsCycleAndLatches) {
-  // A record and a snapshot image claimed by one cycle whose install
-  // throws: the record reaches the volume (appends go first), yet its
-  // waiter is told the truth -- the cycle failed -- and so is every later
-  // one.
-  auto backend =
-      std::make_shared<ExplodingBackend>(2, ExplodingBackend::Fails::installs);
+TEST(GroupCommitTest, AnImageRidesItsCyclesGroupBehindEarlierRecords) {
+  // A record and a snapshot image claimed by one cycle reach the backend
+  // -- and the post-flush hook -- as ONE group: the image is a snapshot
+  // record in its stream's run, behind the records enqueued before it.
+  auto backend = std::make_shared<MemoryBackend>(2);
   GroupCommitter committer(backend);
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
   bool held = false;  // the first cycle reached the hook
   bool open = false;
-  committer.set_post_flush_hook([&](const auto&) {
+  std::vector<std::vector<ShardAppend>> cycles;
+  committer.set_post_flush_hook([&](const GroupCommitter::FlushCycle& c) {
     std::unique_lock lock(gate_mutex);
+    cycles.push_back(*c.appends);
     held = true;
     gate_cv.notify_all();
     gate_cv.wait(lock, [&] { return open; });
   });
-  const auto first = committer.enqueue(0, frame(1, 1));
+  const auto first = committer.enqueue(1, frame(9, 1));
   {
-    // With the first cycle held at its hook, the next two entries queue
-    // up for one cycle together.
+    // With the first cycle held at its hook, the next entries queue up
+    // for one cycle together.
     std::unique_lock lock(gate_mutex);
     gate_cv.wait(lock, [&] { return held; });
   }
-  const auto record = committer.enqueue(1, frame(2, 1));
-  const auto image = committer.install_snapshot(0, encode_snapshot({}, 1));
+  (void)committer.enqueue(0, frame(1, 1));
+  const Buffer image = encode_snapshot({}, 1);
+  const auto installed = committer.install_snapshot(0, image);
+  const auto after = committer.enqueue(0, frame(2, 2));
   {
     const std::lock_guard lock(gate_mutex);
     open = true;
   }
   gate_cv.notify_all();
   committer.wait_durable(first);
-  EXPECT_THROW(committer.wait_durable(record), UsageError);
-  EXPECT_FALSE(committer.is_durable(record));
-  EXPECT_FALSE(committer.is_durable(image));
-  EXPECT_FALSE(backend->read_journal(1).empty())
-      << "the cycle's appends were not written before its install";
-  const auto later = committer.enqueue(1, frame(3, 2));
-  EXPECT_THROW(committer.wait_durable(later), UsageError);
-  EXPECT_EQ(committer.stats().installs, 0u);
+  committer.wait_durable(after);
+  EXPECT_TRUE(committer.is_durable(installed));
+  const std::lock_guard lock(gate_mutex);
+  ASSERT_EQ(cycles.size(), 2u);
+  ASSERT_EQ(cycles[1].size(), 1u);
+  EXPECT_EQ(cycles[1][0].shard, 0u);
+  EXPECT_EQ(cycles[1][0].bytes,
+            frame(1, 1) + snapshot_record(image) + frame(2, 2));
+  EXPECT_EQ(committer.stats().installs, 1u);
+  EXPECT_EQ(committer.stats().records, 3u);  // the image is not a record
+  EXPECT_EQ(backend->read_snapshot(0), image);
+  EXPECT_EQ(backend->read_journal(0), frame(2, 2));
 }
 
 TEST(GroupCommitTest, NullBackendIsRejectedAndFactoryPassesNullThrough) {
