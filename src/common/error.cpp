@@ -26,6 +26,7 @@ const char* error_name(ErrorCode e) {
     case ErrorCode::invalid_argument: return "invalid_argument";
     case ErrorCode::unsealing_failed: return "unsealing_failed";
     case ErrorCode::internal: return "internal";
+    case ErrorCode::restarted: return "restarted";
   }
   return "unknown_error";
 }

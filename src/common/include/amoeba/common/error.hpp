@@ -38,6 +38,8 @@ enum class ErrorCode : std::uint16_t {
   invalid_argument,   // malformed request parameters
   unsealing_failed,   // softprot: capability did not decrypt sensibly
   internal,           // server-side invariant failure surfaced to client
+  restarted,          // addressed a server instance that has restarted;
+                      // not executed (rpc::Transport re-issues it)
 };
 
 [[nodiscard]] const char* error_name(ErrorCode e);

@@ -1536,6 +1536,7 @@ class ShardedObjectStore {
       case storage::RecordType::reply_body:
       case storage::RecordType::rep_applied:
       case storage::RecordType::snapshot:
+      case storage::RecordType::incarnation:
         break;  // rejected above
     }
   }

@@ -1,16 +1,13 @@
 #include "amoeba/net/frame_proxy.hpp"
 
+#include <array>
+
 #include "amoeba/common/error.hpp"
 #include "amoeba/common/serial.hpp"
+#include "amoeba/net/socket_network.hpp"
 #include "socket_util.hpp"
 
 namespace amoeba::net {
-
-namespace {
-// Matches SocketNetwork's framing cap; a bigger length means the stream
-// desynchronized and the session is torn down.
-constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
-}  // namespace
 
 FrameProxy::FrameProxy(Config config)
     : config_(std::move(config)), rng_(config_.seed) {
@@ -96,16 +93,14 @@ void FrameProxy::pump(const std::shared_ptr<Session>& session, int from,
                       int to) {
   Buffer frame;
   for (;;) {
-    std::uint8_t len_bytes[4];
-    if (!detail::read_exact(from, len_bytes, sizeof(len_bytes))) break;
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(len_bytes[0]) |
-        (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(len_bytes[3]) << 24);
-    if (len == 0 || len > kMaxFrameBytes) break;
-    frame.resize(len);
-    if (!detail::read_exact(from, frame.data(), len)) break;
+    std::array<std::uint8_t, 4> len_bytes;
+    if (!detail::read_exact(from, len_bytes.data(), len_bytes.size())) break;
+    // SocketNetwork's framing cap: a bigger length means the stream
+    // desynchronized and the session is torn down.
+    const auto len = decode_socket_frame_length(len_bytes);
+    if (!len.has_value()) break;
+    frame.resize(*len);
+    if (!detail::read_exact(from, frame.data(), *len)) break;
 
     if (partitioned_.load(std::memory_order_relaxed)) {
       stats_.dropped.fetch_add(1, std::memory_order_relaxed);
@@ -128,7 +123,7 @@ void FrameProxy::pump(const std::shared_ptr<Session>& session, int from,
       stats_.delayed.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::milliseconds(delay));
     }
-    if (!detail::write_exact(to, len_bytes, sizeof(len_bytes)) ||
+    if (!detail::write_exact(to, len_bytes.data(), len_bytes.size()) ||
         !detail::write_exact(to, frame.data(), frame.size())) {
       break;
     }

@@ -56,6 +56,11 @@ struct Header {
   // on ports and capabilities.
   std::uint64_t client = 0;
   std::uint64_t seq = 0;
+  // The serving instance's incarnation (docs/PROTOCOL.md §5.5).  A durable
+  // server stamps its own on every reply; a transport stamps the last one
+  // it heard from the destination port on every request (0: none heard,
+  // or a server without a volume).
+  std::uint64_t incarnation = 0;
 };
 
 struct Message {

@@ -37,6 +37,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -45,6 +47,44 @@
 #include "amoeba/net/network.hpp"
 
 namespace amoeba::net {
+
+/// One decoded stream-socket frame body (docs/PROTOCOL.md §10).  Which
+/// fields carry meaning depends on `kind`.
+struct SocketFrame {
+  enum class Kind : std::uint8_t {
+    data = 1,            // message
+    locate_request = 2,  // port, nonce
+    locate_reply = 3,    // port, nonce, machine
+    hello = 4,           // machine_id_base
+  };
+  Kind kind = Kind::data;
+  MachineId src{};
+  MachineId dst{};
+  Message message{};
+  Port port{};
+  std::uint64_t nonce = 0;
+  MachineId machine{};  // a locate reply's hosting machine; never 0
+  std::uint32_t machine_id_base = 0;
+};
+
+/// Upper bound on one frame body: a larger length prefix means the stream
+/// desynchronized (or is hostile), and the link is torn down.
+inline constexpr std::uint32_t kMaxSocketFrameBytes = 16u << 20;
+
+/// The body of `frame`, without its length prefix.
+[[nodiscard]] Buffer encode_socket_frame(const SocketFrame& frame);
+
+/// Decodes one frame body.  nullopt for an unknown kind (skipped, so the
+/// protocol can grow), a body shorter or longer than its kind's layout,
+/// or a locate reply naming machine 0.  A body that decodes re-encodes to
+/// the same bytes.
+[[nodiscard]] std::optional<SocketFrame> decode_socket_frame(
+    std::span<const std::uint8_t> body);
+
+/// The body length a little-endian length prefix announces; nullopt
+/// outside (0, kMaxSocketFrameBytes].
+[[nodiscard]] std::optional<std::uint32_t> decode_socket_frame_length(
+    std::span<const std::uint8_t, 4> prefix);
 
 /// TCP endpoint of another SocketNetwork node (or a FrameProxy in front of
 /// one).

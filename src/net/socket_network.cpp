@@ -1,6 +1,7 @@
 #include "amoeba/net/socket_network.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "amoeba/common/error.hpp"
 #include "socket_util.hpp"
@@ -12,26 +13,17 @@ namespace {
 // One frame on the stream: u32 little-endian body length, then the body.
 // Body layout: u8 kind | u32 src machine | u32 dst machine | payload.
 // docs/PROTOCOL.md §10 is the normative description.
-constexpr std::uint8_t kFrameData = 1;
-constexpr std::uint8_t kFrameLocateRequest = 2;
-constexpr std::uint8_t kFrameLocateReply = 3;
-constexpr std::uint8_t kFrameHello = 4;
+using Kind = SocketFrame::Kind;
 
-// Upper bound on one frame body; anything larger is treated as a protocol
-// violation and tears the link down (a desynchronized or hostile stream
-// must not drive multi-gigabyte allocations).
-constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
-
-void put_frame_kind(Writer& w, std::uint8_t kind, MachineId src,
-                    MachineId dst) {
-  w.u8(kind);
+void put_frame_kind(Writer& w, Kind kind, MachineId src, MachineId dst) {
+  w.u8(static_cast<std::uint8_t>(kind));
   w.u32(src.value());
   w.u32(dst.value());
 }
 
 Buffer encode_data(MachineId src, MachineId dst, const Message& msg) {
   Writer w;
-  put_frame_kind(w, kFrameData, src, dst);
+  put_frame_kind(w, Kind::data, src, dst);
   w.port(msg.header.dest);
   w.port(msg.header.reply);
   w.port(msg.header.signature);
@@ -44,11 +36,12 @@ Buffer encode_data(MachineId src, MachineId dst, const Message& msg) {
   }
   w.u64(msg.header.client);
   w.u64(msg.header.seq);
+  w.u64(msg.header.incarnation);
   w.bytes(msg.data);
   return w.take();
 }
 
-bool decode_data(Reader& r, Message* msg) {
+void decode_data(Reader& r, Message* msg) {
   msg->header.dest = r.port();
   msg->header.reply = r.port();
   msg->header.signature = r.port();
@@ -61,36 +54,88 @@ bool decode_data(Reader& r, Message* msg) {
   }
   msg->header.client = r.u64();
   msg->header.seq = r.u64();
+  msg->header.incarnation = r.u64();
   msg->data = r.bytes();
-  return r.exhausted();
-}
-
-Buffer encode_locate_request(Port put_port, std::uint64_t nonce) {
-  Writer w;
-  put_frame_kind(w, kFrameLocateRequest, MachineId(), MachineId());
-  w.port(put_port);
-  w.u64(nonce);
-  return w.take();
-}
-
-Buffer encode_locate_reply(Port put_port, std::uint64_t nonce,
-                           MachineId machine) {
-  Writer w;
-  put_frame_kind(w, kFrameLocateReply, MachineId(), MachineId());
-  w.port(put_port);
-  w.u64(nonce);
-  w.u32(machine.value());
-  return w.take();
 }
 
 Buffer encode_hello(std::uint32_t machine_id_base) {
-  Writer w;
-  put_frame_kind(w, kFrameHello, MachineId(), MachineId());
-  w.u32(machine_id_base);
-  return w.take();
+  return encode_socket_frame(
+      {.kind = Kind::hello, .machine_id_base = machine_id_base});
 }
 
 }  // namespace
+
+Buffer encode_socket_frame(const SocketFrame& frame) {
+  if (frame.kind == Kind::data) {
+    return encode_data(frame.src, frame.dst, frame.message);
+  }
+  Writer w;
+  put_frame_kind(w, frame.kind, frame.src, frame.dst);
+  switch (frame.kind) {
+    case Kind::locate_request:
+      w.port(frame.port);
+      w.u64(frame.nonce);
+      break;
+    case Kind::locate_reply:
+      w.port(frame.port);
+      w.u64(frame.nonce);
+      w.u32(frame.machine.value());
+      break;
+    case Kind::hello:
+      w.u32(frame.machine_id_base);
+      break;
+    case Kind::data:
+      break;
+  }
+  return w.take();
+}
+
+std::optional<SocketFrame> decode_socket_frame(
+    std::span<const std::uint8_t> body) {
+  Reader r(body);
+  SocketFrame frame;
+  frame.kind = static_cast<Kind>(r.u8());
+  frame.src = MachineId(r.u32());
+  frame.dst = MachineId(r.u32());
+  switch (frame.kind) {
+    case Kind::data:
+      decode_data(r, &frame.message);
+      break;
+    case Kind::locate_request:
+      frame.port = r.port();
+      frame.nonce = r.u64();
+      break;
+    case Kind::locate_reply:
+      frame.port = r.port();
+      frame.nonce = r.u64();
+      frame.machine = MachineId(r.u32());
+      if (frame.machine.is_null()) {
+        return std::nullopt;
+      }
+      break;
+    case Kind::hello:
+      frame.machine_id_base = r.u32();
+      break;
+    default:
+      return std::nullopt;  // unknown kinds are skipped: the protocol grows
+  }
+  if (!r.exhausted()) {
+    return std::nullopt;
+  }
+  return frame;
+}
+
+std::optional<std::uint32_t> decode_socket_frame_length(
+    std::span<const std::uint8_t, 4> prefix) {
+  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
+                            (static_cast<std::uint32_t>(prefix[1]) << 8) |
+                            (static_cast<std::uint32_t>(prefix[2]) << 16) |
+                            (static_cast<std::uint32_t>(prefix[3]) << 24);
+  if (len == 0 || len > kMaxSocketFrameBytes) {
+    return std::nullopt;
+  }
+  return len;
+}
 
 // The fd is closed only when the last reference drops: writers hold a
 // shared_ptr across their write, so a torn-down (shutdown) fd can never be
@@ -255,16 +300,14 @@ void SocketNetwork::tear_down(Link& link) {
 void SocketNetwork::reader_loop(std::shared_ptr<Link> link) {
   Buffer body;
   for (;;) {
-    std::uint8_t len_bytes[4];
-    if (!detail::read_exact(link->fd, len_bytes, sizeof(len_bytes))) break;
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(len_bytes[0]) |
-        (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(len_bytes[3]) << 24);
-    if (len == 0 || len > kMaxFrameBytes) break;
-    body.resize(len);
-    if (!detail::read_exact(link->fd, body.data(), len)) break;
+    std::array<std::uint8_t, 4> len_bytes;
+    if (!detail::read_exact(link->fd, len_bytes.data(), len_bytes.size())) {
+      break;
+    }
+    const auto len = decode_socket_frame_length(len_bytes);
+    if (!len.has_value()) break;
+    body.resize(*len);
+    if (!detail::read_exact(link->fd, body.data(), *len)) break;
     sstats_.frames_received.fetch_add(1, std::memory_order_relaxed);
     handle_frame(link, body);
   }
@@ -273,64 +316,52 @@ void SocketNetwork::reader_loop(std::shared_ptr<Link> link) {
 
 void SocketNetwork::handle_frame(const std::shared_ptr<Link>& link,
                                  const Buffer& body) {
-  Reader r(body);
-  const std::uint8_t kind = r.u8();
-  const MachineId src(r.u32());
-  const MachineId dst(r.u32());
-  if (!r.ok()) return;
-  switch (kind) {
-    case kFrameData: {
-      Message msg;
-      if (!decode_data(r, &msg)) return;
+  std::optional<SocketFrame> frame = decode_socket_frame(body);
+  if (!frame.has_value()) return;  // malformed, or a kind from the future
+  switch (frame->kind) {
+    case Kind::data: {
       // Every frame names its true sender; that is how this node learns
       // which link reaches which remote machine (and how replies to a
       // reconnected client find its NEW connection).
-      learn_route(src, link);
+      learn_route(frame->src, link);
       if (taps_active()) {
-        emit(TapRecord{FrameKind::data, src, dst, msg, Port()});
+        emit(TapRecord{FrameKind::data, frame->src, frame->dst,
+                       frame->message, Port()});
       }
-      if (dst.is_null()) {
-        broadcast_deliver(src, msg);
+      if (frame->dst.is_null()) {
+        broadcast_deliver(frame->src, frame->message);
       } else {
         // Local fault knobs apply to the local leg exactly as on the
         // simulated wire; deployment-shaped faults live in FrameProxy.
-        deliver_one(src, std::move(msg), dst);
+        deliver_one(frame->src, std::move(frame->message), frame->dst);
       }
       break;
     }
-    case kFrameLocateRequest: {
-      const Port put_port = r.port();
-      const std::uint64_t nonce = r.u64();
-      if (!r.exhausted()) return;
+    case Kind::locate_request:
       // Answer only on a local hit; silence means "not here" and the
       // requester times out (negative replies would race registration).
-      if (const auto found = lookup_listener(put_port); found.has_value()) {
-        send_frame(*link, encode_locate_reply(put_port, nonce, *found));
+      if (const auto found = lookup_listener(frame->port); found.has_value()) {
+        send_frame(*link, encode_socket_frame({.kind = Kind::locate_reply,
+                                               .port = frame->port,
+                                               .nonce = frame->nonce,
+                                               .machine = *found}));
       }
       break;
-    }
-    case kFrameLocateReply: {
-      const Port put_port = r.port();
-      const std::uint64_t nonce = r.u64();
-      const MachineId machine(r.u32());
-      if (!r.exhausted() || machine.is_null()) return;
-      static_cast<void>(put_port);
-      learn_route(machine, link);
+    case Kind::locate_reply: {
+      learn_route(frame->machine, link);
       {
         const std::lock_guard lock(locates_mutex_);
-        const auto it = pending_locates_.find(nonce);
+        const auto it = pending_locates_.find(frame->nonce);
         if (it != pending_locates_.end() && !it->second.done) {
-          it->second.result = machine;
+          it->second.result = frame->machine;
           it->second.done = true;
         }
       }
       locates_cv_.notify_all();
       break;
     }
-    case kFrameHello:
+    case Kind::hello:
       break;  // connection liveness only; routes are learned per frame
-    default:
-      break;  // unknown kinds are skipped so the protocol can grow
   }
 }
 
@@ -458,7 +489,8 @@ std::optional<MachineId> SocketNetwork::remote_locate(Port put_port) {
     const std::lock_guard lock(locates_mutex_);
     pending_locates_.emplace(nonce, PendingLocate{});
   }
-  const Buffer frame = encode_locate_request(put_port, nonce);
+  const Buffer frame = encode_socket_frame(
+      {.kind = Kind::locate_request, .port = put_port, .nonce = nonce});
   for (const auto& link : links) {
     send_frame(*link, frame);
   }

@@ -37,34 +37,54 @@
 // scans the stripes), so the observable bounds are unchanged from the
 // single-map implementation.
 //
-// Restart semantics (docs/PROTOCOL.md §8.4): attach_durability() wires the
-// cache to the reply stream (storage/reply_stream.hpp) of the volume its
-// group committer writes.  A fresh claim ENQUEUES a reply_floor record --
-// the highest sequence number ever claimed -- without waiting; the
-// handler's effects, and any snapshot image that folds them, are enqueued
-// after it, so a crash image never holds an effect without its floor.
-// Claim and handler run inside a storage::RequestScope, which turns every
-// durability wait (the floor's, each effect's, each envelope entry's)
-// into a recorded ticket.  The worker does not wait on them: it moves the
-// tickets out of the scope, parks them with the reply on the service's
-// one REPLIER thread, and goes back to receive().  The replier waits on
-// the parked tickets in ticket order -- its wait is what makes the
-// committer flush -- then caches, seals and sends each reply, so one
-// flush covers every request the workers handled while the previous one
-// was being written (flush pipelining).  A request that recorded no
-// ticket replies from its worker; a handler's outgoing call settles first,
-// on the worker (rpc::Transport).  No reply is sent before its floor is
+// Restart semantics (docs/PROTOCOL.md §5.5, §8.4): attach_durability()
+// wires the cache to the reply stream (storage/reply_stream.hpp) of the
+// volume its group committer writes, and draws this boot's INCARNATION:
+// one more than the highest the stream recorded, enqueued as a record
+// that rides the first flush cycle.  Every reply carries it, and a
+// transport stamps the last one it heard on its next requests.  A request
+// stamped with another incarnation whose seq the cache neither holds nor
+// covers is answered `restarted` and never executed: it was addressed to
+// a previous boot, whose memory of it is gone.
+//
+// So a fresh claim owes the volume its reply_floor record -- the highest
+// sequence number ever claimed -- only if the request writes something.
+// The claim parks the floor in the request's storage::RequestScope; the
+// committer enqueues it just before the request's first effect (or the
+// scope settles it before an outgoing call), so it takes a smaller ticket
+// than every effect it guards and a crash image never holds an effect
+// without its floor.  A request that writes nothing appends no floor and
+// no body.  An unstamped request (incarnation 0: the transport has not
+// heard from this server yet) cannot be told apart from a pre-restart
+// duplicate, so its floor is enqueued at claim.
+//
+// Claim and handler run inside the scope, which turns every durability
+// wait (the floor's, each effect's, each envelope entry's) into a
+// recorded ticket.  A request that recorded no effect instead takes the
+// READ BARRIER: after the handler it reads the committer's newest issued
+// ticket, which covers every effect the handler could have seen (effects
+// are enqueued under the shard lock a reader takes), and waits for it only
+// when it is not yet durable.  The worker does not wait: it parks the
+// tickets with the reply on the service's one REPLIER thread and goes
+// back to receive().  The replier waits on the parked tickets in ticket
+// order -- its wait is what makes the committer flush -- then caches,
+// seals and sends each reply, so one flush covers every request the
+// workers handled while the previous one was being written (flush
+// pipelining).  A request with nothing to wait for replies from its
+// worker; a handler's outgoing call settles first, on the worker
+// (rpc::Transport).  No reply is sent before the state it reports is
 // durable, so after a crash+restart a duplicate of any pre-crash
-// transaction is DROPPED (an operation may be lost to the torn tail, but
-// never runs twice); a duplicate of a parked request is dropped like any
-// still-executing one.  Completed reply BODIES follow as
+// transaction is DROPPED, re-answered, or refused as `restarted` (an
+// operation may be lost to the torn tail, but never runs twice); a
+// duplicate of a parked request is dropped like any still-executing one.
+// Completed reply BODIES of requests that journaled their floor follow as
 // reply_body records, best effort (no wait), so a post-restart duplicate
 // of a recently completed transaction is re-answered instead of timing
 // out.  Each record is O(1) bytes; the stream compacts into a snapshot of
-// the in-memory cache -- bounded like the cache itself -- once the records
-// since the last snapshot outgrow it.  The image is queued on the
-// committer as a snapshot record and rides a flush cycle's group: neither
-// a worker nor the replier ever writes the volume.
+// the in-memory cache and the incarnation -- bounded like the cache
+// itself -- once the records since the last snapshot outgrow it.  The
+// image is queued on the committer as a snapshot record and rides a flush
+// cycle's group: neither a worker nor the replier ever writes the volume.
 #pragma once
 
 #include <array>
@@ -167,6 +187,8 @@ class Service {
     std::uint64_t evicted_clients = 0;  // whole client entries aged out
     std::uint64_t entries = 0;          // live cached replies
     std::uint64_t clients = 0;          // live client entries
+    std::uint64_t floorless_claims = 0;  // fresh claims that wrote no floor
+    std::uint64_t barrier_parks = 0;     // replies parked on the read barrier
   };
   [[nodiscard]] ReplyCacheStats reply_cache_stats() const;
 
@@ -193,14 +215,19 @@ class Service {
   /// Wires the at-most-once reply cache to the reply stream of the volume
   /// `committer` writes (docs/PROTOCOL.md §8.4): restores the per-client
   /// suppression floors and reply bodies the previous incarnation left
-  /// there, then enqueues a floor record for every freshly claimed
-  /// at-most-once request and a body record for every completed one.  The
-  /// records ride the flush cycles of the handlers' own effects, and the
-  /// replier waits once per request, before replying.  Rows restored
-  /// beyond the cache's current limits are pruned like live overflow.
-  /// Null committer: no-op.  Call from the server constructor, before
-  /// start().
+  /// there, draws the next incarnation (enqueued without a flush of its
+  /// own), then enqueues a floor record for every claimed at-most-once
+  /// request that journals and a body record for every such request
+  /// completed.  The records ride the flush cycles of the handlers' own
+  /// effects, and the replier waits once per request, before replying.
+  /// Rows restored beyond the cache's current limits are pruned like live
+  /// overflow.  Null committer: no-op.  Call from the server constructor,
+  /// before start().
   void attach_durability(std::shared_ptr<storage::GroupCommitter> committer);
+
+  /// This boot's incarnation number; 0 for a service without a volume.
+  /// Constant once attach_durability() returned.
+  [[nodiscard]] std::uint64_t incarnation() const { return incarnation_; }
 
   // ---- per-operation metrics (ROADMAP follow-up from PR 3) -------------
 
@@ -303,9 +330,13 @@ class Service {
     net::Delivery request;  // payload dropped: source and header suffice
     net::Message reply;     // pre-dest, pre-filter form
     bool cache_reply = false;  // claimed fresh: publish in the reply cache
+    bool journal_body = false;  // its floor was journaled: so is its body
     std::shared_ptr<MessageFilter> filter;  // the worker's snapshot
     storage::RequestScope::Tickets tickets;
   };
+  /// A fresh claim's floor record, enqueued at claim or deferred to the
+  /// request's first effect (server.cpp).
+  class ReplyFloor;
 
   /// Worker loop: receive, gate, claim, handle; then reply at once, or
   /// park the reply when the request recorded durability tickets.
@@ -313,10 +344,16 @@ class Service {
   /// Replier loop: waits on parked tickets in ticket order and sends each
   /// reply once durable; drains the queue before it exits.
   void reply_loop(std::stop_token stop);
-  /// Publishes `reply` in the cache when `cache_reply`, then seals and
-  /// transmits it to the request's reply port.
+  /// Publishes `reply` in the cache when `cache_reply` (and journals its
+  /// body when `journal_body`), then seals and transmits it to the
+  /// request's reply port.
   void send_reply(const net::Delivery& request, net::Message reply,
-                  bool cache_reply, MessageFilter* filter);
+                  bool cache_reply, bool journal_body, MessageFilter* filter);
+  /// The read barrier: unless `tickets` hold an effect on the reply
+  /// committer (a ticket other than `floor_ticket`), makes the reply wait
+  /// for the committer's newest issued ticket when that is not durable.
+  void read_barrier(storage::RequestScope::Tickets& tickets,
+                    std::uint64_t floor_ticket);
   [[nodiscard]] net::Message handle_batch(const net::Delivery& request);
   [[nodiscard]] net::Message handle_one(const net::Delivery& request);
 
@@ -355,9 +392,10 @@ class Service {
     }
   };
   enum class DupVerdict {
-    fresh,     // unseen seq, claimed as executing: run the handler
-    drop,      // duplicate of an executing or evicted seq: say nothing
-    resend,    // duplicate of a completed seq: cached reply copied out
+    fresh,      // unseen seq, claimed as executing: run the handler
+    drop,       // duplicate of an executing or evicted seq: say nothing
+    resend,     // duplicate of a completed seq: cached reply copied out
+    restarted,  // unseen seq stamped with another incarnation: refuse
   };
   /// Classifies one at-most-once request and, for `fresh`, claims its slot
   /// (marks it executing).  Fills `cached` on `resend`.  Holds only the
@@ -388,26 +426,22 @@ class Service {
   void evict_reply_cache_client(const ClientKey& excluded,
                                 bool want_tombstones);
   /// Publishes the reply of a claimed request and evicts beyond the
-  /// per-client window.
-  void store_reply(const net::Delivery& request, const net::Message& reply);
-  /// Journals a reply_floor record for a fresh claim (write-ahead for the
-  /// suppression state) and returns its commit ticket, which the request
-  /// waits on before replying; 0 when the service is not durable.
-  [[nodiscard]] std::uint64_t persist_reply_floor(const ClientKey& key,
-                                                  std::uint64_t seq);
+  /// per-client window; journals its body when `journal_body`.
+  void store_reply(const net::Delivery& request, const net::Message& reply,
+                   bool journal_body);
   /// Journals a completed reply's body, best effort and WITHOUT waiting:
   /// the floor -- durable before the reply left -- carries the never-twice
   /// guarantee; the body only upgrades a post-restart duplicate from
   /// "dropped" to "re-answered", so losing it to a crash is safe.
   void persist_reply_body(const ClientKey& key, std::uint64_t seq,
                           const net::Message& reply);
-  /// Enqueues one reply-stream record: `body` null frames a reply_floor,
-  /// otherwise a reply_body.  Assigns the stream LSN in enqueue order, and
-  /// compacts the stream once the records enqueued since the last
-  /// snapshot outgrow it (amortized O(1) bytes per request).
-  [[nodiscard]] std::uint64_t append_reply_record(const ClientKey& key,
-                                                  std::uint64_t seq,
-                                                  const Buffer* body);
+  /// Enqueues one reply-stream record, framed by `encode(lsn, staging)`,
+  /// without waking the flusher.  Assigns the stream LSN in enqueue order,
+  /// and compacts the stream once the records enqueued since the last
+  /// snapshot outgrow it (amortized O(1) bytes per request).  Returns the
+  /// record's ticket.
+  template <typename EncodeFn>
+  std::uint64_t append_reply_record(EncodeFn&& encode);
   /// Queues a reply-stream snapshot record imaging the in-memory cache as
   /// of stream LSN `lsn` on the committer.  Returns the image's size.
   std::size_t snapshot_reply_stream(std::uint64_t lsn);
@@ -459,6 +493,10 @@ class Service {
   std::uint64_t reply_snapshot_due_ = kReplySnapshotMinBytes;
   bool reply_snapshotting_ = false;  // one snapshot at a time
   static constexpr std::uint64_t kReplySnapshotMinBytes = 64 * 1024;
+  // This boot's incarnation; set by attach_durability before start().
+  std::uint64_t incarnation_ = 0;
+  std::atomic<std::uint64_t> floorless_claims_{0};
+  std::atomic<std::uint64_t> barrier_parks_{0};
   std::unordered_map<std::uint16_t, Handler> handlers_;  // frozen at start()
   std::vector<OpInfo> typed_ops_;                        // frozen at start()
   // Typed-op metrics keyed by opcode; the map is frozen at start() (the

@@ -30,6 +30,14 @@
 // duplicates through its per-client reply cache and re-sends the cached
 // reply instead of re-executing, so a transaction either takes effect
 // exactly once or fails with ErrorCode::timeout -- never twice.
+//
+// Incarnations (docs/PROTOCOL.md §5.5).  A durable server stamps its boot's
+// incarnation on every reply; the transport remembers the last one per
+// destination port and stamps it on every request to that port.  A server
+// that restarted since answers a request stamped with its previous
+// incarnation `restarted` without executing it, and the transport, on the
+// pump thread, re-issues the request under a fresh seq (same reply port,
+// same deadline) -- once per `restarted` reply, invisibly to the caller.
 #pragma once
 
 #include <atomic>
@@ -99,6 +107,7 @@ class Transport {
     std::uint64_t transactions = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t retransmits = 0;  // extra request copies put on the wire
+    std::uint64_t reissues = 0;  // requests re-issued after `restarted`
     // Adaptive retransmission state (Jacobson/Karels): smoothed RTT and
     // variance from replies of never-retransmitted transactions (Karn's
     // rule), and the resulting timer new transactions are issued with.
@@ -129,10 +138,10 @@ class Transport {
   /// flight.
   ///
   /// Called from a service handler (a thread with a storage::RequestScope
-  /// open), it first makes every effect the handler recorded so far
-  /// durable: no message leaves a worker before the effects it may depend
-  /// on.  If that fails, nothing is sent and the future fails with
-  /// ErrorCode::internal.
+  /// open), it first enqueues the request's deferred reply floor and makes
+  /// it, and every effect the handler recorded so far, durable: no message
+  /// leaves a worker before the effects it may depend on.  If that fails,
+  /// nothing is sent and the future fails with ErrorCode::internal.
   [[nodiscard]] Future trans_async(net::Message request,
                                    std::chrono::milliseconds timeout);
 
@@ -215,11 +224,12 @@ class Transport {
     net::Receiver receiver;  // keeps the one-shot GET alive
     std::chrono::steady_clock::time_point deadline;
     // Retransmission state: the unsealed request (reply port already
-    // drawn) so the pump can put further copies on the wire, the next
-    // send time, and the backoff interval that produced it.  next_send ==
-    // time_point::max() when retransmission is disabled.  issued_at /
-    // retransmitted feed the RTT estimator (Karn: only never-retransmitted
-    // transactions yield samples).
+    // drawn) so the pump can put further copies on the wire -- or re-issue
+    // it after `restarted` -- the next send time, and the backoff interval
+    // that produced it.  next_send == time_point::max() when
+    // retransmission is disabled.  issued_at / retransmitted feed the RTT
+    // estimator (Karn: only never-retransmitted transactions yield
+    // samples).
     net::Message request;
     std::chrono::steady_clock::time_point next_send;
     std::chrono::milliseconds backoff{0};
@@ -238,6 +248,12 @@ class Transport {
 
   void pump(std::stop_token stop);
   void settle_all(std::deque<net::Delivery>&& batch);
+  /// Records the incarnation a reply from `service` carried; caller holds
+  /// mutex_.
+  void learn_incarnation_locked(Port service, std::uint64_t incarnation);
+  /// Re-issues the pending transaction keyed `registry_key` under a fresh
+  /// seq, stamped `incarnation` (a `restarted` reply's).
+  void reissue(Port registry_key, std::uint64_t incarnation);
   void expire_and_retransmit();
   static void complete(Pending& pending, Result<net::Delivery> outcome);
 
@@ -269,6 +285,8 @@ class Transport {
   std::unordered_set<Port> locating_;  // ports with a LOCATE in flight
   std::uint64_t next_generation_ = 0;
   std::uint64_t next_seq_ = 0;  // at-most-once sequence; under mutex_
+  // The incarnation last heard from each service put-port; under mutex_.
+  std::unordered_map<Port, std::uint64_t> incarnations_;
   Port signature_;
   std::shared_ptr<MessageFilter> filter_;
   Stats stats_;  // srtt/rttvar live in here, updated under mutex_

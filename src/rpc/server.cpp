@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -44,6 +45,33 @@ void encode_reply_body(const net::Message& reply, Writer& w) {
   return reply;
 }
 }  // namespace
+
+/// A fresh claim's reply_floor record.  enqueue() runs at claim for an
+/// unstamped request, and otherwise from the request scope, just before
+/// the request's first effect on the reply committer or its first
+/// outgoing call -- or never, for a request that does neither.
+class Service::ReplyFloor final : public storage::RequestScope::Deferred {
+ public:
+  ReplyFloor(Service& service, ClientKey key, std::uint64_t seq)
+      : service_(service), key_(key), seq_(seq) {}
+
+  void enqueue() override {
+    const auto encode = [&](std::uint64_t lsn, Buffer& staging) {
+      storage::encode_reply_floor(key_.src, key_.client, seq_, lsn, staging);
+    };
+    ticket_ = service_.append_reply_record(encode);
+    service_.reply_committer_->wait_durable(ticket_);  // recorded
+  }
+
+  /// The floor's commit ticket; 0 until it is enqueued.
+  [[nodiscard]] std::uint64_t ticket() const { return ticket_; }
+
+ private:
+  Service& service_;
+  ClientKey key_;
+  std::uint64_t seq_;
+  std::uint64_t ticket_ = 0;
+};
 
 Service::Service(net::Machine& machine, Port get_port, std::string name)
     : machine_(&machine), get_port_(get_port), name_(std::move(name)) {}
@@ -155,6 +183,8 @@ Service::ReplyCacheStats Service::reply_cache_stats() const {
       stats.entries += entry.replies.size();
     }
   }
+  stats.floorless_claims = floorless_claims_.load(std::memory_order_relaxed);
+  stats.barrier_parks = barrier_parks_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -285,6 +315,12 @@ Service::DupVerdict Service::claim_request(const net::Delivery& request,
       // answer is silence (the client times out).
       ++stripe.counters.duplicates_suppressed;
       verdict = DupVerdict::drop;
+    } else if (const std::uint64_t stamp =
+                   request.message.header.incarnation;
+               stamp != 0 && stamp != incarnation_) {
+      // Addressed to another boot of this server, which may have run it
+      // and left no trace here: running it now could run it twice.
+      verdict = DupVerdict::restarted;
     } else {
       if (entry.replies.empty()) {
         const std::size_t loaded =
@@ -307,7 +343,7 @@ Service::DupVerdict Service::claim_request(const net::Delivery& request,
 }
 
 void Service::store_reply(const net::Delivery& request,
-                          const net::Message& reply) {
+                          const net::Message& reply, bool journal_body) {
   const ClientKey key{request.src.value(), request.message.header.client};
   const std::uint64_t seq = request.message.header.seq;
   bool published = false;
@@ -340,7 +376,7 @@ void Service::store_reply(const net::Delivery& request,
       ++stripe.counters.evicted_entries;
     }
   }
-  if (published) {
+  if (published && journal_body) {
     persist_reply_body(key, seq, reply);  // outside the lock
   }
 }
@@ -434,9 +470,8 @@ void Service::prune_reply_cache() {
   }
 }
 
-std::uint64_t Service::append_reply_record(const ClientKey& key,
-                                           std::uint64_t seq,
-                                           const Buffer* body) {
+template <typename EncodeFn>
+std::uint64_t Service::append_reply_record(EncodeFn&& encode) {
   std::uint64_t ticket = 0;
   std::uint64_t snapshot_lsn = 0;  // nonzero: this append takes the snapshot
   std::uint64_t snapshot_bytes = 0;
@@ -445,18 +480,14 @@ std::uint64_t Service::append_reply_record(const ClientKey& key,
     const std::uint64_t lsn = ++reply_lsn_;
     std::size_t framed = 0;
     // No flusher wake-up: a floor joins the cycle its handler's first
-    // effect or its post-handler wait starts, and a body, which nobody
-    // waits for, the next request's -- neither pays for a cycle alone.
+    // effect or its post-handler wait starts, a body, which nobody waits
+    // for, the next request's, and the incarnation the first cycle any
+    // request starts -- none pays for a cycle alone.
     ticket = reply_committer_->enqueue_with(
         reply_committer_->backend()->reply_stream(),
         [&](Buffer& staging) {
           const std::size_t before = staging.size();
-          if (body == nullptr) {
-            storage::encode_reply_floor(key.src, key.client, seq, lsn, staging);
-          } else {
-            storage::encode_reply_body(key.src, key.client, seq, *body, lsn,
-                                       staging);
-          }
+          encode(lsn, staging);
           framed = staging.size() - before;
         },
         /*wake_flusher=*/false);
@@ -512,18 +543,10 @@ std::size_t Service::snapshot_reply_stream(std::uint64_t lsn) {
       }
     }
   }
-  const Buffer image = storage::encode_reply_snapshot(rows, lsn);
+  const Buffer image = storage::encode_reply_snapshot(rows, lsn, incarnation_);
   (void)reply_committer_->install_snapshot(
       reply_committer_->backend()->reply_stream(), image);
   return image.size();
-}
-
-std::uint64_t Service::persist_reply_floor(const ClientKey& key,
-                                           std::uint64_t seq) {
-  if (reply_committer_ == nullptr) {
-    return 0;
-  }
-  return append_reply_record(key, seq, nullptr);
 }
 
 void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
@@ -534,7 +557,10 @@ void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
   }
   Writer body;
   encode_reply_body(reply, body);
-  (void)append_reply_record(key, seq, &body.buffer());
+  (void)append_reply_record([&](std::uint64_t lsn, Buffer& staging) {
+    storage::encode_reply_body(key.src, key.client, seq, body.buffer(), lsn,
+                               staging);
+  });
 }
 
 void Service::set_info_detail(std::function<std::string()> provider) {
@@ -563,7 +589,7 @@ void Service::attach_durability(
   // committer alive as long as the provider.
   const auto replicated = std::dynamic_pointer_cast<storage::ReplicatedBackend>(
       committer->backend());
-  set_info_detail([replicated, committer] {
+  set_info_detail([this, replicated, committer] {
     std::string line;
     if (replicated != nullptr) {
       replicated->heartbeat();  // refresh acked floors before reporting
@@ -589,15 +615,31 @@ void Service::attach_durability(
         committer->backend()->rewrite_stats();
     line += " gc.rewrites=" + std::to_string(gc_log.rewrites);
     line += " gc.rewrite_us_max=" + std::to_string(gc_log.rewrite_us_max);
+    line += " reply.floorless_claims=" +
+            std::to_string(floorless_claims_.load(std::memory_order_relaxed));
+    line += " reply.barrier_parks=" +
+            std::to_string(barrier_parks_.load(std::memory_order_relaxed));
     return line;
   });
   std::uint64_t last_lsn = 0;
-  restore_reply_rows(storage::read_reply_stream(*committer->backend(),
-                                                last_lsn));
+  std::uint64_t recovered_incarnation = 0;
+  restore_reply_rows(storage::read_reply_stream(
+      *committer->backend(), last_lsn, &recovered_incarnation));
   prune_reply_cache();
-  const std::lock_guard lock(reply_append_mutex_);
-  reply_lsn_ = last_lsn;
-  reply_committer_ = std::move(committer);
+  {
+    const std::lock_guard lock(reply_append_mutex_);
+    reply_lsn_ = last_lsn;
+    reply_committer_ = std::move(committer);
+  }
+  // A promoted backup's stream holds its primary's incarnations too, so
+  // its server draws a number above theirs.  The record starts no cycle:
+  // it rides the first one, and since every reply waits at least for the
+  // newest ticket issued (the read barrier), none carries the number
+  // before it is durable.
+  incarnation_ = recovered_incarnation + 1;
+  (void)append_reply_record([&](std::uint64_t lsn, Buffer& staging) {
+    storage::encode_reply_incarnation(incarnation_, lsn, staging);
+  });
 }
 
 net::Message Service::handle(const net::Delivery& request) {
@@ -709,83 +751,132 @@ void Service::run(std::stop_token stop, std::latch& ready) {
     net::Message reply;
     bool executed = true;      // false: answered without running a handler
     bool cache_reply = false;  // true: claimed fresh, publish after handling
-    // Every durability wait of the claim and the handler -- floor, effects,
-    // each envelope entry's -- is recorded here, and waited on once, by
-    // the replier (below).
-    storage::RequestScope durability;
-    if (!allowed_signatures.empty() &&
-        std::find(allowed_signatures.begin(), allowed_signatures.end(),
-                  delivery->message.header.signature) ==
-            allowed_signatures.end()) {
-      // Sender authentication (§2.2): only the true owner of S can make
-      // the published F(S) appear here -- his F-box computes it from the
-      // secret; an intruder submitting the observed F(S) ends up with
-      // F(F(S)) on the wire.
-      reply = net::make_reply(delivery->message, ErrorCode::permission_denied);
-    } else if (filter != nullptr &&
-               !filter->incoming(delivery->message, delivery->src)) {
-      reply = net::make_reply(delivery->message, ErrorCode::unsealing_failed);
-    } else {
-      // Duplicate suppression runs after the signature and filter gates:
-      // a frame replayed from the wrong machine can neither poison nor
-      // read the cache (and the cache is keyed by the stamped source
-      // machine on top of that).
-      // seq 0 is malformed under the spec (sequences start at 1); such a
-      // frame is served WITHOUT at-most-once semantics rather than
-      // swallowed by the floor check.
-      const bool at_most_once =
-          (delivery->message.header.flags & net::kFlagAtMostOnce) != 0 &&
-          delivery->message.header.client != 0 &&
-          delivery->message.header.seq != 0;
-      if (at_most_once) {
-        switch (claim_request(*delivery, reply)) {
-          case DupVerdict::drop:
-            continue;  // executing elsewhere or evicted: say nothing
-          case DupVerdict::resend:
-            executed = false;  // cached reply already copied into `reply`
-            break;
-          case DupVerdict::fresh:
-            cache_reply = true;
-            // Write-ahead for the suppression state: the floor record is
-            // enqueued BEFORE the handler can enqueue any effect, and
-            // nothing reaches the volume out of queue order (a shard
-            // snapshot is a queue entry too), so no crash image holds an
-            // effect without its floor.
-            if (const std::uint64_t floor_ticket = persist_reply_floor(
-                    ClientKey{delivery->src.value(),
-                              delivery->message.header.client},
-                    delivery->message.header.seq);
-                floor_ticket != 0) {
-              reply_committer_->wait_durable(floor_ticket);  // recorded
-            }
-            break;
+    std::optional<ReplyFloor> floor;  // a fresh claim's, on a durable service
+    storage::RequestScope::Tickets tickets;
+    {
+      // Every durability wait of the claim and the handler -- floor,
+      // effects, each envelope entry's -- is recorded here, and waited on
+      // once, by the replier (below).  Closing the scope drops a deferred
+      // floor that nothing enqueued.
+      storage::RequestScope durability;
+      if (!allowed_signatures.empty() &&
+          std::find(allowed_signatures.begin(), allowed_signatures.end(),
+                    delivery->message.header.signature) ==
+              allowed_signatures.end()) {
+        // Sender authentication (§2.2): only the true owner of S can make
+        // the published F(S) appear here -- his F-box computes it from the
+        // secret; an intruder submitting the observed F(S) ends up with
+        // F(F(S)) on the wire.
+        reply =
+            net::make_reply(delivery->message, ErrorCode::permission_denied);
+      } else if (filter != nullptr &&
+                 !filter->incoming(delivery->message, delivery->src)) {
+        reply = net::make_reply(delivery->message, ErrorCode::unsealing_failed);
+      } else {
+        // Duplicate suppression runs after the signature and filter gates:
+        // a frame replayed from the wrong machine can neither poison nor
+        // read the cache (and the cache is keyed by the stamped source
+        // machine on top of that).
+        // seq 0 is malformed under the spec (sequences start at 1); such a
+        // frame is served WITHOUT at-most-once semantics rather than
+        // swallowed by the floor check.
+        const net::Header& header = delivery->message.header;
+        const bool at_most_once = (header.flags & net::kFlagAtMostOnce) != 0 &&
+                                  header.client != 0 && header.seq != 0;
+        if (at_most_once) {
+          switch (claim_request(*delivery, reply)) {
+            case DupVerdict::drop:
+              continue;  // executing elsewhere or evicted: say nothing
+            case DupVerdict::resend:
+              executed = false;  // cached reply already copied into `reply`
+              break;
+            case DupVerdict::restarted:
+              executed = false;
+              reply = net::make_reply(delivery->message, ErrorCode::restarted);
+              break;
+            case DupVerdict::fresh:
+              cache_reply = true;
+              if (reply_committer_ != nullptr) {
+                // Write-ahead for the suppression state: the floor takes a
+                // smaller ticket than any effect of this request, and
+                // nothing reaches the volume out of queue order, so no
+                // crash image holds an effect without its floor.  An
+                // unstamped request may be a pre-restart duplicate, so its
+                // floor cannot wait to see whether the handler writes.
+                floor.emplace(*this,
+                              ClientKey{delivery->src.value(), header.client},
+                              header.seq);
+                if (header.incarnation == 0) {
+                  floor->enqueue();
+                } else {
+                  durability.defer_record(*reply_committer_, *floor);
+                }
+              }
+              break;
+          }
+        }
+        if (executed) {
+          reply = header.opcode == kBatchOpcode ? handle_batch(*delivery)
+                                                : handle_one(*delivery);
         }
       }
-      if (executed) {
-        reply = delivery->message.header.opcode == kBatchOpcode
-                    ? handle_batch(*delivery)
-                    : handle_one(*delivery);
-      }
+      tickets = durability.take_pending();
     }
     if (executed) {
       requests_served_.fetch_add(1, std::memory_order_relaxed);
     }
+    const std::uint64_t floor_ticket = floor ? floor->ticket() : 0;
+    if (floor && floor_ticket == 0) {
+      floorless_claims_.fetch_add(1, std::memory_order_relaxed);
+    }
     // The request's one durability wait (§8.4) is the replier's: no reply
     // leaves before its floor and every effect its handler -- or any entry
-    // of its envelope -- recorded are durable.  This worker moves on.
-    storage::RequestScope::Tickets tickets = durability.take_pending();
+    // of its envelope -- recorded are durable, nor before every effect it
+    // could have read.  This worker moves on.
+    if (reply_committer_ != nullptr) {
+      read_barrier(tickets, floor_ticket);
+    }
     if (tickets.empty()) {
-      send_reply(*delivery, std::move(reply), cache_reply, filter.get());
+      send_reply(*delivery, std::move(reply), cache_reply, floor_ticket != 0,
+                 filter.get());
       continue;
     }
     delivery->message.data = {};
     {
       const std::lock_guard lock(parked_mutex_);
       parked_.push_back(ParkedReply{std::move(*delivery), std::move(reply),
-                                    cache_reply, std::move(filter),
-                                    std::move(tickets)});
+                                    cache_reply, floor_ticket != 0,
+                                    std::move(filter), std::move(tickets)});
     }
     parked_cv_.notify_one();
+  }
+}
+
+void Service::read_barrier(storage::RequestScope::Tickets& tickets,
+                           std::uint64_t floor_ticket) {
+  const auto own = std::find_if(
+      tickets.begin(), tickets.end(),
+      [&](const storage::RequestScope::Pending& p) {
+        return p.committer == reply_committer_.get();
+      });
+  if (own != tickets.end() && own->ticket != floor_ticket) {
+    return;  // it journaled: its own effects are the wait
+  }
+  // Read after the handler, not before: an effect it saw was enqueued
+  // under the shard lock it took, so this ticket covers it.  (In ack-one
+  // mode a durable ticket is also on a backup.)
+  const std::uint64_t barrier = reply_committer_->issued();
+  if (reply_committer_->is_durable(barrier)) {
+    if (own != tickets.end()) {
+      tickets.erase(own);  // its floor is durable too
+    }
+    return;
+  }
+  barrier_parks_.fetch_add(1, std::memory_order_relaxed);
+  if (own != tickets.end()) {
+    own->ticket = barrier;
+  } else {
+    tickets.push_back({reply_committer_.get(), barrier});
   }
 }
 
@@ -827,18 +918,19 @@ void Service::reply_loop(std::stop_token stop) {
             net::make_reply(parked.request.message, ErrorCode::internal);
       }
       send_reply(parked.request, std::move(parked.reply), parked.cache_reply,
-                 parked.filter.get());
+                 parked.journal_body, parked.filter.get());
     }
     batch.clear();
   }
 }
 
 void Service::send_reply(const net::Delivery& request, net::Message reply,
-                         bool cache_reply, MessageFilter* filter) {
+                         bool cache_reply, bool journal_body,
+                         MessageFilter* filter) {
   if (cache_reply) {
     // Cached in pre-dest, pre-filter form; a re-send recomputes the
     // destination from the duplicate and re-seals per transmission.
-    store_reply(request, reply);
+    store_reply(request, reply, journal_body);
   }
   const Port reply_port = request.message.header.reply;
   if (reply_port.is_null()) {
@@ -846,6 +938,7 @@ void Service::send_reply(const net::Delivery& request, net::Message reply,
   }
   reply.header.dest = reply_port;
   reply.header.opcode = request.message.header.opcode;
+  reply.header.incarnation = incarnation_;
   if (filter != nullptr) {
     filter->outgoing(reply, request.src);
   }

@@ -231,6 +231,9 @@ Future Transport::trans_async(net::Message request,
     request.header.client = client_id_;
     request.header.seq = ++next_seq_;
     request.header.flags |= net::kFlagAtMostOnce;
+    const auto known = incarnations_.find(request.header.dest);
+    request.header.incarnation =
+        known != incarnations_.end() ? known->second : 0;
     // RTT-seeded first-retransmit interval (floor = configured initial).
     backoff = adaptive_rto_locked();
     do {
@@ -266,11 +269,8 @@ Future Transport::trans_async(net::Message request,
       continue;  // F(G') == 0 would masquerade as a wake marker: redraw
     }
     request.header.reply = reply_get_port;  // final once registered
-    Pending pending{state,     std::move(receiver), deadline, {},
+    Pending pending{state,     std::move(receiver), deadline, request,
                     next_send, backoff,             now,      false};
-    if (backoff.count() > 0) {
-      pending.request = request;  // the copy the pump retransmits from
-    }
     const std::lock_guard lock(pending_mutex_);
     if (pending_.contains(registry_key)) {
       continue;  // 2^-48 one-shot port collision: redraw
@@ -355,20 +355,36 @@ void Transport::settle_all(std::deque<net::Delivery>&& batch) {
   // One registry lock reaps every matching transaction of the batch;
   // futures complete (and the one-shot GET registrations die) outside it.
   std::vector<std::pair<Pending, net::Delivery>> matched;
+  std::vector<std::pair<Port, std::uint64_t>> restarted;  // key, incarnation
   matched.reserve(batch.size());
   {
     const std::lock_guard lock(pending_mutex_);
     for (auto& delivery : batch) {
-      if (delivery.message.header.dest.is_null()) {
+      const net::Header& header = delivery.message.header;
+      if (header.dest.is_null()) {
         continue;  // wake marker from trans_async
       }
-      auto it = pending_.find(delivery.message.header.dest);
+      auto it = pending_.find(header.dest);
       if (it == pending_.end()) {
         continue;  // duplicate frame or post-timeout straggler: dropped
+      }
+      if (header.status == ErrorCode::restarted) {
+        // Not executed.  A refusal of a seq already re-issued is stale, and
+        // so is a second refusal of one seq (two copies) in this batch.
+        const bool seen = std::any_of(
+            restarted.begin(), restarted.end(),
+            [&](const auto& r) { return r.first == header.dest; });
+        if (!seen && header.seq == it->second.request.header.seq) {
+          restarted.emplace_back(header.dest, header.incarnation);
+        }
+        continue;
       }
       matched.emplace_back(std::move(it->second), std::move(delivery));
       pending_.erase(it);
     }
+  }
+  for (const auto& [key, incarnation] : restarted) {
+    reissue(key, incarnation);
   }
   if (matched.empty()) {
     return;
@@ -379,6 +395,8 @@ void Transport::settle_all(std::deque<net::Delivery>&& batch) {
     const std::lock_guard lock(mutex_);
     filter = filter_;
     for (const auto& [pending, delivery] : matched) {
+      learn_incarnation_locked(pending.request.header.dest,
+                               delivery.message.header.incarnation);
       // Karn's rule: only transactions answered without any retransmit
       // contribute RTT samples (a retransmitted one's reply is ambiguous).
       if (!pending.retransmitted &&
@@ -397,6 +415,45 @@ void Transport::settle_all(std::deque<net::Delivery>&& batch) {
     }
   }
   // ~matched here withdraws the one-shot GET registrations.
+}
+
+void Transport::learn_incarnation_locked(Port service,
+                                         std::uint64_t incarnation) {
+  if (incarnation != 0) {
+    incarnations_[service] = incarnation;
+  } else {
+    incarnations_.erase(service);  // a server without a volume
+  }
+}
+
+void Transport::reissue(Port registry_key, std::uint64_t incarnation) {
+  std::uint64_t seq = 0;
+  std::shared_ptr<MessageFilter> filter;
+  net::Message request;
+  {
+    // The one place holding both locks: mutex_ first, then pending_mutex_.
+    const std::lock_guard lock(mutex_);
+    const std::lock_guard registry(pending_mutex_);
+    const auto it = pending_.find(registry_key);
+    if (it == pending_.end()) {
+      return;  // expired meanwhile
+    }
+    Pending& pending = it->second;
+    learn_incarnation_locked(pending.request.header.dest, incarnation);
+    ++stats_.reissues;
+    filter = filter_;
+    seq = ++next_seq_;
+    // A new transaction for the server: fresh seq, the new stamp, the same
+    // reply port and deadline.  Its reply yields no RTT sample (Karn).
+    pending.request.header.seq = seq;
+    pending.request.header.incarnation = incarnation;
+    pending.request.header.flags &=
+        static_cast<std::uint16_t>(~net::kFlagRetransmit);
+    pending.retransmitted = true;
+    request = pending.request;
+  }
+  // Best effort, like a retransmit: the backoff timer covers a loss.
+  (void)send_request(request, filter, std::nullopt);
 }
 
 void Transport::expire_and_retransmit() {

@@ -217,9 +217,13 @@ constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
 /// brings a snapshot record reduces its stream at once, so the split never
 /// holds a superseded image.  Stops silently at the first torn, corrupt or
 /// malformed frame: a crash mid-append loses the unacknowledged tail group
-/// and nothing before it.
+/// and nothing before it.  `intact`, when non-null, receives the byte
+/// length of the frames before that point.  An intact group naming a
+/// stream the volume lacks is no crash artifact but a volume written with
+/// another shard count: it throws UsageError naming `path`.
 [[nodiscard]] std::vector<Buffer> split_commit_log(
-    std::span<const std::uint8_t> log, std::size_t streams) {
+    std::span<const std::uint8_t> log, std::size_t streams,
+    const std::filesystem::path& path, std::size_t* intact = nullptr) {
   std::vector<Buffer> split(streams);
   std::vector<ShardAppend> group;
   std::size_t pos = 0;
@@ -231,12 +235,17 @@ constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
       break;  // torn tail: the final group never got acknowledged
     }
     const auto body = log.subspan(pos + 8, length);
-    // A group naming a stream the volume lacks is malformed, whole.
-    if (frame_checksum(body) != checksum || !decode_group_body(body, group) ||
-        std::any_of(group.begin(), group.end(), [&](const ShardAppend& a) {
-          return a.shard >= streams;
-        })) {
+    if (frame_checksum(body) != checksum || !decode_group_body(body, group)) {
       break;
+    }
+    for (const ShardAppend& a : group) {
+      if (a.shard >= streams) {
+        throw UsageError("FileBackend: " + path.string() +
+                         " holds a group naming stream " +
+                         std::to_string(a.shard) + ", but the volume has " +
+                         std::to_string(streams) +
+                         " streams (wrong shard count); refusing the volume");
+      }
     }
     for (const ShardAppend& a : group) {
       Buffer& run = split[a.shard];
@@ -249,6 +258,9 @@ constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
   }
   for (Buffer& run : split) {
     run = live_records(run);
+  }
+  if (intact != nullptr) {
+    *intact = pos;
   }
   return split;
 }
@@ -289,8 +301,21 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
     throw UsageError("FileBackend: cannot open commit log in " +
                      directory_.string());
   }
-  const off_t size = ::lseek(commit_fd_, 0, SEEK_END);
-  commit_log_bytes_ = size > 0 ? static_cast<std::uint64_t>(size) : 0;
+  // Recovery stops at the first torn or corrupt frame, so a group appended
+  // behind one would be acknowledged and then never recovered: cut the log
+  // back to its intact prefix, durably, before the first append.
+  const Buffer log = read_file(commit_log_path());
+  std::size_t intact = 0;
+  commit_split_ =
+      split_commit_log(log, stream_count(), commit_log_path(), &intact);
+  if (intact < log.size()) {
+    if (::ftruncate(commit_fd_, static_cast<off_t>(intact)) != 0) {
+      throw UsageError("FileBackend: cannot cut the torn commit log tail in " +
+                       directory_.string());
+    }
+    fsync_or_throw(commit_fd_, directory_, "torn tail cut");
+  }
+  commit_log_bytes_ = intact;
   // A newly created commit.log lives in the directory inode; without this
   // fsync a crash could unlink it even after its contents were
   // acknowledged durable.
@@ -318,8 +343,8 @@ Buffer FileBackend::read_stream(std::size_t stream) const {
 const std::vector<Buffer>& FileBackend::commit_split_locked() const {
   // Every write to the log (append, GC rewrite) clears the split.
   if (commit_split_.empty()) {
-    commit_split_ =
-        split_commit_log(read_file(commit_log_path()), stream_count());
+    commit_split_ = split_commit_log(read_file(commit_log_path()),
+                                     stream_count(), commit_log_path());
   }
   return commit_split_;
 }

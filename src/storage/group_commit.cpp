@@ -41,7 +41,29 @@ void RequestScope::defer(GroupCommitter& committer, std::uint64_t ticket) {
   pending_.push_back({&committer, ticket});
 }
 
+void RequestScope::defer_record(GroupCommitter& committer,
+                                Deferred& record) noexcept {
+  deferred_committer_ = &committer;
+  deferred_ = &record;
+}
+
+void RequestScope::enqueue_deferred(const GroupCommitter& committer) {
+  RequestScope* scope = innermost_scope;
+  if (scope != nullptr && scope->deferred_committer_ == &committer) {
+    scope->enqueue_deferred();
+  }
+}
+
+void RequestScope::enqueue_deferred() {
+  // Cleared first: the record's own enqueue comes back through insert().
+  deferred_committer_ = nullptr;
+  if (Deferred* record = std::exchange(deferred_, nullptr)) {
+    record->enqueue();
+  }
+}
+
 void RequestScope::settle() {
+  enqueue_deferred();
   settle(pending_);
   pending_.clear();
 }
@@ -179,6 +201,11 @@ bool GroupCommitter::is_durable(Ticket ticket) const {
   return durable_ >= ticket;
 }
 
+GroupCommitter::Ticket GroupCommitter::issued() const {
+  const std::lock_guard lock(mutex_);
+  return issued_;
+}
+
 GroupCommitter::Stats GroupCommitter::stats() const {
   const std::lock_guard lock(mutex_);
   return stats_;
@@ -203,8 +230,12 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     {
       std::unique_lock lock(mutex_);
       flusher_waiting_ = true;
-      work_cv_.wait(
-          lock, [&] { return stop.stop_requested() || issued_ > taken_; });
+      // Entries enqueued without a wake-up start no cycle: they wait for
+      // a waking entry, a blocked waiter, or the final drain.
+      work_cv_.wait(lock, [&] {
+        return stop.stop_requested() ||
+               (issued_ > taken_ && (woken_ > taken_ || waiters_ > 0));
+      });
       flusher_waiting_ = false;
       if (issued_ == taken_) {
         return;  // stopped with an empty queue

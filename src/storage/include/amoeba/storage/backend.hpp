@@ -163,6 +163,10 @@ class FileBackend final : public Backend {
   /// (`shard-N.journal`, `reply.journal`), metadata blob (`meta-KEY.bin`)
   /// or snapshot file (`shard-N.snap`, `reply.snap`) of an older on-disk
   /// format: such volumes are refused, not migrated (docs/PROTOCOL.md §8).
+  /// A commit.log whose tail is torn or corrupt is cut back to its intact
+  /// prefix (ftruncate + fsync) before anything can be appended behind the
+  /// bad bytes; one holding an intact group that names a stream this
+  /// volume lacks (a wrong shard count) is refused with a UsageError.
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 

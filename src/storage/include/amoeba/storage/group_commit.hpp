@@ -29,11 +29,15 @@
 //     backend's group atomicity w.r.t. capture() and crashes then keeps
 //     a bank transfer's debit+credit untearable.
 //   * The volume's reply stream (Backend::reply_stream()) is one more
-//     queue: rpc::Service enqueues a request's floor record at claim time,
-//     so it takes a smaller ticket than -- and lands in the same or an
-//     earlier cycle than -- every effect the handler enqueues after it.  A
-//     crash image may hold a floor without its effect (operation lost,
-//     safe) but never an effect without its floor (operation doubled).
+//     queue.  rpc::Service parks a request's floor record in its
+//     RequestScope, and insert() enqueues it just before the first entry
+//     that scope enqueues on this committer (RequestScope::settle() does
+//     the same before an outgoing call).  The floor therefore takes a
+//     smaller ticket than -- and lands in the same or an earlier cycle
+//     than -- every effect of its request.  A crash image may hold a floor
+//     without its effect (operation lost, safe) but never an effect
+//     without its floor (operation doubled).  A request that enqueues
+//     nothing never enqueues its floor.
 //   * A cycle runs in one order: write its group, run the post-flush hook
 //     (replication ships the cycle), release its waiters.  An image holds
 //     only effects whose records -- and those records' floors -- took
@@ -72,8 +76,28 @@ class GroupCommitter;
 /// the reply to its replier thread, which waits on them (settle(tickets))
 /// before the reply leaves.  rpc::Transport settles before a handler's
 /// outgoing call.  Scopes nest (innermost wins).
+///
+/// A scope also holds at most one deferred record (defer_record()): the
+/// request's reply floor, which it owes its committer only if it writes
+/// there.  It is enqueued before the scope's first enqueue on that
+/// committer, or by settle(), and dropped with the scope otherwise.
 class RequestScope {
  public:
+  /// A record whose enqueue waits for its request's first effect.
+  /// enqueue() must enqueue it on the committer it was deferred for (and
+  /// may record its wait); it runs at most once, on the scope's thread,
+  /// with no lock of that committer held.  The scope holds its address.
+  class Deferred {
+   public:
+    Deferred(const Deferred&) = delete;
+    Deferred& operator=(const Deferred&) = delete;
+    virtual void enqueue() = 0;
+
+   protected:
+    Deferred() = default;
+    ~Deferred() = default;
+  };
+
   /// One committer's largest recorded ticket.
   struct Pending {
     GroupCommitter* committer;
@@ -86,9 +110,15 @@ class RequestScope {
   RequestScope(const RequestScope&) = delete;
   RequestScope& operator=(const RequestScope&) = delete;
 
-  /// Blocks until every recorded ticket is durable, then forgets them.
-  /// Throws as wait_durable does if a committer failed first; the tickets
-  /// stay recorded, so a later settle() throws again.
+  /// Parks `record` until this scope first enqueues on `committer`, or
+  /// settles.  `record` must outlive the scope or its enqueue; a second
+  /// call replaces the first.
+  void defer_record(GroupCommitter& committer, Deferred& record) noexcept;
+
+  /// Enqueues the deferred record, if one is parked, then blocks until
+  /// every recorded ticket is durable and forgets them.  Throws as
+  /// wait_durable does if a committer failed first; the tickets stay
+  /// recorded, so a later settle() throws again.
   void settle();
 
   /// Moves the recorded tickets out, leaving the scope with none: the
@@ -108,9 +138,15 @@ class RequestScope {
   /// The innermost open scope of the calling thread, or null.
   [[nodiscard]] static RequestScope* current() noexcept;
   void defer(GroupCommitter& committer, std::uint64_t ticket);
+  /// Enqueues the calling thread's deferred record if it is owed to
+  /// `committer` (GroupCommitter::insert, before taking its mutex).
+  static void enqueue_deferred(const GroupCommitter& committer);
+  void enqueue_deferred();
 
   RequestScope* outer_;
   Tickets pending_;
+  GroupCommitter* deferred_committer_ = nullptr;
+  Deferred* deferred_ = nullptr;
 };
 
 class GroupCommitter {
@@ -177,11 +213,12 @@ class GroupCommitter {
   /// lever ROADMAP flags).  The callback runs with the committer's queue
   /// mutex held -- it must not block, enqueue, or wait on this committer.
   ///
-  /// `wake_flusher` false leaves a parked flusher parked: the record rides
-  /// the next cycle something else starts (a waking enqueue or a
-  /// wait_durable()).  rpc::Service's reply-stream records use it: their
-  /// writer waits later (a floor) or never (a body), so neither pays for
-  /// a cycle of its own.
+  /// `wake_flusher` false starts no cycle: the record rides the next cycle
+  /// something else starts (a waking enqueue or a blocking wait), and a
+  /// queue holding only such records leaves the flusher parked.
+  /// rpc::Service's reply-stream records use it: their writer waits later
+  /// (a floor, the incarnation) or never (a body), so none pays for a
+  /// cycle of its own.
   template <typename EncodeFn>
   [[nodiscard]] Ticket enqueue_with(std::size_t shard, EncodeFn&& encode,
                                     bool wake_flusher = true) {
@@ -214,6 +251,11 @@ class GroupCommitter {
   /// Non-blocking durability probe.
   [[nodiscard]] bool is_durable(Ticket ticket) const;
 
+  /// The newest ticket handed out (0 before the first enqueue): once it is
+  /// durable, so is every entry queued before the call.  rpc::Service's
+  /// read barrier waits on it.
+  [[nodiscard]] Ticket issued() const;
+
   [[nodiscard]] Stats stats() const;
 
   /// Installs the post-flush hook (one subscriber; throws on a second).
@@ -236,9 +278,11 @@ class GroupCommitter {
   void block_until(Ticket ticket);
 
   /// The one queue insert: runs `fill` (which stages the entry) and takes
-  /// the next ticket under one mutex hold.
+  /// the next ticket under one mutex hold.  A reply floor the calling
+  /// thread's request scope owes this committer goes first.
   template <typename FillFn>
   [[nodiscard]] Ticket insert(FillFn&& fill, bool wake_flusher) {
+    RequestScope::enqueue_deferred(*this);
     bool wake;
     Ticket ticket;
     {
@@ -251,6 +295,9 @@ class GroupCommitter {
       // queue under the mutex before it ever sleeps again.
       wake = wake_flusher && flusher_waiting_;
       ticket = ++issued_;
+      if (wake_flusher) {
+        woken_ = ticket;
+      }
     }
     if (wake) {
       work_cv_.notify_one();
@@ -272,6 +319,7 @@ class GroupCommitter {
   std::uint64_t pending_records_ = 0;
   std::uint64_t pending_installs_ = 0;
   Ticket issued_ = 0;   // highest ticket handed out
+  Ticket woken_ = 0;    // highest ticket whose entry may start a cycle
   Ticket taken_ = 0;    // highest ticket a flush cycle has claimed
   Ticket durable_ = 0;  // highest ticket reported durable
   bool flusher_waiting_ = false;  // flusher parked on work_cv_ (see enqueue)

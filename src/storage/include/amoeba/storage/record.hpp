@@ -59,6 +59,8 @@ enum class RecordType : std::uint8_t {
                     // (storage/replication/replica.hpp)
   snapshot = 9,     // any stream: payload is a whole snapshot image (the
                     // encode_snapshot() bytes), lsn its applied LSN
+  incarnation = 10,  // reply stream only: the incarnation number a server
+                     // boot drew (storage/reply_stream.hpp)
 };
 
 /// Decoded journal record.  `payload` is the server-defined serialized

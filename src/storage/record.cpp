@@ -153,7 +153,7 @@ std::vector<Record> decode_journal(std::span<const std::uint8_t> journal,
     record.lsn = r.u64();
     record.payload = r.bytes();
     if (!r.ok() || record.type < RecordType::create ||
-        record.type > RecordType::snapshot) {
+        record.type > RecordType::incarnation) {
       if (torn_tail != nullptr) {
         *torn_tail = true;
       }

@@ -9,6 +9,9 @@
 namespace amoeba::storage {
 namespace {
 
+/// The snapshot slot that carries the incarnation; client rows use object 0.
+constexpr ObjectNumber kIncarnationSlot{1};
+
 void merge_row(ReplyRows& rows, std::uint32_t src, std::uint64_t client,
                std::uint64_t floor,
                std::vector<std::pair<std::uint64_t, Buffer>>&& bodies) {
@@ -65,6 +68,26 @@ void encode_reply_body(std::uint32_t src, std::uint64_t client,
                      payload.buffer(), out);
 }
 
+void encode_reply_incarnation(std::uint64_t incarnation, std::uint64_t lsn,
+                              Buffer& out) {
+  Writer payload;
+  payload.u64(incarnation);
+  encode_record_into(RecordType::incarnation, ObjectNumber{}, 0, lsn,
+                     payload.buffer(), out);
+}
+
+std::optional<std::uint64_t> decode_reply_incarnation(const Record& record) {
+  if (record.type != RecordType::incarnation) {
+    return std::nullopt;
+  }
+  Reader r(record.payload);
+  const std::uint64_t incarnation = r.u64();
+  if (!r.exhausted() || incarnation == 0) {
+    return std::nullopt;
+  }
+  return incarnation;
+}
+
 bool merge_reply_record(const Record& record, ReplyRows& rows) {
   if (record.type != RecordType::reply_floor &&
       record.type != RecordType::reply_body) {
@@ -85,10 +108,15 @@ bool merge_reply_record(const Record& record, ReplyRows& rows) {
   return true;
 }
 
-Buffer encode_reply_snapshot(const ReplyRows& rows,
-                             std::uint64_t applied_lsn) {
+Buffer encode_reply_snapshot(const ReplyRows& rows, std::uint64_t applied_lsn,
+                             std::uint64_t incarnation) {
   std::vector<SnapshotSlot> slots;
-  slots.reserve(rows.size());
+  slots.reserve(rows.size() + 1);
+  if (incarnation != 0) {
+    Writer w;
+    w.u64(incarnation);
+    slots.push_back({kIncarnationSlot, 0, w.take()});
+  }
   for (const auto& [key, row] : rows) {
     Writer w;
     w.u32(key.first);
@@ -105,7 +133,8 @@ Buffer encode_reply_snapshot(const ReplyRows& rows,
 }
 
 bool merge_reply_snapshot(std::span<const std::uint8_t> image,
-                          ReplyRows& rows, std::uint64_t& applied_lsn) {
+                          ReplyRows& rows, std::uint64_t& applied_lsn,
+                          std::uint64_t* incarnation) {
   std::vector<SnapshotSlot> slots;
   if (!decode_snapshot(image, slots, applied_lsn)) {
     applied_lsn = 0;
@@ -113,6 +142,13 @@ bool merge_reply_snapshot(std::span<const std::uint8_t> image,
   }
   for (const SnapshotSlot& slot : slots) {
     Reader r(slot.payload);
+    if (slot.object == kIncarnationSlot) {
+      const std::uint64_t number = r.u64();
+      if (r.exhausted() && incarnation != nullptr) {
+        *incarnation = std::max(*incarnation, number);
+      }
+      continue;  // malformed: skipped whole
+    }
     const std::uint32_t src = r.u32();
     const std::uint64_t client = r.u64();
     const std::uint64_t floor = r.u64();
@@ -125,18 +161,28 @@ bool merge_reply_snapshot(std::span<const std::uint8_t> image,
   return true;
 }
 
-ReplyRows read_reply_stream(const Backend& backend, std::uint64_t& last_lsn) {
+ReplyRows read_reply_stream(const Backend& backend, std::uint64_t& last_lsn,
+                            std::uint64_t* incarnation) {
   ReplyRows rows;
   const std::size_t stream = backend.reply_stream();
   std::uint64_t applied = 0;
-  if (!merge_reply_snapshot(backend.read_snapshot(stream), rows, applied)) {
+  std::uint64_t newest = 0;
+  if (!merge_reply_snapshot(backend.read_snapshot(stream), rows, applied,
+                            &newest)) {
     throw UsageError("reply stream: corrupt snapshot on recovery");
   }
   last_lsn = applied;
   // read_journal holds only the records above the image's LSN.
   for (const Record& record : decode_journal(backend.read_journal(stream))) {
-    (void)merge_reply_record(record, rows);  // malformed: skipped whole
+    if (const auto number = decode_reply_incarnation(record)) {
+      newest = std::max(newest, *number);
+    } else {
+      (void)merge_reply_record(record, rows);  // malformed: skipped whole
+    }
     last_lsn = std::max(last_lsn, record.lsn);
+  }
+  if (incarnation != nullptr) {
+    *incarnation = newest;
   }
   return rows;
 }

@@ -85,7 +85,7 @@ TEST(ResultTest, RvalueValueSurvivesRangeFor) {
 }
 
 TEST(ErrorTest, AllCodesHaveNames) {
-  for (int i = 0; i <= static_cast<int>(ErrorCode::internal); ++i) {
+  for (int i = 0; i <= static_cast<int>(ErrorCode::restarted); ++i) {
     EXPECT_STRNE(error_name(static_cast<ErrorCode>(i)), "unknown_error");
   }
 }

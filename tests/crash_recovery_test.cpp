@@ -15,6 +15,11 @@
 //     second replay changes nothing at all (exactly-once across the
 //     crash).
 //
+// A read needs no floor to survive a crash (docs/PROTOCOL.md §5.5): a
+// retransmitted read stamped with the killed server's incarnation is
+// answered `restarted` by its successor and re-issued by the transport,
+// so it runs once, under the new seq.
+//
 // The per-server restart paths (bank master re-mint, simulated-disk
 // rebuild, page-tree rebuild, memory-budget recompute) and a FileBackend
 // end-to-end round trip are covered at the bottom.
@@ -27,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -396,6 +402,71 @@ TEST_F(BankCrashSuite, RevocationHoldsAfterRestart) {
   EXPECT_TRUE(
       client_->balance(replacement.value(), currency::kDollar).ok());
   shutdown();
+}
+
+/// Handler executions of `op` on `service`.
+[[nodiscard]] std::uint64_t calls_of(const rpc::Service& service,
+                                     std::string_view op) {
+  for (const auto& metrics : service.op_metrics()) {
+    if (metrics.name == op) {
+      return metrics.calls;
+    }
+  }
+  return 0;
+}
+
+TEST(IncarnationTest, ReadRetransmittedAcrossAKillRunsOnceUnderANewSeq) {
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  auto volume = std::make_shared<storage::MemoryBackend>(16);
+  auto bank = std::make_unique<BankServer>(bank_machine, Port(0xBA33),
+                                           scheme(), 1, volume);
+  bank->start(2);
+  rpc::Transport transport(client_machine, 41);
+  transport.set_retransmit(10ms, 40ms);
+  BankClient client(transport, bank->put_port());
+  const core::Capability account = client.create_account().value();
+  ASSERT_TRUE(
+      client.mint(bank->master_capability(), account, currency::kDollar, 42)
+          .ok());
+  // The transport has heard the bank's incarnation: reads are stamped and
+  // journal nothing from here on.
+  ASSERT_EQ(client.balance(account, currency::kDollar).value(), 42);
+  const std::uint64_t killed = bank->incarnation();
+  const std::uint64_t floorless = bank->reply_cache_stats().floorless_claims;
+
+  // The read reaches the bank and runs; every reply is lost.
+  net.set_link_faults(bank_machine.id(), client_machine.id(), {.drop = 1.0});
+  auto read = rpc::call_async(transport, bank->put_port(), bank_ops::kBalance,
+                              account, {currency::kDollar});
+  for (int i = 0; i < 2'000 && calls_of(*bank, "bank.balance") < 2; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(calls_of(*bank, "bank.balance"), 2u);
+  EXPECT_EQ(bank->reply_cache_stats().floorless_claims, floorless + 1)
+      << "the read journaled a floor";
+
+  // SIGKILL: the volume keeps what was durable, the reply cache is gone.
+  const auto image = volume->capture();
+  bank.reset();
+  net.clear_link_faults();
+  bank = std::make_unique<BankServer>(bank_machine, Port(0xBA33), scheme(), 2,
+                                      image);
+  bank->start(2);
+  EXPECT_GT(bank->incarnation(), killed);
+
+  // The next retransmit names the killed incarnation and a seq the new
+  // bank never saw: refused, re-issued under a fresh seq, run once.
+  const auto answer = read.get();
+  ASSERT_TRUE(answer.ok()) << to_string(answer.error());
+  EXPECT_EQ(answer.value().balance, 42);
+  EXPECT_EQ(calls_of(*bank, "bank.balance"), 1u);
+  EXPECT_EQ(transport.stats().reissues, 1u);
+  // Later reads carry the new incarnation and run at once.
+  EXPECT_EQ(client.balance(account, currency::kDollar).value(), 42);
+  EXPECT_EQ(transport.stats().reissues, 1u);
+  EXPECT_EQ(calls_of(*bank, "bank.balance"), 2u);
 }
 
 // ---------------------------------------------------------------------

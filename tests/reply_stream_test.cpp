@@ -19,7 +19,13 @@
 //   * a handler's outgoing call never leaves before its effects do;
 //   * a shard compaction inside a handler waits on no flush, and its
 //     snapshot never leaves an effect without its floor, on the primary
-//     or on a backup that applied the shipped snapshot.
+//     or on a backup that applied the shipped snapshot;
+//   * a read journals nothing (§5.5): 1,000 balance calls leave a file
+//     volume untouched, a read racing a transfer whose flush fails never
+//     reports that transfer, and a read-through call still journals its
+//     floor before it leaves;
+//   * the incarnation survives a stream snapshot, a commit.log rewrite
+//     and a resync, and a promoted backup's server draws a higher one.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -47,11 +53,14 @@
 #include "amoeba/core/schemes.hpp"
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/batch.hpp"
+#include "amoeba/rpc/replication.hpp"
 #include "amoeba/rpc/server.hpp"
 #include "amoeba/rpc/transport.hpp"
 #include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/bank_server.hpp"
+#include "amoeba/servers/block_server.hpp"
 #include "amoeba/servers/common.hpp"
+#include "amoeba/servers/flat_file_server.hpp"
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/record.hpp"
@@ -504,9 +513,9 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
   base[{2, 20}].floor = 3;
   const std::vector<Buffer> bodies = {reply_body("a"), reply_body("bb")};
 
-  for (int iter = 0; iter < 3000; ++iter) {
+  for (int iter = 0; iter < 4000; ++iter) {
     storage::ReplyRows rows = base;
-    switch (iter % 3) {
+    switch (iter % 4) {
       case 0:
       case 1: {
         // One reply_floor / reply_body record with a mutated payload.
@@ -533,13 +542,49 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
         }
         break;
       }
+      case 2: {
+        // An incarnation record with a mutated payload: it names exactly
+        // its one nonzero u64 or nothing, and never touches a row.
+        std::vector<Field> payload = {{8, 1 + rng.below(9), {}}};
+        for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
+          mutate(payload, rng);
+        }
+        const Buffer bytes = serialize(payload);
+        Buffer framed;
+        storage::encode_record_into(storage::RecordType::incarnation,
+                                    ObjectNumber{}, 0, 1, bytes, framed);
+        for (const storage::Record& record : storage::decode_journal(framed)) {
+          const auto number = storage::decode_reply_incarnation(record);
+          const bool well_formed = payload.size() == 1 &&
+                                   payload[0].width == 8 &&
+                                   payload[0].value != 0;
+          EXPECT_EQ(number.has_value(), well_formed);
+          if (number.has_value()) {
+            EXPECT_EQ(*number, payload[0].value);
+          }
+          const storage::ReplyRows unchanged = rows;
+          EXPECT_FALSE(storage::merge_reply_record(record, rows));
+          EXPECT_TRUE(same_rows(rows, unchanged))
+              << "an incarnation made a row";
+        }
+        break;
+      }
       default: {
         // A reply-stream snapshot: mutate the header, a slot frame, or a
         // row inside a slot.
         std::vector<Field> image = {{4, 0x414D534Eu, {}},
                                     {2, 1, {}},
                                     {8, 40, {}},
-                                    {4, 2, {}}};
+                                    {4, 3, {}}};
+        std::vector<Field> incarnation_slot = {{8, 3 + rng.below(9), {}}};
+        if (rng.below(2) == 0) {
+          mutate(incarnation_slot, rng);
+        }
+        const Buffer number = serialize(incarnation_slot);
+        image.push_back({4, 1, {}});  // object 1: the incarnation
+        image.push_back({8, 0, {}});  // secret
+        image.push_back({4, number.size(), {}});
+        image.push_back({0, 0, number});
         for (int r = 0; r < 2; ++r) {
           std::vector<Field> row = row_fields(
               1, 10 + static_cast<std::uint64_t>(r), 5 + rng.below(5), bodies);
@@ -557,9 +602,14 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
         }
         const storage::ReplyRows unchanged = rows;
         std::uint64_t applied = 0;
-        if (!storage::merge_reply_snapshot(serialize(image), rows, applied)) {
+        constexpr std::uint64_t kKnown = 5;
+        std::uint64_t incarnation = kKnown;
+        if (!storage::merge_reply_snapshot(serialize(image), rows, applied,
+                                           &incarnation)) {
           EXPECT_TRUE(same_rows(rows, unchanged)) << "half-applied image";
+          EXPECT_EQ(incarnation, kKnown) << "half-applied image";
         }
+        EXPECT_GE(incarnation, kKnown) << "the incarnation moved backwards";
         break;
       }
     }
@@ -1398,6 +1448,316 @@ TEST(ReplyStreamTest, ShardSnapshotNeverHoldsAnEffectWithoutItsFloor) {
         << "a duplicate ran twice after restarting from the " << where
         << " image " << i;
   }
+}
+
+// ---------------------------------------------------------------------
+// A read touches no disk (docs/PROTOCOL.md §5.5).
+
+/// Handler executions of `op` on `service`.
+[[nodiscard]] std::uint64_t calls_of(const rpc::Service& service,
+                                     std::string_view op) {
+  for (const auto& metrics : service.op_metrics()) {
+    if (metrics.name == op) {
+      return metrics.calls;
+    }
+  }
+  return 0;
+}
+
+/// The number after `key=` in a std_info detail line.
+[[nodiscard]] std::uint64_t detail_value(const std::string& line,
+                                         const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key << " missing from: " << line;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(line.substr(at + key.size() + 2));
+}
+
+TEST(ReplyStreamTest, BalanceReadsLeaveAFileVolumeUntouched) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("amoeba_reads_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    net::Network net;
+    net::Machine& bank_machine = net.add_machine("bank");
+    net::Machine& client_machine = net.add_machine("client");
+    servers::BankServer bank(bank_machine, Port(0xBA78), scheme(), 1,
+                             std::make_shared<storage::FileBackend>(dir));
+    bank.start(2);
+    rpc::Transport transport(client_machine, 7);
+    servers::BankClient client(transport, bank.put_port());
+    const core::Capability account = client.create_account().value();
+    ASSERT_TRUE(client
+                    .mint(bank.master_capability(), account,
+                          servers::currency::kDollar, 5)
+                    .ok());
+    // A read may find the mint's reply body still queued: its barrier
+    // flushes it.  Once a read parks on nothing, the volume is idle.
+    for (int i = 0; i < 5; ++i) {
+      const std::uint64_t parks = bank.reply_cache_stats().barrier_parks;
+      ASSERT_EQ(client.balance(account, servers::currency::kDollar).value(), 5);
+      if (bank.reply_cache_stats().barrier_parks == parks) {
+        break;
+      }
+    }
+    const auto log = dir / "commit.log";
+    const std::uintmax_t size = std::filesystem::file_size(log);
+    const std::string before = bank.info_detail();
+    const rpc::Service::ReplyCacheStats stats = bank.reply_cache_stats();
+    constexpr int kReads = 1'000;
+    for (int i = 0; i < kReads; ++i) {
+      ASSERT_EQ(client.balance(account, servers::currency::kDollar).value(), 5)
+          << "read " << i;
+    }
+    const std::string after = bank.info_detail();
+    EXPECT_EQ(std::filesystem::file_size(log), size);
+    EXPECT_EQ(detail_value(after, "gc.groups"),
+              detail_value(before, "gc.groups"));
+    EXPECT_EQ(detail_value(after, "gc.records"),
+              detail_value(before, "gc.records"));
+    EXPECT_EQ(bank.reply_cache_stats().floorless_claims,
+              stats.floorless_claims + kReads);
+    EXPECT_EQ(bank.reply_cache_stats().barrier_parks, stats.barrier_parks);
+    EXPECT_EQ(detail_value(after, "reply.floorless_claims"),
+              stats.floorless_claims + kReads);
+    bank.stop();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReplyStreamTest, AReadRacingATransferWhoseFlushFailsNeverSeesIt) {
+  // The transfer's cycle is held in its backend write; the read that
+  // follows runs its handler and sees the new balance in memory.  The
+  // read journals nothing, so only the barrier -- the newest ticket
+  // issued, the transfer's -- keeps its reply in; the write then fails,
+  // and the read must answer `internal`, never the transferred balance.
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  auto volume = std::make_shared<GatedBackend>(16);
+  struct FailOnExit {  // a failed assertion must not leave the gate shut
+    GatedBackend& volume;
+    ~FailOnExit() { volume.open(/*fail=*/true); }
+  } fail_on_exit{*volume};
+  servers::BankServer bank(bank_machine, Port(0xBA79), scheme(), 1, volume);
+  bank.start(2);
+  rpc::Transport transport(client_machine, 11);
+  servers::BankClient client(transport, bank.put_port());
+  const core::Capability alice = client.create_account().value();
+  const core::Capability bob = client.create_account().value();
+  ASSERT_TRUE(client
+                  .mint(bank.master_capability(), alice,
+                        servers::currency::kDollar, 100)
+                  .ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(client.balance(bob, servers::currency::kDollar).value(), 0);
+  }
+  const std::uint64_t reads = calls_of(bank, "bank.balance");
+  const std::uint64_t parks = bank.reply_cache_stats().barrier_parks;
+
+  volume->close();
+  auto transfer =
+      rpc::call_async(transport, bank.put_port(), servers::bank_ops::kTransfer,
+                      alice, {servers::currency::kDollar, 30, bob});
+  ASSERT_TRUE(
+      eventually([&] { return calls_of(bank, "bank.transfer") == 1; }));
+  auto read =
+      rpc::call_async(transport, bank.put_port(), servers::bank_ops::kBalance,
+                      bob, {servers::currency::kDollar});
+  ASSERT_TRUE(
+      eventually([&] { return calls_of(bank, "bank.balance") == reads + 1; }));
+  EXPECT_FALSE(read.wait_for(100ms))
+      << "a read left before the transfer it saw was durable";
+  EXPECT_EQ(bank.reply_cache_stats().barrier_parks, parks + 1);
+  volume->open(/*fail=*/true);
+
+  const auto seen = read.get();
+  if (seen.ok()) {
+    ADD_FAILURE() << "the read answered ok, balance " << seen.value().balance;
+  } else {
+    EXPECT_EQ(seen.error(), ErrorCode::internal);
+  }
+  const auto moved = transfer.get();
+  EXPECT_FALSE(moved.ok());
+}
+
+TEST(ReplyStreamTest, AReadThroughCallJournalsItsFloorBeforeItLeaves) {
+  // A flat-file read writes nothing on the file server's volume; its one
+  // side effect is the call to the block server.  The floor it deferred
+  // must be durable before that call leaves the worker.
+  net::Network net;
+  net::Machine& block_machine = net.add_machine("blocks");
+  net::Machine& file_machine = net.add_machine("files");
+  net::Machine& client_machine = net.add_machine("client");
+  servers::BlockServer::Geometry geometry;
+  geometry.block_count = 64;
+  geometry.block_size = 64;
+  servers::BlockServer blocks(block_machine, Port(0xB10D), scheme(), 3,
+                              geometry);
+  blocks.start(1);
+  auto volume = std::make_shared<storage::MemoryBackend>(16);
+  servers::FlatFileServer files(file_machine, Port(0xF11F), scheme(), 4,
+                                blocks.put_port(), volume);
+  files.start(1);
+  rpc::Transport transport(client_machine, 13);
+  servers::FlatFileClient client(transport, files.put_port());
+  const core::Capability file = client.create().value();
+  ASSERT_TRUE(client.write(file, 0, bytes_of("read me")).ok());
+  ASSERT_TRUE(client.read(file, 0, 4).ok());  // stamped from here on
+
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<int> calls{0};
+  std::atomic<int> covered{0};
+  const std::pair<std::uint32_t, std::uint64_t> row_key{
+      client_machine.id().value(), transport.client_id()};
+  net::TapHandle tap = net.attach_tap([&](const net::TapRecord& record) {
+    if (record.kind != net::FrameKind::data) {
+      return;
+    }
+    if (record.src == client_machine.id() && record.dst == file_machine.id()) {
+      seq = record.message.header.seq;
+    } else if (record.src == file_machine.id() &&
+               record.dst == block_machine.id()) {
+      ++calls;
+      std::uint64_t last_lsn = 0;
+      const storage::ReplyRows rows =
+          storage::read_reply_stream(*volume, last_lsn);
+      const auto row = rows.find(row_key);
+      if (row != rows.end() && row->second.floor >= seq.load()) {
+        ++covered;
+      }
+    }
+  });
+  const std::uint64_t floorless = files.reply_cache_stats().floorless_claims;
+  const auto data = client.read(file, 0, 7);
+  tap = net::TapHandle();
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data.value(), bytes_of("read me"));
+  EXPECT_GT(calls.load(), 0) << "the read made no call to the block server";
+  EXPECT_EQ(covered.load(), calls.load())
+      << "a call left before the request's floor was durable";
+  EXPECT_EQ(files.reply_cache_stats().floorless_claims, floorless);
+}
+
+TEST(ReplyStreamTest, IncarnationSurvivesAStreamSnapshotAndALogRewrite) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("amoeba_incarnation_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& client_machine = net.add_machine("client");
+  const Port reply_get(0x5C5C);
+  net::Receiver replies = client_machine.listen(reply_get);
+  std::uint64_t first = 0;
+  {
+    auto volume = std::make_shared<storage::FileBackend>(dir, 2);
+    CountingService service(server_machine, Port(0xCBCB), volume, 16, 64);
+    first = service.incarnation();
+    EXPECT_GE(first, 1u);
+    service.start(1);
+    // Unstamped 1 KiB echoes journal floors and bodies: the stream
+    // outgrows its threshold and images itself, incarnation included.
+    const Buffer body(1024, 0x17);
+    for (std::uint64_t seq = 1; seq <= 300; ++seq) {
+      ASSERT_TRUE(client_machine.transmit(
+          stamped(service.put_port(), CountingService::kEcho, 0xABD, seq,
+                  reply_get, body),
+          server_machine.id()));
+      ASSERT_TRUE(replies.receive({}, 2'000ms).has_value()) << "seq " << seq;
+    }
+    // 9 MiB of object records cross the 8 MiB commit.log rewrite.
+    const Buffer payload(1 << 20, 0x2A);
+    for (std::uint64_t lsn = 1; lsn <= 9; ++lsn) {
+      Buffer record;
+      storage::encode_record_into(storage::RecordType::mutate,
+                                  ObjectNumber(1), 0, lsn, payload, record);
+      service.committer().wait_durable(service.committer().enqueue(0, record));
+    }
+    EXPECT_GE(volume->rewrite_stats().rewrites, 1u);
+    service.stop();
+  }
+  {
+    auto volume = std::make_shared<storage::FileBackend>(dir, 2);
+    // The boot's own record is folded away; the image carries the number.
+    const std::size_t stream = volume->reply_stream();
+    for (const storage::Record& record :
+         storage::decode_journal(volume->read_journal(stream))) {
+      EXPECT_NE(record.type, storage::RecordType::incarnation)
+          << "the stream never imaged the incarnation record";
+    }
+    storage::ReplyRows rows;
+    std::uint64_t applied = 0;
+    std::uint64_t imaged = 0;
+    ASSERT_TRUE(storage::merge_reply_snapshot(volume->read_snapshot(stream),
+                                              rows, applied, &imaged));
+    EXPECT_EQ(imaged, first);
+    CountingService service(server_machine, Port(0xCBCB), volume, 16, 64);
+    EXPECT_EQ(service.incarnation(), first + 1);
+  }
+  {
+    // The second boot's record, never imaged, rides the log alone.
+    auto volume = std::make_shared<storage::FileBackend>(dir, 2);
+    CountingService service(server_machine, Port(0xCBCB), volume, 16, 64);
+    EXPECT_EQ(service.incarnation(), first + 2);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReplyStreamTest, IncarnationSurvivesAResyncAndPromotionDrawsAboveIt) {
+  net::Network net;
+  net::Machine& primary_machine = net.add_machine("primary");
+  net::Machine& backup_machine = net.add_machine("backup");
+  net::Machine& client_machine = net.add_machine("client");
+  const Port reply_get(0x5D5D);
+  net::Receiver replies = client_machine.listen(reply_get);
+  const auto echo = [&](rpc::Service& service, std::uint64_t client) {
+    ASSERT_TRUE(client_machine.transmit(
+        stamped(service.put_port(), CountingService::kEcho, client, 1,
+                reply_get),
+        service.machine().id()));
+    ASSERT_TRUE(replies.receive({}, 2'000ms).has_value());
+  };
+  auto primary_volume = std::make_shared<storage::MemoryBackend>(2);
+  std::uint64_t first = 0;
+  {
+    CountingService boot(primary_machine, Port(0xCDCD), primary_volume, 16,
+                         64);
+    first = boot.incarnation();
+    boot.start(1);
+    echo(boot, 0xE1);
+  }
+  // A backup attaches after the fact: the attach resync brings it the
+  // first boot's incarnation with the rest of the stream.
+  rpc::ReplicaServer replica(backup_machine, Port(0x7B02), scheme(), 13,
+                             std::make_shared<storage::MemoryBackend>(2));
+  replica.start(1);
+  const auto backup_incarnation = [&] {
+    std::uint64_t last_lsn = 0;
+    std::uint64_t incarnation = 0;
+    (void)storage::read_reply_stream(*replica.backend(), last_lsn,
+                                     &incarnation);
+    return incarnation;
+  };
+  std::uint64_t second = 0;
+  {
+    auto replicated = rpc::replicate_to(
+        primary_volume, storage::AckMode::ack_one, primary_machine, 17,
+        {{"backup", replica.volume_capability()}});
+    EXPECT_TRUE(eventually([&] { return backup_incarnation() == first; }))
+        << "the resync lost the incarnation: " << backup_incarnation();
+    CountingService boot(primary_machine, Port(0xCDCD), replicated, 16, 64);
+    second = boot.incarnation();
+    EXPECT_EQ(second, first + 1);
+    boot.start(1);
+    echo(boot, 0xE2);  // ack-one: its reply waited for the backup
+    EXPECT_EQ(backup_incarnation(), second);
+  }
+  rpc::Transport transport(client_machine, 19);
+  ASSERT_TRUE(rpc::rep_promote(transport, replica.volume_capability()).ok());
+  CountingService promoted(backup_machine, Port(0xCDCD), replica.backend(), 16,
+                           64);
+  EXPECT_GT(promoted.incarnation(), second);
 }
 
 }  // namespace

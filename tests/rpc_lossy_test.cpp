@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/bank_server.hpp"
 #include "amoeba/servers/common.hpp"
+#include "amoeba/storage/backend.hpp"
 #include "test_seed.hpp"
 
 namespace amoeba::servers {
@@ -345,6 +349,94 @@ TEST_F(LossySuite, ReplyCacheWindowEvictsAndFlushes) {
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.clients, 0u);
   EXPECT_TRUE(client_->transfer(alice_, bob_, currency::kDollar, 1).ok());
+}
+
+/// Handler executions of `op` on `service`.
+[[nodiscard]] std::uint64_t calls_of(const rpc::Service& service,
+                                     std::string_view op) {
+  for (const auto& metrics : service.op_metrics()) {
+    if (metrics.name == op) {
+      return metrics.calls;
+    }
+  }
+  return 0;
+}
+
+TEST(LossyRestartTest, DuplicatedFirstCopyAfterARestartNeverRuns) {
+  // A fresh transport's first request to a server carries no incarnation
+  // (it has heard none), so only its floor -- journaled at claim, before
+  // the handler, for exactly that reason -- tells a late duplicate of it
+  // from a new request.  The network duplicates every request frame; one
+  // copy of each first request is replayed after a crash and restart, and
+  // neither the write (create_account) nor the read (balance) runs again.
+  net::Network net(net::Network::Config{.seed = test::seed_base(17) + 5});
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  Rng rng(test::seed_base(17) + 6);
+  const std::shared_ptr<const core::ProtectionScheme> scheme =
+      core::make_scheme(core::SchemeKind::commutative, rng);
+  constexpr Port kPort{0x10AE};
+  auto volume = std::make_shared<storage::MemoryBackend>(16);
+  auto bank =
+      std::make_unique<BankServer>(bank_machine, kPort, scheme, 1, volume);
+  bank->start(2);
+  const Port put_port = bank->put_port();
+  core::Capability account;
+  {
+    rpc::Transport setup(client_machine, test::seed_base(17) + 7);
+    BankClient client(setup, put_port);
+    account = client.create_account().value();
+    ASSERT_TRUE(client
+                    .mint(bank->master_capability(), account,
+                          currency::kDollar, 9)
+                    .ok());
+  }
+
+  std::mutex tapped_mutex;
+  std::map<std::uint64_t, net::Message> first_copies;  // by client id
+  net::TapHandle tap = net.attach_tap([&](const net::TapRecord& record) {
+    if (record.kind == net::FrameKind::data &&
+        record.src == client_machine.id() &&
+        record.dst == bank_machine.id()) {
+      const std::lock_guard lock(tapped_mutex);
+      first_copies.try_emplace(record.message.header.client, record.message);
+    }
+  });
+  net.set_link_faults(client_machine.id(), bank_machine.id(),
+                      {.duplicate = 1.0});
+  rpc::Transport writer(client_machine, test::seed_base(17) + 8);
+  rpc::Transport reader(client_machine, test::seed_base(17) + 9);
+  ASSERT_TRUE(BankClient(writer, put_port).create_account().ok());
+  ASSERT_EQ(BankClient(reader, put_port).balance(account, currency::kDollar)
+                .value(),
+            9);
+  net.clear_link_faults();
+  tap = net::TapHandle();
+  ASSERT_EQ(first_copies.size(), 2u);
+  for (const auto& [client, copy] : first_copies) {
+    EXPECT_EQ(copy.header.incarnation, 0u) << "a first copy was stamped";
+  }
+  // The duplicates that arrived in time were suppressed already.
+  EXPECT_GE(bank->reply_cache_stats().duplicates_suppressed, 2u);
+
+  // Crash, restart on what the volume held, and deliver the late copies.
+  const auto image = volume->capture();
+  bank.reset();
+  bank = std::make_unique<BankServer>(bank_machine, kPort, scheme, 2, image);
+  bank->start(2);
+  for (const auto& [client, copy] : first_copies) {
+    ASSERT_TRUE(client_machine.transmit(copy, bank_machine.id()));
+  }
+  for (int i = 0;
+       i < 2'000 && bank->reply_cache_stats().duplicates_suppressed < 2; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(bank->reply_cache_stats().duplicates_suppressed, 2u);
+  EXPECT_EQ(calls_of(*bank, "bank.create_account"), 0u)
+      << "a late duplicate of a first write ran after the restart";
+  EXPECT_EQ(calls_of(*bank, "bank.balance"), 0u)
+      << "a late duplicate of a first read ran after the restart";
+  EXPECT_EQ(bank->requests_served(), 0u);
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ TEST(RecordCodec, DeltaRecordRoundTrips) {
   // One past the last known type is rejected, ending the parse.
   Buffer bad;
   encode_record({static_cast<RecordType>(
-                     static_cast<std::uint8_t>(RecordType::snapshot) + 1),
+                     static_cast<std::uint8_t>(RecordType::incarnation) + 1),
                  ObjectNumber(1), 0, 1, {}},
                 bad);
   torn = false;
@@ -419,19 +419,36 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
                 static_cast<std::streamsize>(bytes.size()));
     };
     // Which groups the volume recovers: 1, 2, or 0 for anything else.
+    // Then the recovered program runs forward (ALICE, Pillai et al., OSDI
+    // 2014): reopen, append a group, reopen -- the new group must recover
+    // on top of exactly what the first open did, never behind bad bytes.
     const auto recovered_groups = [&] {
-      const FileBackend backend(dir, 2);
-      if (backend.read_snapshot(0).empty() &&
-          backend.read_journal(0) == frame(1, 1) &&
-          backend.read_journal(1) == frame(2, 1)) {
-        return 1;
+      int groups = 0;
+      std::vector<Buffer> before;
+      {
+        FileBackend backend(dir, 2);
+        if (backend.read_snapshot(0).empty() &&
+            backend.read_journal(0) == frame(1, 1) &&
+            backend.read_journal(1) == frame(2, 1)) {
+          groups = 1;
+        } else if (backend.read_snapshot(0) == image &&
+                   backend.read_journal(0) == frame(3, 3) &&
+                   backend.read_journal(1) == frame(2, 1) + frame(4, 2)) {
+          groups = 2;
+        }
+        for (std::size_t s = 0; s < 2; ++s) {
+          before.push_back(backend.read_stream(s));
+        }
+        std::vector<ShardAppend> next;
+        next.push_back({0, frame(5, 8)});
+        next.push_back({1, frame(6, 8)});
+        backend.append_journal_batch(std::move(next));
       }
-      if (backend.read_snapshot(0) == image &&
-          backend.read_journal(0) == frame(3, 3) &&
-          backend.read_journal(1) == frame(2, 1) + frame(4, 2)) {
-        return 2;
-      }
-      return 0;
+      const FileBackend reopened(dir, 2);
+      EXPECT_EQ(reopened.read_stream(0), before[0] + frame(5, 8))
+          << "the group appended after recovery was lost";
+      EXPECT_EQ(reopened.read_stream(1), before[1] + frame(6, 8));
+      return groups;
     };
 
     // Torn write: the crash image ends anywhere inside the second frame.
@@ -458,6 +475,58 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CommitLogTest, TornTailIsCutBeforeTheNextAppend) {
+  // A power loss tears the last group frame.  The restarted writer's next
+  // group must not land behind the torn bytes, where recovery -- which
+  // stops at the tear -- would never reach it: the open cuts the log back
+  // to its intact prefix first.
+  const auto dir = fresh_dir("commit-torn-append");
+  const auto log = dir / "commit.log";
+  {
+    FileBackend backend(dir, 1);
+    backend.append_journal(0, frame(1, 1));
+    backend.append_journal(0, frame(2, 2));
+  }
+  const auto first_two = std::filesystem::file_size(log);
+  std::filesystem::resize_file(log, first_two - 3);
+  {
+    FileBackend backend(dir, 1);
+    EXPECT_EQ(backend.read_journal(0), frame(1, 1));
+    backend.append_journal(0, frame(3, 3));
+  }
+  {
+    const FileBackend backend(dir, 1);
+    EXPECT_EQ(backend.read_journal(0), frame(1, 1) + frame(3, 3))
+        << "an acknowledged group sits behind the torn bytes";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CommitLogTest, GroupNamingAMissingStreamIsRefusedNotCut) {
+  // Written with four shards, opened with two: the third stream's intact
+  // group is no crash artifact, so the volume is refused by name and not
+  // one byte is cut.
+  const auto dir = fresh_dir("commit-wrong-shards");
+  const auto log = dir / "commit.log";
+  {
+    FileBackend backend(dir, 4);
+    backend.append_journal(0, frame(1, 1));
+    backend.append_journal(3, frame(2, 1));
+  }
+  const auto size = std::filesystem::file_size(log);
+  try {
+    const FileBackend backend(dir, 2);
+    ADD_FAILURE() << "a volume with a foreign stream opened";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("commit.log"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("stream 3"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(std::filesystem::file_size(log), size);
+  std::filesystem::remove_all(dir);
+}
+
 /// The snapshot records in a record run.
 [[nodiscard]] std::size_t images_in(std::span<const std::uint8_t> run) {
   std::size_t images = 0;
@@ -477,7 +546,10 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   // checksums so the bend reaches the decoders.  Recovery must never
   // crash, and the volume reads back as the first group alone or as both
   // groups whole: exactly what a memory volume holds after the same
-  // groups.  AMOEBA_TEST_SEED picks the bends.
+  // groups.  A sealed group that names a stream the volume lacks is no
+  // crash artifact but a wrong shard count: the volume is refused by
+  // name, and its log is left as it was.  AMOEBA_TEST_SEED picks the
+  // bends.
   Rng rng(test::seed_base(20) * 0x9E3779B97F4A7C15ULL + 20);
   const auto dir = fresh_dir("commit-image-fuzz");
   const auto log = dir / "commit.log";
@@ -533,6 +605,7 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   };
   int whole = 0;
   int dropped = 0;
+  int refused = 0;
   for (int iter = 0; iter < 400; ++iter) {
     Buffer bent = pristine;
     for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
@@ -580,10 +653,12 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
     }
     put_u32(bent, 4, frame_checksum(std::span(bent).subspan(8)));
     std::vector<ShardAppend> decoded;
-    const bool decodes =
-        decode_group_body(std::span(bent).subspan(8), decoded) &&
-        std::all_of(decoded.begin(), decoded.end(),
-                    [](const ShardAppend& a) { return a.shard < 3; });
+    const bool parses = decode_group_body(std::span(bent).subspan(8), decoded);
+    const bool foreign =
+        parses &&
+        std::any_of(decoded.begin(), decoded.end(),
+                    [](const ShardAppend& a) { return a.shard >= 3; });
+    const bool decodes = parses && !foreign;
     MemoryBackend reference(2);
     reference.append_journal_batch(std::vector<ShardAppend>(first));
     if (decodes) {
@@ -594,6 +669,17 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
       const Buffer bytes = base + bent;
       out.write(reinterpret_cast<const char*>(bytes.data()),
                 static_cast<std::streamsize>(bytes.size()));
+    }
+    if (foreign) {
+      EXPECT_THROW(FileBackend(dir, 2), UsageError);
+      EXPECT_EQ(std::filesystem::file_size(log), base.size() + bent.size())
+          << "a refused volume was cut";
+      ++refused;
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "iteration " << iter << " (seed base " << test::seed_base(20)
+               << ")";
+      }
+      continue;
     }
     const FileBackend recovered(dir, 2);
     for (std::size_t s = 0; s < recovered.stream_count(); ++s) {
@@ -610,9 +696,11 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
              << ")";
     }
   }
-  // Neither outcome was vacuous.
+  // Neither recovery outcome was vacuous.
   EXPECT_GT(whole, 0);
   EXPECT_GT(dropped, 0);
+  std::printf("bent frames: %d whole, %d dropped, %d refused\n", whole,
+              dropped, refused);
   std::filesystem::remove_all(dir);
 }
 
