@@ -16,8 +16,9 @@
 //     wait after every record vs. a pipelined window, on MemoryBackend and
 //     FileBackend,
 //   * pair mutation (the bank-transfer shape, one atomic append group),
-//   * recovery time vs. journal length (and with compaction folding the
-//     log into snapshots -- the log-length knee is the point of E14).
+//   * recovery time vs. journal length (and with checkpoints starting the
+//     log afresh from snapshots -- the log-length knee is the point of
+//     E14).
 //
 // The contrast report at the end prints the durable/in-memory ratios,
 // appends one stamped JSON line to BENCH_durability.json (in the working
@@ -25,7 +26,7 @@
 // CI's bench-smoke catches a regression: grouped FileBackend must beat
 // per-record FileBackend per op, and the grouped mutator thread must
 // issue no blocking write or fsync of its own (the flusher writes the
-// journal and installs every compaction snapshot).
+// journal and every checkpoint).
 //
 // Knobs:
 //   --smoke               token repetitions + reduced contrast ops (CI)
@@ -74,8 +75,7 @@ struct Payload {
 
 /// A group-committed store on `backend`; in-memory when it is null.
 [[nodiscard]] core::Durability<Payload> codec(
-    const std::shared_ptr<storage::Backend>& backend,
-    std::size_t compact_after = 16384) {
+    const std::shared_ptr<storage::Backend>& backend) {
   if (backend == nullptr) {
     return {};
   }
@@ -90,16 +90,14 @@ struct Payload {
     p.b = r.u64();
     return r.ok();
   };
-  d.compact_after = compact_after;
   return d;
 }
 
 struct Rig {
-  explicit Rig(const std::shared_ptr<storage::Backend>& backend,
-               std::size_t compact_after = 16384) {
+  explicit Rig(const std::shared_ptr<storage::Backend>& backend) {
     store = std::make_unique<core::ObjectStore<Payload>>(
         scheme(), kPort, 17, core::ObjectStore<Payload>::kDefaultShards,
-        codec(backend, compact_after));
+        codec(backend));
     caps.reserve(kObjects);
     for (int i = 0; i < kObjects; ++i) {
       caps.push_back(store->create({static_cast<std::uint64_t>(i), 0}));
@@ -242,15 +240,15 @@ void BM_PairMutateJournaled(benchmark::State& state) {
 BENCHMARK(BM_PairMutateJournaled);
 
 /// Recovery time as a function of journal length: Arg = mutations
-/// journaled before the "crash".  The paired /Compacted variant folds the
-/// log every 512 records, so recovery replays snapshots + a short tail.
-void recovery_bench(benchmark::State& state, std::size_t compact_after) {
+/// journaled before the "crash".  The paired /Checkpointed variant takes a
+/// checkpoint every 512 records, so recovery replays snapshots + a short
+/// tail.
+void recovery_bench(benchmark::State& state, int checkpoint_every) {
   const int mutations = static_cast<int>(state.range(0));
   const std::shared_ptr<storage::Backend> backend =
       std::make_shared<storage::MemoryBackend>(16);
   {
-    core::ObjectStore<Payload> store(scheme(), kPort, 17, 16,
-                                     codec(backend, compact_after));
+    core::ObjectStore<Payload> store(scheme(), kPort, 17, 16, codec(backend));
     std::vector<core::Capability> caps;
     for (int i = 0; i < 256; ++i) {
       caps.push_back(store.create({static_cast<std::uint64_t>(i), 0}));
@@ -262,13 +260,15 @@ void recovery_bench(benchmark::State& state, std::size_t compact_after) {
       ++opened.value().value->b;
       opened.value().mark_dirty();
       ticket = opened.value().release_async();
+      if (checkpoint_every != 0 && (i + 1) % checkpoint_every == 0) {
+        store.compact();
+      }
     }
     store.wait_durable(ticket);
   }
   std::uint64_t recovered = 0;
   for (auto _ : state) {
-    core::ObjectStore<Payload> store(scheme(), kPort, 18, 16,
-                                     codec(backend, compact_after));
+    core::ObjectStore<Payload> store(scheme(), kPort, 18, 16, codec(backend));
     recovered = store.live_count();
     benchmark::DoNotOptimize(recovered);
   }
@@ -277,20 +277,26 @@ void recovery_bench(benchmark::State& state, std::size_t compact_after) {
 }
 
 void BM_RecoveryVsLogLength(benchmark::State& state) {
-  recovery_bench(state, /*compact_after=*/1 << 30);  // never auto-compact
+  recovery_bench(state, /*checkpoint_every=*/0);  // never checkpoint
 }
 BENCHMARK(BM_RecoveryVsLogLength)->Arg(1024)->Arg(8192)->Arg(65536);
 
-void BM_RecoveryVsLogLengthCompacted(benchmark::State& state) {
-  recovery_bench(state, /*compact_after=*/512);
+void BM_RecoveryVsLogLengthCheckpointed(benchmark::State& state) {
+  recovery_bench(state, /*checkpoint_every=*/512);
 }
-BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
+BENCHMARK(BM_RecoveryVsLogLengthCheckpointed)
+    ->Arg(1024)
+    ->Arg(8192)
+    ->Arg(65536);
 
 /// One pure-mutate timing: `ops` mutations through the pipelined release
 /// path, waiting once per `window` releases (an in-memory store returns
 /// ticket 0, so the same loop shape serves every mode -- the comparison
-/// stays apples-to-apples).  A window of 1 is the per-record shape.
-[[nodiscard]] double timed_mutates(Rig& rig, int ops, int window = kWindow) {
+/// stays apples-to-apples).  A window of 1 is the per-record shape.  A
+/// nonzero `checkpoint_every` requests a checkpoint of the volume after
+/// every that many releases.
+[[nodiscard]] double timed_mutates(Rig& rig, int ops, int window = kWindow,
+                                   int checkpoint_every = 0) {
   Rng rng(1);
   return amoeba::bench::timed_ms([&] {
     std::uint64_t ticket = 0;
@@ -304,6 +310,9 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
       if (++outstanding >= window) {
         rig.store->wait_durable(ticket);
         outstanding = 0;
+      }
+      if (checkpoint_every != 0 && (i + 1) % checkpoint_every == 0) {
+        rig.store->compact();
       }
     }
     rig.store->wait_durable(ticket);
@@ -346,9 +355,9 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
     return ms;
   }();
   // The grouped leg also counts the mutator thread's own blocking
-  // write/fsync calls: the flusher writes the commit log and installs the
-  // compaction snapshots, so there must be none.  Smoke's shorter run
-  // compacts sooner, so that it too installs snapshots.
+  // write/fsync calls: the flusher writes the commit log and every
+  // checkpoint, so there must be none.  The leg requests four
+  // checkpoints, so smoke's shorter run images the store too.
   double grouped_file_ms = 0;
   storage::GroupCommitter::Stats flusher_stats;
   std::uint64_t mutator_blocked_syscalls = 0;
@@ -356,10 +365,9 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
     const auto dir = tmp / "amoeba-e14-grouped";
     std::filesystem::remove_all(dir);
     {
-      Rig rig(std::make_shared<storage::FileBackend>(dir, 16),
-              smoke ? 2048 : 16384);
+      Rig rig(std::make_shared<storage::FileBackend>(dir, 16));
       const storage::IoCounters before = storage::this_thread_io_counters();
-      grouped_file_ms = timed_mutates(rig, ops);
+      grouped_file_ms = timed_mutates(rig, ops, kWindow, ops / 4);
       const storage::IoCounters after = storage::this_thread_io_counters();
       mutator_blocked_syscalls = (after.writes - before.writes) +
                                  (after.fsyncs - before.fsyncs);
@@ -380,8 +388,9 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
       "cycle per record, %d ops)\n"
       "  grouped,      FileBackend     : %9.1f ms  (%6.2f us/op, window "
       "%d)\n"
-      "  flusher: %llu groups, %llu records, %llu installs, max group "
-      "%llu; %llu blocking mutator syscalls (must be 0)\n"
+      "  flusher: %llu groups, %llu records, %llu checkpoints, %llu "
+      "installs, max group %llu; %llu blocking mutator syscalls (must be "
+      "0)\n"
       "  grouped-file / in-memory      : %9.2fx  (acceptance bar: <= "
       "1.5x)%s\n"
       "  grouped-file / per-record-file: %9.3fx per op (must be < 1)\n",
@@ -391,6 +400,7 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
       per_op_grouped_file_us, kWindow,
       static_cast<unsigned long long>(flusher_stats.groups),
       static_cast<unsigned long long>(flusher_stats.records),
+      static_cast<unsigned long long>(flusher_stats.checkpoints),
       static_cast<unsigned long long>(flusher_stats.installs),
       static_cast<unsigned long long>(flusher_stats.max_group),
       static_cast<unsigned long long>(mutator_blocked_syscalls),
@@ -408,12 +418,14 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
         "\"per_record_file_us_per_op\": %.3f, \"grouped_file_ms\": %.3f, "
         "\"grouped_file_us_per_op\": %.3f, "
         "\"grouped_file_vs_in_memory\": %.3f, \"flush_groups\": %llu, "
-        "\"flush_installs\": %llu, \"max_group\": %llu, "
+        "\"flush_checkpoints\": %llu, \"flush_installs\": %llu, "
+        "\"max_group\": %llu, "
         "\"mutator_blocked_syscalls\": %llu}\n",
         bench::to_json(stamp).c_str(), ops, kWindow, memory_ms,
         grouped_mem_ms, per_op_per_record_file_us, grouped_file_ms,
         per_op_grouped_file_us, headline,
         static_cast<unsigned long long>(flusher_stats.groups),
+        static_cast<unsigned long long>(flusher_stats.checkpoints),
         static_cast<unsigned long long>(flusher_stats.installs),
         static_cast<unsigned long long>(flusher_stats.max_group),
         static_cast<unsigned long long>(mutator_blocked_syscalls));
@@ -423,7 +435,7 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
   // The enforced invariants.  Group commit must beat a flush cycle per
   // record per op (the 1.5x headline is reported above; it is load- and
   // disk-dependent, so only the ordering is enforced, which a broken
-  // flusher cannot fake), and no compaction may write from the mutator.
+  // flusher cannot fake), and no checkpoint may write from the mutator.
   int status = 0;
   if (per_op_grouped_file_us >= per_op_per_record_file_us) {
     std::fprintf(stderr,
@@ -435,7 +447,7 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
   if (mutator_blocked_syscalls != 0 || flusher_stats.installs == 0) {
     std::fprintf(stderr,
                  "E14 FAIL: the grouped mutator thread issued %llu blocking "
-                 "write/fsync calls across %llu snapshot installs (must be "
+                 "write/fsync calls across %llu checkpoint images (must be "
                  "0 across at least one)\n",
                  static_cast<unsigned long long>(mutator_blocked_syscalls),
                  static_cast<unsigned long long>(flusher_stats.installs));

@@ -84,13 +84,14 @@
 // ticket as a future and wait through ShardedObjectStore::wait_durable()
 // later.
 //
-// Shards self-compact: after `compact_after` records a shard serializes
-// its live slots into a snapshot image and queues it behind its records
-// as a snapshot record (GroupCommitter::install_snapshot); the flusher
-// writes it with its cycle, so the mutator never writes the volume
-// itself.  The recovery constructor (a committer whose volume is
-// non-empty) replays snapshot-then-journal to rebuild every shard --
-// secrets, payloads, free lists -- tolerating a torn final record.
+// A durable store is its shards' imager at the volume's checkpoints
+// (GroupCommitter::add_imager): the committer's flusher asks it, between
+// two cycles, to serialize each shard's live slots under the shard lock
+// and queue the image there; the checkpoint frame that carries the images
+// starts a fresh log, so the mutator never writes the volume itself.  The
+// recovery constructor (a committer whose volume is non-empty) replays
+// snapshot-then-journal to rebuild every shard -- secrets, payloads, free
+// lists -- tolerating a torn final record.
 #pragma once
 
 #include <algorithm>
@@ -100,6 +101,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
@@ -141,9 +143,6 @@ struct Durability {
   /// here.  Never called on the live operation paths, where handlers
   /// already manage those resources explicitly.
   std::function<void(T&)> dispose;
-  /// Journal records a shard absorbs before it folds them into a fresh
-  /// snapshot (log compaction); 0 disables auto-compaction.
-  std::size_t compact_after = 4096;
 };
 
 template <typename T>
@@ -188,6 +187,17 @@ class ShardedObjectStore {
     }
     if (durable() && !volume().empty()) {
       recover();
+    }
+    if (durable()) {
+      std::vector<std::size_t> streams(shards);
+      std::iota(streams.begin(), streams.end(), std::size_t{0});
+      imager_ = durability_.committer->add_imager(std::move(streams), [this] {
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+          Shard& shard = *shards_[s];
+          const std::unique_lock lock(shard.mutex);
+          snapshot_shard_locked(s, shard);
+        }
+      });
     }
   }
 
@@ -834,20 +844,13 @@ class ShardedObjectStore {
     }
   }
 
-  /// Folds every shard's journal into a fresh snapshot now (manual log
-  /// compaction; also what a clean shutdown would call) and waits until
-  /// the images are installed.  No-op for in-memory stores.
+  /// Takes a checkpoint of the store's volume now (manual log compaction;
+  /// also what a clean shutdown would call) and waits until it is durable.
+  /// No-op for in-memory stores.
   void compact() {
-    if (!durable()) {
-      return;
+    if (durable()) {
+      durability_.committer->checkpoint();
     }
-    std::uint64_t ticket = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = *shards_[s];
-      const std::unique_lock lock(shard.mutex);
-      ticket = snapshot_shard_locked(s, shard);
-    }
-    wait_durable(ticket);
   }
 
   [[nodiscard]] std::size_t live_count() const {
@@ -968,7 +971,6 @@ class ShardedObjectStore {
     Rng rng;
     // Durability state, all guarded by mutex.
     std::uint64_t lsn = 0;            // last journal LSN issued
-    std::uint64_t records_pending = 0;  // records since the last snapshot
     std::uint64_t journal_records = 0;
     std::uint64_t journal_bytes = 0;
     std::uint64_t snapshots = 0;
@@ -1199,7 +1201,6 @@ class ShardedObjectStore {
                                 shard.scratch_frame);
     shard.journal_bytes += shard.scratch_frame.size();
     ++shard.journal_records;
-    ++shard.records_pending;
     return shard.scratch_frame;
   }
 
@@ -1229,7 +1230,6 @@ class ShardedObjectStore {
       std::span<const std::uint8_t> payload) {
     const std::uint64_t lsn = ++shard.lsn;
     ++shard.journal_records;
-    ++shard.records_pending;
     std::size_t framed = 0;
     const std::uint64_t ticket =
         durability_.committer->enqueue_with(s, [&](Buffer& staging) {
@@ -1239,12 +1239,11 @@ class ShardedObjectStore {
           framed = staging.size() - before;
         });
     shard.journal_bytes += framed;
-    maybe_compact_locked(s, shard);
     return ticket;
   }
 
-  /// Appends one record to the shard's journal and runs the compaction
-  /// check.  No-op for an in-memory store (returns 0).
+  /// Appends one record to the shard's journal.  No-op for an in-memory
+  /// store (returns 0).
   [[nodiscard]] std::uint64_t journal_locked(std::size_t s, Shard& shard,
                                              storage::RecordType type,
                                              ObjectNumber object,
@@ -1333,28 +1332,11 @@ class ShardedObjectStore {
       return 0;
     }
     // One enqueue_group: no flush-cycle boundary can split the pair.
-    const std::uint64_t ticket =
-        durability_.committer->enqueue_group(std::move(group));
-    for (Opened* member : {&a, &b}) {
-      if (member->value != nullptr && member->store_ != nullptr) {
-        const std::size_t s = shard_index(member->object);
-        maybe_compact_locked(s, *shards_[s]);
-      }
-    }
-    return ticket;
-  }
-
-  /// Auto-compaction waits on nothing: the image rides the queue behind
-  /// the records it folds, and no caller's durability depends on it.
-  void maybe_compact_locked(std::size_t s, Shard& shard) {
-    if (durability_.compact_after != 0 &&
-        shard.records_pending >= durability_.compact_after) {
-      (void)snapshot_shard_locked(s, shard);
-    }
+    return durability_.committer->enqueue_group(std::move(group));
   }
 
   /// Serializes the shard's live slots into a snapshot image and queues
-  /// it for the flusher; returns its ticket.  Caller holds the shard
+  /// it for the flusher (the checkpoint imager).  Caller holds the shard
   /// mutex.
   ///
   /// Records are LSN-stamped at frame time under this same lock and
@@ -1363,9 +1345,9 @@ class ShardedObjectStore {
   /// reply-stream floors of their requests, which were enqueued earlier
   /// still -- land in the image's group or an earlier one, so no crash
   /// image and no backup ever holds an effect without its floor.  Records
-  /// framed after the image carry larger LSNs and stay live beside it.
-  [[nodiscard]] std::uint64_t snapshot_shard_locked(std::size_t s,
-                                                    Shard& shard) {
+  /// framed after the image carry larger LSNs and ride its checkpoint
+  /// cycle or a later one, beside it in the fresh log.
+  void snapshot_shard_locked(std::size_t s, Shard& shard) {
     std::vector<storage::SnapshotSlot> slots;
     const std::uint32_t limit =
         shard.slot_limit.load(std::memory_order_relaxed);
@@ -1383,9 +1365,8 @@ class ShardedObjectStore {
       image.payload = w.take();
       slots.push_back(std::move(image));
     }
-    shard.records_pending = 0;
     ++shard.snapshots;
-    return durability_.committer->install_snapshot(
+    (void)durability_.committer->install_snapshot(
         s, storage::encode_snapshot(slots, shard.lsn));
   }
 
@@ -1534,7 +1515,6 @@ class ShardedObjectStore {
         break;
       case storage::RecordType::reply_floor:
       case storage::RecordType::reply_body:
-      case storage::RecordType::rep_applied:
       case storage::RecordType::snapshot:
       case storage::RecordType::incarnation:
         break;  // rejected above
@@ -1548,6 +1528,9 @@ class ShardedObjectStore {
   std::atomic<std::size_t> cursor_{0};
   std::atomic<std::size_t> live_count_{0};
   DurabilityStats recovery_stats_;  // written once during recovery
+  /// Declared last, so destroyed first: no checkpoint images a shard
+  /// being torn down.
+  storage::GroupCommitter::Registration imager_;
 };
 
 /// Every server's object table.  The sharded implementation keeps the

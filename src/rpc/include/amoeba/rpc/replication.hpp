@@ -5,12 +5,12 @@
 // into a replication primary.
 //
 // The division of labor with src/storage/replication: storage owns WHAT
-// ships (cycle frames, LSN floors, ack modes, the shipping queues) and is
+// ships (commit.log frames, floors, ack modes, the shipping queues) and is
 // transport-blind; this header owns HOW it travels -- each shipment is one
 // at-most-once transaction against the backup's volume capability, so the
 // reply cache suppresses retransmitted shipments exactly as it suppresses
-// any other duplicated transaction, and the replica's LSN floor suppresses
-// what the cache has already evicted.
+// any other duplicated transaction, and the replica's frame-number floor
+// suppresses what the cache has already evicted.
 //
 // Failover (§9.4): a backup's volume is byte-equivalent to the primary's,
 // secrets included.  rep_promote() seals the backup against further
@@ -44,16 +44,16 @@ struct AckReply {
   using Wire = Layout<AckReply, Param<0, &AckReply::applied>>;
 };
 
-/// One encoded cycle frame (storage/replication/wire.hpp), as the bulk
-/// data field.
+/// One shipment (storage/replication/wire.hpp): commit.log frames as
+/// written, as the bulk data field.
 struct AppendGroupRequest {
   Buffer frame;
   using Wire =
       Layout<AppendGroupRequest, RawData<&AppendGroupRequest::frame>>;
 };
 
-/// No-op probe carrying the primary's highest shipped LSN (the backup
-/// learns its own lag; the primary learns the applied floor).
+/// No-op probe carrying the primary's highest shipped frame number (the
+/// backup learns its own lag; the primary learns the applied floor).
 struct HeartbeatRequest {
   std::uint64_t shipped = 0;
   using Wire =

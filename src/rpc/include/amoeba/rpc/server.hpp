@@ -80,11 +80,11 @@
 // Completed reply BODIES of requests that journaled their floor follow as
 // reply_body records, best effort (no wait), so a post-restart duplicate
 // of a recently completed transaction is re-answered instead of timing
-// out.  Each record is O(1) bytes; the stream compacts into a snapshot of
-// the in-memory cache and the incarnation -- bounded like the cache
-// itself -- once the records since the last snapshot outgrow it.  The
-// image is queued on the committer as a snapshot record and rides a flush
-// cycle's group: neither a worker nor the replier ever writes the volume.
+// out.  Each record is O(1) bytes.  The service is the reply stream's
+// checkpoint imager: at each of the volume's checkpoints the committer's
+// flusher has it image the in-memory cache and the incarnation -- bounded
+// like the cache itself -- and the checkpoint frame carries the image:
+// neither a worker nor the replier ever writes the volume.
 #pragma once
 
 #include <array>
@@ -249,7 +249,7 @@ class Service {
   /// std_info replies (replication role, peers, lag).  Unset, info_detail()
   /// reports "role=standalone".  Call before start(); attach_durability
   /// installs one (the committer's flush counters and the volume's
-  /// commit.log rewrites, after the replication role when the volume is
+  /// checkpoints, after the replication role when the volume is
   /// replicated).
   void set_info_detail(std::function<std::string()> provider);
   /// The current deployment line.  Safe while workers run: the provider
@@ -436,15 +436,13 @@ class Service {
   void persist_reply_body(const ClientKey& key, std::uint64_t seq,
                           const net::Message& reply);
   /// Enqueues one reply-stream record, framed by `encode(lsn, staging)`,
-  /// without waking the flusher.  Assigns the stream LSN in enqueue order,
-  /// and compacts the stream once the records enqueued since the last
-  /// snapshot outgrow it (amortized O(1) bytes per request).  Returns the
-  /// record's ticket.
+  /// without waking the flusher.  Assigns the stream LSN in enqueue order.
+  /// Returns the record's ticket.
   template <typename EncodeFn>
   std::uint64_t append_reply_record(EncodeFn&& encode);
-  /// Queues a reply-stream snapshot record imaging the in-memory cache as
-  /// of stream LSN `lsn` on the committer.  Returns the image's size.
-  std::size_t snapshot_reply_stream(std::uint64_t lsn);
+  /// The reply stream's checkpoint imager: queues a snapshot record
+  /// imaging the in-memory cache, under the stream's append lock.
+  void image_reply_stream();
   /// Primes the cache with recovered rows: floors always, completed
   /// replies where a body decodes (those duplicates are re-answered).
   void restore_reply_rows(const storage::ReplyRows& rows);
@@ -481,18 +479,10 @@ class Service {
   // Reply-stream persistence; set by attach_durability before start().
   std::shared_ptr<storage::GroupCommitter> reply_committer_;
   /// Orders the reply stream: LSN assignment + enqueue (held for one
-  /// enqueue, O(1)), so a snapshot's LSN covers exactly the records
-  /// enqueued before it.  Guards the four fields below.  The snapshot's
-  /// scan and encode run outside it (append_reply_record).
+  /// enqueue, O(1)), and the checkpoint image's scan and enqueue, so the
+  /// image's LSN covers exactly the records enqueued before it.
   std::mutex reply_append_mutex_;
   std::uint64_t reply_lsn_ = 0;  // last stream LSN assigned
-  /// Record bytes appended since the last snapshot, and the count that
-  /// triggers the next one: the last snapshot's size, at least
-  /// kReplySnapshotMinBytes.
-  std::uint64_t reply_stream_bytes_ = 0;
-  std::uint64_t reply_snapshot_due_ = kReplySnapshotMinBytes;
-  bool reply_snapshotting_ = false;  // one snapshot at a time
-  static constexpr std::uint64_t kReplySnapshotMinBytes = 64 * 1024;
   // This boot's incarnation; set by attach_durability before start().
   std::uint64_t incarnation_ = 0;
   std::atomic<std::uint64_t> floorless_claims_{0};
@@ -513,6 +503,9 @@ class Service {
   std::atomic<std::size_t> reply_cache_loaded_{0};   // clients with replies
   std::atomic<std::size_t> reply_cache_clients_{0};  // incl. tombstones
   std::atomic<std::uint64_t> reply_cache_tick_{0};   // LRU clock
+  /// Declared last, so destroyed first: no checkpoint images the cache
+  /// once it is being torn down.
+  storage::GroupCommitter::Registration reply_imager_;
 };
 
 }  // namespace amoeba::rpc

@@ -29,7 +29,7 @@ ReplicaServer::ReplicaServer(net::Machine& machine, Port get_port,
 
   on(rep_ops::kAppendGroup, store_,
      [this](const auto& call) -> Result<rep_ops::AckReply> {
-       const auto applied = applier_.apply_cycle(call.body.frame);
+       const auto applied = applier_.apply_shipment(call.body.frame);
        if (!applied.ok()) {
          return applied.error();
        }
@@ -56,9 +56,9 @@ TransportReplicationLink::TransportReplicationLink(net::Machine& machine,
 std::string TransportReplicationLink::peer_name() const { return peer_name_; }
 
 Result<std::uint64_t> TransportReplicationLink::ship_cycle(
-    std::span<const std::uint8_t> frame) {
+    std::span<const std::uint8_t> shipment) {
   rep_ops::AppendGroupRequest request;
-  request.frame.assign(frame.begin(), frame.end());
+  request.frame.assign(shipment.begin(), shipment.end());
   const auto reply = call(transport_, volume_.server_port,
                           rep_ops::kAppendGroup, volume_, request);
   if (!reply.ok()) {

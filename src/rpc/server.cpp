@@ -472,53 +472,25 @@ void Service::prune_reply_cache() {
 
 template <typename EncodeFn>
 std::uint64_t Service::append_reply_record(EncodeFn&& encode) {
-  std::uint64_t ticket = 0;
-  std::uint64_t snapshot_lsn = 0;  // nonzero: this append takes the snapshot
-  std::uint64_t snapshot_bytes = 0;
-  {
-    const std::lock_guard lock(reply_append_mutex_);
-    const std::uint64_t lsn = ++reply_lsn_;
-    std::size_t framed = 0;
-    // No flusher wake-up: a floor joins the cycle its handler's first
-    // effect or its post-handler wait starts, a body, which nobody waits
-    // for, the next request's, and the incarnation the first cycle any
-    // request starts -- none pays for a cycle alone.
-    ticket = reply_committer_->enqueue_with(
-        reply_committer_->backend()->reply_stream(),
-        [&](Buffer& staging) {
-          const std::size_t before = staging.size();
-          encode(lsn, staging);
-          framed = staging.size() - before;
-        },
-        /*wake_flusher=*/false);
-    reply_stream_bytes_ += framed;
-    if (reply_stream_bytes_ >= reply_snapshot_due_ && !reply_snapshotting_) {
-      // An install drops only records at or below its LSN, on every
-      // volume, so the scan and encode run outside the mutex: other
-      // workers' appends go on meanwhile.
-      reply_snapshotting_ = true;
-      snapshot_lsn = reply_lsn_;
-      snapshot_bytes = reply_stream_bytes_;
-    }
-  }
-  if (snapshot_lsn != 0) {
-    const std::size_t image = snapshot_reply_stream(snapshot_lsn);
-    const std::lock_guard lock(reply_append_mutex_);
-    reply_snapshotting_ = false;
-    reply_stream_bytes_ -= snapshot_bytes;
-    reply_snapshot_due_ =
-        std::max<std::uint64_t>(image, kReplySnapshotMinBytes);
-  }
-  return ticket;
+  const std::lock_guard lock(reply_append_mutex_);
+  const std::uint64_t lsn = ++reply_lsn_;
+  // No flusher wake-up: a floor joins the cycle its handler's first
+  // effect or its post-handler wait starts, a body, which nobody waits
+  // for, the next request's, and the incarnation the first cycle any
+  // request starts -- none pays for a cycle alone.
+  return reply_committer_->enqueue_with(
+      reply_committer_->backend()->reply_stream(),
+      [&](Buffer& staging) { encode(lsn, staging); },
+      /*wake_flusher=*/false);
 }
 
-std::size_t Service::snapshot_reply_stream(std::uint64_t lsn) {
-  // Every record with an LSN up to `lsn` has already updated the
-  // in-memory cache the scan below reads (the cache changes before its
-  // record takes an LSN) -- possibly with later state, which only moves
-  // floors up.  The image is queued behind every record up to `lsn`, so
-  // it lands in their group or a later one; records above `lsn`, queued
-  // before or after it, stay live beside it.
+void Service::image_reply_stream() {
+  // Under the append lock, so the image's LSN covers exactly the records
+  // queued before it, and every record above it is queued after it.  The
+  // cache changes before a record takes its LSN, so the scan holds every
+  // record at or below that LSN -- possibly with later state, which only
+  // moves floors up.
+  const std::lock_guard lock(reply_append_mutex_);
   storage::ReplyRows rows;
   for (const ReplyCacheStripe& stripe : reply_cache_stripes_) {
     const std::lock_guard stripe_lock(stripe.mutex);
@@ -543,10 +515,9 @@ std::size_t Service::snapshot_reply_stream(std::uint64_t lsn) {
       }
     }
   }
-  const Buffer image = storage::encode_reply_snapshot(rows, lsn, incarnation_);
   (void)reply_committer_->install_snapshot(
-      reply_committer_->backend()->reply_stream(), image);
-  return image.size();
+      reply_committer_->backend()->reply_stream(),
+      storage::encode_reply_snapshot(rows, reply_lsn_, incarnation_));
 }
 
 void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
@@ -611,10 +582,8 @@ void Service::attach_durability(
     line += " gc.installs=" + std::to_string(gc.installs);
     line += " gc.max_group=" + std::to_string(gc.max_group);
     line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
-    const storage::Backend::RewriteStats gc_log =
-        committer->backend()->rewrite_stats();
-    line += " gc.rewrites=" + std::to_string(gc_log.rewrites);
-    line += " gc.rewrite_us_max=" + std::to_string(gc_log.rewrite_us_max);
+    line += " gc.rewrites=" + std::to_string(gc.checkpoints);
+    line += " gc.rewrite_us_max=" + std::to_string(gc.checkpoint_us_max);
     line += " reply.floorless_claims=" +
             std::to_string(floorless_claims_.load(std::memory_order_relaxed));
     line += " reply.barrier_parks=" +
@@ -640,6 +609,9 @@ void Service::attach_durability(
   (void)append_reply_record([&](std::uint64_t lsn, Buffer& staging) {
     storage::encode_reply_incarnation(incarnation_, lsn, staging);
   });
+  reply_imager_ = reply_committer_->add_imager(
+      {reply_committer_->backend()->reply_stream()},
+      [this] { image_reply_stream(); });
 }
 
 net::Message Service::handle(const net::Delivery& request) {

@@ -96,8 +96,8 @@ class DirectoryServer final : public rpc::Service {
 
   /// The directory volume's codecs: full images for creates and
   /// snapshots, one-entry delta patches (docs/PROTOCOL.md §8.2) for
-  /// dir.enter and dir.remove.  Public so a store built on them (e.g.
-  /// with a small `compact_after`) writes volumes this server recovers.
+  /// dir.enter and dir.remove.  Public so a store built on them (e.g. one
+  /// a test checkpoints mid-sweep) writes volumes this server recovers.
   [[nodiscard]] static core::Durability<Directory> durability(
       std::shared_ptr<storage::GroupCommitter> committer);
 

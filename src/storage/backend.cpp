@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 
@@ -21,12 +20,62 @@ void check_shards(std::size_t shards) {
   }
 }
 
-/// The frame size of a normal-form run's leading snapshot record; 0 when
-/// its first record is not one.
+/// The frame size of a state run's leading snapshot record; 0 when its
+/// first record is not one.
 [[nodiscard]] std::size_t image_record_size(
     std::span<const std::uint8_t> run) {
   const auto first = peek_record(run);
   return first && first->type == RecordType::snapshot ? first->size : 0;
+}
+
+/// What a scan of a whole log (header and frames) found.
+struct LogScan {
+  std::size_t intact = 0;  // header and whole frames before any torn bytes
+  std::uint64_t last_seq = 0;
+  std::vector<Buffer> streams;  // every stream's state
+};
+
+/// Scans a log.  Stops silently at the first torn, corrupt or malformed
+/// frame: a crash mid-write loses the unacknowledged tail and nothing
+/// before it.  A log without the format-7 header, or with an intact frame
+/// that names a stream the volume lacks or breaks the numbering, is no
+/// crash artifact: it throws UsageError naming `name`.
+[[nodiscard]] LogScan scan_log(std::span<const std::uint8_t> log,
+                               std::size_t streams, const std::string& name) {
+  LogScan scan;
+  scan.streams.resize(streams);
+  if (log.empty()) {
+    return scan;
+  }
+  if (!has_log_header(log)) {
+    throw UsageError("storage: " + name +
+                     " is not an on-disk format 7 commit log (format 6 or "
+                     "older), which this format does not read; refusing the "
+                     "volume");
+  }
+  if (log.size() < kLogHeaderBytes) {
+    return scan;  // a torn first write: not even the header landed
+  }
+  std::string broken;
+  const std::size_t walked = walk_frames(
+      log.subspan(kLogHeaderBytes), streams,
+      [&](const Frame& frame, std::span<const std::uint8_t>) {
+        for (const ShardAppend& a : frame.appends) {
+          Buffer& run = scan.streams[a.shard];
+          run.insert(run.end(), a.bytes.begin(), a.bytes.end());
+        }
+        scan.last_seq = frame.seq;
+      },
+      &broken);
+  if (!broken.empty()) {
+    throw UsageError("storage: " + name + " holds " + broken +
+                     "; refusing the volume");
+  }
+  scan.intact = kLogHeaderBytes + walked;
+  for (Buffer& run : scan.streams) {
+    run = live_records(run);
+  }
+  return scan;
 }
 
 }  // namespace
@@ -38,14 +87,58 @@ IoCounters& this_thread_io_counters() {
   return counters;
 }
 
-// ----------------------------------------------------------------- Backend
-
-void Backend::append_journal(std::size_t shard,
-                             std::span<const std::uint8_t> bytes) {
-  std::vector<ShardAppend> group;
-  group.push_back({shard, Buffer(bytes.begin(), bytes.end())});
-  append_journal_batch(std::move(group));
+std::uint64_t last_frame_seq(std::span<const std::uint8_t> frames) {
+  // Headers only: the frames are whole, so no checksum and no decode.
+  std::uint64_t last = 0;
+  for (std::size_t pos = 0; pos + 16 <= frames.size();) {
+    Reader r(frames.subspan(pos));
+    const std::uint32_t length = r.u32();
+    r.u32();
+    last = r.u64();
+    pos += 8 + std::size_t{length};
+  }
+  return last;
 }
+
+std::size_t walk_frames(
+    std::span<const std::uint8_t> frames, std::size_t streams,
+    const std::function<void(const Frame&, std::span<const std::uint8_t>)>&
+        visit,
+    std::string* broken) {
+  Frame frame;
+  std::uint64_t prev = 0;
+  std::size_t pos = 0;
+  while (pos < frames.size()) {
+    const std::size_t size = decode_frame(frames.subspan(pos), frame);
+    if (size == 0) {
+      break;
+    }
+    std::string why;
+    if (pos != 0 && frame.seq != prev + 1) {
+      why = "frame " + std::to_string(frame.seq) + " after frame " +
+            std::to_string(prev);
+    }
+    for (const ShardAppend& a : frame.appends) {
+      if (a.shard >= streams) {
+        why = "a frame naming stream " + std::to_string(a.shard) +
+              ", but the volume has " + std::to_string(streams) +
+              " streams (wrong shard count)";
+      }
+    }
+    if (!why.empty()) {
+      if (broken != nullptr) {
+        *broken = std::move(why);
+      }
+      break;
+    }
+    visit(frame, frames.subspan(pos, size));
+    prev = frame.seq;
+    pos += size;
+  }
+  return pos;
+}
+
+// ----------------------------------------------------------------- Backend
 
 Buffer Backend::read_snapshot(std::size_t stream) const {
   const Buffer run = read_stream(stream);
@@ -69,68 +162,28 @@ Buffer Backend::read_journal(std::size_t stream) const {
 
 // ----------------------------------------------------------- MemoryBackend
 
-MemoryBackend::MemoryBackend(std::size_t shards) {
+MemoryBackend::MemoryBackend(std::size_t shards) : shards_(shards) {
   check_shards(shards);
-  shards_.reserve(shards + 1);
-  for (std::size_t s = 0; s <= shards; ++s) {  // + the reply stream
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
-void MemoryBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
-  if (appends.empty()) {
-    return;
-  }
+void MemoryBackend::write(std::span<const std::uint8_t> frames,
+                          bool replace) {
   {
-    // All involved shard locks held together (ascending order, matching
-    // capture()), so a crash image contains the whole group or none of it.
-    std::vector<std::size_t> order;
-    order.reserve(appends.size());
-    for (const ShardAppend& a : appends) {
-      order.push_back(a.shard);
+    const std::lock_guard lock(mutex_);
+    if (frames.empty() && (!replace || log_.empty())) {
+      return;  // nothing written, so no barrier either
     }
-    std::sort(order.begin(), order.end());
-    order.erase(std::unique(order.begin(), order.end()), order.end());
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(order.size());
-    for (const std::size_t s : order) {
-      locks.emplace_back(shards_.at(s)->mutex);
+    split_.reset();
+    if (replace) {
+      log_.clear();
     }
-    for (const ShardAppend& a : appends) {
-      Buffer& records = shards_[a.shard]->records;
-      records.insert(records.end(), a.bytes.begin(), a.bytes.end());
-      if (holds_snapshot(a.bytes)) {
-        records = live_records(records);
-      }
+    if (log_.empty() && !frames.empty()) {
+      encode_log_header(log_);
     }
+    log_.insert(log_.end(), frames.begin(), frames.end());
+    last_seq_ = last_frame_seq(frames);
   }
-  appends_.fetch_add(appends.size(), std::memory_order_relaxed);
-  hook_after_append();
-}
-
-Buffer MemoryBackend::read_stream(std::size_t stream) const {
-  const Shard& s = *shards_.at(stream);
-  const std::lock_guard lock(s.mutex);
-  return live_records(s.records);
-}
-
-bool MemoryBackend::empty() const {
-  for (const auto& shard : shards_) {
-    const std::lock_guard lock(shard->mutex);
-    if (!shard->records.empty()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void MemoryBackend::set_append_hook(std::function<void(std::uint64_t)> hook) {
-  const std::lock_guard lock(hook_mutex_);
-  hook_ = std::move(hook);
-  hook_set_.store(hook_ != nullptr, std::memory_order_release);
-}
-
-void MemoryBackend::hook_after_append() {
+  appends_.fetch_add(1, std::memory_order_relaxed);
   if (!hook_set_.load(std::memory_order_acquire)) {
     return;  // fast path: no barrier armed, no lock taken
   }
@@ -140,23 +193,53 @@ void MemoryBackend::hook_after_append() {
     hook = hook_;
   }
   if (hook) {
-    // Outside every shard lock: the hook may capture() the volume.
+    // Outside the log lock: the hook may capture() the volume.
     hook(appends_.load(std::memory_order_relaxed));
   }
 }
 
+void MemoryBackend::append_frames(std::span<const std::uint8_t> frames) {
+  write(frames, /*replace=*/false);
+}
+
+void MemoryBackend::replace_log(std::span<const std::uint8_t> frames) {
+  write(frames, /*replace=*/true);
+}
+
+Buffer MemoryBackend::read_log() const {
+  const std::lock_guard lock(mutex_);
+  return log_;
+}
+
+std::uint64_t MemoryBackend::last_seq() const {
+  const std::lock_guard lock(mutex_);
+  return last_seq_;
+}
+
+std::uint64_t MemoryBackend::log_bytes() const {
+  const std::lock_guard lock(mutex_);
+  return log_.size();
+}
+
+Buffer MemoryBackend::read_stream(std::size_t stream) const {
+  const std::lock_guard lock(mutex_);
+  if (!split_.has_value()) {
+    split_ = scan_log(log_, stream_count(), "memory volume").streams;
+  }
+  return split_->at(stream);
+}
+
+void MemoryBackend::set_append_hook(std::function<void(std::uint64_t)> hook) {
+  const std::lock_guard lock(hook_mutex_);
+  hook_ = std::move(hook);
+  hook_set_.store(hook_ != nullptr, std::memory_order_release);
+}
+
 std::shared_ptr<MemoryBackend> MemoryBackend::capture() const {
   auto image = std::make_shared<MemoryBackend>(shard_count());
-  // Every shard lock ascending: multi-shard append groups are either fully
-  // on the image or fully absent.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    locks.emplace_back(shard->mutex);
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    image->shards_[s]->records = shards_[s]->records;
-  }
+  const std::lock_guard lock(mutex_);
+  image->log_ = log_;
+  image->last_seq_ = last_seq_;
   image->appends_.store(appends_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
   return image;
@@ -204,65 +287,8 @@ void fsync_or_throw(int fd, const std::filesystem::path& dir,
   if (size > 0) {
     in.read(reinterpret_cast<char*>(out.data()), size);
   }
+  this_thread_io_counters().read_bytes += out.size();
   return out;
-}
-
-// commit.log is a run of group frames (storage/record.hpp's
-// encode_group_frame) whose runs are already-framed journal records.  The
-// checksum covers the WHOLE body, so a group is on the recovered volume
-// entirely or not at all.
-constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
-
-/// Splits commit.log into per-stream live runs (normal form).  A run that
-/// brings a snapshot record reduces its stream at once, so the split never
-/// holds a superseded image.  Stops silently at the first torn, corrupt or
-/// malformed frame: a crash mid-append loses the unacknowledged tail group
-/// and nothing before it.  `intact`, when non-null, receives the byte
-/// length of the frames before that point.  An intact group naming a
-/// stream the volume lacks is no crash artifact but a volume written with
-/// another shard count: it throws UsageError naming `path`.
-[[nodiscard]] std::vector<Buffer> split_commit_log(
-    std::span<const std::uint8_t> log, std::size_t streams,
-    const std::filesystem::path& path, std::size_t* intact = nullptr) {
-  std::vector<Buffer> split(streams);
-  std::vector<ShardAppend> group;
-  std::size_t pos = 0;
-  while (pos < log.size()) {
-    Reader frame(log.subspan(pos));
-    const std::uint32_t length = frame.u32();
-    const std::uint32_t checksum = frame.u32();
-    if (!frame.ok() || frame.remaining() < length) {
-      break;  // torn tail: the final group never got acknowledged
-    }
-    const auto body = log.subspan(pos + 8, length);
-    if (frame_checksum(body) != checksum || !decode_group_body(body, group)) {
-      break;
-    }
-    for (const ShardAppend& a : group) {
-      if (a.shard >= streams) {
-        throw UsageError("FileBackend: " + path.string() +
-                         " holds a group naming stream " +
-                         std::to_string(a.shard) + ", but the volume has " +
-                         std::to_string(streams) +
-                         " streams (wrong shard count); refusing the volume");
-      }
-    }
-    for (const ShardAppend& a : group) {
-      Buffer& run = split[a.shard];
-      run.insert(run.end(), a.bytes.begin(), a.bytes.end());
-      if (holds_snapshot(a.bytes)) {
-        run = live_records(run);
-      }
-    }
-    pos += 8 + length;
-  }
-  for (Buffer& run : split) {
-    run = live_records(run);
-  }
-  if (intact != nullptr) {
-    *intact = pos;
-  }
-  return split;
 }
 
 }  // namespace
@@ -290,6 +316,10 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
                        "format does not read; refusing the volume");
     }
   }
+  // Scanned before anything is opened for writing: a refused log is left
+  // exactly as it was.
+  const Buffer log = read_file(commit_log_path());
+  LogScan scan = scan_log(log, stream_count(), commit_log_path().string());
   dir_fd_ = ::open(directory_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dir_fd_ < 0) {
     throw UsageError("FileBackend: cannot open directory " +
@@ -301,13 +331,11 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
     throw UsageError("FileBackend: cannot open commit log in " +
                      directory_.string());
   }
-  // Recovery stops at the first torn or corrupt frame, so a group appended
+  // Recovery stops at the first torn or corrupt frame, so a frame appended
   // behind one would be acknowledged and then never recovered: cut the log
-  // back to its intact prefix, durably, before the first append.
-  const Buffer log = read_file(commit_log_path());
-  std::size_t intact = 0;
-  commit_split_ =
-      split_commit_log(log, stream_count(), commit_log_path(), &intact);
+  // back to its intact prefix, durably, before the first append.  A torn
+  // first write leaves less than the header, and the log is cut to empty.
+  const std::size_t intact = scan.intact;
   if (intact < log.size()) {
     if (::ftruncate(commit_fd_, static_cast<off_t>(intact)) != 0) {
       throw UsageError("FileBackend: cannot cut the torn commit log tail in " +
@@ -316,6 +344,8 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
     fsync_or_throw(commit_fd_, directory_, "torn tail cut");
   }
   commit_log_bytes_ = intact;
+  last_seq_ = scan.last_seq;
+  split_ = std::move(scan.streams);
   // A newly created commit.log lives in the directory inode; without this
   // fsync a crash could unlink it even after its contents were
   // acknowledged durable.
@@ -337,70 +367,69 @@ std::filesystem::path FileBackend::commit_log_path() const {
 
 Buffer FileBackend::read_stream(std::size_t stream) const {
   const std::lock_guard lock(commit_mutex_);
-  return commit_split_locked().at(stream);
+  if (!split_.has_value()) {
+    split_ = scan_log(read_file(commit_log_path()), stream_count(),
+                      commit_log_path().string())
+                 .streams;
+  }
+  return split_->at(stream);
 }
 
-const std::vector<Buffer>& FileBackend::commit_split_locked() const {
-  // Every write to the log (append, GC rewrite) clears the split.
-  if (commit_split_.empty()) {
-    commit_split_ = split_commit_log(read_file(commit_log_path()),
-                                     stream_count(), commit_log_path());
-  }
-  return commit_split_;
+Buffer FileBackend::read_log() const {
+  const std::lock_guard lock(commit_mutex_);
+  return read_file(commit_log_path());
 }
 
-void FileBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
-  std::erase_if(appends,
-                [](const ShardAppend& a) { return a.bytes.empty(); });
-  for (const ShardAppend& a : appends) {
-    if (a.shard >= stream_count()) {
-      throw UsageError("FileBackend: append to stream " +
-                       std::to_string(a.shard) + " of " +
-                       std::to_string(stream_count()));
-    }
-  }
-  if (appends.empty()) {
+std::uint64_t FileBackend::last_seq() const {
+  const std::lock_guard lock(commit_mutex_);
+  return last_seq_;
+}
+
+std::uint64_t FileBackend::log_bytes() const {
+  const std::lock_guard lock(commit_mutex_);
+  return commit_log_bytes_;
+}
+
+void FileBackend::append_frames(std::span<const std::uint8_t> frames) {
+  if (frames.empty()) {
     return;
   }
   const std::lock_guard lock(commit_mutex_);
-  encode_group_frame(appends, commit_frame_);
-  // One contiguous write and ONE fsync make the entire group durable.
-  // A write-ahead append that did not reach the disk must not be
-  // reported as durable -- the caller would otherwise reply to a
-  // client with an effect the volume cannot recover.
-  commit_split_.clear();
-  write_all(commit_fd_, commit_frame_, directory_, "commit log");
-  fsync_or_throw(commit_fd_, directory_, "commit log");
-  commit_log_bytes_ += commit_frame_.size();
-  // Threshold plus a low-water doubling guard: when a rewrite barely
-  // shrinks the log (other streams' records still live), the next one
-  // waits until the log has doubled instead of thrashing rewrites.
-  if (commit_log_bytes_ >= kCommitLogGcBytes &&
-      commit_log_bytes_ >= 2 * commit_gc_low_) {
-    gc_commit_log_locked();
+  // A first write carries the header with it: one write, no fsync more.
+  Buffer first;
+  if (commit_log_bytes_ == 0) {
+    encode_log_header(first);
+    first.insert(first.end(), frames.begin(), frames.end());
   }
+  const std::span<const std::uint8_t> bytes = first.empty() ? frames : first;
+  // One contiguous write and ONE fsync make the frames durable.  A
+  // write-ahead append that did not reach the disk must not be reported
+  // as durable -- the caller would otherwise reply to a client with an
+  // effect the volume cannot recover.
+  split_.reset();
+  write_all(commit_fd_, bytes, directory_, "commit log");
+  fsync_or_throw(commit_fd_, directory_, "commit log");
+  commit_log_bytes_ += bytes.size();
+  last_seq_ = last_frame_seq(frames);
 }
 
-void FileBackend::gc_commit_log_locked() {
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<Buffer>& split = commit_split_locked();
-  std::vector<ShardAppend> survivors;
-  for (std::size_t sh = 0; sh < split.size(); ++sh) {
-    if (!split[sh].empty()) {
-      survivors.push_back({sh, split[sh]});
-    }
+void FileBackend::replace_log(std::span<const std::uint8_t> frames) {
+  std::unique_lock lock(commit_mutex_);
+  if (commit_log_bytes_ == 0) {
+    lock.unlock();
+    append_frames(frames);  // nothing to replace: an append (or nothing)
+    return;
   }
-  // Survivors collapse into ONE frame: the rewrite is an atomic whole-file
-  // replacement, so per-group framing buys nothing here.  Nothing left:
-  // an empty log beats an empty frame.
-  Buffer rebuilt;
-  if (!survivors.empty()) {
-    encode_group_frame(survivors, rebuilt);
+  Buffer fresh_log;
+  if (!frames.empty()) {
+    encode_log_header(fresh_log);
+    fresh_log.insert(fresh_log.end(), frames.begin(), frames.end());
   }
   // Write-temp + fsync + rename + directory fsync.  The content must be
   // on the platter BEFORE the rename makes it reachable, and the rename
   // itself lives in the directory inode: without the last fsync a crash
-  // can roll the directory back to the old log.
+  // can roll the directory back to the old log.  A temp file a crash left
+  // behind is truncated here.
   const auto tmp = commit_log_path().string() + ".tmp";
   const int fresh = ::open(tmp.c_str(),
                            O_WRONLY | O_APPEND | O_CREAT | O_TRUNC | O_CLOEXEC,
@@ -410,8 +439,8 @@ void FileBackend::gc_commit_log_locked() {
                      directory_.string());
   }
   try {
-    write_all(fresh, rebuilt, directory_, "commit log rewrite");
-    fsync_or_throw(fresh, directory_, "commit log rewrite");
+    write_all(fresh, fresh_log, directory_, "commit log replacement");
+    fsync_or_throw(fresh, directory_, "commit log replacement");
     std::filesystem::rename(tmp, commit_log_path());
   } catch (...) {
     ::close(fresh);
@@ -422,26 +451,10 @@ void FileBackend::gc_commit_log_locked() {
   // The fd written above is the new log's own: it becomes the append fd.
   ::close(commit_fd_);
   commit_fd_ = fresh;
-  fsync_or_throw(dir_fd_, directory_, "commit log rewrite");
-  commit_log_bytes_ = rebuilt.size();
-  commit_gc_low_ = rebuilt.size();
-  commit_split_.clear();
-  ++rewrite_stats_.rewrites;
-  rewrite_stats_.rewrite_us_max = std::max<std::uint64_t>(
-      rewrite_stats_.rewrite_us_max,
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-Backend::RewriteStats FileBackend::rewrite_stats() const {
-  const std::lock_guard lock(commit_mutex_);
-  return rewrite_stats_;
-}
-
-bool FileBackend::empty() const {
-  const std::lock_guard lock(commit_mutex_);
-  return commit_log_bytes_ == 0;
+  split_.reset();
+  fsync_or_throw(dir_fd_, directory_, "commit log replacement");
+  commit_log_bytes_ = fresh_log.size();
+  last_seq_ = last_frame_seq(frames);
 }
 
 }  // namespace amoeba::storage

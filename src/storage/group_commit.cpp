@@ -90,6 +90,11 @@ GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend)
     throw UsageError("GroupCommitter: null backend");
   }
   pending_.resize(backend_->stream_count());  // object shards + reply stream
+  holds_records_.resize(backend_->stream_count());
+  for (std::size_t s = 0; s < holds_records_.size(); ++s) {
+    holds_records_[s] = !backend_->read_stream(s).empty();
+  }
+  seq_ = backend_->last_seq();  // numbering continues across restarts
   // A replicated volume binds itself to its committer: every flush cycle
   // then ships through the post-flush hook (the exact bytes that hit the
   // local disk, ack-mode wait included).  Wiring this here means a server
@@ -126,6 +131,7 @@ Buffer& GroupCommitter::pending_locked(std::size_t shard) {
   Buffer& pending = pending_.at(shard);
   if (pending.empty()) {
     dirty_shards_.push_back(shard);
+    holds_records_[shard] = true;
   }
   return pending;
 }
@@ -161,6 +167,64 @@ GroupCommitter::Ticket GroupCommitter::install_snapshot(
         ++pending_installs_;
       },
       /*wake_flusher=*/true);
+}
+
+GroupCommitter::Registration GroupCommitter::add_imager(
+    std::vector<std::size_t> streams, Imager imager) {
+  const std::lock_guard lock(imager_mutex_);
+  // Shard imagers run first, the reply stream's last: every floor of an
+  // effect in a shard image was queued before that image, so the reply
+  // image holds it.
+  const bool reply =
+      std::find(streams.begin(), streams.end(), backend_->reply_stream()) !=
+      streams.end();
+  const std::uint64_t id = ++imager_ids_;
+  imagers_.insert(reply ? imagers_.end() : imagers_.begin(),
+                  {id, std::move(streams), std::move(imager)});
+  return Registration(nullptr, [this, id](void*) {
+    const std::lock_guard unregister(imager_mutex_);
+    std::erase_if(imagers_, [&](const ImagerEntry& e) { return e.id == id; });
+  });
+}
+
+std::string GroupCommitter::take_images() {
+  const std::lock_guard lock(imager_mutex_);
+  std::vector<bool> covered(pending_.size(), false);
+  for (const ImagerEntry& e : imagers_) {
+    for (const std::size_t s : e.streams) {
+      covered.at(s) = true;
+    }
+  }
+  {
+    const std::lock_guard queue_lock(mutex_);
+    for (std::size_t s = 0; s < covered.size(); ++s) {
+      if (holds_records_[s] && !covered[s]) {
+        return "stream " + std::to_string(s) +
+               " holds records that no imager covers";
+      }
+    }
+  }
+  for (const ImagerEntry& e : imagers_) {
+    e.imager();  // in add_imager's order: the reply stream's last
+  }
+  return {};
+}
+
+void GroupCommitter::checkpoint() {
+  std::unique_lock lock(mutex_);
+  const std::uint64_t request = ++checkpoint_requests_;
+  work_cv_.notify_all();
+  durable_cv_.wait(lock, [&] {
+    return checkpoint_served_ >= request || !failure_.empty();
+  });
+  if (checkpoint_served_ < request) {
+    throw UsageError("GroupCommitter: flush failed, no checkpoint: " +
+                     failure_);
+  }
+  if (!checkpoint_refusal_.empty()) {
+    throw UsageError("GroupCommitter: cannot checkpoint: " +
+                     checkpoint_refusal_);
+  }
 }
 
 void GroupCommitter::wait_durable(Ticket ticket) {
@@ -226,6 +290,8 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     std::uint64_t records = 0;
     std::uint64_t installs = 0;
     std::uint64_t bytes = 0;
+    bool checkpoint = false;
+    std::uint64_t serving = 0;  // the checkpoint requests this cycle serves
     PostFlushHook hook;
     {
       std::unique_lock lock(mutex_);
@@ -233,10 +299,27 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       // Entries enqueued without a wake-up start no cycle: they wait for
       // a waking entry, a blocked waiter, or the final drain.
       work_cv_.wait(lock, [&] {
-        return stop.stop_requested() ||
+        return stop.stop_requested() || checkpoint_wanted_locked() ||
                (issued_ > taken_ && (woken_ > taken_ || waiters_ > 0));
       });
       flusher_waiting_ = false;
+      if (checkpoint_wanted_locked() && !stop.stop_requested()) {
+        // Between cycles: nothing is claimed, so every record is either in
+        // the log or still queued, and the images queue behind it.
+        serving = checkpoint_requests_;
+        checkpoint_due_ = false;
+        lock.unlock();
+        std::string refusal = take_images();
+        lock.lock();
+        checkpoint_refusal_ = std::move(refusal);
+        checkpoint = checkpoint_refusal_.empty();
+        if (!checkpoint || issued_ == taken_) {
+          // Refused, or nothing to write (no stream holds records).
+          checkpoint_served_ = serving;
+          durable_cv_.notify_all();
+          continue;
+        }
+      }
       if (issued_ == taken_) {
         return;  // stopped with an empty queue
       }
@@ -261,7 +344,9 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       taken_ = issued_;
       appends.reserve(dirty_shards_.size());
       for (const std::size_t s : dirty_shards_) {
-        appends.push_back({s, std::exchange(pending_[s], Buffer{})});
+        if (!pending_[s].empty()) {
+          appends.push_back({s, std::exchange(pending_[s], Buffer{})});
+        }
       }
       dirty_shards_.clear();
       records = std::exchange(pending_records_, 0);
@@ -272,21 +357,31 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       bytes += a.bytes.size();
     }
 
-    // Write, then hook, then release: the hook (replication shipping) sees
-    // exactly what hit the disk, and a released waiter knows the cycle was
-    // already offered to -- and, per the ack mode, acknowledged by -- the
-    // backups.  Only this thread writes, so cycles reach the disk and the
-    // hook strictly in ticket order.
+    // Encode, write, then hook, then release: the hook (replication
+    // shipping) sees exactly the frame that hit the disk, and a released
+    // waiter knows the cycle was already offered to -- and, per the ack
+    // mode, acknowledged by -- the backups.  Only this thread writes, so
+    // frames reach the disk and the hook strictly in ticket order.
     std::exception_ptr error;
+    std::uint64_t log_bytes = 0;
+    std::uint64_t checkpoint_us = 0;
     try {
       if (!appends.empty()) {
-        // With a hook installed the group must survive the write (the hook
-        // ships these exact bytes), so the backend gets its own copy.
-        backend_->append_journal_batch(
-            hook != nullptr ? std::vector<ShardAppend>(appends)
-                            : std::move(appends));
+        frame_.clear();
+        encode_frame(++seq_, checkpoint, appends, frame_);
+        if (checkpoint) {
+          const auto start = std::chrono::steady_clock::now();
+          backend_->replace_log(frame_);
+          checkpoint_us = static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count());
+        } else {
+          backend_->append_frames(frame_);
+        }
+        log_bytes = backend_->log_bytes();
         if (hook != nullptr) {
-          hook(FlushCycle{covered, bytes, &appends});
+          hook(FlushCycle{covered, bytes, &appends, frame_, seq_});
         }
       }
     } catch (...) {
@@ -312,6 +407,16 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     stats_.installs += installs;
     stats_.max_group = std::max(stats_.max_group, records);
     stats_.flush_cycle_bytes += bytes;
+    stats_.read_bytes = this_thread_io_counters().read_bytes;
+    if (checkpoint) {
+      ++stats_.checkpoints;
+      stats_.checkpoint_us_max =
+          std::max(stats_.checkpoint_us_max, checkpoint_us);
+      checkpoint_low_ = log_bytes;
+      checkpoint_served_ = serving;
+    }
+    checkpoint_due_ =
+        log_bytes >= kCheckpointBytes && log_bytes >= 2 * checkpoint_low_;
     durable_cv_.notify_all();
   }
 }

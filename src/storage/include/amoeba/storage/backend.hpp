@@ -1,36 +1,37 @@
 // Pluggable storage volumes behind the durable object store.
 //
-// A Backend is one "disk" holding, per stream, a run of framed records:
-// journal records and snapshot records (storage/record.hpp), whose
-// state -- the newest snapshot plus the records above it -- recovery
-// reads back.  Next to the object shards every volume reserves one more
-// stream, the REPLY STREAM (index reply_stream() == shard_count()):
-// rpc::Service persists its at-most-once reply cache there as O(1)-byte
-// records (storage/reply_stream.hpp), and a replication backup keeps its
-// applied floor there (replication/replica.hpp).  The object store never
-// addresses it.
+// A volume is one byte LOG, commit.log: a header, then checksummed frames
+// (storage/record.hpp), each one group of per-stream runs of framed
+// records, numbered by the volume's frame sequence.  Next to the object
+// shards every volume reserves one more stream, the REPLY STREAM (index
+// reply_stream() == shard_count()): rpc::Service persists its
+// at-most-once reply cache there (storage/reply_stream.hpp).  The object
+// store never addresses it.
 //
-// Every write is an append GROUP -- per-stream runs of framed records
-// that land atomically -- through the one virtual write method,
-// append_journal_batch(), which returns once the group is durable and
-// throws when it is not.  append_journal() is a group of one.  A server
-// never writes a volume itself: its GroupCommitter's flusher is the one
-// writer, and a snapshot image rides its cycle's group as a record
-// (group_commit.hpp).  Two implementations:
+// A volume is written two ways, both durable on return:
+//   * append_frames() appends whole frames -- a flush cycle, or the frames
+//     a primary shipped to a backup -- as one write and one fsync;
+//   * replace_log() makes the given frames the whole log: a CHECKPOINT
+//     frame, whose images hold every stream's state, starts a fresh log,
+//     and a backup's resync adopts its primary's log.  The old log is
+//     never read.
+// A server never writes its volume itself: its GroupCommitter's flusher
+// is the one writer (group_commit.hpp).  Recovery reads each stream's
+// state back (read_stream); a resync reads the log as written (read_log).
+// Two implementations keep the same bytes:
 //
-//   * MemoryBackend -- byte-for-byte the same layout in process memory.
-//     The crash/restart test harness runs on it: an append hook fires at
-//     every journal barrier (after each group), and capture() deep-copies
-//     the whole volume under its locks -- exactly the disk image a
-//     machine losing power at that instant would leave behind.  Recovery
-//     from a captured image IS the simulated crash+restart.
+//   * MemoryBackend -- the log in process memory.  The crash/restart test
+//     harness runs on it: an append hook fires after every write, and
+//     capture() copies the log -- exactly the disk image a machine losing
+//     power at that instant would leave behind.  Recovery from a captured
+//     image IS the simulated crash+restart.
 //   * FileBackend -- one directory on the real filesystem holding ONE
-//     file, commit.log.  Each group is one checksummed commit.log frame
-//     -- one write(2), one fsync(2), however many streams and images it
-//     carries -- so a torn tail drops a whole group, never half of one.
-//     This is the durable deployment shape and what bench_e14 measures.
+//     file, commit.log.  Each frame is one write(2) and one fsync(2),
+//     however many streams and images it carries, so a torn tail drops a
+//     whole frame, never half of one.  This is the durable deployment
+//     shape and what bench_e14 measures.
 //
-// Concurrency: every method is thread-safe.  A group is atomic with
+// Concurrency: every method is thread-safe.  A frame is atomic with
 // respect to capture() and to a crash: a two-shard mutation (a bank
 // transfer's debit+credit) is either entirely on the image or not at all,
 // so a crash cannot tear money in half.
@@ -42,7 +43,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "amoeba/common/serial.hpp"
@@ -50,16 +53,33 @@
 
 namespace amoeba::storage {
 
-/// Per-thread blocking-syscall counters, bumped by every write(2) and
-/// fsync(2) the storage layer issues on the calling thread.  Same spirit
-/// as CountedMutex: which thread pays for durability (the group-commit
-/// flusher writing a cycle, its images included, never a mutator) is a
-/// runtime counter, not a comment.
+/// Per-thread blocking-syscall counters, bumped by every write(2), fsync(2)
+/// and log read the storage layer issues on the calling thread.  Same
+/// spirit as CountedMutex: which thread pays for durability (the
+/// group-commit flusher writing a cycle, its images included, never a
+/// mutator) and that a checkpoint never reads the old log are runtime
+/// counters, not comments.
 struct IoCounters {
-  std::uint64_t writes = 0;  // blocking write/writev calls
-  std::uint64_t fsyncs = 0;  // blocking fsync/fdatasync calls
+  std::uint64_t writes = 0;      // blocking write/writev calls
+  std::uint64_t fsyncs = 0;      // blocking fsync/fdatasync calls
+  std::uint64_t read_bytes = 0;  // bytes read back from a log
 };
 [[nodiscard]] IoCounters& this_thread_io_counters();
+
+/// Walks the whole frames at the front of `frames` in log order, handing
+/// each decoded frame and its bytes to `visit`.  Stops at the first torn,
+/// corrupt or malformed frame, and at an intact one that names a stream
+/// at or above `streams` or is not numbered one above its predecessor;
+/// for those two `*broken` says what broke.  Returns the bytes walked.
+std::size_t walk_frames(
+    std::span<const std::uint8_t> frames, std::size_t streams,
+    const std::function<void(const Frame&, std::span<const std::uint8_t>)>&
+        visit,
+    std::string* broken);
+/// The sequence number of the last of `frames`, which must be whole
+/// frames; 0 for none.
+[[nodiscard]] std::uint64_t last_frame_seq(
+    std::span<const std::uint8_t> frames);
 
 class Backend {
  public:
@@ -71,23 +91,28 @@ class Backend {
   [[nodiscard]] virtual std::size_t shard_count() const = 0;
 
   /// The reserved reply stream's index: one past the last object shard.
-  /// Every journal/snapshot method below accepts it like a shard.
   [[nodiscard]] std::size_t reply_stream() const { return shard_count(); }
-  /// Object shards plus the reply stream: the valid journal indexes.
+  /// Object shards plus the reply stream: the valid stream indexes.
   [[nodiscard]] std::size_t stream_count() const { return shard_count() + 1; }
 
-  /// The one write primitive: appends the whole group atomically with
-  /// respect to capture() and to a crash, on the calling thread.  Returns
-  /// once every byte is durable; throws when the group may not be, and
-  /// then nothing of it may be reported durable.
-  virtual void append_journal_batch(std::vector<ShardAppend>&& appends) = 0;
-  /// A group of one framed record run (durable on return).
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes);
+  /// Appends whole encoded frames (encode_frame's bytes), numbered on from
+  /// last_seq(), as one write; an empty log gains its header first.
+  /// Returns once every byte is durable; throws when they may not be.
+  virtual void append_frames(std::span<const std::uint8_t> frames) = 0;
+  /// Makes `frames` the whole log (nothing, for none) without reading the
+  /// old one: written aside, fsynced, renamed over it.  On an empty log
+  /// the frames are simply appended.
+  virtual void replace_log(std::span<const std::uint8_t> frames) = 0;
+  /// The log as written: header and frames; empty for an empty volume.
+  [[nodiscard]] virtual Buffer read_log() const = 0;
+  /// The sequence number of the log's last frame; 0 for an empty log.
+  [[nodiscard]] virtual std::uint64_t last_seq() const = 0;
+  /// The log's size in bytes (the checkpoint trigger reads it).
+  [[nodiscard]] virtual std::uint64_t log_bytes() const = 0;
 
-  /// The stream's state as one normal-form run (record.hpp's
-  /// live_records): its newest snapshot record, if it has one, first, then
-  /// every other record still live, in log order.
+  /// The stream's state as one run (record.hpp's live_records): its
+  /// newest snapshot record, if it has one, first, then every record
+  /// above it, in log order.
   [[nodiscard]] virtual Buffer read_stream(std::size_t stream) const = 0;
 
   /// The image of the stream's newest snapshot record (recovery); empty
@@ -96,17 +121,9 @@ class Backend {
   /// The stream's live records above that image (recovery replays them).
   [[nodiscard]] Buffer read_journal(std::size_t stream) const;
 
-  /// commit.log GC rewrites this volume ran and the longest one; zero on
-  /// a volume without a commit.log.
-  struct RewriteStats {
-    std::uint64_t rewrites = 0;
-    std::uint64_t rewrite_us_max = 0;
-  };
-  [[nodiscard]] virtual RewriteStats rewrite_stats() const { return {}; }
-
-  /// True when the volume holds no records (a fresh disk: the store
+  /// True when the volume holds no frames (a fresh disk: the store
   /// initializes instead of recovering).
-  [[nodiscard]] virtual bool empty() const = 0;
+  [[nodiscard]] bool empty() const { return log_bytes() == 0; }
 };
 
 /// In-memory volume with crash-capture hooks (the test harness backend).
@@ -114,42 +131,39 @@ class MemoryBackend final : public Backend {
  public:
   explicit MemoryBackend(std::size_t shards = 16);
 
-  [[nodiscard]] std::size_t shard_count() const override {
-    return shards_.size() - 1;  // the last entry is the reply stream
-  }
-  /// Appends under every touched shard lock; a run carrying a snapshot
-  /// record reduces its stream to its live records.
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
+  [[nodiscard]] std::size_t shard_count() const override { return shards_; }
+  void append_frames(std::span<const std::uint8_t> frames) override;
+  void replace_log(std::span<const std::uint8_t> frames) override;
+  [[nodiscard]] Buffer read_log() const override;
+  [[nodiscard]] std::uint64_t last_seq() const override;
+  [[nodiscard]] std::uint64_t log_bytes() const override;
   [[nodiscard]] Buffer read_stream(std::size_t stream) const override;
-  [[nodiscard]] bool empty() const override;
 
-  /// Installs the journal-barrier hook: invoked after every journal append
-  /// group with the running append count, OUTSIDE the shard locks (so the
-  /// hook may capture()).  The crash harness registers a hook that
-  /// snapshots the volume at chosen barriers.
+  /// Installs the write hook: invoked after every write with the running
+  /// write count, OUTSIDE the log lock (so the hook may capture()).  The
+  /// crash harness registers a hook that snapshots the volume at chosen
+  /// barriers.
   void set_append_hook(std::function<void(std::uint64_t)> hook);
 
-  /// Total journal appends so far (a group counts one per entry).
+  /// Writes so far (append_frames and replace_log calls).
   [[nodiscard]] std::uint64_t append_count() const {
     return appends_.load(std::memory_order_relaxed);
   }
 
-  /// Deep copy of the volume as of now -- the disk image a crash at this
-  /// instant would leave.  Takes every shard lock (ascending), so
-  /// multi-shard append groups are never torn across it.
+  /// Copy of the volume as of now -- the disk image a crash at this
+  /// instant would leave.  Frames are never torn across it.
   [[nodiscard]] std::shared_ptr<MemoryBackend> capture() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    Buffer records;  // the stream's run, reduced at each snapshot record
-  };
+  void write(std::span<const std::uint8_t> frames, bool replace);
 
-  void hook_after_append();
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::size_t shards_;
+  mutable std::mutex mutex_;
+  Buffer log_;              // header and frames, as a file volume's
+  std::uint64_t last_seq_ = 0;
+  mutable std::optional<std::vector<Buffer>> split_;  // streams, until a write
   std::atomic<std::uint64_t> appends_{0};
-  std::atomic<bool> hook_set_{false};  // fast-path gate for hook_after_append
+  std::atomic<bool> hook_set_{false};  // fast-path gate for the hook
   mutable std::mutex hook_mutex_;
   std::function<void(std::uint64_t)> hook_;
 };
@@ -161,25 +175,27 @@ class FileBackend final : public Backend {
   /// written with the same shard count.  Throws UsageError naming the file
   /// when the directory holds a non-empty per-stream journal
   /// (`shard-N.journal`, `reply.journal`), metadata blob (`meta-KEY.bin`)
-  /// or snapshot file (`shard-N.snap`, `reply.snap`) of an older on-disk
-  /// format: such volumes are refused, not migrated (docs/PROTOCOL.md §8).
-  /// A commit.log whose tail is torn or corrupt is cut back to its intact
-  /// prefix (ftruncate + fsync) before anything can be appended behind the
-  /// bad bytes; one holding an intact group that names a stream this
-  /// volume lacks (a wrong shard count) is refused with a UsageError.
+  /// or snapshot file (`shard-N.snap`, `reply.snap`), or a commit.log
+  /// without the format-7 header, of an older on-disk format: such
+  /// volumes are refused, not migrated, and not touched
+  /// (docs/PROTOCOL.md §8).  A commit.log whose tail is torn or corrupt is
+  /// cut back to its intact prefix (ftruncate + fsync) before anything can
+  /// be appended behind the bad bytes; one holding an intact frame that
+  /// names a stream this volume lacks (a wrong shard count) or breaks the
+  /// frame numbering is refused with a UsageError.  A commit.log.tmp left
+  /// by a checkpoint cut short is ignored; the next one overwrites it.
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 
   [[nodiscard]] std::size_t shard_count() const override {
     return object_shards_;
   }
-  /// The whole group goes down as ONE checksummed commit.log frame -- one
-  /// write, one fsync, however many streams it spans.  Then, past the GC
-  /// threshold, the log is rewritten to its streams' live records.
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
+  void append_frames(std::span<const std::uint8_t> frames) override;
+  void replace_log(std::span<const std::uint8_t> frames) override;
+  [[nodiscard]] Buffer read_log() const override;
+  [[nodiscard]] std::uint64_t last_seq() const override;
+  [[nodiscard]] std::uint64_t log_bytes() const override;
   [[nodiscard]] Buffer read_stream(std::size_t stream) const override;
-  [[nodiscard]] RewriteStats rewrite_stats() const override;
-  [[nodiscard]] bool empty() const override;
 
   [[nodiscard]] const std::filesystem::path& directory() const {
     return directory_;
@@ -187,27 +203,18 @@ class FileBackend final : public Backend {
 
  private:
   [[nodiscard]] std::filesystem::path commit_log_path() const;
-  /// commit.log's live records per stream, in normal form, through
-  /// commit_split_.  Caller holds commit_mutex_.
-  [[nodiscard]] const std::vector<Buffer>& commit_split_locked() const;
-  /// Rewrites commit.log to its streams' live records (write-temp + fsync
-  /// + rename + directory fsync).  Caller holds commit_mutex_.
-  void gc_commit_log_locked();
 
   std::filesystem::path directory_;
   std::size_t object_shards_;  // streams: one more, the reply stream
   int dir_fd_ = -1;  // fsync'd after every rename into the directory
   /// Commit-log state, all guarded by commit_mutex_.
   mutable std::mutex commit_mutex_;
-  int commit_fd_ = -1;  // O_APPEND; one fsync per group frame
+  int commit_fd_ = -1;  // O_APPEND; one fsync per write
   std::uint64_t commit_log_bytes_ = 0;
-  Buffer commit_frame_;  // reused staging buffer for group frames
-  /// commit.log split into per-stream live runs, kept while the log is
-  /// unchanged: recovery reads every stream back to back, and each read
-  /// would otherwise walk the whole log again.  Appends drop it.
-  mutable std::vector<Buffer> commit_split_;
-  std::uint64_t commit_gc_low_ = 0;  // log size after the last GC rewrite
-  RewriteStats rewrite_stats_;
+  std::uint64_t last_seq_ = 0;
+  /// Every stream's state, kept from the open's scan until the first
+  /// write: recovery reads every stream back to back.
+  mutable std::optional<std::vector<Buffer>> split_;
 };
 
 }  // namespace amoeba::storage

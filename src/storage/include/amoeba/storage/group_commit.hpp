@@ -1,24 +1,24 @@
 // Group commit: one asynchronous flusher amortizing many journal appends
 // into one backend write per cycle -- and the volume's only writer.
 //
-// PR 5 made every state change durable by appending (and, on FileBackend,
-// flushing) one record at a time on the mutator thread -- correct, but the
-// pure-mutate path paid a full backend round trip per record.  The classic
-// fix is group commit: mutators ENCODE their record under the shard lock,
-// ENQUEUE it here (receiving a monotonically increasing commit ticket),
-// RELEASE the lock, and block -- or carry the ticket as a future and keep
-// going -- until the flusher reports the ticket durable.  One flusher per
-// volume drains every shard's pending bytes and issues a single multi-shard
-// append_journal_batch() per cycle: one gather write and one fsync cover
-// every record that piled up while the previous fsync was in flight, which
-// is the self-tuning property (load grows groups, idle volumes flush
-// immediately).
+// Mutators ENCODE their record under the shard lock, ENQUEUE it here
+// (receiving a monotonically increasing commit ticket), RELEASE the lock,
+// and block -- or carry the ticket as a future and keep going -- until
+// the flusher reports the ticket durable.  One flusher per volume encodes
+// every shard's pending bytes as ONE numbered frame per cycle: one write
+// and one fsync cover every record that piled up while the previous fsync
+// was in flight (load grows groups, idle volumes flush immediately).
 //
-// A snapshot image (a shard's compaction, the reply stream's image) is a
-// queue entry too: install_snapshot() queues it as a snapshot record in
-// its stream's run, so it reaches the disk inside its cycle's one group,
-// after the records queued before it.  Nothing else writes the volume, so
-// no mutator thread ever blocks on a write(2) or fsync(2).
+// The flusher also takes the volume's CHECKPOINTS.  Each stream owner
+// registers an imager: ShardedObjectStore for its shards, rpc::Service
+// for the reply stream.  When a checkpoint is due -- the log has reached
+// 8 MiB and at least doubled since the last one -- or requested, the
+// flusher runs the imagers between two cycles, object shards first and
+// the reply stream last.  Each takes its image from memory under the lock
+// that orders its stream's LSNs and queues it before that lock drops.
+// The next cycle carries every image; its frame is flagged as a
+// checkpoint and becomes a fresh commit.log (Backend::replace_log).
+// Nothing reads the old log, and no mutator ever writes or fsyncs.
 //
 // Ordering guarantees:
 //   * Tickets are the volume-wide commit LSN: wait_durable(t) returns only
@@ -38,11 +38,13 @@
 //     without its effect (operation lost, safe) but never an effect
 //     without its floor (operation doubled).  A request that enqueues
 //     nothing never enqueues its floor.
-//   * A cycle runs in one order: write its group, run the post-flush hook
-//     (replication ships the cycle), release its waiters.  An image holds
-//     only effects whose records -- and those records' floors -- took
-//     smaller tickets, so they reach the disk and every backup in the
-//     image's group or an earlier one.
+//   * A cycle runs in one order: encode its frame, write it, run the
+//     post-flush hook (replication ships the same bytes), release its
+//     waiters.  A record above its stream's image was queued after it,
+//     so it rides the checkpoint cycle or a later one: the fresh log
+//     holds every stream's whole state.  The shards are imaged before the
+//     reply stream, so every floor of an effect in a shard image -- queued
+//     before that effect -- is in the reply image.
 //
 // A backend write or a hook that throws latches the committer into a
 // failed state: wait_durable() then throws instead of ever reporting
@@ -165,25 +167,47 @@ class GroupCommitter {
 
   struct Stats {
     std::uint64_t groups = 0;        // flush cycles that reached the backend
+    std::uint64_t checkpoints = 0;   // those that were checkpoints
+    std::uint64_t checkpoint_us_max = 0;  // longest log replacement
     std::uint64_t records = 0;       // journal appends those cycles carried
     std::uint64_t installs = 0;      // snapshot images those cycles wrote
     std::uint64_t max_group = 0;     // largest single cycle, in records
     std::uint64_t flush_cycle_bytes = 0;  // journal bytes those cycles wrote
     std::uint64_t linger_us_current = 0;  // last adaptive linger applied
     std::uint64_t blocking_waits = 0;  // wait_durable calls that had to block
+    std::uint64_t read_bytes = 0;  // log bytes the flusher read (none)
   };
 
   /// One completed flush cycle as the post-flush hook sees it: the exact
-  /// bytes that just became durable on the local backend, BEFORE any
+  /// frame that just became durable on the local backend, BEFORE any
   /// wait_durable(ticket <= this cycle's ticket) is released.  Replication
-  /// ships from here -- no second encode pass, and a waiter released by
+  /// ships `frame` -- no second encode pass, and a waiter released by
   /// this cycle knows its records were already offered to the backups.
   struct FlushCycle {
     Ticket ticket = 0;        // highest ticket the cycle covers
     std::uint64_t bytes = 0;  // journal bytes the cycle carried
-    /// The cycle's per-stream runs, as written (images included).
+    /// The cycle's per-stream runs (images included).
     const std::vector<ShardAppend>* appends = nullptr;
+    /// The encoded frame, as written; a checkpoint frame started the log.
+    std::span<const std::uint8_t> frame;
+    std::uint64_t seq = 0;  // the frame's sequence number
   };
+
+  /// A stream owner's part of a checkpoint: under the lock that orders
+  /// its streams' LSNs, it takes each image from memory and queues it with
+  /// install_snapshot() before that lock drops.  It runs on the flusher
+  /// thread, which holds no committer lock meanwhile.  No thread may block
+  /// on a ticket while it holds a lock an imager takes.
+  using Imager = std::function<void()>;
+
+  /// Keeps an imager registered; dropping the last copy unregisters it,
+  /// waiting out a checkpoint that is running it.  Must not outlive the
+  /// committer.
+  using Registration = std::shared_ptr<void>;
+
+  /// The log size at which a checkpoint falls due (and it must also have
+  /// doubled since the last one).
+  static constexpr std::uint64_t kCheckpointBytes = std::uint64_t{8} << 20;
   using PostFlushHook = std::function<void(const FlushCycle&)>;
 
   explicit GroupCommitter(std::shared_ptr<Backend> backend);
@@ -234,12 +258,22 @@ class GroupCommitter {
   /// cycle boundary can fall inside it (the pair-mutation atomicity).
   [[nodiscard]] Ticket enqueue_group(std::vector<ShardAppend>&& appends);
 
-  /// Queues a snapshot image for `stream` (an object shard's compaction or
-  /// the reply stream's image) as a snapshot record in that stream's run,
-  /// behind every record enqueued before it.  Its lsn is the image's
-  /// applied LSN.
+  /// Queues a snapshot image for `stream` as a snapshot record in that
+  /// stream's run, behind every record enqueued before it.  Its lsn is the
+  /// image's applied LSN.  Imagers call it; so may a test building a
+  /// volume.
   [[nodiscard]] Ticket install_snapshot(std::size_t stream,
                                         std::span<const std::uint8_t> image);
+
+  /// Registers the imager of `streams` for every later checkpoint.
+  [[nodiscard]] Registration add_imager(std::vector<std::size_t> streams,
+                                        Imager imager);
+
+  /// Takes a checkpoint now and returns once its frame is durable.  Throws
+  /// UsageError when a stream that holds records has no imager (its state
+  /// would be lost), or as wait_durable does when the flush fails.  Call
+  /// it holding no lock an imager takes.
+  void checkpoint();
 
   /// Blocks until every entry with a ticket at or below `ticket` is on
   /// the backend.  Throws UsageError if the flusher failed (disk full)
@@ -307,6 +341,14 @@ class GroupCommitter {
   /// `shard`'s staging buffer, marked dirty.  Caller holds mutex_.
   [[nodiscard]] Buffer& pending_locked(std::size_t shard);
 
+  /// A checkpoint is due or requested.  Caller holds mutex_.
+  [[nodiscard]] bool checkpoint_wanted_locked() const {
+    return checkpoint_due_ || checkpoint_requests_ > checkpoint_served_;
+  }
+  /// Runs every imager; returns why it could not (a stream holds records
+  /// that no imager covers), or an empty string.
+  [[nodiscard]] std::string take_images();
+
   void flusher(const std::stop_token& stop);
 
   std::shared_ptr<Backend> backend_;
@@ -327,6 +369,26 @@ class GroupCommitter {
   std::string failure_;  // non-empty once a write or hook failed
   Stats stats_;
   PostFlushHook post_flush_hook_;
+  /// Per stream: it holds records (on the volume at construction, or
+  /// enqueued since), so a checkpoint needs its image.
+  std::vector<bool> holds_records_;
+  std::uint64_t seq_ = 0;  // the last frame's sequence number (flusher)
+  Buffer frame_;           // the cycle's encoded frame (flusher)
+  bool checkpoint_due_ = false;
+  std::uint64_t checkpoint_low_ = 0;       // log bytes after the last one
+  std::uint64_t checkpoint_requests_ = 0;  // checkpoint() calls
+  std::uint64_t checkpoint_served_ = 0;    // requests a checkpoint covered
+  std::string checkpoint_refusal_;  // why the last attempt could not run
+
+  struct ImagerEntry {
+    std::uint64_t id;
+    std::vector<std::size_t> streams;
+    Imager imager;
+  };
+  /// Held while imagers run and while one is added or removed.
+  std::mutex imager_mutex_;
+  std::vector<ImagerEntry> imagers_;
+  std::uint64_t imager_ids_ = 0;
 
   std::jthread flusher_;  // last member: starts after the state above
 };

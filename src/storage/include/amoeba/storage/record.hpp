@@ -15,21 +15,18 @@
 // append-only journal; decode_journal() stops cleanly at the first
 // truncated or corrupt frame instead of failing recovery, which is exactly
 // the contract a torn final write needs.  Replay is idempotent: applying a
-// prefix of the journal twice (a snapshot installed while the records it
-// subsumes are still in the log) converges to the same table.
+// prefix of the journal twice converges to the same table.
 //
 // Snapshot records.  A snapshot image travels as one more record type,
-// `snapshot`, whose lsn is the image's applied LSN: it rides a group like
-// any append.  A stream's STATE is its newest snapshot record plus every
-// non-snapshot record with a larger lsn, wherever that sits in the log
-// (and the newest rep_applied marker, which has no lsn order).
-// live_records() applies the rule; every reader of a volume goes through
-// it.
+// `snapshot`, whose lsn is the image's applied LSN.  A stream's STATE is
+// its newest snapshot record plus every non-snapshot record with a larger
+// lsn; live_records() applies the rule for recovery.  Images are taken at
+// a checkpoint, so a log holds them in its first frame only.
 //
-// Groups.  Records travel in groups of per-stream runs (ShardAppend): one
-// group is one commit.log frame on a file volume and the append section
-// of one replication cycle frame.  Both encode the group body with
-// encode_group_body() and read it back with decode_group_body().
+// Frames.  Records travel in groups of per-stream runs (ShardAppend); one
+// group is one commit.log FRAME, numbered by the volume's frame sequence
+// and flagged when it is a checkpoint.  A frame is written to the log and
+// shipped to backups as the same bytes (encode_frame / decode_frame).
 #pragma once
 
 #include <cstdint>
@@ -54,9 +51,7 @@ enum class RecordType : std::uint8_t {
   reply_floor = 6,  // reply stream only: a claimed (src, client, seq)
   reply_body = 7,   // reply stream only: a completed reply's body
                     // (storage/reply_stream.hpp)
-  rep_applied = 8,  // backup volumes' reply stream only: the replication
-                    // LSN of the cycle its commit frame applied
-                    // (storage/replication/replica.hpp)
+  // 8 is retired: format 6's rep_applied backup floor marker.
   snapshot = 9,     // any stream: payload is a whole snapshot image (the
                     // encode_snapshot() bytes), lsn its applied LSN
   incarnation = 10,  // reply stream only: the incarnation number a server
@@ -78,7 +73,7 @@ struct Record {
 };
 
 /// FNV-1a over `bytes`: the checksum every frame in the storage layer uses
-/// (journal records here, commit-log frames, replication cycle frames).
+/// (journal records and commit.log frames).
 [[nodiscard]] std::uint32_t frame_checksum(std::span<const std::uint8_t> bytes);
 
 /// One stream-addressed run of framed records: an entry of a group.
@@ -87,19 +82,39 @@ struct ShardAppend {
   Buffer bytes;
 };
 
-/// Appends a group body to `out`:
-/// `count u32 | count x (stream u32 | run u32 + bytes)`.
-void encode_group_body(std::span<const ShardAppend> appends, Buffer& out);
+/// One decoded commit.log frame: the volume's frame sequence number, the
+/// checkpoint flag, and the group's per-stream runs.
+struct Frame {
+  std::uint64_t seq = 0;
+  bool checkpoint = false;
+  std::vector<ShardAppend> appends;
+};
 
-/// Encodes `appends` as one commit.log frame into `frame` (cleared first):
-/// `length u32 | checksum u32 | group body`.
-void encode_group_frame(std::span<const ShardAppend> appends, Buffer& frame);
+/// Appends one frame to `out`: `length u32 | checksum u32 | body`, the body
+/// `seq u64 | flags u8 | count u32 | count x (stream u32 | run u32 +
+/// bytes)`, flags bit 0 the checkpoint flag, the checksum FNV-1a over the
+/// body.
+void encode_frame(std::uint64_t seq, bool checkpoint,
+                  std::span<const ShardAppend> appends, Buffer& out);
 
-/// Decodes a group body that fills `body` exactly.  False on a count
-/// larger than the bytes left can hold (8 per entry), a short entry, or
-/// trailing bytes.
-[[nodiscard]] bool decode_group_body(std::span<const std::uint8_t> body,
-                                     std::vector<ShardAppend>& out);
+/// Decodes the frame at the front of `bytes` (more may follow it).
+/// Returns its size, or 0 when it is torn, fails its checksum, sets an
+/// unknown flag, or its group body is malformed: a count larger than the
+/// bytes left can hold (8 per entry), a short entry, or trailing bytes.
+[[nodiscard]] std::size_t decode_frame(std::span<const std::uint8_t> bytes,
+                                       Frame& out);
+
+/// commit.log opens with `magic u32 ("AMCL") | version u16 (7)`, written
+/// together with its first frame; an empty log has no header.
+inline constexpr std::size_t kLogHeaderBytes = 6;
+void encode_log_header(Buffer& out);
+/// The frames of a whole log (what follows its header); empty for an
+/// empty log or one without a format-7 header.
+[[nodiscard]] std::span<const std::uint8_t> log_frames(
+    std::span<const std::uint8_t> log);
+/// True when `log` opens with the format-7 header; a non-empty log shorter
+/// than the header must be a prefix of it (a torn first write).
+[[nodiscard]] bool has_log_header(std::span<const std::uint8_t> log);
 
 /// Appends one framed record to `out` (length + checksum + body).
 void encode_record(const Record& record, Buffer& out);
@@ -132,15 +147,10 @@ struct RecordHeader {
 /// is the image's applied LSN (0 for an empty image).
 void encode_snapshot_record(std::span<const std::uint8_t> image, Buffer& out);
 
-/// True when the run holds a snapshot record.
-[[nodiscard]] bool holds_snapshot(std::span<const std::uint8_t> run);
-
 /// One stream's record run reduced to its state: the newest snapshot
 /// record first, then, in run order, every non-snapshot record above its
-/// lsn (all of them when it has none) and the newest rep_applied marker.
-/// Stops at a malformed record, as replay does.  This is the run's normal
-/// form: what Backend::read_stream returns and what a commit.log GC
-/// rewrite writes back.
+/// lsn (all of them when it has none).  Stops at a malformed record, as
+/// replay does.  This is what Backend::read_stream returns to recovery.
 [[nodiscard]] Buffer live_records(std::span<const std::uint8_t> run);
 
 /// One live slot inside a shard snapshot.

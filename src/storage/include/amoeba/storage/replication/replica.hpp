@@ -1,34 +1,29 @@
 // The backup side of primary/backup replication (docs/PROTOCOL.md §9).
 //
-// A ReplicaApplier owns a local volume and applies the primary's cycle
-// frames to it in shipment order, appending the primary's records byte
-// for byte -- snapshot records included -- less the records a resync
-// re-ships that a stream already holds.  The volume a long-running
-// applier maintains is therefore the same volume the primary would leave
-// behind on its own disk -- secrets, reply-cache floors and all -- which
-// is the whole failover story: promote the backup, construct servers over
-// its volume, and every pre-crash capability validates with nothing
+// A ReplicaApplier owns a local volume and writes the primary's commit.log
+// frames to it verbatim, in sequence order, so its commit.log is a prefix
+// of its primary's, byte for byte -- secrets, reply-cache floors and all.
+// That is the whole failover story: promote the backup, construct servers
+// over its volume, and every pre-crash capability validates with nothing
 // re-minted.
 //
-// Idempotence is LSN-floor gated.  Every shipment carries a replication
-// LSN assigned in primary ship order; the applier keeps the floor of
-// applied LSNs, and its one durable home is the rep_applied marker records
-// of the backup's own reply stream.  A cycle is appended as ONE group
-// together with a marker naming its LSN (on a file volume: one commit-log
-// frame, one fsync), so the floor is durable exactly when the cycle is.
-// Markers never ship (ReplicatedBackend's resync strips them).  At or
-// below the floor: a duplicate (a lossy link's retransmission),
-// acknowledged without re-applying.  Exactly floor+1: applied.  Further
-// ahead: a gap -- rejected with `conflict`, which the primary answers with
-// a resync -- unless the frame images every stream, as a resync does: it
-// then holds the whole volume, so it ADOPTS its LSN as the new floor.
+// Idempotence is floor gated.  Every frame carries the volume's frame
+// sequence number, and the backup's floor is the number of the last frame
+// its log holds: durable exactly when that frame is, and read back from
+// the log at restart.  A frame at or below the floor is a duplicate (a
+// lossy link's retransmission), acknowledged without re-applying.  The
+// frame numbered floor+1 is appended; a checkpoint frame starts the
+// backup's fresh log, as it did the primary's.  Anything further ahead is
+// a gap, refused with `conflict`, which the primary answers with a
+// resync: a shipment flagged as one, carrying the primary's whole log,
+// which the backup adopts at any floor by replacing its own.  No other
+// frame is adopted at a gap.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <vector>
 
 #include "amoeba/common/error.hpp"
 #include "amoeba/storage/backend.hpp"
@@ -37,20 +32,19 @@ namespace amoeba::storage {
 
 class ReplicaApplier {
  public:
-  /// Adopts `local` as the backup volume; restores the applied floor the
-  /// previous incarnation persisted, the largest rep_applied marker in the
-  /// reply stream (a restarted backup resumes exactly where its volume
+  /// Adopts `local` as the backup volume; its floor is the number of the
+  /// log's last frame (a restarted backup resumes exactly where its volume
   /// left off -- the primary's retransmits below the floor are
   /// acknowledged as duplicates).
   explicit ReplicaApplier(std::shared_ptr<Backend> local);
 
-  /// Applies one encoded cycle frame (replication/wire.hpp).  Returns the
-  /// applied floor on success and for suppressed duplicates;
-  /// `invalid_argument` for a torn/corrupt frame or one naming a stream
-  /// this volume lacks (nothing is appended), `conflict` for a gap that a
-  /// frame imaging every stream would close, `immutable` once promoted.
-  [[nodiscard]] Result<std::uint64_t> apply_cycle(
-      std::span<const std::uint8_t> frame);
+  /// Applies one shipment (replication/wire.hpp).  Returns the floor on
+  /// success and for suppressed duplicates; `invalid_argument` for a torn
+  /// or corrupt frame, one naming a stream this volume lacks, frames out
+  /// of sequence, or a resync that does not start a log (nothing is
+  /// written); `conflict` for a gap; `immutable` once promoted.
+  [[nodiscard]] Result<std::uint64_t> apply_shipment(
+      std::span<const std::uint8_t> shipment);
 
   /// Seals the applier: every later shipment is refused with `immutable`
   /// (the fencing half of failover -- a deposed primary still shipping
@@ -64,16 +58,12 @@ class ReplicaApplier {
   }
 
  private:
-  /// The reply-stream run of one rep_applied marker naming `rep_lsn`.
-  [[nodiscard]] ShardAppend floor_marker(std::uint64_t rep_lsn) const;
+  /// Makes `frames` (a whole log) this volume's log.
+  void adopt_locked(std::span<const std::uint8_t> frames);
 
   mutable std::mutex mutex_;
   std::shared_ptr<Backend> local_;
   std::uint64_t applied_ = 0;
-  /// Per stream, the highest record LSN the volume holds (its snapshot's,
-  /// or its newest journal record's): a shipped run's journal records at
-  /// or below it are already here.
-  std::vector<std::uint64_t> held_;
   bool promoted_ = false;
 };
 

@@ -2,15 +2,15 @@
 //
 // ReplicatedBackend is a Backend decorator: reads go straight to the
 // wrapped local volume, writes land locally FIRST and are then shipped to
-// every attached backup as LSN-stamped shipments.  Its writer is the
-// volume's GroupCommitter, which binds itself at construction:
+// every attached backup.  Its writer is the volume's GroupCommitter,
+// which binds itself at construction:
 //
-//   * append_journal_batch() only lands the group locally; the
-//     committer's post-flush hook then ships the flush cycle as ONE cycle
-//     frame -- the exact records, snapshot records included, that just
-//     hit the local disk.  Backups compact when the primary does.
+//   * the committer writes each flush cycle's frame to the local volume,
+//     and its post-flush hook then ships that same frame -- the bytes
+//     that just hit the local disk, numbered by the volume's frame
+//     sequence.  A checkpoint frame starts the backups' logs afresh too.
 //
-// Appends handed to the decorator without a committer are not shipped.
+// Frames written to the decorator without a committer are not shipped.
 //
 // The ack mode decides when a mutator's durability wait releases:
 //   async    local disk only; shipping is fire-and-forget.
@@ -21,12 +21,10 @@
 //
 // Shipping is per-peer FIFO on a dedicated thread, one shipment in flight,
 // retried until acknowledged -- the at-most-once RPC layer plus the
-// replica's LSN floor make retransmits harmless.  A backup that answers
-// `conflict` (LSN gap: it restarted, or attached mid-stream) triggers a
-// full resync: the primary broadcasts ONE cycle frame holding, per
-// stream, a snapshot record of its current image and the records above
-// it.  A frame that images every stream MOVES the replica floor rather
-// than gap-checking against it, so every peer can adopt it.
+// replica's floor make retransmits harmless.  A peer's first shipment is
+// a RESYNC: the local commit.log as written, flagged so the backup adopts
+// it at any floor.  A backup that later answers `conflict` (a gap: it
+// restarted, or lost frames) gets another resync in front of its queue.
 #pragma once
 
 #include <condition_variable>
@@ -42,7 +40,6 @@
 
 #include "amoeba/common/error.hpp"
 #include "amoeba/storage/backend.hpp"
-#include "amoeba/storage/replication/wire.hpp"
 
 namespace amoeba::storage {
 
@@ -69,9 +66,9 @@ class ReplicationLink {
 
   [[nodiscard]] virtual std::string peer_name() const = 0;
 
-  /// Offers one encoded cycle frame (replication/wire.hpp).
+  /// Offers one shipment (replication/wire.hpp).
   [[nodiscard]] virtual Result<std::uint64_t> ship_cycle(
-      std::span<const std::uint8_t> frame) = 0;
+      std::span<const std::uint8_t> shipment) = 0;
 
   /// No-op probe: returns the backup's applied floor (lag measurement).
   [[nodiscard]] virtual Result<std::uint64_t> heartbeat(
@@ -86,22 +83,19 @@ class ReplicatedBackend final : public Backend {
   /// a dead backup must not hang shutdown), then joins the shippers.
   ~ReplicatedBackend() override;
 
-  // --- Backend: reads forward, writes land locally then ship. ---
+  // --- Backend: reads and writes forward to the local volume. ---
   [[nodiscard]] std::size_t shard_count() const override;
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
+  void append_frames(std::span<const std::uint8_t> frames) override;
+  void replace_log(std::span<const std::uint8_t> frames) override;
+  [[nodiscard]] Buffer read_log() const override;
+  [[nodiscard]] std::uint64_t last_seq() const override;
+  [[nodiscard]] std::uint64_t log_bytes() const override;
   [[nodiscard]] Buffer read_stream(std::size_t stream) const override;
-  [[nodiscard]] RewriteStats rewrite_stats() const override;
-  [[nodiscard]] bool empty() const override;
 
-  /// Attaches a backup and resyncs it: the primary's current streams
-  /// (minus rep_applied markers) are broadcast as one fresh shipment, so
-  /// the new peer converges from any starting state and existing peers
-  /// just fast-forward their floors.  The peer's
-  /// shipper first probes its applied floor (heartbeat, retried until it
-  /// answers) and numbers on above it, so a primary restarted over its
-  /// own volume never ships below a floor its earlier incarnation left.
-  /// Thread-safe; peers cannot be detached (stop the backup instead --
-  /// its queue simply stops draining).
+  /// Attaches a backup and queues its resync: the local commit.log as
+  /// written, which the backup adopts whatever it held before -- a stale
+  /// log, or another volume's.  Thread-safe; peers cannot be detached
+  /// (stop the backup instead -- its queue simply stops draining).
   void attach_peer(std::shared_ptr<ReplicationLink> link);
 
   /// Called by the GroupCommitter constructor when it finds this decorator
@@ -115,7 +109,7 @@ class ReplicatedBackend final : public Backend {
   };
   struct Stats {
     AckMode mode = AckMode::async;
-    std::uint64_t shipped_lsn = 0;  // highest shipment LSN assigned
+    std::uint64_t shipped_lsn = 0;  // highest frame number queued to ship
     std::vector<PeerStats> peers;   // lag = shipped_lsn - acked_lsn
   };
   [[nodiscard]] Stats stats() const;
@@ -131,9 +125,8 @@ class ReplicatedBackend final : public Backend {
 
  private:
   struct Shipment {
-    std::uint64_t rep_lsn = 0;
-    bool resync = false;    // images every stream (resync_locked)
-    Buffer frame;           // the encoded cycle frame
+    std::uint64_t last_seq = 0;  // the number of its last frame
+    Buffer bytes;                // the encoded shipment
     std::size_t needed = 0;  // acks that release the enqueuer's wait
     std::size_t acks = 0;    // guarded by the owning backend's ack_mutex_
   };
@@ -144,41 +137,25 @@ class ReplicatedBackend final : public Backend {
     std::condition_variable cv;  // wakes the shipper
     std::deque<std::shared_ptr<Shipment>> queue;
     std::uint64_t acked = 0;  // guarded by `mutex`
-    /// Shipments numbered under a foreign floor (probe_floor):
-    /// never offered, acknowledged once the peer's floor reaches
-    /// `resync_end`, the last LSN of the resync that subsumes them.
-    std::vector<std::shared_ptr<Shipment>> parked;  // guarded by `mutex`
-    std::uint64_t resync_end = 0;                   // guarded by `mutex`
     std::jthread shipper;     // last member: started after the above
   };
 
-  /// Encodes `appends` as shipment `++next_lsn_`, pushes it onto every
-  /// peer's queue and stamps the ack count the current mode requires.
-  std::shared_ptr<Shipment> broadcast_locked(
-      std::span<const ShardAppend> appends, bool resync);
+  /// Ships one flush cycle's frame (the post-flush hook body), then waits
+  /// for the acks the mode requires.
+  void ship_frame(std::span<const std::uint8_t> frame, std::uint64_t seq);
   /// Blocks until the shipment's stamped ack count is reached.  Throws
   /// UsageError if a backup answered `immutable` (it was promoted: this
   /// primary is fenced and must stop reporting durability).
   void await_acks(const std::shared_ptr<Shipment>& shipment);
-  /// Encodes + broadcasts one flush cycle's frame (the post-flush hook
-  /// body), then waits for the acks the mode requires.
-  void ship_cycle(std::span<const ShardAppend> appends);
-  /// Broadcasts the volume's current streams as one shipment that images
-  /// every stream (attach and gap recovery).
-  void resync_locked();
-  /// The shipper's first step: learns the peer's floor (retrying until
-  /// the heartbeat answers).  If the floor reaches the first queued
-  /// shipment, it comes from another numbering (an earlier incarnation of
-  /// this primary): numbers on above it, parks the queue and resyncs.
-  /// False if stopped before the peer ever answered.
-  [[nodiscard]] bool probe_floor(Peer& peer, const std::stop_token& stop);
+  /// A resync: the local log as written, read now.
+  [[nodiscard]] std::shared_ptr<Shipment> make_resync();
   void shipper(Peer& peer, const std::stop_token& stop);
 
   std::shared_ptr<Backend> local_;
   const AckMode mode_;
 
-  mutable std::mutex mutex_;  // orders LSN assignment + queue pushes
-  std::uint64_t next_lsn_ = 0;
+  mutable std::mutex mutex_;  // orders queue pushes
+  std::uint64_t shipped_ = 0;  // highest frame number queued
   std::vector<std::unique_ptr<Peer>> peers_;  // grow-only; stable addresses
 
   mutable std::mutex ack_mutex_;

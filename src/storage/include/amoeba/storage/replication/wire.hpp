@@ -1,47 +1,34 @@
 // Replication shipment framing (docs/PROTOCOL.md §9.2).
 //
-// The primary ships each group-commit flush cycle to its backups as ONE
-// cycle frame: a replication LSN and the per-stream runs -- snapshot
-// records included, byte for byte what just became durable on the
-// primary's own volume (the group-commit post-flush hook hands them over;
-// nothing is re-encoded).  A resync is one such frame too, imaging every
-// stream.  The frame is checksummed as a whole, so a backup applies an
-// entire cycle or rejects it: the same all-or-nothing property the
-// commit.log gives a local crash image, now carried across the wire.
+// The primary ships commit.log frames as written: the frame the
+// group-commit flusher just wrote to the primary's own volume (the
+// post-flush hook hands over its bytes; nothing is re-encoded), or, for a
+// RESYNC, the primary's whole current log.  A shipment is those frames
+// behind one flags byte:
 //
-// The rep LSN is a volume-wide shipment sequence number, assigned in ship
-// order.  A backup keeps the floor of applied LSNs: frames at or below the
-// floor are duplicates (acknowledged, not re-applied -- though re-applying
-// would converge, journal replay being idempotent), frames more than one
-// ahead are gaps (rejected, unless they image every stream; the primary
-// answers with a full resync).
+//   shipment = flags:u8 | frames        flags bit 0 = resync
+//
+// Each frame carries its own checksum and the volume's frame sequence
+// number (storage/record.hpp), so a backup checks every frame whole and
+// applies exactly the one numbered above its floor -- or, for a resync,
+// replaces its log with the shipment's frames.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "amoeba/common/serial.hpp"
-#include "amoeba/storage/record.hpp"
 
 namespace amoeba::storage {
 
-/// A decoded cycle frame (the backup's side).
-struct CycleFrame {
-  std::uint64_t rep_lsn = 0;
-  std::vector<ShardAppend> appends;
-};
+/// Encodes a shipment of whole encoded frames.
+[[nodiscard]] Buffer encode_shipment(bool resync,
+                                     std::span<const std::uint8_t> frames);
 
-/// Encodes one cycle frame: `length u32 | checksum u32 | body`, the body
-/// `rep_lsn u64` and then a commit.log group body, the checksum FNV-1a
-/// over the whole body (storage/record.hpp's frame_checksum, same as
-/// journal records and commit-log groups).
-[[nodiscard]] Buffer encode_cycle_frame(std::uint64_t rep_lsn,
-                                        std::span<const ShardAppend> appends);
-
-/// Decodes a cycle frame; false on truncation, checksum mismatch, or
-/// malformed body (the backup then rejects the shipment wholesale).
-[[nodiscard]] bool decode_cycle_frame(std::span<const std::uint8_t> bytes,
-                                      CycleFrame& out);
+/// Splits a shipment into its resync flag and its frame bytes; false for
+/// an empty shipment or one that sets an unknown flag.
+[[nodiscard]] bool decode_shipment(std::span<const std::uint8_t> shipment,
+                                   bool& resync,
+                                   std::span<const std::uint8_t>& frames);
 
 }  // namespace amoeba::storage

@@ -10,10 +10,10 @@
 //   incarnation(n)                       -- a server boot drew number n
 //
 // Each record is O(1) bytes, so persisting a request no longer costs an
-// image of every client the server has seen.  The stream compacts like an
-// object shard: a snapshot record (the §8.3 image, one slot per client
-// row plus one slot holding the incarnation) replaces every record at or
-// below its LSN, so commit.log GC and replica resync cover it unchanged.
+// image of every client the server has seen.  At a checkpoint the stream
+// is imaged like an object shard: a snapshot record (the §8.3 image, one
+// slot per client row plus one slot holding the incarnation) replaces
+// every record at or below its LSN.
 //
 // Replay is a max-merge: a row's floor is the highest seq any record or
 // snapshot row names, bodies are keyed by seq (the highest

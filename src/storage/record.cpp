@@ -7,6 +7,9 @@ namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x414D534Eu;  // "AMSN"
 constexpr std::uint16_t kSnapshotVersion = 1;
+constexpr std::uint32_t kLogMagic = 0x4C434D41u;  // "AMCL"
+constexpr std::uint16_t kLogVersion = 7;          // the on-disk format
+constexpr std::uint8_t kCheckpointFlag = 0x01;
 
 }  // namespace
 
@@ -71,49 +74,84 @@ void encode_record_into(RecordType type, ObjectNumber object,
   patch_u32(out, frame_at + 4, frame_checksum(body));
 }
 
-void encode_group_body(std::span<const ShardAppend> appends, Buffer& out) {
-  std::size_t need = out.size() + 4;
+void encode_frame(std::uint64_t seq, bool checkpoint,
+                  std::span<const ShardAppend> appends, Buffer& out) {
+  std::size_t need = out.size() + 8 + 13;
   for (const ShardAppend& a : appends) {
     need += 8 + a.bytes.size();
   }
   out.reserve(need);
+  const std::size_t frame_at = out.size();
+  put_u32(out, 0);  // length placeholder
+  put_u32(out, 0);  // checksum placeholder
+  put_u64(out, seq);
+  out.push_back(checkpoint ? kCheckpointFlag : 0);
   put_u32(out, static_cast<std::uint32_t>(appends.size()));
   for (const ShardAppend& a : appends) {
     put_u32(out, static_cast<std::uint32_t>(a.shard));
     put_u32(out, static_cast<std::uint32_t>(a.bytes.size()));
     out.insert(out.end(), a.bytes.begin(), a.bytes.end());
   }
+  const auto body = std::span<const std::uint8_t>(out.data() + frame_at + 8,
+                                                  out.size() - frame_at - 8);
+  patch_u32(out, frame_at, static_cast<std::uint32_t>(body.size()));
+  patch_u32(out, frame_at + 4, frame_checksum(body));
 }
 
-void encode_group_frame(std::span<const ShardAppend> appends, Buffer& frame) {
-  frame.assign(8, 0);  // length and checksum placeholders
-  encode_group_body(appends, frame);
-  const auto body =
-      std::span<const std::uint8_t>(frame.data() + 8, frame.size() - 8);
-  patch_u32(frame, 0, static_cast<std::uint32_t>(body.size()));
-  patch_u32(frame, 4, frame_checksum(body));
-}
-
-bool decode_group_body(std::span<const std::uint8_t> body,
-                       std::vector<ShardAppend>& out) {
-  out.clear();
+std::size_t decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
+  out.appends.clear();
+  Reader header(bytes);
+  const std::uint32_t length = header.u32();
+  const std::uint32_t checksum = header.u32();
+  if (!header.ok() || header.remaining() < length) {
+    return 0;  // torn
+  }
+  const auto body = bytes.subspan(8, length);
+  if (frame_checksum(body) != checksum) {
+    return 0;
+  }
   Reader r(body);
+  out.seq = r.u64();
+  const std::uint8_t flags = r.u8();
+  out.checkpoint = (flags & kCheckpointFlag) != 0;
   const std::uint32_t count = r.u32();
   // Every entry takes at least 8 bytes (stream and run length): a hostile
   // count is rejected before it sizes an allocation.
-  if (!r.ok() || count > r.remaining() / 8) {
-    return false;
+  if (!r.ok() || (flags & ~kCheckpointFlag) != 0 ||
+      count > r.remaining() / 8) {
+    return 0;
   }
-  out.reserve(count);
+  out.appends.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t shard = r.u32();
-    Buffer bytes = r.bytes();
+    Buffer run = r.bytes();
     if (!r.ok()) {
-      return false;
+      return 0;
     }
-    out.push_back({static_cast<std::size_t>(shard), std::move(bytes)});
+    out.appends.push_back({static_cast<std::size_t>(shard), std::move(run)});
   }
-  return r.exhausted();
+  return r.exhausted() ? 8 + std::size_t{length} : 0;
+}
+
+void encode_log_header(Buffer& out) {
+  put_u32(out, kLogMagic);
+  out.push_back(static_cast<std::uint8_t>(kLogVersion));
+  out.push_back(static_cast<std::uint8_t>(kLogVersion >> 8));
+}
+
+bool has_log_header(std::span<const std::uint8_t> log) {
+  Buffer header;
+  encode_log_header(header);
+  const std::size_t n = std::min(log.size(), header.size());
+  return std::equal(log.begin(), log.begin() + static_cast<std::ptrdiff_t>(n),
+                    header.begin());
+}
+
+std::span<const std::uint8_t> log_frames(std::span<const std::uint8_t> log) {
+  if (log.size() < kLogHeaderBytes || !has_log_header(log)) {
+    return {};
+  }
+  return log.subspan(kLogHeaderBytes);
 }
 
 void encode_record(const Record& record, Buffer& out) {
@@ -153,7 +191,8 @@ std::vector<Record> decode_journal(std::span<const std::uint8_t> journal,
     record.lsn = r.u64();
     record.payload = r.bytes();
     if (!r.ok() || record.type < RecordType::create ||
-        record.type > RecordType::incarnation) {
+        record.type > RecordType::incarnation ||
+        static_cast<int>(record.type) == 8) {
       if (torn_tail != nullptr) {
         *torn_tail = true;
       }
@@ -186,30 +225,16 @@ void encode_snapshot_record(std::span<const std::uint8_t> image, Buffer& out) {
                      peek_snapshot_lsn(image), image, out);
 }
 
-bool holds_snapshot(std::span<const std::uint8_t> run) {
-  std::size_t pos = 0;
-  while (const auto record = peek_record(run.subspan(pos))) {
-    if (record->type == RecordType::snapshot) {
-      return true;
-    }
-    pos += record->size;
-  }
-  return false;
-}
-
 Buffer live_records(std::span<const std::uint8_t> run) {
-  // First pass: where the newest snapshot record and marker sit.  Records
-  // are copied as opaque spans: no decode, no per-record allocation.
+  // First pass: where the newest snapshot record sits.  Records are
+  // copied as opaque spans: no decode, no per-record allocation.
   std::optional<RecordHeader> image;
   std::size_t image_at = 0;
-  std::size_t marker_at = run.size();
   std::size_t pos = 0;
   while (const auto record = peek_record(run.subspan(pos))) {
     if (record->type == RecordType::snapshot) {
       image = record;
       image_at = pos;
-    } else if (record->type == RecordType::rep_applied) {
-      marker_at = pos;
     }
     pos += record->size;
   }
@@ -223,11 +248,7 @@ Buffer live_records(std::span<const std::uint8_t> run) {
   }
   for (pos = 0; pos < end;) {
     const RecordHeader record = *peek_record(run.subspan(pos));
-    const bool keep = record.type == RecordType::rep_applied
-                          ? pos == marker_at
-                          : record.type != RecordType::snapshot &&
-                                record.lsn > floor;
-    if (keep) {
+    if (record.type != RecordType::snapshot && record.lsn > floor) {
       live.insert(live.end(), run.begin() + pos,
                   run.begin() + pos + record.size);
     }

@@ -1,123 +1,90 @@
 #include "amoeba/storage/replication/replica.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <vector>
 
-#include "amoeba/common/serial.hpp"
 #include "amoeba/storage/record.hpp"
 #include "amoeba/storage/replication/wire.hpp"
 
 namespace amoeba::storage {
-namespace {
-
-/// Drops the journal records of `run` at or below `held` -- a snapshot
-/// record stays, whatever its lsn: it replaces the stream's image -- and
-/// returns the highest LSN in the run (at least `held`).  A malformed
-/// record ends the scan; it and everything after it stay.
-std::uint64_t drop_held(Buffer& run, std::uint64_t held) {
-  const std::span<const std::uint8_t> bytes(run);
-  Buffer kept;
-  std::uint64_t last = held;
-  std::size_t pos = 0;
-  while (const auto record = peek_record(bytes.subspan(pos))) {
-    if (record->type == RecordType::snapshot || record->lsn > held) {
-      kept.insert(kept.end(), bytes.begin() + pos,
-                  bytes.begin() + pos + record->size);
-    }
-    last = std::max(last, record->lsn);
-    pos += record->size;
-  }
-  kept.insert(kept.end(), bytes.begin() + pos, bytes.end());
-  run = std::move(kept);
-  return last;
-}
-
-/// True when every one of `streams` gets a snapshot record from `cycle`.
-bool images_every_stream(const CycleFrame& cycle, std::size_t streams) {
-  std::vector<bool> imaged(streams, false);
-  for (const ShardAppend& a : cycle.appends) {
-    imaged[a.shard] = imaged[a.shard] || holds_snapshot(a.bytes);
-  }
-  return std::find(imaged.begin(), imaged.end(), false) == imaged.end();
-}
-
-}  // namespace
 
 ReplicaApplier::ReplicaApplier(std::shared_ptr<Backend> local)
     : local_(std::move(local)) {
   if (local_ == nullptr) {
     throw UsageError("ReplicaApplier: null backend");
   }
-  // The floor is the largest marker still in the reply stream; each
-  // stream holds up to its image's or its newest record's LSN (a snapshot
-  // record's lsn is its image's).
-  held_.assign(local_->stream_count(), 0);
-  for (std::size_t s = 0; s < held_.size(); ++s) {
-    for (const Record& record : decode_journal(local_->read_stream(s))) {
-      if (record.type != RecordType::rep_applied) {
-        held_[s] = std::max(held_[s], record.lsn);
-        continue;
-      }
-      Reader r(record.payload);
-      const std::uint64_t applied = r.u64();
-      if (r.exhausted()) {
-        applied_ = std::max(applied_, applied);
-      }
-    }
-  }
+  applied_ = local_->last_seq();
 }
 
-ShardAppend ReplicaApplier::floor_marker(std::uint64_t rep_lsn) const {
-  Writer marker;
-  marker.u64(rep_lsn);
-  Buffer record;
-  encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
-                     marker.buffer(), record);
-  return {local_->reply_stream(), std::move(record)};
-}
-
-Result<std::uint64_t> ReplicaApplier::apply_cycle(
-    std::span<const std::uint8_t> frame) {
+Result<std::uint64_t> ReplicaApplier::apply_shipment(
+    std::span<const std::uint8_t> shipment) {
   const std::lock_guard lock(mutex_);
   if (promoted_) {
     return ErrorCode::immutable;  // fenced: this volume has a new primary
   }
-  CycleFrame cycle;
-  if (!decode_cycle_frame(frame, cycle)) {
+  bool resync = false;
+  std::span<const std::uint8_t> frames;
+  if (!decode_shipment(shipment, resync, frames)) {
     return ErrorCode::invalid_argument;
   }
-  for (const ShardAppend& a : cycle.appends) {
-    if (a.shard >= local_->stream_count()) {
-      return ErrorCode::invalid_argument;  // a stream this volume lacks
+  // Every frame is checked before anything is written.
+  struct Checked {
+    std::uint64_t seq;
+    bool checkpoint;
+    std::span<const std::uint8_t> bytes;
+  };
+  std::vector<Checked> checked;
+  const std::size_t walked = walk_frames(
+      frames, local_->stream_count(),
+      [&](const Frame& frame, std::span<const std::uint8_t> bytes) {
+        checked.push_back({frame.seq, frame.checkpoint, bytes});
+      },
+      nullptr);
+  if (walked != frames.size()) {
+    return ErrorCode::invalid_argument;
+  }
+  if (resync) {
+    // A whole log starts at a checkpoint or at the volume's first frame.
+    if (!checked.empty() && !checked.front().checkpoint &&
+        checked.front().seq != 1) {
+      return ErrorCode::invalid_argument;
     }
+    adopt_locked(frames);
+    applied_ = checked.empty() ? 0 : checked.back().seq;
+    return applied_;
   }
-  if (cycle.rep_lsn <= applied_) {
-    return applied_;  // duplicate shipment: ack without re-applying
+  if (checked.empty()) {
+    return ErrorCode::invalid_argument;
   }
-  // A gap needs a frame that images every stream (a resync's): it holds
-  // the whole volume, so it lands on any floor.
-  if (cycle.rep_lsn != applied_ + 1 &&
-      !images_every_stream(cycle, local_->stream_count())) {
-    return ErrorCode::conflict;  // gap: the primary must resync us
+  for (const Checked& frame : checked) {
+    if (frame.seq <= applied_) {
+      continue;  // duplicate: ack without re-applying
+    }
+    if (frame.seq != applied_ + 1) {
+      return ErrorCode::conflict;  // gap: the primary must resync us
+    }
+    if (frame.checkpoint) {
+      local_->replace_log(frame.bytes);
+    } else {
+      local_->append_frames(frame.bytes);
+    }
+    applied_ = frame.seq;
   }
-  // A resync re-ships each stream's image and the records above it, whose
-  // front this volume may already hold (it is a prefix of the primary's
-  // history): append only what each stream lacks, so every stream's state
-  // stays the primary's record for record.
-  std::vector<std::uint64_t> held = held_;
-  for (ShardAppend& a : cycle.appends) {
-    held[a.shard] =
-        std::max(held[a.shard], drop_held(a.bytes, held_[a.shard]));
-  }
-  // The cycle plus its applied marker go down as ONE group -- one
-  // commit-log frame, one fsync on a file volume: the backup can never
-  // hold half a cycle (an effect without its reply-stream floor), nor a
-  // floor that claims a cycle it lacks.
-  cycle.appends.push_back(floor_marker(cycle.rep_lsn));
-  local_->append_journal_batch(std::move(cycle.appends));
-  applied_ = cycle.rep_lsn;
-  held_ = std::move(held);
   return applied_;
+}
+
+void ReplicaApplier::adopt_locked(std::span<const std::uint8_t> frames) {
+  // A backup is a prefix of its primary, so usually the resync only
+  // extends what this log holds: append the rest.  Anything else -- a
+  // log from before a checkpoint, or another volume's -- is replaced.
+  const Buffer log = local_->read_log();
+  const std::span<const std::uint8_t> mine = log_frames(log);
+  if (mine.size() <= frames.size() &&
+      std::equal(mine.begin(), mine.end(), frames.begin())) {
+    local_->append_frames(frames.subspan(mine.size()));
+  } else {
+    local_->replace_log(frames);
+  }
 }
 
 std::uint64_t ReplicaApplier::promote() {

@@ -217,6 +217,14 @@ TEST_F(BankCrashSuite, KilledAtEveryJournalBarrierRecoversConsistently) {
     EXPECT_GE(after_first_replay, recovered_bob);
     EXPECT_LE(after_first_replay, kTransfers * kAmount);
 
+    // Run forward past the crash: the frames the recovered server appended
+    // behind the image's must recover too (ALICE, Pillai et al., OSDI
+    // 2014).
+    shutdown();
+    boot(images[img]);
+    EXPECT_EQ(dollars(bob_), after_first_replay)
+        << "what ran after the recovery was lost by the next one";
+
     // Exactly-once across the crash: a SECOND identical replay must be
     // fully suppressed -- if any transfer double-executed, bob's balance
     // would move.
@@ -327,6 +335,11 @@ TEST_F(BankCrashSuite, PayrollEnvelopeKilledAtEveryJournalBarrier) {
           << ")";
       EXPECT_EQ(after_first_replay[i] % kAmount, 0);
     }
+    // Run forward past the crash: what ran after the recovery recovers.
+    shutdown();
+    boot(images[img]);
+    EXPECT_EQ(staff_dollars(), after_first_replay)
+        << "what ran after the recovery was lost by the next one";
     replay();
     EXPECT_EQ(staff_dollars(), after_first_replay)
         << "a replayed payroll envelope re-executed";

@@ -35,6 +35,7 @@
 #include "amoeba/softprot/keystore.hpp"
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/group_commit.hpp"
+#include "volumes.hpp"
 
 namespace amoeba {
 namespace {
@@ -251,7 +252,7 @@ TEST(DocsConsistency, VolumeLayoutTableMatchesAFileVolume) {
     std::vector<storage::ShardAppend> group;
     group.push_back({1, Buffer{1}});
     group.push_back({volume->reply_stream(), Buffer{2}});
-    volume->append_journal_batch(std::move(group));
+    test::append_group(*volume, std::move(group));
     storage::GroupCommitter committer(volume);
     (void)committer.install_snapshot(2, storage::encode_snapshot({}, 1));
     committer.wait_durable(committer.install_snapshot(

@@ -1,9 +1,11 @@
-// Primary/backup replication (docs/PROTOCOL.md §9): the cycle-frame
-// codec, the replica applier's LSN-floor idempotence, the post-flush
-// shipping hook's ordering contract, and the full primary -> backup
-// pipeline over the in-process network -- including PR-4 link faults on
-// the replication link (drop/duplicate/reorder must never tear a group
-// or double-apply an LSN) and the deposed-primary fence.
+// Primary/backup replication (docs/PROTOCOL.md §9): commit.log frames
+// and shipments, the replica applier's frame-number floor, resyncs that
+// adopt a primary's whole log, the post-flush shipping hook's ordering
+// contract, and the full primary -> backup pipeline over the in-process
+// network -- including PR-4 link faults on the replication link
+// (drop/duplicate/reorder must never tear a frame or double-apply one)
+// and the deposed-primary fence.  Every pipeline scenario ends with the
+// backup's commit.log byte-identical to its primary's.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,9 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -36,7 +36,9 @@
 #include "amoeba/storage/replication/replicated_backend.hpp"
 #include "amoeba/storage/replication/wire.hpp"
 #include "amoeba/storage/reply_stream.hpp"
+#include "invariants.hpp"
 #include "test_seed.hpp"
+#include "volumes.hpp"
 
 namespace amoeba::storage {
 namespace {
@@ -47,10 +49,22 @@ using namespace std::chrono_literals;
   return {s.begin(), s.end()};
 }
 
-[[nodiscard]] Buffer sample_frame(std::uint64_t lsn) {
-  const std::vector<ShardAppend> appends = {{0, bytes_of("rec-a")},
-                                            {3, bytes_of("rec-b")}};
-  return encode_cycle_frame(lsn, appends);
+/// One encoded frame.
+[[nodiscard]] Buffer frame_of(std::uint64_t seq,
+                              const std::vector<ShardAppend>& appends,
+                              bool checkpoint = false) {
+  Buffer out;
+  encode_frame(seq, checkpoint, appends, out);
+  return out;
+}
+
+[[nodiscard]] Buffer sample_frame(std::uint64_t seq) {
+  return frame_of(seq, {{0, bytes_of("rec-a")}, {3, bytes_of("rec-b")}});
+}
+
+/// A regular shipment of one frame.
+[[nodiscard]] Buffer ship(const Buffer& frame) {
+  return encode_shipment(/*resync=*/false, frame);
 }
 
 /// One framed mutate record (what a real store journals).
@@ -62,11 +76,10 @@ using namespace std::chrono_literals;
   return out;
 }
 
-/// A cycle frame carrying one record on `stream`.
-[[nodiscard]] Buffer one_run_frame(std::uint64_t lsn, std::size_t stream) {
-  const std::vector<ShardAppend> appends = {
-      {stream, record(static_cast<std::uint32_t>(lsn), lsn)}};
-  return encode_cycle_frame(lsn, appends);
+/// A frame carrying one record on `stream`.
+[[nodiscard]] Buffer one_run_frame(std::uint64_t seq, std::size_t stream) {
+  return frame_of(seq, {{stream, record(static_cast<std::uint32_t>(seq),
+                                        seq)}});
 }
 
 void store_u32(Buffer& bytes, std::size_t at, std::uint32_t v) {
@@ -80,22 +93,13 @@ void store_u64(Buffer& bytes, std::size_t at, std::uint64_t v) {
   store_u32(bytes, at + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
-/// Rewrites a cycle frame's length and checksum over its (bent) body, so
+/// Rewrites the checksum of the frame at `at` over its (bent) body, so
 /// the checksum cannot mask a bent field from the decoder.
-void reseal(Buffer& frame) {
-  const std::span<const std::uint8_t> body(frame.data() + 8,
-                                           frame.size() - 8);
-  store_u32(frame, 0, static_cast<std::uint32_t>(body.size()));
-  store_u32(frame, 4, frame_checksum(body));
-}
-
-/// Every journal of `volume`, by stream.
-[[nodiscard]] std::vector<Buffer> journals(const Backend& volume) {
-  std::vector<Buffer> out;
-  for (std::size_t s = 0; s < volume.stream_count(); ++s) {
-    out.push_back(volume.read_journal(s));
-  }
-  return out;
+void reseal(Buffer& bytes, std::size_t at = 0) {
+  const std::span<const std::uint8_t> body(bytes.data() + at + 8,
+                                           bytes.size() - at - 8);
+  store_u32(bytes, at, static_cast<std::uint32_t>(body.size()));
+  store_u32(bytes, at + 4, frame_checksum(body));
 }
 
 /// `a` followed by `b`: record runs concatenate.
@@ -111,71 +115,60 @@ void reseal(Buffer& frame) {
   return out;
 }
 
-/// `run` less its rep_applied markers (a backup's private records).
-[[nodiscard]] Buffer without_markers(const Buffer& run) {
-  Buffer out;
-  for (const Record& record : decode_journal(run)) {
-    if (record.type != RecordType::rep_applied) {
-      encode_record(record, out);
-    }
-  }
-  return out;
+/// A resync of `volume`: its whole log, flagged.
+[[nodiscard]] Buffer resync_of(const Backend& volume) {
+  const Buffer log = volume.read_log();
+  return encode_shipment(/*resync=*/true, log_frames(log));
 }
 
-/// A resync's runs over `volume`: every stream's state, an empty image
-/// standing in for a stream without one.
-[[nodiscard]] std::vector<ShardAppend> resync_runs(const Backend& volume) {
-  std::vector<ShardAppend> runs;
-  for (std::size_t s = 0; s < volume.stream_count(); ++s) {
-    runs.push_back({s, snapshot_record(volume.read_snapshot(s)) +
-                           volume.read_journal(s)});
-  }
-  return runs;
-}
-
-/// The backup holds the primary's state, stream for stream: the same
-/// image and the same records above it (less the backup's markers).
-void expect_same_state(const Backend& primary, const Backend& backup) {
-  for (std::size_t s = 0; s < primary.stream_count(); ++s) {
-    EXPECT_EQ(backup.read_snapshot(s), primary.read_snapshot(s))
-        << "image of stream " << s;
-    EXPECT_EQ(without_markers(backup.read_journal(s)),
-              primary.read_journal(s))
-        << "records of stream " << s;
-  }
-}
-
-TEST(ReplicationWireTest, CycleFrameRoundTrips) {
-  const Buffer frame = sample_frame(7);
-  CycleFrame decoded;
-  ASSERT_TRUE(decode_cycle_frame(frame, decoded));
-  EXPECT_EQ(decoded.rep_lsn, 7u);
+TEST(ReplicationWireTest, FramesAndShipmentsRoundTrip) {
+  const Buffer frame = frame_of(7, {{0, bytes_of("rec-a")},
+                                    {3, bytes_of("rec-b")}},
+                                /*checkpoint=*/true);
+  Frame decoded;
+  ASSERT_EQ(decode_frame(frame, decoded), frame.size());
+  EXPECT_EQ(decoded.seq, 7u);
+  EXPECT_TRUE(decoded.checkpoint);
   ASSERT_EQ(decoded.appends.size(), 2u);
   EXPECT_EQ(decoded.appends[0].shard, 0u);
   EXPECT_EQ(decoded.appends[0].bytes, bytes_of("rec-a"));
   EXPECT_EQ(decoded.appends[1].shard, 3u);
   EXPECT_EQ(decoded.appends[1].bytes, bytes_of("rec-b"));
+  for (const bool resync : {false, true}) {
+    const Buffer shipment = encode_shipment(resync, frame);
+    bool flagged = !resync;
+    std::span<const std::uint8_t> frames;
+    ASSERT_TRUE(decode_shipment(shipment, flagged, frames));
+    EXPECT_EQ(flagged, resync);
+    EXPECT_TRUE(std::equal(frames.begin(), frames.end(), frame.begin(),
+                           frame.end()));
+  }
+  bool flagged = false;
+  std::span<const std::uint8_t> frames;
+  EXPECT_FALSE(decode_shipment({}, flagged, frames));
+  const Buffer unknown_flag = {0x02};
+  EXPECT_FALSE(decode_shipment(unknown_flag, flagged, frames));
 }
 
 TEST(ReplicationWireTest, RejectsTornAndCorruptFrames) {
   const Buffer frame = sample_frame(1);
-  CycleFrame decoded;
+  Frame decoded;
   // Truncation at every prefix length: a torn shipment never half-applies.
   for (std::size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_FALSE(decode_cycle_frame(
-        std::span(frame.data(), len), decoded))
+    EXPECT_EQ(decode_frame(std::span(frame.data(), len), decoded), 0u)
         << "prefix " << len;
   }
-  // Trailing garbage is not "one whole frame" either.
-  Buffer padded = frame;
-  padded.push_back(0x5A);
-  EXPECT_FALSE(decode_cycle_frame(padded, decoded));
   // Any single corrupted body byte trips the whole-frame checksum.
   for (std::size_t i = 8; i < frame.size(); ++i) {
     Buffer bent = frame;
     bent[i] ^= 0x01;
-    EXPECT_FALSE(decode_cycle_frame(bent, decoded)) << "byte " << i;
+    EXPECT_EQ(decode_frame(bent, decoded), 0u) << "byte " << i;
   }
+  // A flag no format defines is malformed even when sealed.
+  Buffer flagged = frame;
+  flagged[16] = 0x02;
+  reseal(flagged);
+  EXPECT_EQ(decode_frame(flagged, decoded), 0u);
 }
 
 TEST(ReplicaApplierTest, FloorGatesDuplicatesAndGaps) {
@@ -183,153 +176,93 @@ TEST(ReplicaApplierTest, FloorGatesDuplicatesAndGaps) {
   ReplicaApplier applier(backend);
   EXPECT_EQ(applier.applied(), 0u);
 
-  const auto first = applier.apply_cycle(sample_frame(1));
+  const auto first = applier.apply_shipment(ship(sample_frame(1)));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value(), 1u);
-  const Buffer once = backend->read_journal(0);
+  const Buffer once = backend->read_log();
 
   // Duplicate (a lossy link's retransmission): acked, not re-applied.
-  const auto dup = applier.apply_cycle(sample_frame(1));
+  const auto dup = applier.apply_shipment(ship(sample_frame(1)));
   ASSERT_TRUE(dup.ok());
   EXPECT_EQ(dup.value(), 1u);
-  EXPECT_EQ(backend->read_journal(0), once) << "duplicate re-applied";
+  EXPECT_EQ(backend->read_log(), once) << "duplicate re-applied";
 
   // Gap: rejected with conflict (the primary answers with a resync).
-  const auto gap = applier.apply_cycle(sample_frame(3));
+  const auto gap = applier.apply_shipment(ship(sample_frame(3)));
   ASSERT_FALSE(gap.ok());
   EXPECT_EQ(gap.error(), ErrorCode::conflict);
   EXPECT_EQ(applier.applied(), 1u);
 
-  // The successor applies.
-  const auto next = applier.apply_cycle(sample_frame(2));
+  // The successor applies, verbatim.
+  const Buffer second = sample_frame(2);
+  const auto next = applier.apply_shipment(ship(second));
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.value(), 2u);
+  Buffer expected = once;
+  expected.insert(expected.end(), second.begin(), second.end());
+  EXPECT_EQ(backend->read_log(), expected);
 
   // Garbage is invalid_argument, not a crash and not an apply.
-  const auto bad = applier.apply_cycle(bytes_of("not a frame"));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error(), ErrorCode::invalid_argument);
+  for (const Buffer& bad : {bytes_of("not a frame"), Buffer{},
+                            encode_shipment(false, {})}) {
+    const auto refused = applier.apply_shipment(bad);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error(), ErrorCode::invalid_argument);
+  }
+  EXPECT_EQ(backend->read_log(), expected);
 }
 
 TEST(ReplicaApplierTest, FloorSurvivesRestart) {
-  // A restarted backup resumes at its persisted floor -- the reply
-  // stream's last rep_applied marker, whatever the last shipment was --
-  // so the primary's retransmissions of applied shipments stay duplicates.
+  // A restarted backup resumes at its log's last frame, whatever the last
+  // shipment was -- a checkpoint frame included -- so the primary's
+  // retransmissions of applied frames stay duplicates.
   const auto expect_resumes_at = [](const std::shared_ptr<Backend>& volume,
                                     std::uint64_t floor) {
     ReplicaApplier restarted(volume);
     EXPECT_EQ(restarted.applied(), floor);
-    const std::vector<Buffer> before = journals(*volume);
-    const auto dup = restarted.apply_cycle(one_run_frame(floor, 0));
+    const Buffer before = volume->read_log();
+    const auto dup = restarted.apply_shipment(ship(one_run_frame(floor, 0)));
     ASSERT_TRUE(dup.ok());
     EXPECT_EQ(dup.value(), floor);
-    EXPECT_EQ(journals(*volume), before) << "duplicate re-applied";
+    EXPECT_EQ(volume->read_log(), before) << "duplicate re-applied";
   };
   {
-    SCOPED_TRACE("cycle frames");
+    SCOPED_TRACE("regular frames");
     auto backend = std::make_shared<MemoryBackend>(4);
     {
       ReplicaApplier applier(backend);
-      ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
-      ASSERT_TRUE(applier.apply_cycle(sample_frame(2)).ok());
+      ASSERT_TRUE(applier.apply_shipment(ship(sample_frame(1))).ok());
+      ASSERT_TRUE(applier.apply_shipment(ship(sample_frame(2))).ok());
     }
     expect_resumes_at(backend, 2);
   }
-  for (const std::size_t stream : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(stream == 4 ? "image on the reply stream"
-                             : "image on an object shard");
-    auto backend = std::make_shared<MemoryBackend>(4);
-    ASSERT_EQ(backend->reply_stream(), 4u);
-    {
-      ReplicaApplier applier(backend);
-      ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
-      ASSERT_TRUE(applier.apply_cycle(sample_frame(2)).ok());
-      // The image subsumes every record at or below its lsn, the markers'
-      // lsn 0 among them: the newest marker stays live regardless.
-      const std::vector<ShardAppend> image = {
-          {stream, snapshot_record(encode_snapshot({}, 9))}};
-      ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(3, image)).ok());
-    }
-    expect_resumes_at(backend, 3);
-  }
   {
-    // A cycle whose image takes commit.log past its 8 MiB GC threshold:
-    // the rewrite keeps the newest marker, which names that cycle.
-    SCOPED_TRACE("image whose cycle rewrites commit.log");
+    SCOPED_TRACE("a checkpoint frame starts the file backup's log");
     const auto dir = std::filesystem::temp_directory_path() /
-                     ("amoeba-replica-gc-" + std::to_string(::getpid()));
+                     ("amoeba-replica-ckpt-" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
-    constexpr std::uint64_t kRecords = 160000;
-    const auto records = [](std::uint64_t from, std::uint64_t to) {
-      Buffer run;
-      for (std::uint64_t lsn = from; lsn <= to; ++lsn) {
-        encode_record({RecordType::mutate, ObjectNumber(100), 0x5EC2E7, lsn,
-                       Buffer(24, 0xAB)},
-                      run);
-      }
-      return run;
-    };
+    const Buffer checkpoint = frame_of(
+        3,
+        {{0, snapshot_record(encode_snapshot({{ObjectNumber(4), 9, Buffer{4}}},
+                                             5))},
+         {1, snapshot_record(encode_snapshot({}, 0))},
+         {2, snapshot_record(encode_snapshot({}, 7))}},
+        /*checkpoint=*/true);
     {
       auto volume = std::make_shared<FileBackend>(dir, 2);
       ReplicaApplier applier(volume);
-      const std::vector<ShardAppend> first = {{0, records(1, kRecords / 2)}};
-      ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(1, first)).ok());
-      ASSERT_TRUE(applier.apply_cycle(one_run_frame(2, 1)).ok());
-      const std::vector<ShardAppend> last = {
-          {0, records(kRecords / 2 + 1, kRecords) +
-                  snapshot_record(encode_snapshot({}, kRecords))}};
-      ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(3, last)).ok());
-      EXPECT_EQ(volume->rewrite_stats().rewrites, 1u);
-      EXPECT_LT(std::filesystem::file_size(dir / "commit.log"), 4096u)
-          << "the cycle did not rewrite commit.log";
+      ASSERT_TRUE(applier.apply_shipment(ship(one_run_frame(1, 0))).ok());
+      ASSERT_TRUE(applier.apply_shipment(ship(one_run_frame(2, 1))).ok());
+      ASSERT_TRUE(applier.apply_shipment(ship(checkpoint)).ok());
+      Buffer expected;
+      encode_log_header(expected);
+      expected.insert(expected.end(), checkpoint.begin(), checkpoint.end());
+      EXPECT_EQ(volume->read_log(), expected)
+          << "the checkpoint did not start the backup's log";
     }
     expect_resumes_at(std::make_shared<FileBackend>(dir, 2), 3);
     std::filesystem::remove_all(dir);
   }
-}
-
-TEST(ReplicaApplierTest, ResyncedTailsAppendOnlyWhatAStreamLacks) {
-  // The primary's history, shipped cycle by cycle: records 1..3 of stream
-  // 0, then a compaction (an image at 2 and record 4 behind it).  Then
-  // the primary restarts and resyncs in one frame that images every
-  // stream: the backup already holds records 3 and 4 above the image, so
-  // it appends each stream's image alone -- never dropped as held, though
-  // its lsn is below what the stream holds -- and the records it lacks.
-  // A restarted applier learns what each stream holds from the volume.
-  const auto run = [](std::uint64_t from, std::uint64_t to) {
-    Buffer out;
-    for (std::uint64_t lsn = from; lsn <= to; ++lsn) {
-      out = out + record(static_cast<std::uint32_t>(lsn), lsn);
-    }
-    return out;
-  };
-  auto primary = std::make_shared<MemoryBackend>(4);
-  auto backend = std::make_shared<MemoryBackend>(4);
-  ReplicaApplier applier(backend);
-  const auto ship = [&](ReplicaApplier& to, std::uint64_t rep_lsn,
-                        std::vector<ShardAppend> runs) {
-    primary->append_journal_batch(std::vector<ShardAppend>(runs));
-    ASSERT_TRUE(to.apply_cycle(encode_cycle_frame(rep_lsn, runs)).ok());
-    EXPECT_EQ(to.applied(), rep_lsn);
-  };
-  ship(applier, 1, {{0, run(1, 3)}});
-  const Buffer image = encode_snapshot({{ObjectNumber(2), 1, Buffer{2}}}, 2);
-  ship(applier, 2, {{0, snapshot_record(image) + run(4, 4)}});
-  expect_same_state(*primary, *backend);
-  // The restart resync lands on a gap: it images every stream.
-  ASSERT_TRUE(
-      applier.apply_cycle(encode_cycle_frame(7, resync_runs(*primary))).ok());
-  EXPECT_EQ(applier.applied(), 7u);
-  EXPECT_EQ(backend->read_journal(0), run(3, 4));
-  expect_same_state(*primary, *backend);
-  ReplicaApplier restarted(backend);
-  EXPECT_EQ(restarted.applied(), 7u);
-  // A tail overlapping what the stream holds appends only record 5.
-  const std::vector<ShardAppend> tail = {{0, run(4, 5)}};
-  ASSERT_TRUE(restarted.apply_cycle(encode_cycle_frame(8, tail)).ok());
-  primary->append_journal(0, run(5, 5));
-  EXPECT_EQ(backend->read_journal(0), run(3, 5));
-  expect_same_state(*primary, *backend);
 }
 
 TEST(ReplicaApplierTest, OutOfRangeStreamIsRefusedBeforeAnyAppend) {
@@ -338,88 +271,198 @@ TEST(ReplicaApplierTest, OutOfRangeStreamIsRefusedBeforeAnyAppend) {
   // re-sealed, so the checksum does not mask the bad index.
   auto backend = std::make_shared<MemoryBackend>(4);
   ReplicaApplier applier(backend);
-  ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
-  const std::vector<Buffer> before = journals(*backend);
-  // sample_frame's body: rep_lsn u64 | count u32 | stream u32 | length
-  // u32 | "rec-a" | stream u32 | ...: the second run's stream is at 33.
+  ASSERT_TRUE(applier.apply_shipment(ship(sample_frame(1))).ok());
+  const Buffer before = backend->read_log();
+  // sample_frame: length u32 | checksum u32 | seq u64 | flags u8 | count
+  // u32 | stream u32 | length u32 | "rec-a" | stream u32 | ...
   const Buffer good = sample_frame(2);
-  constexpr std::size_t kSecondStream = 8 + 8 + 4 + 8 + 5;
+  constexpr std::size_t kSecondStream = 8 + 8 + 1 + 4 + 8 + 5;
   for (const std::uint32_t stream : {5u, 6u, 0xFFFFFFFFu}) {
     SCOPED_TRACE("stream " + std::to_string(stream));
     Buffer bent = good;
     store_u32(bent, kSecondStream, stream);
     reseal(bent);
-    CycleFrame decoded;
-    ASSERT_TRUE(decode_cycle_frame(bent, decoded));
+    Frame decoded;
+    ASSERT_EQ(decode_frame(bent, decoded), bent.size());
     ASSERT_EQ(decoded.appends.at(1).shard, stream);
-    const auto refused = applier.apply_cycle(bent);
+    const auto refused = applier.apply_shipment(ship(bent));
     ASSERT_FALSE(refused.ok());
     EXPECT_EQ(refused.error(), ErrorCode::invalid_argument);
     EXPECT_EQ(applier.applied(), 1u);
-    EXPECT_EQ(journals(*backend), before) << "a refused cycle appended";
+    EXPECT_EQ(backend->read_log(), before) << "a refused frame was written";
   }
   // The unbent frame still applies on top.
-  const auto applied = applier.apply_cycle(good);
+  const auto applied = applier.apply_shipment(ship(good));
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(applied.value(), 2u);
 }
 
-/// Every stream of `volume` in normal form (images included).
-[[nodiscard]] std::vector<Buffer> streams(const Backend& volume) {
-  std::vector<Buffer> out;
-  for (std::size_t s = 0; s < volume.stream_count(); ++s) {
-    out.push_back(volume.read_stream(s));
+TEST(ReplicaApplierTest, UnflaggedFrameImagingEveryStreamIsRefusedAtAGap) {
+  // A frame whose runs image every stream, shipped as an ordinary frame,
+  // may hold an image whose LSN is below reply records that sit in a
+  // frame the gapped backup never received: adopting it would lose them,
+  // and a promoted backup could then re-execute those requests.  Only a
+  // shipment flagged as a resync -- a whole log -- lands on a gap.
+  auto backend = std::make_shared<MemoryBackend>(1);
+  ReplicaApplier applier(backend);
+  ASSERT_TRUE(applier.apply_shipment(ship(one_run_frame(1, 0))).ok());
+  const Buffer before = backend->read_log();
+  // Frame 2 (never shipped to this backup) holds a reply record at LSN 6;
+  // frame 3 images every stream, the reply stream's at LSN 5.
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint frame" : "regular frame");
+    const Buffer imaging = frame_of(
+        3,
+        {{0, snapshot_record(encode_snapshot({}, 1))},
+         {1, snapshot_record(encode_snapshot({}, 5))}},
+        checkpoint);
+    const auto gap = applier.apply_shipment(ship(imaging));
+    ASSERT_FALSE(gap.ok());
+    EXPECT_EQ(gap.error(), ErrorCode::conflict);
+    EXPECT_EQ(applier.applied(), 1u);
+    EXPECT_EQ(backend->read_log(), before);
   }
-  return out;
 }
 
-/// The group an applier holding `held` (per stream) appends for `cycle`:
-/// each run less its journal records at or below what the stream holds --
-/// snapshot records stay -- then the marker naming the cycle.
-[[nodiscard]] std::vector<ShardAppend> applied_runs(
-    const CycleFrame& cycle, const std::vector<std::uint64_t>& held) {
-  std::vector<ShardAppend> group;
-  for (const ShardAppend& a : cycle.appends) {
-    Buffer kept;  // a file volume's frame leaves out a run left empty
-    std::size_t pos = 0;
-    while (const auto r = peek_record(std::span(a.bytes).subspan(pos))) {
-      if (r->type == RecordType::snapshot || r->lsn > held.at(a.shard)) {
-        kept.insert(kept.end(), a.bytes.begin() + pos,
-                    a.bytes.begin() + pos + r->size);
-      }
-      pos += r->size;
-    }
-    kept.insert(kept.end(), a.bytes.begin() + pos, a.bytes.end());
-    if (!kept.empty()) {
-      group.push_back({a.shard, std::move(kept)});
-    }
+TEST(ReplicaApplierTest, ResyncAdoptsAWholeLogAtAnyFloor) {
+  // The primary's log: frames 1 to 4.
+  auto primary = std::make_shared<MemoryBackend>(2);
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    test::append_run(*primary, seq % 3, record(static_cast<std::uint32_t>(seq),
+                                            seq));
   }
-  Writer floor;
-  floor.u64(cycle.rep_lsn);
-  Buffer marker;
-  encode_record_into(RecordType::rep_applied, ObjectNumber{}, 0, 0,
-                     floor.buffer(), marker);
-  group.push_back({held.size() - 1, std::move(marker)});
-  return group;
+  {
+    SCOPED_TRACE("a backup holding a prefix gains only the rest");
+    auto backup = std::make_shared<MemoryBackend>(2);
+    ReplicaApplier applier(backup);
+    const Buffer log = primary->read_log();
+    Frame head;
+    const std::span<const std::uint8_t> frames = log_frames(log);
+    const std::size_t first = decode_frame(frames, head);
+    ASSERT_GT(first, 0u);
+    ASSERT_TRUE(applier
+                    .apply_shipment(encode_shipment(
+                        false, frames.subspan(0, first)))
+                    .ok());
+    const std::uint64_t writes = backup->append_count();
+    const auto floor = applier.apply_shipment(resync_of(*primary));
+    ASSERT_TRUE(floor.ok());
+    EXPECT_EQ(floor.value(), 4u);
+    EXPECT_EQ(backup->append_count(), writes + 1) << "one append, no rewrite";
+    test::expect_backup_is_prefix(*primary, *backup);
+  }
+  for (const std::uint64_t foreign : {1, 40}) {
+    SCOPED_TRACE("another volume's log at floor " + std::to_string(foreign));
+    auto backup = std::make_shared<MemoryBackend>(2);
+    ReplicaApplier applier(backup);
+    for (std::uint64_t seq = 1; seq <= foreign; ++seq) {
+      ASSERT_TRUE(applier.apply_shipment(ship(one_run_frame(seq, 0))).ok());
+    }
+    const auto floor = applier.apply_shipment(resync_of(*primary));
+    ASSERT_TRUE(floor.ok());
+    EXPECT_EQ(floor.value(), 4u);
+    test::expect_backup_is_prefix(*primary, *backup);
+    // And the stream continues right behind it.
+    EXPECT_TRUE(applier.apply_shipment(ship(one_run_frame(5, 1))).ok());
+    EXPECT_EQ(applier.applied(), 5u);
+  }
+  {
+    SCOPED_TRACE("a resync that does not start a log is refused");
+    auto backup = std::make_shared<MemoryBackend>(2);
+    ReplicaApplier applier(backup);
+    ASSERT_TRUE(applier.apply_shipment(ship(one_run_frame(1, 0))).ok());
+    const Buffer before = backup->read_log();
+    const auto refused =
+        applier.apply_shipment(encode_shipment(true, one_run_frame(3, 0)));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error(), ErrorCode::invalid_argument);
+    EXPECT_EQ(backup->read_log(), before);
+    // An empty primary's resync empties a stale backup.
+    const auto emptied = applier.apply_shipment(encode_shipment(true, {}));
+    ASSERT_TRUE(emptied.ok());
+    EXPECT_EQ(emptied.value(), 0u);
+    EXPECT_TRUE(backup->empty());
+  }
+}
+
+TEST(ReplicaApplierTest, PromoteFencesFurtherShipments) {
+  auto backend = std::make_shared<MemoryBackend>(4);
+  ReplicaApplier applier(backend);
+  ASSERT_TRUE(applier.apply_shipment(ship(sample_frame(1))).ok());
+  EXPECT_EQ(applier.promote(), 1u);
+  EXPECT_TRUE(applier.promoted());
+  const auto refused = applier.apply_shipment(ship(sample_frame(2)));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error(), ErrorCode::immutable);
+}
+
+/// Offers a shipment to `applier` and returns the outcome the rules of
+/// docs/PROTOCOL.md §9.2 predict, with the log the backup must then hold:
+/// the oracle the wire fuzz checks the applier against.
+struct Expected {
+  bool refused = false;  // invalid_argument or conflict: log unchanged
+  std::uint64_t floor = 0;
+  Buffer log;
+};
+[[nodiscard]] Expected predict(const Buffer& shipment, const Buffer& log,
+                               std::uint64_t floor, std::size_t streams) {
+  Expected out{true, floor, log};
+  bool resync = false;
+  std::span<const std::uint8_t> frames;
+  if (!decode_shipment(shipment, resync, frames)) {
+    return out;
+  }
+  Frame frame;
+  const std::size_t size = decode_frame(frames, frame);
+  if (size == 0 || size != frames.size() ||
+      std::any_of(frame.appends.begin(), frame.appends.end(),
+                  [&](const ShardAppend& a) { return a.shard >= streams; })) {
+    return out;
+  }
+  Buffer fresh;
+  encode_log_header(fresh);
+  fresh.insert(fresh.end(), frames.begin(), frames.end());
+  if (resync) {
+    if (!frame.checkpoint && frame.seq != 1) {
+      return out;
+    }
+    return {false, frame.seq, fresh};
+  }
+  if (frame.seq <= floor) {
+    return {false, floor, log};  // a duplicate
+  }
+  if (frame.seq != floor + 1) {
+    return out;  // a gap
+  }
+  if (frame.checkpoint) {
+    return {false, frame.seq, fresh};
+  }
+  Buffer appended = log;
+  appended.insert(appended.end(), frames.begin(), frames.end());
+  return {false, frame.seq, appended};
 }
 
 TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
-  // Field-level mutation of cycle frames (docs/PROTOCOL.md §9.2): bend
-  // rep_lsn, the append count, a stream index or a run length, re-seal
-  // the checksum so the bend reaches the decoder, and offer the frame to
-  // an applier at floor 1.  The frame is either applied whole -- every
-  // run plus the marker, nothing else -- or leaves every journal byte for
-  // byte as it was; and the decoder never sizes an allocation by more
-  // entries than its input can hold.  AMOEBA_TEST_SEED picks the bends.
+  // Field-level mutation of shipments (docs/PROTOCOL.md §9.2): bend the
+  // resync flag, the frame's sequence number or flags, the group count, a
+  // stream index or a run length, re-seal the frame checksum so the bend
+  // reaches the decoder, and offer the shipment to an applier at floor 1.
+  // The backup's log must then be exactly what the §9.2 rules predict --
+  // the frame appended whole, a log started by it, or the log untouched
+  // -- and the decoder never sizes an allocation by more entries than its
+  // input can hold.  AMOEBA_TEST_SEED picks the bends.
   Rng rng(test::seed_base(43) * 0x9E3779B97F4A7C15ULL + 18);
   // Runs on two object shards and the reply stream (index 4).
   const std::vector<ShardAppend> appends = {
       {0, record(1, 5)}, {2, record(2, 5)}, {4, record(3, 5)}};
-  const Buffer pristine = encode_cycle_frame(2, appends);
-  constexpr std::size_t kRepLsn = 8;
-  constexpr std::size_t kCount = 16;
+  const Buffer pristine = ship(frame_of(2, appends));
+  // Offsets in the shipment: flags 0, then the frame at 1.
+  constexpr std::size_t kFrame = 1;
+  constexpr std::size_t kSeq = kFrame + 8;
+  constexpr std::size_t kFlags = kFrame + 16;
+  constexpr std::size_t kCount = kFrame + 17;
   std::vector<std::size_t> stream_at;
-  std::size_t pos = 20;
+  std::size_t pos = kFrame + 21;
   for (const ShardAppend& a : appends) {
     stream_at.push_back(pos);
     pos += 8 + a.bytes.size();
@@ -441,23 +484,31 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
         return static_cast<std::uint32_t>(rng.next());
     }
   };
-  int applied_whole = 0;
+  int applied = 0;
   int refused = 0;
   for (int iter = 0; iter < 3000; ++iter) {
     Buffer bent = pristine;
     for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
       const std::size_t run = rng.below(appends.size());
-      switch (rng.below(4)) {
+      switch (rng.below(6)) {
         case 0: {
           const std::uint64_t choices[] = {0, 1, 2, 3, ~std::uint64_t{0},
                                            rng.next()};
-          store_u64(bent, kRepLsn, choices[rng.below(6)]);
+          store_u64(bent, kSeq, choices[rng.below(6)]);
           break;
         }
         case 1:
-          store_u32(bent, kCount, bent_u32(3));
+          bent[kFlags] = static_cast<std::uint8_t>(
+              rng.below(2) == 0 ? rng.below(3) : rng.next());
           break;
         case 2:
+          bent[0] = static_cast<std::uint8_t>(
+              rng.below(2) == 0 ? rng.below(3) : rng.next());
+          break;
+        case 3:
+          store_u32(bent, kCount, bent_u32(3));
+          break;
+        case 4:
           store_u32(bent, stream_at[run],
                     bent_u32(static_cast<std::uint32_t>(appends[run].shard)));
           break;
@@ -468,344 +519,110 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
           break;
       }
     }
-    reseal(bent);
-    CycleFrame decoded;
-    const bool decodes = decode_cycle_frame(bent, decoded);
+    reseal(bent, kFrame);
+    Frame decoded;
+    (void)decode_frame(std::span(bent).subspan(kFrame), decoded);
     EXPECT_LE(decoded.appends.capacity(), bent.size() / 8)
         << "an allocation sized past the input";
 
     auto volume = std::make_shared<MemoryBackend>(4);
     ReplicaApplier applier(volume);
-    ASSERT_TRUE(applier.apply_cycle(one_run_frame(1, 1)).ok());
-    const std::vector<Buffer> before = streams(*volume);
-    const auto result = applier.apply_cycle(bent);
-    const std::vector<Buffer> after = streams(*volume);
-    if (applier.applied() == 1) {
-      ++refused;
-      EXPECT_EQ(after, before) << "a rejected frame touched a journal";
-    } else {
-      ++applied_whole;
-      ASSERT_TRUE(decodes);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(decoded.rep_lsn, 2u);
-      EXPECT_EQ(applier.applied(), 2u);
-      // One group: each stream takes its runs, reduced at an image.
-      std::vector<Buffer> expected = before;
-      for (const ShardAppend& a : applied_runs(decoded, {0, 1, 0, 0, 0})) {
-        Buffer& stream = expected.at(a.shard);
-        stream = stream + a.bytes;
-        if (holds_snapshot(a.bytes)) {
-          stream = live_records(stream);
-        }
-      }
-      for (Buffer& stream : expected) {
-        stream = live_records(stream);
-      }
-      EXPECT_EQ(after, expected) << "a frame was applied in part";
-    }
+    ASSERT_TRUE(applier.apply_shipment(ship(one_run_frame(1, 1))).ok());
+    const Expected expected =
+        predict(bent, volume->read_log(), 1, volume->stream_count());
+    const auto result = applier.apply_shipment(bent);
+    EXPECT_EQ(result.ok(), !expected.refused);
+    EXPECT_EQ(applier.applied(), expected.floor);
+    EXPECT_EQ(volume->read_log(), expected.log)
+        << "the backup's log is not what the shipment rules predict";
+    ++(expected.refused ? refused : applied);
     if (::testing::Test::HasFailure()) {
       FAIL() << "iteration " << iter << " (seed base "
              << test::seed_base(43) << ")";
     }
   }
   // Neither outcome was vacuous.
-  EXPECT_GT(applied_whole, 0);
+  EXPECT_GT(applied, 0);
   EXPECT_GT(refused, 0);
-}
-
-[[nodiscard]] Buffer read_bytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void write_bytes(const std::filesystem::path& path, const Buffer& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST(ReplicationWireFuzz, BentSnapshotRecordsApplyWholeOrLeaveTheLogAlone) {
-  // Field-level mutation of a frame that images every stream, on a file
-  // volume: bend a record's type, its lsn, a snapshot record's image
-  // length, or the frame's rep_lsn; re-seal the record's and the frame's
-  // checksums so the bend reaches the applier.  The frame is either
-  // applied whole -- commit.log gains exactly one group frame, the runs
-  // less what the streams hold plus the marker -- or leaves commit.log
-  // byte for byte as it was.  AMOEBA_TEST_SEED picks the bends.
-  Rng rng(test::seed_base(43) * 0x9E3779B97F4A7C15ULL + 19);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("amoeba-image-fuzz-" + std::to_string(::getpid()));
-  const auto log = dir / "commit.log";
-  std::filesystem::remove_all(dir);
-  {
-    auto volume = std::make_shared<FileBackend>(dir, 2);
-    ReplicaApplier applier(volume);
-    ASSERT_TRUE(applier.apply_cycle(one_run_frame(1, 1)).ok());
-  }
-  const Buffer base = read_bytes(log);
-  const std::vector<std::uint64_t> held = {0, 1, 0};
-  // Streams 0, 1 and the reply stream (2): an image with a record above
-  // it, an empty image, and a record above an image placed before it.
-  const std::vector<ShardAppend> appends = {
-      {0, snapshot_record(encode_snapshot({{ObjectNumber(4), 9, Buffer{4}}},
-                                          5)) +
-              record(10, 6)},
-      {1, snapshot_record({})},
-      {2, record(11, 3) + snapshot_record(encode_snapshot({}, 2))}};
-  const Buffer pristine = encode_cycle_frame(2, appends);
-  // Where each record sits in the frame: header 8, rep_lsn 8, count 4,
-  // then per run its stream and length words.
-  struct At {
-    std::size_t record;
-    bool image;
-  };
-  std::vector<At> records;
-  std::size_t pos = 20;
-  for (const ShardAppend& a : appends) {
-    pos += 8;
-    std::size_t in_run = 0;
-    while (const auto r = peek_record(std::span(a.bytes).subspan(in_run))) {
-      records.push_back({pos + in_run, r->type == RecordType::snapshot});
-      in_run += r->size;
-    }
-    pos += a.bytes.size();
-  }
-  ASSERT_EQ(pos, pristine.size());
-  // A record's body: type u8 at +8, lsn u64 at +21, payload length at +29.
-  const auto reseal_record = [](Buffer& frame, std::size_t at) {
-    std::uint32_t length = 0;
-    for (int i = 0; i < 4; ++i) {
-      length |= static_cast<std::uint32_t>(frame[at + i]) << (8 * i);
-    }
-    store_u32(frame, at + 4,
-              frame_checksum(std::span(frame).subspan(at + 8, length)));
-  };
-  int applied_whole = 0;
-  int refused = 0;
-  for (int iter = 0; iter < 300; ++iter) {
-    Buffer bent = pristine;
-    for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
-      const At at = records[rng.below(records.size())];
-      switch (rng.below(4)) {
-        case 0:
-          bent[at.record + 8] = static_cast<std::uint8_t>(
-              rng.below(2) == 0 ? rng.below(12) : rng.next());
-          break;
-        case 1: {
-          const std::uint64_t choices[] = {0, 1, 5, 6, ~std::uint64_t{0},
-                                           rng.next()};
-          store_u64(bent, at.record + 21, choices[rng.below(6)]);
-          break;
-        }
-        case 2: {
-          // The payload (image) length: off by one, zero, or huge.
-          const std::uint32_t choices[] = {0, 1, 0xFFFFFFFFu,
-                                           static_cast<std::uint32_t>(
-                                               rng.next())};
-          store_u32(bent, at.record + 29, choices[rng.below(4)]);
-          break;
-        }
-        default: {
-          const std::uint64_t choices[] = {0, 1, 2, 3, 40, rng.next()};
-          store_u64(bent, 8, choices[rng.below(6)]);
-          break;
-        }
-      }
-      reseal_record(bent, at.record);
-    }
-    reseal(bent);
-    CycleFrame decoded;
-    ASSERT_TRUE(decode_cycle_frame(bent, decoded));
-
-    write_bytes(log, base);
-    auto volume = std::make_shared<FileBackend>(dir, 2);
-    ReplicaApplier applier(volume);
-    ASSERT_EQ(applier.applied(), 1u);
-    const auto result = applier.apply_cycle(bent);
-    const Buffer after = read_bytes(log);
-    if (applier.applied() == 1) {
-      ++refused;
-      EXPECT_EQ(after, base) << "a refused frame touched commit.log";
-    } else {
-      ++applied_whole;
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(applier.applied(), decoded.rep_lsn);
-      Buffer expected = base;
-      Buffer frame;
-      encode_group_frame(applied_runs(decoded, held), frame);
-      expected.insert(expected.end(), frame.begin(), frame.end());
-      EXPECT_EQ(after, expected) << "a frame was applied in part";
-    }
-    if (::testing::Test::HasFailure()) {
-      FAIL() << "iteration " << iter << " (seed base "
-             << test::seed_base(43) << ")";
-    }
-  }
-  // Neither outcome was vacuous.
-  EXPECT_GT(applied_whole, 0);
-  EXPECT_GT(refused, 0);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ReplicaApplierTest, FrameImagingEveryStreamAdoptsItsLsnAsFloor) {
-  auto backend = std::make_shared<MemoryBackend>(4);
-  auto primary = std::make_shared<MemoryBackend>(4);
-  primary->append_journal(
-      2, snapshot_record(encode_snapshot({{ObjectNumber(2), 1, Buffer{1}}},
-                                         3)) +
-             record(2, 4));
-  ReplicaApplier applier(backend);
-  // A resync frame lands on any floor -- no gap check.
-  const auto adopted =
-      applier.apply_cycle(encode_cycle_frame(10, resync_runs(*primary)));
-  ASSERT_TRUE(adopted.ok());
-  EXPECT_EQ(adopted.value(), 10u);
-  expect_same_state(*primary, *backend);
-  // The stream continues right behind it...
-  EXPECT_TRUE(applier.apply_cycle(sample_frame(11)).ok());
-  // ...and everything at or below the adopted floor is a duplicate.
-  const std::vector<Buffer> before = journals(*backend);
-  const auto stale =
-      applier.apply_cycle(encode_cycle_frame(5, resync_runs(*primary)));
-  ASSERT_TRUE(stale.ok());
-  EXPECT_EQ(stale.value(), 11u);
-  EXPECT_EQ(journals(*backend), before);
-  // A frame that leaves one stream without an image still needs floor+1.
-  std::vector<ShardAppend> partial = resync_runs(*primary);
-  partial.pop_back();
-  const auto gap = applier.apply_cycle(encode_cycle_frame(13, partial));
-  ASSERT_FALSE(gap.ok());
-  EXPECT_EQ(gap.error(), ErrorCode::conflict);
-}
-
-TEST(ReplicaApplierTest, PromoteFencesFurtherShipments) {
-  auto backend = std::make_shared<MemoryBackend>(4);
-  ReplicaApplier applier(backend);
-  ASSERT_TRUE(applier.apply_cycle(sample_frame(1)).ok());
-  EXPECT_EQ(applier.promote(), 1u);
-  EXPECT_TRUE(applier.promoted());
-  const auto refused = applier.apply_cycle(sample_frame(2));
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.error(), ErrorCode::immutable);
 }
 
 /// A link straight into an in-process applier whose first
-/// `failed_probes` heartbeats time out.
+/// `failed_ships` shipments time out.
 class DirectLink final : public ReplicationLink {
  public:
-  DirectLink(ReplicaApplier& applier, int failed_probes)
-      : applier_(&applier), failed_probes_(failed_probes) {}
+  DirectLink(ReplicaApplier& applier, int failed_ships)
+      : applier_(&applier), failed_ships_(failed_ships) {}
 
   [[nodiscard]] std::string peer_name() const override { return "backup"; }
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
-      std::span<const std::uint8_t> frame) override {
-    return applier_->apply_cycle(frame);
-  }
-  [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
-    if (failed_probes_ > 0) {
-      --failed_probes_;
+      std::span<const std::uint8_t> shipment) override {
+    if (failed_ships_ > 0) {
+      --failed_ships_;
       return ErrorCode::timeout;
     }
+    return applier_->apply_shipment(shipment);
+  }
+  [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
     return applier_->applied();
   }
 
  private:
   ReplicaApplier* applier_;
-  int failed_probes_;
+  int failed_ships_;
 };
 
-TEST(ReplicatedBackendTest, StaleBackupFloorIsNumberedAbove) {
-  // The backup outlived an earlier primary; the new primary's numbering
-  // starts at 1, and every shipment at or below the backup's floor would
-  // be acked as a duplicate never applied.  The shipper's first
-  // heartbeats time out: it must retry, learn the floor, and number above
-  // it before offering anything.  Floor 1 equals the resync's LSN, whose
-  // duplicate ack would look exactly like an apply.
+/// Polls until every peer of `primary` acknowledged everything queued.
+[[nodiscard]] bool synced(const ReplicatedBackend& primary) {
+  for (int i = 0; i < 2000; ++i) {
+    const auto stats = primary.stats();
+    if (std::all_of(stats.peers.begin(), stats.peers.end(),
+                    [&](const auto& peer) {
+                      return peer.queued == 0 &&
+                             peer.acked_lsn >= stats.shipped_lsn;
+                    })) {
+      return true;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  return false;
+}
+
+TEST(ReplicatedBackendTest, BackupHoldingAnotherVolumesFloorConverges) {
+  // The backup outlived an earlier primary, or holds another volume: its
+  // floor (1, equal to the new primary's first frame, or 40, far above
+  // it) names frames this primary never wrote.  The attach resync is
+  // offered first, retried through timeouts, and adopted whatever the
+  // floor; the frames after it then apply in order.
   for (const std::uint64_t stale_floor : {1, 40}) {
     SCOPED_TRACE("stale floor " + std::to_string(stale_floor));
     auto backup = std::make_shared<MemoryBackend>(4);
     ReplicaApplier applier(backup);
-    auto stale = std::make_shared<MemoryBackend>(4);
-    stale->append_journal(
-        0, snapshot_record(encode_snapshot({{ObjectNumber(8), 1, Buffer{8}}},
-                                           7)));
-    ASSERT_TRUE(applier
-                    .apply_cycle(encode_cycle_frame(stale_floor,
-                                                    resync_runs(*stale)))
-                    .ok());
+    for (std::uint64_t seq = 1; seq <= stale_floor; ++seq) {
+      ASSERT_TRUE(applier.apply_shipment(ship(one_run_frame(seq, 0))).ok());
+    }
     auto local = std::make_shared<MemoryBackend>(4);
-    local->append_journal(1, record(1, 1));
+    test::append_run(*local, 1, record(1, 1));
 
     auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::ack_one);
     primary->attach_peer(std::make_shared<DirectLink>(applier, 3));
-    bool synced = false;
-    for (int i = 0; i < 2000 && !synced; ++i) {
-      const auto stats = primary->stats();
-      synced = stats.peers[0].queued == 0 &&
-               stats.peers[0].acked_lsn >= stats.shipped_lsn;
-      std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_TRUE(synced) << "parked shipments were never acknowledged";
-    EXPECT_GT(applier.applied(), stale_floor);
-    // ack_one: durable once the backup applied it, above the old floor.
+    ASSERT_TRUE(synced(*primary)) << "the resync was never acknowledged";
+    EXPECT_EQ(applier.applied(), 1u);
+    // ack_one: durable once the backup applied it.
     GroupCommitter committer(primary);
     committer.wait_durable(committer.enqueue(2, record(2, 1)));
-    // The resync's empty image reset the stale shard 0.
-    expect_same_state(*local, *backup);
+    EXPECT_EQ(applier.applied(), 2u);
+    test::expect_backup_is_prefix(*local, *backup);
   }
 }
 
-/// Forwards to an in-process applier and logs every frame it newly
-/// applies (its floor moved to exactly that frame's LSN), then runs
-/// `after_apply` (when set).
-class RecordingLink final : public ReplicationLink {
- public:
-  explicit RecordingLink(ReplicaApplier& applier) : applier_(&applier) {}
-
-  std::function<void()> after_apply;  // set before attaching
-
-  [[nodiscard]] std::string peer_name() const override { return "backup"; }
-  [[nodiscard]] Result<std::uint64_t> ship_cycle(
-      std::span<const std::uint8_t> frame) override {
-    const auto floor = applier_->apply_cycle(frame);
-    CycleFrame cycle;
-    if (floor.ok() && decode_cycle_frame(frame, cycle) &&
-        floor.value() == cycle.rep_lsn) {
-      {
-        const std::lock_guard lock(mutex_);
-        applied_.push_back(std::move(cycle));
-      }
-      if (after_apply) {
-        after_apply();
-      }
-    }
-    return floor;
-  }
-  [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
-    return applier_->applied();
-  }
-
-  [[nodiscard]] std::vector<CycleFrame> applied() const {
-    const std::lock_guard lock(mutex_);
-    return applied_;
-  }
-
- private:
-  ReplicaApplier* applier_;
-  mutable std::mutex mutex_;
-  std::vector<CycleFrame> applied_;
-};
-
-TEST(ReplicaApplierTest, ResyncIsOneBarrierHoldingItsWholeFloor) {
-  // A full resync onto an empty backup is ONE shipment the backup lands
-  // as one journal barrier: the crash image taken there holds every
-  // stream of the primary -- distinct images and the records above them
-  // -- and a floor naming the resync, never a floor without its content.
+TEST(ReplicaApplierTest, ResyncIsOneBarrierHoldingTheWholeLog) {
+  // A resync onto an empty backup is ONE shipment the backup lands as one
+  // write: the crash image taken there is the primary's log, whole, and
+  // its floor is the primary's last frame.
   auto local = std::make_shared<MemoryBackend>(4);
   for (std::size_t s = 0; s < local->stream_count(); ++s) {
     const auto object = static_cast<std::uint32_t>(s + 1);
-    local->append_journal(
+    test::append_run(*local, 
         s, snapshot_record(encode_snapshot(
                {{ObjectNumber(object), 0x5EC2E7, Buffer{7}}}, 10)) +
                record(object, 11));
@@ -819,172 +636,27 @@ TEST(ReplicaApplierTest, ResyncIsOneBarrierHoldingItsWholeFloor) {
     const std::lock_guard lock(images_mutex);
     images.push_back(std::move(image));
   });
-  auto link = std::make_shared<RecordingLink>(applier);
   {
     ReplicatedBackend primary(local, AckMode::ack_one);
-    primary.attach_peer(link);
-    bool synced = false;
-    for (int i = 0; i < 2000 && !synced; ++i) {
-      const auto stats = primary.stats();
-      synced = stats.peers[0].queued == 0 &&
-               stats.peers[0].acked_lsn >= stats.shipped_lsn;
-      std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_TRUE(synced) << "the resync never landed";
+    primary.attach_peer(std::make_shared<DirectLink>(applier, 0));
+    ASSERT_TRUE(synced(primary)) << "the resync never landed";
   }
   backup->set_append_hook(nullptr);
-  ASSERT_EQ(link->applied().size(), 1u);
   const std::lock_guard lock(images_mutex);
   ASSERT_EQ(images.size(), 1u);
-  const ReplicaApplier reopened(images[0]);
-  EXPECT_EQ(reopened.applied(), link->applied()[0].rep_lsn);
-  expect_same_state(*local, *images[0]);
-}
-
-/// The counter a snapshot image of shard 0 holds (0 when it holds none).
-[[nodiscard]] std::uint32_t image_counter(const Buffer& image) {
-  std::vector<SnapshotSlot> slots;
-  std::uint64_t lsn = 0;
-  if (!decode_snapshot(image, slots, lsn) || slots.empty()) {
-    return 0;
-  }
-  Reader r(slots.front().payload);
-  return r.u32();
-}
-
-/// The floor reply-stream records `records` give client (1, 1), folded
-/// into `rows`.
-[[nodiscard]] std::uint64_t fold_floor(std::span<const std::uint8_t> records,
-                                       ReplyRows& rows) {
-  for (const Record& record : decode_journal(records)) {
-    (void)merge_reply_record(record, rows);
-  }
-  const auto it = rows.find({1, 1});
-  return it == rows.end() ? 0 : it->second.floor;
-}
-
-TEST(ReplicationOrderTest, SnapshotsShipAfterTheFloorsOfTheirEffects) {
-  // Each "request" enqueues its floor on the reply stream, then sets a
-  // counter to its sequence number in a store that compacts after every
-  // record, so each effect is folded into an image queued right behind
-  // it.  Every image must reach the backup in the cycle frame that
-  // carries the floors of the effects it holds or a later one, and no
-  // image of either volume -- both captured inside the post-flush hook,
-  // right after the backup applied a frame -- may hold an effect without
-  // its floor.
-  constexpr std::uint64_t kRequests = 24;
-  auto local = std::make_shared<MemoryBackend>(1);
-  auto backup = std::make_shared<MemoryBackend>(1);
-  ReplicaApplier applier(backup);
-  auto link = std::make_shared<RecordingLink>(applier);
-  std::mutex images_mutex;
-  std::vector<std::shared_ptr<MemoryBackend>> images;
-  // ack_one: a cycle frame is applied while the flusher waits for its ack
-  // inside the hook, so the primary's capture is taken inside the hook.
-  link->after_apply = [&] {
-    auto primary_image = local->capture();
-    auto backup_image = backup->capture();
-    const std::lock_guard lock(images_mutex);
-    images.push_back(std::move(primary_image));
-    images.push_back(std::move(backup_image));
-  };
-  auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::ack_one);
-  primary->attach_peer(link);
-  const auto synced = [&] {
-    for (int i = 0; i < 2000; ++i) {
-      const auto stats = primary->stats();
-      if (stats.peers[0].queued == 0 &&
-          stats.peers[0].acked_lsn >= stats.shipped_lsn) {
-        return true;
-      }
-      std::this_thread::sleep_for(1ms);
-    }
-    return false;
-  };
-  ASSERT_TRUE(synced()) << "the attach resync never landed";
-  auto committer = std::make_shared<GroupCommitter>(primary);
   {
-    core::Durability<int> durability;
-    durability.committer = committer;
-    durability.encode = [](Writer& w, const int& v) {
-      w.u32(static_cast<std::uint32_t>(v));
-    };
-    durability.decode = [](Reader& r, int& v) {
-      v = static_cast<int>(r.u32());
-      return r.ok();
-    };
-    durability.compact_after = 1;
-    Rng rng(7);
-    const std::shared_ptr<const core::ProtectionScheme> scheme =
-        core::make_scheme(core::SchemeKind::one_way_xor, rng);
-    core::ObjectStore<int> store(scheme, Port(0x0D0D), 1, 1,
-                                 std::move(durability));
-    const core::Capability counter = store.create(0);
-    for (std::uint64_t seq = 1; seq <= kRequests; ++seq) {
-      RequestScope scope;  // a request's shape: floor, effect, one wait
-      Buffer floor;
-      encode_reply_floor(1, 1, seq, seq, floor);
-      committer->wait_durable(committer->enqueue(local->reply_stream(), floor));
-      {
-        auto opened = store.open(counter, Rights::all());
-        ASSERT_TRUE(opened.ok());
-        *opened.value().value = static_cast<int>(seq);
-        opened.value().mark_dirty();
-      }
-      scope.settle();
-    }
-    store.compact();  // returns with every image installed
+    ReplicaApplier reopened(images[0]);
+    EXPECT_EQ(reopened.applied(), local->last_seq());
+    test::expect_backup_is_prefix(*local, *images[0]);
+    // Run forward past the barrier: the next frame lands behind the
+    // resync's, and a backup reopened after it resumes above it.
+    const Buffer next = one_run_frame(local->last_seq() + 1, 1);
+    ASSERT_TRUE(reopened.apply_shipment(ship(next)).ok());
+    local->append_frames(next);
   }
-  ASSERT_TRUE(synced()) << "the snapshot shipments never landed";
-  // The create's image, one per request, and compact()'s.
-  EXPECT_EQ(committer->stats().installs, kRequests + 2);
-
-  // Apply order: every image in or after the frame carrying the floors of
-  // the effects it holds.  A frame lands whole, so its own floors count.
-  ReplyRows shipped_rows;
-  std::uint64_t shipped_floor = 0;
-  std::size_t images_shipped = 0;
-  for (const CycleFrame& frame : link->applied()) {
-    for (const ShardAppend& run : frame.appends) {
-      if (run.shard == local->reply_stream()) {
-        shipped_floor = fold_floor(run.bytes, shipped_rows);
-      }
-    }
-    for (const ShardAppend& run : frame.appends) {
-      for (const Record& record : decode_journal(run.bytes)) {
-        if (run.shard != 0 || record.type != RecordType::snapshot) {
-          continue;
-        }
-        ++images_shipped;
-        EXPECT_LE(image_counter(record.payload), shipped_floor)
-            << "frame " << frame.rep_lsn << " shipped an image before its "
-            << "floor";
-      }
-    }
-  }
-  // The resync's empty image, the create's, one per request, compact()'s.
-  EXPECT_GE(images_shipped, kRequests + 3);
-
-  // Crash images: no image holds an effect its reply stream lacks a
-  // floor for.
-  const std::lock_guard lock(images_mutex);
-  ASSERT_GE(images.size(), kRequests);
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    std::uint64_t last_lsn = 0;
-    const ReplyRows rows = read_reply_stream(*images[i], last_lsn);
-    const auto row = rows.find({1, 1});
-    const std::uint64_t floor = row == rows.end() ? 0 : row->second.floor;
-    EXPECT_LE(image_counter(images[i]->read_snapshot(0)), floor)
-        << "image " << i << " holds an effect without its floor";
-  }
-
-  // The backup compacted with the primary: same image, and the shipped
-  // snapshot record subsumes the journal records below it.
-  EXPECT_EQ(backup->read_snapshot(0), local->read_snapshot(0));
-  EXPECT_TRUE(local->read_journal(0).empty());
-  EXPECT_TRUE(backup->read_journal(0).empty())
-      << "a shipped snapshot must truncate the backup's journal too";
-  EXPECT_EQ(image_counter(backup->read_snapshot(0)), kRequests);
+  const ReplicaApplier forward(images[0]);
+  EXPECT_EQ(forward.applied(), local->last_seq());
+  test::expect_backup_is_prefix(*local, *images[0]);
 }
 
 TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
@@ -1007,15 +679,15 @@ TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
           std::uint64_t seen = 0;
           for (const ShardAppend& a : *cycle.appends) {
             seen += a.bytes.size();
-            // The cycle's frame is already in commit.log: each stream's
-            // recovered journal ends with exactly these bytes.
-            const Buffer journal = backend->read_journal(a.shard);
-            ASSERT_GE(journal.size(), a.bytes.size()) << "stream " << a.shard;
-            EXPECT_TRUE(std::equal(a.bytes.begin(), a.bytes.end(),
-                                   journal.end() - static_cast<std::ptrdiff_t>(
-                                                       a.bytes.size())))
-                << "hook fired before stream " << a.shard << " was written";
           }
+          // The cycle's frame, as encoded once, is the log's last frame.
+          const Buffer log = backend->read_log();
+          ASSERT_GE(log.size(), cycle.frame.size());
+          EXPECT_TRUE(std::equal(cycle.frame.begin(), cycle.frame.end(),
+                                 log.end() - static_cast<std::ptrdiff_t>(
+                                                 cycle.frame.size())))
+              << "hook fired before the frame was written";
+          EXPECT_EQ(cycle.seq, backend->last_seq());
           EXPECT_EQ(seen, cycle.bytes);
           const std::lock_guard lock(mutex);
           if (!hooked.empty()) {
@@ -1057,6 +729,7 @@ TEST(GroupCommitHookTest, HookSeesCycleBytesBeforeWaitersRelease) {
 }  // namespace
 }  // namespace amoeba::storage
 
+
 namespace amoeba::servers {
 namespace {
 
@@ -1091,6 +764,14 @@ class ReplicationSuite : public ::testing::Test {
     if (replica_ != nullptr) {
       replica_->stop();
     }
+  }
+
+  /// Every scenario ends checking the backup against its primary, byte
+  /// for byte: the whole log, or a prefix of it where the scenario leaves
+  /// shipments unacknowledged (a fenced primary, async teardown).
+  void TearDown() override {
+    shutdown();
+    test::expect_backup_is_prefix(*local_, *backup_backend_, whole_at_end_);
   }
 
   /// Boots the primary bank on `local_` (recovering whatever it holds).
@@ -1135,11 +816,10 @@ class ReplicationSuite : public ::testing::Test {
     return false;
   }
 
-  /// The whole point of journal shipping: the backup volume holds the
-  /// primary's own state, stream for stream (the backup's reply stream
-  /// adds its private floor markers).
+  /// The whole point of shipping frames as written: the backup's
+  /// commit.log is the primary's, byte for byte.
   void expect_volumes_equal() {
-    storage::expect_same_state(*local_, *backup_backend_);
+    test::expect_backup_is_prefix(*local_, *backup_backend_);
   }
 
   void workload(int transfers) {
@@ -1172,6 +852,7 @@ class ReplicationSuite : public ::testing::Test {
   core::Capability alice_;
   core::Capability bob_;
   std::uint64_t seed_ = test::seed_base(43) + 55;
+  bool whole_at_end_ = true;
 };
 
 TEST_F(ReplicationSuite, AckOneShipsEveryFlushCycleToTheBackup) {
@@ -1191,8 +872,8 @@ TEST_F(ReplicationSuite, PrimaryRestartKeepsTheBackupAPrefix) {
   ASSERT_TRUE(wait_synced());
   shutdown();  // its last flush ships too (pending reply bodies)
   const std::uint64_t floor_down = replica_->applier().applied();
-  // While the bank is down its reply stream compacts: an image at the
-  // stream's last LSN, whose records the backup already holds.
+  // While the bank is down its volume gains a frame the backup never saw:
+  // a reply-stream image at the stream's last LSN.
   {
     std::uint64_t last_lsn = 0;
     const storage::ReplyRows rows =
@@ -1202,12 +883,9 @@ TEST_F(ReplicationSuite, PrimaryRestartKeepsTheBackupAPrefix) {
     committer.wait_durable(
         committer.install_snapshot(local_->reply_stream(), image));
   }
-  // The bank restarts on its own volume.  Its shipment numbering starts
-  // over, below the floor the backup already holds: the restarted
-  // primary must learn that floor and number above it, or the backup
-  // answers every shipment as a duplicate without applying it.  Its
-  // resync is one frame, whose reply-stream image the backup must take
-  // although its lsn is below what the stream holds.
+  // The bank restarts on its own volume, numbering its frames on from
+  // its log.  Its attach resync ships that log; the backup holds a prefix
+  // of it and appends only the frame it lacks.
   boot(storage::AckMode::ack_one, 22);
   ASSERT_TRUE(wait_synced());
   EXPECT_EQ(replica_->applier().applied(), floor_down + 1);
@@ -1220,6 +898,7 @@ TEST_F(ReplicationSuite, PrimaryRestartKeepsTheBackupAPrefix) {
 }
 
 TEST_F(ReplicationSuite, AsyncModeCatchesUpAndConverges) {
+  whole_at_end_ = false;  // teardown's last frames ship without a wait
   boot(storage::AckMode::async);
   workload(25);
   ASSERT_TRUE(wait_synced());
@@ -1240,9 +919,9 @@ TEST_F(ReplicationSuite, LinkFaultsNeverTearAGroupOrDoubleApply) {
   workload(30);
   net_.clear_link_faults();
   ASSERT_TRUE(wait_synced());
-  // Byte equality is the strong form of both properties: a torn group or
-  // a double-applied LSN would leave the backup's journals differing
-  // from the primary's.
+  // Byte equality is the strong form of both properties: a torn frame or
+  // a double-applied one would leave the backup's log differing from the
+  // primary's.
   expect_volumes_equal();
 }
 
@@ -1280,6 +959,7 @@ TEST_F(ReplicationSuite, StdInfoReportsRolesAndLag) {
 }
 
 TEST_F(ReplicationSuite, PromotedBackupFencesTheDeposedPrimary) {
+  whole_at_end_ = false;  // the deposed primary's last frames are its own
   boot(storage::AckMode::ack_one);
   workload(5);
   ASSERT_TRUE(wait_synced());
@@ -1309,6 +989,7 @@ TEST_F(ReplicationSuite, AttachPeerRacesPromotionUnderFlushStorm) {
   // the storm threads must always terminate (a promoted backup answers
   // `immutable`, which fences the primary and fails every pending and
   // future durability wait instead of retrying forever).
+  whole_at_end_ = false;  // the fenced storm's last frames stay local
   auto primary = std::make_shared<storage::ReplicatedBackend>(
       local_, storage::AckMode::ack_one);
   storage::GroupCommitter committer(primary);
@@ -1370,8 +1051,7 @@ TEST_F(ReplicationSuite, LateAttachResyncsAWholeVolume) {
   client_ = std::make_unique<BankClient>(*transport_, bank_->put_port());
   replicated_ = solo;
   workload(10);
-  // ...then attach: the resync broadcast must rebuild the backup from
-  // scratch (snapshots reset, journals follow).
+  // ...then attach: the resync must rebuild the backup from scratch.
   solo->attach_peer(std::make_shared<rpc::TransportReplicationLink>(
       bank_machine_, 61, "backup", replica_->volume_capability()));
   ASSERT_TRUE(wait_synced());

@@ -1,7 +1,7 @@
 // The reply stream (docs/PROTOCOL.md §8.4): rpc::Service persists its
 // at-most-once state as O(1)-byte reply_floor / reply_body records in a
-// reserved journal stream of the volume, compacted into snapshots of the
-// bounded in-memory cache.  These tests pin the properties that design
+// reserved journal stream of the volume, imaged at each checkpoint from
+// the bounded in-memory cache.  These tests pin the properties that design
 // promises:
 //
 //   * bytes written per request stay flat as clients churn;
@@ -14,18 +14,18 @@
 //   * that wait is the replier's: one worker handles request after
 //     request while their replies wait for a shared flush, a failed
 //     flush answers every parked reply `internal`, destroying the server
-//     sends what is parked, and only the committer's flusher installs the
-//     reply-stream snapshot;
+//     sends what is parked, and only the committer's flusher takes the
+//     reply stream's checkpoint image;
 //   * a handler's outgoing call never leaves before its effects do;
-//   * a shard compaction inside a handler waits on no flush, and its
-//     snapshot never leaves an effect without its floor, on the primary
-//     or on a backup that applied the shipped snapshot;
+//   * a checkpoint taken while a request's floor and effect are queued
+//     never leaves the effect without its floor, on the primary or on a
+//     backup that applied the checkpoint frame;
 //   * a read journals nothing (§5.5): 1,000 balance calls leave a file
 //     volume untouched, a read racing a transfer whose flush fails never
 //     reports that transfer, and a read-through call still journals its
 //     floor before it leaves;
-//   * the incarnation survives a stream snapshot, a commit.log rewrite
-//     and a resync, and a promoted backup's server draws a higher one.
+//   * the incarnation survives a checkpoint and a resync, and a promoted
+//     backup's server draws a higher one.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -69,6 +69,7 @@
 #include "amoeba/storage/replication/wire.hpp"
 #include "amoeba/storage/reply_stream.hpp"
 #include "test_seed.hpp"
+#include "volumes.hpp"
 
 namespace amoeba {
 namespace {
@@ -76,9 +77,8 @@ namespace {
 using namespace std::chrono_literals;
 
 /// Forwards to another volume and counts every byte handed to it for
-/// writing: record runs, images included, plus their commit-log frame
-/// headers.  `after_install`, when set, runs after each group with the
-/// index of every stream whose run carried a snapshot record.
+/// writing: whole frames, images included.  `after_checkpoint`, when set,
+/// runs after each log replacement (a checkpoint frame).
 class CountingBackend final : public storage::Backend {
  public:
   explicit CountingBackend(std::shared_ptr<storage::Backend> inner)
@@ -86,41 +86,34 @@ class CountingBackend final : public storage::Backend {
 
   [[nodiscard]] std::uint64_t bytes() const { return bytes_.load(); }
 
-  std::function<void(std::size_t)> after_install;
+  std::function<void()> after_checkpoint;
 
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_->shard_count();
   }
-  void append_journal_batch(
-      std::vector<storage::ShardAppend>&& appends) override {
-    count(appends);
-    std::vector<std::size_t> imaged;
-    for (const storage::ShardAppend& a : appends) {
-      if (storage::holds_snapshot(a.bytes)) {
-        imaged.push_back(a.shard);
-      }
+  void append_frames(std::span<const std::uint8_t> frames) override {
+    bytes_ += frames.size();
+    inner_->append_frames(frames);
+  }
+  void replace_log(std::span<const std::uint8_t> frames) override {
+    bytes_ += frames.size();
+    inner_->replace_log(frames);
+    if (after_checkpoint) {
+      after_checkpoint();
     }
-    inner_->append_journal_batch(std::move(appends));
-    if (after_install) {
-      for (const std::size_t stream : imaged) {
-        after_install(stream);
-      }
-    }
+  }
+  [[nodiscard]] Buffer read_log() const override { return inner_->read_log(); }
+  [[nodiscard]] std::uint64_t last_seq() const override {
+    return inner_->last_seq();
+  }
+  [[nodiscard]] std::uint64_t log_bytes() const override {
+    return inner_->log_bytes();
   }
   [[nodiscard]] Buffer read_stream(std::size_t stream) const override {
     return inner_->read_stream(stream);
   }
-  [[nodiscard]] bool empty() const override { return inner_->empty(); }
 
  private:
-  void count(const std::vector<storage::ShardAppend>& appends) {
-    std::uint64_t total = 12;  // commit-log frame: length, checksum, count
-    for (const storage::ShardAppend& a : appends) {
-      total += 8 + a.bytes.size();
-    }
-    bytes_ += total;
-  }
-
   std::shared_ptr<storage::Backend> inner_;
   std::atomic<std::uint64_t> bytes_{0};
 };
@@ -194,23 +187,34 @@ class GatedBackend final : public storage::Backend {
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_->shard_count();
   }
-  void append_journal_batch(
-      std::vector<storage::ShardAppend>&& appends) override {
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [&] { return open_; });
-      if (fail_) {
-        throw std::runtime_error("GatedBackend: write failed");
-      }
-    }
-    inner_->append_journal_batch(std::move(appends));
+  void append_frames(std::span<const std::uint8_t> frames) override {
+    pass_gate();
+    inner_->append_frames(frames);
+  }
+  void replace_log(std::span<const std::uint8_t> frames) override {
+    pass_gate();
+    inner_->replace_log(frames);
+  }
+  [[nodiscard]] Buffer read_log() const override { return inner_->read_log(); }
+  [[nodiscard]] std::uint64_t last_seq() const override {
+    return inner_->last_seq();
+  }
+  [[nodiscard]] std::uint64_t log_bytes() const override {
+    return inner_->log_bytes();
   }
   [[nodiscard]] Buffer read_stream(std::size_t stream) const override {
     return inner_->read_stream(stream);
   }
-  [[nodiscard]] bool empty() const override { return inner_->empty(); }
 
  private:
+  void pass_gate() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return open_; });
+    if (fail_) {
+      throw std::runtime_error("GatedBackend: write failed");
+    }
+  }
+
   std::shared_ptr<storage::MemoryBackend> inner_;
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -353,9 +357,9 @@ TEST(ReplyStreamTest, RecoveredRowsNeverExceedTheTombstoneBound) {
       }
     }
     EXPECT_LE(service.reply_cache_stats().clients, kBound);
+    service.committer().checkpoint();
   }  // the committer's destructor drains its queue
-  // The stream compacted at least once, and its snapshot is bounded like
-  // the cache it images.
+  // The checkpoint imaged the stream, bounded like the cache it images.
   storage::ReplyRows snapshot;
   std::uint64_t applied = 0;
   ASSERT_TRUE(storage::merge_reply_snapshot(
@@ -647,7 +651,7 @@ TEST(ReplyStreamFuzz, MutatedStreamsNeverCrashARestart) {
     storage::encode_record_into(storage::RecordType::reply_floor,
                                 ObjectNumber{}, 0, 5, serialize(record),
                                 journal);
-    volume->append_journal(volume->reply_stream(), journal);
+    test::append_run(*volume, volume->reply_stream(), journal);
     try {
       CountingService service(machine, Port(0xC2C2), volume, 8, 16);
       EXPECT_LE(service.reply_cache_stats().clients, 2u);
@@ -1021,21 +1025,19 @@ TEST(ReplyStreamTest, DestroyingAServerSendsItsParkedReplies) {
   }
 }
 
-TEST(ReplyStreamTest, OnlyTheFlusherInstallsTheReplyStreamSnapshot) {
-  // Reply bodies are appended by the replier, and a 1 KiB body is what
-  // usually carries the stream past its snapshot threshold; the image's
-  // write must run on the committer's flusher -- the thread that runs
-  // the post-flush hook -- never on the replier every parked reply waits
-  // behind, nor on a worker.
+TEST(ReplyStreamTest, OnlyTheFlusherTakesTheReplyStreamImage) {
+  // Reply bodies are appended by the replier while checkpoints are
+  // requested from outside: each image is taken and written on the
+  // committer's flusher -- the thread that runs the post-flush hook --
+  // never on the replier every parked reply waits behind, nor on a
+  // worker.
   auto volume = std::make_shared<CountingBackend>(
       std::make_shared<storage::MemoryBackend>(2));
   std::mutex installers_mutex;
   std::vector<std::thread::id> installers;
-  volume->after_install = [&](std::size_t stream) {
-    if (stream == volume->reply_stream()) {
-      const std::lock_guard lock(installers_mutex);
-      installers.push_back(std::this_thread::get_id());
-    }
+  volume->after_checkpoint = [&] {
+    const std::lock_guard lock(installers_mutex);
+    installers.push_back(std::this_thread::get_id());
   };
   net::Network net;
   net::Machine& server_machine = net.add_machine("server");
@@ -1054,16 +1056,19 @@ TEST(ReplyStreamTest, OnlyTheFlusherInstallsTheReplyStreamSnapshot) {
                 reply_get, body),
         server_machine.id()));
     ASSERT_TRUE(replies.receive({}, 2'000ms).has_value()) << "seq " << seq;
+    if (seq % 100 == 0) {
+      service.committer().checkpoint();
+    }
   }
   service.stop();
   const std::thread::id worker = service.handler_thread.load();
   ASSERT_NE(flusher.load(), std::thread::id{}) << "no cycle ran the hook";
   const std::lock_guard lock(installers_mutex);
-  EXPECT_GE(installers.size(), 3u) << "the stream never compacted";
+  EXPECT_EQ(installers.size(), 3u);
   for (const std::thread::id installer : installers) {
     EXPECT_EQ(installer, flusher.load())
-        << "a snapshot was installed off the flusher";
-    EXPECT_NE(installer, worker) << "a worker installed a snapshot";
+        << "a checkpoint was written off the flusher";
+    EXPECT_NE(installer, worker) << "a worker wrote a checkpoint";
   }
 }
 
@@ -1167,18 +1172,17 @@ TEST(ReplyStreamTest, OutgoingCallWaitsForTheHandlersEffects) {
 // ---------------------------------------------------------------------
 // Shard compaction against queued floors.
 
-/// A durable service over an object store that compacts after every
-/// journal record: kBump increments one counter object, so each request's
-/// effect is folded into a shard snapshot -- queued right behind the
-/// effect -- the moment its handler releases the object.
-class CompactingService final : public rpc::Service {
+/// A durable service over an object store whose kBump increments one
+/// counter object and then takes a checkpoint of the volume, while its
+/// floor and effect are queued and not yet durable.
+class CheckpointingService final : public rpc::Service {
  public:
   static constexpr std::uint16_t kBump = 0x0103;
 
-  CompactingService(net::Machine& machine, Port port,
-                    std::shared_ptr<storage::Backend> volume,
-                    std::optional<core::Capability> counter = std::nullopt)
-      : Service(machine, port, "compacting"),
+  CheckpointingService(net::Machine& machine, Port port,
+                       std::shared_ptr<storage::Backend> volume,
+                       std::optional<core::Capability> counter = std::nullopt)
+      : Service(machine, port, "checkpointing"),
         committer_(std::make_shared<storage::GroupCommitter>(volume)),
         store_(scheme(), port, 5, 1, durability(committer_)),
         counter_(counter.has_value() ? *counter : store_.create(0)) {
@@ -1191,16 +1195,14 @@ class CompactingService final : public rpc::Service {
         }
         ++*opened.value().value;
         opened.value().mark_dirty();
-      }  // released: journaled, and the shard's compaction queued
-      ++handled;
+      }  // released: journaled behind the request's floor
+      committer_->checkpoint();
       return net::make_reply(request.message, ErrorCode::ok);
     });
   }
-  ~CompactingService() override { stop(); }
+  ~CheckpointingService() override { stop(); }
 
   [[nodiscard]] storage::GroupCommitter& committer() { return *committer_; }
-
-  std::atomic<int> handled{0};  // kBump handlers that returned
 
   [[nodiscard]] const core::Capability& counter() const { return counter_; }
   [[nodiscard]] int value() {
@@ -1220,7 +1222,6 @@ class CompactingService final : public rpc::Service {
       v = static_cast<int>(r.u32());
       return r.ok();
     };
-    d.compact_after = 1;
     return d;
   }
 
@@ -1230,8 +1231,8 @@ class CompactingService final : public rpc::Service {
 };
 
 /// Hands shipments straight to a backup's applier, and images the backup
-/// volume right after each frame it applies that carries an object-shard
-/// snapshot -- before any later cycle frame can land.
+/// volume right after it applies a checkpoint frame -- before any later
+/// frame can land.
 class ImagingLink final : public storage::ReplicationLink {
  public:
   explicit ImagingLink(std::shared_ptr<storage::MemoryBackend> volume)
@@ -1239,16 +1240,15 @@ class ImagingLink final : public storage::ReplicationLink {
 
   [[nodiscard]] std::string peer_name() const override { return "backup"; }
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
-      std::span<const std::uint8_t> frame) override {
-    const Result<std::uint64_t> applied = applier_.apply_cycle(frame);
-    storage::CycleFrame cycle;
-    if (applied.ok() && storage::decode_cycle_frame(frame, cycle) &&
-        applied.value() == cycle.rep_lsn &&
-        std::any_of(cycle.appends.begin(), cycle.appends.end(),
-                    [&](const storage::ShardAppend& a) {
-                      return a.shard < volume_->shard_count() &&
-                             storage::holds_snapshot(a.bytes);
-                    })) {
+      std::span<const std::uint8_t> shipment) override {
+    const std::uint64_t before = applier_.applied();
+    const Result<std::uint64_t> applied = applier_.apply_shipment(shipment);
+    bool resync = false;
+    std::span<const std::uint8_t> frames;
+    storage::Frame frame;
+    if (applied.ok() && applied.value() > before &&
+        storage::decode_shipment(shipment, resync, frames) && !resync &&
+        storage::decode_frame(frames, frame) > 0 && frame.checkpoint) {
       const std::lock_guard lock(mutex_);
       images_.push_back(volume_->capture());
     }
@@ -1271,86 +1271,21 @@ class ImagingLink final : public storage::ReplicationLink {
   std::vector<std::shared_ptr<storage::MemoryBackend>> images_;
 };
 
-TEST(ReplyStreamTest, CompactionInAHandlerWaitsOnNoFlush) {
-  // A bump's effect triggers a shard compaction while the flush cycle
-  // carrying its floor and effect is held at the post-flush hook.  The
-  // image is queued behind them, so the handler returns at once -- only
-  // its reply waits for the cycle -- and the flusher installs the image
-  // once the cycle goes on.
-  net::Network net;
-  net::Machine& server_machine = net.add_machine("server");
-  net::Machine& client_machine = net.add_machine("client");
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool open = true;
-  CompactingService service(server_machine, Port(0xC3C3),
-                            std::make_shared<storage::MemoryBackend>(1));
-  struct OpenOnExit {  // the server's destructor must not hang on the gate
-    std::mutex& mutex;
-    std::condition_variable& cv;
-    bool& open;
-    ~OpenOnExit() {
-      {
-        const std::lock_guard lock(mutex);
-        open = true;
-      }
-      cv.notify_all();
-    }
-  } open_on_exit{gate_mutex, gate_cv, open};
-  service.committer().set_post_flush_hook([&](const auto&) {
-    std::unique_lock lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return open; });
-  });
-  service.start(1);
-  const Port reply_get(0x5454);
-  net::Receiver replies = client_machine.listen(reply_get);
-  // The counter's create compacted at once: let that image land first.
-  ASSERT_TRUE(
-      eventually([&] { return service.committer().stats().installs == 1; }));
-
-  {
-    const std::lock_guard lock(gate_mutex);
-    open = false;
-  }
-  ASSERT_TRUE(client_machine.transmit(
-      stamped(service.put_port(), CompactingService::kBump, 0xB0C, 1,
-              reply_get),
-      server_machine.id()));
-  EXPECT_TRUE(eventually([&] { return service.handled.load() == 1; }))
-      << "the handler waited for the held cycle";
-  EXPECT_FALSE(replies.receive({}, 100ms).has_value())
-      << "a reply left before its flush was durable";
-  {
-    const std::lock_guard lock(gate_mutex);
-    open = true;
-  }
-  gate_cv.notify_all();
-  const auto reply = replies.receive({}, 2'000ms);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
-  EXPECT_TRUE(
-      eventually([&] { return service.committer().stats().installs == 2; }))
-      << "the bump's image was never installed";
-  EXPECT_EQ(service.value(), 1);
-}
-
-TEST(ReplyStreamTest, ShardSnapshotNeverHoldsAnEffectWithoutItsFloor) {
-  // Each bump's floor is queued, not yet durable, when its handler's
-  // effect triggers a compaction; the image is queued behind the floor,
-  // installed by the flusher and shipped to the backup.  Image the
-  // primary right after each install, and the backup right after it
-  // applies each shipped snapshot: a server restarted (or promoted) from
-  // any of those images must not run a bump whose effect the image
-  // already holds a second time.
+TEST(ReplyStreamTest, CheckpointNeverHoldsAnEffectWithoutItsFloor) {
+  // Each bump's floor and effect are queued, not yet durable, when its
+  // handler requests a checkpoint: the flusher images the shard, then the
+  // reply stream, and the checkpoint frame ships to the backup.  Image
+  // the primary right after each checkpoint, and the backup right after
+  // it applies each one: a server restarted (or promoted) from any of
+  // those images must not run a bump whose effect the image already holds
+  // a second time.
   auto local = std::make_shared<storage::MemoryBackend>(1);
   auto tapped = std::make_shared<CountingBackend>(local);
   std::mutex images_mutex;
   std::vector<std::shared_ptr<storage::MemoryBackend>> images;
-  tapped->after_install = [&](std::size_t shard) {
-    if (shard < local->shard_count()) {
-      const std::lock_guard lock(images_mutex);
-      images.push_back(local->capture());
-    }
+  tapped->after_checkpoint = [&] {
+    const std::lock_guard lock(images_mutex);
+    images.push_back(local->capture());
   };
   auto link = std::make_shared<ImagingLink>(
       std::make_shared<storage::MemoryBackend>(1));
@@ -1366,31 +1301,15 @@ TEST(ReplyStreamTest, ShardSnapshotNeverHoldsAnEffectWithoutItsFloor) {
     net::Network net;
     net::Machine& server_machine = net.add_machine("server");
     net::Machine& client_machine = net.add_machine("client");
-    CompactingService service(server_machine, Port(0xC4C4), primary);
+    CheckpointingService service(server_machine, Port(0xC4C4), primary);
     counter = service.counter();
     service.start(1);
     const Port reply_get(0x5555);
     net::Receiver replies = client_machine.listen(reply_get);
-    {
-      const std::lock_guard lock(images_mutex);
-      images.clear();
-    }
-    // The counter's create compacted at once, and that snapshot ships
-    // without an ack wait: let it land before clearing, or its image (a
-    // counter of 0, before any bump) would be checked as a bump's.
-    for (int i = 0; i < 1000; ++i) {
-      const auto stats = primary->stats();
-      if (stats.peers[0].queued == 0 &&
-          stats.peers[0].acked_lsn >= stats.shipped_lsn) {
-        break;
-      }
-      std::this_thread::sleep_for(1ms);
-    }
-    (void)link->take_images();
     for (std::uint64_t seq = 1; seq <= kBumps; ++seq) {
       ASSERT_TRUE(client_machine.transmit(
-          stamped(service.put_port(), CompactingService::kBump, kClient, seq,
-                  reply_get),
+          stamped(service.put_port(), CheckpointingService::kBump, kClient,
+                  seq, reply_get),
           server_machine.id()));
       const auto reply = replies.receive({}, 2'000ms);
       ASSERT_TRUE(reply.has_value());
@@ -1412,16 +1331,16 @@ TEST(ReplyStreamTest, ShardSnapshotNeverHoldsAnEffectWithoutItsFloor) {
       images.push_back(std::move(image));
     }
   }
-  EXPECT_GE(primary_images, static_cast<std::size_t>(kBumps));
-  EXPECT_GE(backup_images.size(), static_cast<std::size_t>(kBumps));
+  EXPECT_EQ(primary_images, static_cast<std::size_t>(kBumps));
+  EXPECT_EQ(backup_images.size(), static_cast<std::size_t>(kBumps));
 
   for (std::size_t i = 0; i < images.size(); ++i) {
     const char* where = i < primary_images ? "primary" : "backup";
     net::Network net;
     net::Machine& server_machine = net.add_machine("server");
     net::Machine& client_machine = net.add_machine("client");
-    CompactingService restarted(server_machine, Port(0xC4C4), images[i],
-                                counter);
+    CheckpointingService restarted(server_machine, Port(0xC4C4), images[i],
+                                   counter);
     const int held = restarted.value();
     ASSERT_GE(held, 1) << where << " image " << i << " lacks its effect";
     restarted.start(1);
@@ -1435,13 +1354,13 @@ TEST(ReplyStreamTest, ShardSnapshotNeverHoldsAnEffectWithoutItsFloor) {
     for (std::uint64_t seq = 1; seq <= static_cast<std::uint64_t>(held);
          ++seq) {
       ASSERT_TRUE(client_machine.transmit(
-          stamped(restarted.put_port(), CompactingService::kBump, kClient,
+          stamped(restarted.put_port(), CheckpointingService::kBump, kClient,
                   seq, dup_get),
           server_machine.id()));
     }
     ASSERT_TRUE(client_machine.transmit(
-        stamped(restarted.put_port(), CompactingService::kBump, kClient + 1,
-                1, fresh_get),
+        stamped(restarted.put_port(), CheckpointingService::kBump,
+                kClient + 1, 1, fresh_get),
         server_machine.id()));
     ASSERT_TRUE(fresh_replies.receive({}, 2'000ms).has_value());
     EXPECT_EQ(restarted.value(), held + 1)
@@ -1640,7 +1559,7 @@ TEST(ReplyStreamTest, AReadThroughCallJournalsItsFloorBeforeItLeaves) {
   EXPECT_EQ(files.reply_cache_stats().floorless_claims, floorless);
 }
 
-TEST(ReplyStreamTest, IncarnationSurvivesAStreamSnapshotAndALogRewrite) {
+TEST(ReplyStreamTest, IncarnationSurvivesACheckpoint) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("amoeba_incarnation_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
@@ -1656,8 +1575,8 @@ TEST(ReplyStreamTest, IncarnationSurvivesAStreamSnapshotAndALogRewrite) {
     first = service.incarnation();
     EXPECT_GE(first, 1u);
     service.start(1);
-    // Unstamped 1 KiB echoes journal floors and bodies: the stream
-    // outgrows its threshold and images itself, incarnation included.
+    // Unstamped 1 KiB echoes journal floors and bodies; a checkpoint then
+    // images the stream, incarnation included, into a fresh log.
     const Buffer body(1024, 0x17);
     for (std::uint64_t seq = 1; seq <= 300; ++seq) {
       ASSERT_TRUE(client_machine.transmit(
@@ -1666,15 +1585,8 @@ TEST(ReplyStreamTest, IncarnationSurvivesAStreamSnapshotAndALogRewrite) {
           server_machine.id()));
       ASSERT_TRUE(replies.receive({}, 2'000ms).has_value()) << "seq " << seq;
     }
-    // 9 MiB of object records cross the 8 MiB commit.log rewrite.
-    const Buffer payload(1 << 20, 0x2A);
-    for (std::uint64_t lsn = 1; lsn <= 9; ++lsn) {
-      Buffer record;
-      storage::encode_record_into(storage::RecordType::mutate,
-                                  ObjectNumber(1), 0, lsn, payload, record);
-      service.committer().wait_durable(service.committer().enqueue(0, record));
-    }
-    EXPECT_GE(volume->rewrite_stats().rewrites, 1u);
+    service.committer().checkpoint();
+    EXPECT_EQ(service.committer().stats().checkpoints, 1u);
     service.stop();
   }
   {

@@ -23,6 +23,7 @@
 #include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/record.hpp"
 #include "test_seed.hpp"
+#include "volumes.hpp"
 
 namespace amoeba::servers {
 namespace {
@@ -554,13 +555,12 @@ TEST_F(DurableDirectorySuite, EveryBarrierRecoversAnAcknowledgedPrefix) {
 }
 
 TEST_F(DurableDirectorySuite, SnapshotsFoldDeltaChainsMidSweep) {
-  // The same sweep on a store that compacts every 8 records: images land
-  // before, inside and after each snapshot that folds a delta chain, and
-  // the server's own recovery reads them all.
+  // The same sweep on a store that takes a checkpoint every 8 steps:
+  // images land before, inside and after each checkpoint that folds a
+  // delta chain, and the server's own recovery reads them all.
   auto volume = std::make_shared<storage::MemoryBackend>(16);
   core::Durability<DirectoryServer::Directory> durability =
       DirectoryServer::durability(storage::GroupCommitter::create(volume));
-  durability.compact_after = 8;
   core::ObjectStore<DirectoryServer::Directory> store(
       durable_scheme(), server_machine_.fbox().listen_port(Port(kGetPort)),
       77, core::ObjectStore<DirectoryServer::Directory>::kDefaultShards,
@@ -569,21 +569,27 @@ TEST_F(DurableDirectorySuite, SnapshotsFoldDeltaChainsMidSweep) {
       store.create(DirectoryServer::Directory{}),
       store.create(DirectoryServer::Directory{})};
   const auto steps = two_directory_workload();
+  std::size_t applied = 0;
   sweep_every_barrier(
       volume, dirs, steps,
       [&](const DirStep& step) {
-        auto opened = store.open(dirs[step.dir], core::rights::kWrite);
-        if (!opened.ok()) {
-          return false;
+        {
+          auto opened = store.open(dirs[step.dir], core::rights::kWrite);
+          if (!opened.ok()) {
+            return false;
+          }
+          DirectoryServer::Directory& entries = *opened.value().value;
+          if (step.target.has_value()) {
+            entries.insert_or_assign(step.name, core::pack(*step.target));
+            opened.value().mark_dirty_delta(
+                enter_patch(step.name, *step.target));
+          } else {
+            entries.erase(step.name);
+            opened.value().mark_dirty_delta(remove_patch(step.name));
+          }
         }
-        DirectoryServer::Directory& entries = *opened.value().value;
-        if (step.target.has_value()) {
-          entries.insert_or_assign(step.name, core::pack(*step.target));
-          opened.value().mark_dirty_delta(
-              enter_patch(step.name, *step.target));
-        } else {
-          entries.erase(step.name);
-          opened.value().mark_dirty_delta(remove_patch(step.name));
+        if (++applied % 8 == 0) {
+          store.compact();
         }
         return true;
       },
@@ -688,7 +694,7 @@ TEST_F(DurableDirectorySuite, MutatedPatchFieldsRefuseOrRecoverAPrefix) {
     for (std::size_t s = 0; s < volume->shard_count(); ++s) {
       const Buffer bytes = s == shard ? journal : volume->read_journal(s);
       if (!bytes.empty()) {
-        image->append_journal(s, bytes);
+        test::append_run(*image, s, bytes);
       }
     }
     SCOPED_TRACE("iteration " + std::to_string(iter) + ", step " +

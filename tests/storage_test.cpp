@@ -30,7 +30,9 @@
 #include "amoeba/storage/record.hpp"
 #include "amoeba/storage/replication/replica.hpp"
 #include "amoeba/storage/replication/replicated_backend.hpp"
+#include "amoeba/storage/replication/wire.hpp"
 #include "test_seed.hpp"
+#include "volumes.hpp"
 
 namespace amoeba::storage {
 namespace {
@@ -163,17 +165,6 @@ TEST(SnapshotCodec, RoundTripsSlotsAndAppliedLsn) {
   return a;
 }
 
-/// `run` less its rep_applied markers (a backup's private records).
-[[nodiscard]] Buffer without_markers(const Buffer& run) {
-  Buffer out;
-  for (const Record& record : decode_journal(run)) {
-    if (record.type != RecordType::rep_applied) {
-      encode_record(record, out);
-    }
-  }
-  return out;
-}
-
 /// `image` as one framed snapshot record.
 [[nodiscard]] Buffer snapshot_record(const Buffer& image) {
   Buffer out;
@@ -185,16 +176,16 @@ TEST(MemoryBackendTest, JournalSnapshotAndCapture) {
   MemoryBackend backend(4);
   EXPECT_TRUE(backend.empty());
   const Buffer a = frame(1, 1);
-  backend.append_journal(1, a);
+  test::append_run(backend, 1, a);
   EXPECT_FALSE(backend.empty());
   EXPECT_EQ(backend.read_journal(1), a);
   EXPECT_TRUE(backend.read_journal(0).empty());
 
   // Capture is a deep copy: later writes don't leak into the image.
   const auto image = backend.capture();
-  backend.append_journal(1, frame(2, 2));
+  test::append_run(backend, 1, frame(2, 2));
   const Buffer snapshot = encode_snapshot({}, 2);
-  backend.append_journal(1, snapshot_record(snapshot));
+  test::append_run(backend, 1, snapshot_record(snapshot));
   EXPECT_EQ(image->read_journal(1), a);
   EXPECT_TRUE(image->read_snapshot(1).empty());
   // The snapshot record subsumes both records (compaction contract).
@@ -206,17 +197,17 @@ TEST(MemoryBackendTest, AppendHookFiresWithRunningCount) {
   MemoryBackend backend(2);
   std::vector<std::uint64_t> counts;
   backend.set_append_hook([&](std::uint64_t n) { counts.push_back(n); });
-  backend.append_journal(0, Buffer{1});
-  backend.append_journal(1, Buffer{2});
+  test::append_run(backend, 0, Buffer{1});
+  test::append_run(backend, 1, Buffer{2});
   std::vector<ShardAppend> batch;
   batch.push_back({0, Buffer{3}});
   batch.push_back({1, Buffer{4}});
-  backend.append_journal_batch(std::move(batch));
+  test::append_group(backend, std::move(batch));
   ASSERT_EQ(counts.size(), 3u);
   EXPECT_EQ(counts[0], 1u);
   EXPECT_EQ(counts[1], 2u);
-  EXPECT_EQ(counts[2], 4u);  // the batch counts per entry, hooks once
-  EXPECT_EQ(backend.append_count(), 4u);
+  EXPECT_EQ(counts[2], 3u);  // the batch is one frame: one write
+  EXPECT_EQ(backend.append_count(), 3u);
 }
 
 TEST(FileBackendTest, PersistsAcrossReopen) {
@@ -226,11 +217,9 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
   {
     FileBackend backend(dir, 2);
     EXPECT_TRUE(backend.empty());
-    backend.append_journal(0, frame(1, 1));
-    backend.append_journal(0, frame(2, 2));
-    // Streams 0..2: two object shards and the reply stream.
-    EXPECT_THROW(backend.append_journal(3, frame(4, 4)), UsageError);
-    backend.append_journal(1, snapshot_record(image1));
+    test::append_run(backend, 0, frame(1, 1));
+    test::append_run(backend, 0, frame(2, 2));
+    test::append_run(backend, 1, snapshot_record(image1));
   }
   {
     FileBackend backend(dir, 2);
@@ -238,7 +227,7 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
     EXPECT_EQ(backend.read_journal(0), frame(1, 1) + frame(2, 2));
     EXPECT_EQ(backend.read_snapshot(1), image1);
     // An image at lsn 2 subsumes shard 0's records; one above stays.
-    backend.append_journal(0, snapshot_record(image0) + frame(3, 3));
+    test::append_run(backend, 0, snapshot_record(image0) + frame(3, 3));
   }
   {
     FileBackend backend(dir, 2);
@@ -269,9 +258,9 @@ TEST(BackendTest, StreamStateIsTheNewestImageAndTheRecordsAboveIt) {
       SCOPED_TRACE("stream " + std::to_string(stream));
       const Buffer older = encode_snapshot({}, 1);
       const Buffer newer = encode_snapshot({}, 2);
-      backend->append_journal(stream, frame(1, 1) + snapshot_record(older));
-      backend->append_journal(stream, frame(2, 2) + frame(4, 4));
-      backend->append_journal(stream, snapshot_record(newer) + frame(3, 3));
+      test::append_run(*backend, stream, frame(1, 1) + snapshot_record(older));
+      test::append_run(*backend, stream, frame(2, 2) + frame(4, 4));
+      test::append_run(*backend, stream, snapshot_record(newer) + frame(3, 3));
       EXPECT_EQ(backend->read_snapshot(stream), newer);
       EXPECT_EQ(backend->read_journal(stream), frame(4, 4) + frame(3, 3));
       EXPECT_EQ(backend->read_stream(stream),
@@ -315,11 +304,11 @@ TEST(CommitLogTest, SyncAndGroupedAppendsRecoverInLsnOrder) {
   {
     // Wall-time order: sync lsn 1, grouped lsn 2, sync lsn 3.  Every one
     // is a commit.log frame, so the log's order is the LSN order.
-    backend->append_journal(0, frame(1, 1));
+    test::append_run(*backend, 0, frame(1, 1));
     GroupCommitter committer(backend);
     committer.wait_durable(committer.enqueue(0, frame(2, 2)));
   }
-  backend->append_journal(0, frame(3, 3));
+  test::append_run(*backend, 0, frame(3, 3));
   bool torn = true;
   const auto records = decode_journal(backend->read_journal(0), &torn);
   EXPECT_FALSE(torn);
@@ -343,11 +332,11 @@ TEST(CommitLogTest, TornGroupFrameDropsTheWholeGroup) {
     std::vector<ShardAppend> first;
     first.push_back({0, frame(1, 1)});
     first.push_back({1, frame(2, 1)});
-    backend->append_journal_batch(std::move(first));
+    test::append_group(*backend, std::move(first));
     std::vector<ShardAppend> second;
     second.push_back({0, frame(3, 2)});
     second.push_back({1, frame(4, 2)});
-    backend->append_journal_batch(std::move(second));
+    test::append_group(*backend, std::move(second));
   }
   // Chop one byte off the tail: the second group's frame no longer
   // checksums.  Recovery must drop BOTH of its entries -- a multi-shard
@@ -377,12 +366,12 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
   // shard-0 record at lsn 3 (a record above an image may precede it), so
   // both groups recover as that image with the record on top.  Both
   // writers of a two-shard group are swept: the group committer and a
-  // synchronous append_journal_batch.
+  // synchronous test::append_group.
   const auto dir = fresh_dir("commit-fuzz");
   const auto log = dir / "commit.log";
   const Buffer image = encode_snapshot({{ObjectNumber(2), 7, Buffer{7}}}, 2);
   for (const bool committed : {true, false}) {
-    SCOPED_TRACE(committed ? "group commit" : "append_journal_batch");
+    SCOPED_TRACE(committed ? "group commit" : "append_group");
     std::filesystem::remove_all(dir);
     std::uintmax_t first_end = 0;
     {
@@ -398,7 +387,7 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
         if (committer) {
           committer->wait_durable(committer->enqueue_group(std::move(group)));
         } else {
-          backend->append_journal_batch(std::move(group));
+          test::append_group(*backend, std::move(group));
         }
       };
       append(frame(1, 1), frame(2, 1));
@@ -442,7 +431,7 @@ TEST(CommitLogTest, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
         std::vector<ShardAppend> next;
         next.push_back({0, frame(5, 8)});
         next.push_back({1, frame(6, 8)});
-        backend.append_journal_batch(std::move(next));
+        test::append_group(backend, std::move(next));
       }
       const FileBackend reopened(dir, 2);
       EXPECT_EQ(reopened.read_stream(0), before[0] + frame(5, 8))
@@ -484,15 +473,15 @@ TEST(CommitLogTest, TornTailIsCutBeforeTheNextAppend) {
   const auto log = dir / "commit.log";
   {
     FileBackend backend(dir, 1);
-    backend.append_journal(0, frame(1, 1));
-    backend.append_journal(0, frame(2, 2));
+    test::append_run(backend, 0, frame(1, 1));
+    test::append_run(backend, 0, frame(2, 2));
   }
   const auto first_two = std::filesystem::file_size(log);
   std::filesystem::resize_file(log, first_two - 3);
   {
     FileBackend backend(dir, 1);
     EXPECT_EQ(backend.read_journal(0), frame(1, 1));
-    backend.append_journal(0, frame(3, 3));
+    test::append_run(backend, 0, frame(3, 3));
   }
   {
     const FileBackend backend(dir, 1);
@@ -510,8 +499,8 @@ TEST(CommitLogTest, GroupNamingAMissingStreamIsRefusedNotCut) {
   const auto log = dir / "commit.log";
   {
     FileBackend backend(dir, 4);
-    backend.append_journal(0, frame(1, 1));
-    backend.append_journal(3, frame(2, 1));
+    test::append_run(backend, 0, frame(1, 1));
+    test::append_run(backend, 3, frame(2, 1));
   }
   const auto size = std::filesystem::file_size(log);
   try {
@@ -540,16 +529,16 @@ TEST(CommitLogTest, GroupNamingAMissingStreamIsRefusedNotCut) {
 
 TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   // Field-level mutation of a commit.log frame that carries images: bend
-  // the group count, a stream index, a run length, a record's type or
-  // lsn, a snapshot record's image length, or a field inside an image
-  // (its magic, applied LSN or slot count); re-seal the record and frame
-  // checksums so the bend reaches the decoders.  Recovery must never
-  // crash, and the volume reads back as the first group alone or as both
-  // groups whole: exactly what a memory volume holds after the same
-  // groups.  A sealed group that names a stream the volume lacks is no
-  // crash artifact but a wrong shard count: the volume is refused by
-  // name, and its log is left as it was.  AMOEBA_TEST_SEED picks the
-  // bends.
+  // the frame's sequence number or flags, the group count, a stream
+  // index, a run length, a record's type or lsn, a snapshot record's image
+  // length, or a field inside an image (its magic, applied LSN or slot
+  // count); re-seal the record and frame checksums so the bend reaches
+  // the decoders.  Recovery must never crash, and the volume reads back as
+  // the first frame alone or as both frames whole: exactly what a memory
+  // volume holds after the same frames.  A sealed frame that names a
+  // stream the volume lacks, or breaks the numbering, is no crash
+  // artifact: the volume is refused by name, and its log is left as it
+  // was.  AMOEBA_TEST_SEED picks the bends.
   Rng rng(test::seed_base(20) * 0x9E3779B97F4A7C15ULL + 20);
   const auto dir = fresh_dir("commit-image-fuzz");
   const auto log = dir / "commit.log";
@@ -561,19 +550,26 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
                             {{ObjectNumber(2), 7, Buffer{7, 7}}}, 2))},
       {1, frame(4, 2)},
       {2, snapshot_record(encode_snapshot({}, 1)) + frame(5, 2)}};
+  Buffer base_frame;
+  encode_frame(1, false, first, base_frame);
   Buffer base;
-  encode_group_frame(first, base);
+  encode_log_header(base);
+  base.insert(base.end(), base_frame.begin(), base_frame.end());
   Buffer pristine;
-  encode_group_frame(second, pristine);
-  // Field offsets inside the second frame: header 8, count at 8, then per
-  // run its stream and length words and its records.
+  encode_frame(2, false, second, pristine);
+  // Field offsets inside the second frame: length and checksum 8, seq at
+  // 8, flags at 16, count at 17, then per run its stream and length words
+  // and its records.
+  constexpr std::size_t kSeq = 8;
+  constexpr std::size_t kFlags = 16;
+  constexpr std::size_t kCount = 17;
   struct At {
     std::size_t record;
     bool image;
   };
   std::vector<std::size_t> run_at;
   std::vector<At> records;
-  std::size_t pos = 12;
+  std::size_t pos = 21;
   for (const ShardAppend& a : second) {
     run_at.push_back(pos);
     pos += 8;
@@ -606,14 +602,14 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   int whole = 0;
   int dropped = 0;
   int refused = 0;
-  for (int iter = 0; iter < 400; ++iter) {
+  for (int iter = 0; iter < 500; ++iter) {
     Buffer bent = pristine;
     for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
       const At at = records[rng.below(records.size())];
       const std::size_t run = run_at[rng.below(run_at.size())];
-      switch (rng.below(7)) {
+      switch (rng.below(9)) {
         case 0:
-          put_u32(bent, 8, bent_u32(3));
+          put_u32(bent, kCount, bent_u32(3));
           break;
         case 1:
           put_u32(bent, run, bent_u32(get_u32(bent, run)));
@@ -634,7 +630,7 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
             put_u32(bent, length_at, bent_u32(get_u32(bent, length_at)));
           }
           break;
-        default:
+        case 6:
           if (at.image) {
             // The image itself: magic at +33, applied LSN at +39, slot
             // count at +47.
@@ -643,6 +639,17 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
             put_u32(bent, f, bent_u32(get_u32(bent, f)));
           }
           break;
+        case 7:
+          // The frame's sequence number, high word left alone or not.
+          put_u32(bent, kSeq + 4 * rng.below(2), bent_u32(get_u32(bent, kSeq)));
+          break;
+        default: {
+          // The checkpoint flag, or a flag no format defines.
+          const std::uint8_t flags[] = {1, 2, 0x80,
+                                        static_cast<std::uint8_t>(rng.next())};
+          bent[kFlags] = flags[rng.below(4)];
+          break;
+        }
       }
       // Re-seal the record, when its length word still fits the frame.
       const std::uint32_t length = get_u32(bent, at.record);
@@ -652,17 +659,18 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
       }
     }
     put_u32(bent, 4, frame_checksum(std::span(bent).subspan(8)));
-    std::vector<ShardAppend> decoded;
-    const bool parses = decode_group_body(std::span(bent).subspan(8), decoded);
+    Frame decoded;
+    const bool parses = decode_frame(bent, decoded) == bent.size();
     const bool foreign =
-        parses &&
-        std::any_of(decoded.begin(), decoded.end(),
-                    [](const ShardAppend& a) { return a.shard >= 3; });
-    const bool decodes = parses && !foreign;
+        parses && (decoded.seq != 2 ||
+                   std::any_of(decoded.appends.begin(), decoded.appends.end(),
+                               [](const ShardAppend& a) {
+                                 return a.shard >= 3;
+                               }));
     MemoryBackend reference(2);
-    reference.append_journal_batch(std::vector<ShardAppend>(first));
-    if (decodes) {
-      reference.append_journal_batch(std::move(decoded));
+    reference.append_frames(base_frame);
+    if (parses && !foreign) {
+      reference.append_frames(bent);
     }
     {
       std::ofstream out(log, std::ios::binary | std::ios::trunc);
@@ -682,6 +690,7 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
       continue;
     }
     const FileBackend recovered(dir, 2);
+    EXPECT_EQ(recovered.last_seq(), parses ? 2u : 1u);
     for (std::size_t s = 0; s < recovered.stream_count(); ++s) {
       EXPECT_EQ(recovered.read_stream(s), reference.read_stream(s))
           << "stream " << s;
@@ -690,76 +699,165 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
       (void)decode_snapshot(recovered.read_snapshot(s), slots, lsn);
       (void)decode_journal(recovered.read_journal(s));
     }
-    ++(decodes ? whole : dropped);
+    ++(parses ? whole : dropped);
     if (::testing::Test::HasFailure()) {
       FAIL() << "iteration " << iter << " (seed base " << test::seed_base(20)
              << ")";
     }
   }
-  // Neither recovery outcome was vacuous.
+  // No outcome was vacuous.
   EXPECT_GT(whole, 0);
   EXPECT_GT(dropped, 0);
+  EXPECT_GT(refused, 0);
   std::printf("bent frames: %d whole, %d dropped, %d refused\n", whole,
               dropped, refused);
   std::filesystem::remove_all(dir);
 }
 
-TEST(CommitLogTest, SnapshotGcRewritesAwaySubsumedRecords) {
-  const auto dir = fresh_dir("commit-gc");
-  const auto log = dir / "commit.log";
-  auto backend = std::make_shared<FileBackend>(dir, 2);
-  MemoryBackend reference(2);  // the same groups, never rewritten
-  const auto append = [&](std::vector<ShardAppend> group) {
-    reference.append_journal_batch(std::vector<ShardAppend>(group));
-    backend->append_journal_batch(std::move(group));
+/// A group-committed string store on `committer`'s volume.
+[[nodiscard]] core::Durability<std::string> string_codec(
+    std::shared_ptr<GroupCommitter> committer) {
+  core::Durability<std::string> d;
+  d.committer = std::move(committer);
+  d.encode = [](Writer& w, const std::string& v) {
+    w.bytes(std::span(reinterpret_cast<const std::uint8_t*>(v.data()),
+                      v.size()));
   };
-  // Shard 0: 160,000 records (past the 8 MiB GC threshold in the second
-  // group) with an image at 40,000 in the first group and a newer one at
-  // 159,999 in the second.  Shard 1: a superseded image and a newer one,
-  // each with a record above it.
-  constexpr std::uint64_t kShard0Records = 160000;
-  const auto records = [](std::uint64_t from, std::uint64_t to) {
-    Buffer run;
-    for (std::uint64_t lsn = from; lsn <= to; ++lsn) {
-      encode_record({RecordType::mutate, ObjectNumber(100), 0x5EC2E7, lsn,
-                     Buffer(24, 0xAB)},
-                    run);
+  d.decode = [](Reader& r, std::string& v) {
+    const Buffer bytes = r.bytes();
+    v.assign(bytes.begin(), bytes.end());
+    return r.ok();
+  };
+  return d;
+}
+
+[[nodiscard]] std::shared_ptr<const core::ProtectionScheme> string_scheme() {
+  static const std::shared_ptr<const core::ProtectionScheme> shared = [] {
+    Rng rng(29);
+    return std::shared_ptr<const core::ProtectionScheme>(
+        core::make_scheme(core::SchemeKind::one_way_xor, rng));
+  }();
+  return shared;
+}
+
+TEST(CheckpointTest, TrafficCheckpointsStartAFreshLogAndReadNothing) {
+  // 8 KiB payloads rewritten until the log crosses its 8 MiB trigger
+  // twice: each checkpoint is imaged from memory and becomes a fresh
+  // commit.log, so the flusher never reads a byte of the old log, the
+  // log's first frame is the newest checkpoint (numbered on, not from 1),
+  // and a reopened store recovers the last values.
+  const auto dir = fresh_dir("checkpoint-traffic");
+  constexpr std::size_t kObjects = 4;
+  std::vector<core::Capability> caps;
+  std::vector<std::string> last(kObjects);
+  std::uint64_t checkpoints = 0;
+  {
+    auto volume = std::make_shared<FileBackend>(dir, 4);
+    auto committer = std::make_shared<GroupCommitter>(volume);
+    core::ObjectStore<std::string> store(string_scheme(), Port(0x5151), 3, 4,
+                                         string_codec(committer));
+    for (std::size_t i = 0; i < kObjects; ++i) {
+      caps.push_back(store.create(std::string()));
     }
-    return run;
-  };
-  const Buffer old0 = encode_snapshot({}, 40000);
-  const Buffer new0 = encode_snapshot({}, kShard0Records - 1);
-  const Buffer old1 = encode_snapshot({}, 1);
-  const Buffer new1 = encode_snapshot({{ObjectNumber(7), 1, Buffer{1}}}, 2);
-  append({{0, records(1, 40000) + snapshot_record(old0) +
-                  records(40001, 80000)},
-          {1, frame(7, 1) + snapshot_record(old1) + frame(7, 2)}});
-  ASSERT_LT(std::filesystem::file_size(log), std::uint64_t{8} << 20);
-  EXPECT_EQ(backend->rewrite_stats().rewrites, 0u);
-  append({{0, records(80001, kShard0Records - 1) + snapshot_record(new0) +
-                  records(kShard0Records, kShard0Records)},
-          {1, snapshot_record(new1) + frame(7, 3)}});
-  // The append crossed the threshold and rewrote the log to each stream's
-  // newest image and the records above it.
-  EXPECT_EQ(backend->rewrite_stats().rewrites, 1u);
-  EXPECT_LT(std::filesystem::file_size(log), 4096u);
-  const std::vector<Buffer> expected = {
-      snapshot_record(new0) + records(kShard0Records, kShard0Records),
-      snapshot_record(new1) + frame(7, 3), Buffer{}};
-  for (std::size_t s = 0; s < backend->stream_count(); ++s) {
-    SCOPED_TRACE("stream " + std::to_string(s));
-    EXPECT_EQ(backend->read_stream(s), expected[s]);
-    // Recovery reads what it read before the rewrite.
-    EXPECT_EQ(backend->read_stream(s), reference.read_stream(s));
+    for (int round = 0; round < 2000 && committer->stats().checkpoints < 2;
+         ++round) {
+      RequestScope scope;  // one wait per 32 mutations, as a server's
+      for (int k = 0; k < 32; ++k) {
+        const std::size_t i = static_cast<std::size_t>(k) % kObjects;
+        last[i] = std::string(8192, static_cast<char>('a' + round % 26));
+        last[i][0] = static_cast<char>(k);
+        auto opened = store.open(caps[i], Rights::all());
+        ASSERT_TRUE(opened.ok());
+        *opened.value().value = last[i];
+        opened.value().mark_dirty();
+      }
+      scope.settle();
+    }
+    const GroupCommitter::Stats stats = committer->stats();
+    checkpoints = stats.checkpoints;
+    EXPECT_EQ(stats.read_bytes, 0u) << "a checkpoint read the old log";
+    EXPECT_GT(stats.checkpoint_us_max, 0u);
+    EXPECT_EQ(stats.installs, checkpoints * 4);  // one image per shard
+    EXPECT_LT(volume->log_bytes(), GroupCommitter::kCheckpointBytes);
+    const Buffer log = volume->read_log();
+    Frame head;
+    ASSERT_GT(decode_frame(log_frames(log), head), 0u);
+    EXPECT_TRUE(head.checkpoint);
+    EXPECT_GT(head.seq, 1u);
+    EXPECT_GE(volume->last_seq(), head.seq);
   }
-  // The rewrite reopened the append fd on the new inode: later groups land
-  // in the rewritten log, not the unlinked one.
-  append({{0, frame(8, kShard0Records + 1)}});
-  FileBackend reopened(dir, 2);
-  EXPECT_EQ(decode_journal(reopened.read_journal(0)).size(), 2u);
-  EXPECT_EQ(reopened.read_snapshot(0), new0);
-  backend.reset();
+  ASSERT_GE(checkpoints, 2u);
+  auto volume = std::make_shared<FileBackend>(dir, 4);
+  core::ObjectStore<std::string> recovered(
+      string_scheme(), Port(0x5151), 4, 4,
+      string_codec(std::make_shared<GroupCommitter>(volume)));
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    auto opened = recovered.open(caps[i], Rights::none());
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(*opened.value().value, last[i]) << "object " << i;
+  }
   std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointTest, TempFileLeftByACrashIsIgnoredThenReplaced) {
+  // A crash inside a checkpoint leaves the old commit.log whole beside a
+  // complete or partial commit.log.tmp.  The open recovers the old log
+  // alone, and the next checkpoint overwrites the stale temp file.
+  for (const bool complete : {true, false}) {
+    SCOPED_TRACE(complete ? "complete temp file" : "partial temp file");
+    const auto dir = fresh_dir("checkpoint-tmp");
+    const auto tmp = dir / "commit.log.tmp";
+    core::Capability cap;
+    Buffer log;
+    {
+      auto volume = std::make_shared<FileBackend>(dir, 2);
+      core::ObjectStore<std::string> store(
+          string_scheme(), Port(0x5151), 5, 2,
+          string_codec(std::make_shared<GroupCommitter>(volume)));
+      cap = store.create("old");
+      store.compact();  // what the crashed checkpoint would have written
+      log = volume->read_log();
+      auto opened = store.open(cap, Rights::all());
+      *opened.value().value = "newer";
+      opened.value().mark_dirty();
+    }
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      const std::size_t size = complete ? log.size() : log.size() / 2;
+      out.write(reinterpret_cast<const char*>(log.data()),
+                static_cast<std::streamsize>(size));
+    }
+    auto volume = std::make_shared<FileBackend>(dir, 2);
+    core::ObjectStore<std::string> store(
+        string_scheme(), Port(0x5151), 6, 2,
+        string_codec(std::make_shared<GroupCommitter>(volume)));
+    EXPECT_EQ(*store.open(cap, Rights::none()).value().value, "newer")
+        << "the temp file shadowed the log";
+    store.compact();
+    EXPECT_FALSE(std::filesystem::exists(tmp));
+    const std::shared_ptr<FileBackend> reopened =
+        std::make_shared<FileBackend>(dir, 2);
+    core::ObjectStore<std::string> again(
+        string_scheme(), Port(0x5151), 7, 2,
+        string_codec(std::make_shared<GroupCommitter>(reopened)));
+    EXPECT_EQ(*again.open(cap, Rights::none()).value().value, "newer");
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CheckpointTest, AStreamWithoutAnImagerRefusesTheCheckpoint) {
+  // Records on the reply stream, and only a store's imager: a checkpoint
+  // would start a log without them, so it is refused and the log stays.
+  auto volume = std::make_shared<MemoryBackend>(2);
+  auto committer = std::make_shared<GroupCommitter>(volume);
+  committer->wait_durable(committer->enqueue(volume->reply_stream(),
+                                             frame(1, 1)));
+  core::ObjectStore<std::string> store(string_scheme(), Port(0x5151), 8, 2,
+                                       string_codec(committer));
+  (void)store.create("x");
+  EXPECT_THROW(store.compact(), UsageError);
+  EXPECT_EQ(volume->read_journal(volume->reply_stream()), frame(1, 1));
+  EXPECT_EQ(committer->stats().checkpoints, 0u);
 }
 
 TEST(CommitLogTest, SplitHoldsOnlyEachStreamsNewestImage) {
@@ -770,7 +868,7 @@ TEST(CommitLogTest, SplitHoldsOnlyEachStreamsNewestImage) {
   {
     FileBackend backend(dir, 1);
     for (std::uint64_t lsn = 1; lsn <= 50; ++lsn) {
-      backend.append_journal(
+      test::append_run(backend, 
           0, frame(1, lsn) + snapshot_record(encode_snapshot({}, lsn)));
     }
   }
@@ -791,7 +889,7 @@ TEST(FileBackendTest, BlockingSyscallsPerSyncBatch) {
   std::vector<ShardAppend> pair;
   pair.push_back({0, frame(1, 2)});
   pair.push_back({1, frame(2, 1)});
-  backend.append_journal_batch(std::move(pair));
+  test::append_group(backend, std::move(pair));
   EXPECT_EQ(io.writes - before.writes, 1u);
   EXPECT_EQ(io.fsyncs - before.fsyncs, 1u);
   std::filesystem::remove_all(dir);
@@ -853,15 +951,15 @@ TEST(FileBackendTest, CycleCarryingACompactionImageIsOneWriteAndOneFsync) {
 }
 
 TEST(FileBackendTest, FirstResyncOntoAnEmptyBackupIsOneWriteAndOneFsync) {
-  // A primary with every stream of a 16-shard volume imaged (a compaction
+  // A primary whose log holds every stream of a 16-shard volume (an image
   // each, records above the images) resyncs an empty file-backed backup:
-  // ONE shipment, which the backup lands as one commit.log frame -- one
-  // write, one fsync -- marker included, and commit.log stays its only
-  // file.  The backup ends holding the primary's state stream for stream.
+  // ONE shipment, which the backup lands as one write and one fsync, and
+  // commit.log stays its only file.  The backup's log is then the
+  // primary's, byte for byte.
   const auto dir = fresh_dir("syscalls-resync");
   auto primary = std::make_shared<MemoryBackend>(16);
   for (std::size_t s = 0; s < primary->stream_count(); ++s) {
-    primary->append_journal(
+    test::append_run(*primary, 
         s, frame(static_cast<std::uint32_t>(s), 1) +
                snapshot_record(encode_snapshot(
                    {{ObjectNumber(static_cast<std::uint32_t>(s)), 3,
@@ -878,9 +976,9 @@ TEST(FileBackendTest, FirstResyncOntoAnEmptyBackupIsOneWriteAndOneFsync) {
     explicit CountingLink(ReplicaApplier& a) : applier(a) {}
     [[nodiscard]] std::string peer_name() const override { return "backup"; }
     [[nodiscard]] Result<std::uint64_t> ship_cycle(
-        std::span<const std::uint8_t> frame) override {
+        std::span<const std::uint8_t> shipment) override {
       const IoCounters before = this_thread_io_counters();
-      const auto floor = applier.apply_cycle(frame);
+      const auto floor = applier.apply_shipment(shipment);
       const std::lock_guard lock(mutex);
       ++shipments;
       writes += this_thread_io_counters().writes - before.writes;
@@ -910,18 +1008,28 @@ TEST(FileBackendTest, FirstResyncOntoAnEmptyBackupIsOneWriteAndOneFsync) {
     EXPECT_EQ(link->writes, 1u);
     EXPECT_EQ(link->fsyncs, 1u);
   }
-  EXPECT_EQ(applier.applied(), 1u);
-  for (std::size_t s = 0; s < primary->stream_count(); ++s) {
-    EXPECT_EQ(volume->read_snapshot(s), primary->read_snapshot(s)) << s;
-    EXPECT_EQ(without_markers(volume->read_journal(s)),
-              primary->read_journal(s))
-        << s;
-  }
+  EXPECT_EQ(applier.applied(), primary->last_seq());
+  EXPECT_EQ(volume->read_log(), primary->read_log());
   std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     files.push_back(entry.path().filename().string());
   }
   EXPECT_EQ(files, std::vector<std::string>{"commit.log"});
+  volume.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendTest, EmptyResyncOntoAnEmptyBackupWritesNothing) {
+  const auto dir = fresh_dir("empty-resync");
+  auto volume = std::make_shared<FileBackend>(dir, 2);
+  ReplicaApplier applier(volume);
+  const IoCounters before = this_thread_io_counters();
+  const auto floor = applier.apply_shipment(encode_shipment(true, {}));
+  ASSERT_TRUE(floor.ok());
+  EXPECT_EQ(floor.value(), 0u);
+  EXPECT_EQ(this_thread_io_counters().writes, before.writes);
+  EXPECT_EQ(this_thread_io_counters().fsyncs, before.fsyncs);
+  EXPECT_EQ(std::filesystem::file_size(dir / "commit.log"), 0u);
   volume.reset();
   std::filesystem::remove_all(dir);
 }
@@ -956,16 +1064,13 @@ TEST(FileBackendTest, NonEmptyPerStreamJournalIsRefused) {
   }
 }
 
-TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
-  // A format-2 server volume without snapshots, laid out byte by byte: an
-  // empty journal file per stream, group frames in commit.log and empty
-  // snapshot files.
-  const auto dir = fresh_dir("legacy-v2");
+TEST(FileBackendTest, OlderFormatCommitLogIsRefusedByNameUntouched) {
+  // A format-6 commit.log -- group frames without the format-7 header,
+  // laid out byte by byte -- is refused with a UsageError naming it, and
+  // never cut: its first frame fails the new frame decode and would
+  // otherwise look like a torn tail.
+  const auto dir = fresh_dir("legacy-v6");
   std::filesystem::create_directories(dir);
-  for (const char* name :
-       {"shard-0.journal", "shard-1.journal", "reply.journal"}) {
-    write_file(dir / name, {});
-  }
   Buffer log;
   for (const auto& [stream, object] :
        {std::pair{0u, 1u}, std::pair{2u, 3u}, std::pair{0u, 4u}}) {
@@ -980,28 +1085,19 @@ TEST(FileBackendTest, FormatTwoServerVolumeOpensAndRecovers) {
     log.insert(log.end(), group.buffer().begin(), group.buffer().end());
   }
   write_file(dir / "commit.log", log);
-  write_file(dir / "shard-1.snap", {});
-  {
+  try {
     FileBackend backend(dir, 2);
-    EXPECT_FALSE(backend.empty());
-    bool torn = true;
-    const auto shard0 = decode_journal(backend.read_journal(0), &torn);
-    EXPECT_FALSE(torn);
-    ASSERT_EQ(shard0.size(), 2u);
-    EXPECT_EQ(shard0[0].object.value(), 1u);
-    EXPECT_EQ(shard0[1].object.value(), 4u);
-    const auto reply =
-        decode_journal(backend.read_journal(backend.reply_stream()), &torn);
-    ASSERT_EQ(reply.size(), 1u);
-    EXPECT_EQ(reply[0].object.value(), 3u);
-    EXPECT_TRUE(backend.read_journal(1).empty());
-    EXPECT_TRUE(backend.read_snapshot(1).empty());
-    // New groups append behind the old frames.
-    backend.append_journal(1, frame(6, 6));
+    ADD_FAILURE() << "a format-6 commit.log was opened";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("commit.log"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("format"), std::string::npos)
+        << e.what();
   }
-  FileBackend reopened(dir, 2);
-  EXPECT_EQ(decode_journal(reopened.read_journal(0)).size(), 2u);
-  EXPECT_EQ(decode_journal(reopened.read_journal(1)).size(), 1u);
+  std::ifstream in(dir / "commit.log", std::ios::binary);
+  const Buffer after{std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()};
+  EXPECT_EQ(after, log) << "the refused log was touched";
   std::filesystem::remove_all(dir);
 }
 
@@ -1032,7 +1128,7 @@ TEST(GroupCommitTest, WaitCoversEveryEarlierTicket) {
 }
 
 TEST(GroupCommitTest, GroupsNeverTearAcrossCaptureImages) {
-  // Every flush cycle lands through append_journal_batch, so the memory
+  // Every flush cycle lands as one frame, so the memory
   // backend's barrier hook sees whole cycles -- and a cycle never splits
   // an enqueue_group.  Capture at every barrier: each image must hold
   // matched halves of every two-shard group (the bank-transfer shape).
@@ -1067,18 +1163,22 @@ TEST(GroupCommitTest, GroupsNeverTearAcrossCaptureImages) {
   EXPECT_EQ(committer.stats().records, 128u);
 }
 
-/// Delegating memory volume whose appends -- or, with `Fails::installs`,
-/// whose snapshot installs -- throw: the disk-full shape.
+/// A volume whose every write throws: the disk-full shape.
 class ExplodingBackend final : public Backend {
  public:
   explicit ExplodingBackend(std::size_t shards) : shards_(shards) {}
 
   [[nodiscard]] std::size_t shard_count() const override { return shards_; }
-  void append_journal_batch(std::vector<ShardAppend>&&) override {
+  void append_frames(std::span<const std::uint8_t>) override {
     throw std::runtime_error("disk full");
   }
+  void replace_log(std::span<const std::uint8_t>) override {
+    throw std::runtime_error("disk full");
+  }
+  [[nodiscard]] Buffer read_log() const override { return {}; }
+  [[nodiscard]] std::uint64_t last_seq() const override { return 0; }
+  [[nodiscard]] std::uint64_t log_bytes() const override { return 0; }
   [[nodiscard]] Buffer read_stream(std::size_t) const override { return {}; }
-  [[nodiscard]] bool empty() const override { return true; }
 
  private:
   std::size_t shards_;
@@ -1212,7 +1312,7 @@ constexpr Port kPort{0x5A5A5A5A5A5AULL};
 /// is LSN-gated, so non-idempotent patches are still safe).
 [[nodiscard]] Durability<int> committed_codec(
     const std::shared_ptr<storage::Backend>& backend,
-    bool with_delta = false, std::size_t compact_after = 0) {
+    bool with_delta = false) {
   Durability<int> d;
   d.committer = storage::GroupCommitter::create(backend);
   d.encode = [](Writer& w, const int& v) {
@@ -1227,9 +1327,6 @@ constexpr Port kPort{0x5A5A5A5A5A5AULL};
       v += static_cast<int>(r.u32());
       return r.ok();
     };
-  }
-  if (compact_after != 0) {
-    d.compact_after = compact_after;
   }
   return d;
 }
@@ -1317,8 +1414,8 @@ TEST(DurableStore, PairMutationsJournalAtomically) {
     pair.value().a.mark_dirty();
     pair.value().b.mark_dirty();
   }
-  // Both mutates landed, delivered as one batch (one hook firing).
-  EXPECT_EQ(backend->append_count(), before + 2);
+  // Both mutates landed, delivered as one frame (one hook firing).
+  EXPECT_EQ(backend->append_count(), before + 1);
   ObjectStore<int> recovered(scheme(), kPort, 5, 16, committed_codec(backend));
   EXPECT_EQ(*recovered.open(a, Rights::none()).value().value, 11);
   EXPECT_EQ(*recovered.open(b, Rights::none()).value().value, 21);
@@ -1328,9 +1425,7 @@ TEST(DurableStore, CompactionFoldsJournalIntoSnapshot) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   std::vector<Capability> caps;
   {
-    ObjectStore<int> store(scheme(), kPort, 6, 16,
-                           committed_codec(backend, /*with_delta=*/false,
-                                           /*compact_after=*/3));
+    ObjectStore<int> store(scheme(), kPort, 6, 16, committed_codec(backend));
     for (int i = 0; i < 64; ++i) {
       caps.push_back(store.create(i));
     }
@@ -1341,11 +1436,11 @@ TEST(DurableStore, CompactionFoldsJournalIntoSnapshot) {
         *opened.value().value += 100;
         opened.value().mark_dirty();
       }
+      store.compact();  // a checkpoint between rounds
     }
-    EXPECT_GT(store.durability_stats().snapshots, 0u);
+    EXPECT_EQ(store.durability_stats().snapshots, 3u * 16u);
   }
-  ObjectStore<int> recovered(scheme(), kPort, 7, 16,
-                             committed_codec(backend, false, 3));
+  ObjectStore<int> recovered(scheme(), kPort, 7, 16, committed_codec(backend));
   ASSERT_EQ(recovered.live_count(), 64u);
   for (int i = 0; i < 64; ++i) {
     auto opened =
@@ -1390,7 +1485,7 @@ TEST(DurableStore, TornJournalTailLosesOnlyTheTornRecord) {
       journal.resize(journal.size() - 2);
     }
     if (!journal.empty()) {
-      torn->append_journal(s, journal);
+      test::append_run(*torn, s, journal);
     }
   }
   ObjectStore<int> recovered(scheme(), kPort, 11, 16, committed_codec(torn));
