@@ -88,7 +88,8 @@
 // (GroupCommitter::add_imager): the committer's flusher asks it, between
 // two cycles, to serialize each shard's live slots under the shard lock
 // and queue the image there; the checkpoint frame that carries the images
-// starts a fresh log, so the mutator never writes the volume itself.  The
+// starts a fresh log, so the mutator never writes the volume itself.  It
+// try-locks the shards and images all or none (group_commit.hpp).  The
 // recovery constructor (a committer whose volume is non-empty) replays
 // snapshot-then-journal to rebuild every shard -- secrets, payloads, free
 // lists -- tolerating a torn final record.
@@ -192,11 +193,20 @@ class ShardedObjectStore {
       std::vector<std::size_t> streams(shards);
       std::iota(streams.begin(), streams.end(), std::size_t{0});
       imager_ = durability_.committer->add_imager(std::move(streams), [this] {
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-          Shard& shard = *shards_[s];
-          const std::unique_lock lock(shard.mutex);
-          snapshot_shard_locked(s, shard);
+        // All shards or none, try-locked: an accessor may be held across
+        // an outgoing call, which waits on the flusher for its floor.
+        std::vector<std::unique_lock<common::CountedMutex>> locks;
+        for (const auto& shard : shards_) {
+          if (!locks.emplace_back(shard->mutex, std::try_to_lock)
+                   .owns_lock()) {
+            return false;
+          }
         }
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+          snapshot_shard_locked(s, *shards_[s]);
+          locks[s].unlock();
+        }
+        return true;
       });
     }
   }
@@ -1366,7 +1376,7 @@ class ShardedObjectStore {
       slots.push_back(std::move(image));
     }
     ++shard.snapshots;
-    (void)durability_.committer->install_snapshot(
+    durability_.committer->install_snapshot(
         s, storage::encode_snapshot(slots, shard.lsn));
   }
 

@@ -515,7 +515,7 @@ void Service::image_reply_stream() {
       }
     }
   }
-  (void)reply_committer_->install_snapshot(
+  reply_committer_->install_snapshot(
       reply_committer_->backend()->reply_stream(),
       storage::encode_reply_snapshot(rows, reply_lsn_, incarnation_));
 }
@@ -611,7 +611,10 @@ void Service::attach_durability(
   });
   reply_imager_ = reply_committer_->add_imager(
       {reply_committer_->backend()->reply_stream()},
-      [this] { image_reply_stream(); });
+      [this] {
+        image_reply_stream();  // its locks are never held across a wait
+        return true;
+      });
 }
 
 net::Message Service::handle(const net::Delivery& request) {

@@ -128,7 +128,8 @@ std::shared_ptr<GroupCommitter> GroupCommitter::create(
 }
 
 Buffer& GroupCommitter::pending_locked(std::size_t shard) {
-  Buffer& pending = pending_.at(shard);
+  check_stream(shard);  // before anything of the entry is staged
+  Buffer& pending = pending_[shard];
   if (pending.empty()) {
     dirty_shards_.push_back(shard);
     holds_records_[shard] = true;
@@ -143,8 +144,19 @@ GroupCommitter::Ticket GroupCommitter::enqueue(
   });
 }
 
+void GroupCommitter::check_stream(std::size_t stream) const {
+  if (stream >= pending_.size()) {
+    throw UsageError("GroupCommitter: stream " + std::to_string(stream) +
+                     " is not on the volume (it has " +
+                     std::to_string(pending_.size()) + " streams)");
+  }
+}
+
 GroupCommitter::Ticket GroupCommitter::enqueue_group(
     std::vector<ShardAppend>&& appends) {
+  for (const ShardAppend& a : appends) {
+    check_stream(a.shard);  // a throw mid-group would stage part of it
+  }
   // One mutex hold for the whole group: a flush-cycle boundary can never
   // split it, so the backend batch append (atomic w.r.t. capture())
   // receives the group intact.
@@ -159,9 +171,9 @@ GroupCommitter::Ticket GroupCommitter::enqueue_group(
       /*wake_flusher=*/true);
 }
 
-GroupCommitter::Ticket GroupCommitter::install_snapshot(
-    std::size_t stream, std::span<const std::uint8_t> image) {
-  return insert(
+void GroupCommitter::install_snapshot(std::size_t stream,
+                                      std::span<const std::uint8_t> image) {
+  (void)insert(
       [&] {
         encode_snapshot_record(image, pending_locked(stream));
         ++pending_installs_;
@@ -187,7 +199,7 @@ GroupCommitter::Registration GroupCommitter::add_imager(
   });
 }
 
-std::string GroupCommitter::take_images() {
+GroupCommitter::Imaging GroupCommitter::take_images() {
   const std::lock_guard lock(imager_mutex_);
   std::vector<bool> covered(pending_.size(), false);
   for (const ImagerEntry& e : imagers_) {
@@ -199,13 +211,18 @@ std::string GroupCommitter::take_images() {
     const std::lock_guard queue_lock(mutex_);
     for (std::size_t s = 0; s < covered.size(); ++s) {
       if (holds_records_[s] && !covered[s]) {
-        return "stream " + std::to_string(s) +
-               " holds records that no imager covers";
+        return {.refusal = "stream " + std::to_string(s) +
+                           " holds records that no imager covers"};
       }
     }
   }
+  // In add_imager's order: the reply stream's last.  Images queued before
+  // an imager reports busy ride a regular cycle; the newest image wins
+  // wherever it sits (live_records), so they cost bytes, not state.
   for (const ImagerEntry& e : imagers_) {
-    e.imager();  // in add_imager's order: the reply stream's last
+    if (!e.imager()) {
+      return {.busy = true, .refusal = {}};
+    }
   }
   return {};
 }
@@ -298,26 +315,40 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       flusher_waiting_ = true;
       // Entries enqueued without a wake-up start no cycle: they wait for
       // a waking entry, a blocked waiter, or the final drain.
+      const auto work = [&] {
+        return issued_ > taken_ && (woken_ > taken_ || waiters_ > 0);
+      };
       work_cv_.wait(lock, [&] {
-        return stop.stop_requested() || checkpoint_wanted_locked() ||
-               (issued_ > taken_ && (woken_ > taken_ || waiters_ > 0));
+        return stop.stop_requested() || checkpoint_wanted_locked() || work();
       });
       flusher_waiting_ = false;
       if (checkpoint_wanted_locked() && !stop.stop_requested()) {
         // Between cycles: nothing is claimed, so every record is either in
         // the log or still queued, and the images queue behind it.
         serving = checkpoint_requests_;
-        checkpoint_due_ = false;
         lock.unlock();
-        std::string refusal = take_images();
+        Imaging imaging = take_images();
         lock.lock();
-        checkpoint_refusal_ = std::move(refusal);
-        checkpoint = checkpoint_refusal_.empty();
-        if (!checkpoint || issued_ == taken_) {
-          // Refused, or nothing to write (no stream holds records).
-          checkpoint_served_ = serving;
-          durable_cv_.notify_all();
-          continue;
+        if (imaging.busy) {
+          // The lock's holder may wait on a queued ticket: flush it now,
+          // and retry after the cycle -- or after a pause, with none.
+          ++stats_.checkpoint_retries;
+          if (!work()) {
+            flusher_waiting_ = true;
+            work_cv_.wait_for(lock, kCheckpointRetry,
+                              [&] { return stop.stop_requested() || work(); });
+            continue;
+          }
+        } else {
+          checkpoint_due_ = false;
+          checkpoint_refusal_ = std::move(imaging.refusal);
+          checkpoint = checkpoint_refusal_.empty();
+          if (!checkpoint || issued_ == taken_) {
+            // Refused, or nothing to write (no stream holds records).
+            checkpoint_served_ = serving;
+            durable_cv_.notify_all();
+            continue;
+          }
         }
       }
       if (issued_ == taken_) {
@@ -381,7 +412,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
         }
         log_bytes = backend_->log_bytes();
         if (hook != nullptr) {
-          hook(FlushCycle{covered, bytes, &appends, frame_, seq_});
+          hook(FlushCycle{covered, frame_, seq_});
         }
       }
     } catch (...) {

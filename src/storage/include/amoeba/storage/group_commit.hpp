@@ -20,6 +20,12 @@
 // checkpoint and becomes a fresh commit.log (Backend::replace_log).
 // Nothing reads the old log, and no mutator ever writes or fsyncs.
 //
+// The flusher never blocks on a lock an imager takes: a handler may hold
+// a shard lock across an outgoing call, which first waits on the flusher
+// for its request's floor.  An imager that finds such a lock held queues
+// nothing and reports busy; the flusher flushes what is queued and tries
+// again after that cycle (or kCheckpointRetry, with nothing queued).
+//
 // Ordering guarantees:
 //   * Tickets are the volume-wide commit LSN: wait_durable(t) returns only
 //     after EVERY entry with ticket <= t is on the backend.  The flusher
@@ -168,6 +174,7 @@ class GroupCommitter {
   struct Stats {
     std::uint64_t groups = 0;        // flush cycles that reached the backend
     std::uint64_t checkpoints = 0;   // those that were checkpoints
+    std::uint64_t checkpoint_retries = 0;  // imaging found a lock held
     std::uint64_t checkpoint_us_max = 0;  // longest log replacement
     std::uint64_t records = 0;       // journal appends those cycles carried
     std::uint64_t installs = 0;      // snapshot images those cycles wrote
@@ -184,10 +191,7 @@ class GroupCommitter {
   /// ships `frame` -- no second encode pass, and a waiter released by
   /// this cycle knows its records were already offered to the backups.
   struct FlushCycle {
-    Ticket ticket = 0;        // highest ticket the cycle covers
-    std::uint64_t bytes = 0;  // journal bytes the cycle carried
-    /// The cycle's per-stream runs (images included).
-    const std::vector<ShardAppend>* appends = nullptr;
+    Ticket ticket = 0;  // highest ticket the cycle covers
     /// The encoded frame, as written; a checkpoint frame started the log.
     std::span<const std::uint8_t> frame;
     std::uint64_t seq = 0;  // the frame's sequence number
@@ -196,9 +200,11 @@ class GroupCommitter {
   /// A stream owner's part of a checkpoint: under the lock that orders
   /// its streams' LSNs, it takes each image from memory and queues it with
   /// install_snapshot() before that lock drops.  It runs on the flusher
-  /// thread, which holds no committer lock meanwhile.  No thread may block
-  /// on a ticket while it holds a lock an imager takes.
-  using Imager = std::function<void()>;
+  /// thread, which holds no committer lock meanwhile.  It only try-locks
+  /// a lock some thread may hold while it waits on a ticket (a shard lock
+  /// held across an outgoing call): finding one held, it queues nothing
+  /// and returns false (busy).  Otherwise it returns true.
+  using Imager = std::function<bool()>;
 
   /// Keeps an imager registered; dropping the last copy unregisters it,
   /// waiting out a checkpoint that is running it.  Must not outlive the
@@ -208,6 +214,8 @@ class GroupCommitter {
   /// The log size at which a checkpoint falls due (and it must also have
   /// doubled since the last one).
   static constexpr std::uint64_t kCheckpointBytes = std::uint64_t{8} << 20;
+  /// A busy checkpoint's retry delay when no cycle runs meanwhile.
+  static constexpr std::chrono::milliseconds kCheckpointRetry{1};
   using PostFlushHook = std::function<void(const FlushCycle&)>;
 
   explicit GroupCommitter(std::shared_ptr<Backend> backend);
@@ -225,7 +233,7 @@ class GroupCommitter {
   /// Queues one framed record for `shard`'s journal (any index below the
   /// backend's stream_count(), the reply stream included); the bytes are
   /// copied (the caller typically hands a per-shard scratch buffer it will
-  /// reuse).
+  /// reuse).  Every enqueue throws UsageError for a stream not on the volume.
   [[nodiscard]] Ticket enqueue(std::size_t shard,
                                std::span<const std::uint8_t> bytes);
 
@@ -260,10 +268,10 @@ class GroupCommitter {
 
   /// Queues a snapshot image for `stream` as a snapshot record in that
   /// stream's run, behind every record enqueued before it.  Its lsn is the
-  /// image's applied LSN.  Imagers call it; so may a test building a
-  /// volume.
-  [[nodiscard]] Ticket install_snapshot(std::size_t stream,
-                                        std::span<const std::uint8_t> image);
+  /// image's applied LSN.  Imagers call it; a test building a volume that
+  /// must wait for the image waits on issued().
+  void install_snapshot(std::size_t stream,
+                        std::span<const std::uint8_t> image);
 
   /// Registers the imager of `streams` for every later checkpoint.
   [[nodiscard]] Registration add_imager(std::vector<std::size_t> streams,
@@ -272,7 +280,8 @@ class GroupCommitter {
   /// Takes a checkpoint now and returns once its frame is durable.  Throws
   /// UsageError when a stream that holds records has no imager (its state
   /// would be lost), or as wait_durable does when the flush fails.  Call
-  /// it holding no lock an imager takes.
+  /// it holding no lock an imager takes: the flusher would retry until
+  /// that lock drops.
   void checkpoint();
 
   /// Blocks until every entry with a ticket at or below `ticket` is on
@@ -310,6 +319,8 @@ class GroupCommitter {
   friend class RequestScope;
   /// wait_durable's blocking half, which no scope defers.
   void block_until(Ticket ticket);
+  /// Throws UsageError unless `stream` is one of the volume's.
+  void check_stream(std::size_t stream) const;
 
   /// The one queue insert: runs `fill` (which stages the entry) and takes
   /// the next ticket under one mutex hold.  A reply floor the calling
@@ -338,16 +349,20 @@ class GroupCommitter {
     }
     return ticket;
   }
-  /// `shard`'s staging buffer, marked dirty.  Caller holds mutex_.
+  /// `shard`'s staging buffer, marked dirty; throws UsageError for a
+  /// stream not on the volume.  Caller holds mutex_.
   [[nodiscard]] Buffer& pending_locked(std::size_t shard);
 
   /// A checkpoint is due or requested.  Caller holds mutex_.
   [[nodiscard]] bool checkpoint_wanted_locked() const {
     return checkpoint_due_ || checkpoint_requests_ > checkpoint_served_;
   }
-  /// Runs every imager; returns why it could not (a stream holds records
-  /// that no imager covers), or an empty string.
-  [[nodiscard]] std::string take_images();
+  struct Imaging {
+    bool busy = false;    // an imager found a lock held: try again later
+    std::string refusal;  // a stream holds records no imager covers
+  };
+  /// Runs the imagers in add_imager's order, up to one that reports busy.
+  [[nodiscard]] Imaging take_images();
 
   void flusher(const std::stop_token& stop);
 

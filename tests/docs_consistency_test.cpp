@@ -254,9 +254,10 @@ TEST(DocsConsistency, VolumeLayoutTableMatchesAFileVolume) {
     group.push_back({volume->reply_stream(), Buffer{2}});
     test::append_group(*volume, std::move(group));
     storage::GroupCommitter committer(volume);
-    (void)committer.install_snapshot(2, storage::encode_snapshot({}, 1));
-    committer.wait_durable(committer.install_snapshot(
-        volume->reply_stream(), storage::encode_snapshot({}, 1)));
+    committer.install_snapshot(2, storage::encode_snapshot({}, 1));
+    committer.install_snapshot(volume->reply_stream(),
+                               storage::encode_snapshot({}, 1));
+    committer.wait_durable(committer.issued());
   }
   std::set<std::string> unmatched(documented.begin(), documented.end());
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {

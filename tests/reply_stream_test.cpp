@@ -36,8 +36,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -682,8 +684,9 @@ TEST(ReplyStreamTest, SnapshotInstallKeepsRecordsPastItsLsn) {
       }
       storage::ReplyRows rows;
       rows[{1, 0xAA}].floor = 2;
-      committer.wait_durable(committer.install_snapshot(
-          stream, storage::encode_reply_snapshot(rows, 2)));
+      committer.install_snapshot(stream,
+                                 storage::encode_reply_snapshot(rows, 2));
+      committer.wait_durable(committer.issued());
       std::uint64_t last_lsn = 0;
       const storage::ReplyRows recovered =
           storage::read_reply_stream(*volume, last_lsn);
@@ -1172,6 +1175,21 @@ TEST(ReplyStreamTest, OutgoingCallWaitsForTheHandlersEffects) {
 // ---------------------------------------------------------------------
 // Shard compaction against queued floors.
 
+/// A group-committed int store's codec on `committer`'s volume.
+[[nodiscard]] core::Durability<int> counter_durability(
+    std::shared_ptr<storage::GroupCommitter> committer) {
+  core::Durability<int> d;
+  d.committer = std::move(committer);
+  d.encode = [](Writer& w, const int& v) {
+    w.u32(static_cast<std::uint32_t>(v));
+  };
+  d.decode = [](Reader& r, int& v) {
+    v = static_cast<int>(r.u32());
+    return r.ok();
+  };
+  return d;
+}
+
 /// A durable service over an object store whose kBump increments one
 /// counter object and then takes a checkpoint of the volume, while its
 /// floor and effect are queued and not yet durable.
@@ -1184,7 +1202,7 @@ class CheckpointingService final : public rpc::Service {
                        std::optional<core::Capability> counter = std::nullopt)
       : Service(machine, port, "checkpointing"),
         committer_(std::make_shared<storage::GroupCommitter>(volume)),
-        store_(scheme(), port, 5, 1, durability(committer_)),
+        store_(scheme(), port, 5, 1, counter_durability(committer_)),
         counter_(counter.has_value() ? *counter : store_.create(0)) {
     attach_durability(committer_);
     on(kBump, [this](const net::Delivery& request) {
@@ -1211,24 +1229,134 @@ class CheckpointingService final : public rpc::Service {
   }
 
  private:
-  [[nodiscard]] static core::Durability<int> durability(
-      std::shared_ptr<storage::GroupCommitter> committer) {
-    core::Durability<int> d;
-    d.committer = std::move(committer);
-    d.encode = [](Writer& w, const int& v) {
-      w.u32(static_cast<std::uint32_t>(v));
-    };
-    d.decode = [](Reader& r, int& v) {
-      v = static_cast<int>(r.u32());
-      return r.ok();
-    };
-    return d;
-  }
-
   std::shared_ptr<storage::GroupCommitter> committer_;
   core::ObjectStore<int> store_;
   core::Capability counter_;
 };
+
+/// kHold bumps one counter object and, still holding its shard lock,
+/// waits for release() and then calls `downstream` through its own
+/// Transport (the flat-file server's shape: it holds an inode across its
+/// block-server calls).
+class ShardHoldingService final : public rpc::Service {
+ public:
+  static constexpr std::uint16_t kHold = 0x0104;
+
+  ShardHoldingService(net::Machine& machine, Port port,
+                      std::shared_ptr<storage::Backend> volume,
+                      Port downstream)
+      : Service(machine, port, "holding"),
+        committer_(std::make_shared<storage::GroupCommitter>(volume)),
+        store_(scheme(), port, 7, 1, counter_durability(committer_)),
+        counter_(store_.create(0)),
+        transport_(machine, 19) {
+    attach_durability(committer_);
+    on(kHold, [this, downstream](const net::Delivery& request) {
+      auto opened = store_.open(counter_, Rights::all());
+      if (!opened.ok()) {
+        return net::make_reply(request.message, opened.error());
+      }
+      ++*opened.value().value;
+      opened.value().mark_dirty();
+      {
+        std::unique_lock lock(gate_mutex_);
+        holding_ = true;
+        gate_cv_.notify_all();
+        gate_cv_.wait(lock, [&] { return released_; });
+      }
+      net::Message ping;
+      ping.header.dest = downstream;
+      ping.header.opcode = SinkService::kPing;
+      const auto answer = transport_.trans(std::move(ping), 2'000ms);
+      return net::make_reply(request.message,
+                             answer.ok() ? answer.value().message.header.status
+                                         : answer.error());
+    });
+  }
+  ~ShardHoldingService() override {
+    release();
+    stop();
+  }
+
+  [[nodiscard]] storage::GroupCommitter& committer() { return *committer_; }
+
+  /// Blocks until a kHold handler holds the counter's shard lock.
+  void wait_holding() {
+    std::unique_lock lock(gate_mutex_);
+    gate_cv_.wait(lock, [&] { return holding_; });
+  }
+  void release() {
+    {
+      const std::lock_guard lock(gate_mutex_);
+      released_ = true;
+    }
+    gate_cv_.notify_all();
+  }
+  [[nodiscard]] int value() {
+    auto opened = store_.open(counter_, Rights::all());
+    return opened.ok() ? *opened.value().value : -1;
+  }
+
+ private:
+  std::shared_ptr<storage::GroupCommitter> committer_;
+  core::ObjectStore<int> store_;
+  core::Capability counter_;
+  rpc::Transport transport_;
+  std::mutex gate_mutex_;
+  std::condition_variable gate_cv_;
+  bool holding_ = false;
+  bool released_ = false;
+};
+
+TEST(ReplyStreamTest, ACheckpointNeverWaitsOnAShardHeldAcrossACall) {
+  // A handler holding a shard lock across an outgoing call first waits
+  // for its request's floor, which only the flusher writes.  A checkpoint
+  // requested while the lock is held must not wait for it on the flusher:
+  // it finds the shard busy, flushes the floor's cycle, and retries once
+  // the handler is done.  Both the request and the checkpoint finish.
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& sink_machine = net.add_machine("sink");
+  net::Machine& client_machine = net.add_machine("client");
+  SinkService sink(sink_machine, Port(0xC8C8));
+  sink.start(1);
+  ShardHoldingService service(server_machine, Port(0xC7C7),
+                              std::make_shared<storage::MemoryBackend>(1),
+                              sink.put_port());
+  service.start(1);
+  const Port reply_get(0x5757);
+  net::Receiver replies = client_machine.listen(reply_get);
+
+  ASSERT_TRUE(client_machine.transmit(
+      stamped(service.put_port(), ShardHoldingService::kHold, 0xF1F1, 1,
+              reply_get),
+      server_machine.id()));
+  service.wait_holding();
+  auto checkpoint = std::async(std::launch::async,
+                               [&] { service.committer().checkpoint(); });
+  // Let the flusher reach the held shard before the handler moves on (a
+  // flusher that blocks on the lock never counts a retry).
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (service.committer().stats().checkpoint_retries == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  service.release();
+  const auto reply = replies.receive({}, 5'000ms);
+  if (!reply.has_value() ||
+      checkpoint.wait_for(5s) != std::future_status::ready) {
+    // A deadlocked flusher cannot be joined: fail without unwinding.
+    std::fprintf(stderr, "handler and checkpoint deadlocked\n");
+    std::_Exit(1);
+  }
+  EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
+  EXPECT_NO_THROW(checkpoint.get());
+  EXPECT_EQ(sink.received.load(), 1);
+  const auto stats = service.committer().stats();
+  EXPECT_GE(stats.checkpoint_retries, 1u);
+  EXPECT_EQ(stats.checkpoints, 1u);
+  EXPECT_EQ(service.value(), 1);
+}
 
 /// Hands shipments straight to a backup's applier, and images the backup
 /// volume right after it applies a checkpoint frame -- before any later

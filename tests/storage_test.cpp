@@ -860,6 +860,36 @@ TEST(CheckpointTest, AStreamWithoutAnImagerRefusesTheCheckpoint) {
   EXPECT_EQ(committer->stats().checkpoints, 0u);
 }
 
+TEST(CheckpointTest, ABusyImagerIsRetriedUntilItImages) {
+  // An imager that finds a lock held queues nothing and reports busy; the
+  // flusher retries it, with nothing queued, after kCheckpointRetry, and
+  // the checkpoint frame it then writes holds the image alone.
+  auto volume = std::make_shared<MemoryBackend>(1);
+  GroupCommitter committer(volume);
+  committer.wait_durable(committer.enqueue(0, frame(1, 1)));
+  int calls = 0;  // the flusher's alone
+  const Buffer image = encode_snapshot({}, 1);
+  const auto registration = committer.add_imager({0}, [&] {
+    if (++calls < 3) {
+      return false;
+    }
+    committer.install_snapshot(0, image);
+    return true;
+  });
+  committer.checkpoint();
+  EXPECT_EQ(calls, 3);
+  const auto stats = committer.stats();
+  EXPECT_EQ(stats.checkpoint_retries, 2u);
+  EXPECT_EQ(stats.checkpoints, 1u);
+  EXPECT_EQ(stats.groups, 2u);  // the record's cycle, then the checkpoint
+  EXPECT_EQ(volume->read_snapshot(0), image);
+  EXPECT_TRUE(volume->read_journal(0).empty());
+  Frame first;
+  ASSERT_GT(decode_frame(log_frames(volume->read_log()), first), 0u);
+  EXPECT_TRUE(first.checkpoint);
+  EXPECT_EQ(first.seq, 2u);
+}
+
 TEST(CommitLogTest, SplitHoldsOnlyEachStreamsNewestImage) {
   // Below the GC threshold superseded images stay in commit.log, but the
   // per-stream split recovery reads holds one image per stream: its memory
@@ -926,8 +956,8 @@ TEST(FileBackendTest, CycleCarryingACompactionImageIsOneWriteAndOneFsync) {
   }
   (void)committer.enqueue(0, frame(1, 1));
   (void)committer.enqueue(0, frame(2, 2));
-  const auto image =
-      committer.install_snapshot(0, encode_snapshot({}, 2));
+  committer.install_snapshot(0, encode_snapshot({}, 2));
+  const auto image = committer.issued();
   {
     const std::lock_guard lock(gate_mutex);
     open = true;
@@ -1209,7 +1239,9 @@ TEST(GroupCommitTest, AnImageRidesItsCyclesGroupBehindEarlierRecords) {
   std::vector<std::vector<ShardAppend>> cycles;
   committer.set_post_flush_hook([&](const GroupCommitter::FlushCycle& c) {
     std::unique_lock lock(gate_mutex);
-    cycles.push_back(*c.appends);
+    Frame decoded;
+    EXPECT_EQ(decode_frame(c.frame, decoded), c.frame.size());
+    cycles.push_back(std::move(decoded.appends));
     held = true;
     gate_cv.notify_all();
     gate_cv.wait(lock, [&] { return open; });
@@ -1223,7 +1255,8 @@ TEST(GroupCommitTest, AnImageRidesItsCyclesGroupBehindEarlierRecords) {
   }
   (void)committer.enqueue(0, frame(1, 1));
   const Buffer image = encode_snapshot({}, 1);
-  const auto installed = committer.install_snapshot(0, image);
+  committer.install_snapshot(0, image);
+  const auto installed = committer.issued();
   const auto after = committer.enqueue(0, frame(2, 2));
   {
     const std::lock_guard lock(gate_mutex);
@@ -1248,6 +1281,38 @@ TEST(GroupCommitTest, AnImageRidesItsCyclesGroupBehindEarlierRecords) {
 TEST(GroupCommitTest, NullBackendIsRejectedAndFactoryPassesNullThrough) {
   EXPECT_EQ(GroupCommitter::create(nullptr), nullptr);
   EXPECT_THROW(GroupCommitter(nullptr), UsageError);
+}
+
+TEST(GroupCommitTest, AStreamTheVolumeLacksIsRefusedBeforeAnythingQueues) {
+  // Streams 0..2: two object shards and the reply stream.  Every write
+  // path refuses stream 3 with UsageError and queues nothing, so the bad
+  // write never reaches the log (where the open scan would refuse the
+  // whole volume).
+  const auto dir = fresh_dir("stream-range");
+  {
+    auto backend = std::make_shared<FileBackend>(dir, 2);
+    GroupCommitter committer(backend);
+    const Buffer record = frame(4, 4);
+    EXPECT_THROW((void)committer.enqueue(3, record), UsageError);
+    EXPECT_THROW((void)committer.enqueue_with(
+                     3, [&](Buffer& out) {
+                       out.insert(out.end(), record.begin(), record.end());
+                     }),
+                 UsageError);
+    std::vector<ShardAppend> group;
+    group.push_back({0, record});
+    group.push_back({3, record});
+    EXPECT_THROW((void)committer.enqueue_group(std::move(group)), UsageError);
+    EXPECT_THROW(committer.install_snapshot(3, encode_snapshot({}, 1)),
+                 UsageError);
+    EXPECT_EQ(committer.issued(), 0u);
+    committer.wait_durable(committer.enqueue(2, record));
+    EXPECT_EQ(committer.stats().records, 1u);
+  }
+  FileBackend reopened(dir, 2);
+  EXPECT_TRUE(reopened.read_journal(0).empty());
+  EXPECT_EQ(reopened.read_journal(2), frame(4, 4));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(GroupCommitTest, ConcurrentEnqueueStorm) {
