@@ -61,26 +61,30 @@
 // Claim and handler run inside the scope, which turns every durability
 // wait (the floor's, each effect's, each envelope entry's) into a
 // recorded ticket.  A request that recorded no effect instead takes the
-// READ BARRIER: after the handler it reads the committer's newest issued
+// READ BARRIER: after the handler it reads the committer's newest effect
 // ticket, which covers every effect the handler could have seen (effects
-// are enqueued under the shard lock a reader takes), and waits for it only
-// when it is not yet durable.  The worker does not wait: it parks the
-// tickets with the reply on the service's one REPLIER thread and goes
-// back to receive().  The replier waits on the parked tickets in ticket
-// order -- its wait is what makes the committer flush -- then caches,
-// seals and sends each reply, so one flush covers every request the
-// workers handled while the previous one was being written (flush
-// pipelining).  A request with nothing to wait for replies from its
-// worker; a handler's outgoing call settles first, on the worker
+// are enqueued under the shard lock a reader takes), and takes the newest
+// of it, this boot's incarnation record (every reply carries the number)
+// and the request's own floor (enqueued at claim when unstamped).  It
+// waits for that ticket only when it is not yet durable.  Reply bodies are
+// state no handler reads, so a read never waits for one.  The worker does
+// not wait: it parks the tickets with the reply on the service's one
+// REPLIER thread and goes back to receive().  The replier waits on the
+// parked tickets in ticket order -- its wait is what makes the committer
+// flush -- then caches, seals and sends each reply, so one flush covers
+// every request the workers handled while the previous one was being
+// written (flush pipelining).  A request with nothing to wait for replies
+// from its worker; a handler's outgoing call settles first, on the worker
 // (rpc::Transport).  No reply is sent before the state it reports is
 // durable, so after a crash+restart a duplicate of any pre-crash
 // transaction is DROPPED, re-answered, or refused as `restarted` (an
 // operation may be lost to the torn tail, but never runs twice); a
 // duplicate of a parked request is dropped like any still-executing one.
 // Completed reply BODIES of requests that journaled their floor follow as
-// reply_body records, best effort (no wait), so a post-restart duplicate
-// of a recently completed transaction is re-answered instead of timing
-// out.  Each record is O(1) bytes.  The service is the reply stream's
+// reply_body records, best effort (no wait; a body rides the next cycle
+// an effect or a blocking wait starts), so a post-restart duplicate of a
+// recently completed transaction is re-answered instead of timing out.
+// Each record is O(1) bytes.  The service is the reply stream's
 // checkpoint imager: at each of the volume's checkpoints the committer's
 // flusher has it image the in-memory cache and the incarnation -- bounded
 // like the cache itself -- and the checkpoint frame carries the image:
@@ -351,7 +355,8 @@ class Service {
                   bool cache_reply, bool journal_body, MessageFilter* filter);
   /// The read barrier: unless `tickets` hold an effect on the reply
   /// committer (a ticket other than `floor_ticket`), makes the reply wait
-  /// for the committer's newest issued ticket when that is not durable.
+  /// for the newest of the committer's newest effect, this boot's
+  /// incarnation record and `floor_ticket`, when that is not durable.
   void read_barrier(storage::RequestScope::Tickets& tickets,
                     std::uint64_t floor_ticket);
   [[nodiscard]] net::Message handle_batch(const net::Delivery& request);
@@ -483,8 +488,10 @@ class Service {
   /// image's LSN covers exactly the records enqueued before it.
   std::mutex reply_append_mutex_;
   std::uint64_t reply_lsn_ = 0;  // last stream LSN assigned
-  // This boot's incarnation; set by attach_durability before start().
+  // This boot's incarnation and its record's ticket; set by
+  // attach_durability before start().
   std::uint64_t incarnation_ = 0;
+  std::uint64_t incarnation_ticket_ = 0;
   std::atomic<std::uint64_t> floorless_claims_{0};
   std::atomic<std::uint64_t> barrier_parks_{0};
   std::unordered_map<std::uint16_t, Handler> handlers_;  // frozen at start()

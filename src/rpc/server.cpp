@@ -475,9 +475,10 @@ std::uint64_t Service::append_reply_record(EncodeFn&& encode) {
   const std::lock_guard lock(reply_append_mutex_);
   const std::uint64_t lsn = ++reply_lsn_;
   // No flusher wake-up: a floor joins the cycle its handler's first
-  // effect or its post-handler wait starts, a body, which nobody waits
-  // for, the next request's, and the incarnation the first cycle any
-  // request starts -- none pays for a cycle alone.
+  // effect or its post-handler wait starts, and the incarnation the first
+  // cycle any request starts.  A body, which nobody waits for, rides the
+  // next cycle an effect or a blocking wait starts: the read barrier does
+  // not wait for it, so no read pays for it.  None pays for a cycle alone.
   return reply_committer_->enqueue_with(
       reply_committer_->backend()->reply_stream(),
       [&](Buffer& staging) { encode(lsn, staging); },
@@ -582,8 +583,9 @@ void Service::attach_durability(
     line += " gc.installs=" + std::to_string(gc.installs);
     line += " gc.max_group=" + std::to_string(gc.max_group);
     line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
-    line += " gc.rewrites=" + std::to_string(gc.checkpoints);
-    line += " gc.rewrite_us_max=" + std::to_string(gc.checkpoint_us_max);
+    line += " gc.checkpoints=" + std::to_string(gc.checkpoints);
+    line += " gc.checkpoint_us_max=" + std::to_string(gc.checkpoint_us_max);
+    line += " gc.checkpoint_retries=" + std::to_string(gc.checkpoint_retries);
     line += " reply.floorless_claims=" +
             std::to_string(floorless_claims_.load(std::memory_order_relaxed));
     line += " reply.barrier_parks=" +
@@ -602,13 +604,14 @@ void Service::attach_durability(
   }
   // A promoted backup's stream holds its primary's incarnations too, so
   // its server draws a number above theirs.  The record starts no cycle:
-  // it rides the first one, and since every reply waits at least for the
-  // newest ticket issued (the read barrier), none carries the number
-  // before it is durable.
+  // it rides the first one, and since every reply waits at least for its
+  // ticket (the read barrier), none carries the number before it is
+  // durable.
   incarnation_ = recovered_incarnation + 1;
-  (void)append_reply_record([&](std::uint64_t lsn, Buffer& staging) {
-    storage::encode_reply_incarnation(incarnation_, lsn, staging);
-  });
+  incarnation_ticket_ =
+      append_reply_record([&](std::uint64_t lsn, Buffer& staging) {
+        storage::encode_reply_incarnation(incarnation_, lsn, staging);
+      });
   reply_imager_ = reply_committer_->add_imager(
       {reply_committer_->backend()->reply_stream()},
       [this] {
@@ -838,9 +841,13 @@ void Service::read_barrier(storage::RequestScope::Tickets& tickets,
     return;  // it journaled: its own effects are the wait
   }
   // Read after the handler, not before: an effect it saw was enqueued
-  // under the shard lock it took, so this ticket covers it.  (In ack-one
-  // mode a durable ticket is also on a backup.)
-  const std::uint64_t barrier = reply_committer_->issued();
+  // under the shard lock it took, so this ticket covers it.  The reply
+  // carries the incarnation, and an unstamped request's floor was
+  // enqueued at claim; no handler reads a reply body, so none is waited
+  // for.  (In ack-one mode a durable ticket is also on a backup.)
+  const std::uint64_t barrier =
+      std::max({reply_committer_->newest_effect(), incarnation_ticket_,
+                floor_ticket});
   if (reply_committer_->is_durable(barrier)) {
     if (own != tickets.end()) {
       tickets.erase(own);  // its floor is durable too

@@ -287,6 +287,11 @@ GroupCommitter::Ticket GroupCommitter::issued() const {
   return issued_;
 }
 
+GroupCommitter::Ticket GroupCommitter::newest_effect() const {
+  const std::lock_guard lock(mutex_);
+  return woken_;
+}
+
 GroupCommitter::Stats GroupCommitter::stats() const {
   const std::lock_guard lock(mutex_);
   return stats_;

@@ -295,9 +295,17 @@ class GroupCommitter {
   [[nodiscard]] bool is_durable(Ticket ticket) const;
 
   /// The newest ticket handed out (0 before the first enqueue): once it is
-  /// durable, so is every entry queued before the call.  rpc::Service's
-  /// read barrier waits on it.
+  /// durable, so is every entry queued before the call, reply-stream
+  /// records that start no cycle included.
   [[nodiscard]] Ticket issued() const;
+
+  /// The newest ticket of an entry that starts a cycle (0 before the
+  /// first): every effect, pair group and snapshot image, but no record
+  /// enqueued with `wake_flusher` false.  Once it is durable, so is every
+  /// state a handler could have read before the call.  rpc::Service's read
+  /// barrier waits on it, so a read never waits for another request's
+  /// reply body.
+  [[nodiscard]] Ticket newest_effect() const;
 
   [[nodiscard]] Stats stats() const;
 

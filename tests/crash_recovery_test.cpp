@@ -372,12 +372,15 @@ TEST_F(BankCrashSuite, StdDestroyNeverReexecutesAcrossRestart) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
 
-  // The destroy's reply body is persisted best effort (enqueued, not
-  // awaited).  A subsequent at-most-once claim persists ITS floor with a
-  // durability wait, and the body record was enqueued before that floor,
-  // so after this balance call the body is durably on the volume -- the
-  // capture below is deterministic.
-  ASSERT_TRUE(client_->balance(alice_, currency::kDollar).ok());
+  // The destroy's reply body is persisted best effort: enqueued before the
+  // reply left, never awaited, and no read waits for it either (a read's
+  // barrier covers effects, not bodies; PROTOCOL §5.5).  A write's effect
+  // starts a cycle that carries every record queued before it, and its
+  // reply waits for that cycle, so after this mint the body is durably on
+  // the volume -- the capture below is deterministic.
+  ASSERT_TRUE(
+      client_->mint(bank_->master_capability(), alice_, currency::kDollar, 1)
+          .ok());
 
   // Crash now; restart from the image.
   const auto image = backend_->capture();

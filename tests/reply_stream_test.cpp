@@ -21,9 +21,11 @@
 //     never leaves the effect without its floor, on the primary or on a
 //     backup that applied the checkpoint frame;
 //   * a read journals nothing (§5.5): 1,000 balance calls leave a file
-//     volume untouched, a read racing a transfer whose flush fails never
-//     reports that transfer, and a read-through call still journals its
-//     floor before it leaves;
+//     volume untouched, a balance right after a transfer waits for no
+//     reply body and starts no cycle, a read racing a transfer whose
+//     flush fails never reports that transfer, a `restarted` reply never
+//     carries an incarnation that is not yet durable, and a read-through
+//     call still journals its floor before it leaves;
 //   * the incarnation survives a checkpoint and a resync, and a promoted
 //     backup's server draws a higher one.
 #include <gtest/gtest.h>
@@ -231,6 +233,16 @@ template <typename Pred>
     std::this_thread::sleep_for(1ms);
   }
   return done();
+}
+
+/// The number after `key=` in a std_info detail line.
+[[nodiscard]] std::uint64_t detail_value(const std::string& line,
+                                         const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key << " missing from: " << line;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(line.substr(at + key.size() + 2));
 }
 
 /// One hand-stamped at-most-once request from `client`/`seq`.
@@ -1356,6 +1368,10 @@ TEST(ReplyStreamTest, ACheckpointNeverWaitsOnAShardHeldAcrossACall) {
   EXPECT_GE(stats.checkpoint_retries, 1u);
   EXPECT_EQ(stats.checkpoints, 1u);
   EXPECT_EQ(service.value(), 1);
+  // std_info reports the busy attempt.
+  const std::string detail = service.info_detail();
+  EXPECT_GE(detail_value(detail, "gc.checkpoint_retries"), 1u);
+  EXPECT_EQ(detail_value(detail, "gc.checkpoints"), 1u);
 }
 
 /// Hands shipments straight to a backup's applier, and images the backup
@@ -1511,16 +1527,6 @@ TEST(ReplyStreamTest, CheckpointNeverHoldsAnEffectWithoutItsFloor) {
   return 0;
 }
 
-/// The number after `key=` in a std_info detail line.
-[[nodiscard]] std::uint64_t detail_value(const std::string& line,
-                                         const std::string& key) {
-  const std::size_t at = line.find(" " + key + "=");
-  EXPECT_NE(at, std::string::npos) << key << " missing from: " << line;
-  return at == std::string::npos
-             ? 0
-             : std::stoull(line.substr(at + key.size() + 2));
-}
-
 TEST(ReplyStreamTest, BalanceReadsLeaveAFileVolumeUntouched) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("amoeba_reads_" + std::to_string(::getpid()));
@@ -1539,15 +1545,6 @@ TEST(ReplyStreamTest, BalanceReadsLeaveAFileVolumeUntouched) {
                     .mint(bank.master_capability(), account,
                           servers::currency::kDollar, 5)
                     .ok());
-    // A read may find the mint's reply body still queued: its barrier
-    // flushes it.  Once a read parks on nothing, the volume is idle.
-    for (int i = 0; i < 5; ++i) {
-      const std::uint64_t parks = bank.reply_cache_stats().barrier_parks;
-      ASSERT_EQ(client.balance(account, servers::currency::kDollar).value(), 5);
-      if (bank.reply_cache_stats().barrier_parks == parks) {
-        break;
-      }
-    }
     const auto log = dir / "commit.log";
     const std::uintmax_t size = std::filesystem::file_size(log);
     const std::string before = bank.info_detail();
@@ -1627,6 +1624,89 @@ TEST(ReplyStreamTest, AReadRacingATransferWhoseFlushFailsNeverSeesIt) {
   }
   const auto moved = transfer.get();
   EXPECT_FALSE(moved.ok());
+}
+
+TEST(ReplyStreamTest, AReadAfterAWriteStartsNoCycle) {
+  // A session's shape: create, transfer, then read.  The transfer's reply
+  // body is still queued when the balance runs, but no handler reads a
+  // body, so the read's barrier -- the transfer's durable effect -- parks
+  // on nothing and the body waits for the next effect's cycle.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("amoeba_read_after_write_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    net::Network net;
+    net::Machine& bank_machine = net.add_machine("bank");
+    net::Machine& client_machine = net.add_machine("client");
+    servers::BankServer bank(bank_machine, Port(0xBA7A), scheme(), 1,
+                             std::make_shared<storage::FileBackend>(dir));
+    bank.start(2);
+    rpc::Transport transport(client_machine, 17);
+    servers::BankClient client(transport, bank.put_port());
+    const core::Capability alice = client.create_account().value();
+    const core::Capability bob = client.create_account().value();
+    ASSERT_TRUE(client
+                    .mint(bank.master_capability(), alice,
+                          servers::currency::kDollar, 100)
+                    .ok());
+    ASSERT_TRUE(
+        client.transfer(alice, bob, servers::currency::kDollar, 30).ok());
+    const std::string before = bank.info_detail();
+    ASSERT_EQ(client.balance(bob, servers::currency::kDollar).value(), 30);
+    const std::string after = bank.info_detail();
+    EXPECT_EQ(detail_value(after, "gc.groups"),
+              detail_value(before, "gc.groups"))
+        << "the read started a flush cycle";
+    EXPECT_EQ(detail_value(after, "reply.barrier_parks"),
+              detail_value(before, "reply.barrier_parks"))
+        << "the read parked on the transfer's reply body";
+    bank.stop();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReplyStreamTest, ARestartedReplyWaitsForItsIncarnation) {
+  // A restarted bank's incarnation record starts no cycle, and a
+  // `restarted` reply journals nothing -- yet it carries the new number.
+  // With the volume's writes held at a gate, that reply must not leave
+  // before the record is durable: a crash would otherwise let the next
+  // boot hand the same number out again.
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  auto volume = std::make_shared<GatedBackend>(16);
+  std::uint64_t previous = 0;
+  {
+    servers::BankServer bank(bank_machine, Port(0xBA7B), scheme(), 1, volume);
+    bank.start(1);
+    rpc::Transport transport(client_machine, 19);
+    servers::BankClient client(transport, bank.put_port());
+    ASSERT_TRUE(client.create_account().ok());
+    previous = bank.incarnation();
+    bank.stop();
+  }
+  volume->close();
+  servers::BankServer bank(bank_machine, Port(0xBA7B), scheme(), 1, volume);
+  struct OpenOnExit {  // a failed assertion must not leave the gate shut
+    GatedBackend& volume;
+    ~OpenOnExit() { volume.open(); }
+  } open_on_exit{*volume};
+  ASSERT_GT(bank.incarnation(), previous);
+  bank.start(1);
+  const Port reply_get(0x5D5D);
+  net::Receiver replies = client_machine.listen(reply_get);
+  net::Message request =
+      stamped(bank.put_port(), servers::bank_ops::kBalance.opcode, 0xE1E1, 1,
+              reply_get);
+  request.header.incarnation = previous;
+  ASSERT_TRUE(client_machine.transmit(request, bank_machine.id()));
+  EXPECT_FALSE(replies.receive({}, 100ms).has_value())
+      << "a reply carried the new incarnation before its record was durable";
+  volume->open();
+  const auto reply = replies.receive({}, 2'000ms);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->message.header.status, ErrorCode::restarted);
+  EXPECT_EQ(reply->message.header.incarnation, bank.incarnation());
 }
 
 TEST(ReplyStreamTest, AReadThroughCallJournalsItsFloorBeforeItLeaves) {
