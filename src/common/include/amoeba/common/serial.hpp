@@ -18,6 +18,15 @@ namespace amoeba {
 
 using Buffer = std::vector<std::uint8_t>;
 
+/// Appends `v` as an unsigned LEB128 varint (Writer::varint) to `out`.
+inline void append_varint(Buffer& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
 class Writer {
  public:
   Writer() = default;
@@ -33,8 +42,13 @@ class Writer {
   void object(ObjectNumber o) { u32(o.value()); }
   void rights(Rights r) { u8(r.bits()); }
   void check(CheckField c) { u48(c.value()); }
+  /// Unsigned LEB128: 7 bits a byte, low group first, the high bit set on
+  /// every byte but the last.  Always the shortest form (1 to 10 bytes).
+  void varint(std::uint64_t v) { append_varint(out_, v); }
   /// Length-prefixed (u32) byte run.
   void bytes(std::span<const std::uint8_t> data);
+  /// Length-prefixed (varint) byte run.
+  void vbytes(std::span<const std::uint8_t> data);
   /// Length-prefixed (u32) UTF-8 string.
   void str(std::string_view s);
   /// Unprefixed byte run for fields whose width both sides know statically
@@ -65,7 +79,14 @@ class Reader {
   ObjectNumber object() { return ObjectNumber(u32()); }
   Rights rights() { return Rights(u8()); }
   CheckField check() { return CheckField(u48()); }
+  /// A varint (Writer::varint) no larger than `max`.  Fails on one that
+  /// runs past the buffer, is longer than its shortest form (a final 0x00
+  /// byte, or more than 10 bytes), or exceeds `max`: every value has one
+  /// encoding, so whatever decodes re-encodes to the same bytes.
+  std::uint64_t varint(std::uint64_t max = UINT64_MAX);
   Buffer bytes();
+  /// A varint-length-prefixed byte run (Writer::vbytes).
+  Buffer vbytes();
   std::string str();
   /// Unprefixed fixed-width byte run; fills `out` (zeroed on underflow).
   void raw(std::span<std::uint8_t> out);

@@ -29,6 +29,11 @@ void Writer::u64(std::uint64_t v) {
   }
 }
 
+void Writer::vbytes(std::span<const std::uint8_t> data) {
+  varint(data.size());
+  out_.insert(out_.end(), data.begin(), data.end());
+}
+
 void Writer::bytes(std::span<const std::uint8_t> data) {
   u32(static_cast<std::uint32_t>(data.size()));
   out_.insert(out_.end(), data.begin(), data.end());
@@ -86,6 +91,37 @@ std::uint64_t Reader::u64() {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
+}
+
+std::uint64_t Reader::varint(std::uint64_t max) {
+  std::uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    const std::uint8_t* p = nullptr;
+    if (!take(1, &p)) return 0;
+    const std::uint64_t group = *p & 0x7Fu;
+    // The tenth byte holds bit 63 alone; a final zero group is overlong.
+    if ((shift == 63 && group > 1) || (*p == 0 && shift != 0)) {
+      failed_ = true;
+      return 0;
+    }
+    v |= group << shift;
+    if ((*p & 0x80) == 0) {
+      if (v > max) {
+        failed_ = true;
+        return 0;
+      }
+      return v;
+    }
+  }
+  failed_ = true;  // an eleventh byte
+  return 0;
+}
+
+Buffer Reader::vbytes() {
+  const std::uint64_t n = varint();
+  const std::uint8_t* p = nullptr;
+  if (!take(n, &p)) return {};
+  return Buffer(p, p + n);
 }
 
 Buffer Reader::bytes() {

@@ -66,12 +66,12 @@
 // crash still validates after recovery.  Payload mutations are explicit:
 // a handler that writes through an accessor calls Opened::mark_dirty()
 // (or mark_dirty_delta() with a byte-range patch, journaled as a compact
-// delta record instead of the full image), and the record is framed when
+// delta record instead of the full image), and the record is encoded when
 // the accessor is released, still under the shard lock.  Pair accessors
 // (Opened2) flush their two dirty payloads as ONE atomic journal group,
 // so a crash image can never hold half a bank transfer.
 //
-// Group commit.  The framed record is ENQUEUED (under the shard lock) to
+// Group commit.  The encoded record is ENQUEUED (under the shard lock) to
 // the volume's group-commit flusher (Durability::committer) with an
 // assigned commit ticket; the mutating operation then releases the shard
 // lock and blocks until the flusher reports the ticket durable, so
@@ -92,7 +92,7 @@
 // try-locks the shards and images all or none (group_commit.hpp).  The
 // recovery constructor (a committer whose volume is non-empty) replays
 // snapshot-then-journal to rebuild every shard -- secrets, payloads, free
-// lists -- tolerating a torn final record.
+// lists; the volume dropped a torn final frame at open.
 #pragma once
 
 #include <algorithm>
@@ -1196,12 +1196,12 @@ class ShardedObjectStore {
 
   // ---- durability internals (caller holds the shard mutex) --------------
 
-  /// Frames one record with a pre-serialized payload view into the shard's
-  /// scratch buffer (returned by reference; reused per append, so the
-  /// steady-state hot path allocates nothing).  Framing -- under the shard
-  /// lock -- is where the record's LSN is assigned, so a snapshot taken
-  /// later under the same lock always covers every framed record, flushed
-  /// or still queued.
+  /// Encodes one record with a pre-serialized payload view into the
+  /// shard's scratch buffer (returned by reference; reused per append, so
+  /// the steady-state hot path allocates nothing).  Encoding -- under the
+  /// shard lock -- is where the record's LSN is assigned, so a snapshot
+  /// taken later under the same lock always covers every encoded record,
+  /// flushed or still queued.
   [[nodiscard]] const Buffer& frame_raw(Shard& shard, storage::RecordType type,
                                         ObjectNumber object,
                                         std::uint64_t secret,

@@ -99,6 +99,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -111,6 +113,22 @@
 #include "amoeba/storage/reply_stream.hpp"
 
 namespace amoeba::rpc {
+
+/// A completed reply as the reply stream persists it (docs/PROTOCOL.md
+/// §8.4): everything a re-send needs except the fields recomputed per
+/// transmission (dest, opcode) or known from the persisted key (client,
+/// seq).  `flags varint | status varint | mask u8 | [capability 16 bytes,
+/// mask bit 4] | params[i] varint for each set mask bit i (0..3) | data
+/// length varint + bytes`; a zero capability or param is left out.
+void encode_reply_body(const net::Message& reply, Buffer& out);
+/// The reply encode_reply_body wrote, echoing `client` and `seq`; nullopt
+/// for bytes it could not have written (so what decodes re-encodes to the
+/// same bytes): a short field, an overlong varint, a flags or status above
+/// u16, an unknown mask bit, a masked capability or param that is zero,
+/// or trailing bytes.
+[[nodiscard]] std::optional<net::Message> decode_reply_body(
+    std::span<const std::uint8_t> body, std::uint64_t client,
+    std::uint64_t seq);
 
 /// Runtime metadata of one typed operation descriptor registered on a
 /// service -- what the generic std_ops / rights-matrix property tests

@@ -17,34 +17,69 @@
 namespace amoeba::rpc {
 
 namespace {
-/// Serializes one completed reply in wire-independent form: everything a
-/// re-send needs except the fields recomputed per transmission (dest,
-/// opcode) or known from the persisted key (client, seq).
-void encode_reply_body(const net::Message& reply, Writer& w) {
-  w.u16(reply.header.flags);
-  w.u16(static_cast<std::uint16_t>(reply.header.status));
-  w.raw(reply.header.capability);
-  for (const std::uint64_t p : reply.header.params) {
-    w.u64(p);
+constexpr std::uint8_t kCapabilityBit = 0x10;
+}  // namespace
+
+void encode_reply_body(const net::Message& reply, Buffer& out) {
+  const net::CapabilityBytes& cap = reply.header.capability;
+  const bool has_cap =
+      std::any_of(cap.begin(), cap.end(), [](std::uint8_t b) { return b; });
+  std::uint8_t mask = has_cap ? kCapabilityBit : 0;
+  for (std::size_t i = 0; i < reply.header.params.size(); ++i) {
+    if (reply.header.params[i] != 0) {
+      mask |= static_cast<std::uint8_t>(1u << i);
+    }
   }
-  w.bytes(reply.data);
+  append_varint(out, reply.header.flags);
+  append_varint(out, static_cast<std::uint16_t>(reply.header.status));
+  out.push_back(mask);
+  if (has_cap) {
+    out.insert(out.end(), cap.begin(), cap.end());
+  }
+  for (const std::uint64_t p : reply.header.params) {
+    if (p != 0) {
+      append_varint(out, p);
+    }
+  }
+  append_varint(out, reply.data.size());
+  out.insert(out.end(), reply.data.begin(), reply.data.end());
 }
 
-[[nodiscard]] net::Message decode_reply_body(Reader& r, std::uint64_t client,
-                                             std::uint64_t seq) {
+std::optional<net::Message> decode_reply_body(
+    std::span<const std::uint8_t> body, std::uint64_t client,
+    std::uint64_t seq) {
+  Reader r(body);
   net::Message reply;
-  reply.header.flags = r.u16();
-  reply.header.status = static_cast<ErrorCode>(r.u16());
-  r.raw(reply.header.capability);
-  for (std::uint64_t& p : reply.header.params) {
-    p = r.u64();
+  reply.header.flags = static_cast<std::uint16_t>(r.varint(UINT16_MAX));
+  reply.header.status = static_cast<ErrorCode>(r.varint(UINT16_MAX));
+  const std::uint8_t mask = r.u8();
+  if ((mask & ~(kCapabilityBit | 0x0F)) != 0) {
+    return std::nullopt;
   }
-  reply.data = r.bytes();
+  if ((mask & kCapabilityBit) != 0) {
+    r.raw(reply.header.capability);
+    const net::CapabilityBytes& cap = reply.header.capability;
+    if (std::none_of(cap.begin(), cap.end(),
+                     [](std::uint8_t b) { return b; })) {
+      return std::nullopt;
+    }
+  }
+  for (std::size_t i = 0; i < reply.header.params.size(); ++i) {
+    if ((mask & (1u << i)) != 0) {
+      reply.header.params[i] = r.varint();
+      if (reply.header.params[i] == 0) {
+        return std::nullopt;
+      }
+    }
+  }
+  reply.data = r.vbytes();
+  if (!r.exhausted()) {
+    return std::nullopt;
+  }
   reply.header.client = client;
   reply.header.seq = seq;
   return reply;
 }
-}  // namespace
 
 /// A fresh claim's reply_floor record.  enqueue() runs at claim for an
 /// unstamped request, and otherwise from the request scope, just before
@@ -389,9 +424,11 @@ void Service::restore_reply_rows(const storage::ReplyRows& rows) {
     std::vector<std::pair<std::uint64_t, net::Message>> replies;
     bool malformed = false;
     for (const auto& [seq, body] : row.bodies) {
-      Reader r(body);
-      replies.emplace_back(seq, decode_reply_body(r, key.client, seq));
-      malformed = malformed || !r.exhausted();
+      auto reply = decode_reply_body(body, key.client, seq);
+      malformed = malformed || !reply;
+      if (reply) {
+        replies.emplace_back(seq, std::move(*reply));
+      }
     }
     if (malformed) {
       continue;  // a row is restored whole or not at all
@@ -506,9 +543,9 @@ void Service::image_reply_stream() {
            ++it) {
         if (it->second.done &&
             it->second.reply.data.size() <= storage::kReplyBodyMaxBytes) {
-          Writer w;
-          encode_reply_body(it->second.reply, w);
-          row.bodies.emplace(it->first, w.take());
+          Buffer body;
+          encode_reply_body(it->second.reply, body);
+          row.bodies.emplace(it->first, std::move(body));
         }
       }
       if (row.floor != 0) {
@@ -527,10 +564,10 @@ void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
       reply.data.size() > storage::kReplyBodyMaxBytes) {
     return;  // bulk replies stay floor-only
   }
-  Writer body;
+  Buffer body;
   encode_reply_body(reply, body);
   (void)append_reply_record([&](std::uint64_t lsn, Buffer& staging) {
-    storage::encode_reply_body(key.src, key.client, seq, body.buffer(), lsn,
+    storage::encode_reply_body(key.src, key.client, seq, body, lsn,
                                staging);
   });
 }
@@ -586,6 +623,7 @@ void Service::attach_durability(
     line += " gc.checkpoints=" + std::to_string(gc.checkpoints);
     line += " gc.checkpoint_us_max=" + std::to_string(gc.checkpoint_us_max);
     line += " gc.checkpoint_retries=" + std::to_string(gc.checkpoint_retries);
+    line += " gc.frame_bytes=" + std::to_string(gc.frame_bytes);
     line += " reply.floorless_claims=" +
             std::to_string(floorless_claims_.load(std::memory_order_relaxed));
     line += " reply.barrier_parks=" +

@@ -20,12 +20,15 @@ void check_shards(std::size_t shards) {
   }
 }
 
-/// The frame size of a state run's leading snapshot record; 0 when its
+/// The header of a state run's leading snapshot record; nullopt when its
 /// first record is not one.
-[[nodiscard]] std::size_t image_record_size(
+[[nodiscard]] std::optional<RecordHeader> leading_image(
     std::span<const std::uint8_t> run) {
-  const auto first = peek_record(run);
-  return first && first->type == RecordType::snapshot ? first->size : 0;
+  auto first = peek_record(run);
+  if (first && first->type != RecordType::snapshot) {
+    first.reset();
+  }
+  return first;
 }
 
 /// What a scan of a whole log (header and frames) found.
@@ -37,9 +40,10 @@ struct LogScan {
 
 /// Scans a log.  Stops silently at the first torn, corrupt or malformed
 /// frame: a crash mid-write loses the unacknowledged tail and nothing
-/// before it.  A log without the format-7 header, or with an intact frame
-/// that names a stream the volume lacks or breaks the numbering, is no
-/// crash artifact: it throws UsageError naming `name`.
+/// before it.  A log without this format's header, or with an intact frame
+/// that names a stream the volume lacks, breaks the numbering or holds a
+/// record that does not parse, is no crash artifact: it throws UsageError
+/// naming `name`.
 [[nodiscard]] LogScan scan_log(std::span<const std::uint8_t> log,
                                std::size_t streams, const std::string& name) {
   LogScan scan;
@@ -48,10 +52,15 @@ struct LogScan {
     return scan;
   }
   if (!has_log_header(log)) {
-    throw UsageError("storage: " + name +
-                     " is not an on-disk format 7 commit log (format 6 or "
-                     "older), which this format does not read; refusing the "
-                     "volume");
+    const auto version = log_version(log);
+    throw UsageError(
+        "storage: " + name + " is " +
+        (version ? "an on-disk format " + std::to_string(*version) +
+                       " commit log"
+                 : std::string("not a commit log of on-disk format 7 or "
+                               "later (format 6 or older)")) +
+        ", which format " + std::to_string(kLogFormat) +
+        " does not read; refusing the volume");
   }
   if (log.size() < kLogHeaderBytes) {
     return scan;  // a torn first write: not even the header landed
@@ -123,6 +132,10 @@ std::size_t walk_frames(
         why = "a frame naming stream " + std::to_string(a.shard) +
               ", but the volume has " + std::to_string(streams) +
               " streams (wrong shard count)";
+      } else if (!whole_records(a.bytes)) {
+        why = "a record that does not parse in stream " +
+              std::to_string(a.shard) + " of frame " +
+              std::to_string(frame.seq);
       }
     }
     if (!why.empty()) {
@@ -142,21 +155,19 @@ std::size_t walk_frames(
 
 Buffer Backend::read_snapshot(std::size_t stream) const {
   const Buffer run = read_stream(stream);
-  const std::size_t size = image_record_size(run);
-  if (size == 0) {
+  const auto image = leading_image(run);
+  if (!image) {
     return {};
   }
-  // Record frame: length u32 | checksum u32 | type u8 | object u32 |
-  // secret u64 | lsn u64 | payload (u32 length + bytes).
-  const std::span<const std::uint8_t> record(run.data(), size);
-  Reader r(record.subspan(8 + 21));
-  return r.bytes();
+  return Buffer(run.begin() + static_cast<std::ptrdiff_t>(image->payload),
+                run.begin() + static_cast<std::ptrdiff_t>(image->size));
 }
 
 Buffer Backend::read_journal(std::size_t stream) const {
   Buffer run = read_stream(stream);
-  run.erase(run.begin(), run.begin() + static_cast<std::ptrdiff_t>(
-                                           image_record_size(run)));
+  const auto image = leading_image(run);
+  run.erase(run.begin(),
+            run.begin() + static_cast<std::ptrdiff_t>(image ? image->size : 0));
   return run;
 }
 

@@ -400,11 +400,13 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     // frames reach the disk and the hook strictly in ticket order.
     std::exception_ptr error;
     std::uint64_t log_bytes = 0;
+    std::uint64_t frame_bytes = 0;
     std::uint64_t checkpoint_us = 0;
     try {
       if (!appends.empty()) {
         frame_.clear();
         encode_frame(++seq_, checkpoint, appends, frame_);
+        frame_bytes = frame_.size();
         if (checkpoint) {
           const auto start = std::chrono::steady_clock::now();
           backend_->replace_log(frame_);
@@ -443,6 +445,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     stats_.installs += installs;
     stats_.max_group = std::max(stats_.max_group, records);
     stats_.flush_cycle_bytes += bytes;
+    stats_.frame_bytes += frame_bytes;
     stats_.read_bytes = this_thread_io_counters().read_bytes;
     if (checkpoint) {
       ++stats_.checkpoints;

@@ -69,8 +69,9 @@ struct IoCounters {
 /// Walks the whole frames at the front of `frames` in log order, handing
 /// each decoded frame and its bytes to `visit`.  Stops at the first torn,
 /// corrupt or malformed frame, and at an intact one that names a stream
-/// at or above `streams` or is not numbered one above its predecessor;
-/// for those two `*broken` says what broke.  Returns the bytes walked.
+/// at or above `streams`, is not numbered one above its predecessor, or
+/// carries a run that is not whole records; for those three `*broken`
+/// says what broke.  Returns the bytes walked.
 std::size_t walk_frames(
     std::span<const std::uint8_t> frames, std::size_t streams,
     const std::function<void(const Frame&, std::span<const std::uint8_t>)>&
@@ -176,13 +177,14 @@ class FileBackend final : public Backend {
   /// when the directory holds a non-empty per-stream journal
   /// (`shard-N.journal`, `reply.journal`), metadata blob (`meta-KEY.bin`)
   /// or snapshot file (`shard-N.snap`, `reply.snap`), or a commit.log
-  /// without the format-7 header, of an older on-disk format: such
-  /// volumes are refused, not migrated, and not touched
+  /// without this format's header (format 7 or older, named in the
+  /// message): such volumes are refused, not migrated, and not touched
   /// (docs/PROTOCOL.md §8).  A commit.log whose tail is torn or corrupt is
   /// cut back to its intact prefix (ftruncate + fsync) before anything can
   /// be appended behind the bad bytes; one holding an intact frame that
-  /// names a stream this volume lacks (a wrong shard count) or breaks the
-  /// frame numbering is refused with a UsageError.  A commit.log.tmp left
+  /// names a stream this volume lacks (a wrong shard count), breaks the
+  /// frame numbering or holds a record that does not parse is refused
+  /// with a UsageError.  A commit.log.tmp left
   /// by a checkpoint cut short is ignored; the next one overwrites it.
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;

@@ -180,6 +180,7 @@ class GroupCommitter {
     std::uint64_t installs = 0;      // snapshot images those cycles wrote
     std::uint64_t max_group = 0;     // largest single cycle, in records
     std::uint64_t flush_cycle_bytes = 0;  // journal bytes those cycles wrote
+    std::uint64_t frame_bytes = 0;  // those cycles' frames, headers included
     std::uint64_t linger_us_current = 0;  // last adaptive linger applied
     std::uint64_t blocking_waits = 0;  // wait_durable calls that had to block
     std::uint64_t read_bytes = 0;  // log bytes the flusher read (none)

@@ -1,4 +1,4 @@
-// Journal record and snapshot framing for the durable object store.
+// Journal record and snapshot encoding for the durable object store.
 //
 // The write-ahead discipline (the recoverable-server treatment in Aspnes's
 // notes, and Amoeba's durable bullet/directory servers in spirit): every
@@ -10,12 +10,15 @@
 // number, and the serialized payload -- so capabilities issued before the
 // crash validate unchanged after restart.
 //
-// Framing.  Each record is `length u32 | checksum u32 | body`, where the
-// checksum is FNV-1a over the body.  A crash can tear the tail of an
-// append-only journal; decode_journal() stops cleanly at the first
-// truncated or corrupt frame instead of failing recovery, which is exactly
-// the contract a torn final write needs.  Replay is idempotent: applying a
-// prefix of the journal twice converges to the same table.
+// Encoding (on-disk format 8).  A record is `type u8 | object varint |
+// [secret u64, create and rotate only] | lsn varint | payload length
+// varint + bytes`, with no length or checksum of its own: records only
+// ever travel inside a commit.log frame (or a checkpoint frame), whose
+// FNV-1a checksum covers them.  A crash can tear the tail of the log, and
+// recovery drops the torn FRAME whole; inside an intact frame a record
+// that does not parse is corruption, and the volume is refused.  Replay is
+// idempotent: applying a prefix of the journal twice converges to the
+// same table.
 //
 // Snapshot records.  A snapshot image travels as one more record type,
 // `snapshot`, whose lsn is the image's applied LSN.  A stream's STATE is
@@ -72,11 +75,10 @@ struct Record {
   Buffer payload;
 };
 
-/// FNV-1a over `bytes`: the checksum every frame in the storage layer uses
-/// (journal records and commit.log frames).
+/// FNV-1a over `bytes`: the checksum of a commit.log frame.
 [[nodiscard]] std::uint32_t frame_checksum(std::span<const std::uint8_t> bytes);
 
-/// One stream-addressed run of framed records: an entry of a group.
+/// One stream-addressed run of encoded records: an entry of a group.
 struct ShardAppend {
   std::size_t shard = 0;
   Buffer bytes;
@@ -91,66 +93,84 @@ struct Frame {
 };
 
 /// Appends one frame to `out`: `length u32 | checksum u32 | body`, the body
-/// `seq u64 | flags u8 | count u32 | count x (stream u32 | run u32 +
-/// bytes)`, flags bit 0 the checkpoint flag, the checksum FNV-1a over the
-/// body.
+/// `seq u64 | flags u8 | count u32 | count x (stream varint | run length
+/// varint + bytes)`, flags bit 0 the checkpoint flag, the checksum FNV-1a
+/// over the body.
 void encode_frame(std::uint64_t seq, bool checkpoint,
                   std::span<const ShardAppend> appends, Buffer& out);
 
 /// Decodes the frame at the front of `bytes` (more may follow it).
 /// Returns its size, or 0 when it is torn, fails its checksum, sets an
 /// unknown flag, or its group body is malformed: a count larger than the
-/// bytes left can hold (8 per entry), a short entry, or trailing bytes.
+/// bytes left can hold (2 per entry), a short entry, or trailing bytes.
+/// The runs' records are not parsed here (walk_frames checks them).
 [[nodiscard]] std::size_t decode_frame(std::span<const std::uint8_t> bytes,
                                        Frame& out);
 
-/// commit.log opens with `magic u32 ("AMCL") | version u16 (7)`, written
-/// together with its first frame; an empty log has no header.
+/// The on-disk format this build reads and writes.
+inline constexpr std::uint16_t kLogFormat = 8;
+/// commit.log opens with `magic u32 ("AMCL") | version u16 (kLogFormat)`,
+/// written together with its first frame; an empty log has no header.
 inline constexpr std::size_t kLogHeaderBytes = 6;
 void encode_log_header(Buffer& out);
 /// The frames of a whole log (what follows its header); empty for an
-/// empty log or one without a format-7 header.
+/// empty log or one without this format's header.
 [[nodiscard]] std::span<const std::uint8_t> log_frames(
     std::span<const std::uint8_t> log);
-/// True when `log` opens with the format-7 header; a non-empty log shorter
-/// than the header must be a prefix of it (a torn first write).
+/// True when `log` opens with this format's header; a non-empty log
+/// shorter than the header must be a prefix of it (a torn first write).
 [[nodiscard]] bool has_log_header(std::span<const std::uint8_t> log);
+/// The version an `AMCL` header names (formats 7 and later); nullopt when
+/// `log` does not open with a whole one.
+[[nodiscard]] std::optional<std::uint16_t> log_version(
+    std::span<const std::uint8_t> log);
 
-/// Appends one framed record to `out` (length + checksum + body).
-void encode_record(const Record& record, Buffer& out);
-
-/// Field-wise form of encode_record for the journaling hot path: the
-/// payload arrives as a view (typically a reused scratch buffer), so one
-/// append costs no intermediate allocations.
+/// Appends one record to `out`.  The payload arrives as a view (typically
+/// a reused scratch buffer), so one append costs no intermediate
+/// allocations.  `secret` is written only for create and rotate.
 void encode_record_into(RecordType type, ObjectNumber object,
                         std::uint64_t secret, std::uint64_t lsn,
                         std::span<const std::uint8_t> payload, Buffer& out);
 
-/// Parses a journal byte run into records, tolerating a torn tail: a
-/// truncated or checksum-failing frame ends the parse (everything before
-/// it is returned).  `torn_tail`, when non-null, reports whether the
-/// journal ended mid-frame.
-[[nodiscard]] std::vector<Record> decode_journal(
-    std::span<const std::uint8_t> journal, bool* torn_tail = nullptr);
-
-/// The frame size, type and LSN of the record framed at the front of a
-/// journal byte run, read from the header alone (no checksum, no decode).
+/// The size, type, LSN and payload offset of the record at the front of a
+/// run, read from its header alone.  nullopt when the header does not
+/// parse: a field runs past the bytes, a varint is overlong or wider than
+/// its field (an object above ObjectNumber's 24 bits), the type is unknown
+/// (0, 8, or above 10), or the payload length runs past the bytes.
 struct RecordHeader {
-  std::size_t size = 0;  // the whole frame: length + checksum + body
+  std::size_t size = 0;  // the whole record: header and payload
   RecordType type = RecordType::create;
   std::uint64_t lsn = 0;
+  std::size_t payload = 0;  // where the payload starts
 };
 [[nodiscard]] std::optional<RecordHeader> peek_record(
     std::span<const std::uint8_t> bytes);
 
-/// Appends one framed snapshot record carrying `image` to `out`; its lsn
-/// is the image's applied LSN (0 for an empty image).
+/// Decodes the record at the front of `bytes` into `out`; returns its size,
+/// or 0 when peek_record refuses it.  A decoded record re-encodes to the
+/// same bytes (secret 0 for a type that carries none).
+[[nodiscard]] std::size_t decode_record(std::span<const std::uint8_t> bytes,
+                                        Record& out);
+
+/// True when `run` is a sequence of whole records, nothing left over.
+[[nodiscard]] bool whole_records(std::span<const std::uint8_t> run);
+
+/// Parses a run of records.  A record that does not parse is corruption
+/// (a torn write tears its frame, never a record inside an intact one):
+/// throws UsageError.
+[[nodiscard]] std::vector<Record> decode_journal(
+    std::span<const std::uint8_t> run);
+
+/// Appends one snapshot record carrying `image` to `out`; its lsn is the
+/// image's applied LSN (0 for an empty image).
 void encode_snapshot_record(std::span<const std::uint8_t> image, Buffer& out);
 
 /// One stream's record run reduced to its state: the newest snapshot
 /// record first, then, in run order, every non-snapshot record above its
-/// lsn (all of them when it has none).  Stops at a malformed record, as
-/// replay does.  This is what Backend::read_stream returns to recovery.
+/// lsn (all of them when it has none).  Records are copied as opaque
+/// spans, found by peek_record; a malformed one ends the run (walk_frames
+/// refuses a frame holding one before a log gets here).  This is what
+/// Backend::read_stream returns to recovery.
 [[nodiscard]] Buffer live_records(std::span<const std::uint8_t> run);
 
 /// One live slot inside a shard snapshot.
@@ -160,9 +180,10 @@ struct SnapshotSlot {
   Buffer payload;
 };
 
-/// Serializes a shard snapshot (magic + version + applied LSN + slot
-/// images).  `applied_lsn` is the LSN of the last journal record the
-/// snapshot subsumes.
+/// Serializes a shard snapshot: `magic u32 | version u16 | applied_lsn
+/// u64 | count u32 | count x (object varint | secret u64 | payload length
+/// varint + bytes)`.  `applied_lsn` is the LSN of the last journal record
+/// the snapshot subsumes.
 [[nodiscard]] Buffer encode_snapshot(const std::vector<SnapshotSlot>& slots,
                                      std::uint64_t applied_lsn);
 

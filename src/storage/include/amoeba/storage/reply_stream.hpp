@@ -3,7 +3,7 @@
 //
 // Every Backend reserves one journal stream next to its object shards
 // (index Backend::reply_stream()).  rpc::Service writes three record types
-// there, in the ordinary §8.2 record frame:
+// there, as ordinary §8.2 records:
 //
 //   reply_floor(src, client, seq)        -- a claim of `seq` that journals
 //   reply_body(src, client, seq, body)   -- the completed reply of `seq`
@@ -51,16 +51,18 @@ struct ReplyRow {
 /// (source machine, client id) -> row.
 using ReplyRows = std::map<std::pair<std::uint32_t, std::uint64_t>, ReplyRow>;
 
-/// Appends one framed reply_floor record with stream LSN `lsn` to `out`.
+/// Appends one reply_floor record with stream LSN `lsn` to `out`; its
+/// payload is the key `src varint | client u64 | seq varint`.
 void encode_reply_floor(std::uint32_t src, std::uint64_t client,
                         std::uint64_t seq, std::uint64_t lsn, Buffer& out);
 
-/// Appends one framed reply_body record with stream LSN `lsn` to `out`.
+/// Appends one reply_body record with stream LSN `lsn` to `out`; its
+/// payload is the key and then `body`, to the payload's end.
 void encode_reply_body(std::uint32_t src, std::uint64_t client,
                        std::uint64_t seq, std::span<const std::uint8_t> body,
                        std::uint64_t lsn, Buffer& out);
 
-/// Appends one framed incarnation record (payload `incarnation:u64`) with
+/// Appends one incarnation record (payload `incarnation varint`) with
 /// stream LSN `lsn` to `out`.
 void encode_reply_incarnation(std::uint64_t incarnation, std::uint64_t lsn,
                               Buffer& out);
@@ -76,8 +78,10 @@ void encode_reply_incarnation(std::uint64_t incarnation, std::uint64_t lsn,
 bool merge_reply_record(const Record& record, ReplyRows& rows);
 
 /// Serializes `rows` as a reply-stream snapshot subsuming every stream
-/// record with lsn <= `applied_lsn`.  A nonzero `incarnation` rides the
-/// image as one more slot (object 1, payload `incarnation:u64`).
+/// record with lsn <= `applied_lsn`: one slot (object 0) per row, payload
+/// `src varint | client u64 | floor varint | count varint | count x (seq
+/// varint | body length varint + bytes)`.  A nonzero `incarnation` rides
+/// the image as one more slot (object 1, payload `incarnation varint`).
 [[nodiscard]] Buffer encode_reply_snapshot(const ReplyRows& rows,
                                            std::uint64_t applied_lsn,
                                            std::uint64_t incarnation = 0);

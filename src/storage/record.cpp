@@ -1,15 +1,29 @@
 #include "amoeba/storage/record.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "amoeba/common/error.hpp"
 
 namespace amoeba::storage {
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x414D534Eu;  // "AMSN"
-constexpr std::uint16_t kSnapshotVersion = 1;
+constexpr std::uint16_t kSnapshotVersion = 2;
 constexpr std::uint32_t kLogMagic = 0x4C434D41u;  // "AMCL"
-constexpr std::uint16_t kLogVersion = 7;          // the on-disk format
 constexpr std::uint8_t kCheckpointFlag = 0x01;
+/// The longest record header: type, object, secret, lsn, payload length.
+constexpr std::size_t kMaxRecordHeader = 1 + 5 + 8 + 10 + 10;
+
+[[nodiscard]] bool carries_secret(RecordType type) {
+  return type == RecordType::create || type == RecordType::rotate;
+}
+
+[[nodiscard]] bool known_type(RecordType type) {
+  // 8 is retired (format 6's rep_applied).
+  return type >= RecordType::create && type <= RecordType::incarnation &&
+         static_cast<int>(type) != 8;
+}
 
 }  // namespace
 
@@ -48,37 +62,29 @@ inline void patch_u32(Buffer& out, std::size_t at, std::uint32_t v) {
 void encode_record_into(RecordType type, ObjectNumber object,
                         std::uint64_t secret, std::uint64_t lsn,
                         std::span<const std::uint8_t> payload, Buffer& out) {
-  // Framed in place (this is the journaling hot path: one reserve, no
-  // temporary buffers): length u32 | checksum u32 | body, both patched
-  // once the body is written.  Growth stays geometric when records
-  // accumulate into one buffer (recovery merges, commit-log GC): a bare
-  // reserve(size + frame) would reallocate -- and copy the whole journal
-  // -- once per record.
-  const std::size_t need = out.size() + 8 + 25 + payload.size();
+  // Encoded in place (this is the journaling hot path: no temporary
+  // buffers).  Growth stays geometric when records accumulate into one
+  // buffer (a checkpoint's images, recovery's runs): a bare reserve(size +
+  // record) would reallocate -- and copy the whole run -- once per record.
+  const std::size_t need = out.size() + kMaxRecordHeader + payload.size();
   if (out.capacity() < need) {
     out.reserve(std::max(need, out.capacity() * 2));
   }
-  const std::size_t frame_at = out.size();
-  put_u32(out, 0);  // length placeholder
-  put_u32(out, 0);  // checksum placeholder
-  const std::size_t body_at = out.size();
   out.push_back(static_cast<std::uint8_t>(type));
-  put_u32(out, object.value());
-  put_u64(out, secret);
-  put_u64(out, lsn);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  append_varint(out, object.value());
+  if (carries_secret(type)) {
+    put_u64(out, secret);
+  }
+  append_varint(out, lsn);
+  append_varint(out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
-  const auto body = std::span<const std::uint8_t>(out.data() + body_at,
-                                                  out.size() - body_at);
-  patch_u32(out, frame_at, static_cast<std::uint32_t>(body.size()));
-  patch_u32(out, frame_at + 4, frame_checksum(body));
 }
 
 void encode_frame(std::uint64_t seq, bool checkpoint,
                   std::span<const ShardAppend> appends, Buffer& out) {
   std::size_t need = out.size() + 8 + 13;
   for (const ShardAppend& a : appends) {
-    need += 8 + a.bytes.size();
+    need += 20 + a.bytes.size();
   }
   out.reserve(need);
   const std::size_t frame_at = out.size();
@@ -88,8 +94,8 @@ void encode_frame(std::uint64_t seq, bool checkpoint,
   out.push_back(checkpoint ? kCheckpointFlag : 0);
   put_u32(out, static_cast<std::uint32_t>(appends.size()));
   for (const ShardAppend& a : appends) {
-    put_u32(out, static_cast<std::uint32_t>(a.shard));
-    put_u32(out, static_cast<std::uint32_t>(a.bytes.size()));
+    append_varint(out, a.shard);
+    append_varint(out, a.bytes.size());
     out.insert(out.end(), a.bytes.begin(), a.bytes.end());
   }
   const auto body = std::span<const std::uint8_t>(out.data() + frame_at + 8,
@@ -115,16 +121,16 @@ std::size_t decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
   const std::uint8_t flags = r.u8();
   out.checkpoint = (flags & kCheckpointFlag) != 0;
   const std::uint32_t count = r.u32();
-  // Every entry takes at least 8 bytes (stream and run length): a hostile
+  // Every entry takes at least 2 bytes (stream and run length): a hostile
   // count is rejected before it sizes an allocation.
   if (!r.ok() || (flags & ~kCheckpointFlag) != 0 ||
-      count > r.remaining() / 8) {
+      count > r.remaining() / 2) {
     return 0;
   }
   out.appends.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t shard = r.u32();
-    Buffer run = r.bytes();
+    const std::uint64_t shard = r.varint(UINT32_MAX);
+    Buffer run = r.vbytes();
     if (!r.ok()) {
       return 0;
     }
@@ -135,8 +141,18 @@ std::size_t decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
 
 void encode_log_header(Buffer& out) {
   put_u32(out, kLogMagic);
-  out.push_back(static_cast<std::uint8_t>(kLogVersion));
-  out.push_back(static_cast<std::uint8_t>(kLogVersion >> 8));
+  out.push_back(static_cast<std::uint8_t>(kLogFormat));
+  out.push_back(static_cast<std::uint8_t>(kLogFormat >> 8));
+}
+
+std::optional<std::uint16_t> log_version(std::span<const std::uint8_t> log) {
+  Reader r(log);
+  const std::uint32_t magic = r.u32();
+  const std::uint16_t version = r.u16();
+  if (!r.ok() || magic != kLogMagic) {
+    return std::nullopt;
+  }
+  return version;
 }
 
 bool has_log_header(std::span<const std::uint8_t> log) {
@@ -154,70 +170,63 @@ std::span<const std::uint8_t> log_frames(std::span<const std::uint8_t> log) {
   return log.subspan(kLogHeaderBytes);
 }
 
-void encode_record(const Record& record, Buffer& out) {
-  encode_record_into(record.type, record.object, record.secret, record.lsn,
-                     record.payload, out);
-}
-
-std::vector<Record> decode_journal(std::span<const std::uint8_t> journal,
-                                   bool* torn_tail) {
-  std::vector<Record> records;
-  if (torn_tail != nullptr) {
-    *torn_tail = false;
-  }
-  std::size_t pos = 0;
-  while (pos < journal.size()) {
-    Reader frame(journal.subspan(pos));
-    const std::uint32_t length = frame.u32();
-    const std::uint32_t checksum = frame.u32();
-    if (!frame.ok() || frame.remaining() < length) {
-      if (torn_tail != nullptr) {
-        *torn_tail = true;  // torn final append: recovery stops here
-      }
-      break;
-    }
-    const auto body = journal.subspan(pos + 8, length);
-    if (frame_checksum(body) != checksum) {
-      if (torn_tail != nullptr) {
-        *torn_tail = true;
-      }
-      break;
-    }
-    Reader r(body);
-    Record record;
-    record.type = static_cast<RecordType>(r.u8());
-    record.object = r.object();
-    record.secret = r.u64();
-    record.lsn = r.u64();
-    record.payload = r.bytes();
-    if (!r.ok() || record.type < RecordType::create ||
-        record.type > RecordType::incarnation ||
-        static_cast<int>(record.type) == 8) {
-      if (torn_tail != nullptr) {
-        *torn_tail = true;
-      }
-      break;
-    }
-    records.push_back(std::move(record));
-    pos += 8 + length;
-  }
-  return records;
-}
-
 std::optional<RecordHeader> peek_record(std::span<const std::uint8_t> bytes) {
-  // Frame: length u32 | checksum u32 | type u8 | object u32 | secret u64 |
-  // lsn u64 | payload.
   Reader r(bytes);
-  const std::uint32_t length = r.u32();
-  r.u32();
   const auto type = static_cast<RecordType>(r.u8());
-  r.u32();
-  r.u64();
-  const std::uint64_t lsn = r.u64();
-  if (!r.ok() || length < 25 || bytes.size() - 8 < length) {
+  r.varint(ObjectNumber::kMask);  // object
+  if (carries_secret(type)) {
+    r.u64();
+  }
+  const std::uint64_t lsn = r.varint();
+  const std::uint64_t length = r.varint();
+  if (!r.ok() || !known_type(type) || length > r.remaining()) {
     return std::nullopt;
   }
-  return RecordHeader{8 + std::size_t{length}, type, lsn};
+  const std::size_t payload = bytes.size() - r.remaining();
+  return RecordHeader{payload + length, type, lsn, payload};
+}
+
+std::size_t decode_record(std::span<const std::uint8_t> bytes, Record& out) {
+  const auto header = peek_record(bytes);
+  if (!header) {
+    return 0;
+  }
+  Reader r(bytes.subspan(1));
+  out.type = header->type;
+  out.object = ObjectNumber(static_cast<std::uint32_t>(r.varint()));
+  out.secret = carries_secret(out.type) ? r.u64() : 0;
+  out.lsn = header->lsn;
+  out.payload.assign(bytes.begin() + header->payload,
+                     bytes.begin() + header->size);
+  return header->size;
+}
+
+bool whole_records(std::span<const std::uint8_t> run) {
+  std::size_t pos = 0;
+  while (pos < run.size()) {
+    const auto record = peek_record(run.subspan(pos));
+    if (!record) {
+      return false;
+    }
+    pos += record->size;
+  }
+  return true;
+}
+
+std::vector<Record> decode_journal(std::span<const std::uint8_t> run) {
+  std::vector<Record> records;
+  std::size_t pos = 0;
+  while (pos < run.size()) {
+    Record record;
+    const std::size_t size = decode_record(run.subspan(pos), record);
+    if (size == 0) {
+      throw UsageError("storage: a record at byte " + std::to_string(pos) +
+                       " of a stream's run does not parse");
+    }
+    records.push_back(std::move(record));
+    pos += size;
+  }
+  return records;
 }
 
 void encode_snapshot_record(std::span<const std::uint8_t> image, Buffer& out) {
@@ -231,7 +240,11 @@ Buffer live_records(std::span<const std::uint8_t> run) {
   std::optional<RecordHeader> image;
   std::size_t image_at = 0;
   std::size_t pos = 0;
-  while (const auto record = peek_record(run.subspan(pos))) {
+  while (pos < run.size()) {
+    const auto record = peek_record(run.subspan(pos));
+    if (!record) {
+      break;
+    }
     if (record->type == RecordType::snapshot) {
       image = record;
       image_at = pos;
@@ -265,9 +278,9 @@ Buffer encode_snapshot(const std::vector<SnapshotSlot>& slots,
   w.u64(applied_lsn);
   w.u32(static_cast<std::uint32_t>(slots.size()));
   for (const SnapshotSlot& slot : slots) {
-    w.object(slot.object);
+    w.varint(slot.object.value());
     w.u64(slot.secret);
-    w.bytes(slot.payload);
+    w.vbytes(slot.payload);
   }
   return w.take();
 }
@@ -286,14 +299,15 @@ bool decode_snapshot(std::span<const std::uint8_t> bytes,
   }
   applied_lsn = r.u64();
   const std::uint32_t count = r.u32();
-  // A slot takes at least 16 bytes: a hostile count cannot force a huge
+  // A slot takes at least 10 bytes: a hostile count cannot force a huge
   // reserve before the reads below fail.
-  out.reserve(std::min<std::size_t>(count, r.remaining() / 16));
+  out.reserve(std::min<std::size_t>(count, r.remaining() / 10));
   for (std::uint32_t i = 0; i < count; ++i) {
     SnapshotSlot slot;
-    slot.object = r.object();
+    slot.object =
+        ObjectNumber(static_cast<std::uint32_t>(r.varint(ObjectNumber::kMask)));
     slot.secret = r.u64();
-    slot.payload = r.bytes();
+    slot.payload = r.vbytes();
     if (!r.ok()) {
       out.clear();
       return false;

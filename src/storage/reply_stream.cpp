@@ -26,16 +26,24 @@ void merge_row(ReplyRows& rows, std::uint32_t src, std::uint64_t client,
   }
 }
 
+/// A floor or body record's key: `src varint | client u64 | seq varint`.
+void put_key(Writer& w, std::uint32_t src, std::uint64_t client,
+             std::uint64_t seq) {
+  w.varint(src);
+  w.u64(client);
+  w.varint(seq);
+}
+
 /// Reads `count` (seq, body) pairs; false on underflow or a hostile count.
-bool read_bodies(Reader& r, std::uint32_t count,
+bool read_bodies(Reader& r, std::uint64_t count,
                  std::vector<std::pair<std::uint64_t, Buffer>>& out) {
-  if (count > r.remaining()) {
-    return false;  // each body takes at least 12 bytes: reject before reserve
+  if (count > r.remaining() / 2) {
+    return false;  // each body takes at least 2 bytes: reject before reserve
   }
   out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t seq = r.u64();
-    Buffer body = r.bytes();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t seq = r.varint();
+    Buffer body = r.vbytes();
     if (!r.ok() || seq == 0) {
       return false;
     }
@@ -49,9 +57,7 @@ bool read_bodies(Reader& r, std::uint32_t count,
 void encode_reply_floor(std::uint32_t src, std::uint64_t client,
                         std::uint64_t seq, std::uint64_t lsn, Buffer& out) {
   Writer payload;
-  payload.u32(src);
-  payload.u64(client);
-  payload.u64(seq);
+  put_key(payload, src, client, seq);
   encode_record_into(RecordType::reply_floor, ObjectNumber{}, 0, lsn,
                      payload.buffer(), out);
 }
@@ -60,10 +66,8 @@ void encode_reply_body(std::uint32_t src, std::uint64_t client,
                        std::uint64_t seq, std::span<const std::uint8_t> body,
                        std::uint64_t lsn, Buffer& out) {
   Writer payload;
-  payload.u32(src);
-  payload.u64(client);
-  payload.u64(seq);
-  payload.bytes(body);
+  put_key(payload, src, client, seq);
+  payload.raw(body);
   encode_record_into(RecordType::reply_body, ObjectNumber{}, 0, lsn,
                      payload.buffer(), out);
 }
@@ -71,7 +75,7 @@ void encode_reply_body(std::uint32_t src, std::uint64_t client,
 void encode_reply_incarnation(std::uint64_t incarnation, std::uint64_t lsn,
                               Buffer& out) {
   Writer payload;
-  payload.u64(incarnation);
+  payload.varint(incarnation);
   encode_record_into(RecordType::incarnation, ObjectNumber{}, 0, lsn,
                      payload.buffer(), out);
 }
@@ -81,7 +85,7 @@ std::optional<std::uint64_t> decode_reply_incarnation(const Record& record) {
     return std::nullopt;
   }
   Reader r(record.payload);
-  const std::uint64_t incarnation = r.u64();
+  const std::uint64_t incarnation = r.varint();
   if (!r.exhausted() || incarnation == 0) {
     return std::nullopt;
   }
@@ -94,14 +98,20 @@ bool merge_reply_record(const Record& record, ReplyRows& rows) {
     return false;
   }
   Reader r(record.payload);
-  const std::uint32_t src = r.u32();
+  const auto src = static_cast<std::uint32_t>(r.varint(UINT32_MAX));
   const std::uint64_t client = r.u64();
-  const std::uint64_t seq = r.u64();
+  const std::uint64_t seq = r.varint();
+  if (!r.ok() || seq == 0) {
+    return false;
+  }
   std::vector<std::pair<std::uint64_t, Buffer>> bodies;
   if (record.type == RecordType::reply_body) {
-    bodies.emplace_back(seq, r.bytes());
+    // The body is the rest of the payload.
+    Buffer body(r.remaining());
+    r.raw(body);
+    bodies.emplace_back(seq, std::move(body));
   }
-  if (!r.exhausted() || seq == 0) {
+  if (!r.exhausted()) {
     return false;
   }
   merge_row(rows, src, client, seq, std::move(bodies));
@@ -114,18 +124,16 @@ Buffer encode_reply_snapshot(const ReplyRows& rows, std::uint64_t applied_lsn,
   slots.reserve(rows.size() + 1);
   if (incarnation != 0) {
     Writer w;
-    w.u64(incarnation);
+    w.varint(incarnation);
     slots.push_back({kIncarnationSlot, 0, w.take()});
   }
   for (const auto& [key, row] : rows) {
     Writer w;
-    w.u32(key.first);
-    w.u64(key.second);
-    w.u64(row.floor);
-    w.u32(static_cast<std::uint32_t>(row.bodies.size()));
+    put_key(w, key.first, key.second, row.floor);
+    w.varint(row.bodies.size());
     for (const auto& [seq, body] : row.bodies) {
-      w.u64(seq);
-      w.bytes(body);
+      w.varint(seq);
+      w.vbytes(body);
     }
     slots.push_back({ObjectNumber{}, 0, w.take()});
   }
@@ -143,17 +151,17 @@ bool merge_reply_snapshot(std::span<const std::uint8_t> image,
   for (const SnapshotSlot& slot : slots) {
     Reader r(slot.payload);
     if (slot.object == kIncarnationSlot) {
-      const std::uint64_t number = r.u64();
+      const std::uint64_t number = r.varint();
       if (r.exhausted() && incarnation != nullptr) {
         *incarnation = std::max(*incarnation, number);
       }
       continue;  // malformed: skipped whole
     }
-    const std::uint32_t src = r.u32();
+    const auto src = static_cast<std::uint32_t>(r.varint(UINT32_MAX));
     const std::uint64_t client = r.u64();
-    const std::uint64_t floor = r.u64();
+    const std::uint64_t floor = r.varint();
     std::vector<std::pair<std::uint64_t, Buffer>> bodies;
-    if (!read_bodies(r, r.u32(), bodies) || !r.exhausted()) {
+    if (!read_bodies(r, r.varint(), bodies) || !r.exhausted()) {
       continue;  // malformed row: skipped whole
     }
     merge_row(rows, src, client, floor, std::move(bodies));

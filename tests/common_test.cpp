@@ -197,6 +197,48 @@ TEST(Serial, TruncatedStringFails) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Serial, VarintsRoundTripInTheirShortestFormOnly) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{127},
+        std::uint64_t{128}, std::uint64_t{16383}, std::uint64_t{16384},
+        std::uint64_t{UINT32_MAX}, ~std::uint64_t{0}}) {
+    Writer w;
+    w.varint(v);
+    std::size_t width = 1;
+    for (std::uint64_t rest = v >> 7; rest != 0; rest >>= 7) {
+      ++width;
+    }
+    EXPECT_EQ(w.buffer().size(), width) << v;
+    Reader r(w.buffer());
+    EXPECT_EQ(r.varint(), v);
+    EXPECT_TRUE(r.exhausted()) << v;
+  }
+  const auto refused = [](const Buffer& bytes, std::uint64_t max) {
+    Reader r(bytes);
+    EXPECT_EQ(r.varint(max), 0u);
+    EXPECT_FALSE(r.ok());
+  };
+  refused({0x80, 0x00}, UINT64_MAX);            // a final zero group
+  refused({0x81, 0x80, 0x00}, UINT64_MAX);      // overlong by two
+  refused({0x80}, UINT64_MAX);                  // cut off
+  refused(Buffer(10, 0x80), UINT64_MAX);        // no final byte in ten
+  refused(Buffer(10, 0xFF), UINT64_MAX);        // wider than 64 bits
+  Buffer eleven(10, 0x80);
+  eleven.push_back(0x01);
+  refused(eleven, UINT64_MAX);
+  refused({0x80, 0x80, 0x04}, 0xFFFF);          // 65536 in a u16 field
+  // vbytes: a length past the end fails; a whole run reads back.
+  const Buffer short_run = {0x03, 1, 2};
+  Reader past(short_run);
+  EXPECT_TRUE(past.vbytes().empty());
+  EXPECT_FALSE(past.ok());
+  Writer w;
+  w.vbytes(Buffer{1, 2, 3});
+  Reader whole(w.buffer());
+  EXPECT_EQ(whole.vbytes(), (Buffer{1, 2, 3}));
+  EXPECT_TRUE(whole.exhausted());
+}
+
 TEST(Serial, EmptyBufferIsExhausted) {
   Reader r(std::span<const std::uint8_t>{});
   EXPECT_TRUE(r.exhausted());

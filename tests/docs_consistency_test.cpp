@@ -249,9 +249,12 @@ TEST(DocsConsistency, VolumeLayoutTableMatchesAFileVolume) {
     // Every kind of write a volume takes: one group append, a snapshot on
     // an object shard and on the reply stream.
     auto volume = std::make_shared<storage::FileBackend>(dir, 4);
+    Buffer record;
+    storage::encode_record_into(storage::RecordType::mutate, ObjectNumber(1),
+                                0, 1, Buffer{1}, record);
     std::vector<storage::ShardAppend> group;
-    group.push_back({1, Buffer{1}});
-    group.push_back({volume->reply_stream(), Buffer{2}});
+    group.push_back({1, record});
+    group.push_back({volume->reply_stream(), record});
     test::append_group(*volume, std::move(group));
     storage::GroupCommitter committer(volume);
     committer.install_snapshot(2, storage::encode_snapshot({}, 1));

@@ -36,6 +36,7 @@
 #include "amoeba/storage/replication/replicated_backend.hpp"
 #include "amoeba/storage/replication/wire.hpp"
 #include "amoeba/storage/reply_stream.hpp"
+#include "frame_fields.hpp"
 #include "invariants.hpp"
 #include "test_seed.hpp"
 #include "volumes.hpp"
@@ -49,6 +50,14 @@ using namespace std::chrono_literals;
   return {s.begin(), s.end()};
 }
 
+/// One mutate record (what a real store journals).
+[[nodiscard]] Buffer record(std::uint32_t object, std::uint64_t lsn) {
+  Buffer out;
+  encode_record_into(RecordType::mutate, ObjectNumber(object), 0, lsn,
+                     Buffer{static_cast<std::uint8_t>(object & 0xFF)}, out);
+  return out;
+}
+
 /// One encoded frame.
 [[nodiscard]] Buffer frame_of(std::uint64_t seq,
                               const std::vector<ShardAppend>& appends,
@@ -59,7 +68,7 @@ using namespace std::chrono_literals;
 }
 
 [[nodiscard]] Buffer sample_frame(std::uint64_t seq) {
-  return frame_of(seq, {{0, bytes_of("rec-a")}, {3, bytes_of("rec-b")}});
+  return frame_of(seq, {{0, record(1, seq)}, {3, record(2, seq)}});
 }
 
 /// A regular shipment of one frame.
@@ -67,14 +76,6 @@ using namespace std::chrono_literals;
   return encode_shipment(/*resync=*/false, frame);
 }
 
-/// One framed mutate record (what a real store journals).
-[[nodiscard]] Buffer record(std::uint32_t object, std::uint64_t lsn) {
-  Buffer out;
-  encode_record({RecordType::mutate, ObjectNumber(object), 0x5EC2E7, lsn,
-                 Buffer{static_cast<std::uint8_t>(object & 0xFF)}},
-                out);
-  return out;
-}
 
 /// A frame carrying one record on `stream`.
 [[nodiscard]] Buffer one_run_frame(std::uint64_t seq, std::size_t stream) {
@@ -86,11 +87,6 @@ void store_u32(Buffer& bytes, std::size_t at, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
-}
-
-void store_u64(Buffer& bytes, std::size_t at, std::uint64_t v) {
-  store_u32(bytes, at, static_cast<std::uint32_t>(v));
-  store_u32(bytes, at + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
 /// Rewrites the checksum of the frame at `at` over its (bent) body, so
@@ -273,15 +269,12 @@ TEST(ReplicaApplierTest, OutOfRangeStreamIsRefusedBeforeAnyAppend) {
   ReplicaApplier applier(backend);
   ASSERT_TRUE(applier.apply_shipment(ship(sample_frame(1))).ok());
   const Buffer before = backend->read_log();
-  // sample_frame: length u32 | checksum u32 | seq u64 | flags u8 | count
-  // u32 | stream u32 | length u32 | "rec-a" | stream u32 | ...
   const Buffer good = sample_frame(2);
-  constexpr std::size_t kSecondStream = 8 + 8 + 1 + 4 + 8 + 5;
   for (const std::uint32_t stream : {5u, 6u, 0xFFFFFFFFu}) {
     SCOPED_TRACE("stream " + std::to_string(stream));
-    Buffer bent = good;
-    store_u32(bent, kSecondStream, stream);
-    reseal(bent);
+    test::FrameFields fields = test::split_frame(good);
+    fields.runs.at(1).stream = test::varint_bytes(stream);
+    const Buffer bent = test::lay_out(fields);
     Frame decoded;
     ASSERT_EQ(decode_frame(bent, decoded), bent.size());
     ASSERT_EQ(decoded.appends.at(1).shard, stream);
@@ -416,7 +409,9 @@ struct Expected {
   const std::size_t size = decode_frame(frames, frame);
   if (size == 0 || size != frames.size() ||
       std::any_of(frame.appends.begin(), frame.appends.end(),
-                  [&](const ShardAppend& a) { return a.shard >= streams; })) {
+                  [&](const ShardAppend& a) {
+                    return a.shard >= streams || !whole_records(a.bytes);
+                  })) {
     return out;
   }
   Buffer fresh;
@@ -445,29 +440,20 @@ struct Expected {
 TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
   // Field-level mutation of shipments (docs/PROTOCOL.md §9.2): bend the
   // resync flag, the frame's sequence number or flags, the group count, a
-  // stream index or a run length, re-seal the frame checksum so the bend
-  // reaches the decoder, and offer the shipment to an applier at floor 1.
-  // The backup's log must then be exactly what the §9.2 rules predict --
-  // the frame appended whole, a log started by it, or the log untouched
-  // -- and the decoder never sizes an allocation by more entries than its
-  // input can hold.  AMOEBA_TEST_SEED picks the bends.
+  // stream index, a run length or a record's field (test::bend_record),
+  // lay the frame out again so the bend reaches the decoder, and offer
+  // the shipment to an applier at floor 1.  The backup's log must then be
+  // exactly what the §9.2 rules predict -- the frame appended whole, a
+  // log started by it, or the log untouched -- and the decoder never
+  // sizes an allocation by more entries than its input can hold.
+  // AMOEBA_TEST_SEED picks the bends.
   Rng rng(test::seed_base(43) * 0x9E3779B97F4A7C15ULL + 18);
   // Runs on two object shards and the reply stream (index 4).
   const std::vector<ShardAppend> appends = {
       {0, record(1, 5)}, {2, record(2, 5)}, {4, record(3, 5)}};
-  const Buffer pristine = ship(frame_of(2, appends));
-  // Offsets in the shipment: flags 0, then the frame at 1.
-  constexpr std::size_t kFrame = 1;
-  constexpr std::size_t kSeq = kFrame + 8;
-  constexpr std::size_t kFlags = kFrame + 16;
-  constexpr std::size_t kCount = kFrame + 17;
-  std::vector<std::size_t> stream_at;
-  std::size_t pos = kFrame + 21;
-  for (const ShardAppend& a : appends) {
-    stream_at.push_back(pos);
-    pos += 8 + a.bytes.size();
-  }
-  ASSERT_EQ(pos, pristine.size());
+  const Buffer frame = frame_of(2, appends);
+  const test::FrameFields fields = test::split_frame(frame);
+  ASSERT_EQ(test::lay_out(fields), frame);
   const auto bent_u32 = [&](std::uint32_t original) -> std::uint32_t {
     switch (rng.below(6)) {
       case 0:
@@ -477,7 +463,7 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
       case 2:
         return static_cast<std::uint32_t>(rng.below(8));
       case 3:
-        return static_cast<std::uint32_t>(rng.below(pristine.size() + 1));
+        return static_cast<std::uint32_t>(rng.below(frame.size() + 1));
       case 4:
         return 0xFFFFFFFFu - static_cast<std::uint32_t>(rng.below(4));
       default:
@@ -487,42 +473,49 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
   int applied = 0;
   int refused = 0;
   for (int iter = 0; iter < 3000; ++iter) {
-    Buffer bent = pristine;
+    test::FrameFields bent_fields = fields;
+    std::uint8_t shipment_flags = 0;
     for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
-      const std::size_t run = rng.below(appends.size());
-      switch (rng.below(6)) {
+      test::RunFields& run =
+          bent_fields.runs[rng.below(bent_fields.runs.size())];
+      switch (rng.below(7)) {
         case 0: {
           const std::uint64_t choices[] = {0, 1, 2, 3, ~std::uint64_t{0},
                                            rng.next()};
-          store_u64(bent, kSeq, choices[rng.below(6)]);
+          bent_fields.seq = choices[rng.below(6)];
           break;
         }
         case 1:
-          bent[kFlags] = static_cast<std::uint8_t>(
+          bent_fields.flags = static_cast<std::uint8_t>(
               rng.below(2) == 0 ? rng.below(3) : rng.next());
           break;
         case 2:
-          bent[0] = static_cast<std::uint8_t>(
+          shipment_flags = static_cast<std::uint8_t>(
               rng.below(2) == 0 ? rng.below(3) : rng.next());
           break;
         case 3:
-          store_u32(bent, kCount, bent_u32(3));
+          bent_fields.counted = false;
+          bent_fields.count = bent_u32(3);
           break;
         case 4:
-          store_u32(bent, stream_at[run],
-                    bent_u32(static_cast<std::uint32_t>(appends[run].shard)));
+          test::bend_varint(run.stream, rng);
+          break;
+        case 5:
+          run.sized = false;
+          run.length = test::varint_bytes(test::lay_out_records(run).size());
+          test::bend_varint(run.length, rng);
           break;
         default:
-          store_u32(bent, stream_at[run] + 4,
-                    bent_u32(static_cast<std::uint32_t>(
-                        appends[run].bytes.size())));
+          test::bend_record(run, rng);
           break;
       }
     }
-    reseal(bent, kFrame);
+    const Buffer laid_out = test::lay_out(bent_fields);
+    Buffer bent = {shipment_flags};
+    bent.insert(bent.end(), laid_out.begin(), laid_out.end());
     Frame decoded;
-    (void)decode_frame(std::span(bent).subspan(kFrame), decoded);
-    EXPECT_LE(decoded.appends.capacity(), bent.size() / 8)
+    (void)decode_frame(laid_out, decoded);
+    EXPECT_LE(decoded.appends.capacity(), laid_out.size() / 2)
         << "an allocation sized past the input";
 
     auto volume = std::make_shared<MemoryBackend>(4);

@@ -397,27 +397,24 @@ TEST(ReplyStreamTest, RecoveredRowsNeverExceedTheTombstoneBound) {
   EXPECT_EQ(restarted.executions.load(), 0);
 }
 
-/// A reply body in the wire-independent form the reply stream (and the
-/// legacy image before it) persists: flags, status, capability, params,
-/// data.
+/// A reply body in the wire-independent form the reply stream persists
+/// (rpc::encode_reply_body): an ok reply carrying `data`.
 [[nodiscard]] Buffer reply_body(std::string_view data) {
-  Writer w;
-  w.u16(0);
-  w.u16(static_cast<std::uint16_t>(ErrorCode::ok));
-  w.raw(net::CapabilityBytes{});
-  for (int i = 0; i < 4; ++i) {
-    w.u64(0);
-  }
-  w.bytes(bytes_of(data));
-  return w.take();
+  net::Message reply;
+  reply.data = bytes_of(data);
+  Buffer out;
+  rpc::encode_reply_body(reply, out);
+  return out;
 }
 
 // ---------------------------------------------------------------------
 // Field-level fuzzing of the reply-stream decoders.
 
-/// One wire field: a fixed-width little-endian integer, or (width 0) a raw
-/// byte run.  Mutations act on whole fields, so a mutated record still
-/// frames and checksums correctly and reaches the decoder under test.
+/// One wire field: a fixed-width little-endian integer, a varint (width
+/// kVarint), or (width 0) a raw byte run.  Mutations act on whole fields,
+/// so a mutated record still parses as a record and reaches the decoder
+/// under test.
+constexpr int kVarint = -1;
 struct Field {
   int width = 0;
   std::uint64_t value = 0;
@@ -429,6 +426,9 @@ struct Field {
   for (const Field& f : fields) {
     if (f.width == 0) {
       out.insert(out.end(), f.raw.begin(), f.raw.end());
+    }
+    if (f.width == kVarint) {
+      append_varint(out, f.value);
     }
     for (int i = 0; i < f.width; ++i) {
       out.push_back(static_cast<std::uint8_t>(f.value >> (8 * i)));
@@ -444,10 +444,10 @@ void mutate(std::vector<Field>& fields, Rng& rng) {
   const std::size_t i = rng.below(fields.size());
   Field& f = fields[i];
   std::uint64_t mask = ~std::uint64_t{0};
-  if (f.width < 8) {
+  if (f.width >= 0 && f.width < 8) {
     mask = (std::uint64_t{1} << (8 * f.width)) - 1;
   }
-  switch (rng.below(7)) {
+  switch (rng.below(8)) {
     case 0:
       f.value = 0;
       break;
@@ -466,6 +466,22 @@ void mutate(std::vector<Field>& fields, Rng& rng) {
     case 5:
       fields.erase(fields.begin() + static_cast<std::ptrdiff_t>(i));
       break;
+    case 6:
+      if (f.width == kVarint) {
+        // Overlong: the value's last group carries a continuation bit and
+        // a zero group follows, or eleven bytes in all.
+        Buffer overlong;
+        append_varint(overlong, f.value);
+        if (rng.below(2) == 0) {
+          overlong.back() |= 0x80;
+          overlong.push_back(0);
+        } else {
+          overlong.assign(10, 0x80);
+          overlong.push_back(0x01);
+        }
+        f = Field{0, 0, std::move(overlong)};
+      }
+      break;
     default:
       if (f.width == 0 && !f.raw.empty()) {
         f.raw.resize(rng.below(f.raw.size()));
@@ -480,12 +496,13 @@ void mutate(std::vector<Field>& fields, Rng& rng) {
                                             std::uint64_t client,
                                             std::uint64_t floor,
                                             const std::vector<Buffer>& bodies) {
-  std::vector<Field> fields = {{4, src, {}}, {8, client, {}}, {8, floor, {}}};
-  fields.push_back({4, bodies.size(), {}});
+  std::vector<Field> fields = {
+      {kVarint, src, {}}, {8, client, {}}, {kVarint, floor, {}}};
+  fields.push_back({kVarint, bodies.size(), {}});
   std::uint64_t seq = floor;
   for (const Buffer& body : bodies) {
-    fields.push_back({8, seq--, {}});
-    fields.push_back({4, body.size(), {}});
+    fields.push_back({kVarint, seq--, {}});
+    fields.push_back({kVarint, body.size(), {}});
     fields.push_back({0, 0, body});
   }
   return fields;
@@ -537,12 +554,12 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
       case 0:
       case 1: {
         // One reply_floor / reply_body record with a mutated payload.
-        std::vector<Field> payload = {
-            {4, 1, {}}, {8, 10 + rng.below(3), {}}, {8, 1 + rng.below(9), {}}};
+        std::vector<Field> payload = {{kVarint, 1, {}},
+                                      {8, 10 + rng.below(3), {}},
+                                      {kVarint, 1 + rng.below(9), {}}};
         const bool body = iter % 4 == 1;
         if (body) {
-          payload.push_back({4, bodies[1].size(), {}});
-          payload.push_back({0, 0, bodies[1]});
+          payload.push_back({0, 0, bodies[1]});  // to the payload's end
         }
         for (std::uint64_t m = 1 + rng.below(3); m > 0; --m) {
           mutate(payload, rng);
@@ -562,8 +579,8 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
       }
       case 2: {
         // An incarnation record with a mutated payload: it names exactly
-        // its one nonzero u64 or nothing, and never touches a row.
-        std::vector<Field> payload = {{8, 1 + rng.below(9), {}}};
+        // its one nonzero varint or nothing, and never touches a row.
+        std::vector<Field> payload = {{kVarint, 1 + rng.below(9), {}}};
         for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
           mutate(payload, rng);
         }
@@ -574,7 +591,7 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
         for (const storage::Record& record : storage::decode_journal(framed)) {
           const auto number = storage::decode_reply_incarnation(record);
           const bool well_formed = payload.size() == 1 &&
-                                   payload[0].width == 8 &&
+                                   payload[0].width == kVarint &&
                                    payload[0].value != 0;
           EXPECT_EQ(number.has_value(), well_formed);
           if (number.has_value()) {
@@ -591,17 +608,18 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
         // A reply-stream snapshot: mutate the header, a slot frame, or a
         // row inside a slot.
         std::vector<Field> image = {{4, 0x414D534Eu, {}},
-                                    {2, 1, {}},
+                                    {2, 2, {}},
                                     {8, 40, {}},
                                     {4, 3, {}}};
-        std::vector<Field> incarnation_slot = {{8, 3 + rng.below(9), {}}};
+        std::vector<Field> incarnation_slot = {
+            {kVarint, 3 + rng.below(9), {}}};
         if (rng.below(2) == 0) {
           mutate(incarnation_slot, rng);
         }
         const Buffer number = serialize(incarnation_slot);
-        image.push_back({4, 1, {}});  // object 1: the incarnation
-        image.push_back({8, 0, {}});  // secret
-        image.push_back({4, number.size(), {}});
+        image.push_back({kVarint, 1, {}});  // object 1: the incarnation
+        image.push_back({8, 0, {}});        // secret
+        image.push_back({kVarint, number.size(), {}});
         image.push_back({0, 0, number});
         for (int r = 0; r < 2; ++r) {
           std::vector<Field> row = row_fields(
@@ -610,9 +628,9 @@ TEST(ReplyStreamFuzz, MutatedRecordsAndImagesNeverHalfApply) {
             mutate(row, rng);
           }
           const Buffer payload = serialize(row);
-          image.push_back({4, 0, {}});  // object
-          image.push_back({8, 0, {}});  // secret
-          image.push_back({4, payload.size(), {}});
+          image.push_back({kVarint, 0, {}});  // object
+          image.push_back({8, 0, {}});        // secret
+          image.push_back({kVarint, payload.size(), {}});
           image.push_back({0, 0, payload});
         }
         if (rng.below(2) == 0) {
@@ -651,16 +669,21 @@ TEST(ReplyStreamFuzz, MutatedStreamsNeverCrashARestart) {
     std::vector<Field> row = row_fields(3, 30, 9, bodies);
     mutate(row, rng);
     const Buffer payload = serialize(row);
-    std::vector<Field> image = {{4, 0x414D534Eu, {}}, {2, 1, {}},
-                                {8, 4, {}},           {4, 1, {}},
-                                {4, 0, {}},           {8, 0, {}},
-                                {4, payload.size(), {}}, {0, 0, payload}};
+    std::vector<Field> image = {{4, 0x414D534Eu, {}},
+                                {2, 2, {}},
+                                {8, 4, {}},
+                                {4, 1, {}},
+                                {kVarint, 0, {}},
+                                {8, 0, {}},
+                                {kVarint, payload.size(), {}},
+                                {0, 0, payload}};
     if (iter % 2 == 0) {
       mutate(image, rng);
     }
     Buffer journal;
     storage::encode_snapshot_record(serialize(image), journal);
-    std::vector<Field> record = {{4, 3, {}}, {8, 30, {}}, {8, 12, {}}};
+    std::vector<Field> record = {
+        {kVarint, 3, {}}, {8, 30, {}}, {kVarint, 12, {}}};
     mutate(record, rng);
     storage::encode_record_into(storage::RecordType::reply_floor,
                                 ObjectNumber{}, 0, 5, serialize(record),
@@ -1570,12 +1593,57 @@ TEST(ReplyStreamTest, BalanceReadsLeaveAFileVolumeUntouched) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ReplyStreamTest, OneTransferCycleFitsItsFrameBound) {
+  // One transfer on a fresh file-backed bank is one flush cycle: the
+  // request's floor, the two accounts' mutates and the reply body queued
+  // before it.  At on-disk format 8 that frame is about a third of its
+  // format-7 size (311 bytes): records carry no length or checksum of
+  // their own, and a reply body leaves out its zero capability and params.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("amoeba_transfer_frame_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    net::Network net;
+    net::Machine& bank_machine = net.add_machine("bank");
+    net::Machine& client_machine = net.add_machine("client");
+    servers::BankServer bank(bank_machine, Port(0xBA7A), scheme(), 1,
+                             std::make_shared<storage::FileBackend>(dir));
+    bank.start(2);
+    rpc::Transport transport(client_machine, 7);
+    servers::BankClient client(transport, bank.put_port());
+    const core::Capability alice = client.create_account().value();
+    const core::Capability bob = client.create_account().value();
+    ASSERT_TRUE(client
+                    .mint(bank.master_capability(), alice,
+                          servers::currency::kDollar, 100)
+                    .ok());
+    const auto log = dir / "commit.log";
+    const std::uintmax_t size = std::filesystem::file_size(log);
+    const std::string before = bank.info_detail();
+    ASSERT_TRUE(
+        client.transfer(alice, bob, servers::currency::kDollar, 7).ok());
+    const std::string after = bank.info_detail();
+    EXPECT_EQ(detail_value(after, "gc.groups"),
+              detail_value(before, "gc.groups") + 1);
+    const std::uint64_t frame = detail_value(after, "gc.frame_bytes") -
+                                detail_value(before, "gc.frame_bytes");
+    EXPECT_EQ(frame, std::filesystem::file_size(log) - size);
+    std::printf("one transfer's frame: %llu bytes\n",
+                static_cast<unsigned long long>(frame));
+    EXPECT_LE(frame, 160u);
+    bank.stop();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ReplyStreamTest, AReadRacingATransferWhoseFlushFailsNeverSeesIt) {
   // The transfer's cycle is held in its backend write; the read that
   // follows runs its handler and sees the new balance in memory.  The
-  // read journals nothing, so only the barrier -- the newest ticket
-  // issued, the transfer's -- keeps its reply in; the write then fails,
-  // and the read must answer `internal`, never the transferred balance.
+  // read journals nothing, so only the read barrier keeps its reply in:
+  // the newest of the newest effect ticket (the transfer's), the boot's
+  // incarnation record and an unstamped request's own floor.  The write
+  // then fails, and the read must answer `internal`, never the
+  // transferred balance.
   net::Network net;
   net::Machine& bank_machine = net.add_machine("bank");
   net::Machine& client_machine = net.add_machine("client");

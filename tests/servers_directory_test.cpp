@@ -679,23 +679,30 @@ TEST_F(DurableDirectorySuite, MutatedPatchFieldsRefuseOrRecoverAPrefix) {
         }
         break;
       default:
-        break;  // torn frame: damaged below, after framing
-    }
-    Buffer journal;
-    for (const storage::Record& record : mutated) {
-      storage::encode_record(record, journal);
-      if (which == 4 && &record == &mutated[k + 1]) {
-        // A payload byte flipped after framing: the checksum fails.
-        journal[journal.size() - 1 - rng.below(record.payload.size())] ^=
-            static_cast<std::uint8_t>(1 + rng.below(255));
-      }
+        break;  // torn frame: damaged below, after encoding
     }
     auto image = std::make_shared<storage::MemoryBackend>(16);
     for (std::size_t s = 0; s < volume->shard_count(); ++s) {
-      const Buffer bytes = s == shard ? journal : volume->read_journal(s);
-      if (!bytes.empty()) {
+      const Buffer bytes = volume->read_journal(s);
+      if (s != shard && !bytes.empty()) {
         test::append_run(*image, s, bytes);
       }
+    }
+    // The directory's records, one frame each.
+    for (const storage::Record& record : mutated) {
+      Buffer run;
+      storage::encode_record_into(record.type, record.object, record.secret,
+                                  record.lsn, record.payload, run);
+      const std::vector<storage::ShardAppend> group = {{shard, run}};
+      Buffer frame;
+      storage::encode_frame(image->last_seq() + 1, /*checkpoint=*/false, group,
+                            frame);
+      if (which == 4 && &record == &mutated[k + 1]) {
+        // A payload byte flipped after framing: the checksum fails.
+        frame[frame.size() - 1 - rng.below(record.payload.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.below(255));
+      }
+      image->append_frames(frame);
     }
     SCOPED_TRACE("iteration " + std::to_string(iter) + ", step " +
                  std::to_string(k) + ", mutation " + std::to_string(which) +

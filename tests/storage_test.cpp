@@ -1,5 +1,5 @@
-// Unit tests for the durability substrate: journal record framing (torn
-// tails, checksums), snapshot round trips, the Memory/File backends, and
+// Unit tests for the durability substrate: journal record encoding (torn
+// frames, checksums, field-level fuzzing), snapshot round trips, the Memory/File backends, and
 // the durable ShardedObjectStore itself -- journaling, compaction, and
 // snapshot+journal recovery with capability survival.
 #include <gtest/gtest.h>
@@ -31,6 +31,7 @@
 #include "amoeba/storage/replication/replica.hpp"
 #include "amoeba/storage/replication/replicated_backend.hpp"
 #include "amoeba/storage/replication/wire.hpp"
+#include "frame_fields.hpp"
 #include "test_seed.hpp"
 #include "volumes.hpp"
 
@@ -39,19 +40,52 @@ namespace {
 
 using namespace std::chrono_literals;
 
+/// `a` followed by `b`: record runs concatenate.
+[[nodiscard]] Buffer operator+(Buffer a, const Buffer& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// Appends one record to `out`.
+void encode(const Record& r, Buffer& out) {
+  encode_record_into(r.type, r.object, r.secret, r.lsn, r.payload, out);
+}
+
+/// The records of every whole frame at the front of `frames`, stream by
+/// stream in log order: what recovery keeps of a log.
+[[nodiscard]] std::vector<Record> recovered_records(
+    std::span<const std::uint8_t> frames) {
+  std::vector<Record> records;
+  (void)walk_frames(
+      frames, 1,
+      [&](const Frame& frame, std::span<const std::uint8_t>) {
+        for (const ShardAppend& a : frame.appends) {
+          for (Record& r : decode_journal(a.bytes)) {
+            records.push_back(std::move(r));
+          }
+        }
+      },
+      nullptr);
+  return records;
+}
+
+/// `run` as one frame numbered `seq` on stream 0.
+[[nodiscard]] Buffer frame_of_run(std::uint64_t seq, const Buffer& run) {
+  Buffer out;
+  const std::vector<ShardAppend> appends = {{0, run}};
+  encode_frame(seq, /*checkpoint=*/false, appends, out);
+  return out;
+}
+
 TEST(RecordCodec, RoundTripsAllRecordTypes) {
   Buffer journal;
-  encode_record({RecordType::create, ObjectNumber(7), 0xDEADBEEF, 1,
-                 Buffer{1, 2, 3}},
-                journal);
-  encode_record({RecordType::mutate, ObjectNumber(7), 0, 2, Buffer{9}},
-                journal);
-  encode_record({RecordType::rotate, ObjectNumber(7), 0xFEED, 3, {}},
-                journal);
-  encode_record({RecordType::destroy, ObjectNumber(7), 0, 4, {}}, journal);
-  bool torn = true;
-  const auto records = decode_journal(journal, &torn);
-  EXPECT_FALSE(torn);
+  encode({RecordType::create, ObjectNumber(7), 0xDEADBEEF, 1, Buffer{1, 2, 3}},
+         journal);
+  encode({RecordType::mutate, ObjectNumber(7), 0, 2, Buffer{9}}, journal);
+  encode({RecordType::rotate, ObjectNumber(7), 0xFEED, 3, {}}, journal);
+  encode({RecordType::destroy, ObjectNumber(7), 0, 4, {}}, journal);
+  EXPECT_TRUE(whole_records(journal));
+  const auto records = decode_journal(journal);
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records[0].type, RecordType::create);
   EXPECT_EQ(records[0].object.value(), 7u);
@@ -61,65 +95,182 @@ TEST(RecordCodec, RoundTripsAllRecordTypes) {
   EXPECT_EQ(records[1].type, RecordType::mutate);
   EXPECT_EQ(records[2].secret, 0xFEEDu);
   EXPECT_EQ(records[3].type, RecordType::destroy);
+  // Format 8's sizes: a header of type, varint object, lsn and payload
+  // length, plus the secret on create and rotate alone.
+  EXPECT_EQ(journal.size(), (4 + 8 + 3) + (4 + 1) + (4 + 8) + 4);
 }
 
 TEST(RecordCodec, DeltaRecordRoundTrips) {
   Buffer journal;
-  encode_record({RecordType::delta, ObjectNumber(9), 0xCAFE, 5,
-                 Buffer{0xAA, 0xBB}},
-                journal);
-  bool torn = true;
-  const auto records = decode_journal(journal, &torn);
-  EXPECT_FALSE(torn);
+  encode({RecordType::delta, ObjectNumber(9), 0xCAFE, 5, Buffer{0xAA, 0xBB}},
+         journal);
+  EXPECT_TRUE(whole_records(journal));
+  const auto records = decode_journal(journal);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].type, RecordType::delta);
   EXPECT_EQ(records[0].object.value(), 9u);
-  EXPECT_EQ(records[0].secret, 0xCAFEu);
+  EXPECT_EQ(records[0].secret, 0u) << "a delta carries no secret";
   EXPECT_EQ(records[0].lsn, 5u);
   EXPECT_EQ(records[0].payload, (Buffer{0xAA, 0xBB}));
-  // One past the last known type is rejected, ending the parse.
-  Buffer bad;
-  encode_record({static_cast<RecordType>(
-                     static_cast<std::uint8_t>(RecordType::incarnation) + 1),
-                 ObjectNumber(1), 0, 1, {}},
-                bad);
-  torn = false;
-  EXPECT_TRUE(decode_journal(bad, &torn).empty());
-  EXPECT_TRUE(torn);
+  // One past the last known type, and the retired 8, are refused: inside
+  // an intact frame that is corruption, not a torn tail.
+  for (const std::uint8_t type :
+       {std::uint8_t{8},
+        static_cast<std::uint8_t>(
+            static_cast<std::uint8_t>(RecordType::incarnation) + 1)}) {
+    Buffer bad;
+    encode({static_cast<RecordType>(type), ObjectNumber(1), 0, 1, {}}, bad);
+    EXPECT_FALSE(peek_record(bad).has_value()) << int{type};
+    EXPECT_FALSE(whole_records(bad));
+    EXPECT_THROW((void)decode_journal(bad), UsageError);
+  }
 }
 
 TEST(RecordCodec, TornTailStopsCleanly) {
-  Buffer journal;
-  encode_record({RecordType::create, ObjectNumber(1), 11, 1, Buffer{4, 5}},
-                journal);
-  const std::size_t intact = journal.size();
-  encode_record({RecordType::create, ObjectNumber(2), 22, 2, Buffer{6}},
-                journal);
-  // A crash tore the second append: drop its last 3 bytes.
-  journal.resize(journal.size() - 3);
-  bool torn = false;
-  const auto records = decode_journal(journal, &torn);
-  EXPECT_TRUE(torn);
+  // A crash tears the frame that carries the second record: drop its last
+  // 3 bytes.  The intact prefix -- the first frame -- is kept.
+  Buffer first;
+  encode({RecordType::create, ObjectNumber(1), 11, 1, Buffer{4, 5}}, first);
+  Buffer second;
+  encode({RecordType::create, ObjectNumber(2), 22, 2, Buffer{6}}, second);
+  Buffer log = frame_of_run(1, first);
+  const std::size_t intact = log.size();
+  const Buffer torn = frame_of_run(2, second);
+  log.insert(log.end(), torn.begin(), torn.end() - 3);
+  const auto records = recovered_records(log);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].object.value(), 1u);
   // The intact prefix alone parses clean.
-  const auto prefix = decode_journal(
-      std::span<const std::uint8_t>(journal.data(), intact), &torn);
-  EXPECT_FALSE(torn);
-  EXPECT_EQ(prefix.size(), 1u);
+  EXPECT_EQ(walk_frames(log, 1,
+                        [](const Frame&, std::span<const std::uint8_t>) {},
+                        nullptr),
+            intact);
+  EXPECT_EQ(recovered_records(std::span(log).first(intact)).size(), 1u);
+  // A record cut short inside an intact frame is no torn tail.
+  const Buffer cut(second.begin(), second.end() - 1);
+  EXPECT_FALSE(whole_records(cut));
+  EXPECT_THROW((void)decode_journal(cut), UsageError);
 }
 
 TEST(RecordCodec, CorruptChecksumEndsTheParse) {
-  Buffer journal;
-  encode_record({RecordType::create, ObjectNumber(1), 11, 1, Buffer{4}},
-                journal);
-  encode_record({RecordType::create, ObjectNumber(2), 22, 2, Buffer{5}},
-                journal);
-  journal[journal.size() - 1] ^= 0xFF;  // flip a body byte of record 2
-  bool torn = false;
-  const auto records = decode_journal(journal, &torn);
-  EXPECT_TRUE(torn);
+  Buffer log;
+  Buffer run;
+  encode({RecordType::create, ObjectNumber(1), 11, 1, Buffer{4}}, run);
+  const Buffer first = frame_of_run(1, run);
+  run.clear();
+  encode({RecordType::create, ObjectNumber(2), 22, 2, Buffer{5}}, run);
+  const Buffer second = frame_of_run(2, run);
+  log = first;
+  log.insert(log.end(), second.begin(), second.end());
+  log[log.size() - 1] ^= 0xFF;  // flip a body byte of record 2
+  const auto records = recovered_records(log);
   ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].object.value(), 1u);
+}
+
+TEST(RecordCodec, EveryMalformedFieldIsRefusedOrRoundTrips) {
+  // Each bend of a format-8 record either refuses the run (peek_record,
+  // whole_records and decode_journal agree) or decodes to records that
+  // re-encode to the same bytes.
+  const auto refused = [](const Buffer& run) {
+    EXPECT_FALSE(whole_records(run));
+    EXPECT_THROW((void)decode_journal(run), UsageError);
+  };
+  const Buffer eleven = {0x80, 0x80, 0x80, 0x80, 0x80,
+                         0x80, 0x80, 0x80, 0x80, 0x80, 0x01};
+  // type | object | lsn | payload length | payload, spelled out.
+  const auto record = [](const Buffer& type, const Buffer& object,
+                         const Buffer& lsn, const Buffer& length,
+                         const Buffer& payload) {
+    return type + object + lsn + length + payload;
+  };
+  const Buffer mutate = {static_cast<std::uint8_t>(RecordType::mutate)};
+  EXPECT_TRUE(test::round_trips(record(mutate, {1}, {1}, {1}, {9})));
+  // Overlong varints: eleven bytes, or a final zero group.
+  refused(record(mutate, eleven, {1}, {0}, {}));
+  refused(record(mutate, {1}, eleven, {0}, {}));
+  refused(record(mutate, {0x81, 0x00}, {1}, {0}, {}));
+  refused(record(mutate, {1}, {1}, {0x80, 0x00}, {}));
+  // Wider than the field: an object above u32 or above its 24 bits, a
+  // value above u64.
+  refused(record(mutate, test::varint_bytes(std::uint64_t{1} << 32), {1},
+                 {0}, {}));
+  refused(record(mutate, test::varint_bytes(ObjectNumber::kMask + 1), {1},
+                 {0}, {}));
+  EXPECT_TRUE(test::round_trips(
+      record(mutate, test::varint_bytes(ObjectNumber::kMask), {1}, {0}, {})));
+  refused(record(mutate, {1},
+                 {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02},
+                 {0}, {}));
+  // A varint cut off at the end of the run, and a payload length past it.
+  refused(record(mutate, {1}, {0x81}, {}, {}));
+  refused(record(mutate, {1}, {1}, {0x82}, {}));
+  refused(record(mutate, {1}, {1}, {3}, {9, 9}));
+  // Type 8 (retired), types above 10, and type 0.
+  for (const std::uint8_t type :
+       std::initializer_list<std::uint8_t>{0, 8, 11, 12, 0xFF}) {
+    refused(record({type}, {1}, {1}, {0}, {}));
+  }
+  // A secret on a type that carries none reads as lsn and length: a zero
+  // secret leaves bytes that are no record, a nonzero one an lsn of its
+  // own that re-encodes to the same bytes.
+  refused(record(mutate, {1}, Buffer(8, 0x00) + Buffer{1}, {0}, {}));
+  EXPECT_TRUE(test::round_trips(
+      record(mutate, {1}, Buffer(8, 0xAA) + Buffer{1}, {0}, {})));
+  // A create without its secret is cut short.
+  refused(record({static_cast<std::uint8_t>(RecordType::create)}, {1}, {1},
+                 {0}, {}));
+}
+
+TEST(RecordFuzz, BentRecordsRefuseOrRoundTrip) {
+  // Seeded field-level bends (test::bend_record) of a run holding every
+  // record type: each bent run is refused whole or round-trips byte for
+  // byte, and no decoder reads past its span (the ASan+UBSan job runs
+  // this suite).  AMOEBA_TEST_SEED picks the bends.
+  Rng rng(test::seed_base(20) * 0x9E3779B97F4A7C15ULL + 24);
+  Buffer pristine;
+  encode({RecordType::create, ObjectNumber(300), 0xDEADBEEF, 1, Buffer{1, 2}},
+         pristine);
+  encode({RecordType::mutate, ObjectNumber(300), 0, 200, Buffer(130, 7)},
+         pristine);
+  encode({RecordType::delta, ObjectNumber(4), 0, 201, Buffer{5}}, pristine);
+  encode({RecordType::rotate, ObjectNumber(4), 0xFEED, 202, {}}, pristine);
+  encode({RecordType::destroy, ObjectNumber(4), 0, 203, {}}, pristine);
+  encode({RecordType::reply_floor, ObjectNumber{}, 0, 1 << 20, Buffer{1, 2}},
+         pristine);
+  encode({RecordType::snapshot, ObjectNumber{}, 0, 9,
+          encode_snapshot({{ObjectNumber(2), 7, Buffer{7}}}, 9)},
+         pristine);
+  encode({RecordType::incarnation, ObjectNumber{}, 0, 10, Buffer{3}},
+         pristine);
+  test::RunFields fields;
+  fields.records = test::split_records(pristine);
+  ASSERT_EQ(test::lay_out_records(fields), pristine);
+  int round_tripped = 0;
+  int refused = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    test::RunFields bent = fields;
+    for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
+      test::bend_record(bent, rng);
+    }
+    const Buffer run = test::lay_out_records(bent);
+    if (whole_records(run)) {
+      EXPECT_TRUE(test::round_trips(run));
+      ++round_tripped;
+    } else {
+      EXPECT_THROW((void)decode_journal(run), UsageError);
+      EXPECT_LE(live_records(run).size(), run.size());
+      ++refused;
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "iteration " << iter << " (seed base " << test::seed_base(20)
+             << ")";
+    }
+  }
+  std::printf("bent records: %d round-tripped, %d refused\n", round_tripped,
+              refused);
+  EXPECT_GT(round_tripped, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(SnapshotCodec, RoundTripsSlotsAndAppliedLsn) {
@@ -141,13 +292,13 @@ TEST(SnapshotCodec, RoundTripsSlotsAndAppliedLsn) {
   EXPECT_FALSE(decode_snapshot(garbage, out, lsn));
 }
 
-/// One framed record of a given object/lsn, for feeding the committer what
-/// a real store would (decode_journal must parse what the flusher lands).
+/// One record of a given object/lsn, for feeding the committer what a
+/// real store would (decode_journal must parse what the flusher lands).
 [[nodiscard]] Buffer frame(std::uint32_t object, std::uint64_t lsn) {
   Buffer out;
-  encode_record({RecordType::mutate, ObjectNumber(object), 0x5EC2E7, lsn,
-                 Buffer{static_cast<std::uint8_t>(object & 0xFF)}},
-                out);
+  encode({RecordType::mutate, ObjectNumber(object), 0, lsn,
+          Buffer{static_cast<std::uint8_t>(object & 0xFF)}},
+         out);
   return out;
 }
 
@@ -157,12 +308,6 @@ TEST(SnapshotCodec, RoundTripsSlotsAndAppliedLsn) {
                     std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir;
-}
-
-/// `a` followed by `b`: record runs concatenate.
-[[nodiscard]] Buffer operator+(Buffer a, const Buffer& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  return a;
 }
 
 /// `image` as one framed snapshot record.
@@ -283,15 +428,14 @@ TEST(CommitLogTest, GroupedAppendsRecoverAcrossReopen) {
   {
     FileBackend backend(dir, 4);
     EXPECT_FALSE(backend.empty());
-    bool torn = true;
-    const auto shard0 = decode_journal(backend.read_journal(0), &torn);
-    EXPECT_FALSE(torn);
+    EXPECT_TRUE(whole_records(backend.read_journal(0)));
+    const auto shard0 = decode_journal(backend.read_journal(0));
     ASSERT_EQ(shard0.size(), 2u);
     EXPECT_EQ(shard0[0].object.value(), 10u);
     EXPECT_EQ(shard0[0].lsn, 1u);
     EXPECT_EQ(shard0[1].object.value(), 11u);
     EXPECT_EQ(shard0[1].lsn, 2u);
-    const auto shard2 = decode_journal(backend.read_journal(2), &torn);
+    const auto shard2 = decode_journal(backend.read_journal(2));
     ASSERT_EQ(shard2.size(), 1u);
     EXPECT_EQ(shard2[0].object.value(), 20u);
   }
@@ -309,9 +453,8 @@ TEST(CommitLogTest, SyncAndGroupedAppendsRecoverInLsnOrder) {
     committer.wait_durable(committer.enqueue(0, frame(2, 2)));
   }
   test::append_run(*backend, 0, frame(3, 3));
-  bool torn = true;
-  const auto records = decode_journal(backend->read_journal(0), &torn);
-  EXPECT_FALSE(torn);
+  EXPECT_TRUE(whole_records(backend->read_journal(0)));
+  const auto records = decode_journal(backend->read_journal(0));
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].lsn, 1u);
   EXPECT_EQ(records[1].lsn, 2u);
@@ -345,12 +488,11 @@ TEST(CommitLogTest, TornGroupFrameDropsTheWholeGroup) {
   std::filesystem::resize_file(log, std::filesystem::file_size(log) - 1);
   {
     FileBackend backend(dir, 2);
-    bool torn = true;
-    const auto shard0 = decode_journal(backend.read_journal(0), &torn);
-    EXPECT_FALSE(torn);
+    EXPECT_TRUE(whole_records(backend.read_journal(0)));
+    const auto shard0 = decode_journal(backend.read_journal(0));
     ASSERT_EQ(shard0.size(), 1u);
     EXPECT_EQ(shard0[0].object.value(), 1u);
-    const auto shard1 = decode_journal(backend.read_journal(1), &torn);
+    const auto shard1 = decode_journal(backend.read_journal(1));
     ASSERT_EQ(shard1.size(), 1u);
     EXPECT_EQ(shard1[0].object.value(), 2u);
   }
@@ -529,14 +671,16 @@ TEST(CommitLogTest, GroupNamingAMissingStreamIsRefusedNotCut) {
 
 TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   // Field-level mutation of a commit.log frame that carries images: bend
-  // the frame's sequence number or flags, the group count, a stream
-  // index, a run length, a record's type or lsn, a snapshot record's image
-  // length, or a field inside an image (its magic, applied LSN or slot
-  // count); re-seal the record and frame checksums so the bend reaches
-  // the decoders.  Recovery must never crash, and the volume reads back as
-  // the first frame alone or as both frames whole: exactly what a memory
-  // volume holds after the same frames.  A sealed frame that names a
-  // stream the volume lacks, or breaks the numbering, is no crash
+  // the frame's sequence number or flags, the group count, a stream index,
+  // a run length, a record's field (test::bend_record: its type, object,
+  // lsn, payload length or secret, or a run cut inside a varint), or a
+  // field inside an image (its magic, applied LSN or slot count); the
+  // frame is laid out again and re-sealed so the bend reaches the
+  // decoders.  Recovery must never crash, and the volume reads back as the
+  // first frame alone or as both frames whole: exactly what a memory
+  // volume holds after the same frames, each run re-encoding to its own
+  // bytes.  A sealed frame that names a stream the volume lacks, breaks
+  // the numbering or holds a record that does not parse is no crash
   // artifact: the volume is refused by name, and its log is left as it
   // was.  AMOEBA_TEST_SEED picks the bends.
   Rng rng(test::seed_base(20) * 0x9E3779B97F4A7C15ULL + 20);
@@ -557,30 +701,8 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   base.insert(base.end(), base_frame.begin(), base_frame.end());
   Buffer pristine;
   encode_frame(2, false, second, pristine);
-  // Field offsets inside the second frame: length and checksum 8, seq at
-  // 8, flags at 16, count at 17, then per run its stream and length words
-  // and its records.
-  constexpr std::size_t kSeq = 8;
-  constexpr std::size_t kFlags = 16;
-  constexpr std::size_t kCount = 17;
-  struct At {
-    std::size_t record;
-    bool image;
-  };
-  std::vector<std::size_t> run_at;
-  std::vector<At> records;
-  std::size_t pos = 21;
-  for (const ShardAppend& a : second) {
-    run_at.push_back(pos);
-    pos += 8;
-    std::size_t in_run = 0;
-    while (const auto r = peek_record(std::span(a.bytes).subspan(in_run))) {
-      records.push_back({pos + in_run, r->type == RecordType::snapshot});
-      in_run += r->size;
-    }
-    pos += a.bytes.size();
-  }
-  ASSERT_EQ(pos, pristine.size());
+  const test::FrameFields fields = test::split_frame(pristine);
+  ASSERT_EQ(test::lay_out(fields), pristine);
   const auto put_u32 = [](Buffer& b, std::size_t at, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
       b.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
@@ -603,70 +725,66 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   int dropped = 0;
   int refused = 0;
   for (int iter = 0; iter < 500; ++iter) {
-    Buffer bent = pristine;
+    test::FrameFields bent_fields = fields;
     for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
-      const At at = records[rng.below(records.size())];
-      const std::size_t run = run_at[rng.below(run_at.size())];
-      switch (rng.below(9)) {
+      test::RunFields& run =
+          bent_fields.runs[rng.below(bent_fields.runs.size())];
+      switch (rng.below(8)) {
         case 0:
-          put_u32(bent, kCount, bent_u32(3));
+          bent_fields.counted = false;
+          bent_fields.count = bent_u32(3);
           break;
         case 1:
-          put_u32(bent, run, bent_u32(get_u32(bent, run)));
+          test::bend_varint(run.stream, rng);
           break;
         case 2:
-          put_u32(bent, run + 4, bent_u32(get_u32(bent, run + 4)));
+          run.sized = false;
+          run.length = test::varint_bytes(test::lay_out_records(run).size());
+          test::bend_varint(run.length, rng);
           break;
         case 3:
-          bent[at.record + 8] = static_cast<std::uint8_t>(rng.below(12));
+          test::bend_record(run, rng);
           break;
-        case 4:
-          put_u32(bent, at.record + 21 + 4 * rng.below(2),
-                  static_cast<std::uint32_t>(rng.next()));
+        case 4: {
+          // The image itself: magic at 0, applied LSN at 6, slot count at
+          // 14.
+          for (test::RecordFields& r : run.records) {
+            if (r.type[0] == static_cast<std::uint8_t>(RecordType::snapshot) &&
+                r.payload.size() >= 18) {
+              const std::size_t field[] = {0, 6, 14};
+              const std::size_t f = field[rng.below(3)];
+              put_u32(r.payload, f, bent_u32(get_u32(r.payload, f)));
+            }
+          }
           break;
+        }
         case 5:
-          if (at.image) {
-            const std::size_t length_at = at.record + 29;
-            put_u32(bent, length_at, bent_u32(get_u32(bent, length_at)));
-          }
-          break;
-        case 6:
-          if (at.image) {
-            // The image itself: magic at +33, applied LSN at +39, slot
-            // count at +47.
-            const std::size_t field[] = {33, 39, 47};
-            const std::size_t f = at.record + field[rng.below(3)];
-            put_u32(bent, f, bent_u32(get_u32(bent, f)));
-          }
-          break;
-        case 7:
-          // The frame's sequence number, high word left alone or not.
-          put_u32(bent, kSeq + 4 * rng.below(2), bent_u32(get_u32(bent, kSeq)));
+          bent_fields.seq = rng.below(2) == 0 ? bent_u32(2) : rng.next();
           break;
         default: {
           // The checkpoint flag, or a flag no format defines.
           const std::uint8_t flags[] = {1, 2, 0x80,
                                         static_cast<std::uint8_t>(rng.next())};
-          bent[kFlags] = flags[rng.below(4)];
+          bent_fields.flags = flags[rng.below(4)];
           break;
         }
       }
-      // Re-seal the record, when its length word still fits the frame.
-      const std::uint32_t length = get_u32(bent, at.record);
-      if (at.record + 8 + std::size_t{length} <= bent.size()) {
-        put_u32(bent, at.record + 4,
-                frame_checksum(std::span(bent).subspan(at.record + 8, length)));
-      }
     }
-    put_u32(bent, 4, frame_checksum(std::span(bent).subspan(8)));
+    const Buffer bent = test::lay_out(bent_fields);
     Frame decoded;
     const bool parses = decode_frame(bent, decoded) == bent.size();
     const bool foreign =
         parses && (decoded.seq != 2 ||
                    std::any_of(decoded.appends.begin(), decoded.appends.end(),
                                [](const ShardAppend& a) {
-                                 return a.shard >= 3;
+                                 return a.shard >= 3 ||
+                                        !whole_records(a.bytes);
                                }));
+    if (parses && !foreign) {
+      for (const ShardAppend& a : decoded.appends) {
+        EXPECT_TRUE(test::round_trips(a.bytes)) << "stream " << a.shard;
+      }
+    }
     MemoryBackend reference(2);
     reference.append_frames(base_frame);
     if (parses && !foreign) {
@@ -1131,6 +1249,53 @@ TEST(FileBackendTest, OlderFormatCommitLogIsRefusedByNameUntouched) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FileBackendTest, Format7CommitLogIsRefusedByNameUntouched) {
+  // A format-7 commit.log -- the AMCL header at version 7, then one frame
+  // of records that each carry their own length and checksum, laid out
+  // byte by byte -- is refused with a UsageError naming format 7, and the
+  // file is left exactly as written.
+  const auto dir = fresh_dir("legacy-v7");
+  std::filesystem::create_directories(dir);
+  Writer record;  // type | object u32 | secret u64 | lsn u64 | payload
+  record.u8(static_cast<std::uint8_t>(RecordType::create));
+  record.u32(1);
+  record.u64(0x5EC2E7);
+  record.u64(1);
+  record.bytes(Buffer{7, 7});
+  Writer run;
+  run.u32(static_cast<std::uint32_t>(record.buffer().size()));
+  run.u32(frame_checksum(record.buffer()));
+  run.raw(record.buffer());
+  Writer body;  // seq | flags | count | stream u32 | run u32 + bytes
+  body.u64(1);
+  body.u8(0);
+  body.u32(1);
+  body.u32(0);
+  body.bytes(run.buffer());
+  Writer log;
+  log.u32(0x4C434D41u);  // "AMCL"
+  log.u16(7);
+  log.u32(static_cast<std::uint32_t>(body.buffer().size()));
+  log.u32(frame_checksum(body.buffer()));
+  log.raw(body.buffer());
+  write_file(dir / "commit.log", log.buffer());
+  try {
+    FileBackend backend(dir, 2);
+    ADD_FAILURE() << "a format-7 commit.log was opened";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("commit.log"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("on-disk format 7 commit log"),
+              std::string::npos)
+        << e.what();
+  }
+  std::ifstream in(dir / "commit.log", std::ios::binary);
+  const Buffer after{std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()};
+  EXPECT_EQ(after, log.buffer()) << "the refused log was touched";
+  std::filesystem::remove_all(dir);
+}
+
 TEST(GroupCommitTest, WaitCoversEveryEarlierTicket) {
   auto backend = std::make_shared<MemoryBackend>(4);
   GroupCommitter committer(backend);
@@ -1144,13 +1309,12 @@ TEST(GroupCommitTest, WaitCoversEveryEarlierTicket) {
   EXPECT_TRUE(committer.is_durable(t1));
   EXPECT_TRUE(committer.is_durable(t2));
   EXPECT_TRUE(committer.is_durable(t3));
-  bool torn = true;
-  const auto shard0 = decode_journal(backend->read_journal(0), &torn);
-  EXPECT_FALSE(torn);
+  EXPECT_TRUE(whole_records(backend->read_journal(0)));
+  const auto shard0 = decode_journal(backend->read_journal(0));
   ASSERT_EQ(shard0.size(), 2u);
   EXPECT_EQ(shard0[0].object.value(), 1u);
   EXPECT_EQ(shard0[1].object.value(), 3u);
-  EXPECT_EQ(decode_journal(backend->read_journal(1), &torn).size(), 1u);
+  EXPECT_EQ(decode_journal(backend->read_journal(1)).size(), 1u);
   const auto stats = committer.stats();
   EXPECT_EQ(stats.records, 3u);
   EXPECT_GE(stats.groups, 1u);
@@ -1180,11 +1344,10 @@ TEST(GroupCommitTest, GroupsNeverTearAcrossCaptureImages) {
   committer.wait_durable(last);
   ASSERT_FALSE(images.empty());
   for (const auto& image : images) {
-    bool torn = false;
-    const auto a = decode_journal(image->read_journal(0), &torn);
-    EXPECT_FALSE(torn);
-    const auto b = decode_journal(image->read_journal(1), &torn);
-    EXPECT_FALSE(torn);
+    EXPECT_TRUE(whole_records(image->read_journal(0)));
+    const auto a = decode_journal(image->read_journal(0));
+    EXPECT_TRUE(whole_records(image->read_journal(1)));
+    const auto b = decode_journal(image->read_journal(1));
     ASSERT_EQ(a.size(), b.size()) << "a flush tore an append group";
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].object.value() + 1, b[i].object.value());
@@ -1348,9 +1511,8 @@ TEST(GroupCommitTest, ConcurrentEnqueueStorm) {
   EXPECT_GE(stats.max_group, 1u);
   std::size_t decoded = 0;
   for (std::size_t s = 0; s < kShards; ++s) {
-    bool torn = false;
-    const auto records = decode_journal(backend->read_journal(s), &torn);
-    EXPECT_FALSE(torn) << "shard " << s;
+    EXPECT_TRUE(whole_records(backend->read_journal(s))) << "shard " << s;
+    const auto records = decode_journal(backend->read_journal(s));
     // Per thread (== per shard here), lsn order is enqueue order.
     std::map<std::uint32_t, std::uint64_t> last_lsn;
     for (const auto& record : records) {
@@ -1537,25 +1699,26 @@ TEST(DurableStore, ExplicitCompactThenRecoverIsExact) {
 }
 
 TEST(DurableStore, TornJournalTailLosesOnlyTheTornRecord) {
-  auto backend = std::make_shared<storage::MemoryBackend>(16);
-  ObjectStore<int> store(scheme(), kPort, 10, 16, committed_codec(backend));
-  const Capability a = store.create(1);  // lands in shard of object 0
-  const Capability b = store.create(2);
-  // Simulate a crash that tore b's create record: rebuild a volume with
-  // b's shard journal truncated mid-frame.
-  auto torn = std::make_shared<storage::MemoryBackend>(16);
-  for (std::size_t s = 0; s < 16; ++s) {
-    Buffer journal = backend->read_journal(s);
-    if (s == (b.object.value() & 15u) && !journal.empty()) {
-      journal.resize(journal.size() - 2);
-    }
-    if (!journal.empty()) {
-      test::append_run(*torn, s, journal);
-    }
+  // Simulate a crash that tore the frame carrying b's create record: the
+  // volume keeps its intact prefix, a's create included.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("amoeba-torn-store-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  Capability a;
+  Capability b;
+  {
+    auto backend = std::make_shared<storage::FileBackend>(dir, 16);
+    ObjectStore<int> store(scheme(), kPort, 10, 16, committed_codec(backend));
+    a = store.create(1);  // each create is durable, its own frame, on return
+    b = store.create(2);
   }
+  const auto log = dir / "commit.log";
+  std::filesystem::resize_file(log, std::filesystem::file_size(log) - 2);
+  auto torn = std::make_shared<storage::FileBackend>(dir, 16);
   ObjectStore<int> recovered(scheme(), kPort, 11, 16, committed_codec(torn));
   EXPECT_TRUE(recovered.open(a, Rights::none()).ok());
   EXPECT_FALSE(recovered.open(b, Rights::none()).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DurableStore, MismatchedShardCountIsRejected) {
@@ -1689,7 +1852,7 @@ TEST(GroupCommittedStore, DeltaPatchesRecoverAndCompactionFoldsThem) {
   bool saw_delta = false;
   for (std::size_t s = 0; s < 16; ++s) {
     for (const auto& record :
-         storage::decode_journal(backend->read_journal(s), nullptr)) {
+         storage::decode_journal(backend->read_journal(s))) {
       saw_delta |= record.type == storage::RecordType::delta;
     }
   }
