@@ -1567,6 +1567,63 @@ constexpr Port kPort{0x5A5A5A5A5A5AULL};
   return shared;
 }
 
+[[nodiscard]] std::uint64_t fnv64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : bytes) {
+    hash = (hash ^ byte) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// The bytes a durable store writes, pinned: a fixed-seed store runs every
+// kind of record it emits -- create, full mutate, delta, a pair group,
+// rotate, destroy and a checkpoint -- and the log must come out bit for bit
+// as recorded, before the checkpoint and after it.  Every step is durable before the next starts, so each lands
+// in a frame of its own and the frame boundaries do not depend on timing.
+// A change to the constants is an on-disk format change.
+TEST(DurableStore, EmittedLogBytesArePinned) {
+  auto backend = std::make_shared<storage::MemoryBackend>(4);
+  ObjectStore<int> store(scheme(), kPort, 41, 4,
+                         committed_codec(backend, /*with_delta=*/true));
+  std::vector<Capability> caps;
+  for (int i = 0; i < 6; ++i) {
+    caps.push_back(store.create(i * 10));
+  }
+  {
+    auto opened = store.open(caps[0], Rights::all());
+    ASSERT_TRUE(opened.ok());
+    *opened.value().value = 7;
+    opened.value().mark_dirty();
+  }
+  {
+    auto opened = store.open(caps[1], Rights::all());
+    ASSERT_TRUE(opened.ok());
+    *opened.value().value += 5;
+    Writer patch;
+    patch.u32(5);
+    opened.value().mark_dirty_delta(patch.take());
+  }
+  {
+    auto pair = store.open2(caps[2], Rights::all(), caps[3], Rights::all());
+    ASSERT_TRUE(pair.ok());
+    *pair.value().a.value -= 3;
+    *pair.value().b.value += 3;
+    pair.value().a.mark_dirty();
+    pair.value().b.mark_dirty();
+  }
+  ASSERT_TRUE(store.revoke(caps[4]).ok());
+  ASSERT_TRUE(store.destroy(caps[5]).ok());
+  const Buffer records = backend->read_log();
+  // The checkpoint starts a fresh log: it holds the images alone.
+  store.compact();
+  const Buffer images = backend->read_log();
+
+  EXPECT_EQ(records.size(), 405u);
+  EXPECT_EQ(fnv64(records), 16503754251737593338ULL);
+  EXPECT_EQ(images.size(), 193u);
+  EXPECT_EQ(fnv64(images), 634133451901284128ULL);
+}
+
 TEST(DurableStore, RecoversObjectsSecretsAndFreeList) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   std::vector<Capability> caps;
