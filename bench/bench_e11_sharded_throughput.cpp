@@ -15,7 +15,8 @@
 // on a repeat capability runs entirely on atomic loads (seqlock probe of
 // the slot + validated-capability cache), vs check_locked(), the same
 // semantics behind the shard mutex.  The contrast report at the end runs
-// both at 1..8 threads, appends one JSON line to BENCH_validate.json, and
+// both at 1..8 threads, appends one stamped JSON line to BENCH_validate.json
+// (commit, host cores, build type: bench/e2e/stamp.hpp), and
 // ENFORCES the acceptance bar -- lock-free throughput must be at least
 // the mutex path's at every thread count (5% tolerance at 1 thread, where
 // there is no contention to win back) -- exiting nonzero on regression so
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "e2e/stamp.hpp"
 #include "smoke.hpp"
 
 #include "amoeba/common/epoch.hpp"
@@ -274,12 +276,15 @@ BENCHMARK(BM_LockedCheck)->ThreadRange(1, 8)->UseRealTime();
                 ok ? "" : "  FAIL");
   }
 
+  const bench::Stamp stamp =
+      bench::make_stamp(AMOEBA_SOURCE_DIR, AMOEBA_BUILD_TYPE, "none",
+                        smoke ? "smoke" : "full", /*seed=*/17);
   if (std::FILE* json = std::fopen("BENCH_validate.json", "a")) {
     std::fprintf(json,
-                 "{\"bench\": \"e11\", \"mode\": \"%s\", "
+                 "{\"bench\": \"e11\", \"stamp\": %s, \"mode\": \"%s\", "
                  "\"ops_per_thread\": %d, \"lockfree_locks\": %llu, "
                  "\"contrast\": [",
-                 smoke ? "smoke" : "full", ops,
+                 bench::to_json(stamp).c_str(), stamp.mode.c_str(), ops,
                  static_cast<unsigned long long>(
                      total_lockfree_acquisitions));
     for (std::size_t idx = 0; idx < 4; ++idx) {
