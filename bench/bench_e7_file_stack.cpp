@@ -113,7 +113,7 @@ void BM_PathResolution(benchmark::State& state) {
   std::string path;
   for (int level = 0; level < depth; ++level) {
     const auto child = dirs.create_dir().value();
-    const std::string name = "d" + std::to_string(level);
+    const std::string name = std::string("d").append(std::to_string(level));
     (void)dirs.enter(current, name, child);
     path += (level ? "/" : "") + name;
     current = child;
@@ -140,7 +140,7 @@ void BM_PathResolutionCrossServer(benchmark::State& state) {
   for (int level = 0; level < depth; ++level) {
     auto& owner = (level % 2 == 0) ? d2 : d1;  // alternate servers
     const auto child = owner.create_dir().value();
-    const std::string name = "x" + std::to_string(level);
+    const std::string name = std::string("x").append(std::to_string(level));
     servers::DirectoryClient at(*rig.transport, current.server_port);
     (void)at.enter(current, name, child);
     path += (level ? "/" : "") + name;
@@ -164,7 +164,7 @@ servers::UnixFs populate_listing(Rig& rig, int files) {
   const Buffer payload(64, 'x');
   for (int i = 0; i < files; ++i) {
     const int fd =
-        fs.open("f" + std::to_string(i),
+        fs.open(std::string("f").append(std::to_string(i)),
                 servers::UnixFs::kWrite | servers::UnixFs::kCreate)
             .value();
     (void)fs.write(fd, payload);

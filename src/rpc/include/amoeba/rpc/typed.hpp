@@ -476,12 +476,12 @@ void register_std_ops(Service& service, Store& store,
                                   to_string(opened.object) + " " +
                                   to_string(opened.rights);
                if (describe) {
-                 text += " " + describe(opened);
+                 text.append(" ").append(describe(opened));
                }
                if (call.body.detail != 0) {
                  // Deployment line: replication role, peers and shipping
                  // lag (docs/PROTOCOL.md §9.5), or "role=standalone".
-                 text += "\n" + service.info_detail();
+                 text.append("\n").append(service.info_detail());
                  // Per-op latency/error counters keyed by OpInfo::name
                  // (the ROADMAP metrics follow-up from PR 3).
                  for (const auto& op : service.op_metrics()) {

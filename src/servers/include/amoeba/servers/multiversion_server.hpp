@@ -135,7 +135,7 @@ class MultiVersionServer final : public rpc::Service {
   [[nodiscard]] Result<void> do_destroy_any(Store::Opened&& opened);
 
   // Files and drafts are exclusive under their shard locks while opened;
-  // commit holds the draft and its file together via open_with_peek.  The
+  // commit holds the draft and its file together via open2.  The
   // page store (shared refcounted trees) keeps its own lock, always
   // acquired after a shard lock and never around store_ calls, so the
   // shard -> pages ordering is acyclic.  pages_ precedes store_: the

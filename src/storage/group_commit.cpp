@@ -160,15 +160,12 @@ GroupCommitter::Ticket GroupCommitter::enqueue_group(
   // One mutex hold for the whole group: a flush-cycle boundary can never
   // split it, so the backend batch append (atomic w.r.t. capture())
   // receives the group intact.
-  return insert(
-      [&] {
-        for (const ShardAppend& a : appends) {
-          Buffer& pending = pending_locked(a.shard);
-          pending.insert(pending.end(), a.bytes.begin(), a.bytes.end());
-          ++pending_records_;
-        }
-      },
-      /*wake_flusher=*/true);
+  return enqueue_group_with([&](const auto& stage) {
+    for (const ShardAppend& a : appends) {
+      Buffer& pending = stage(a.shard);
+      pending.insert(pending.end(), a.bytes.begin(), a.bytes.end());
+    }
+  });
 }
 
 void GroupCommitter::install_snapshot(std::size_t stream,

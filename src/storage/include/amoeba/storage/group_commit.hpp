@@ -10,7 +10,7 @@
 // was in flight (load grows groups, idle volumes flush immediately).
 //
 // The flusher also takes the volume's CHECKPOINTS.  Each stream owner
-// registers an imager: ShardedObjectStore for its shards, rpc::Service
+// registers an imager: CapabilityTable for its shards, rpc::Service
 // for the reply stream.  When a checkpoint is due -- the log has reached
 // 8 MiB and at least doubled since the last one -- or requested, the
 // flusher runs the imagers between two cycles, object shards first and
@@ -77,7 +77,7 @@ class GroupCommitter;
 /// Defers the calling thread's durability waits to one point: while a
 /// scope is open, GroupCommitter::wait_durable records the largest ticket
 /// per committer and returns without blocking (accessor releases,
-/// ShardedObjectStore::create, a request's reply floor).  settle() then
+/// CapabilityTable::finish_create, a request's reply floor).  settle() then
 /// blocks once per committer.  rpc::Service opens one scope per request,
 /// around claim and handler; it does not settle it on the worker but
 /// moves the recorded tickets out (take_pending()) and hands them with
@@ -255,17 +255,33 @@ class GroupCommitter {
   template <typename EncodeFn>
   [[nodiscard]] Ticket enqueue_with(std::size_t shard, EncodeFn&& encode,
                                     bool wake_flusher = true) {
-    return insert(
-        [&] {
-          encode(pending_locked(shard));
-          ++pending_records_;
-        },
-        wake_flusher);
+    return enqueue_group_with(
+        [&](const auto& stage) { encode(stage(shard)); }, wake_flusher);
   }
 
   /// Queues a multi-shard record group under ONE mutex hold, so no flush
   /// cycle boundary can fall inside it (the pair-mutation atomicity).
   [[nodiscard]] Ticket enqueue_group(std::vector<ShardAppend>&& appends);
+
+  /// enqueue_group() with the records ENCODED in place, as enqueue_with()
+  /// does for one: `encode(stage)` appends each record of the group to
+  /// `stage(stream)`, the staging buffer of the record's stream, calling
+  /// it once per record.  Same rules as enqueue_with(); and since the
+  /// group is not checked up front, every stream must be on the volume
+  /// (a stray one throws with part of the group staged).
+  template <typename EncodeFn>
+  [[nodiscard]] Ticket enqueue_group_with(EncodeFn&& encode,
+                                          bool wake_flusher = true) {
+    return insert(
+        [&] {
+          encode([this](std::size_t stream) -> Buffer& {
+            Buffer& pending = pending_locked(stream);
+            ++pending_records_;
+            return pending;
+          });
+        },
+        wake_flusher);
+  }
 
   /// Queues a snapshot image for `stream` as a snapshot record in that
   /// stream's run, behind every record enqueued before it.  Its lsn is the

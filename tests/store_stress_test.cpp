@@ -1,8 +1,8 @@
 // Concurrency tests for the sharded object store itself: parallel
 // create/open/restrict/revoke/destroy must lose no slots, never validate a
 // stale secret after revocation, and keep live_count() exact.  Also covers
-// the multi-object openers (open2 / open_with_peek), the accessor-based
-// destroy, and the validated-capability cache.
+// the pair opener (open2), the accessor-based destroy, and the
+// validated-capability cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -67,23 +67,6 @@ TEST(ShardedStore, Open2ValidatesFirstCapabilityFirst) {
   EXPECT_EQ(store.open2(good, Rights::none(), forged, Rights::none()).error(),
             ErrorCode::bad_capability);
   EXPECT_TRUE(store.open2(good, Rights::none(), good, Rights::none()).ok());
-}
-
-TEST(ShardedStore, OpenWithPeekSeesLiveAndDeadNeighbours) {
-  auto store = make_store(SchemeKind::one_way_xor, 4);
-  const Capability a = store.create(10);
-  const Capability b = store.create(20);
-  {
-    auto both = store.open_with_peek(a, Rights::none(), b.object);
-    ASSERT_TRUE(both.ok());
-    EXPECT_EQ(*both.value().opened.value, 10);
-    ASSERT_NE(both.value().peeked, nullptr);
-    EXPECT_EQ(*both.value().peeked, 20);
-  }  // locks released before the destroy below
-  ASSERT_TRUE(store.destroy(b).ok());
-  auto after = store.open_with_peek(a, Rights::none(), b.object);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().peeked, nullptr);
 }
 
 TEST(ShardedStore, DestroyThroughAccessorChecksTheRight) {
