@@ -654,7 +654,6 @@ void CapabilityTable::recover() {
     for (const storage::Record& record :
          storage::decode_journal(volume.read_journal(s))) {
       shard.lsn = record.lsn;
-      ++recovery_stats_.replayed_records;
       if (shard_index(record.object) != s) {
         continue;  // record addressed to the wrong shard: ignore
       }

@@ -314,7 +314,6 @@ class CapabilityTable {
     std::uint64_t journal_records = 0;    // records appended since start
     std::uint64_t snapshots = 0;          // shard images taken
     std::uint64_t recovered_objects = 0;  // live slots after recovery
-    std::uint64_t replayed_records = 0;   // journal records applied
     bool recovered = false;               // this table was rebuilt
   };
 

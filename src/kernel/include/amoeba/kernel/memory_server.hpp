@@ -26,6 +26,7 @@
 #include "amoeba/core/object_store.hpp"
 #include "amoeba/rpc/server.hpp"
 #include "amoeba/rpc/transport.hpp"
+#include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/common.hpp"
 
 namespace amoeba::kernel {
@@ -162,40 +163,58 @@ class MemoryServer final : public rpc::Service {
 };
 
 /// Client stub for a (possibly remote) memory server.
-class MemoryClient {
+class MemoryClient : public rpc::ClientStub {
  public:
-  MemoryClient(rpc::Transport& transport, Port server_port)
-      : transport_(&transport), server_port_(server_port) {}
+  using ClientStub::ClientStub;
 
-  [[nodiscard]] Result<core::Capability> create_segment(std::uint64_t size);
+  [[nodiscard]] Result<core::Capability> create_segment(std::uint64_t size) {
+    return call<&rpc::CapabilityReply::capability>(mem_ops::kCreateSegment,
+                                                   {size});
+  }
   [[nodiscard]] Result<Buffer> read(const core::Capability& segment,
                                     std::uint64_t offset,
-                                    std::uint64_t length);
+                                    std::uint64_t length) {
+    return call<&rpc::BytesReply::bytes>(mem_ops::kReadSegment, segment,
+                                         {offset, length});
+  }
   [[nodiscard]] Result<void> write(const core::Capability& segment,
                                    std::uint64_t offset,
-                                   std::span<const std::uint8_t> data);
+                                   std::span<const std::uint8_t> data) {
+    return call(mem_ops::kWriteSegment, segment,
+                {offset, Buffer(data.begin(), data.end())});
+  }
   [[nodiscard]] Result<std::uint64_t> segment_size(
-      const core::Capability& segment);
-  [[nodiscard]] Result<void> delete_segment(const core::Capability& segment);
+      const core::Capability& segment) {
+    return call<&mem_ops::SegmentInfoReply::size>(mem_ops::kSegmentInfo,
+                                                  segment);
+  }
+  [[nodiscard]] Result<void> delete_segment(const core::Capability& segment) {
+    return call(mem_ops::kDeleteSegment, segment);
+  }
 
   /// MAKE PROCESS: segment capabilities (text, data, stack, ...) become a
   /// process capability "with which the child can be started, stopped, and
   /// generally manipulated."
   [[nodiscard]] Result<core::Capability> make_process(
-      std::span<const core::Capability> segments);
-  [[nodiscard]] Result<void> start(const core::Capability& process);
-  [[nodiscard]] Result<void> stop(const core::Capability& process);
-  struct ProcessInfo {
-    ProcessState state;
-    std::uint64_t segment_count;
-  };
+      std::span<const core::Capability> segments) {
+    return call<&rpc::CapabilityReply::capability>(
+        mem_ops::kMakeProcess,
+        {std::vector<core::Capability>(segments.begin(), segments.end())});
+  }
+  [[nodiscard]] Result<void> start(const core::Capability& process) {
+    return call(mem_ops::kStartProcess, process);
+  }
+  [[nodiscard]] Result<void> stop(const core::Capability& process) {
+    return call(mem_ops::kStopProcess, process);
+  }
+  using ProcessInfo = mem_ops::ProcessInfoReply;
   [[nodiscard]] Result<ProcessInfo> process_info(
-      const core::Capability& process);
-  [[nodiscard]] Result<void> delete_process(const core::Capability& process);
-
- private:
-  rpc::Transport* transport_;
-  Port server_port_;
+      const core::Capability& process) {
+    return call(mem_ops::kProcessInfo, process);
+  }
+  [[nodiscard]] Result<void> delete_process(const core::Capability& process) {
+    return call(mem_ops::kDeleteProcess, process);
+  }
 };
 
 }  // namespace amoeba::kernel

@@ -245,83 +245,4 @@ Result<void> MemoryServer::do_process_state(Store::Opened& opened,
   return {};
 }
 
-// ------------------------------------------------------------ MemoryClient
-
-Result<core::Capability> MemoryClient::create_segment(std::uint64_t size) {
-  auto reply =
-      rpc::call(*transport_, server_port_, mem_ops::kCreateSegment, {size});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<Buffer> MemoryClient::read(const core::Capability& segment,
-                                  std::uint64_t offset, std::uint64_t length) {
-  auto reply = rpc::call(*transport_, server_port_, mem_ops::kReadSegment,
-                         segment, {offset, length});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return std::move(reply.value().bytes);
-}
-
-Result<void> MemoryClient::write(const core::Capability& segment,
-                                 std::uint64_t offset,
-                                 std::span<const std::uint8_t> data) {
-  return rpc::call(*transport_, server_port_, mem_ops::kWriteSegment, segment,
-                   {offset, Buffer(data.begin(), data.end())});
-}
-
-Result<std::uint64_t> MemoryClient::segment_size(
-    const core::Capability& segment) {
-  auto reply =
-      rpc::call(*transport_, server_port_, mem_ops::kSegmentInfo, segment);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().size;
-}
-
-Result<void> MemoryClient::delete_segment(const core::Capability& segment) {
-  return rpc::call(*transport_, server_port_, mem_ops::kDeleteSegment,
-                   segment);
-}
-
-Result<core::Capability> MemoryClient::make_process(
-    std::span<const core::Capability> segments) {
-  mem_ops::MakeProcessRequest req;
-  req.segments.assign(segments.begin(), segments.end());
-  auto reply = rpc::call(*transport_, server_port_, mem_ops::kMakeProcess,
-                         std::move(req));
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<void> MemoryClient::start(const core::Capability& process) {
-  return rpc::call(*transport_, server_port_, mem_ops::kStartProcess,
-                   process);
-}
-
-Result<void> MemoryClient::stop(const core::Capability& process) {
-  return rpc::call(*transport_, server_port_, mem_ops::kStopProcess, process);
-}
-
-Result<MemoryClient::ProcessInfo> MemoryClient::process_info(
-    const core::Capability& process) {
-  auto reply =
-      rpc::call(*transport_, server_port_, mem_ops::kProcessInfo, process);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return ProcessInfo{reply.value().state, reply.value().segment_count};
-}
-
-Result<void> MemoryClient::delete_process(const core::Capability& process) {
-  return rpc::call(*transport_, server_port_, mem_ops::kDeleteProcess,
-                   process);
-}
-
 }  // namespace amoeba::kernel

@@ -13,11 +13,13 @@
 // op-named diagnostic string in the reply data.
 //
 // Client side.  call<Op> performs one blocking transaction and hands back
-// the decoded typed reply; call_async<Op> returns a TypedFuture so one
-// thread can pipeline; TypedBatch::add<Op> packs typed sub-requests into
-// the PR-2 batch envelope and decodes per-entry typed results.  The wire
-// format is unchanged, so typed clients interoperate with untyped peers
-// (and vice versa) frame for frame.
+// the decoded typed reply, or with call<&Reply::field> just that member.
+// ClientStub is the base of every service's client class: each method
+// binds one op of the service's table to that call.  call_async<Op>
+// returns a TypedFuture so one thread can pipeline; TypedBatch::add<Op>
+// packs typed sub-requests into the batch envelope and decodes per-entry
+// typed results.  The wire format is unchanged, so typed clients
+// interoperate with untyped peers (and vice versa) frame for frame.
 //
 // std_* suite (§2.3; Amoeba's standard operations).  Declared once here
 // and registered on every service via register_std_ops():
@@ -251,6 +253,70 @@ template <typename OpT>
   return detail::decode_reply<OpT>(
       transport.trans(detail::build_request(dest, op, nullptr, body)));
 }
+
+namespace detail {
+/// The type of the reply member a projecting call<&Reply::field> returns.
+template <auto Field>
+using FieldOf = typename MemberPtr<decltype(Field)>::Type;
+
+template <auto Field, typename Reply>
+[[nodiscard]] Result<FieldOf<Field>> project(Result<Reply>&& reply) {
+  if (!reply.ok()) {
+    return reply.error();
+  }
+  return std::move(reply.value().*Field);
+}
+}  // namespace detail
+
+/// Projecting forms: call<&Reply::field>(...) runs the op and hands back
+/// only that member of the decoded reply.
+template <auto Field, typename OpT>
+[[nodiscard]] Result<detail::FieldOf<Field>> call(
+    Transport& transport, Port dest, const OpT& op,
+    const core::Capability& cap, const typename OpT::Request& body = {}) {
+  return detail::project<Field>(call(transport, dest, op, cap, body));
+}
+template <auto Field, typename OpT>
+[[nodiscard]] Result<detail::FieldOf<Field>> call(
+    Transport& transport, Port dest, const OpT& op,
+    const typename OpT::Request& body = {}) {
+  return detail::project<Field>(call(transport, dest, op, body));
+}
+
+/// Base of every service's client stub: the transport and the server's
+/// put-port.  A stub method binds one op of the server's *_ops table:
+///
+///   Result<std::int64_t> balance(const core::Capability& account,
+///                                std::uint32_t currency) {
+///     return call<&bank_ops::BalanceReply::balance>(bank_ops::kBalance,
+///                                                   account, {currency});
+///   }
+class ClientStub {
+ public:
+  ClientStub(Transport& transport, Port server_port)
+      : transport_(&transport), server_port_(server_port) {}
+
+  [[nodiscard]] Port server_port() const { return server_port_; }
+
+ protected:
+  [[nodiscard]] Transport& transport() const { return *transport_; }
+
+  /// rpc::call against this stub's server, optionally projected.
+  template <auto... Field, typename OpT>
+  [[nodiscard]] auto call(const OpT& op, const core::Capability& cap,
+                          const typename OpT::Request& body = {}) const {
+    return rpc::call<Field...>(*transport_, server_port_, op, cap, body);
+  }
+  template <auto... Field, typename OpT>
+  [[nodiscard]] auto call(const OpT& op,
+                          const typename OpT::Request& body = {}) const {
+    return rpc::call<Field...>(*transport_, server_port_, op, body);
+  }
+
+ private:
+  Transport* transport_;
+  Port server_port_;
+};
 
 /// Completion handle of one typed in-flight transaction; get() decodes.
 template <typename OpT>
@@ -515,31 +581,22 @@ void register_std_ops(Service& service, Store& store,
 
 [[nodiscard]] inline Result<core::Capability> std_restrict(
     Transport& transport, const core::Capability& cap, Rights mask) {
-  auto reply = call(transport, cap.server_port, kStdRestrict, cap, {mask});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
+  return call<&CapabilityReply::capability>(transport, cap.server_port,
+                                            kStdRestrict, cap, {mask});
 }
 
 [[nodiscard]] inline Result<core::Capability> std_revoke(
     Transport& transport, const core::Capability& cap) {
-  auto reply = call(transport, cap.server_port, kStdRevoke, cap);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
+  return call<&CapabilityReply::capability>(transport, cap.server_port,
+                                            kStdRevoke, cap);
 }
 
 [[nodiscard]] inline Result<std::string> std_info(Transport& transport,
                                                   const core::Capability& cap,
                                                   bool detail = false) {
-  auto reply = call(transport, cap.server_port, kStdInfo, cap,
-                    {detail ? std::uint64_t{1} : std::uint64_t{0}});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return std::move(reply.value().description);
+  return call<&StdInfoReply::description>(
+      transport, cap.server_port, kStdInfo, cap,
+      {detail ? std::uint64_t{1} : std::uint64_t{0}});
 }
 
 [[nodiscard]] inline Result<void> std_touch(Transport& transport,

@@ -57,24 +57,16 @@ std::string TransportReplicationLink::peer_name() const { return peer_name_; }
 
 Result<std::uint64_t> TransportReplicationLink::ship_cycle(
     std::span<const std::uint8_t> shipment) {
-  rep_ops::AppendGroupRequest request;
-  request.frame.assign(shipment.begin(), shipment.end());
-  const auto reply = call(transport_, volume_.server_port,
-                          rep_ops::kAppendGroup, volume_, request);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().applied;
+  return call<&rep_ops::AckReply::applied>(
+      transport_, volume_.server_port, rep_ops::kAppendGroup, volume_,
+      {Buffer(shipment.begin(), shipment.end())});
 }
 
 Result<std::uint64_t> TransportReplicationLink::heartbeat(
     std::uint64_t shipped) {
-  const auto reply = call(transport_, volume_.server_port,
-                          rep_ops::kHeartbeat, volume_, {shipped});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().applied;
+  return call<&rep_ops::AckReply::applied>(
+      transport_, volume_.server_port, rep_ops::kHeartbeat, volume_,
+      {shipped});
 }
 
 std::shared_ptr<storage::ReplicatedBackend> replicate_to(
@@ -92,12 +84,8 @@ std::shared_ptr<storage::ReplicatedBackend> replicate_to(
 
 Result<std::uint64_t> rep_promote(Transport& transport,
                                   const core::Capability& volume) {
-  const auto reply =
-      call(transport, volume.server_port, rep_ops::kPromote, volume);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().applied;
+  return call<&rep_ops::AckReply::applied>(transport, volume.server_port,
+                                           rep_ops::kPromote, volume);
 }
 
 }  // namespace amoeba::rpc

@@ -210,35 +210,9 @@ Result<void> BankServer::do_mint(const core::Capability& master_cap,
 
 // -------------------------------------------------------------- BankClient
 
-Result<core::Capability> BankClient::create_account() {
-  auto reply = rpc::call(*transport_, server_port_, bank_ops::kCreateAccount);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<std::int64_t> BankClient::balance(const core::Capability& account,
-                                         std::uint32_t currency) {
-  auto reply = rpc::call(*transport_, server_port_, bank_ops::kBalance,
-                         account, {currency});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().balance;
-}
-
-Result<void> BankClient::transfer(const core::Capability& from,
-                                  const core::Capability& to,
-                                  std::uint32_t currency,
-                                  std::int64_t amount) {
-  return rpc::call(*transport_, server_port_, bank_ops::kTransfer, from,
-                   {currency, amount, to});
-}
-
 std::vector<Result<void>> BankClient::transfer_many(
     std::span<const Transfer> transfers) {
-  rpc::TypedBatch batch(*transport_, server_port_);
+  rpc::TypedBatch batch(transport(), server_port());
   std::vector<rpc::TypedBatch::Entry<bank_ops::TransferOp>> entries;
   entries.reserve(transfers.size());
   for (const auto& transfer : transfers) {
@@ -258,25 +232,6 @@ std::vector<Result<void>> BankClient::transfer_many(
     results.push_back(replies.value().get(entry));
   }
   return results;
-}
-
-Result<std::int64_t> BankClient::convert(const core::Capability& account,
-                                         std::uint32_t from_currency,
-                                         std::uint32_t to_currency,
-                                         std::int64_t amount) {
-  auto reply = rpc::call(*transport_, server_port_, bank_ops::kConvert,
-                         account, {from_currency, to_currency, amount});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().converted;
-}
-
-Result<void> BankClient::mint(const core::Capability& master,
-                              const core::Capability& to,
-                              std::uint32_t currency, std::int64_t amount) {
-  return rpc::call(*transport_, server_port_, bank_ops::kMint, master,
-                   {currency, amount, to});
 }
 
 }  // namespace amoeba::servers

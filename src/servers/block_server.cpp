@@ -145,41 +145,4 @@ Result<block_ops::InfoReply> BlockServer::do_info() const {
                               disk_.free_count()};
 }
 
-// ------------------------------------------------------------- BlockClient
-
-Result<core::Capability> BlockClient::allocate() {
-  auto reply = rpc::call(*transport_, server_port_, block_ops::kAllocate);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<Buffer> BlockClient::read(const core::Capability& block) {
-  auto reply = rpc::call(*transport_, server_port_, block_ops::kRead, block);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return std::move(reply.value().bytes);
-}
-
-Result<void> BlockClient::write(const core::Capability& block,
-                                std::span<const std::uint8_t> data) {
-  return rpc::call(*transport_, server_port_, block_ops::kWrite, block,
-                   {Buffer(data.begin(), data.end())});
-}
-
-Result<void> BlockClient::free_block(const core::Capability& block) {
-  return rpc::call(*transport_, server_port_, block_ops::kFree, block);
-}
-
-Result<BlockClient::Info> BlockClient::info() {
-  auto reply = rpc::call(*transport_, server_port_, block_ops::kInfo);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return Info{reply.value().block_count, reply.value().block_size,
-              reply.value().free_blocks};
-}
-
 }  // namespace amoeba::servers

@@ -190,51 +190,6 @@ Result<void> DirectoryServer::do_delete(Store::Opened&& dir) {
   return store_.destroy(std::move(dir));
 }
 
-// --------------------------------------------------------- DirectoryClient
-
-Result<core::Capability> DirectoryClient::create_dir() {
-  auto reply = rpc::call(*transport_, server_port_, dir_ops::kCreateDir);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<core::Capability> DirectoryClient::lookup(const core::Capability& dir,
-                                                 const std::string& name) {
-  auto reply =
-      rpc::call(*transport_, server_port_, dir_ops::kLookup, dir, {name});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<void> DirectoryClient::enter(const core::Capability& dir,
-                                    const std::string& name,
-                                    const core::Capability& target) {
-  return rpc::call(*transport_, server_port_, dir_ops::kEnter, dir,
-                   {name, target});
-}
-
-Result<void> DirectoryClient::remove(const core::Capability& dir,
-                                     const std::string& name) {
-  return rpc::call(*transport_, server_port_, dir_ops::kRemove, dir, {name});
-}
-
-Result<std::vector<DirEntry>> DirectoryClient::list(
-    const core::Capability& dir) {
-  auto reply = rpc::call(*transport_, server_port_, dir_ops::kList, dir);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return std::move(reply.value().entries);
-}
-
-Result<void> DirectoryClient::delete_dir(const core::Capability& dir) {
-  return rpc::call(*transport_, server_port_, dir_ops::kDeleteDir, dir);
-}
-
 Result<core::Capability> resolve_path(rpc::Transport& transport,
                                       const core::Capability& root,
                                       std::string_view path) {

@@ -258,58 +258,4 @@ Result<void> FlatFileServer::do_write(const file_ops::WriteRequest& req,
   return {};
 }
 
-// ---------------------------------------------------------- FlatFileClient
-
-Result<core::Capability> FlatFileClient::create(
-    const core::Capability* payment) {
-  file_ops::CreateRequest req;
-  if (payment != nullptr) {
-    req.payment = *payment;
-  }
-  auto reply = rpc::call(*transport_, server_port_, file_ops::kCreate, req);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<void> FlatFileClient::destroy(const core::Capability& file) {
-  return rpc::call(*transport_, server_port_, file_ops::kDestroy, file);
-}
-
-Result<Buffer> FlatFileClient::read(const core::Capability& file,
-                                    std::uint64_t position,
-                                    std::uint64_t length) {
-  auto reply = rpc::call(*transport_, server_port_, file_ops::kRead, file,
-                         {position, length});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return std::move(reply.value().bytes);
-}
-
-Result<void> FlatFileClient::write(const core::Capability& file,
-                                   std::uint64_t position,
-                                   std::span<const std::uint8_t> data) {
-  return rpc::call(*transport_, server_port_, file_ops::kWrite, file,
-                   {position, Buffer(data.begin(), data.end())});
-}
-
-Result<std::uint64_t> FlatFileClient::size(const core::Capability& file) {
-  auto reply = rpc::call(*transport_, server_port_, file_ops::kSize, file);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().size;
-}
-
-Result<core::Capability> FlatFileClient::restrict(const core::Capability& file,
-                                                  Rights mask) {
-  return restrict_capability(*transport_, file, mask);
-}
-
-Result<core::Capability> FlatFileClient::revoke(const core::Capability& file) {
-  return revoke_capability(*transport_, file);
-}
-
 }  // namespace amoeba::servers

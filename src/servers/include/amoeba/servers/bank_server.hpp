@@ -168,20 +168,26 @@ class BankServer final : public rpc::Service {
 };
 
 /// Client stub for the bank service.
-class BankClient {
+class BankClient : public rpc::ClientStub {
  public:
-  BankClient(rpc::Transport& transport, Port server_port)
-      : transport_(&transport), server_port_(server_port) {}
+  using ClientStub::ClientStub;
 
-  [[nodiscard]] Result<core::Capability> create_account();
+  [[nodiscard]] Result<core::Capability> create_account() {
+    return call<&rpc::CapabilityReply::capability>(bank_ops::kCreateAccount);
+  }
   [[nodiscard]] Result<std::int64_t> balance(const core::Capability& account,
-                                             std::uint32_t currency);
+                                             std::uint32_t currency) {
+    return call<&bank_ops::BalanceReply::balance>(bank_ops::kBalance, account,
+                                                  {currency});
+  }
   /// Moves `amount` of `currency` from `from` (withdraw right) to `to`
   /// (deposit right).  The target capability travels in the data field.
   [[nodiscard]] Result<void> transfer(const core::Capability& from,
                                       const core::Capability& to,
                                       std::uint32_t currency,
-                                      std::int64_t amount);
+                                      std::int64_t amount) {
+    return call(bank_ops::kTransfer, from, {currency, amount, to});
+  }
 
   /// One independent transfer inside a multi-transfer (§3.6's payroll
   /// shape: one payer, many payees -- or any mix).
@@ -203,17 +209,16 @@ class BankClient {
   [[nodiscard]] Result<std::int64_t> convert(const core::Capability& account,
                                              std::uint32_t from_currency,
                                              std::uint32_t to_currency,
-                                             std::int64_t amount);
+                                             std::int64_t amount) {
+    return call<&bank_ops::ConvertReply::converted>(
+        bank_ops::kConvert, account, {from_currency, to_currency, amount});
+  }
   /// Creates new money (master capability only).
   [[nodiscard]] Result<void> mint(const core::Capability& master,
                                   const core::Capability& to,
-                                  std::uint32_t currency, std::int64_t amount);
-
-  [[nodiscard]] Port server_port() const { return server_port_; }
-
- private:
-  rpc::Transport* transport_;
-  Port server_port_;
+                                  std::uint32_t currency, std::int64_t amount) {
+    return call(bank_ops::kMint, master, {currency, amount, to});
+  }
 };
 
 }  // namespace amoeba::servers

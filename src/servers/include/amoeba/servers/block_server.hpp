@@ -101,29 +101,26 @@ class BlockServer final : public rpc::Service {
 };
 
 /// Client stub for the block service.
-class BlockClient {
+class BlockClient : public rpc::ClientStub {
  public:
-  BlockClient(rpc::Transport& transport, Port server_port)
-      : transport_(&transport), server_port_(server_port) {}
+  using ClientStub::ClientStub;
 
-  [[nodiscard]] Result<core::Capability> allocate();
-  [[nodiscard]] Result<Buffer> read(const core::Capability& block);
+  [[nodiscard]] Result<core::Capability> allocate() {
+    return call<&rpc::CapabilityReply::capability>(block_ops::kAllocate);
+  }
+  [[nodiscard]] Result<Buffer> read(const core::Capability& block) {
+    return call<&rpc::BytesReply::bytes>(block_ops::kRead, block);
+  }
   [[nodiscard]] Result<void> write(const core::Capability& block,
-                                   std::span<const std::uint8_t> data);
-  [[nodiscard]] Result<void> free_block(const core::Capability& block);
+                                   std::span<const std::uint8_t> data) {
+    return call(block_ops::kWrite, block, {Buffer(data.begin(), data.end())});
+  }
+  [[nodiscard]] Result<void> free_block(const core::Capability& block) {
+    return call(block_ops::kFree, block);
+  }
 
-  struct Info {
-    std::uint32_t block_count;
-    std::uint32_t block_size;
-    std::uint32_t free_blocks;
-  };
-  [[nodiscard]] Result<Info> info();
-
-  [[nodiscard]] Port server_port() const { return server_port_; }
-
- private:
-  rpc::Transport* transport_;
-  Port server_port_;
+  using Info = block_ops::InfoReply;
+  [[nodiscard]] Result<Info> info() { return call(block_ops::kInfo); }
 };
 
 }  // namespace amoeba::servers

@@ -8,8 +8,9 @@
 //
 // The six concrete servers declare their operations as rpc::Op
 // descriptors (rpc/op.hpp) and dispatch through the typed layer
-// (rpc/typed.hpp); the raw helpers kept here serve the baseline
-// comparison servers and hand-rolled wire paths in tests.
+// (rpc/typed.hpp), and their client stubs bind those descriptors through
+// rpc::ClientStub.  The raw helpers kept here serve the baseline
+// comparison servers and the tests that build frames by hand.
 #pragma once
 
 #include <array>
@@ -36,30 +37,10 @@ inline void set_header_capability(net::Message& msg,
   return core::unpack(msg.header.capability);
 }
 
-/// Serializes a capability into a data stream (16 raw bytes, one
-/// Writer::raw append).
-inline void write_capability(Writer& w, const core::Capability& cap) {
-  wire_write(w, cap);
-}
-
-/// Deserializes a capability from a data stream (one Reader::raw read).
-[[nodiscard]] inline core::Capability read_capability(Reader& r) {
-  core::Capability cap;
-  (void)wire_read(r, cap);
-  return cap;
-}
-
 /// Builds an error reply (no payload).
 [[nodiscard]] inline net::Message error_reply(const net::Delivery& request,
                                               ErrorCode code) {
   return net::make_reply(request.message, code);
-}
-
-/// Extracts a Result<T>'s error as a reply, for raw handlers.
-template <typename T>
-[[nodiscard]] net::Message fail(const net::Delivery& request,
-                                const Result<T>& result) {
-  return net::make_reply(request.message, result.error());
 }
 
 /// One raw client-side RPC: build the request, run the transaction,
@@ -87,11 +68,6 @@ template <typename T>
     return reply.value().message.header.status;
   }
   return std::move(reply.value().message);
-}
-
-/// Collapses a status-only reply into Result<void>.
-[[nodiscard]] inline Result<void> as_void(const Result<net::Message>& reply) {
-  return reply.ok() ? Result<void>{} : Result<void>{reply.error()};
 }
 
 // ------------------------------------------------------------------------

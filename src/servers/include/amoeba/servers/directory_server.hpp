@@ -124,29 +124,35 @@ class DirectoryServer final : public rpc::Service {
 };
 
 /// Client stub for a directory service.
-class DirectoryClient {
+class DirectoryClient : public rpc::ClientStub {
  public:
-  DirectoryClient(rpc::Transport& transport, Port server_port)
-      : transport_(&transport), server_port_(server_port) {}
+  using ClientStub::ClientStub;
 
-  [[nodiscard]] Result<core::Capability> create_dir();
+  [[nodiscard]] Result<core::Capability> create_dir() {
+    return call<&rpc::CapabilityReply::capability>(dir_ops::kCreateDir);
+  }
   [[nodiscard]] Result<core::Capability> lookup(const core::Capability& dir,
-                                                const std::string& name);
+                                                const std::string& name) {
+    return call<&rpc::CapabilityReply::capability>(dir_ops::kLookup, dir,
+                                                   {name});
+  }
   [[nodiscard]] Result<void> enter(const core::Capability& dir,
                                    const std::string& name,
-                                   const core::Capability& target);
+                                   const core::Capability& target) {
+    return call(dir_ops::kEnter, dir, {name, target});
+  }
   [[nodiscard]] Result<void> remove(const core::Capability& dir,
-                                    const std::string& name);
+                                    const std::string& name) {
+    return call(dir_ops::kRemove, dir, {name});
+  }
   [[nodiscard]] Result<std::vector<DirEntry>> list(
-      const core::Capability& dir);
+      const core::Capability& dir) {
+    return call<&dir_ops::ListReply::entries>(dir_ops::kList, dir);
+  }
   /// Deletes an empty directory (not_empty otherwise).
-  [[nodiscard]] Result<void> delete_dir(const core::Capability& dir);
-
-  [[nodiscard]] Port server_port() const { return server_port_; }
-
- private:
-  rpc::Transport* transport_;
-  Port server_port_;
+  [[nodiscard]] Result<void> delete_dir(const core::Capability& dir) {
+    return call(dir_ops::kDeleteDir, dir);
+  }
 };
 
 /// Walks `path` ("a/b/c") component by component starting from `root`.

@@ -143,34 +143,45 @@ class FlatFileServer final : public rpc::Service {
 };
 
 /// Client stub for the flat file service.
-class FlatFileClient {
+class FlatFileClient : public rpc::ClientStub {
  public:
-  FlatFileClient(rpc::Transport& transport, Port server_port)
-      : transport_(&transport), server_port_(server_port) {}
+  using ClientStub::ClientStub;
 
   /// Creates an empty file.  `payment`: account capability when the server
   /// charges for storage.
   [[nodiscard]] Result<core::Capability> create(
-      const core::Capability* payment = nullptr);
-  [[nodiscard]] Result<void> destroy(const core::Capability& file);
+      const core::Capability* payment = nullptr) {
+    return call<&rpc::CapabilityReply::capability>(
+        file_ops::kCreate,
+        {payment != nullptr ? std::optional{*payment} : std::nullopt});
+  }
+  [[nodiscard]] Result<void> destroy(const core::Capability& file) {
+    return call(file_ops::kDestroy, file);
+  }
   [[nodiscard]] Result<Buffer> read(const core::Capability& file,
                                     std::uint64_t position,
-                                    std::uint64_t length);
+                                    std::uint64_t length) {
+    return call<&rpc::BytesReply::bytes>(file_ops::kRead, file,
+                                         {position, length});
+  }
   [[nodiscard]] Result<void> write(const core::Capability& file,
                                    std::uint64_t position,
-                                   std::span<const std::uint8_t> data);
-  [[nodiscard]] Result<std::uint64_t> size(const core::Capability& file);
+                                   std::span<const std::uint8_t> data) {
+    return call(file_ops::kWrite, file,
+                {position, Buffer(data.begin(), data.end())});
+  }
+  [[nodiscard]] Result<std::uint64_t> size(const core::Capability& file) {
+    return call<&file_ops::SizeReply::size>(file_ops::kSize, file);
+  }
   /// Server-side sub-capability fabrication (schemes 0-2 path).
   [[nodiscard]] Result<core::Capability> restrict(const core::Capability& file,
-                                                  Rights mask);
+                                                  Rights mask) {
+    return rpc::std_restrict(transport(), file, mask);
+  }
   /// Rotates the object's random number: instant revocation.
-  [[nodiscard]] Result<core::Capability> revoke(const core::Capability& file);
-
-  [[nodiscard]] Port server_port() const { return server_port_; }
-
- private:
-  rpc::Transport* transport_;
-  Port server_port_;
+  [[nodiscard]] Result<core::Capability> revoke(const core::Capability& file) {
+    return rpc::std_revoke(transport(), file);
+  }
 };
 
 }  // namespace amoeba::servers

@@ -149,33 +149,46 @@ class MultiVersionServer final : public rpc::Service {
 };
 
 /// Client stub for the multiversion file service.
-class MultiVersionClient {
+class MultiVersionClient : public rpc::ClientStub {
  public:
-  MultiVersionClient(rpc::Transport& transport, Port server_port)
-      : transport_(&transport), server_port_(server_port) {}
+  using ClientStub::ClientStub;
 
-  [[nodiscard]] Result<core::Capability> create_file();
+  [[nodiscard]] Result<core::Capability> create_file() {
+    return call<&rpc::CapabilityReply::capability>(mv_ops::kCreateFile);
+  }
   /// Forks a draft ("make a new version") from the current head.
   [[nodiscard]] Result<core::Capability> new_version(
-      const core::Capability& file);
+      const core::Capability& file) {
+    return call<&rpc::CapabilityReply::capability>(mv_ops::kNewVersion, file);
+  }
   /// Reads from a committed version (version_index; npos = head) of a file
   /// capability, or from a draft capability's working tree.
   static constexpr std::uint64_t kHead = ~std::uint64_t{0};
   [[nodiscard]] Result<Buffer> read_page(const core::Capability& cap,
                                          std::uint32_t page_no,
-                                         std::uint64_t version_index = kHead);
+                                         std::uint64_t version_index = kHead) {
+    return call<&rpc::BytesReply::bytes>(mv_ops::kReadPage, cap,
+                                         {page_no, version_index});
+  }
   [[nodiscard]] Result<void> write_page(const core::Capability& draft,
                                         std::uint32_t page_no,
-                                        std::span<const std::uint8_t> data);
+                                        std::span<const std::uint8_t> data) {
+    return call(mv_ops::kWritePage, draft,
+                {page_no, Buffer(data.begin(), data.end())});
+  }
   /// Atomic commit; `conflict` if another draft committed first.
-  [[nodiscard]] Result<std::uint64_t> commit(const core::Capability& draft);
-  [[nodiscard]] Result<void> abort(const core::Capability& draft);
-  [[nodiscard]] Result<std::uint64_t> history(const core::Capability& file);
-  [[nodiscard]] Result<void> destroy(const core::Capability& file);
-
- private:
-  rpc::Transport* transport_;
-  Port server_port_;
+  [[nodiscard]] Result<std::uint64_t> commit(const core::Capability& draft) {
+    return call<&mv_ops::CommitReply::version>(mv_ops::kCommit, draft);
+  }
+  [[nodiscard]] Result<void> abort(const core::Capability& draft) {
+    return call(mv_ops::kAbort, draft);
+  }
+  [[nodiscard]] Result<std::uint64_t> history(const core::Capability& file) {
+    return call<&mv_ops::HistoryReply::versions>(mv_ops::kHistory, file);
+  }
+  [[nodiscard]] Result<void> destroy(const core::Capability& file) {
+    return call(mv_ops::kDestroyFile, file);
+  }
 };
 
 }  // namespace amoeba::servers

@@ -371,67 +371,4 @@ Result<void> MultiVersionServer::do_destroy_any(Store::Opened&& opened) {
   return do_destroy_file(std::move(opened));
 }
 
-// ------------------------------------------------------ MultiVersionClient
-
-Result<core::Capability> MultiVersionClient::create_file() {
-  auto reply = rpc::call(*transport_, server_port_, mv_ops::kCreateFile);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<core::Capability> MultiVersionClient::new_version(
-    const core::Capability& file) {
-  auto reply = rpc::call(*transport_, server_port_, mv_ops::kNewVersion, file);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().capability;
-}
-
-Result<Buffer> MultiVersionClient::read_page(const core::Capability& cap,
-                                             std::uint32_t page_no,
-                                             std::uint64_t version_index) {
-  auto reply = rpc::call(*transport_, server_port_, mv_ops::kReadPage, cap,
-                         {page_no, version_index});
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return std::move(reply.value().bytes);
-}
-
-Result<void> MultiVersionClient::write_page(
-    const core::Capability& draft, std::uint32_t page_no,
-    std::span<const std::uint8_t> data) {
-  return rpc::call(*transport_, server_port_, mv_ops::kWritePage, draft,
-                   {page_no, Buffer(data.begin(), data.end())});
-}
-
-Result<std::uint64_t> MultiVersionClient::commit(
-    const core::Capability& draft) {
-  auto reply = rpc::call(*transport_, server_port_, mv_ops::kCommit, draft);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().version;
-}
-
-Result<void> MultiVersionClient::abort(const core::Capability& draft) {
-  return rpc::call(*transport_, server_port_, mv_ops::kAbort, draft);
-}
-
-Result<std::uint64_t> MultiVersionClient::history(
-    const core::Capability& file) {
-  auto reply = rpc::call(*transport_, server_port_, mv_ops::kHistory, file);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().versions;
-}
-
-Result<void> MultiVersionClient::destroy(const core::Capability& file) {
-  return rpc::call(*transport_, server_port_, mv_ops::kDestroyFile, file);
-}
-
 }  // namespace amoeba::servers

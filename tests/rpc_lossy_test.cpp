@@ -416,7 +416,12 @@ TEST(LossyRestartTest, DuplicatedFirstCopyAfterARestartNeverRuns) {
   for (const auto& [client, copy] : first_copies) {
     EXPECT_EQ(copy.header.incarnation, 0u) << "a first copy was stamped";
   }
-  // The duplicates that arrived in time were suppressed already.
+  // The duplicated frames may still sit in the bank's queue when the
+  // calls return; once drained, each was suppressed.
+  for (int i = 0;
+       i < 2'000 && bank->reply_cache_stats().duplicates_suppressed < 2; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
   EXPECT_GE(bank->reply_cache_stats().duplicates_suppressed, 2u);
 
   // Crash, restart on what the volume held, and deliver the late copies.
