@@ -62,8 +62,8 @@ void BM_RestrictViaServerRpc(benchmark::State& state) {
   servers::BlockClient client(*rig.transport, rig.service->put_port());
   const auto cap = client.allocate().value();
   for (auto _ : state) {
-    auto restricted = servers::restrict_capability(*rig.transport, cap,
-                                                   core::rights::kRead);
+    auto restricted =
+        rpc::std_restrict(*rig.transport, cap, core::rights::kRead);
     benchmark::DoNotOptimize(restricted);
   }
   state.SetLabel(std::string(core::scheme_name(kind)) + " via RPC");
@@ -104,9 +104,8 @@ void BM_DelegationChain(benchmark::State& state) {
       if (local) {
         current = commutative.restrict_local(current, level).value();
       } else {
-        current = servers::restrict_capability(
-                      *rig.transport, current,
-                      current.rights.without(level))
+        current = rpc::std_restrict(*rig.transport, current,
+                                    current.rights.without(level))
                       .value();
       }
     }

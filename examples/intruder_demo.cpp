@@ -86,7 +86,7 @@ void fbox_world() {
 
   // Attack 4: flip the rights field of a restricted capability.
   const auto read_only =
-      servers::restrict_capability(me, cap, core::rights::kRead).value();
+      rpc::std_restrict(me, cap, core::rights::kRead).value();
   core::Capability boosted = read_only;
   boosted.rights = Rights::all();
   verdict("re-enable rights bits on restricted capability",

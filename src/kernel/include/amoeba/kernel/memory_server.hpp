@@ -27,7 +27,6 @@
 #include "amoeba/rpc/server.hpp"
 #include "amoeba/rpc/transport.hpp"
 #include "amoeba/rpc/typed.hpp"
-#include "amoeba/servers/common.hpp"
 
 namespace amoeba::kernel {
 

@@ -619,7 +619,7 @@ void Service::attach_durability(
     line += " gc.records=" + std::to_string(gc.records);
     line += " gc.installs=" + std::to_string(gc.installs);
     line += " gc.max_group=" + std::to_string(gc.max_group);
-    line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
+    line += " gc.linger_timeouts=" + std::to_string(gc.linger_timeouts);
     line += " gc.checkpoints=" + std::to_string(gc.checkpoints);
     line += " gc.checkpoint_us_max=" + std::to_string(gc.checkpoint_us_max);
     line += " gc.checkpoint_retries=" + std::to_string(gc.checkpoint_retries);

@@ -70,23 +70,4 @@ inline void set_header_capability(net::Message& msg,
   return std::move(reply.value().message);
 }
 
-// ------------------------------------------------------------------------
-// Owner-operation client helpers (§2.3).  The server side is the std_*
-// suite (rpc/typed.hpp), registered on every service; these wrappers keep
-// the historical names used throughout the tests and benches.
-
-/// Asks the managing server (addressed through the capability's own
-/// SERVER field) for a narrowed duplicate.
-[[nodiscard]] inline Result<core::Capability> restrict_capability(
-    rpc::Transport& transport, const core::Capability& cap, Rights mask) {
-  return rpc::std_restrict(transport, cap, mask);
-}
-
-/// Revokes every outstanding capability for the object and returns the
-/// fresh replacement (requires the admin right).
-[[nodiscard]] inline Result<core::Capability> revoke_capability(
-    rpc::Transport& transport, const core::Capability& cap) {
-  return rpc::std_revoke(transport, cap);
-}
-
 }  // namespace amoeba::servers

@@ -137,6 +137,20 @@ Buffer& GroupCommitter::pending_locked(std::size_t shard) {
   return pending;
 }
 
+bool GroupCommitter::claim_due_locked() const {
+  if (waiters_ == 0) {
+    return false;
+  }
+  if (queued_wakers_ >= expected_wakers_ || last_cycle_page_) {
+    return true;
+  }
+  std::size_t queued = 0;
+  for (const std::size_t s : dirty_shards_) {
+    queued += pending_[s].size();
+  }
+  return queued >= kPageBytes;
+}
+
 GroupCommitter::Ticket GroupCommitter::enqueue(
     std::size_t shard, std::span<const std::uint8_t> bytes) {
   return enqueue_with(shard, [&](Buffer& pending) {
@@ -257,8 +271,8 @@ void GroupCommitter::block_until(Ticket ticket) {
   if (durable_ >= ticket) {
     return;  // already durable (even if a later cycle has since failed)
   }
-  // Registering as a waiter collapses the adaptive linger: the flusher
-  // lingers only while nobody is blocked, so wake it out of that wait.
+  // Registering as a waiter ends the flusher's free linger: from here its
+  // claim waits only for the callers it expects back (claim_due_locked).
   ++stats_.blocking_waits;
   ++waiters_;
   work_cv_.notify_all();
@@ -307,6 +321,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     Ticket covered = 0;
     std::vector<ShardAppend> appends;
     std::uint64_t records = 0;
+    std::uint64_t wakers = 0;  // the waking entries the cycle carries
     std::uint64_t installs = 0;
     std::uint64_t bytes = 0;
     bool checkpoint = false;
@@ -357,18 +372,17 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
         return;  // stopped with an empty queue
       }
       if (!stop.stop_requested()) {
-        // Grow the cycle while nobody is blocked on it; a waiter's arrival
-        // (wait_durable notifies) collapses the linger at once.
-        const auto start = std::chrono::steady_clock::now();
-        work_cv_.wait_until(lock, start + kLingerCeiling, [&] {
-          return waiters_ > 0 || stop.stop_requested();
-        });
-        stats_.linger_us_current = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-      } else {
-        stats_.linger_us_current = 0;
+        // Grow the cycle: to the ceiling while nobody is blocked on it,
+        // and once a waiter blocks (wait_durable notifies), until the
+        // claim rule is met.  insert() wakes us when an entry meets it.
+        flusher_lingering_ = true;
+        const bool due = work_cv_.wait_until(
+            lock, std::chrono::steady_clock::now() + kLingerCeiling,
+            [&] { return stop.stop_requested() || claim_due_locked(); });
+        flusher_lingering_ = false;
+        if (!due && waiters_ > 0) {
+          ++stats_.linger_timeouts;
+        }
       }
       // Claim everything queued so far as one cycle; mutators keep
       // enqueuing the moment the lock drops (that overlap is the whole
@@ -383,6 +397,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       }
       dirty_shards_.clear();
       records = std::exchange(pending_records_, 0);
+      wakers = std::exchange(queued_wakers_, 0);
       installs = std::exchange(pending_installs_, 0);
       hook = post_flush_hook_;
     }
@@ -437,6 +452,10 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       return;
     }
     durable_ = covered;
+    // Each waking entry released here is a caller that may come back one
+    // reply later; the ones queued meanwhile are waiting already.
+    expected_wakers_ = wakers + queued_wakers_;
+    last_cycle_page_ = frame_bytes >= kPageBytes;
     ++stats_.groups;
     stats_.records += records;
     stats_.installs += installs;

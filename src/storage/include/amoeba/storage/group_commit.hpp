@@ -7,7 +7,17 @@
 // the flusher reports the ticket durable.  One flusher per volume encodes
 // every shard's pending bytes as ONE numbered frame per cycle: one write
 // and one fsync cover every record that piled up while the previous fsync
-// was in flight (load grows groups, idle volumes flush immediately).
+// was in flight (load grows groups).
+//
+// Pacing follows the callers a cycle releases.  A caller blocked in
+// trans() (the paper's client) comes back one reply after its cycle, so
+// the flusher expects back the waking entries of the cycle it just wrote
+// plus those that queued while it ran.  Once a thread blocks on the queue
+// it claims the next cycle when that many have queued, when a page of
+// bytes has queued, right away after a cycle of a page or more (pipelined
+// callers, which come back sooner), or at kLingerCeiling.  With nobody
+// blocked it lingers to the ceiling, so pipelined mutators get wide
+// cycles.
 //
 // The flusher also takes the volume's CHECKPOINTS.  Each stream owner
 // registers an imager: CapabilityTable for its shards, rpc::Service
@@ -163,13 +173,19 @@ class GroupCommitter {
   /// (what in-memory paths hand around so callers need no null checks).
   using Ticket = std::uint64_t;
 
-  /// The longest the flusher holds a claim to let concurrent mutators
-  /// grow the group.  The linger is waiter-gated: the flusher lingers only
-  /// while NO thread is blocked in wait_durable, and the moment a waiter
-  /// arrives it collapses and the cycle flushes.  Pipelined mutators
-  /// (release_async) therefore get wide cycles and few condvar round
-  /// trips, while synchronous waiters keep their immediate-flush latency.
+  /// The longest the flusher holds a claim to let the group grow.  With no
+  /// thread blocked in wait_durable it lingers this long, so pipelined
+  /// mutators (release_async) get wide cycles and few condvar round trips.
+  /// With one blocked it claims as soon as the callers the last cycle
+  /// released (and those that queued while it ran) are back, or a page is
+  /// at stake (kPageBytes); this ceiling bounds the wait for a caller that
+  /// does not come back (Stats::linger_timeouts counts those claims).
   static constexpr std::chrono::microseconds kLingerCeiling{200};
+  /// The unit a log write dirties.  A page of queued bytes is worth a
+  /// cycle on its own, and a cycle of a page or more came from pipelined
+  /// callers, which do not come back one reply later: either way a
+  /// blocked waiter's claim waits for nobody.
+  static constexpr std::size_t kPageBytes = 4096;
 
   struct Stats {
     std::uint64_t groups = 0;        // flush cycles that reached the backend
@@ -181,7 +197,7 @@ class GroupCommitter {
     std::uint64_t max_group = 0;     // largest single cycle, in records
     std::uint64_t flush_cycle_bytes = 0;  // journal bytes those cycles wrote
     std::uint64_t frame_bytes = 0;  // those cycles' frames, headers included
-    std::uint64_t linger_us_current = 0;  // last adaptive linger applied
+    std::uint64_t linger_timeouts = 0;  // claims at kLingerCeiling, waited on
     std::uint64_t blocking_waits = 0;  // wait_durable calls that had to block
     std::uint64_t read_bytes = 0;  // log bytes the flusher read (none)
   };
@@ -358,16 +374,19 @@ class GroupCommitter {
     {
       const std::lock_guard lock(mutex_);
       fill();
-      // Batched-wakeup lever: notify only when the flusher is actually
-      // parked on work_cv_.  While it claims, writes, or lingers, the
-      // notify (a futex syscall plus, on one core, often a context
-      // switch) would be pure overhead -- the flusher re-checks the
-      // queue under the mutex before it ever sleeps again.
-      wake = wake_flusher && flusher_waiting_;
       ticket = ++issued_;
       if (wake_flusher) {
         woken_ = ticket;
+        ++queued_wakers_;
       }
+      // Batched-wakeup lever: notify a parked flusher only for an entry
+      // that starts a cycle, and a lingering one only once this entry
+      // makes its claim due.  Otherwise the notify (a futex syscall plus,
+      // on one core, often a context switch) would be pure overhead --
+      // the flusher re-checks the queue under the mutex before it ever
+      // sleeps again.
+      wake = (wake_flusher && flusher_waiting_) ||
+             (flusher_lingering_ && claim_due_locked());
     }
     if (wake) {
       work_cv_.notify_one();
@@ -377,6 +396,10 @@ class GroupCommitter {
   /// `shard`'s staging buffer, marked dirty; throws UsageError for a
   /// stream not on the volume.  Caller holds mutex_.
   [[nodiscard]] Buffer& pending_locked(std::size_t shard);
+  /// A thread is blocked on the queue and its claim should wait no longer
+  /// (the header's pacing rule, short of the ceiling).  Caller holds
+  /// mutex_.
+  [[nodiscard]] bool claim_due_locked() const;
 
   /// A checkpoint is due or requested.  Caller holds mutex_.
   [[nodiscard]] bool checkpoint_wanted_locked() const {
@@ -405,7 +428,13 @@ class GroupCommitter {
   Ticket taken_ = 0;    // highest ticket a flush cycle has claimed
   Ticket durable_ = 0;  // highest ticket reported durable
   bool flusher_waiting_ = false;  // flusher parked on work_cv_ (see enqueue)
+  bool flusher_lingering_ = false;  // flusher holding a claim open
   std::size_t waiters_ = 0;      // threads blocked in wait_durable
+  std::uint64_t queued_wakers_ = 0;  // unclaimed entries that set woken_
+  /// The waking entries the next claim expects back: the last cycle's
+  /// plus those that queued while it ran.
+  std::uint64_t expected_wakers_ = 0;
+  bool last_cycle_page_ = false;  // the last cycle's frame was a page+
   std::string failure_;  // non-empty once a write or hook failed
   Stats stats_;
   PostFlushHook post_flush_hook_;

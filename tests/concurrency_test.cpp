@@ -205,8 +205,7 @@ TEST(ConcurrencyTest, RevocationRacesWithUse) {
   const auto cap = owner.allocate().value();
   ASSERT_TRUE(owner.write(cap, Buffer{1}).ok());
   const auto shared =
-      servers::restrict_capability(owner_transport, cap, core::rights::kRead)
-          .value();
+      rpc::std_restrict(owner_transport, cap, core::rights::kRead).value();
 
   std::atomic<bool> revoked{false};
   std::atomic<int> anomalies{0};
@@ -235,7 +234,7 @@ TEST(ConcurrencyTest, RevocationRacesWithUse) {
       });
     }
     std::this_thread::sleep_for(5ms);
-    const auto fresh = servers::revoke_capability(owner_transport, cap);
+    const auto fresh = rpc::std_revoke(owner_transport, cap);
     ASSERT_TRUE(fresh.ok());
     revoked.store(true, std::memory_order_release);
   }

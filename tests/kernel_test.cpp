@@ -185,8 +185,8 @@ TEST_F(MemorySuite, OverflowingOffsetsAndSizesRejected) {
 TEST_F(MemorySuite, ReadOnlySegmentDelegation) {
   const auto segment = client_->create_segment(64);
   ASSERT_TRUE(client_->write(segment.value(), 0, Buffer{7}).ok());
-  const auto read_only = servers::restrict_capability(
-      *transport_, segment.value(), core::rights::kRead);
+  const auto read_only =
+      rpc::std_restrict(*transport_, segment.value(), core::rights::kRead);
   ASSERT_TRUE(read_only.ok());
   EXPECT_TRUE(client_->read(read_only.value(), 0, 1).ok());
   EXPECT_EQ(client_->write(read_only.value(), 0, Buffer{8}).error(),

@@ -101,8 +101,7 @@ TEST_F(BankSuite, WithdrawRightRequiredToSpend) {
   // A deposit-only capability can receive but not spend.
   const Rights deposit_only =
       core::rights::kRead.with(bank_rights::kDepositBit);
-  const auto deposit_cap =
-      restrict_capability(*transport_, alice_, deposit_only);
+  const auto deposit_cap = rpc::std_restrict(*transport_, alice_, deposit_only);
   ASSERT_TRUE(deposit_cap.ok());
   EXPECT_EQ(client_->transfer(deposit_cap.value(), bob_, currency::kDollar, 1)
                 .error(),
@@ -115,7 +114,7 @@ TEST_F(BankSuite, WithdrawRightRequiredToSpend) {
 
 TEST_F(BankSuite, DepositRightRequiredToReceive) {
   const auto inspect_only =
-      restrict_capability(*transport_, bob_, core::rights::kRead);
+      rpc::std_restrict(*transport_, bob_, core::rights::kRead);
   ASSERT_TRUE(inspect_only.ok());
   EXPECT_EQ(client_->transfer(alice_, inspect_only.value(),
                               currency::kDollar, 1)
@@ -194,7 +193,7 @@ TEST_F(BankSuite, TransferManyRightsDisciplineHoldsPerEntry) {
   // A read-only capability inside a batch must fail exactly like it does
   // in a lone transfer -- batching must not widen any right.
   const auto read_only =
-      restrict_capability(*transport_, alice_, core::rights::kRead).value();
+      rpc::std_restrict(*transport_, alice_, core::rights::kRead).value();
   const std::vector<BankClient::Transfer> mixed = {
       {read_only, bob_, currency::kDollar, 10},
       {alice_, bob_, currency::kDollar, 10},

@@ -162,7 +162,7 @@ TEST_P(BlockServerSuite, RestrictedCapabilityHonored) {
   const auto cap = client_->allocate();
   ASSERT_TRUE(cap.ok());
   const auto read_only =
-      restrict_capability(*transport_, cap.value(), core::rights::kRead);
+      rpc::std_restrict(*transport_, cap.value(), core::rights::kRead);
   ASSERT_TRUE(read_only.ok());
   EXPECT_TRUE(client_->read(read_only.value()).ok());
   EXPECT_EQ(client_->write(read_only.value(), Buffer{1}).error(),
@@ -174,7 +174,7 @@ TEST_P(BlockServerSuite, RestrictedCapabilityHonored) {
 TEST_P(BlockServerSuite, RevokedCapabilityDies) {
   const auto cap = client_->allocate();
   ASSERT_TRUE(cap.ok());
-  const auto fresh = revoke_capability(*transport_, cap.value());
+  const auto fresh = rpc::std_revoke(*transport_, cap.value());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(client_->read(cap.value()).error(), ErrorCode::bad_capability);
   EXPECT_TRUE(client_->read(fresh.value()).ok());

@@ -113,7 +113,7 @@ TEST_F(DirectorySuite, DeleteOnlyWhenEmpty) {
 TEST_F(DirectorySuite, ReadOnlyDirectoryCapability) {
   const auto dir = client_->create_dir();
   const auto read_only =
-      restrict_capability(*transport_, dir.value(), core::rights::kRead);
+      rpc::std_restrict(*transport_, dir.value(), core::rights::kRead);
   ASSERT_TRUE(read_only.ok());
   ASSERT_TRUE(client_->enter(dir.value(), "x", dummy_cap(1)).ok());
   EXPECT_TRUE(client_->lookup(read_only.value(), "x").ok());

@@ -265,7 +265,7 @@ TEST_F(PricedFileSuite, DestroyRefundsBlocks) {
 
 TEST_F(PricedFileSuite, PaymentCapabilityNeedsWithdrawRight) {
   const auto weak_account =
-      restrict_capability(*transport_, my_account_, core::rights::kRead);
+      rpc::std_restrict(*transport_, my_account_, core::rights::kRead);
   ASSERT_TRUE(weak_account.ok());
   const auto file = client_->create(&weak_account.value());
   ASSERT_TRUE(file.ok());  // creation is free; growth is charged

@@ -255,9 +255,9 @@ TEST_F(MultiVersionSuite, CommitNeedsTheDestroyRight) {
   const auto file = client_->create_file();
   const auto draft = client_->new_version(file.value());
   ASSERT_TRUE(client_->write_page(draft.value(), 0, Buffer{'x'}).ok());
-  const auto weak = servers::restrict_capability(
-      *transport_, draft.value(),
-      core::rights::kRead.with(core::rights::kWriteBit));
+  const auto weak =
+      rpc::std_restrict(*transport_, draft.value(),
+                        core::rights::kRead.with(core::rights::kWriteBit));
   ASSERT_TRUE(weak.ok());
   EXPECT_EQ(client_->commit(weak.value()).error(),
             ErrorCode::permission_denied);
@@ -300,7 +300,7 @@ TEST_F(MultiVersionSuite, ReadOnlyCapabilityCannotForkOrCommit) {
   const auto file = client_->create_file();
   rpc::Transport& t = *transport_;
   const auto read_only =
-      restrict_capability(t, file.value(), core::rights::kRead);
+      rpc::std_restrict(t, file.value(), core::rights::kRead);
   ASSERT_TRUE(read_only.ok());
   EXPECT_TRUE(client_->read_page(read_only.value(), 0).ok());
   EXPECT_TRUE(client_->history(read_only.value()).ok());

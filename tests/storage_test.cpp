@@ -1526,6 +1526,131 @@ TEST(GroupCommitTest, ConcurrentEnqueueStorm) {
   EXPECT_EQ(decoded, kThreads * kPerThread);
 }
 
+/// A two-stream MemoryBackend whose every write takes about 300 µs: long
+/// enough for the callers a cycle does not carry to queue behind it.
+[[nodiscard]] std::shared_ptr<MemoryBackend> slow_backend() {
+  auto backend = std::make_shared<MemoryBackend>(2);
+  backend->set_append_hook(
+      [](std::uint64_t) { std::this_thread::sleep_for(300us); });
+  return backend;
+}
+
+/// One record whose payload is `payload` bytes.
+[[nodiscard]] Buffer padded_frame(std::uint32_t object, std::size_t payload) {
+  Buffer out;
+  encode({RecordType::mutate, ObjectNumber(object), 0, 1,
+          Buffer(payload, 0xA5)},
+         out);
+  return out;
+}
+
+/// Leaves `committer` expecting four callers back: a one-record cycle is
+/// held at the post-flush hook while four records (payload `payload`
+/// bytes each) queue, and they become the next cycle.  Nothing blocks in
+/// wait_durable meanwhile (is_durable polls), so each claim lingers to
+/// the ceiling without counting a timeout.
+void write_a_four_caller_cycle(GroupCommitter& committer,
+                               std::size_t payload) {
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool held = false;
+  bool open = false;
+  committer.set_post_flush_hook([&](const GroupCommitter::FlushCycle&) {
+    std::unique_lock lock(gate_mutex);
+    held = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return open; });
+  });
+  (void)committer.enqueue(0, padded_frame(0, payload));
+  {
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return held; });
+  }
+  GroupCommitter::Ticket last = 0;
+  for (std::uint32_t caller = 1; caller <= 4; ++caller) {
+    last = committer.enqueue(caller % 2, padded_frame(caller, payload));
+  }
+  {
+    const std::lock_guard lock(gate_mutex);
+    open = true;
+  }
+  gate_cv.notify_all();
+  while (!committer.is_durable(last)) {
+    std::this_thread::sleep_for(100us);
+  }
+  committer.set_post_flush_hook(nullptr);
+  ASSERT_EQ(committer.stats().groups, 2u);
+  ASSERT_EQ(committer.stats().max_group, 4u);
+  ASSERT_EQ(committer.stats().linger_timeouts, 0u);
+}
+
+TEST(GroupCommitTest, ClosedLoopCallersShareEveryCycle) {
+  // Four callers that each wait for their record before queuing the next:
+  // clients blocked in trans().  A cycle's callers come back one record
+  // later, behind those that queued while it ran, and the flusher waits
+  // for them all rather than splitting them into half-groups that take
+  // turns (about 2 records per cycle).
+  auto backend = slow_backend();
+  GroupCommitter committer(backend);
+  constexpr std::uint32_t kCallers = 4;
+  constexpr std::uint32_t kRounds = 100;
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (std::uint32_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::uint32_t i = 0; i < kRounds; ++i) {
+        committer.wait_durable(
+            committer.enqueue(c % 2, frame(c * kRounds + i, i + 1)));
+      }
+    });
+  }
+  for (auto& caller : callers) {
+    caller.join();
+  }
+  const auto stats = committer.stats();
+  EXPECT_EQ(stats.records, kCallers * kRounds);
+  EXPECT_GE(stats.records, 3 * stats.groups)
+      << stats.groups << " cycles, " << stats.linger_timeouts
+      << " linger timeouts";
+}
+
+TEST(GroupCommitTest, ALoneCallerWaitsOutTheCeilingOnce) {
+  // After a four-caller cycle the flusher expects four callers back; a
+  // lone one is released at the ceiling, not held for callers that never
+  // come.
+  auto backend = slow_backend();
+  GroupCommitter committer(backend);
+  write_a_four_caller_cycle(committer, 1);
+  const auto start = std::chrono::steady_clock::now();
+  committer.wait_durable(committer.enqueue(0, frame(9, 1)));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(committer.stats().linger_timeouts, 1u);
+  EXPECT_LT(waited, GroupCommitter::kLingerCeiling + 50ms);
+}
+
+TEST(GroupCommitTest, AfterACycleOfAPageAWaiterClaimsAtOnce) {
+  // The same sequence with records that fill a page between them: a page
+  // of a cycle came from callers that do not wait a reply apiece, so the
+  // lone waiter's claim waits for nobody.
+  auto backend = slow_backend();
+  GroupCommitter committer(backend);
+  write_a_four_caller_cycle(committer, GroupCommitter::kPageBytes / 4);
+  committer.wait_durable(committer.enqueue(0, frame(9, 1)));
+  EXPECT_EQ(committer.stats().linger_timeouts, 0u);
+  EXPECT_EQ(committer.stats().groups, 3u);
+}
+
+TEST(GroupCommitTest, AQueuedPageIsClaimedAtOnce) {
+  // A page of queued bytes fills the log page the cycle dirties: the lone
+  // waiter's claim waits for nobody, whatever the flusher expects back.
+  auto backend = slow_backend();
+  GroupCommitter committer(backend);
+  write_a_four_caller_cycle(committer, 1);
+  committer.wait_durable(
+      committer.enqueue(0, padded_frame(9, GroupCommitter::kPageBytes)));
+  EXPECT_EQ(committer.stats().linger_timeouts, 0u);
+}
+
 }  // namespace
 }  // namespace amoeba::storage
 
