@@ -12,8 +12,8 @@
 #include "amoeba/core/schemes.hpp"
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/transport.hpp"
+#include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/block_server.hpp"
-#include "amoeba/servers/common.hpp"
 #include "amoeba/softprot/filter.hpp"
 #include "amoeba/softprot/handshake.hpp"
 

@@ -13,9 +13,9 @@
 #include "amoeba/common/rng.hpp"
 #include "amoeba/core/schemes.hpp"
 #include "amoeba/net/network.hpp"
+#include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/bank_server.hpp"
 #include "amoeba/servers/block_server.hpp"
-#include "amoeba/servers/common.hpp"
 #include "amoeba/servers/flat_file_server.hpp"
 #include "amoeba/servers/multiversion_server.hpp"
 

@@ -8,7 +8,7 @@
 
 #include "amoeba/common/rng.hpp"
 #include "amoeba/kernel/memory_server.hpp"
-#include "amoeba/servers/common.hpp"
+#include "amoeba/rpc/typed.hpp"
 
 namespace amoeba::kernel {
 namespace {

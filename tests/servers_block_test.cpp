@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "amoeba/common/rng.hpp"
+#include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/block_server.hpp"
-#include "amoeba/servers/common.hpp"
 #include "amoeba/servers/disk.hpp"
 
 namespace amoeba::servers {

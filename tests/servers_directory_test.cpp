@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "amoeba/common/rng.hpp"
-#include "amoeba/servers/common.hpp"
+#include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/directory_server.hpp"
 #include "amoeba/servers/flat_file_server.hpp"
 #include "amoeba/servers/block_server.hpp"

@@ -6,9 +6,9 @@
 #include <memory>
 
 #include "amoeba/common/rng.hpp"
+#include "amoeba/rpc/typed.hpp"
 #include "amoeba/servers/bank_server.hpp"
 #include "amoeba/servers/block_server.hpp"
-#include "amoeba/servers/common.hpp"
 #include "amoeba/servers/flat_file_server.hpp"
 
 namespace amoeba::servers {
