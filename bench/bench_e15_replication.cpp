@@ -16,8 +16,10 @@
 // The acceptance bar (PR 8): async-replicated pure mutate must stay
 // within 1.3x of unreplicated grouped -- shipping is an encode + a queue
 // push per flush cycle, nothing a mutator waits on.  The report prints
-// the three timings, appends one JSON line to BENCH_replication.json,
-// and exits nonzero if the async bar fails.
+// the three timings and how many of each timed window's claims waited out
+// the committer's linger ceiling (Stats::linger_timeouts), appends one
+// JSON line to BENCH_replication.json, and exits nonzero if the async bar
+// fails.
 //
 // The bar presumes the backup has a core of its own -- in deployment it
 // is another MACHINE; only the simulation co-locates it.  On a 1-core
@@ -107,8 +109,10 @@ struct Rig {
           {{"backup", replica->volume_capability()}});
       backend = replicated;
     }
+    core::Durability<Payload> durability = codec(backend);
+    committer = durability.committer.get();
     store = std::make_unique<core::ObjectStore<Payload>>(
-        scheme(), kPort, 17, 16, codec(backend));
+        scheme(), kPort, 17, 16, std::move(durability));
     caps.reserve(kObjects);
     for (int i = 0; i < kObjects; ++i) {
       caps.push_back(store->create({static_cast<std::uint64_t>(i), 0}));
@@ -149,6 +153,7 @@ struct Rig {
   std::unique_ptr<rpc::ReplicaServer> replica;
   std::shared_ptr<storage::ReplicatedBackend> replicated;
   std::unique_ptr<core::ObjectStore<Payload>> store;
+  storage::GroupCommitter* committer = nullptr;  // the store's
   std::vector<core::Capability> caps;
 };
 
@@ -196,10 +201,17 @@ void BM_MutateReplicatedAckOne(benchmark::State& state) {
 }
 BENCHMARK(BM_MutateReplicatedAckOne);
 
-[[nodiscard]] double timed_mutates(Rig& rig, int ops) {
+struct Timed {
+  double ms = 0;
+  std::uint64_t linger_timeouts = 0;  // claims the window's waits held
+};
+
+[[nodiscard]] Timed timed_mutates(Rig& rig, int ops) {
   rig.sync();
   Rng rng(1);
-  return amoeba::bench::timed_ms([&] {
+  const std::uint64_t timeouts = rig.committer->stats().linger_timeouts;
+  Timed timed;
+  timed.ms = amoeba::bench::timed_ms([&] {
     std::uint64_t ticket = 0;
     int outstanding = 0;
     for (int i = 0; i < ops; ++i) {
@@ -215,6 +227,8 @@ BENCHMARK(BM_MutateReplicatedAckOne);
     }
     rig.store->wait_durable(ticket);
   });
+  timed.linger_timeouts = rig.committer->stats().linger_timeouts - timeouts;
+  return timed;
 }
 
 /// Contrast report: the PR-8 acceptance numbers, printed, appended as one
@@ -224,24 +238,27 @@ BENCHMARK(BM_MutateReplicatedAckOne);
 [[nodiscard]] int report(bool smoke) {
   const int ops = smoke ? 40'000 : 400'000;
 
-  const double unreplicated_ms = [&] {
+  const Timed unreplicated = [&] {
     Rig rig(std::nullopt);
     return timed_mutates(rig, ops);
   }();
-  double async_ms = 0;
+  const double unreplicated_ms = unreplicated.ms;
+  Timed async;
   std::uint64_t async_shipped = 0;
   {
     Rig rig(storage::AckMode::async);
-    async_ms = timed_mutates(rig, ops);
+    async = timed_mutates(rig, ops);
     async_shipped = rig.replicated->stats().shipped_lsn;
   }
-  double ack_one_ms = 0;
+  const double async_ms = async.ms;
+  Timed ack_one;
   std::uint64_t ack_one_shipped = 0;
   {
     Rig rig(storage::AckMode::ack_one);
-    ack_one_ms = timed_mutates(rig, ops);
+    ack_one = timed_mutates(rig, ops);
     ack_one_shipped = rig.replicated->stats().shipped_lsn;
   }
+  const double ack_one_ms = ack_one.ms;
 
   const double async_ratio = async_ms / unreplicated_ms;
   const double ack_one_ratio = ack_one_ms / unreplicated_ms;
@@ -254,12 +271,17 @@ BENCHMARK(BM_MutateReplicatedAckOne);
       "shipments)\n"
       "  async / unreplicated          : %9.2fx  (acceptance bar: <= "
       "1.3x)%s\n"
-      "  ack-one / unreplicated        : %9.2fx  (reported, not gated)\n",
+      "  ack-one / unreplicated        : %9.2fx  (reported, not gated)\n"
+      "  linger timeouts, timed        : %llu / %llu / %llu  (unreplicated / "
+      "async / ack-one)\n",
       ops, unreplicated_ms, unreplicated_ms * 1e3 / ops, async_ms,
       async_ms * 1e3 / ops, static_cast<unsigned long long>(async_shipped),
       ack_one_ms, ack_one_ms * 1e3 / ops,
       static_cast<unsigned long long>(ack_one_shipped), async_ratio,
-      async_ratio <= 1.3 ? "  PASS" : "  FAIL", ack_one_ratio);
+      async_ratio <= 1.3 ? "  PASS" : "  FAIL", ack_one_ratio,
+      static_cast<unsigned long long>(unreplicated.linger_timeouts),
+      static_cast<unsigned long long>(async.linger_timeouts),
+      static_cast<unsigned long long>(ack_one.linger_timeouts));
 
   if (std::FILE* json = std::fopen("BENCH_replication.json", "a")) {
     std::fprintf(

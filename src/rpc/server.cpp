@@ -878,6 +878,7 @@ void Service::read_barrier(storage::RequestScope::Tickets& tickets,
   if (own != tickets.end() && own->ticket != floor_ticket) {
     return;  // it journaled: its own effects are the wait
   }
+  reply_committer_->count_read();
   // Read after the handler, not before: an effect it saw was enqueued
   // under the shard lock it took, so this ticket covers it.  The reply
   // carries the incarnation, and an unstamped request's floor was

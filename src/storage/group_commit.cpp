@@ -138,17 +138,8 @@ Buffer& GroupCommitter::pending_locked(std::size_t shard) {
 }
 
 bool GroupCommitter::claim_due_locked() const {
-  if (waiters_ == 0) {
-    return false;
-  }
-  if (queued_wakers_ >= expected_wakers_ || last_cycle_page_) {
-    return true;
-  }
-  std::size_t queued = 0;
-  for (const std::size_t s : dirty_shards_) {
-    queued += pending_[s].size();
-  }
-  return queued >= kPageBytes;
+  return waiters_ > 0 && (queued_wakers_ >= expected_wakers_ ||
+                          last_cycle_page_);
 }
 
 GroupCommitter::Ticket GroupCommitter::enqueue(
@@ -301,6 +292,20 @@ GroupCommitter::Ticket GroupCommitter::issued() const {
 GroupCommitter::Ticket GroupCommitter::newest_effect() const {
   const std::lock_guard lock(mutex_);
   return woken_;
+}
+
+void GroupCommitter::count_read() {
+  bool wake = false;
+  {
+    const std::lock_guard lock(mutex_);
+    if (expected_wakers_ > 0) {
+      --expected_wakers_;
+      wake = flusher_lingering_ && claim_due_locked();
+    }
+  }
+  if (wake) {
+    work_cv_.notify_one();
+  }
 }
 
 GroupCommitter::Stats GroupCommitter::stats() const {

@@ -12,12 +12,13 @@
 // Pacing follows the callers a cycle releases.  A caller blocked in
 // trans() (the paper's client) comes back one reply after its cycle, so
 // the flusher expects back the waking entries of the cycle it just wrote
-// plus those that queued while it ran.  Once a thread blocks on the queue
-// it claims the next cycle when that many have queued, when a page of
-// bytes has queued, right away after a cycle of a page or more (pipelined
-// callers, which come back sooner), or at kLingerCeiling.  With nobody
-// blocked it lingers to the ceiling, so pipelined mutators get wide
-// cycles.
+// plus those that queued while it ran (snapshot images have no caller and
+// do not count), less one for each caller that comes back with a read,
+// which queues nothing (count_read).  Once a thread blocks on the queue
+// it claims the next cycle when that many have queued, right away after
+// a cycle of a page or more (pipelined callers, which come back sooner),
+// or at kLingerCeiling.  With nobody blocked it lingers to the ceiling,
+// so pipelined mutators get wide cycles.
 //
 // The flusher also takes the volume's CHECKPOINTS.  Each stream owner
 // registers an imager: CapabilityTable for its shards, rpc::Service
@@ -177,14 +178,14 @@ class GroupCommitter {
   /// thread blocked in wait_durable it lingers this long, so pipelined
   /// mutators (release_async) get wide cycles and few condvar round trips.
   /// With one blocked it claims as soon as the callers the last cycle
-  /// released (and those that queued while it ran) are back, or a page is
-  /// at stake (kPageBytes); this ceiling bounds the wait for a caller that
-  /// does not come back (Stats::linger_timeouts counts those claims).
+  /// released (and those that queued while it ran) are back, or right
+  /// after a cycle of a page (kPageBytes); this ceiling bounds the wait
+  /// for a caller that does not come back (Stats::linger_timeouts counts
+  /// those claims).
   static constexpr std::chrono::microseconds kLingerCeiling{200};
-  /// The unit a log write dirties.  A page of queued bytes is worth a
-  /// cycle on its own, and a cycle of a page or more came from pipelined
-  /// callers, which do not come back one reply later: either way a
-  /// blocked waiter's claim waits for nobody.
+  /// The unit a log write dirties.  A cycle of a page or more came from
+  /// pipelined callers, which do not come back one reply later, so the
+  /// next blocked waiter's claim waits for nobody.
   static constexpr std::size_t kPageBytes = 4096;
 
   struct Stats {
@@ -295,6 +296,9 @@ class GroupCommitter {
             ++pending_records_;
             return pending;
           });
+          if (wake_flusher) {
+            ++queued_wakers_;  // a caller the cycle will release
+          }
         },
         wake_flusher);
   }
@@ -340,6 +344,11 @@ class GroupCommitter {
   /// reply body.
   [[nodiscard]] Ticket newest_effect() const;
 
+  /// A caller came back with a read: its request queued no waking entry,
+  /// so the next claim expects one fewer back.  rpc::Service counts every
+  /// request that journaled nothing.
+  void count_read();
+
   [[nodiscard]] Stats stats() const;
 
   /// Installs the post-flush hook (one subscriber; throws on a second).
@@ -377,7 +386,6 @@ class GroupCommitter {
       ticket = ++issued_;
       if (wake_flusher) {
         woken_ = ticket;
-        ++queued_wakers_;
       }
       // Batched-wakeup lever: notify a parked flusher only for an entry
       // that starts a cycle, and a lingering one only once this entry
@@ -430,9 +438,11 @@ class GroupCommitter {
   bool flusher_waiting_ = false;  // flusher parked on work_cv_ (see enqueue)
   bool flusher_lingering_ = false;  // flusher holding a claim open
   std::size_t waiters_ = 0;      // threads blocked in wait_durable
-  std::uint64_t queued_wakers_ = 0;  // unclaimed entries that set woken_
+  /// Unclaimed waking entries that have a caller: every one that set
+  /// woken_ except snapshot images.
+  std::uint64_t queued_wakers_ = 0;
   /// The waking entries the next claim expects back: the last cycle's
-  /// plus those that queued while it ran.
+  /// plus those that queued while it ran, less the reads counted since.
   std::uint64_t expected_wakers_ = 0;
   bool last_cycle_page_ = false;  // the last cycle's frame was a page+
   std::string failure_;  // non-empty once a write or hook failed

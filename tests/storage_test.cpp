@@ -1640,15 +1640,36 @@ TEST(GroupCommitTest, AfterACycleOfAPageAWaiterClaimsAtOnce) {
   EXPECT_EQ(committer.stats().groups, 3u);
 }
 
-TEST(GroupCommitTest, AQueuedPageIsClaimedAtOnce) {
-  // A page of queued bytes fills the log page the cycle dirties: the lone
-  // waiter's claim waits for nobody, whatever the flusher expects back.
+TEST(GroupCommitTest, ACallerBackWithAReadIsOneFewerToWaitFor) {
+  // Of the four callers a cycle released, three come back with reads,
+  // which queue nothing: the one that queues an entry is all the claim
+  // waits for.
   auto backend = slow_backend();
   GroupCommitter committer(backend);
   write_a_four_caller_cycle(committer, 1);
-  committer.wait_durable(
-      committer.enqueue(0, padded_frame(9, GroupCommitter::kPageBytes)));
+  for (int read = 0; read < 3; ++read) {
+    committer.count_read();
+  }
+  committer.wait_durable(committer.enqueue(0, frame(9, 1)));
   EXPECT_EQ(committer.stats().linger_timeouts, 0u);
+}
+
+TEST(GroupCommitTest, ACycleOfImagesReleasesNoCallers) {
+  // Snapshot images have no caller to come back: after a cycle of them
+  // the lone waiter's claim waits for nobody.
+  auto backend = slow_backend();
+  GroupCommitter committer(backend);
+  for (std::uint64_t image = 1; image <= 4; ++image) {
+    committer.install_snapshot(0, encode_snapshot({}, image));
+  }
+  const GroupCommitter::Ticket images = committer.issued();
+  while (!committer.is_durable(images)) {
+    std::this_thread::sleep_for(100us);
+  }
+  const std::uint64_t image_cycles = committer.stats().groups;
+  committer.wait_durable(committer.enqueue(0, frame(9, 1)));
+  EXPECT_EQ(committer.stats().linger_timeouts, 0u);
+  EXPECT_EQ(committer.stats().groups, image_cycles + 1);
 }
 
 }  // namespace
