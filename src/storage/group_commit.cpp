@@ -379,7 +379,8 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       if (!stop.stop_requested()) {
         // Grow the cycle: to the ceiling while nobody is blocked on it,
         // and once a waiter blocks (wait_durable notifies), until the
-        // claim rule is met.  insert() wakes us when an entry meets it.
+        // claim rule is met.  insert() and count_read() wake us when an
+        // entry or a read meets it.
         flusher_lingering_ = true;
         const bool due = work_cv_.wait_until(
             lock, std::chrono::steady_clock::now() + kLingerCeiling,
