@@ -52,8 +52,8 @@ struct AppendGroupRequest {
       Layout<AppendGroupRequest, RawData<&AppendGroupRequest::frame>>;
 };
 
-/// No-op probe carrying the primary's highest shipped frame number (the
-/// backup learns its own lag; the primary learns the applied floor).
+/// No-op probe carrying the sender's highest shipped frame number; it
+/// mutates nothing and answers the backup's applied floor.
 struct HeartbeatRequest {
   std::uint64_t shipped = 0;
   using Wire =
@@ -118,8 +118,6 @@ class TransportReplicationLink final : public storage::ReplicationLink {
   [[nodiscard]] std::string peer_name() const override;
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
       std::span<const std::uint8_t> frame) override;
-  [[nodiscard]] Result<std::uint64_t> heartbeat(
-      std::uint64_t shipped) override;
 
  private:
   Transport transport_;

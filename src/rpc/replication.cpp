@@ -62,13 +62,6 @@ Result<std::uint64_t> TransportReplicationLink::ship_cycle(
       {Buffer(shipment.begin(), shipment.end())});
 }
 
-Result<std::uint64_t> TransportReplicationLink::heartbeat(
-    std::uint64_t shipped) {
-  return call<&rep_ops::AckReply::applied>(
-      transport_, volume_.server_port, rep_ops::kHeartbeat, volume_,
-      {shipped});
-}
-
 std::shared_ptr<storage::ReplicatedBackend> replicate_to(
     std::shared_ptr<storage::Backend> local, storage::AckMode mode,
     net::Machine& machine, std::uint64_t seed,

@@ -601,7 +601,6 @@ void Service::attach_durability(
   set_info_detail([this, replicated, committer] {
     std::string line;
     if (replicated != nullptr) {
-      replicated->heartbeat();  // refresh acked floors before reporting
       const storage::ReplicatedBackend::Stats stats = replicated->stats();
       line = "role=primary mode=";
       line += to_string(stats.mode);

@@ -12,10 +12,11 @@
 //
 // Frames written to the decorator without a committer are not shipped.
 //
-// The ack mode decides when a mutator's durability wait releases:
+// A backup is known by one number, the last frame it acknowledged
+// (`acked`).  The ack mode decides when a mutator's durability wait
+// releases:
 //   async    local disk only; shipping is fire-and-forget.
-//   ack_one  at least one backup has durably applied the shipment.
-//   ack_all  every attached backup has.
+//   ack_one  some backup has acknowledged the cycle's frame.
 // With no backups attached nothing ever waits, so a ReplicatedBackend
 // with zero peers behaves exactly like its local volume.
 //
@@ -23,8 +24,10 @@
 // retried until acknowledged -- the at-most-once RPC layer plus the
 // replica's floor make retransmits harmless.  A peer's first shipment is
 // a RESYNC: the local commit.log as written, flagged so the backup adopts
-// it at any floor.  A backup that later answers `conflict` (a gap: it
-// restarted, or lost frames) gets another resync in front of its queue.
+// it at any floor.  A backlog is bounded by the log: once a peer's queued
+// frames outgrow the log (a checkpoint shrank it), or the backup answers
+// `conflict` (a gap: it restarted, or lost frames), the backlog is
+// replaced by one resync.
 #pragma once
 
 #include <condition_variable>
@@ -48,15 +51,14 @@ class GroupCommitter;
 /// When does a replicated mutation count as durable?
 enum class AckMode : std::uint8_t {
   async = 0,    // local disk only; backups catch up in the background
-  ack_one = 1,  // >= 1 backup has durably applied the shipment
-  ack_all = 2,  // every attached backup has
+  ack_one = 1,  // >= 1 backup has durably applied the frame
 };
 
 [[nodiscard]] std::string_view to_string(AckMode mode);
 
 /// Transport-agnostic shipping channel to one backup.  The storage layer
 /// owns the interface (it cannot depend on rpc); rpc/replication.hpp
-/// implements it over the at-most-once transaction layer.  Each call is
+/// implements it over the at-most-once transaction layer.  The call is
 /// synchronous: it returns the backup's durably-applied floor, or the
 /// error the backup (or the link) produced.  Implementations must tolerate
 /// being called from a dedicated shipping thread.
@@ -69,17 +71,13 @@ class ReplicationLink {
   /// Offers one shipment (replication/wire.hpp).
   [[nodiscard]] virtual Result<std::uint64_t> ship_cycle(
       std::span<const std::uint8_t> shipment) = 0;
-
-  /// No-op probe: returns the backup's applied floor (lag measurement).
-  [[nodiscard]] virtual Result<std::uint64_t> heartbeat(
-      std::uint64_t shipped) = 0;
 };
 
 class ReplicatedBackend final : public Backend {
  public:
   explicit ReplicatedBackend(std::shared_ptr<Backend> local,
                              AckMode mode = AckMode::ack_one);
-  /// Attempts to drain each peer's queue (one final try per shipment --
+  /// Attempts to drain each peer's backlog (one final try per shipment --
   /// a dead backup must not hang shutdown), then joins the shippers.
   ~ReplicatedBackend() override;
 
@@ -95,7 +93,7 @@ class ReplicatedBackend final : public Backend {
   /// Attaches a backup and queues its resync: the local commit.log as
   /// written, which the backup adopts whatever it held before -- a stale
   /// log, or another volume's.  Thread-safe; peers cannot be detached
-  /// (stop the backup instead -- its queue simply stops draining).
+  /// (stop the backup instead -- its backlog stays bounded by the log).
   void attach_peer(std::shared_ptr<ReplicationLink> link);
 
   /// Called by the GroupCommitter constructor when it finds this decorator
@@ -104,8 +102,8 @@ class ReplicatedBackend final : public Backend {
 
   struct PeerStats {
     std::string name;
-    std::uint64_t acked_lsn = 0;  // backup's durably-applied floor
-    std::uint64_t queued = 0;     // shipments still waiting to ship
+    std::uint64_t acked_lsn = 0;      // last frame the backup acknowledged
+    std::uint64_t backlog_bytes = 0;  // log bytes queued, at most the log
   };
   struct Stats {
     AckMode mode = AckMode::async;
@@ -113,10 +111,6 @@ class ReplicatedBackend final : public Backend {
     std::vector<PeerStats> peers;   // lag = shipped_lsn - acked_lsn
   };
   [[nodiscard]] Stats stats() const;
-
-  /// Probes every peer's applied floor over its link (refreshes the lag
-  /// numbers std_info reports without shipping anything).
-  void heartbeat();
 
   [[nodiscard]] AckMode ack_mode() const { return mode_; }
   [[nodiscard]] const std::shared_ptr<Backend>& local() const {
@@ -127,41 +121,41 @@ class ReplicatedBackend final : public Backend {
   struct Shipment {
     std::uint64_t last_seq = 0;  // the number of its last frame
     Buffer bytes;                // the encoded shipment
-    std::size_t needed = 0;  // acks that release the enqueuer's wait
-    std::size_t acks = 0;    // guarded by the owning backend's ack_mutex_
+    /// The log bytes it carries: its frames, without the flags byte.
+    [[nodiscard]] std::uint64_t frame_bytes() const {
+      return bytes.size() - 1;
+    }
   };
   struct Peer {
     explicit Peer(std::shared_ptr<ReplicationLink> l) : link(std::move(l)) {}
     std::shared_ptr<ReplicationLink> link;
-    std::mutex mutex;
-    std::condition_variable cv;  // wakes the shipper
-    std::deque<std::shared_ptr<Shipment>> queue;
-    std::uint64_t acked = 0;  // guarded by `mutex`
-    std::jthread shipper;     // last member: started after the above
+    // Guarded by the backend's mutex_:
+    std::deque<std::shared_ptr<const Shipment>> backlog;
+    std::uint64_t backlog_bytes = 0;  // sum of the backlog's frame_bytes()
+    std::uint64_t acked = 0;          // the backup's last answered floor
+    std::thread shipper;
   };
 
-  /// Ships one flush cycle's frame (the post-flush hook body), then waits
-  /// for the acks the mode requires.
+  /// The post-flush hook body: queues one flush cycle's frame to every
+  /// peer, then, under ack_one, waits until some peer acknowledged it.
+  /// Throws UsageError if a backup answered `immutable` (it was promoted:
+  /// this primary is fenced and must stop reporting durability).
   void ship_frame(std::span<const std::uint8_t> frame, std::uint64_t seq);
-  /// Blocks until the shipment's stamped ack count is reached.  Throws
-  /// UsageError if a backup answered `immutable` (it was promoted: this
-  /// primary is fenced and must stop reporting durability).
-  void await_acks(const std::shared_ptr<Shipment>& shipment);
-  /// A resync: the local log as written, read now.
-  [[nodiscard]] std::shared_ptr<Shipment> make_resync();
-  void shipper(Peer& peer, const std::stop_token& stop);
+  /// Replaces `peer`'s backlog with one resync: the local log as written,
+  /// read now.  Caller holds mutex_, so every frame queued later is
+  /// numbered above the resync's last frame.
+  void resync_locked(Peer& peer);
+  void shipper(Peer& peer);
 
   std::shared_ptr<Backend> local_;
   const AckMode mode_;
 
-  mutable std::mutex mutex_;  // orders queue pushes
-  std::uint64_t shipped_ = 0;  // highest frame number queued
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;  // a backlog grew, a peer acked, or stop
+  std::uint64_t shipped_ = 0;   // highest frame number queued
   std::vector<std::unique_ptr<Peer>> peers_;  // grow-only; stable addresses
-
-  mutable std::mutex ack_mutex_;
-  std::condition_variable ack_cv_;
-  bool shutting_down_ = false;  // guarded by ack_mutex_
-  bool fenced_ = false;         // a backup answered `immutable` (promoted)
+  bool stopping_ = false;
+  bool fenced_ = false;  // a backup answered `immutable` (promoted)
 };
 
 }  // namespace amoeba::storage

@@ -16,8 +16,6 @@ std::string_view to_string(AckMode mode) {
       return "async";
     case AckMode::ack_one:
       return "ack-one";
-    case AckMode::ack_all:
-      return "ack-all";
   }
   return "?";
 }
@@ -35,24 +33,13 @@ ReplicatedBackend::ReplicatedBackend(std::shared_ptr<Backend> local,
 
 ReplicatedBackend::~ReplicatedBackend() {
   {
-    const std::lock_guard lock(ack_mutex_);
-    shutting_down_ = true;
+    const std::lock_guard lock(mutex_);
+    stopping_ = true;
   }
-  ack_cv_.notify_all();
-  // No mutex_: nothing attaches peers while the destructor runs, and a
-  // shipper recovering from a gap takes mutex_ itself -- holding it here
-  // would deadlock the join.
+  cv_.notify_all();
+  // Nothing attaches peers while the destructor runs.
   for (const auto& peer : peers_) {
-    peer->shipper.request_stop();
-    {
-      const std::lock_guard plock(peer->mutex);
-    }
-    peer->cv.notify_all();
-  }
-  for (const auto& peer : peers_) {
-    if (peer->shipper.joinable()) {
-      peer->shipper.join();  // shippers touch ack_cv_: join before members die
-    }
+    peer->shipper.join();  // shippers touch cv_: join before members die
   }
 }
 
@@ -91,15 +78,17 @@ void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
       });
 }
 
-std::shared_ptr<ReplicatedBackend::Shipment> ReplicatedBackend::make_resync() {
-  // Every frame shipped before this read is in the log it returns (frames
-  // ship after their local write), or was subsumed by a checkpoint in it.
+void ReplicatedBackend::resync_locked(Peer& peer) {
+  // Every frame queued before this read is in the log it returns (frames
+  // queue after their local write), or was subsumed by a checkpoint in it.
   const Buffer log = local_->read_log();
   const std::span<const std::uint8_t> frames = log_frames(log);
-  auto shipment = std::make_shared<Shipment>();
-  shipment->last_seq = last_frame_seq(frames);
-  shipment->bytes = encode_shipment(/*resync=*/true, frames);
-  return shipment;  // nobody waits on a resync: needed stays 0
+  auto resync = std::make_shared<Shipment>();
+  resync->last_seq = last_frame_seq(frames);
+  resync->bytes = encode_shipment(/*resync=*/true, frames);
+  shipped_ = std::max(shipped_, resync->last_seq);
+  peer.backlog_bytes = resync->frame_bytes();
+  peer.backlog.assign(1, std::move(resync));
 }
 
 void ReplicatedBackend::attach_peer(std::shared_ptr<ReplicationLink> link) {
@@ -109,14 +98,9 @@ void ReplicatedBackend::attach_peer(std::shared_ptr<ReplicationLink> link) {
   const std::lock_guard lock(mutex_);
   auto peer = std::make_unique<Peer>(std::move(link));
   Peer& ref = *peer;  // unique_ptr in a grow-only vector: address is stable
-  // The resync goes first, read under mutex_: every frame shipped after it
-  // is queued behind it.
-  std::shared_ptr<Shipment> resync = make_resync();
-  shipped_ = std::max(shipped_, resync->last_seq);
-  ref.queue.push_back(std::move(resync));
-  ref.shipper = std::jthread(
-      [this, &ref](const std::stop_token& stop) { shipper(ref, stop); });
+  resync_locked(ref);
   peers_.push_back(std::move(peer));
+  ref.shipper = std::thread([this, &ref] { shipper(ref); });
 }
 
 ReplicatedBackend::Stats ReplicatedBackend::stats() const {
@@ -126,80 +110,51 @@ ReplicatedBackend::Stats ReplicatedBackend::stats() const {
   out.shipped_lsn = shipped_;
   out.peers.reserve(peers_.size());
   for (const auto& peer : peers_) {
-    const std::lock_guard plock(peer->mutex);
     out.peers.push_back(
-        {peer->link->peer_name(), peer->acked, peer->queue.size()});
+        {peer->link->peer_name(), peer->acked, peer->backlog_bytes});
   }
   return out;
 }
 
-void ReplicatedBackend::heartbeat() {
-  std::vector<Peer*> peers;
-  std::uint64_t shipped;
-  {
-    const std::lock_guard lock(mutex_);
-    shipped = shipped_;
-    peers.reserve(peers_.size());
-    for (const auto& peer : peers_) {
-      peers.push_back(peer.get());
-    }
-  }
-  for (Peer* peer : peers) {  // RPCs outside mutex_
-    const Result<std::uint64_t> floor = peer->link->heartbeat(shipped);
-    if (floor.ok()) {
-      const std::lock_guard plock(peer->mutex);
-      peer->acked = std::max(peer->acked, floor.value());
-    }
-  }
-}
-
 void ReplicatedBackend::ship_frame(std::span<const std::uint8_t> frame,
                                    std::uint64_t seq) {
-  std::shared_ptr<Shipment> shipment;
-  {
-    const std::lock_guard lock(mutex_);
-    if (peers_.empty()) {
-      return;
-    }
-    shipment = std::make_shared<Shipment>();
-    shipment->last_seq = seq;
-    shipment->bytes = encode_shipment(/*resync=*/false, frame);
-    switch (mode_) {
-      case AckMode::async:
-        shipment->needed = 0;
-        break;
-      case AckMode::ack_one:
-        shipment->needed = 1;
-        break;
-      case AckMode::ack_all:
-        shipment->needed = peers_.size();
-        break;
-    }
-    shipped_ = std::max(shipped_, seq);
-    for (const auto& peer : peers_) {
-      {
-        const std::lock_guard plock(peer->mutex);
-        peer->queue.push_back(shipment);
-      }
-      peer->cv.notify_one();
-    }
-  }
-  await_acks(shipment);
-}
-
-void ReplicatedBackend::await_acks(
-    const std::shared_ptr<Shipment>& shipment) {
-  if (shipment->needed == 0) {
+  std::unique_lock lock(mutex_);
+  if (peers_.empty()) {
     return;
   }
-  std::unique_lock lock(ack_mutex_);
-  ack_cv_.wait(lock, [&] {
-    return shutting_down_ || fenced_ || shipment->acks >= shipment->needed;
-  });
-  if (shipment->acks >= shipment->needed) {
+  auto shipment = std::make_shared<Shipment>();
+  shipment->last_seq = seq;
+  shipment->bytes = encode_shipment(/*resync=*/false, frame);
+  shipped_ = std::max(shipped_, seq);
+  // The frame is already in the local log, so a backlog that would
+  // outgrow the log (a checkpoint shrank it) ships as one resync instead:
+  // a dead backup costs at most one log.
+  const std::uint64_t log = local_->log_bytes();
+  for (const auto& peer : peers_) {
+    if (!peer->backlog.empty() && peer->backlog.back()->last_seq >= seq) {
+      continue;  // a resync read after this frame's write holds it
+    }
+    if (peer->backlog_bytes + shipment->frame_bytes() > log) {
+      resync_locked(*peer);
+    } else {
+      peer->backlog.push_back(shipment);
+      peer->backlog_bytes += shipment->frame_bytes();
+    }
+  }
+  // Notify unlocked, here and in the shipper: a woken thread then finds
+  // the mutex free instead of blocking on it once more.
+  lock.unlock();
+  cv_.notify_all();
+  if (mode_ == AckMode::async) {
     return;
   }
-  if (fenced_) {
+  lock.lock();
+  const auto acked = [&] {
+    return std::any_of(peers_.begin(), peers_.end(),
+                       [&](const auto& peer) { return peer->acked >= seq; });
+  };
+  cv_.wait(lock, [&] { return stopping_ || fenced_ || acked(); });
+  if (fenced_ && !acked()) {
     // A backup refused us as promoted: we are the deposed primary.  Fail
     // the durability wait loudly -- under a committer this latches the
     // flusher's failed state, so no mutation is ever reported durable by
@@ -207,67 +162,61 @@ void ReplicatedBackend::await_acks(
     throw UsageError("ReplicatedBackend: backup promoted; primary fenced");
   }
   // Shutting down: the only waiters left are the destructor's own caller
-  // (teardown), so an unmet ack count is reported as nothing.
+  // (teardown), so an unacknowledged frame is reported as nothing.
 }
 
-void ReplicatedBackend::shipper(Peer& peer, const std::stop_token& stop) {
+void ReplicatedBackend::shipper(Peer& peer) {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::shared_ptr<Shipment> next;
-    {
-      std::unique_lock lock(peer.mutex);
-      peer.cv.wait(lock, [&] {
-        return stop.stop_requested() || !peer.queue.empty();
-      });
-      if (peer.queue.empty()) {
-        return;  // stopped with nothing left to offer: clean exit
-      }
-      next = peer.queue.front();
+    cv_.wait(lock, [&] { return stopping_ || !peer.backlog.empty(); });
+    if (peer.backlog.empty()) {
+      return;  // stopped with nothing left to offer: clean exit
     }
-    for (;;) {
-      const Result<std::uint64_t> floor = peer.link->ship_cycle(next->bytes);
-      if (floor.ok()) {
-        {
-          const std::lock_guard plock(peer.mutex);
-          peer.acked = floor.value();  // a resync may lower it
-          peer.queue.pop_front();  // only this thread pops: front is `next`
-        }
-        {
-          const std::lock_guard lock(ack_mutex_);
-          ++next->acks;
-        }
-        ack_cv_.notify_all();
-        break;
+    const std::shared_ptr<const Shipment> next = peer.backlog.front();
+    lock.unlock();
+    const Result<std::uint64_t> floor = peer.link->ship_cycle(next->bytes);
+    lock.lock();
+    // The flusher may have replaced the backlog meanwhile: `next` is then
+    // no longer its front, and its answer pops nothing.
+    const bool front = peer.backlog.front() == next;
+    if (floor.ok()) {
+      peer.acked = floor.value();  // a resync may lower it
+      if (front) {
+        peer.backlog.pop_front();
+        peer.backlog_bytes -= next->frame_bytes();
       }
-      if (floor.error() == ErrorCode::immutable) {
-        // The backup was promoted: this primary is deposed.  Stop
-        // offering and fence every durability waiter.
-        {
-          const std::lock_guard lock(ack_mutex_);
-          fenced_ = true;
-        }
-        ack_cv_.notify_all();
-        return;
-      }
-      if (stop.stop_requested()) {
-        return;  // one post-stop attempt per shipment: a dead backup
-                 // must not hang shutdown
-      }
-      if (floor.error() == ErrorCode::conflict) {
-        // A gap: the backup is behind our log (it restarted, or lost
-        // frames).  A resync takes the gapped shipment's place, and the
-        // shipment goes to the back: its frame is in the resync's log, so
-        // it then acks as a duplicate.
-        std::shared_ptr<Shipment> resync = make_resync();
-        const std::lock_guard plock(peer.mutex);
-        peer.queue.front() = std::move(resync);
-        peer.queue.push_back(next);
-        break;
-      }
-      // Transient link failure (timeout, drop): retry forever.  The
-      // at-most-once transaction layer plus the replica's floor make the
-      // retransmission harmless.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      lock.unlock();
+      cv_.notify_all();
+      lock.lock();
+      continue;
     }
+    if (floor.error() == ErrorCode::immutable) {
+      // The backup was promoted: this primary is deposed.  Stop offering
+      // and fence every durability waiter.
+      fenced_ = true;
+      lock.unlock();
+      cv_.notify_all();
+      return;
+    }
+    if (stopping_) {
+      return;  // one post-stop attempt per shipment: a dead backup
+               // must not hang shutdown
+    }
+    if (floor.error() == ErrorCode::conflict) {
+      // A gap: the backup is behind our log (it restarted, or lost
+      // frames).  One resync replaces the backlog; its log holds every
+      // frame the backlog did.
+      if (front) {
+        resync_locked(peer);
+      }
+      continue;
+    }
+    // Transient link failure (timeout, drop): retry forever.  The
+    // at-most-once transaction layer plus the replica's floor make the
+    // retransmission harmless.
+    lock.unlock();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    lock.lock();
   }
 }
 

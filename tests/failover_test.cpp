@@ -313,11 +313,10 @@ TEST_F(FailoverSuite, PromotedVolumeCanReplicateOnward) {
   ASSERT_TRUE(client_->transfer(alice_, bob_, currency::kDollar, 7).ok());
   // ...and the new backup converges to the same bytes.
   for (int i = 0; i < 2000; ++i) {
-    promoted->heartbeat();
     const auto stats = promoted->stats();
     bool synced = !stats.peers.empty();
     for (const auto& peer : stats.peers) {
-      synced = synced && peer.queued == 0 &&
+      synced = synced && peer.backlog_bytes == 0 &&
                peer.acked_lsn >= stats.shipped_lsn;
     }
     if (synced) {

@@ -11,9 +11,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -540,7 +542,7 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
 }
 
 /// A link straight into an in-process applier whose first
-/// `failed_ships` shipments time out.
+/// `failed_ships` shipments time out, as does every shipment while `down`.
 class DirectLink final : public ReplicationLink {
  public:
   DirectLink(ReplicaApplier& applier, int failed_ships)
@@ -549,15 +551,17 @@ class DirectLink final : public ReplicationLink {
   [[nodiscard]] std::string peer_name() const override { return "backup"; }
   [[nodiscard]] Result<std::uint64_t> ship_cycle(
       std::span<const std::uint8_t> shipment) override {
+    if (down.load()) {
+      return ErrorCode::timeout;
+    }
     if (failed_ships_ > 0) {
       --failed_ships_;
       return ErrorCode::timeout;
     }
     return applier_->apply_shipment(shipment);
   }
-  [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
-    return applier_->applied();
-  }
+
+  std::atomic<bool> down{false};
 
  private:
   ReplicaApplier* applier_;
@@ -570,7 +574,7 @@ class DirectLink final : public ReplicationLink {
     const auto stats = primary.stats();
     if (std::all_of(stats.peers.begin(), stats.peers.end(),
                     [&](const auto& peer) {
-                      return peer.queued == 0 &&
+                      return peer.backlog_bytes == 0 &&
                              peer.acked_lsn >= stats.shipped_lsn;
                     })) {
       return true;
@@ -606,6 +610,78 @@ TEST(ReplicatedBackendTest, BackupHoldingAnotherVolumesFloorConverges) {
     EXPECT_EQ(applier.applied(), 2u);
     test::expect_backup_is_prefix(*local, *backup);
   }
+}
+
+TEST(ReplicatedBackendTest, DeadBackupBacklogIsBoundedByTheLog) {
+  // The backup is down for 20,000 async cycles, with a checkpoint every
+  // 2,000.  The peer's backlog never holds more than the log: a backlog
+  // that would outgrow it -- here, at each checkpoint -- is replaced by
+  // one resync.  Once the link revives, the backup converges.
+  auto local = std::make_shared<MemoryBackend>(1);
+  auto backup = std::make_shared<MemoryBackend>(1);
+  ReplicaApplier applier(backup);
+  auto link = std::make_shared<DirectLink>(applier, 0);
+  link->down = true;
+  auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::async);
+  primary->attach_peer(link);
+  {
+    GroupCommitter committer(primary);
+    std::uint64_t lsn = 0;
+    const auto registration = committer.add_imager({0}, [&] {
+      committer.install_snapshot(0, encode_snapshot({}, lsn));
+      return true;
+    });
+    std::uint64_t most = 0;
+    for (lsn = 1; lsn <= 20'000; ++lsn) {
+      committer.wait_durable(committer.enqueue(0, record(1, lsn)));
+      if (lsn % 2'000 == 0) {
+        committer.checkpoint();
+      }
+      const auto stats = primary->stats();
+      ASSERT_EQ(stats.peers.size(), 1u);
+      ASSERT_LE(stats.peers[0].backlog_bytes, primary->log_bytes())
+          << "cycle " << lsn;
+      most = std::max(most, stats.peers[0].backlog_bytes);
+    }
+    const auto stats = primary->stats();
+    EXPECT_EQ(stats.peers[0].acked_lsn, 0u);
+    EXPECT_EQ(stats.shipped_lsn, local->last_seq());
+    EXPECT_GT(most, 0u);
+  }
+  link->down = false;
+  ASSERT_TRUE(synced(*primary)) << "the backup never caught up";
+  test::expect_backup_is_prefix(*local, *backup);
+}
+
+TEST(ReplicatedBackendTest, AckOneWaitStallsWhileTheBackupIsDown) {
+  // ack_one with its only backup down: the mutation's durability wait
+  // holds, the peer's lag shows it, and the wait releases once the
+  // backup answers again.
+  auto local = std::make_shared<MemoryBackend>(4);
+  auto backup = std::make_shared<MemoryBackend>(4);
+  ReplicaApplier applier(backup);
+  auto link = std::make_shared<DirectLink>(applier, 0);
+  link->down = true;
+  auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::ack_one);
+  primary->attach_peer(link);
+  GroupCommitter committer(primary);
+  const GroupCommitter::Ticket ticket = committer.enqueue(1, record(1, 1));
+  auto waiter = std::async(std::launch::async,
+                           [&] { committer.wait_durable(ticket); });
+  EXPECT_EQ(waiter.wait_for(100ms), std::future_status::timeout)
+      << "ack_one released a mutation no backup acknowledged";
+  {
+    const auto stats = primary->stats();
+    ASSERT_EQ(stats.peers.size(), 1u);
+    EXPECT_EQ(stats.shipped_lsn, 1u);
+    EXPECT_EQ(stats.shipped_lsn - stats.peers[0].acked_lsn, 1u);  // lag
+  }
+  link->down = false;
+  ASSERT_EQ(waiter.wait_for(10s), std::future_status::ready)
+      << "the wait did not release once the backup answered";
+  waiter.get();
+  EXPECT_EQ(primary->stats().peers[0].acked_lsn, 1u);
+  test::expect_backup_is_prefix(*local, *backup);
 }
 
 TEST(ReplicaApplierTest, ResyncIsOneBarrierHoldingTheWholeLog) {
@@ -795,11 +871,10 @@ class ReplicationSuite : public ::testing::Test {
   /// Polls until every queued shipment is acked (async-mode catch-up).
   [[nodiscard]] bool wait_synced() {
     for (int i = 0; i < 2000; ++i) {
-      replicated_->heartbeat();
       const auto stats = replicated_->stats();
       bool synced = true;
       for (const auto& peer : stats.peers) {
-        synced = synced && peer.queued == 0 &&
+        synced = synced && peer.backlog_bytes == 0 &&
                  peer.acked_lsn >= stats.shipped_lsn;
       }
       if (synced) {
@@ -950,6 +1025,29 @@ TEST_F(ReplicationSuite, StdInfoReportsRolesAndLag) {
   EXPECT_NE(info.value().find("role=standalone"), std::string::npos)
       << info.value();
   standalone.stop();
+}
+
+TEST_F(ReplicationSuite, StdInfoOnAPrimaryMakesNoOutgoingCall) {
+  // The lag std_info reports is the shipper's own record, so a backup
+  // that answers nothing neither stalls std.info for the replication
+  // link's timeout nor hides: its lag shows the frames it never acked.
+  boot(storage::AckMode::async);
+  workload(3);
+  ASSERT_TRUE(wait_synced());
+  net_.set_link_faults(bank_machine_.id(), backup_machine_.id(),
+                       {.drop = 1.0});
+  ASSERT_TRUE(client_->transfer(alice_, bob_, currency::kDollar, 7).ok());
+  const auto started = std::chrono::steady_clock::now();
+  const auto info =
+      rpc::std_info(*transport_, bank_->master_capability(), true);
+  const auto took = std::chrono::steady_clock::now() - started;
+  ASSERT_TRUE(info.ok());
+  EXPECT_LT(took, 1s) << "std.info waited on the dead backup";
+  EXPECT_NE(info.value().find("role=primary"), std::string::npos);
+  EXPECT_EQ(info.value().find("backup.lag=0"), std::string::npos)
+      << info.value();
+  net_.clear_link_faults();
+  ASSERT_TRUE(wait_synced());
 }
 
 TEST_F(ReplicationSuite, PromotedBackupFencesTheDeposedPrimary) {

@@ -1421,9 +1421,6 @@ class ImagingLink final : public storage::ReplicationLink {
     }
     return applied;
   }
-  [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
-    return applier_.applied();
-  }
 
   [[nodiscard]] std::vector<std::shared_ptr<storage::MemoryBackend>>
   take_images() {

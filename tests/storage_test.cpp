@@ -1133,9 +1133,6 @@ TEST(FileBackendTest, FirstResyncOntoAnEmptyBackupIsOneWriteAndOneFsync) {
       fsyncs += this_thread_io_counters().fsyncs - before.fsyncs;
       return floor;
     }
-    [[nodiscard]] Result<std::uint64_t> heartbeat(std::uint64_t) override {
-      return applier.applied();
-    }
     ReplicaApplier& applier;
     std::mutex mutex;
     std::uint64_t shipments = 0, writes = 0, fsyncs = 0;
