@@ -71,28 +71,31 @@ class CountedMutex {
 /// models?").  Even value = record stable; odd = a writer is mid-update.
 ///
 /// Writer side (MUST already be serialized by an external mutex -- the
-/// counter does not arbitrate between writers):
+/// counter does not arbitrate between writers; fields are std::atomic,
+/// stored release):
 ///
 ///   { SeqCount::WriteGuard guard(slot.seq);   // seq becomes odd
-///     slot.field.store(v, std::memory_order_relaxed);
+///     slot.field.store(v, std::memory_order_release);
 ///     ...
 ///   }                                          // seq becomes even again
 ///
-/// Reader side (no lock; fields must be std::atomic, read relaxed):
+/// Reader side (no lock; fields loaded acquire):
 ///
 ///   const std::uint32_t s = slot.seq.read_begin();
 ///   if (SeqCount::busy(s)) { fall back to the locked path; }
-///   auto a = slot.field.load(std::memory_order_relaxed);
+///   auto a = slot.field.load(std::memory_order_acquire);
 ///   ...
 ///   if (!slot.seq.read_ok(s)) { fall back; }
-///   // a (and every other relaxed load in between) is a consistent
+///   // a (and every other field load in between) is a consistent
 ///   // snapshot of one stable generation.
 ///
-/// Memory-model contract: WriteGuard's constructor publishes the odd
-/// value before any field store can become visible (release fence), and
-/// its destructor's release store publishes every field store before the
-/// even value; read_ok()'s acquire fence pairs with both, so a reader
-/// that saw any in-progress value fails validation.
+/// Memory-model contract, in atomics alone (no fences, so ThreadSanitizer
+/// models every edge): a field store is a release store sequenced after
+/// the guard's odd store, so a reader whose acquire load returns it also
+/// sees the odd value, and read_ok()'s later load of the counter -- which
+/// the acquire load keeps after it -- cannot return `began`.  The guard's
+/// destructor stores the even value release, so read_begin()'s acquire
+/// load of it sees every field store of the finished generation.
 class SeqCount {
  public:
   /// True if `observed` was captured mid-write (odd).
@@ -105,11 +108,10 @@ class SeqCount {
     return seq_.load(std::memory_order_acquire);
   }
 
-  /// Second half: true iff every relaxed load since read_begin() observed
-  /// one stable generation.  `began` must come from read_begin(); a busy
-  /// generation never validates.
+  /// Second half: true iff every acquire field load since read_begin()
+  /// observed one stable generation.  `began` must come from read_begin();
+  /// a busy generation never validates.
   [[nodiscard]] bool read_ok(std::uint32_t began) const {
-    std::atomic_thread_fence(std::memory_order_acquire);
     return !busy(began) && seq_.load(std::memory_order_relaxed) == began;
   }
 
@@ -119,11 +121,10 @@ class SeqCount {
    public:
     explicit WriteGuard(SeqCount& seq) : seq_(seq) {
       const std::uint32_t s = seq_.seq_.load(std::memory_order_relaxed);
+      // The field stores that follow are release stores: a reader that
+      // observes any new field value also observes this odd value (or the
+      // final even one) and retries.
       seq_.seq_.store(s + 1, std::memory_order_relaxed);
-      // Order the odd store before the writer's field stores: a reader
-      // that observes any new field value must also observe the odd seq
-      // (or the final even one) and retry.
-      std::atomic_thread_fence(std::memory_order_release);
     }
     ~WriteGuard() {
       const std::uint32_t s = seq_.seq_.load(std::memory_order_relaxed);

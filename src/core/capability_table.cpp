@@ -18,7 +18,7 @@ using detail::TableSlot;
 /// WriteGuard on the slot (or runs single-threaded recovery).
 void bump_epoch(TableSlot& slot) {
   slot.epoch.store(slot.epoch.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
+                   std::memory_order_release);
 }
 
 /// Slot by index for writers (caller holds the shard mutex and knows
@@ -89,12 +89,12 @@ Result<Rights> validate_cached(const ProtectionScheme& scheme,
   const Result<Rights> granted = scheme.validate(cap, slot.secret);
   if (granted.ok()) {
     const common::SeqCount::WriteGuard guard(entry.seq);
-    entry.object.store(cap.object.value(), std::memory_order_relaxed);
-    entry.epoch.store(slot_epoch, std::memory_order_relaxed);
-    entry.check.store(cap.check.value(), std::memory_order_relaxed);
-    entry.rights.store(cap.rights.bits(), std::memory_order_relaxed);
-    entry.granted.store(granted.value().bits(), std::memory_order_relaxed);
-    entry.used.store(true, std::memory_order_relaxed);
+    entry.object.store(cap.object.value(), std::memory_order_release);
+    entry.epoch.store(slot_epoch, std::memory_order_release);
+    entry.check.store(cap.check.value(), std::memory_order_release);
+    entry.rights.store(cap.rights.bits(), std::memory_order_release);
+    entry.granted.store(granted.value().bits(), std::memory_order_release);
+    entry.used.store(true, std::memory_order_release);
   }
   return granted;
 }
@@ -303,7 +303,7 @@ CapabilityTable::Lease CapabilityTable::reserve() {
     const common::SeqCount::WriteGuard guard(slot.seq);
     slot.secret = scheme_->new_secret(shard.rng);
     bump_epoch(slot);  // stale cache entries for a reused number die here
-    slot.live.store(true, std::memory_order_relaxed);
+    slot.live.store(true, std::memory_order_release);
   }
   live_count_.fetch_add(1, std::memory_order_relaxed);
   return Lease(this, Rights::all(),
@@ -465,7 +465,7 @@ Result<void> CapabilityTable::destroy(Lease&& lease) {
     // Seqlock transition: a concurrent fast probe either sees the old live
     // generation (linearized before this destroy) or fails/misses.
     const common::SeqCount::WriteGuard guard(slot.seq);
-    slot.live.store(false, std::memory_order_relaxed);
+    slot.live.store(false, std::memory_order_release);
     bump_epoch(slot);
   }
   payloads_.reset(object, /*dispose=*/false);

@@ -116,10 +116,11 @@ struct SlotChunk {
 };
 
 /// Direct-mapped validated-capability cache entry.  `epoch` ties the
-/// entry to one secret generation of the slot.  Fields are relaxed atomics
-/// under the entry's own SeqCount: the single writer (the locked path's
-/// refill, serialized by the shard mutex) flips the generation odd around
-/// its stores, so the lock-free probe reads a consistent tuple or rejects.
+/// entry to one secret generation of the slot.  Fields are atomics, stored
+/// release and probed acquire, under the entry's own SeqCount: the single
+/// writer (the locked path's refill, serialized by the shard mutex) flips
+/// the generation odd around its stores, so the lock-free probe reads a
+/// consistent tuple or rejects.
 struct CacheEntry {
   common::SeqCount seq;
   std::atomic<std::uint32_t> object{0};
@@ -465,8 +466,8 @@ class CapabilityTable {
       ++common::this_thread_lock_counters().seqlock_fallbacks;
       return std::nullopt;
     }
-    const std::uint32_t epoch = slot->epoch.load(std::memory_order_relaxed);
-    const bool live = slot->live.load(std::memory_order_relaxed);
+    const std::uint32_t epoch = slot->epoch.load(std::memory_order_acquire);
+    const bool live = slot->live.load(std::memory_order_acquire);
     if (!slot->seq.read_ok(slot_gen)) {
       ++common::this_thread_lock_counters().seqlock_fallbacks;
       return std::nullopt;
@@ -480,16 +481,16 @@ class CapabilityTable {
       ++common::this_thread_lock_counters().seqlock_fallbacks;
       return std::nullopt;
     }
-    const bool used = entry.used.load(std::memory_order_relaxed);
+    const bool used = entry.used.load(std::memory_order_acquire);
     const std::uint32_t entry_object =
-        entry.object.load(std::memory_order_relaxed);
+        entry.object.load(std::memory_order_acquire);
     const std::uint32_t entry_epoch =
-        entry.epoch.load(std::memory_order_relaxed);
+        entry.epoch.load(std::memory_order_acquire);
     const std::uint64_t entry_check =
-        entry.check.load(std::memory_order_relaxed);
+        entry.check.load(std::memory_order_acquire);
     const std::uint8_t entry_rights =
-        entry.rights.load(std::memory_order_relaxed);
-    const Rights granted(entry.granted.load(std::memory_order_relaxed));
+        entry.rights.load(std::memory_order_acquire);
+    const Rights granted(entry.granted.load(std::memory_order_acquire));
     if (!entry.seq.read_ok(entry_gen)) {
       ++common::this_thread_lock_counters().seqlock_fallbacks;
       return std::nullopt;
