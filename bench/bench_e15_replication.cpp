@@ -15,11 +15,14 @@
 //
 // The acceptance bar (PR 8): async-replicated pure mutate must stay
 // within 1.3x of unreplicated grouped -- shipping is an encode + a queue
-// push per flush cycle, nothing a mutator waits on.  The report prints
-// the three timings and how many of each timed window's claims waited out
-// the committer's linger ceiling (Stats::linger_timeouts), appends one
-// JSON line to BENCH_replication.json, and exits nonzero if the async bar
-// fails.
+// push per flush cycle, nothing a mutator waits on.  Each rig is timed
+// three times, interleaved, and the gate reads each rig's best: a smoke
+// window is tens of milliseconds, so one descheduling must not decide it.
+// The report prints the three best timings and how many of each best
+// window's claims waited out the committer's linger ceiling
+// (Stats::linger_timeouts), appends one stamped JSON line (commit, cores,
+// build type: bench/e2e/stamp.hpp) to BENCH_replication.json, and exits
+// nonzero if the async bar fails.
 //
 // The bar presumes the backup has a core of its own -- in deployment it
 // is another MACHINE; only the simulation co-locates it.  On a 1-core
@@ -37,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "e2e/stamp.hpp"
 #include "smoke.hpp"
 
 #include "amoeba/common/rng.hpp"
@@ -138,7 +142,7 @@ struct Rig {
       const auto stats = replicated->stats();
       bool synced = true;
       for (const auto& peer : stats.peers) {
-        synced = synced && peer.queued == 0;
+        synced = synced && peer.backlog_bytes == 0;
       }
       if (synced) {
         return;
@@ -204,12 +208,18 @@ BENCHMARK(BM_MutateReplicatedAckOne);
 struct Timed {
   double ms = 0;
   std::uint64_t linger_timeouts = 0;  // claims the window's waits held
+  std::uint64_t shipments = 0;        // frames the window shipped
 };
+
+[[nodiscard]] std::uint64_t shipped(const Rig& rig) {
+  return rig.replicated == nullptr ? 0 : rig.replicated->stats().shipped_lsn;
+}
 
 [[nodiscard]] Timed timed_mutates(Rig& rig, int ops) {
   rig.sync();
   Rng rng(1);
   const std::uint64_t timeouts = rig.committer->stats().linger_timeouts;
+  const std::uint64_t shipped_before = shipped(rig);
   Timed timed;
   timed.ms = amoeba::bench::timed_ms([&] {
     std::uint64_t ticket = 0;
@@ -228,42 +238,46 @@ struct Timed {
     rig.store->wait_durable(ticket);
   });
   timed.linger_timeouts = rig.committer->stats().linger_timeouts - timeouts;
+  timed.shipments = shipped(rig) - shipped_before;
   return timed;
 }
 
 /// Contrast report: the PR-8 acceptance numbers, printed, appended as one
-/// JSON line to BENCH_replication.json, enforced (async bar only --
+/// stamped JSON line to BENCH_replication.json, enforced (async bar only --
 /// ack-one's cost is a round trip per cycle and load-dependent, so it is
 /// reported, not gated).  Returns the process exit code.
 [[nodiscard]] int report(bool smoke) {
   const int ops = smoke ? 40'000 : 400'000;
+  constexpr int kRuns = 3;
 
-  const Timed unreplicated = [&] {
-    Rig rig(std::nullopt);
-    return timed_mutates(rig, ops);
-  }();
-  const double unreplicated_ms = unreplicated.ms;
+  Rig unreplicated_rig(std::nullopt);
+  Rig async_rig(storage::AckMode::async);
+  Rig ack_one_rig(storage::AckMode::ack_one);
+  // Best of kRuns per rig, interleaved so a slow spell of the host hits
+  // every rig alike.
+  Timed unreplicated;
   Timed async;
-  std::uint64_t async_shipped = 0;
-  {
-    Rig rig(storage::AckMode::async);
-    async = timed_mutates(rig, ops);
-    async_shipped = rig.replicated->stats().shipped_lsn;
-  }
-  const double async_ms = async.ms;
   Timed ack_one;
-  std::uint64_t ack_one_shipped = 0;
-  {
-    Rig rig(storage::AckMode::ack_one);
-    ack_one = timed_mutates(rig, ops);
-    ack_one_shipped = rig.replicated->stats().shipped_lsn;
+  const auto keep_best = [&](Rig& rig, Timed& best, int run) {
+    const Timed timed = timed_mutates(rig, ops);
+    if (run == 0 || timed.ms < best.ms) {
+      best = timed;
+    }
+  };
+  for (int run = 0; run < kRuns; ++run) {
+    keep_best(unreplicated_rig, unreplicated, run);
+    keep_best(async_rig, async, run);
+    keep_best(ack_one_rig, ack_one, run);
   }
+  const double unreplicated_ms = unreplicated.ms;
+  const double async_ms = async.ms;
   const double ack_one_ms = ack_one.ms;
 
   const double async_ratio = async_ms / unreplicated_ms;
   const double ack_one_ratio = ack_one_ms / unreplicated_ms;
   std::printf(
-      "\nE15 replication contrast (pure mutate, grouped, %d ops)\n"
+      "\nE15 replication contrast (pure mutate, grouped, %d ops, best of "
+      "%d)\n"
       "  unreplicated grouped          : %9.1f ms  (%6.2f us/op)\n"
       "  replicated, async             : %9.1f ms  (%6.2f us/op, %llu "
       "shipments)\n"
@@ -274,27 +288,32 @@ struct Timed {
       "  ack-one / unreplicated        : %9.2fx  (reported, not gated)\n"
       "  linger timeouts, timed        : %llu / %llu / %llu  (unreplicated / "
       "async / ack-one)\n",
-      ops, unreplicated_ms, unreplicated_ms * 1e3 / ops, async_ms,
-      async_ms * 1e3 / ops, static_cast<unsigned long long>(async_shipped),
+      ops, kRuns, unreplicated_ms, unreplicated_ms * 1e3 / ops, async_ms,
+      async_ms * 1e3 / ops, static_cast<unsigned long long>(async.shipments),
       ack_one_ms, ack_one_ms * 1e3 / ops,
-      static_cast<unsigned long long>(ack_one_shipped), async_ratio,
+      static_cast<unsigned long long>(ack_one.shipments), async_ratio,
       async_ratio <= 1.3 ? "  PASS" : "  FAIL", ack_one_ratio,
       static_cast<unsigned long long>(unreplicated.linger_timeouts),
       static_cast<unsigned long long>(async.linger_timeouts),
       static_cast<unsigned long long>(ack_one.linger_timeouts));
 
+  const bench::Stamp stamp =
+      bench::make_stamp(AMOEBA_SOURCE_DIR, AMOEBA_BUILD_TYPE, "memory",
+                        smoke ? "smoke" : "full", /*seed=*/1);
   if (std::FILE* json = std::fopen("BENCH_replication.json", "a")) {
     std::fprintf(
         json,
-        "{\"bench\": \"e15\", \"mode\": \"%s\", \"ops\": %d, "
-        "\"window\": %d, \"unreplicated_ms\": %.3f, \"async_ms\": %.3f, "
+        "{\"bench\": \"e15\", \"stamp\": %s, \"mode\": \"%s\", "
+        "\"ops\": %d, \"runs\": %d, \"window\": %d, "
+        "\"unreplicated_ms\": %.3f, \"async_ms\": %.3f, "
         "\"ack_one_ms\": %.3f, \"async_vs_unreplicated\": %.3f, "
         "\"ack_one_vs_unreplicated\": %.3f, \"async_shipments\": %llu, "
         "\"ack_one_shipments\": %llu}\n",
-        smoke ? "smoke" : "full", ops, kWindow, unreplicated_ms, async_ms,
-        ack_one_ms, async_ratio, ack_one_ratio,
-        static_cast<unsigned long long>(async_shipped),
-        static_cast<unsigned long long>(ack_one_shipped));
+        bench::to_json(stamp).c_str(), stamp.mode.c_str(), ops, kRuns,
+        kWindow, unreplicated_ms, async_ms, ack_one_ms, async_ratio,
+        ack_one_ratio,
+        static_cast<unsigned long long>(async.shipments),
+        static_cast<unsigned long long>(ack_one.shipments));
     std::fclose(json);
   }
 
