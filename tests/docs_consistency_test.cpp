@@ -4,17 +4,20 @@
 // directions, and §8.1's file table against the files a FileBackend
 // volume really holds.  CI runs this test as the docs job; on mismatch it
 // prints the table block the spec should contain, so regenerating the
-// doc is a copy-paste.
+// doc is a copy-paste.  Every code name that README.md or PROTOCOL.md
+// puts in backticks must also exist in the source tree.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -280,6 +283,285 @@ TEST(DocsConsistency, VolumeLayoutTableMatchesAFileVolume) {
                   << ", which the file volume does not hold";
   }
   std::filesystem::remove_all(dir);
+}
+
+/// The tree a doc's code names must exist in.
+struct Corpus {
+  std::string raw;   // every file as written
+  std::string code;  // C++ files with comments and string literals blanked
+  std::vector<std::string> strings;            // C++ string literals
+  std::vector<std::set<std::string>> tokens;   // identifiers, per file
+  std::set<std::string> all_tokens;
+  std::set<std::string> stems;  // file names up to their first dot
+};
+
+[[nodiscard]] bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+[[nodiscard]] std::set<std::string> identifiers(std::string_view text) {
+  std::set<std::string> out;
+  for (std::size_t i = 0; i < text.size();) {
+    if (!ident_char(text[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    while (j < text.size() && ident_char(text[j])) {
+      ++j;
+    }
+    if (std::isdigit(static_cast<unsigned char>(text[i])) == 0) {
+      out.emplace(text.substr(i, j - i));
+    }
+    i = j;
+  }
+  return out;
+}
+
+/// Splits C++ source into code (comments and literals blanked) and the
+/// contents of its string literals.
+void split_source(std::string_view text, std::string& code,
+                  std::vector<std::string>& strings) {
+  for (std::size_t i = 0; i < text.size();) {
+    const std::string_view rest = text.substr(i);
+    if (rest.starts_with("//")) {
+      const std::size_t end = text.find('\n', i);
+      i = end == std::string_view::npos ? text.size() : end;
+    } else if (rest.starts_with("/*")) {
+      const std::size_t end = text.find("*/", i + 2);
+      i = end == std::string_view::npos ? text.size() : end + 2;
+    } else if (rest.starts_with("R\"") && (i == 0 || !ident_char(text[i - 1]))) {
+      const std::size_t open = text.find('(', i);
+      std::string close = ")";
+      close += text.substr(i + 2, open - i - 2);
+      close += '"';
+      const std::size_t end = text.find(close, open);
+      strings.emplace_back(text.substr(open + 1, end - open - 1));
+      i = end + close.size();
+      code += ' ';
+    } else if (text[i] == '"') {
+      std::string literal;
+      std::size_t j = i + 1;
+      for (; j < text.size() && text[j] != '"'; ++j) {
+        if (text[j] == '\\') {
+          literal += text[j++];
+        }
+        literal += text[j];
+      }
+      strings.push_back(std::move(literal));
+      i = j + 1;
+      code += ' ';
+    } else if (text[i] == '\'' && (i == 0 || !ident_char(text[i - 1]))) {
+      std::size_t j = i + 1;  // a char literal; 1'000 is a digit separator
+      while (j < text.size() && text[j] != '\'') {
+        j += text[j] == '\\' ? 2 : 1;
+      }
+      i = j + 1;
+      code += ' ';
+    } else {
+      code += text[i++];
+    }
+  }
+}
+
+[[nodiscard]] const Corpus& corpus() {
+  static const Corpus loaded = [] {
+    Corpus c;
+    for (const char* dir : {"src", "tests", "bench", "cluster", "examples"}) {
+      for (const auto& entry : std::filesystem::recursive_directory_iterator(
+               std::filesystem::path(AMOEBA_REPO_ROOT) / dir)) {
+        const std::string name = entry.path().filename().string();
+        const std::string ext = entry.path().extension().string();
+        const bool cpp = ext == ".cpp" || ext == ".hpp" || ext == ".h";
+        if (!entry.is_regular_file() ||
+            (!cpp && ext != ".py" && name != "CMakeLists.txt")) {
+          continue;
+        }
+        std::ifstream in(entry.path());
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        const std::string text = buffer.str();
+        c.raw += text + "\n";
+        c.stems.insert(name.substr(0, name.find('.')));
+        std::string code = text;
+        if (cpp) {
+          code.clear();
+          split_source(text, code, c.strings);
+          c.code += code + "\n";
+        }
+        c.tokens.push_back(identifiers(code));
+        c.all_tokens.insert(c.tokens.back().begin(), c.tokens.back().end());
+      }
+    }
+    return c;
+  }();
+  return loaded;
+}
+
+/// True when some string literal holds `piece` with a word boundary at
+/// each end; a piece inside a dotted name may also meet a dot there, as
+/// when code builds "rpc.handler_us." + name.
+[[nodiscard]] bool in_a_literal(std::string_view piece, bool first,
+                                bool last) {
+  if (piece == "*") {
+    return true;
+  }
+  for (const std::string& literal : corpus().strings) {
+    for (std::size_t at = literal.find(piece); at != std::string::npos;
+         at = literal.find(piece, at + 1)) {
+      const std::size_t end = at + piece.size();
+      const bool before = at == 0 || (!first && literal[at - 1] == '.') ||
+                          (first && !ident_char(literal[at - 1]));
+      const bool after = end == literal.size() ||
+                         (!last && literal[end] == '.') ||
+                         (last && !ident_char(literal[end]));
+      if (before && after) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+[[nodiscard]] std::vector<std::string> split(std::string_view name,
+                                             std::string_view sep) {
+  std::vector<std::string> parts;
+  std::size_t from = 0;
+  for (std::size_t at = name.find(sep); at != std::string_view::npos;
+       at = name.find(sep, from)) {
+    parts.emplace_back(name.substr(from, at - from));
+    from = at + sep.size();
+  }
+  parts.emplace_back(name.substr(from));
+  return parts;
+}
+
+/// A dotted name exists when it can be cut at dots into pieces that each
+/// sit in a string literal: a metric or op name, whole or assembled.
+[[nodiscard]] bool dotted_name_exists(std::string_view name) {
+  const std::vector<std::string> parts = split(name, ".");
+  std::vector<bool> reach(parts.size() + 1, false);
+  reach[0] = true;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    std::string piece;
+    for (std::size_t j = i; reach[i] && j < parts.size(); ++j) {
+      if (j > i) {
+        piece += '.';
+      }
+      piece += parts[j];
+      if (in_a_literal(piece, i == 0, j + 1 == parts.size())) {
+        reach[j + 1] = true;
+      }
+    }
+  }
+  return reach.back();
+}
+
+[[nodiscard]] bool code_name_exists(const std::string& name) {
+  const Corpus& c = corpus();
+  if (name.starts_with("--")) {
+    return c.raw.find(name) != std::string::npos;  // a command-line flag
+  }
+  if (c.code.find(name) != std::string::npos) {
+    return true;
+  }
+  if (name.find("::") != std::string::npos) {
+    // Scope::member: one file uses both the scope and the member.
+    const std::vector<std::string> parts = split(name, "::");
+    const std::string& scope = parts[parts.size() - 2];
+    const std::string member = split(parts.back(), ".").back();
+    return std::any_of(c.tokens.begin(), c.tokens.end(), [&](const auto& t) {
+      return t.contains(scope) && t.contains(member);
+    });
+  }
+  if (name.find('.') != std::string::npos) {
+    // Suite.Case names a test; anything else is a metric or op name.
+    const std::vector<std::string> parts = split(name, ".");
+    if (parts.size() == 2) {
+      for (const char* macro : {"TEST(", "TEST_F(", "TEST_P("}) {
+        if (c.raw.find(macro + parts[0] + ", " + parts[1] + ")") !=
+            std::string::npos) {
+          return true;
+        }
+      }
+    }
+    return dotted_name_exists(name);
+  }
+  return c.all_tokens.contains(name) || c.stems.contains(name) ||
+         in_a_literal(name, true, true);
+}
+
+/// The code name a backticked span holds, or "" when it holds none: file
+/// names, paths, CMake flags, wire-field notation (`kind:u8`), commands,
+/// expressions and templates are not names.  A call's argument list and
+/// template arguments are dropped.
+[[nodiscard]] std::string code_name(std::string span) {
+  span = span.substr(0, span.find('('));
+  for (std::size_t open = span.rfind('<'); open != std::string::npos;
+       open = span.rfind('<')) {
+    const std::size_t close = span.find('>', open);
+    if (close == std::string::npos) {
+      return "";
+    }
+    span.erase(open, close - open + 1);
+  }
+  static const std::set<std::string> kNotation = {"uN"};
+  static const std::set<std::string> kFileTypes = {
+      "bin", "cmake", "cpp", "h", "hpp", "json", "log", "md", "py", "snap",
+      "txt"};
+  if (span.empty() || kNotation.contains(span) ||
+      kFileTypes.contains(span.substr(span.rfind('.') + 1))) {
+    return "";
+  }
+  // A command-line flag, or identifiers joined by :: or '.', where '*'
+  // stands for any one.
+  static const std::regex kName(
+      R"(--[a-z0-9-]+|([A-Za-z_]\w*|\*)((::|\.)([A-Za-z_]\w*|\*))*)");
+  return std::regex_match(span, kName) ? span : "";
+}
+
+/// The backticked spans of `path` outside fenced code blocks.
+[[nodiscard]] std::vector<std::string> backticked(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::vector<std::string> spans;
+  bool fenced = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find_first_not_of(' ') != std::string::npos &&
+        line.substr(line.find_first_not_of(' ')).starts_with("```")) {
+      fenced = !fenced;
+      continue;
+    }
+    for (std::size_t open = line.find('`'); !fenced && open != std::string::npos;) {
+      const std::size_t close = line.find('`', open + 1);
+      if (close == std::string::npos) {
+        break;
+      }
+      spans.push_back(line.substr(open + 1, close - open - 1));
+      open = line.find('`', close + 1);
+    }
+  }
+  return spans;
+}
+
+TEST(DocsConsistency, EveryBacktickedCodeNameExists) {
+  for (const std::string doc : {"README.md", "docs/PROTOCOL.md"}) {
+    std::set<std::string> names;
+    for (const std::string& span :
+         backticked(std::string(AMOEBA_REPO_ROOT) + "/" + doc)) {
+      if (const std::string name = code_name(span); !name.empty()) {
+        names.insert(name);
+      }
+    }
+    EXPECT_GT(names.size(), 100u) << doc << " lost its code names";
+    for (const std::string& name : names) {
+      EXPECT_TRUE(code_name_exists(name))
+          << doc << " names `" << name
+          << "`, which exists nowhere in src/, tests/, bench/, cluster/ or "
+             "examples/";
+    }
+  }
 }
 
 }  // namespace
