@@ -336,6 +336,9 @@ void split_source(std::string_view text, std::string& code,
       close += text.substr(i + 2, open - i - 2);
       close += '"';
       const std::size_t end = text.find(close, open);
+      if (open == std::string_view::npos || end == std::string_view::npos) {
+        break;  // an unterminated raw string: nothing after it is code
+      }
       strings.emplace_back(text.substr(open + 1, end - open - 1));
       i = end + close.size();
       code += ' ';
