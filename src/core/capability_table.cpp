@@ -59,15 +59,6 @@ TableSlot& slot_grow(TableShard& shard, std::size_t index) {
   return chunk->slots[index % CapabilityTable::kChunkSlots];
 }
 
-/// The live slot at `index`, or null.  Caller holds the shard mutex.
-TableSlot* find(TableShard& shard, std::size_t index) {
-  if (index >= shard.slot_limit.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
-  TableSlot& slot = slot_at(shard, index);
-  return slot.live.load(std::memory_order_relaxed) ? &slot : nullptr;
-}
-
 /// Validation through the shard's cache; caller holds the shard mutex.
 /// The refill wraps its stores in the entry's WriteGuard so the lock-free
 /// probe never observes a half-written entry; the reads here can stay
@@ -126,23 +117,32 @@ struct Entry {
 /// into the committer's staging buffer, the whole group under one queue
 /// hold, so no flush cycle splits it.  Encoding under the shard lock is
 /// where the LSN is assigned, so an image taken later under the same lock
-/// always covers every encoded record, flushed or still queued.  Caller
-/// holds the shard lock of every entry and waits on the returned ticket
-/// after dropping them.
+/// always covers every encoded record, flushed or still queued.  A second
+/// pass over the entries stores the group's ticket in each record's slot
+/// before any lock drops, so a reader of the slot sees it.  Caller holds
+/// the shard lock of every entry and waits on the returned ticket after
+/// dropping them.
 template <typename EachEntry>
 std::uint64_t append_locked(
     storage::GroupCommitter& committer,
     const std::vector<std::unique_ptr<TableShard>>& shards,
     EachEntry&& each_entry) {
-  return committer.enqueue_group_with([&](const auto& stage) {
-    each_entry([&](const Entry& e) {
-      const std::size_t s = e.object.value() & (shards.size() - 1);
-      TableShard& shard = *shards[s];
-      ++shard.journal_records;
-      storage::encode_record_into(e.type, e.object, e.secret, ++shard.lsn,
-                                  e.payload, stage(s));
-    });
+  const std::size_t mask = shards.size() - 1;
+  const std::uint64_t ticket =
+      committer.enqueue_group_with([&](const auto& stage) {
+        each_entry([&](const Entry& e) {
+          const std::size_t s = e.object.value() & mask;
+          TableShard& shard = *shards[s];
+          ++shard.journal_records;
+          storage::encode_record_into(e.type, e.object, e.secret,
+                                      ++shard.lsn, e.payload, stage(s));
+        });
+      });
+  each_entry([&](const Entry& e) {
+    slot_at(*shards[e.object.value() & mask], e.object.value() / shards.size())
+        .ticket.store(ticket, std::memory_order_release);
   });
+  return ticket;
 }
 
 }  // namespace
@@ -334,6 +334,20 @@ void CapabilityTable::wait_durable(std::uint64_t ticket) {
   }
 }
 
+const TableSlot* CapabilityTable::note_read(TableShard& shard,
+                                            std::size_t index) const {
+  if (index >= shard.slot_limit.load(std::memory_order_relaxed)) {
+    return nullptr;  // never created: no record to wait for
+  }
+  const TableSlot& slot = slot_at(shard, index);
+  if (committer_ != nullptr) {
+    // Dead slots too: a refusal may stem from a destroy not yet durable.
+    storage::RequestScope::note_read(
+        *committer_, slot.ticket.load(std::memory_order_relaxed));
+  }
+  return slot.live.load(std::memory_order_relaxed) ? &slot : nullptr;
+}
+
 /// The one locked validation: find the live slot (no_such_object), prove
 /// the capability against its secret -- through `hit` when the probe's
 /// epoch still stands, else through the cache -- and check `required`
@@ -342,7 +356,7 @@ Result<Rights> CapabilityTable::validate_locked(TableShard& shard,
                                                 const Capability& cap,
                                                 Rights required,
                                                 const FastHit* hit) {
-  const TableSlot* slot = find(shard, slot_index(cap.object));
+  const TableSlot* slot = note_read(shard, slot_index(cap.object));
   if (slot == nullptr) {
     return ErrorCode::no_such_object;
   }
@@ -491,7 +505,7 @@ Result<Capability> CapabilityTable::mint_for(ObjectNumber object,
                                              Rights rights) {
   TableShard& shard = shard_of(object);
   const std::unique_lock lock(shard.mutex);
-  const TableSlot* slot = find(shard, slot_index(object));
+  const TableSlot* slot = note_read(shard, slot_index(object));
   if (slot == nullptr) {
     return ErrorCode::no_such_object;
   }
@@ -510,6 +524,11 @@ void CapabilityTable::for_each_live(
         fn(ObjectNumber(static_cast<std::uint32_t>(i * shards_.size() + s)));
       }
     }
+  }
+  // After the scan: every effect it saw was enqueued before its shard's
+  // lock was taken, so the newest effect from here covers them all.
+  if (committer_ != nullptr) {
+    committer_->note_unattributed_read();
   }
 }
 

@@ -53,7 +53,14 @@
 // committer's staging buffer, one queue hold per group.  The mutator then
 // drops the lock and waits for its ticket (inside a storage::RequestScope
 // the request's replier waits instead, once); release_async() hands the
-// ticket back for pipelined waits.
+// ticket back for pipelined waits.  Each slot keeps the ticket of its
+// newest record, stored before the shard lock drops (a pair group gives
+// both slots the same one).  Every validation -- the locked one on success
+// or failure, and the lock-free hit of check() -- records that ticket in
+// the calling thread's storage::RequestScope as a read, so a reply waits
+// only for the objects its request looked at (rpc::Service's read
+// barrier).  for_each_live() reads every slot and records the committer's
+// newest effect instead.
 //
 // At a checkpoint the committer's flusher asks the table, between two
 // cycles, to image every shard's live slots under the shard locks -- all
@@ -106,6 +113,11 @@ struct TableSlot {
   // Mutex-guarded only; NEVER read by the lock-free probe (the probe
   // trusts the epoch-stamped cache entry instead of the secret).
   std::uint64_t secret = 0;
+  // Group-commit ticket of the slot's newest journal record (0: none since
+  // start, or an in-memory table).  Stored under the shard mutex before it
+  // drops; a request that reads the slot records it (RequestScope::
+  // note_read) and its reply waits until it is durable.
+  std::atomic<std::uint64_t> ticket{0};
 };
 
 /// Slots live in fixed-size chunks that never move once published:
@@ -360,6 +372,9 @@ class CapabilityTable {
   [[nodiscard]] Result<Rights> check(const Capability& cap, Rights required) {
     if (const std::optional<FastHit> hit =
             validate_fast(shard_of(cap.object), cap)) {
+      if (hit->ticket != 0) {  // only a durable table stores tickets
+        storage::RequestScope::note_read(*committer_, hit->ticket);
+      }
       if (!hit->granted.has_all(required)) {
         return ErrorCode::permission_denied;
       }
@@ -403,7 +418,8 @@ class CapabilityTable {
                                             Rights rights);
 
   /// Calls fn(object) for every live object, under its shard's lock, one
-  /// shard locked at a time.
+  /// shard locked at a time.  Records the committer's newest effect as a
+  /// read of the calling thread's request scope.
   void for_each_live(const std::function<void(ObjectNumber)>& fn);
 
   /// Takes a checkpoint of the volume now and waits until it is durable.
@@ -434,6 +450,7 @@ class CapabilityTable {
   struct FastHit {
     Rights granted;
     std::uint32_t epoch = 0;
+    std::uint64_t ticket = 0;  // the slot's, loaded after the entry
   };
 
   [[nodiscard]] std::size_t shard_index(ObjectNumber object) const {
@@ -501,8 +518,17 @@ class CapabilityTable {
       return std::nullopt;  // not proven for THIS epoch: slow path decides
     }
     shard.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    return FastHit{granted, epoch};
+    // The entry was refilled under the shard lock after the record that
+    // set its epoch stored its ticket, so this load sees that ticket or a
+    // newer one.
+    return FastHit{granted, epoch,
+                   slot->ticket.load(std::memory_order_acquire)};
   }
+  /// The slot at `index` if it is live, else null; either way records
+  /// its ticket, when it exists, as a read of the calling thread's request
+  /// scope.  Caller holds the shard mutex.
+  [[nodiscard]] const detail::TableSlot* note_read(detail::TableShard& shard,
+                                                   std::size_t index) const;
   [[nodiscard]] Result<Rights> validate_locked(detail::TableShard& shard,
                                                const Capability& cap,
                                                Rights required,

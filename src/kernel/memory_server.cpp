@@ -138,6 +138,10 @@ Result<rpc::CapabilityReply> MemoryServer::do_create_segment(
     // a client-controlled size could wrap past the limit check.
     const std::lock_guard lock(memory_mutex_);
     if (size > memory_limit_ || memory_in_use_ > memory_limit_ - size) {
+      if (committer_ != nullptr) {
+        // The budget is every segment's, which no one slot attributes.
+        committer_->note_unattributed_read();
+      }
       return ErrorCode::no_space;
     }
     memory_in_use_ += size;

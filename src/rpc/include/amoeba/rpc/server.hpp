@@ -60,14 +60,18 @@
 //
 // Claim and handler run inside the scope, which turns every durability
 // wait (the floor's, each effect's, each envelope entry's) into a
-// recorded ticket.  A request that recorded no effect instead takes the
-// READ BARRIER: after the handler it reads the committer's newest effect
-// ticket, which covers every effect the handler could have seen (effects
-// are enqueued under the shard lock a reader takes), and takes the newest
-// of it, this boot's incarnation record (every reply carries the number)
-// and the request's own floor (enqueued at claim when unstamped).  It
-// waits for that ticket only when it is not yet durable.  Reply bodies are
-// state no handler reads, so a read never waits for one.  The worker does
+// recorded ticket.  The scope also records what the handler READ: each
+// validation records the ticket of its object's newest journal record
+// (stored in the table slot under the shard lock the reader takes), and a
+// handler that reads state no slot attributes records the committer's
+// newest effect (GroupCommitter::note_unattributed_read).  A request that
+// recorded no effect takes the READ BARRIER: the newest of its read
+// tickets, this boot's incarnation record (every reply carries the
+// number) and the request's own floor (enqueued at claim when unstamped).
+// It waits for that ticket only when it is not yet durable, so a read of
+// an object no pending write touches answers at once however busy the
+// volume is.  Reply bodies are state no handler reads, so a read never
+// waits for one.  The worker does
 // not wait: it parks the tickets with the reply on the service's one
 // REPLIER thread and goes back to receive().  The replier waits on the
 // parked tickets in ticket order -- its wait is what makes the committer
@@ -207,6 +211,7 @@ class Service {
     std::uint64_t replies_resent = 0;   // of those, answered from the cache
     std::uint64_t evicted_entries = 0;  // cached replies aged out
     std::uint64_t evicted_clients = 0;  // whole client entries aged out
+    std::uint64_t eviction_visits = 0;  // entries the LRU victim scans read
     std::uint64_t entries = 0;          // live cached replies
     std::uint64_t clients = 0;          // live client entries
     std::uint64_t floorless_claims = 0;  // fresh claims that wrote no floor
@@ -371,11 +376,14 @@ class Service {
   /// request's reply port.
   void send_reply(const net::Delivery& request, net::Message reply,
                   bool cache_reply, bool journal_body, MessageFilter* filter);
-  /// The read barrier: unless `tickets` hold an effect on the reply
-  /// committer (a ticket other than `floor_ticket`), makes the reply wait
-  /// for the newest of the committer's newest effect, this boot's
-  /// incarnation record and `floor_ticket`, when that is not durable.
+  /// The read barrier: makes the reply wait for the newest of `reads`
+  /// (the newest record of every object the request read), this boot's
+  /// incarnation record and `floor_ticket`, when that is not durable.  A
+  /// request with an effect on the reply committer (a ticket in `tickets`
+  /// other than `floor_ticket`) waits for that effect or the barrier,
+  /// whichever is newer.
   void read_barrier(storage::RequestScope::Tickets& tickets,
+                    const storage::RequestScope::Tickets& reads,
                     std::uint64_t floor_ticket);
   [[nodiscard]] net::Message handle_batch(const net::Delivery& request);
   [[nodiscard]] net::Message handle_one(const net::Delivery& request);

@@ -213,6 +213,7 @@ Service::ReplyCacheStats Service::reply_cache_stats() const {
     stats.replies_resent += stripe.counters.replies_resent;
     stats.evicted_entries += stripe.counters.evicted_entries;
     stats.evicted_clients += stripe.counters.evicted_clients;
+    stats.eviction_visits += stripe.counters.eviction_visits;
     stats.clients += stripe.map.size();
     for (const auto& [key, entry] : stripe.map) {
       stats.entries += entry.replies.size();
@@ -252,8 +253,9 @@ void Service::evict_reply_cache_client(const ClientKey& excluded,
   std::uint64_t victim_used = 0;
   std::size_t victim_stripe = 0;
   for (std::size_t s = 0; s < kReplyCacheStripes; ++s) {
-    const ReplyCacheStripe& stripe = reply_cache_stripes_[s];
+    ReplyCacheStripe& stripe = reply_cache_stripes_[s];
     const std::lock_guard lock(stripe.mutex);
+    stripe.counters.eviction_visits += stripe.map.size();
     for (const auto& [key, entry] : stripe.map) {
       if (key == excluded || entry.replies.empty() != want_tombstones) {
         continue;
@@ -627,6 +629,8 @@ void Service::attach_durability(
             std::to_string(floorless_claims_.load(std::memory_order_relaxed));
     line += " reply.barrier_parks=" +
             std::to_string(barrier_parks_.load(std::memory_order_relaxed));
+    line += " reply.eviction_visits=" +
+            std::to_string(reply_cache_stats().eviction_visits);
     return line;
   });
   std::uint64_t last_lsn = 0;
@@ -768,6 +772,7 @@ void Service::run(std::stop_token stop, std::latch& ready) {
     bool cache_reply = false;  // true: claimed fresh, publish after handling
     std::optional<ReplyFloor> floor;  // a fresh claim's, on a durable service
     storage::RequestScope::Tickets tickets;
+    storage::RequestScope::Tickets reads;
     {
       // Every durability wait of the claim and the handler -- floor,
       // effects, each envelope entry's -- is recorded here, and waited on
@@ -836,6 +841,7 @@ void Service::run(std::stop_token stop, std::latch& ready) {
         }
       }
       tickets = durability.take_pending();
+      reads = durability.take_reads();
     }
     if (executed) {
       requests_served_.fetch_add(1, std::memory_order_relaxed);
@@ -846,10 +852,10 @@ void Service::run(std::stop_token stop, std::latch& ready) {
     }
     // The request's one durability wait (§8.4) is the replier's: no reply
     // leaves before its floor and every effect its handler -- or any entry
-    // of its envelope -- recorded are durable, nor before every effect it
-    // could have read.  This worker moves on.
+    // of its envelope -- recorded are durable, nor before the newest record
+    // of every object it read.  This worker moves on.
     if (reply_committer_ != nullptr) {
-      read_barrier(tickets, floor_ticket);
+      read_barrier(tickets, reads, floor_ticket);
     }
     if (tickets.empty()) {
       send_reply(*delivery, std::move(reply), cache_reply, floor_ticket != 0,
@@ -868,24 +874,33 @@ void Service::run(std::stop_token stop, std::latch& ready) {
 }
 
 void Service::read_barrier(storage::RequestScope::Tickets& tickets,
+                           const storage::RequestScope::Tickets& reads,
                            std::uint64_t floor_ticket) {
+  // The newest record of every object the handler read; a slot's ticket
+  // was stored under the shard lock the read took.  The reply carries the
+  // incarnation, and an unstamped request's floor was enqueued at claim;
+  // no handler reads a reply body, so none is waited for.  (In ack-one
+  // mode a durable ticket is also on a backup.)
+  std::uint64_t barrier = std::max(incarnation_ticket_, floor_ticket);
+  for (const storage::RequestScope::Pending& read : reads) {
+    if (read.committer == reply_committer_.get()) {
+      barrier = std::max(barrier, read.ticket);
+    } else {
+      tickets.push_back(read);  // another volume's: waited on like an effect
+    }
+  }
   const auto own = std::find_if(
       tickets.begin(), tickets.end(),
       [&](const storage::RequestScope::Pending& p) {
         return p.committer == reply_committer_.get();
       });
   if (own != tickets.end() && own->ticket != floor_ticket) {
-    return;  // it journaled: its own effects are the wait
+    // It journaled: its own effects are the wait, and a read of an object
+    // written after them raises it.
+    own->ticket = std::max(own->ticket, barrier);
+    return;
   }
   reply_committer_->count_read();
-  // Read after the handler, not before: an effect it saw was enqueued
-  // under the shard lock it took, so this ticket covers it.  The reply
-  // carries the incarnation, and an unstamped request's floor was
-  // enqueued at claim; no handler reads a reply body, so none is waited
-  // for.  (In ack-one mode a durable ticket is also on a backup.)
-  const std::uint64_t barrier =
-      std::max({reply_committer_->newest_effect(), incarnation_ticket_,
-                floor_ticket});
   if (reply_committer_->is_durable(barrier)) {
     if (own != tickets.end()) {
       tickets.erase(own);  // its floor is durable too

@@ -90,12 +90,19 @@ SimDisk::Stats BlockServer::disk_stats() const {
   return disk_.stats();
 }
 
+void BlockServer::note_disk_read() const {
+  if (committer_ != nullptr) {
+    committer_->note_unattributed_read();
+  }
+}
+
 Result<rpc::CapabilityReply> BlockServer::do_allocate() {
   Result<std::uint32_t> block = [&] {
     const std::lock_guard lock(mutex_);
     return disk_.allocate();
   }();
   if (!block.ok()) {
+    note_disk_read();  // a full disk is the whole disk's state
     return block.error();
   }
   return rpc::CapabilityReply{store_.create(block.value())};
@@ -106,6 +113,7 @@ Result<rpc::BytesReply> BlockServer::do_read(Store::Opened& block) {
     const std::lock_guard lock(mutex_);
     return disk_.read(*block.value);
   }();
+  note_disk_read();
   if (!data.ok()) {
     return data.error();
   }
@@ -140,9 +148,13 @@ Result<void> BlockServer::do_free(Store::Opened&& block) {
 }
 
 Result<block_ops::InfoReply> BlockServer::do_info() const {
-  const std::lock_guard lock(mutex_);
-  return block_ops::InfoReply{disk_.block_count(), disk_.block_size(),
-                              disk_.free_count()};
+  block_ops::InfoReply info;
+  {
+    const std::lock_guard lock(mutex_);
+    info = {disk_.block_count(), disk_.block_size(), disk_.free_count()};
+  }
+  note_disk_read();
+  return info;
 }
 
 }  // namespace amoeba::servers

@@ -90,6 +90,10 @@ class BlockServer final : public rpc::Service {
   /// std.destroy (the accessor is consumed).
   [[nodiscard]] Result<void> do_free(Store::Opened&& block);
   [[nodiscard]] Result<block_ops::InfoReply> do_info() const;
+  /// The disk's allocation map and contents sit beside the table, which
+  /// cannot attribute them to one object: a handler that reports them
+  /// records the committer's newest effect as its read.
+  void note_disk_read() const;
 
   Geometry geometry_;
   mutable std::mutex mutex_;  // guards disk_ (the store shards itself)

@@ -31,14 +31,29 @@ RequestScope::~RequestScope() { innermost_scope = outer_; }
 
 RequestScope* RequestScope::current() noexcept { return innermost_scope; }
 
-void RequestScope::defer(GroupCommitter& committer, std::uint64_t ticket) {
-  for (Pending& p : pending_) {
+void RequestScope::record(Tickets& tickets, GroupCommitter& committer,
+                          std::uint64_t ticket) {
+  for (Pending& p : tickets) {
     if (p.committer == &committer) {
       p.ticket = std::max(p.ticket, ticket);  // tickets are volume-monotone
       return;
     }
   }
-  pending_.push_back({&committer, ticket});
+  tickets.push_back({&committer, ticket});
+}
+
+void RequestScope::defer(GroupCommitter& committer, std::uint64_t ticket) {
+  record(pending_, committer, ticket);
+}
+
+void RequestScope::note_read(GroupCommitter& committer, std::uint64_t ticket) {
+  if (innermost_scope != nullptr && ticket != 0) {
+    record(innermost_scope->reads_, committer, ticket);
+  }
+}
+
+RequestScope::Tickets RequestScope::take_reads() noexcept {
+  return std::exchange(reads_, {});
 }
 
 void RequestScope::defer_record(GroupCommitter& committer,
@@ -292,6 +307,12 @@ GroupCommitter::Ticket GroupCommitter::issued() const {
 GroupCommitter::Ticket GroupCommitter::newest_effect() const {
   const std::lock_guard lock(mutex_);
   return woken_;
+}
+
+void GroupCommitter::note_unattributed_read() {
+  if (RequestScope::current() != nullptr) {
+    RequestScope::note_read(*this, newest_effect());
+  }
 }
 
 void GroupCommitter::count_read() {

@@ -100,6 +100,12 @@ class GroupCommitter;
 /// request's reply floor, which it owes its committer only if it writes
 /// there.  It is enqueued before the scope's first enqueue on that
 /// committer, or by settle(), and dropped with the scope otherwise.
+///
+/// A scope also records what its request READ: the ticket of the newest
+/// record of every table slot a validation looked at (note_read()), or a
+/// committer's newest_effect() for state no slot attributes.  settle()
+/// does not wait for reads; rpc::Service takes them (take_reads()) for
+/// its read barrier, so a reply waits only for the objects it reports.
 class RequestScope {
  public:
   /// A record whose enqueue waits for its request's first effect.
@@ -152,10 +158,23 @@ class RequestScope {
   /// Settles the calling thread's innermost scope; no-op without one.
   static void settle_current();
 
+  /// Records that the calling thread's request read state whose newest
+  /// record has `ticket` on `committer`; no-op without a scope or for
+  /// ticket 0.  Takes no lock.
+  static void note_read(GroupCommitter& committer, std::uint64_t ticket);
+
+  /// Moves the recorded read tickets out (one entry per committer, the
+  /// largest), leaving the scope with none.
+  [[nodiscard]] Tickets take_reads() noexcept;
+
  private:
   friend class GroupCommitter;
   /// The innermost open scope of the calling thread, or null.
   [[nodiscard]] static RequestScope* current() noexcept;
+  /// Raises `committer`'s entry of `tickets` to `ticket`, adding it if
+  /// missing.
+  static void record(Tickets& tickets, GroupCommitter& committer,
+                     std::uint64_t ticket);
   void defer(GroupCommitter& committer, std::uint64_t ticket);
   /// Enqueues the calling thread's deferred record if it is owed to
   /// `committer` (GroupCommitter::insert, before taking its mutex).
@@ -164,6 +183,7 @@ class RequestScope {
 
   RequestScope* outer_;
   Tickets pending_;
+  Tickets reads_;
   GroupCommitter* deferred_committer_ = nullptr;
   Deferred* deferred_ = nullptr;
 };
@@ -339,10 +359,14 @@ class GroupCommitter {
   /// The newest ticket of an entry that starts a cycle (0 before the
   /// first): every effect, pair group and snapshot image, but no record
   /// enqueued with `wake_flusher` false.  Once it is durable, so is every
-  /// state a handler could have read before the call.  rpc::Service's read
-  /// barrier waits on it, so a read never waits for another request's
-  /// reply body.
+  /// state a handler could have read before the call.
   [[nodiscard]] Ticket newest_effect() const;
+
+  /// A handler read state that no table slot attributes (a for_each over
+  /// the table, a server's own structures beside it): records
+  /// newest_effect() as a read of the calling thread's request scope, so
+  /// rpc::Service's read barrier covers every effect it could have seen.
+  void note_unattributed_read();
 
   /// A caller came back with a read: its request queued no waking entry,
   /// so the next claim expects one fewer back.  rpc::Service counts every

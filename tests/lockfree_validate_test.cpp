@@ -1,7 +1,8 @@
 // Tests for the lock-free validate hot path: the seqlock/EBR primitives
 // in amoeba/common/epoch.hpp, the zero-mutex-acquisition guarantee of
 // ObjectStore::check() on repeat capabilities (proven through the
-// CountedMutex instrumentation, not by inspection), and the exactness of
+// CountedMutex instrumentation, not by inspection; on a durable table the
+// hit also records its slot's ticket without a lock), and the exactness of
 // revocation/destruction against concurrent lock-free readers.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include "amoeba/common/rng.hpp"
 #include "amoeba/core/object_store.hpp"
 #include "amoeba/core/schemes.hpp"
+#include "amoeba/storage/backend.hpp"
+#include "amoeba/storage/group_commit.hpp"
 
 namespace amoeba::core {
 namespace {
@@ -130,6 +133,52 @@ TEST(LockFreeValidate, RepeatCheckTakesZeroMutexAcquisitions) {
   EXPECT_EQ(counters.seqlock_fallbacks, falls_before);
   EXPECT_GE(store.cache_stats().hits,
             static_cast<std::uint64_t>(kRepeats));
+}
+
+TEST(LockFreeValidate, RepeatCheckOnADurableTableRecordsItsReadWithoutLocking) {
+  // On a durable table a check() hit also loads the slot's ticket and
+  // records it in the request scope (the read barrier's input): one more
+  // atomic load, still not one lock.
+  Durability<int> durability;
+  durability.committer = storage::GroupCommitter::create(
+      std::make_shared<storage::MemoryBackend>(
+          ObjectStore<int>::kDefaultShards));
+  durability.encode = [](Writer& w, const int& v) {
+    w.u32(static_cast<std::uint32_t>(v));
+  };
+  durability.decode = [](Reader& r, int& v) {
+    v = static_cast<int>(r.u32());
+    return r.ok();
+  };
+  const std::shared_ptr<storage::GroupCommitter> committer =
+      durability.committer;
+  ObjectStore<int> store(test_scheme(), kPort, /*seed=*/7,
+                         ObjectStore<int>::kDefaultShards, durability);
+  const Capability cap = store.create(123);
+  ASSERT_TRUE(store.check(cap, Rights::all()).ok());  // seeds the cache
+  std::uint64_t written = 0;
+  {
+    auto opened = store.open(cap, Rights::none());
+    ASSERT_TRUE(opened.ok());
+    opened.value().mark_dirty();
+    written = opened.value().release_async();
+  }
+  ASSERT_NE(written, 0u);
+
+  storage::RequestScope scope;
+  const common::LockCounters& counters = this_thread_lock_counters();
+  const std::uint64_t locks_before = counters.mutex_acquisitions;
+  const std::uint64_t falls_before = counters.seqlock_fallbacks;
+  constexpr int kRepeats = 10'000;
+  for (int i = 0; i < kRepeats; ++i) {
+    ASSERT_TRUE(store.check(cap, Rights::all()).ok());
+  }
+  EXPECT_EQ(counters.mutex_acquisitions, locks_before);
+  EXPECT_EQ(counters.seqlock_fallbacks, falls_before);
+  const storage::RequestScope::Tickets reads = scope.take_reads();
+  ASSERT_EQ(reads.size(), 1u);
+  EXPECT_EQ(reads[0].committer, committer.get());
+  EXPECT_EQ(reads[0].ticket, written);  // the slot's newest record
 }
 
 TEST(LockFreeValidate, InsufficientRightsDeniedWithoutLocking) {

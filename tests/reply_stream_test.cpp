@@ -26,6 +26,11 @@
 //     flush fails never reports that transfer, a `restarted` reply never
 //     carries an incarnation that is not yet durable, and a read-through
 //     call still journals its floor before it leaves;
+//   * a read waits only for the objects it read: a balance of an account
+//     no pending write touches answers while another transfer is held,
+//     and a refusal caused by a pending revoke, or a lock-free check of an
+//     object with a pending write, waits for that write and answers
+//     `internal` when it fails;
 //   * the incarnation survives a checkpoint and a resync, and a promoted
 //     backup's server draws a higher one.
 #include <gtest/gtest.h>
@@ -336,6 +341,52 @@ TEST(ReplyStreamTest, BytesPerRequestStayFlatAsClientsChurn) {
     bank.stop();
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(ReplyStreamTest, EvictionVisitsCountTheEntriesEachVictimScanReads) {
+  // Past the client cap, each new client demotes the least recently used
+  // one, and finding it reads every entry of every stripe:
+  // reply.eviction_visits grows by at least the live clients at each
+  // eviction, and not at all below the cap.
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  servers::BankServer bank(bank_machine, Port(0xBA7F), scheme(), 1,
+                           std::make_shared<storage::MemoryBackend>(16));
+  constexpr std::size_t kMaxClients = 4;
+  bank.set_reply_cache_limits(8, kMaxClients);
+  bank.start(1);
+  rpc::Transport transport(client_machine, 37);
+  servers::BankClient client(transport, bank.put_port());
+  const core::Capability account = client.create_account().value();
+  const Port reply_get(0x5353);
+  net::Receiver replies = client_machine.listen(reply_get);
+  rpc::Service::ReplyCacheStats last = bank.reply_cache_stats();
+  EXPECT_EQ(last.eviction_visits, 0u);
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    net::Message request = rpc::make_request(
+        bank.put_port(), servers::bank_ops::kBalance, account,
+        {servers::currency::kDollar});
+    request.header.flags |= net::kFlagAtMostOnce;
+    request.header.client = 0x200000 + i;
+    request.header.seq = 1;
+    request.header.reply = reply_get;
+    ASSERT_TRUE(client_machine.transmit(request, bank_machine.id()));
+    ASSERT_TRUE(replies.receive({}, 2'000ms).has_value()) << "client " << i;
+    const rpc::Service::ReplyCacheStats stats = bank.reply_cache_stats();
+    if (stats.evicted_clients == last.evicted_clients) {
+      EXPECT_EQ(stats.eviction_visits, last.eviction_visits) << "client " << i;
+    } else {
+      EXPECT_GE(stats.eviction_visits,
+                last.eviction_visits +
+                    kMaxClients * (stats.evicted_clients - last.evicted_clients))
+          << "client " << i;
+    }
+    last = stats;
+  }
+  EXPECT_GT(last.evicted_clients, 0u);
+  EXPECT_EQ(detail_value(bank.info_detail(), "reply.eviction_visits"),
+            last.eviction_visits);
 }
 
 TEST(ReplyStreamTest, RecoveredRowsNeverExceedTheTombstoneBound) {
@@ -1689,6 +1740,144 @@ TEST(ReplyStreamTest, AReadRacingATransferWhoseFlushFailsNeverSeesIt) {
   }
   const auto moved = transfer.get();
   EXPECT_FALSE(moved.ok());
+}
+
+TEST(ReplyStreamTest, AReadOfAnUntouchedObjectWaitsForNoOtherWrite) {
+  // The read barrier is per object: a transfer alice -> bob is held in
+  // its backend write, and a balance of carol, which nothing pending
+  // touches, answers at once without parking.
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  auto volume = std::make_shared<GatedBackend>(16);
+  servers::BankServer bank(bank_machine, Port(0xBA7C), scheme(), 1, volume);
+  bank.start(2);
+  struct OpenOnExit {  // destroyed first: a failed assertion must not
+                       // leave the bank's replier on a shut gate
+    GatedBackend& volume;
+    ~OpenOnExit() { volume.open(); }
+  } open_on_exit{*volume};
+  rpc::Transport transport(client_machine, 23);
+  servers::BankClient client(transport, bank.put_port());
+  const core::Capability alice = client.create_account().value();
+  const core::Capability bob = client.create_account().value();
+  const core::Capability carol = client.create_account().value();
+  ASSERT_TRUE(client
+                  .mint(bank.master_capability(), alice,
+                        servers::currency::kDollar, 100)
+                  .ok());
+  ASSERT_EQ(client.balance(carol, servers::currency::kDollar).value(), 0);
+  const std::uint64_t parks = bank.reply_cache_stats().barrier_parks;
+
+  volume->close();
+  auto transfer =
+      rpc::call_async(transport, bank.put_port(), servers::bank_ops::kTransfer,
+                      alice, {servers::currency::kDollar, 30, bob});
+  ASSERT_TRUE(
+      eventually([&] { return calls_of(bank, "bank.transfer") == 1; }));
+  auto read =
+      rpc::call_async(transport, bank.put_port(), servers::bank_ops::kBalance,
+                      carol, {servers::currency::kDollar});
+  ASSERT_TRUE(read.wait_for(2'000ms))
+      << "a read of an untouched object waited for another object's write";
+  const auto seen = read.get();
+  ASSERT_TRUE(seen.ok());
+  EXPECT_EQ(seen.value().balance, 0);
+  EXPECT_EQ(bank.reply_cache_stats().barrier_parks, parks);
+  EXPECT_FALSE(transfer.ready());
+  volume->open();
+  EXPECT_TRUE(transfer.get().ok());
+}
+
+TEST(ReplyStreamTest, ARefusalCausedByAPendingRevokeWaitsForIt) {
+  // A validation failure is a read too.  The revoke's rotation is held in
+  // its backend write, and a balance with the old capability fails to
+  // validate in memory: that refusal reports the revoke, so it waits for
+  // it, and when the revoke's flush fails it answers `internal`.
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  auto volume = std::make_shared<GatedBackend>(16);
+  servers::BankServer bank(bank_machine, Port(0xBA7D), scheme(), 1, volume);
+  bank.start(2);
+  struct FailOnExit {  // destroyed first: a failed assertion must not
+                       // leave the bank's replier on a shut gate
+    GatedBackend& volume;
+    ~FailOnExit() { volume.open(/*fail=*/true); }
+  } fail_on_exit{*volume};
+  rpc::Transport transport(client_machine, 29);
+  servers::BankClient client(transport, bank.put_port());
+  const core::Capability alice = client.create_account().value();
+  ASSERT_EQ(client.balance(alice, servers::currency::kDollar).value(), 0);
+  const std::uint64_t parks = bank.reply_cache_stats().barrier_parks;
+
+  volume->close();
+  auto revoke = rpc::call_async(transport, bank.put_port(), rpc::kStdRevoke,
+                                alice);
+  ASSERT_TRUE(eventually([&] { return calls_of(bank, "std.revoke") == 1; }));
+  auto read =
+      rpc::call_async(transport, bank.put_port(), servers::bank_ops::kBalance,
+                      alice, {servers::currency::kDollar});
+  EXPECT_FALSE(read.wait_for(100ms))
+      << "a refusal left before the revoke it reports was durable";
+  EXPECT_EQ(bank.reply_cache_stats().barrier_parks, parks + 1);
+  volume->open(/*fail=*/true);
+
+  const auto seen = read.get();
+  if (seen.ok()) {
+    ADD_FAILURE() << "the read answered ok, balance " << seen.value().balance;
+  } else {
+    EXPECT_EQ(seen.error(), ErrorCode::internal);
+  }
+  EXPECT_FALSE(revoke.get().ok());
+}
+
+TEST(ReplyStreamTest, ALockFreeCheckOfAnObjectWithAPendingWriteWaitsForIt) {
+  // std.touch validates through check(), whose repeat hit takes no lock
+  // and loads the slot's ticket instead.  A transfer out of alice is held
+  // in its backend write; a touch of alice parks behind it, and answers
+  // `internal` when that write fails.
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  auto volume = std::make_shared<GatedBackend>(16);
+  servers::BankServer bank(bank_machine, Port(0xBA7E), scheme(), 1, volume);
+  bank.start(2);
+  struct FailOnExit {  // destroyed first: a failed assertion must not
+                       // leave the bank's replier on a shut gate
+    GatedBackend& volume;
+    ~FailOnExit() { volume.open(/*fail=*/true); }
+  } fail_on_exit{*volume};
+  rpc::Transport transport(client_machine, 31);
+  servers::BankClient client(transport, bank.put_port());
+  const core::Capability alice = client.create_account().value();
+  const core::Capability bob = client.create_account().value();
+  ASSERT_TRUE(client
+                  .mint(bank.master_capability(), alice,
+                        servers::currency::kDollar, 100)
+                  .ok());
+  for (int i = 0; i < 2; ++i) {  // the first fills the validate cache
+    ASSERT_TRUE(rpc::std_touch(transport, alice).ok());
+  }
+  const std::uint64_t parks = bank.reply_cache_stats().barrier_parks;
+
+  volume->close();
+  auto transfer =
+      rpc::call_async(transport, bank.put_port(), servers::bank_ops::kTransfer,
+                      alice, {servers::currency::kDollar, 30, bob});
+  ASSERT_TRUE(
+      eventually([&] { return calls_of(bank, "bank.transfer") == 1; }));
+  auto touch =
+      rpc::call_async(transport, bank.put_port(), rpc::kStdTouch, alice);
+  EXPECT_FALSE(touch.wait_for(100ms))
+      << "a touch left before the write to its object was durable";
+  EXPECT_EQ(bank.reply_cache_stats().barrier_parks, parks + 1);
+  volume->open(/*fail=*/true);
+
+  const auto seen = touch.get();
+  ASSERT_FALSE(seen.ok());
+  EXPECT_EQ(seen.error(), ErrorCode::internal);
+  EXPECT_FALSE(transfer.get().ok());
 }
 
 TEST(ReplyStreamTest, AReadAfterAWriteStartsNoCycle) {
