@@ -115,8 +115,8 @@ struct TableSlot {
   std::uint64_t secret = 0;
   // Group-commit ticket of the slot's newest journal record (0: none since
   // start, or an in-memory table).  Stored under the shard mutex before it
-  // drops; a request that reads the slot records it (RequestScope::
-  // note_read) and its reply waits until it is durable.
+  // drops; a request that reads the slot records it as a read of its
+  // storage::RequestScope, and its reply waits until it is durable.
   std::atomic<std::uint64_t> ticket{0};
 };
 
