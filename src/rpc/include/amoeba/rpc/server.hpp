@@ -17,50 +17,13 @@
 // checks (signature, filter) run once per frame, and the entries run in
 // order on the receiving worker.
 //
-// At-most-once duplicate suppression (docs/PROTOCOL.md §5): requests
-// stamped with kFlagAtMostOnce carry the issuing transport's (client, seq)
-// identity, and the service keeps a per-client reply cache keyed by the
-// stamped source machine plus that identity.  A retransmitted request
-// whose original already completed re-sends the cached reply WITHOUT
-// re-executing the handler (critical for non-idempotent operations like
-// bank.transfer and std_destroy); one whose original is still executing is
-// dropped silently (the client's next backoff tick retries).  The check
-// runs after the signature and filter gates, so a replayed frame from the
-// wrong machine can neither poison nor read the cache.  Batch envelopes
-// are suppressed as a unit: the whole batched reply is cached under the
-// envelope's (client, seq).
+// At-most-once duplicate suppression (docs/PROTOCOL.md §5) is the
+// service's rpc::ReplyCache (rpc/reply_cache.hpp), claimed after the
+// signature and filter gates.
 //
-// The cache is SHARDED by client-key hash (16 stripes, each with its own
-// mutex and map), so claim/store on the request path never serializes
-// across workers -- this removed the last global lock on that path.  The
-// window / client-cap limits stay GLOBAL (atomic totals; LRU eviction
-// scans the stripes), so the observable bounds are unchanged from the
-// single-map implementation.
-//
-// Restart semantics (docs/PROTOCOL.md §5.5, §8.4): attach_durability()
-// wires the cache to the reply stream (storage/reply_stream.hpp) of the
-// volume its group committer writes, and draws this boot's INCARNATION:
-// one more than the highest the stream recorded, enqueued as a record
-// that rides the first flush cycle.  Every reply carries it, and a
-// transport stamps the last one it heard on its next requests.  A request
-// stamped with another incarnation whose seq the cache neither holds nor
-// covers is answered `restarted` and never executed: it was addressed to
-// a previous boot, whose memory of it is gone.
-//
-// So a fresh claim owes the volume its reply_floor record -- the highest
-// sequence number ever claimed -- only if the request writes something.
-// The claim parks the floor in the request's storage::RequestScope; the
-// committer enqueues it just before the request's first effect (or the
-// scope settles it before an outgoing call), so it takes a smaller ticket
-// than every effect it guards and a crash image never holds an effect
-// without its floor.  A request that writes nothing appends no floor and
-// no body.  An unstamped request (incarnation 0: the transport has not
-// heard from this server yet) cannot be told apart from a pre-restart
-// duplicate, so its floor is enqueued at claim.
-//
-// Claim and handler run inside the scope, which turns every durability
-// wait (the floor's, each effect's, each envelope entry's) into a
-// recorded ticket.  The scope also records what the handler READ: each
+// Claim and handler run inside a storage::RequestScope, which turns every
+// durability wait (the floor's, each effect's, each envelope entry's) into
+// a recorded ticket.  The scope also records what the handler READ: each
 // validation records the ticket of its object's newest journal record
 // (stored in the table slot under the shard lock the reader takes), and a
 // handler that reads state no slot attributes records the committer's
@@ -84,55 +47,25 @@
 // transaction is DROPPED, re-answered, or refused as `restarted` (an
 // operation may be lost to the torn tail, but never runs twice); a
 // duplicate of a parked request is dropped like any still-executing one.
-// Completed reply BODIES of requests that journaled their floor follow as
-// reply_body records, best effort (no wait; a body rides the next cycle
-// an effect or a blocking wait starts), so a post-restart duplicate of a
-// recently completed transaction is re-answered instead of timing out.
-// Each record is O(1) bytes.  The service is the reply stream's
-// checkpoint imager: at each of the volume's checkpoints the committer's
-// flusher has it image the in-memory cache and the incarnation -- bounded
-// like the cache itself -- and the checkpoint frame carries the image:
-// neither a worker nor the replier ever writes the volume.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <latch>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "amoeba/common/serial.hpp"
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/filter.hpp"
+#include "amoeba/rpc/reply_cache.hpp"
 #include "amoeba/storage/group_commit.hpp"
-#include "amoeba/storage/reply_stream.hpp"
 
 namespace amoeba::rpc {
-
-/// A completed reply as the reply stream persists it (docs/PROTOCOL.md
-/// §8.4): everything a re-send needs except the fields recomputed per
-/// transmission (dest, opcode) or known from the persisted key (client,
-/// seq).  `flags varint | status varint | mask u8 | [capability 16 bytes,
-/// mask bit 4] | params[i] varint for each set mask bit i (0..3) | data
-/// length varint + bytes`; a zero capability or param is left out.
-void encode_reply_body(const net::Message& reply, Buffer& out);
-/// The reply encode_reply_body wrote, echoing `client` and `seq`; nullopt
-/// for bytes it could not have written (so what decodes re-encodes to the
-/// same bytes): a short field, an overlong varint, a flags or status above
-/// u16, an unknown mask bit, a masked capability or param that is zero,
-/// or trailing bytes.
-[[nodiscard]] std::optional<net::Message> decode_reply_body(
-    std::span<const std::uint8_t> body, std::uint64_t client,
-    std::uint64_t seq);
 
 /// Runtime metadata of one typed operation descriptor registered on a
 /// service -- what the generic std_ops / rights-matrix property tests
@@ -204,57 +137,49 @@ class Service {
 
   // ---- at-most-once reply cache ---------------------------------------
 
-  /// Counters and occupancy of the duplicate-suppression table.  Snapshot
-  /// under the cache lock; safe to call while workers run.
-  struct ReplyCacheStats {
-    std::uint64_t duplicates_suppressed = 0;  // retransmits not re-executed
-    std::uint64_t replies_resent = 0;   // of those, answered from the cache
-    std::uint64_t evicted_entries = 0;  // cached replies aged out
-    std::uint64_t evicted_clients = 0;  // whole client entries aged out
-    std::uint64_t eviction_visits = 0;  // entries the LRU victim scans read
-    std::uint64_t entries = 0;          // live cached replies
-    std::uint64_t clients = 0;          // live client entries
-    std::uint64_t floorless_claims = 0;  // fresh claims that wrote no floor
-    std::uint64_t barrier_parks = 0;     // replies parked on the read barrier
-  };
-  [[nodiscard]] ReplyCacheStats reply_cache_stats() const;
+  /// Counters and occupancy of the duplicate-suppression table.  Safe to
+  /// call while workers run.
+  using ReplyCacheStats = ReplyCache::Stats;
+  [[nodiscard]] ReplyCacheStats reply_cache_stats() const {
+    return reply_cache_.stats();
+  }
 
   /// Bounds the duplicate-suppression table: at most `window_per_client`
-  /// cached replies per client (oldest completed entries evicted first;
-  /// window 0 disables suppression entirely) and at most `max_clients`
-  /// clients with live cached replies (least recently used demoted to a
-  /// floor-only tombstone; 0 = unbounded).  Eviction never re-executes: a
-  /// duplicate of an evicted transaction is dropped silently, so at-most-
-  /// once degrades to "at most once + client timeout", never "twice" --
-  /// but windows should comfortably exceed the deepest client pipeline so
-  /// replies can still be RE-SENT (see docs/PROTOCOL.md §5.4 for the
-  /// memory tradeoff).  Thread-safe.
+  /// cached replies per client (oldest completed entries evicted first)
+  /// and at most `max_clients` clients with live cached replies (least
+  /// recently used demoted to a floor-only tombstone; 0 = unbounded).
+  /// Every at-most-once request is suppressed, so a window of 0 throws
+  /// UsageError.  Eviction never re-executes: a duplicate of an evicted
+  /// transaction is dropped silently, so at-most-once degrades to "at most
+  /// once + client timeout", never "twice" -- but windows should
+  /// comfortably exceed the deepest client pipeline so replies can still
+  /// be RE-SENT (see docs/PROTOCOL.md §5.4 for the memory tradeoff).
+  /// Thread-safe.
   void set_reply_cache_limits(std::size_t window_per_client,
-                              std::size_t max_clients);
+                              std::size_t max_clients) {
+    reply_cache_.set_limits(window_per_client, max_clients);
+  }
 
   /// Drops every cached reply and client entry (the eviction hook tests
   /// use to force the cold path).  In-flight requests are unaffected
   /// beyond losing their suppression record.  Thread-safe.
-  void flush_reply_cache();
+  void flush_reply_cache() { reply_cache_.flush(); }
 
   // ---- durable restart support ----------------------------------------
 
-  /// Wires the at-most-once reply cache to the reply stream of the volume
-  /// `committer` writes (docs/PROTOCOL.md §8.4): restores the per-client
-  /// suppression floors and reply bodies the previous incarnation left
-  /// there, draws the next incarnation (enqueued without a flush of its
-  /// own), then enqueues a floor record for every claimed at-most-once
-  /// request that journals and a body record for every such request
-  /// completed.  The records ride the flush cycles of the handlers' own
-  /// effects, and the replier waits once per request, before replying.
-  /// Rows restored beyond the cache's current limits are pruned like live
-  /// overflow.  Null committer: no-op.  Call from the server constructor,
-  /// before start().
+  /// Wires the reply cache to the reply stream of the volume `committer`
+  /// writes (ReplyCache::attach, docs/PROTOCOL.md §8.4) and reports the
+  /// committer in std_info's detail line.  Every floor and body record
+  /// rides the flush cycles of the handlers' own effects, and the replier
+  /// waits once per request, before replying.  Null committer: no-op.
+  /// Call from the server constructor, before start().
   void attach_durability(std::shared_ptr<storage::GroupCommitter> committer);
 
   /// This boot's incarnation number; 0 for a service without a volume.
   /// Constant once attach_durability() returned.
-  [[nodiscard]] std::uint64_t incarnation() const { return incarnation_; }
+  [[nodiscard]] std::uint64_t incarnation() const {
+    return reply_cache_.incarnation();
+  }
 
   // ---- per-operation metrics (ROADMAP follow-up from PR 3) -------------
 
@@ -361,10 +286,6 @@ class Service {
     std::shared_ptr<MessageFilter> filter;  // the worker's snapshot
     storage::RequestScope::Tickets tickets;
   };
-  /// A fresh claim's floor record, enqueued at claim or deferred to the
-  /// request's first effect (server.cpp).
-  class ReplyFloor;
-
   /// Worker loop: receive, gate, claim, handle; then reply at once, or
   /// park the reply when the request recorded durability tickets.
   void run(std::stop_token stop, std::latch& ready);
@@ -387,100 +308,6 @@ class Service {
                     std::uint64_t floor_ticket);
   [[nodiscard]] net::Message handle_batch(const net::Delivery& request);
   [[nodiscard]] net::Message handle_one(const net::Delivery& request);
-
-  // ---- duplicate-suppression internals (docs/PROTOCOL.md §5.3) --------
-
-  /// One client's slice of the reply cache.  `replies` holds the states of
-  /// its recent transactions ordered by seq; seqs at or below `floor` were
-  /// evicted and are known stale (dropped without execution -- the
-  /// at-most-once-safe answer for a seq we no longer remember).
-  struct CachedReply {
-    bool done = false;   // false: original still executing
-    net::Message reply;  // valid once done (pre-filter, pre-dest form)
-  };
-  struct ClientEntry {
-    std::map<std::uint64_t, CachedReply> replies;
-    std::uint64_t floor = 0;
-    std::uint64_t last_used = 0;   // LRU tick for client eviction
-    std::size_t executing = 0;     // replies entries not yet done
-  };
-  /// Total client entries (live + floor-only tombstones) may reach
-  /// kTombstoneFactor x max_clients before the LRU tombstone is erased
-  /// outright -- the bound that keeps server memory finite against
-  /// client-id churn (the id is a self-chosen wire field).
-  static constexpr std::size_t kTombstoneFactor = 8;
-  /// Clients are keyed by the UNFORGEABLE stamped source machine plus the
-  /// self-chosen client id, so no machine can touch another's entries.
-  struct ClientKey {
-    std::uint32_t src = 0;
-    std::uint64_t client = 0;
-    friend bool operator==(const ClientKey&, const ClientKey&) = default;
-  };
-  struct ClientKeyHash {
-    [[nodiscard]] std::size_t operator()(const ClientKey& k) const {
-      return std::hash<std::uint64_t>{}(k.client ^
-                                        (std::uint64_t{k.src} << 32));
-    }
-  };
-  enum class DupVerdict {
-    fresh,      // unseen seq, claimed as executing: run the handler
-    drop,       // duplicate of an executing or evicted seq: say nothing
-    resend,     // duplicate of a completed seq: cached reply copied out
-    restarted,  // unseen seq stamped with another incarnation: refuse
-  };
-  /// Classifies one at-most-once request and, for `fresh`, claims its slot
-  /// (marks it executing).  Fills `cached` on `resend`.  Holds only the
-  /// owning stripe's lock; global-limit eviction runs after it drops.
-  [[nodiscard]] DupVerdict claim_request(const net::Delivery& request,
-                                         net::Message& cached);
-  using ReplyCacheMap =
-      std::unordered_map<ClientKey, ClientEntry, ClientKeyHash>;
-
-  /// One stripe of the sharded reply cache; the stripe index is the
-  /// client-key hash folded to kReplyCacheStripes.  Counters are
-  /// per-stripe (summed for reply_cache_stats()).
-  struct ReplyCacheStripe {
-    mutable std::mutex mutex;
-    ReplyCacheMap map;
-    ReplyCacheStats counters;  // entries/clients fields derived on read
-  };
-  static constexpr std::size_t kReplyCacheStripes = 16;
-
-  [[nodiscard]] ReplyCacheStripe& stripe_for(const ClientKey& key) const {
-    return reply_cache_stripes_[ClientKeyHash{}(key) &
-                                (kReplyCacheStripes - 1)];
-  }
-  /// Enforces the GLOBAL client cap / tombstone bound after a claim
-  /// overflowed them: finds the least-recently-used eligible victim
-  /// across all stripes (one stripe locked at a time) and demotes or
-  /// erases it.  `excluded` protects the claiming client.
-  void evict_reply_cache_client(const ClientKey& excluded,
-                                bool want_tombstones);
-  /// Publishes the reply of a claimed request and evicts beyond the
-  /// per-client window; journals its body when `journal_body`.
-  void store_reply(const net::Delivery& request, const net::Message& reply,
-                   bool journal_body);
-  /// Journals a completed reply's body, best effort and WITHOUT waiting:
-  /// the floor -- durable before the reply left -- carries the never-twice
-  /// guarantee; the body only upgrades a post-restart duplicate from
-  /// "dropped" to "re-answered", so losing it to a crash is safe.
-  void persist_reply_body(const ClientKey& key, std::uint64_t seq,
-                          const net::Message& reply);
-  /// Enqueues one reply-stream record, framed by `encode(lsn, staging)`,
-  /// without waking the flusher.  Assigns the stream LSN in enqueue order.
-  /// Returns the record's ticket.
-  template <typename EncodeFn>
-  std::uint64_t append_reply_record(EncodeFn&& encode);
-  /// The reply stream's checkpoint imager: queues a snapshot record
-  /// imaging the in-memory cache, under the stream's append lock.
-  void image_reply_stream();
-  /// Primes the cache with recovered rows: floors always, completed
-  /// replies where a body decodes (those duplicates are re-answered).
-  void restore_reply_rows(const storage::ReplyRows& rows);
-  /// Demotes, then erases, least-recently-used entries until the cache is
-  /// within its limits (the bounds live overflow enforces one claim at a
-  /// time, applied in bulk after a restore).
-  void prune_reply_cache();
 
   // ---- per-op metrics internals ---------------------------------------
 
@@ -507,38 +334,15 @@ class Service {
   std::vector<Port> allowed_signatures_;
   mutable std::mutex info_detail_mutex_;       // guards info_detail_
   std::function<std::string()> info_detail_;   // deployment-line provider
-  // Reply-stream persistence; set by attach_durability before start().
-  std::shared_ptr<storage::GroupCommitter> reply_committer_;
-  /// Orders the reply stream: LSN assignment + enqueue (held for one
-  /// enqueue, O(1)), and the checkpoint image's scan and enqueue, so the
-  /// image's LSN covers exactly the records enqueued before it.
-  std::mutex reply_append_mutex_;
-  std::uint64_t reply_lsn_ = 0;  // last stream LSN assigned
-  // This boot's incarnation and its record's ticket; set by
-  // attach_durability before start().
-  std::uint64_t incarnation_ = 0;
-  std::uint64_t incarnation_ticket_ = 0;
-  std::atomic<std::uint64_t> floorless_claims_{0};
-  std::atomic<std::uint64_t> barrier_parks_{0};
   std::unordered_map<std::uint16_t, Handler> handlers_;  // frozen at start()
   std::vector<OpInfo> typed_ops_;                        // frozen at start()
   // Typed-op metrics keyed by opcode; the map is frozen at start() (the
   // counters inside stay hot), so dispatch reads it without a lock.
   std::unordered_map<std::uint16_t, std::unique_ptr<OpMetrics>> op_metrics_;
 
-  // Sharded reply cache.  Stripe locks are never held across a handler
-  // (claim before, store after) nor across another stripe's lock; the
-  // limits and occupancy totals are process-wide atomics.
-  mutable std::array<ReplyCacheStripe, kReplyCacheStripes>
-      reply_cache_stripes_;
-  std::atomic<std::size_t> reply_cache_window_{128};
-  std::atomic<std::size_t> reply_cache_max_clients_{4096};
-  std::atomic<std::size_t> reply_cache_loaded_{0};   // clients with replies
-  std::atomic<std::size_t> reply_cache_clients_{0};  // incl. tombstones
-  std::atomic<std::uint64_t> reply_cache_tick_{0};   // LRU clock
-  /// Declared last, so destroyed first: no checkpoint images the cache
-  /// once it is being torn down.
-  storage::GroupCommitter::Registration reply_imager_;
+  /// Declared last, so destroyed first: its checkpoint imager stops
+  /// before any other member goes.
+  ReplyCache reply_cache_;
 };
 
 }  // namespace amoeba::rpc

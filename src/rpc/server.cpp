@@ -4,7 +4,6 @@
 #include <chrono>
 #include <optional>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -15,98 +14,6 @@
 #include "amoeba/storage/replication/replicated_backend.hpp"
 
 namespace amoeba::rpc {
-
-namespace {
-constexpr std::uint8_t kCapabilityBit = 0x10;
-}  // namespace
-
-void encode_reply_body(const net::Message& reply, Buffer& out) {
-  const net::CapabilityBytes& cap = reply.header.capability;
-  const bool has_cap =
-      std::any_of(cap.begin(), cap.end(), [](std::uint8_t b) { return b; });
-  std::uint8_t mask = has_cap ? kCapabilityBit : 0;
-  for (std::size_t i = 0; i < reply.header.params.size(); ++i) {
-    if (reply.header.params[i] != 0) {
-      mask |= static_cast<std::uint8_t>(1u << i);
-    }
-  }
-  append_varint(out, reply.header.flags);
-  append_varint(out, static_cast<std::uint16_t>(reply.header.status));
-  out.push_back(mask);
-  if (has_cap) {
-    out.insert(out.end(), cap.begin(), cap.end());
-  }
-  for (const std::uint64_t p : reply.header.params) {
-    if (p != 0) {
-      append_varint(out, p);
-    }
-  }
-  append_varint(out, reply.data.size());
-  out.insert(out.end(), reply.data.begin(), reply.data.end());
-}
-
-std::optional<net::Message> decode_reply_body(
-    std::span<const std::uint8_t> body, std::uint64_t client,
-    std::uint64_t seq) {
-  Reader r(body);
-  net::Message reply;
-  reply.header.flags = static_cast<std::uint16_t>(r.varint(UINT16_MAX));
-  reply.header.status = static_cast<ErrorCode>(r.varint(UINT16_MAX));
-  const std::uint8_t mask = r.u8();
-  if ((mask & ~(kCapabilityBit | 0x0F)) != 0) {
-    return std::nullopt;
-  }
-  if ((mask & kCapabilityBit) != 0) {
-    r.raw(reply.header.capability);
-    const net::CapabilityBytes& cap = reply.header.capability;
-    if (std::none_of(cap.begin(), cap.end(),
-                     [](std::uint8_t b) { return b; })) {
-      return std::nullopt;
-    }
-  }
-  for (std::size_t i = 0; i < reply.header.params.size(); ++i) {
-    if ((mask & (1u << i)) != 0) {
-      reply.header.params[i] = r.varint();
-      if (reply.header.params[i] == 0) {
-        return std::nullopt;
-      }
-    }
-  }
-  reply.data = r.vbytes();
-  if (!r.exhausted()) {
-    return std::nullopt;
-  }
-  reply.header.client = client;
-  reply.header.seq = seq;
-  return reply;
-}
-
-/// A fresh claim's reply_floor record.  enqueue() runs at claim for an
-/// unstamped request, and otherwise from the request scope, just before
-/// the request's first effect on the reply committer or its first
-/// outgoing call -- or never, for a request that does neither.
-class Service::ReplyFloor final : public storage::RequestScope::Deferred {
- public:
-  ReplyFloor(Service& service, ClientKey key, std::uint64_t seq)
-      : service_(service), key_(key), seq_(seq) {}
-
-  void enqueue() override {
-    const auto encode = [&](std::uint64_t lsn, Buffer& staging) {
-      storage::encode_reply_floor(key_.src, key_.client, seq_, lsn, staging);
-    };
-    ticket_ = service_.append_reply_record(encode);
-    service_.reply_committer_->wait_durable(ticket_);  // recorded
-  }
-
-  /// The floor's commit ticket; 0 until it is enqueued.
-  [[nodiscard]] std::uint64_t ticket() const { return ticket_; }
-
- private:
-  Service& service_;
-  ClientKey key_;
-  std::uint64_t seq_;
-  std::uint64_t ticket_ = 0;
-};
 
 Service::Service(net::Machine& machine, Port get_port, std::string name)
     : machine_(&machine), get_port_(get_port), name_(std::move(name)) {}
@@ -203,377 +110,6 @@ std::vector<Service::OpMetricsSnapshot> Service::op_metrics() const {
   return out;
 }
 
-// ------------------------------------------------------- at-most-once cache
-
-Service::ReplyCacheStats Service::reply_cache_stats() const {
-  ReplyCacheStats stats;
-  for (const ReplyCacheStripe& stripe : reply_cache_stripes_) {
-    const std::lock_guard lock(stripe.mutex);
-    stats.duplicates_suppressed += stripe.counters.duplicates_suppressed;
-    stats.replies_resent += stripe.counters.replies_resent;
-    stats.evicted_entries += stripe.counters.evicted_entries;
-    stats.evicted_clients += stripe.counters.evicted_clients;
-    stats.eviction_visits += stripe.counters.eviction_visits;
-    stats.clients += stripe.map.size();
-    for (const auto& [key, entry] : stripe.map) {
-      stats.entries += entry.replies.size();
-    }
-  }
-  stats.floorless_claims = floorless_claims_.load(std::memory_order_relaxed);
-  stats.barrier_parks = barrier_parks_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void Service::set_reply_cache_limits(std::size_t window_per_client,
-                                     std::size_t max_clients) {
-  reply_cache_window_.store(window_per_client, std::memory_order_relaxed);
-  reply_cache_max_clients_.store(max_clients, std::memory_order_relaxed);
-}
-
-void Service::flush_reply_cache() {
-  for (ReplyCacheStripe& stripe : reply_cache_stripes_) {
-    const std::lock_guard lock(stripe.mutex);
-    for (const auto& [key, entry] : stripe.map) {
-      stripe.counters.evicted_entries += entry.replies.size();
-    }
-    stripe.counters.evicted_clients += stripe.map.size();
-    reply_cache_clients_.fetch_sub(stripe.map.size(),
-                                   std::memory_order_relaxed);
-    stripe.map.clear();
-  }
-  reply_cache_loaded_.store(0, std::memory_order_relaxed);
-}
-
-void Service::evict_reply_cache_client(const ClientKey& excluded,
-                                       bool want_tombstones) {
-  // Phase 1: global LRU scan, one stripe locked at a time (eviction is
-  // the rare overflow path; the request path never holds two stripes).
-  bool found = false;
-  ClientKey victim_key{};
-  std::uint64_t victim_used = 0;
-  std::size_t victim_stripe = 0;
-  for (std::size_t s = 0; s < kReplyCacheStripes; ++s) {
-    ReplyCacheStripe& stripe = reply_cache_stripes_[s];
-    const std::lock_guard lock(stripe.mutex);
-    stripe.counters.eviction_visits += stripe.map.size();
-    for (const auto& [key, entry] : stripe.map) {
-      if (key == excluded || entry.replies.empty() != want_tombstones) {
-        continue;
-      }
-      if (!want_tombstones && entry.executing != 0) {
-        continue;
-      }
-      if (!found || entry.last_used < victim_used) {
-        found = true;
-        victim_key = key;
-        victim_used = entry.last_used;
-        victim_stripe = s;
-      }
-    }
-  }
-  if (!found) {
-    return;
-  }
-  // Phase 2: re-lock the victim's stripe and re-verify eligibility (it
-  // may have been touched between the scans; a stale pick is skipped and
-  // the next overflow retries).
-  ReplyCacheStripe& stripe = reply_cache_stripes_[victim_stripe];
-  const std::lock_guard lock(stripe.mutex);
-  const auto it = stripe.map.find(victim_key);
-  if (it == stripe.map.end() ||
-      it->second.replies.empty() != want_tombstones) {
-    return;
-  }
-  ClientEntry& victim = it->second;
-  if (want_tombstones) {
-    // Tombstone pool bound: header.client is a self-chosen field, so an
-    // id-churning peer must not grow the map without limit (see
-    // PROTOCOL.md §5.4 for what erasing the floor forgets).
-    ++stripe.counters.evicted_clients;
-    stripe.map.erase(it);
-    reply_cache_clients_.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
-  if (victim.executing != 0) {
-    return;
-  }
-  // Demotion drops the cached replies -- the heavy part -- but KEEPS the
-  // entry as a floor tombstone, so duplicates of the evicted transactions
-  // still drop silently instead of re-executing (the at-most-once
-  // guarantee survives eviction; see docs/PROTOCOL.md §5.4).
-  stripe.counters.evicted_entries += victim.replies.size();
-  ++stripe.counters.evicted_clients;
-  victim.floor = std::max(victim.floor, victim.replies.rbegin()->first);
-  victim.replies.clear();
-  reply_cache_loaded_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-Service::DupVerdict Service::claim_request(const net::Delivery& request,
-                                           net::Message& cached) {
-  const ClientKey key{request.src.value(), request.message.header.client};
-  const std::uint64_t seq = request.message.header.seq;
-  if (reply_cache_window_.load(std::memory_order_relaxed) == 0) {
-    return DupVerdict::fresh;  // suppression disabled: execute everything
-  }
-  const std::size_t max_clients =
-      reply_cache_max_clients_.load(std::memory_order_relaxed);
-  bool evict_tombstone = false;
-  bool evict_client = false;
-  DupVerdict verdict = DupVerdict::fresh;
-  {
-    ReplyCacheStripe& stripe = stripe_for(key);
-    const std::lock_guard lock(stripe.mutex);
-    const auto [self, created] = stripe.map.try_emplace(key);
-    ClientEntry& entry = self->second;
-    entry.last_used =
-        reply_cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (created) {
-      const std::size_t clients =
-          reply_cache_clients_.fetch_add(1, std::memory_order_relaxed) + 1;
-      evict_tombstone =
-          max_clients != 0 && clients > kTombstoneFactor * max_clients;
-    }
-    // Replies are consulted BEFORE the floor: a reply body restored from
-    // the volume after a restart sits at or below the recovered floor,
-    // and must be re-sent, not dropped.
-    if (const auto it = entry.replies.find(seq); it != entry.replies.end()) {
-      ++stripe.counters.duplicates_suppressed;
-      if (!it->second.done) {
-        verdict = DupVerdict::drop;  // original still executing on a worker
-      } else {
-        ++stripe.counters.replies_resent;
-        cached = it->second.reply;
-        verdict = DupVerdict::resend;
-      }
-    } else if (seq <= entry.floor) {
-      // Evicted region (or a pre-restart transaction whose floor was
-      // recovered from the volume and whose body was not): the original
-      // may or may not have executed, so the only at-most-once-safe
-      // answer is silence (the client times out).
-      ++stripe.counters.duplicates_suppressed;
-      verdict = DupVerdict::drop;
-    } else if (const std::uint64_t stamp =
-                   request.message.header.incarnation;
-               stamp != 0 && stamp != incarnation_) {
-      // Addressed to another boot of this server, which may have run it
-      // and left no trace here: running it now could run it twice.
-      verdict = DupVerdict::restarted;
-    } else {
-      if (entry.replies.empty()) {
-        const std::size_t loaded =
-            reply_cache_loaded_.fetch_add(1, std::memory_order_relaxed) + 1;
-        evict_client = max_clients != 0 && loaded > max_clients;
-      }
-      entry.replies.emplace(seq, CachedReply{});  // claimed: executing
-      ++entry.executing;
-    }
-  }
-  // Global-limit enforcement runs OUTSIDE the stripe lock (the victim may
-  // live on any stripe; two stripe locks are never held together).
-  if (evict_tombstone) {
-    evict_reply_cache_client(key, /*want_tombstones=*/true);
-  }
-  if (evict_client) {
-    evict_reply_cache_client(key, /*want_tombstones=*/false);
-  }
-  return verdict;
-}
-
-void Service::store_reply(const net::Delivery& request,
-                          const net::Message& reply, bool journal_body) {
-  const ClientKey key{request.src.value(), request.message.header.client};
-  const std::uint64_t seq = request.message.header.seq;
-  bool published = false;
-  {
-    ReplyCacheStripe& stripe = stripe_for(key);
-    const std::lock_guard lock(stripe.mutex);
-    const auto cit = stripe.map.find(key);
-    if (cit == stripe.map.end()) {
-      return;  // flushed or evicted while the handler ran
-    }
-    auto& entry = cit->second;
-    const auto rit = entry.replies.find(seq);
-    if (rit == entry.replies.end()) {
-      return;
-    }
-    if (!rit->second.done && entry.executing > 0) {
-      --entry.executing;
-    }
-    rit->second.done = true;
-    rit->second.reply = reply;
-    published = true;
-    // Per-client window: age out the oldest COMPLETED transactions (an
-    // executing one blocks the sweep; the window may briefly overshoot).
-    const std::size_t window =
-        reply_cache_window_.load(std::memory_order_relaxed);
-    while (entry.replies.size() > window &&
-           entry.replies.begin()->second.done) {
-      entry.floor = std::max(entry.floor, entry.replies.begin()->first);
-      entry.replies.erase(entry.replies.begin());
-      ++stripe.counters.evicted_entries;
-    }
-  }
-  if (published && journal_body) {
-    persist_reply_body(key, seq, reply);  // outside the lock
-  }
-}
-
-// ------------------------------------------ durable restart (reply stream)
-
-void Service::restore_reply_rows(const storage::ReplyRows& rows) {
-  for (const auto& [id, row] : rows) {
-    const ClientKey key{id.first, id.second};
-    std::vector<std::pair<std::uint64_t, net::Message>> replies;
-    bool malformed = false;
-    for (const auto& [seq, body] : row.bodies) {
-      auto reply = decode_reply_body(body, key.client, seq);
-      malformed = malformed || !reply;
-      if (reply) {
-        replies.emplace_back(seq, std::move(*reply));
-      }
-    }
-    if (malformed) {
-      continue;  // a row is restored whole or not at all
-    }
-    ReplyCacheStripe& stripe = stripe_for(key);
-    const std::lock_guard lock(stripe.mutex);
-    const auto [it, created] = stripe.map.try_emplace(key);
-    ClientEntry& entry = it->second;
-    entry.floor = std::max(entry.floor, row.floor);
-    entry.last_used =
-        reply_cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (created) {
-      reply_cache_clients_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const bool was_empty = entry.replies.empty();
-    for (auto& [seq, reply] : replies) {
-      entry.replies.insert_or_assign(
-          seq, CachedReply{/*done=*/true, std::move(reply)});
-    }
-    if (was_empty && !entry.replies.empty()) {
-      reply_cache_loaded_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-void Service::prune_reply_cache() {
-  const std::size_t max_clients =
-      reply_cache_max_clients_.load(std::memory_order_relaxed);
-  if (max_clients == 0) {
-    return;
-  }
-  // One LRU-ordered pass instead of one global scan per victim.
-  std::vector<std::pair<std::uint64_t, ClientKey>> order;
-  for (const ReplyCacheStripe& stripe : reply_cache_stripes_) {
-    const std::lock_guard lock(stripe.mutex);
-    for (const auto& [key, entry] : stripe.map) {
-      order.emplace_back(entry.last_used, key);
-    }
-  }
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
-  const auto over = [](const std::atomic<std::size_t>& count,
-                       std::size_t bound) {
-    return count.load(std::memory_order_relaxed) > bound;
-  };
-  for (const auto& [used, key] : order) {
-    const bool demote = over(reply_cache_loaded_, max_clients);
-    const bool erase =
-        over(reply_cache_clients_, kTombstoneFactor * max_clients);
-    if (!demote && !erase) {
-      break;
-    }
-    ReplyCacheStripe& stripe = stripe_for(key);
-    const std::lock_guard lock(stripe.mutex);
-    const auto it = stripe.map.find(key);
-    if (it == stripe.map.end() || it->second.executing != 0) {
-      continue;
-    }
-    ClientEntry& entry = it->second;
-    // The live policy's two steps: demote the LRU client to a floor-only
-    // tombstone while too many hold replies, erase the LRU tombstone while
-    // the table is over its tombstone bound.
-    if (demote && !entry.replies.empty()) {
-      stripe.counters.evicted_entries += entry.replies.size();
-      ++stripe.counters.evicted_clients;
-      entry.floor = std::max(entry.floor, entry.replies.rbegin()->first);
-      entry.replies.clear();
-      reply_cache_loaded_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    if (erase && entry.replies.empty()) {
-      ++stripe.counters.evicted_clients;
-      stripe.map.erase(it);
-      reply_cache_clients_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-template <typename EncodeFn>
-std::uint64_t Service::append_reply_record(EncodeFn&& encode) {
-  const std::lock_guard lock(reply_append_mutex_);
-  const std::uint64_t lsn = ++reply_lsn_;
-  // No flusher wake-up: a floor joins the cycle its handler's first
-  // effect or its post-handler wait starts, and the incarnation the first
-  // cycle any request starts.  A body, which nobody waits for, rides the
-  // next cycle an effect or a blocking wait starts: the read barrier does
-  // not wait for it, so no read pays for it.  None pays for a cycle alone.
-  return reply_committer_->enqueue_with(
-      reply_committer_->backend()->reply_stream(),
-      [&](Buffer& staging) { encode(lsn, staging); },
-      /*wake_flusher=*/false);
-}
-
-void Service::image_reply_stream() {
-  // Under the append lock, so the image's LSN covers exactly the records
-  // queued before it, and every record above it is queued after it.  The
-  // cache changes before a record takes its LSN, so the scan holds every
-  // record at or below that LSN -- possibly with later state, which only
-  // moves floors up.
-  const std::lock_guard lock(reply_append_mutex_);
-  storage::ReplyRows rows;
-  for (const ReplyCacheStripe& stripe : reply_cache_stripes_) {
-    const std::lock_guard stripe_lock(stripe.mutex);
-    for (const auto& [key, entry] : stripe.map) {
-      storage::ReplyRow row;
-      row.floor = entry.replies.empty()
-                      ? entry.floor
-                      : std::max(entry.floor, entry.replies.rbegin()->first);
-      for (auto it = entry.replies.rbegin();
-           it != entry.replies.rend() &&
-           row.bodies.size() < storage::kReplyBodiesPerClient;
-           ++it) {
-        if (it->second.done &&
-            it->second.reply.data.size() <= storage::kReplyBodyMaxBytes) {
-          Buffer body;
-          encode_reply_body(it->second.reply, body);
-          row.bodies.emplace(it->first, std::move(body));
-        }
-      }
-      if (row.floor != 0) {
-        rows.emplace(std::pair{key.src, key.client}, std::move(row));
-      }
-    }
-  }
-  reply_committer_->install_snapshot(
-      reply_committer_->backend()->reply_stream(),
-      storage::encode_reply_snapshot(rows, reply_lsn_, incarnation_));
-}
-
-void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
-                                 const net::Message& reply) {
-  if (reply_committer_ == nullptr ||
-      reply.data.size() > storage::kReplyBodyMaxBytes) {
-    return;  // bulk replies stay floor-only
-  }
-  Buffer body;
-  encode_reply_body(reply, body);
-  (void)append_reply_record([&](std::uint64_t lsn, Buffer& staging) {
-    storage::encode_reply_body(key.src, key.client, seq, body, lsn,
-                               staging);
-  });
-}
-
 void Service::set_info_detail(std::function<std::string()> provider) {
   const std::lock_guard lock(info_detail_mutex_);
   info_detail_ = std::move(provider);
@@ -625,40 +161,13 @@ void Service::attach_durability(
     line += " gc.checkpoint_us_max=" + std::to_string(gc.checkpoint_us_max);
     line += " gc.checkpoint_retries=" + std::to_string(gc.checkpoint_retries);
     line += " gc.frame_bytes=" + std::to_string(gc.frame_bytes);
-    line += " reply.floorless_claims=" +
-            std::to_string(floorless_claims_.load(std::memory_order_relaxed));
-    line += " reply.barrier_parks=" +
-            std::to_string(barrier_parks_.load(std::memory_order_relaxed));
-    line += " reply.eviction_visits=" +
-            std::to_string(reply_cache_stats().eviction_visits);
+    const ReplyCacheStats reply = reply_cache_stats();
+    line += " reply.floorless_claims=" + std::to_string(reply.floorless_claims);
+    line += " reply.barrier_parks=" + std::to_string(reply.barrier_parks);
+    line += " reply.eviction_visits=" + std::to_string(reply.eviction_visits);
     return line;
   });
-  std::uint64_t last_lsn = 0;
-  std::uint64_t recovered_incarnation = 0;
-  restore_reply_rows(storage::read_reply_stream(
-      *committer->backend(), last_lsn, &recovered_incarnation));
-  prune_reply_cache();
-  {
-    const std::lock_guard lock(reply_append_mutex_);
-    reply_lsn_ = last_lsn;
-    reply_committer_ = std::move(committer);
-  }
-  // A promoted backup's stream holds its primary's incarnations too, so
-  // its server draws a number above theirs.  The record starts no cycle:
-  // it rides the first one, and since every reply waits at least for its
-  // ticket (the read barrier), none carries the number before it is
-  // durable.
-  incarnation_ = recovered_incarnation + 1;
-  incarnation_ticket_ =
-      append_reply_record([&](std::uint64_t lsn, Buffer& staging) {
-        storage::encode_reply_incarnation(incarnation_, lsn, staging);
-      });
-  reply_imager_ = reply_committer_->add_imager(
-      {reply_committer_->backend()->reply_stream()},
-      [this] {
-        image_reply_stream();  // its locks are never held across a wait
-        return true;
-      });
+  reply_cache_.attach(std::move(committer));
 }
 
 net::Message Service::handle(const net::Delivery& request) {
@@ -770,7 +279,7 @@ void Service::run(std::stop_token stop, std::latch& ready) {
     net::Message reply;
     bool executed = true;      // false: answered without running a handler
     bool cache_reply = false;  // true: claimed fresh, publish after handling
-    std::optional<ReplyFloor> floor;  // a fresh claim's, on a durable service
+    std::optional<ReplyCache::Floor> floor;  // a fresh claim's, if durable
     storage::RequestScope::Tickets tickets;
     storage::RequestScope::Tickets reads;
     {
@@ -804,33 +313,20 @@ void Service::run(std::stop_token stop, std::latch& ready) {
         const bool at_most_once = (header.flags & net::kFlagAtMostOnce) != 0 &&
                                   header.client != 0 && header.seq != 0;
         if (at_most_once) {
-          switch (claim_request(*delivery, reply)) {
-            case DupVerdict::drop:
+          switch (reply_cache_.claim(*delivery, reply)) {
+            case ReplyCache::Verdict::drop:
               continue;  // executing elsewhere or evicted: say nothing
-            case DupVerdict::resend:
+            case ReplyCache::Verdict::resend:
               executed = false;  // cached reply already copied into `reply`
               break;
-            case DupVerdict::restarted:
+            case ReplyCache::Verdict::restarted:
               executed = false;
               reply = net::make_reply(delivery->message, ErrorCode::restarted);
               break;
-            case DupVerdict::fresh:
+            case ReplyCache::Verdict::fresh:
               cache_reply = true;
-              if (reply_committer_ != nullptr) {
-                // Write-ahead for the suppression state: the floor takes a
-                // smaller ticket than any effect of this request, and
-                // nothing reaches the volume out of queue order, so no
-                // crash image holds an effect without its floor.  An
-                // unstamped request may be a pre-restart duplicate, so its
-                // floor cannot wait to see whether the handler writes.
-                floor.emplace(*this,
-                              ClientKey{delivery->src.value(), header.client},
-                              header.seq);
-                if (header.incarnation == 0) {
-                  floor->enqueue();
-                } else {
-                  durability.defer_record(*reply_committer_, *floor);
-                }
+              if (reply_cache_.committer() != nullptr) {
+                floor.emplace(reply_cache_, *delivery, durability);
               }
               break;
           }
@@ -847,14 +343,11 @@ void Service::run(std::stop_token stop, std::latch& ready) {
       requests_served_.fetch_add(1, std::memory_order_relaxed);
     }
     const std::uint64_t floor_ticket = floor ? floor->ticket() : 0;
-    if (floor && floor_ticket == 0) {
-      floorless_claims_.fetch_add(1, std::memory_order_relaxed);
-    }
     // The request's one durability wait (§8.4) is the replier's: no reply
     // leaves before its floor and every effect its handler -- or any entry
     // of its envelope -- recorded are durable, nor before the newest record
     // of every object it read.  This worker moves on.
-    if (reply_committer_ != nullptr) {
+    if (reply_cache_.committer() != nullptr) {
       read_barrier(tickets, reads, floor_ticket);
     }
     if (tickets.empty()) {
@@ -881,9 +374,11 @@ void Service::read_barrier(storage::RequestScope::Tickets& tickets,
   // incarnation, and an unstamped request's floor was enqueued at claim;
   // no handler reads a reply body, so none is waited for.  (In ack-one
   // mode a durable ticket is also on a backup.)
-  std::uint64_t barrier = std::max(incarnation_ticket_, floor_ticket);
+  storage::GroupCommitter* const committer = reply_cache_.committer();
+  std::uint64_t barrier =
+      std::max(reply_cache_.incarnation_ticket(), floor_ticket);
   for (const storage::RequestScope::Pending& read : reads) {
-    if (read.committer == reply_committer_.get()) {
+    if (read.committer == committer) {
       barrier = std::max(barrier, read.ticket);
     } else {
       tickets.push_back(read);  // another volume's: waited on like an effect
@@ -892,7 +387,7 @@ void Service::read_barrier(storage::RequestScope::Tickets& tickets,
   const auto own = std::find_if(
       tickets.begin(), tickets.end(),
       [&](const storage::RequestScope::Pending& p) {
-        return p.committer == reply_committer_.get();
+        return p.committer == committer;
       });
   if (own != tickets.end() && own->ticket != floor_ticket) {
     // It journaled: its own effects are the wait, and a read of an object
@@ -900,18 +395,18 @@ void Service::read_barrier(storage::RequestScope::Tickets& tickets,
     own->ticket = std::max(own->ticket, barrier);
     return;
   }
-  reply_committer_->count_read();
-  if (reply_committer_->is_durable(barrier)) {
+  committer->count_read();
+  if (committer->is_durable(barrier)) {
     if (own != tickets.end()) {
       tickets.erase(own);  // its floor is durable too
     }
     return;
   }
-  barrier_parks_.fetch_add(1, std::memory_order_relaxed);
+  reply_cache_.count_barrier_park();
   if (own != tickets.end()) {
     own->ticket = barrier;
   } else {
-    tickets.push_back({reply_committer_.get(), barrier});
+    tickets.push_back({committer, barrier});
   }
 }
 
@@ -965,7 +460,7 @@ void Service::send_reply(const net::Delivery& request, net::Message reply,
   if (cache_reply) {
     // Cached in pre-dest, pre-filter form; a re-send recomputes the
     // destination from the duplicate and re-seals per transmission.
-    store_reply(request, reply, journal_body);
+    reply_cache_.publish(request, reply, journal_body);
   }
   const Port reply_port = request.message.header.reply;
   if (reply_port.is_null()) {
@@ -973,7 +468,7 @@ void Service::send_reply(const net::Delivery& request, net::Message reply,
   }
   reply.header.dest = reply_port;
   reply.header.opcode = request.message.header.opcode;
-  reply.header.incarnation = incarnation_;
+  reply.header.incarnation = reply_cache_.incarnation();
   if (filter != nullptr) {
     filter->outgoing(reply, request.src);
   }

@@ -2,7 +2,7 @@
 // (docs/PROTOCOL.md §8.4).
 //
 // Every Backend reserves one journal stream next to its object shards
-// (index Backend::reply_stream()).  rpc::Service writes three record types
+// (index Backend::reply_stream()).  rpc::ReplyCache writes three record types
 // there, as ordinary §8.2 records:
 //
 //   reply_floor(src, client, seq)        -- a claim of `seq` that journals

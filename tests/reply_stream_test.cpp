@@ -130,11 +130,12 @@ class CountingBackend final : public storage::Backend {
 /// A minimal durable service.  kEcho answers with the request's data;
 /// kEffect first journals one record on object shard 0 and waits for it
 /// (a mutating handler's shape).  Both count their executions and note
-/// the thread they ran on.
+/// the thread they ran on.  kThrow counts its execution and throws.
 class CountingService final : public rpc::Service {
  public:
   static constexpr std::uint16_t kEcho = 0x0101;
   static constexpr std::uint16_t kEffect = 0x0102;
+  static constexpr std::uint16_t kThrow = 0x0103;
 
   CountingService(net::Machine& machine, Port port,
                   std::shared_ptr<storage::Backend> volume,
@@ -158,6 +159,10 @@ class CountingService final : public rpc::Service {
                                   0, ++effect_lsn_, {}, record);
       committer_->wait_durable(committer_->enqueue(0, record));
       return net::make_reply(request.message, ErrorCode::ok);
+    });
+    on(kThrow, [this](const net::Delivery&) -> net::Message {
+      ++executions;
+      throw std::runtime_error("CountingService: kThrow");
     });
   }
   ~CountingService() override { stop(); }
@@ -343,50 +348,66 @@ TEST(ReplyStreamTest, BytesPerRequestStayFlatAsClientsChurn) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ReplyStreamTest, EvictionVisitsCountTheEntriesEachVictimScanReads) {
+TEST(ReplyStreamTest, EvictionVisitsStayWithinTwiceTheStripesPerVictim) {
   // Past the client cap, each new client demotes the least recently used
-  // one, and finding it reads every entry of every stripe:
-  // reply.eviction_visits grows by at least the live clients at each
-  // eviction, and not at all below the cap.
-  net::Network net;
-  net::Machine& bank_machine = net.add_machine("bank");
-  net::Machine& client_machine = net.add_machine("client");
-  servers::BankServer bank(bank_machine, Port(0xBA7F), scheme(), 1,
-                           std::make_shared<storage::MemoryBackend>(16));
-  constexpr std::size_t kMaxClients = 4;
-  bank.set_reply_cache_limits(8, kMaxClients);
-  bank.start(1);
-  rpc::Transport transport(client_machine, 37);
-  servers::BankClient client(transport, bank.put_port());
-  const core::Capability account = client.create_account().value();
-  const Port reply_get(0x5353);
-  net::Receiver replies = client_machine.listen(reply_get);
-  rpc::Service::ReplyCacheStats last = bank.reply_cache_stats();
-  EXPECT_EQ(last.eviction_visits, 0u);
-  for (std::uint64_t i = 0; i < 24; ++i) {
-    net::Message request = rpc::make_request(
-        bank.put_port(), servers::bank_ops::kBalance, account,
-        {servers::currency::kDollar});
-    request.header.flags |= net::kFlagAtMostOnce;
-    request.header.client = 0x200000 + i;
-    request.header.seq = 1;
-    request.header.reply = reply_get;
-    ASSERT_TRUE(client_machine.transmit(request, bank_machine.id()));
-    ASSERT_TRUE(replies.receive({}, 2'000ms).has_value()) << "client " << i;
-    const rpc::Service::ReplyCacheStats stats = bank.reply_cache_stats();
-    if (stats.evicted_clients == last.evicted_clients) {
-      EXPECT_EQ(stats.eviction_visits, last.eviction_visits) << "client " << i;
-    } else {
-      EXPECT_GE(stats.eviction_visits,
-                last.eviction_visits +
-                    kMaxClients * (stats.evicted_clients - last.evicted_clients))
-          << "client " << i;
+  // one, and past 8x the cap it also erases the least recently used
+  // tombstone.  Each victim is the oldest of the 16 stripes' list heads,
+  // so reply.eviction_visits grows by at most 2 x 16 per eviction however
+  // many clients the cache holds, and not at all below the cap.  A scan
+  // of every entry reads >= 4,096 on the first eviction of the second
+  // input.
+  constexpr std::uint64_t kPerEviction = 2 * 16;
+  struct Input {
+    std::size_t max_clients;
+    std::uint64_t clients;
+    std::uint64_t check_every;  // stats() reads every entry: not per client
+  };
+  for (const Input input : {Input{4, 24, 1}, Input{4'096, 40'000, 500}}) {
+    SCOPED_TRACE("cap " + std::to_string(input.max_clients));
+    net::Network net;
+    net::Machine& bank_machine = net.add_machine("bank");
+    net::Machine& client_machine = net.add_machine("client");
+    servers::BankServer bank(bank_machine, Port(0xBA7F), scheme(), 1,
+                             std::make_shared<storage::MemoryBackend>(16));
+    bank.set_reply_cache_limits(8, input.max_clients);
+    bank.start(1);
+    rpc::Transport transport(client_machine, 37);
+    servers::BankClient client(transport, bank.put_port());
+    const core::Capability account = client.create_account().value();
+    const Port reply_get(0x5353);
+    net::Receiver replies = client_machine.listen(reply_get);
+    rpc::Service::ReplyCacheStats last = bank.reply_cache_stats();
+    EXPECT_EQ(last.eviction_visits, 0u);
+    for (std::uint64_t i = 0; i < input.clients; ++i) {
+      net::Message request = rpc::make_request(
+          bank.put_port(), servers::bank_ops::kBalance, account,
+          {servers::currency::kDollar});
+      request.header.flags |= net::kFlagAtMostOnce;
+      request.header.client = 0x200000 + i;
+      request.header.seq = 1;
+      request.header.reply = reply_get;
+      ASSERT_TRUE(client_machine.transmit(request, bank_machine.id()));
+      ASSERT_TRUE(replies.receive({}, 2'000ms).has_value()) << "client " << i;
+      if ((i + 1) % input.check_every != 0) {
+        continue;
+      }
+      const rpc::Service::ReplyCacheStats stats = bank.reply_cache_stats();
+      const std::uint64_t evictions =
+          stats.evicted_clients - last.evicted_clients;
+      ASSERT_LE(stats.eviction_visits - last.eviction_visits,
+                kPerEviction * evictions)
+          << "clients " << i + 1 - input.check_every << ".." << i;
+      last = stats;
     }
-    last = stats;
+    EXPECT_GT(last.evicted_clients, 0u);
+    std::printf("cap %zu: %.2f eviction visits per victim\n",
+                input.max_clients,
+                static_cast<double>(last.eviction_visits) /
+                    static_cast<double>(last.evicted_clients));
+    EXPECT_LE(last.clients, 8 * input.max_clients);
+    EXPECT_EQ(detail_value(bank.info_detail(), "reply.eviction_visits"),
+              last.eviction_visits);
   }
-  EXPECT_GT(last.evicted_clients, 0u);
-  EXPECT_EQ(detail_value(bank.info_detail(), "reply.eviction_visits"),
-            last.eviction_visits);
 }
 
 TEST(ReplyStreamTest, RecoveredRowsNeverExceedTheTombstoneBound) {
@@ -446,6 +467,32 @@ TEST(ReplyStreamTest, RecoveredRowsNeverExceedTheTombstoneBound) {
   ASSERT_TRUE(resent.has_value());
   EXPECT_EQ(resent->message.data, bytes_of("x"));
   EXPECT_EQ(restarted.executions.load(), 0);
+}
+
+TEST(ReplyStreamTest, AThrowingHandlersClaimIsPublishedAndReAnswered) {
+  // The worker answers a handler's exception `internal`; that answer must
+  // still be published in the reply cache.  An entry left executing would
+  // drop every duplicate and could never be demoted.
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& client_machine = net.add_machine("client");
+  CountingService service(server_machine, Port(0xCECE),
+                          std::make_shared<storage::MemoryBackend>(4), 16, 64);
+  service.start(1);
+  const Port reply_get(0x5757);
+  net::Receiver replies = client_machine.listen(reply_get);
+  const net::Message request = stamped(
+      service.put_port(), CountingService::kThrow, 0xE1, 1, reply_get);
+  for (int copy = 0; copy < 2; ++copy) {
+    ASSERT_TRUE(client_machine.transmit(request, server_machine.id()));
+    const auto reply = replies.receive({}, 2'000ms);
+    ASSERT_TRUE(reply.has_value()) << "copy " << copy;
+    EXPECT_EQ(reply->message.header.status, ErrorCode::internal);
+  }
+  EXPECT_EQ(service.executions.load(), 1);
+  const rpc::Service::ReplyCacheStats stats = service.reply_cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.replies_resent, 1u);
 }
 
 /// A reply body in the wire-independent form the reply stream persists
