@@ -25,11 +25,15 @@
 // LOCATE (§2.2: broadcasting a LOCATE message to find which machine serves
 // a port) is provided as a kernel-level primitive: Machine::locate scans
 // listeners, emitting tap records for the request and reply so intruders
-// observe location traffic like any other.
+// observe location traffic like any other.  As in Amoeba's kernel, each
+// machine keeps ONE (port -> machine) cache that every process on it
+// shares (Machine::resolve): a new client on a machine that already knows
+// a port sends no LOCATE.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -38,6 +42,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "amoeba/common/epoch.hpp"
@@ -198,7 +203,33 @@ class Machine {
 
   /// Kernel LOCATE: finds a machine with a GET outstanding for `put_port`.
   /// Synchronous registry scan; never faulted, never blocked by traffic.
+  /// Uncached: every call is one broadcast.
   [[nodiscard]] std::optional<MachineId> locate(Port put_port);
+
+  /// One entry of the machine's location cache.  The generation names
+  /// this resolution, so a rejected frame evicts only the entry it was
+  /// sent through (invalidate).
+  struct Location {
+    MachineId machine;
+    std::uint64_t generation = 0;
+  };
+
+  /// The cached location of `put_port`, if any (no LOCATE).
+  [[nodiscard]] std::optional<Location> cached(Port put_port) const;
+
+  /// The cached location of `put_port`, or a LOCATE on a miss whose answer
+  /// is cached.  Single-flight: a caller that finds a LOCATE for the port
+  /// in flight waits for its answer instead of broadcasting again.
+  /// `located` reports whether this call broadcast.  Thread-safe.
+  [[nodiscard]] std::optional<Location> resolve(Port put_port, bool& located);
+
+  /// Evicts `put_port`'s entry if it is still the one of `generation`:
+  /// when many in-flight transactions resolved through one stale entry,
+  /// only the first rejected frame evicts it.  True if this call did.
+  bool invalidate(Port put_port, std::uint64_t generation);
+
+  /// Drops every cached location.
+  void flush_locations();
 
  private:
   friend class Network;
@@ -211,6 +242,14 @@ class Machine {
   MachineId id_;
   std::string name_;
   FBox fbox_;
+
+  // The location cache, shared by every transport on the machine;
+  // locating_ holds the ports with a LOCATE in flight.
+  mutable std::mutex locations_mutex_;
+  std::condition_variable locate_cv_;
+  std::unordered_map<Port, Location> locations_;
+  std::unordered_set<Port> locating_;
+  std::uint64_t next_generation_ = 0;
 };
 
 /// Fault probabilities for one directed (src, dst) link; overrides the

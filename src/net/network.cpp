@@ -78,6 +78,61 @@ std::optional<MachineId> Machine::locate(Port put_port) {
   return net_->locate_from(*this, put_port);
 }
 
+std::optional<Machine::Location> Machine::cached(Port put_port) const {
+  const std::lock_guard lock(locations_mutex_);
+  const auto it = locations_.find(put_port);
+  if (it == locations_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
+std::optional<Machine::Location> Machine::resolve(Port put_port,
+                                                  bool& located) {
+  located = false;
+  std::unique_lock lock(locations_mutex_);
+  for (;;) {
+    const auto it = locations_.find(put_port);
+    if (it != locations_.end()) {
+      return it->second;
+    }
+    if (!locating_.contains(put_port)) {
+      break;
+    }
+    // Single-flight: another thread is already broadcasting a LOCATE for
+    // this port; ride its answer instead of adding to the storm.
+    locate_cv_.wait(lock);
+  }
+  located = true;
+  locating_.insert(put_port);
+  lock.unlock();
+  const auto found = locate(put_port);
+  lock.lock();
+  locating_.erase(put_port);
+  std::optional<Location> result;
+  if (found.has_value()) {
+    result = Location{*found, ++next_generation_};
+    locations_[put_port] = *result;
+  }
+  locate_cv_.notify_all();
+  return result;
+}
+
+bool Machine::invalidate(Port put_port, std::uint64_t generation) {
+  const std::lock_guard lock(locations_mutex_);
+  const auto it = locations_.find(put_port);
+  if (it == locations_.end() || it->second.generation != generation) {
+    return false;  // a newer resolution (or none) replaced it
+  }
+  locations_.erase(it);
+  return true;
+}
+
+void Machine::flush_locations() {
+  const std::lock_guard lock(locations_mutex_);
+  locations_.clear();
+}
+
 // ------------------------------------------------------------------ Network
 
 Network::Network() : Network(Config()) {}

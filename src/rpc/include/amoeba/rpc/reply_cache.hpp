@@ -132,7 +132,12 @@ class ReplyCache {
     std::uint64_t ticket_ = 0;
   };
 
+  /// O(stripes): each stripe keeps its entry count as it changes.
   [[nodiscard]] Stats stats() const;
+
+  /// Stats::entries recounted by walking every client under its stripe
+  /// lock, O(clients): the check of the running count.
+  [[nodiscard]] std::uint64_t recount_entries() const;
 
   /// Service::set_reply_cache_limits' bounds.  Thread-safe.
   void set_limits(std::size_t window_per_client, std::size_t max_clients);
@@ -206,13 +211,14 @@ class ReplyCache {
     LruList::iterator lru;         // its node: in `loaded` iff replies held
   };
   /// One stripe; the stripe index is the client-key hash folded to
-  /// kStripes.  Counters are per-stripe (summed by stats()).
+  /// kStripes.  Counters are per-stripe (summed by stats()); `entries` is
+  /// kept at every claim, restore, window trim, demotion and flush.
   struct Stripe {
     mutable std::mutex mutex;
     std::unordered_map<ClientKey, ClientEntry, ClientKeyHash> map;
     LruList loaded;      // clients holding cached replies
     LruList tombstones;  // floor-only clients
-    Stats counters;      // entries/clients fields derived on read
+    Stats counters;      // `clients` derived on read (map.size())
   };
   static constexpr std::size_t kStripes = 16;
 

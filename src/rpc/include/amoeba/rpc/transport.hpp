@@ -14,12 +14,14 @@
 // reply (they all land in one shared demux mailbox, drained by one pump
 // thread) to its transaction; trans() is trans_async().get().
 //
-// The transport also implements the kernel's (port -> machine) cache with
-// LOCATE broadcast on miss and invalidation when a cached machine's F-box
-// rejects the frame (server migrated or died).  Cache entries carry a
-// generation stamp so that when many in-flight transactions resolved
+// Destinations resolve through the machine's (port -> machine) cache, the
+// kernel's, which every transport on the machine shares
+// (net::Machine::resolve): LOCATE broadcast on a miss, single-flight, and
+// invalidation when a cached machine's F-box rejects the frame (server
+// migrated or died).  Entries carry a generation stamp so that when many
+// in-flight transactions -- of one transport or several -- resolved
 // through one stale entry, the first rejected frame invalidates it exactly
-// once and re-LOCATEs are single-flight -- no thundering LOCATE storm.
+// once and one re-LOCATE serves them all: no thundering LOCATE storm.
 //
 // At-most-once over a lossy network (docs/PROTOCOL.md §5).  Every
 // transaction is stamped with this transport's random 64-bit client id and
@@ -51,7 +53,6 @@
 #include <stop_token>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "amoeba/common/error.hpp"
 #include "amoeba/common/rng.hpp"
@@ -101,6 +102,8 @@ class [[nodiscard]] Future {
 class Transport {
  public:
   struct Stats {
+    // This transport's use of the machine's location cache: lookups it
+    // found there, LOCATEs it broadcast, entries it evicted.
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_invalidations = 0;
@@ -209,15 +212,11 @@ class Transport {
   /// Number of transactions currently awaiting their reply.
   [[nodiscard]] std::size_t in_flight() const;
 
-  /// Drops every cached (port -> machine) entry.
-  void flush_cache();
+  /// Drops every cached (port -> machine) entry of the machine's cache,
+  /// which every transport on the machine shares.
+  void flush_cache() { machine_.flush_locations(); }
 
  private:
-  struct CacheEntry {
-    MachineId machine;
-    std::uint64_t generation;
-  };
-
   /// One registered, unreplied transaction.
   struct Pending {
     std::shared_ptr<Future::State> state;
@@ -237,14 +236,15 @@ class Transport {
     bool retransmitted = false;
   };
 
-  std::optional<CacheEntry> resolve(Port put_port);
-  void invalidate(Port put_port, std::uint64_t generation);
+  /// The machine cache's entry for `put_port`, LOCATEd on a miss; counts
+  /// a hit or a miss.
+  std::optional<net::Machine::Location> resolve(Port put_port);
   /// Resolves the destination, applies the outgoing filter to a sealed
   /// copy, and transmits; invalidates + retries once on a stale cache
   /// entry.  Returns whether any copy was admitted by a remote F-box.
   bool send_request(const net::Message& request,
                     const std::shared_ptr<MessageFilter>& filter,
-                    std::optional<CacheEntry> fast_dst);
+                    std::optional<net::Machine::Location> fast_dst);
 
   void pump(std::stop_token stop);
   void settle_all(std::deque<net::Delivery>&& batch);
@@ -276,14 +276,9 @@ class Transport {
   std::atomic<std::int64_t> retransmit_cap_ms_{400};
   std::uint64_t client_id_ = 0;  // immutable after construction
 
-  // Guards rng/signature/filter/stats and the location cache (including
-  // the single-flight LOCATE set).
+  // Guards rng/signature/filter/stats.
   mutable std::mutex mutex_;
-  std::condition_variable locate_cv_;
   Rng rng_;
-  std::unordered_map<Port, CacheEntry> cache_;
-  std::unordered_set<Port> locating_;  // ports with a LOCATE in flight
-  std::uint64_t next_generation_ = 0;
   std::uint64_t next_seq_ = 0;  // at-most-once sequence; under mutex_
   // The incarnation last heard from each service put-port; under mutex_.
   std::unordered_map<Port, std::uint64_t> incarnations_;

@@ -195,8 +195,9 @@ void ReplyCache::restore(const storage::ReplyRows& rows) {
       loaded_.fetch_add(1, std::memory_order_relaxed);
     }
     for (auto& [seq, reply] : replies) {
-      entry.replies.insert_or_assign(
+      const auto [slot, added] = entry.replies.insert_or_assign(
           seq, CachedReply{/*done=*/true, std::move(reply)});
+      stripe.counters.entries += added ? 1 : 0;
     }
   }
 }
@@ -210,14 +211,23 @@ ReplyCache::Stats ReplyCache::stats() const {
     stats.evicted_entries += stripe.counters.evicted_entries;
     stats.evicted_clients += stripe.counters.evicted_clients;
     stats.eviction_visits += stripe.counters.eviction_visits;
+    stats.entries += stripe.counters.entries;
     stats.clients += stripe.map.size();
-    for (const auto& [key, entry] : stripe.map) {
-      stats.entries += entry.replies.size();
-    }
   }
   stats.floorless_claims = floorless_claims_.load(std::memory_order_relaxed);
   stats.barrier_parks = barrier_parks_.load(std::memory_order_relaxed);
   return stats;
+}
+
+std::uint64_t ReplyCache::recount_entries() const {
+  std::uint64_t entries = 0;
+  for (const Stripe& stripe : stripes_) {
+    const std::lock_guard lock(stripe.mutex);
+    for (const auto& [key, entry] : stripe.map) {
+      entries += entry.replies.size();
+    }
+  }
+  return entries;
 }
 
 void ReplyCache::set_limits(std::size_t window_per_client,
@@ -232,9 +242,8 @@ void ReplyCache::set_limits(std::size_t window_per_client,
 void ReplyCache::flush() {
   for (Stripe& stripe : stripes_) {
     const std::lock_guard lock(stripe.mutex);
-    for (const auto& [key, entry] : stripe.map) {
-      stripe.counters.evicted_entries += entry.replies.size();
-    }
+    stripe.counters.evicted_entries += stripe.counters.entries;
+    stripe.counters.entries = 0;
     stripe.counters.evicted_clients += stripe.map.size();
     clients_.fetch_sub(stripe.map.size(), std::memory_order_relaxed);
     loaded_.fetch_sub(stripe.loaded.size(), std::memory_order_relaxed);
@@ -326,6 +335,7 @@ bool ReplyCache::evict_one(bool tombstone) {
   // still drop silently instead of re-executing (the at-most-once
   // guarantee survives eviction; see docs/PROTOCOL.md §5.4).
   stripe.counters.evicted_entries += entry.replies.size();
+  stripe.counters.entries -= entry.replies.size();
   entry.floor = std::max(entry.floor, entry.replies.rbegin()->first);
   entry.replies.clear();
   relist(entry, stripe.loaded, stripe.tombstones);
@@ -374,6 +384,7 @@ ReplyCache::Verdict ReplyCache::claim(const net::Delivery& request,
       }
       entry.replies.emplace(seq, CachedReply{});  // claimed: executing
       ++entry.executing;
+      ++stripe.counters.entries;
     }
   }
   // The global limits are enforced OUTSIDE the stripe lock (the victim may
@@ -415,6 +426,7 @@ void ReplyCache::publish(const net::Delivery& request,
       entry.floor = std::max(entry.floor, entry.replies.begin()->first);
       entry.replies.erase(entry.replies.begin());
       ++stripe.counters.evicted_entries;
+      --stripe.counters.entries;
     }
   }
   // Outside the lock; bulk replies stay floor-only.

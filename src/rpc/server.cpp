@@ -395,7 +395,6 @@ void Service::read_barrier(storage::RequestScope::Tickets& tickets,
     own->ticket = std::max(own->ticket, barrier);
     return;
   }
-  committer->count_read();
   if (committer->is_durable(barrier)) {
     if (own != tickets.end()) {
       tickets.erase(own);  // its floor is durable too

@@ -154,52 +154,12 @@ std::size_t Transport::in_flight() const {
   return pending_.size();
 }
 
-void Transport::flush_cache() {
+std::optional<net::Machine::Location> Transport::resolve(Port put_port) {
+  bool located = false;
+  const auto location = machine_.resolve(put_port, located);
   const std::lock_guard lock(mutex_);
-  cache_.clear();
-}
-
-std::optional<Transport::CacheEntry> Transport::resolve(Port put_port) {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    auto it = cache_.find(put_port);
-    if (it != cache_.end()) {
-      ++stats_.cache_hits;
-      return it->second;
-    }
-    if (!locating_.contains(put_port)) {
-      break;
-    }
-    // Single-flight: another thread is already broadcasting a LOCATE for
-    // this port; ride its answer instead of adding to the storm.
-    locate_cv_.wait(lock);
-  }
-  ++stats_.cache_misses;
-  locating_.insert(put_port);
-  lock.unlock();
-  const auto located = machine_.locate(put_port);
-  lock.lock();
-  locating_.erase(put_port);
-  std::optional<CacheEntry> result;
-  if (located.has_value()) {
-    const CacheEntry entry{*located, ++next_generation_};
-    cache_[put_port] = entry;
-    result = entry;
-  }
-  locate_cv_.notify_all();
-  return result;
-}
-
-void Transport::invalidate(Port put_port, std::uint64_t generation) {
-  const std::lock_guard lock(mutex_);
-  auto it = cache_.find(put_port);
-  // Generation guard: when many in-flight transactions resolved through
-  // one stale entry, only the first rejected frame evicts it; the rest
-  // find a newer (or absent) entry and simply re-resolve.
-  if (it != cache_.end() && it->second.generation == generation) {
-    cache_.erase(it);
-    ++stats_.cache_invalidations;
-  }
+  ++(located ? stats_.cache_misses : stats_.cache_hits);
+  return location;
 }
 
 Future Transport::trans_async(net::Message request,
@@ -217,11 +177,11 @@ Future Transport::trans_async(net::Message request,
 
   // One lock hold covers the per-transaction bookkeeping: stats, the
   // signature/filter snapshot, the at-most-once (client, seq) stamp, the
-  // one-shot port draw, and a fast-path probe of the location cache (the
-  // hot path never takes mutex_ twice).
+  // one-shot port draw, and a fast-path probe of the machine's location
+  // cache (the hot path never takes mutex_ twice).
   std::shared_ptr<MessageFilter> filter;
   Port reply_get_port;
-  std::optional<CacheEntry> fast_dst;
+  std::optional<net::Machine::Location> fast_dst;
   std::chrono::milliseconds backoff{0};
   {
     const std::lock_guard lock(mutex_);
@@ -239,10 +199,9 @@ Future Transport::trans_async(net::Message request,
     do {
       reply_get_port = Port(rng_.bits(Port::kBits));
     } while (reply_get_port.is_null());
-    auto it = cache_.find(request.header.dest);
-    if (it != cache_.end()) {
+    fast_dst = machine_.cached(request.header.dest);
+    if (fast_dst.has_value()) {
       ++stats_.cache_hits;
-      fast_dst = it->second;
     }
   }
 
@@ -319,7 +278,7 @@ Future Transport::trans_async(net::Message request,
 
 bool Transport::send_request(const net::Message& request,
                              const std::shared_ptr<MessageFilter>& filter,
-                             std::optional<CacheEntry> fast_dst) {
+                             std::optional<net::Machine::Location> fast_dst) {
   // Two attempts: a stale cache entry (server migrated/died) costs one
   // rejected transmit, one invalidation, and a fresh LOCATE.
   bool sent = false;
@@ -336,8 +295,9 @@ bool Transport::send_request(const net::Message& request,
       filter->outgoing(wire, dst->machine);
     }
     sent = machine_.transmit(std::move(wire), dst->machine);
-    if (!sent) {
-      invalidate(request.header.dest, dst->generation);
+    if (!sent && machine_.invalidate(request.header.dest, dst->generation)) {
+      const std::lock_guard lock(mutex_);
+      ++stats_.cache_invalidations;
     }
   }
   return sent;

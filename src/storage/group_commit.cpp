@@ -315,20 +315,6 @@ void GroupCommitter::note_unattributed_read() {
   }
 }
 
-void GroupCommitter::count_read() {
-  bool wake = false;
-  {
-    const std::lock_guard lock(mutex_);
-    if (expected_wakers_ > 0) {
-      --expected_wakers_;
-      wake = flusher_lingering_ && claim_due_locked();
-    }
-  }
-  if (wake) {
-    work_cv_.notify_one();
-  }
-}
-
 GroupCommitter::Stats GroupCommitter::stats() const {
   const std::lock_guard lock(mutex_);
   return stats_;
@@ -400,8 +386,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
       if (!stop.stop_requested()) {
         // Grow the cycle: to the ceiling while nobody is blocked on it,
         // and once a waiter blocks (wait_durable notifies), until the
-        // claim rule is met.  insert() and count_read() wake us when an
-        // entry or a read meets it.
+        // claim rule is met.  insert() wakes us when an entry meets it.
         flusher_lingering_ = true;
         const bool due = work_cv_.wait_until(
             lock, std::chrono::steady_clock::now() + kLingerCeiling,

@@ -13,12 +13,13 @@
 // trans() (the paper's client) comes back one reply after its cycle, so
 // the flusher expects back the waking entries of the cycle it just wrote
 // plus those that queued while it ran (snapshot images have no caller and
-// do not count), less one for each caller that comes back with a read,
-// which queues nothing (count_read).  Once a thread blocks on the queue
-// it claims the next cycle when that many have queued, right away after
-// a cycle of a page or more (pipelined callers, which come back sooner),
-// or at kLingerCeiling.  With nobody blocked it lingers to the ceiling,
-// so pipelined mutators get wide cycles.
+// do not count).  A caller that comes back with a read first is still
+// expected: the read does not wait for the flusher, so its next write
+// follows one round trip later.  Once a thread blocks on the queue it
+// claims the next cycle when that many have queued, right away after a
+// cycle of a page or more (pipelined callers, which come back sooner), or
+// at kLingerCeiling.  With nobody blocked it lingers to the ceiling, so
+// pipelined mutators get wide cycles.
 //
 // The flusher also takes the volume's CHECKPOINTS.  Each stream owner
 // registers an imager: CapabilityTable for its shards, rpc::Service
@@ -368,11 +369,6 @@ class GroupCommitter {
   /// rpc::Service's read barrier covers every effect it could have seen.
   void note_unattributed_read();
 
-  /// A caller came back with a read: its request queued no waking entry,
-  /// so the next claim expects one fewer back.  rpc::Service counts every
-  /// request that journaled nothing.
-  void count_read();
-
   [[nodiscard]] Stats stats() const;
 
   /// Installs the post-flush hook (one subscriber; throws on a second).
@@ -466,7 +462,7 @@ class GroupCommitter {
   /// woken_ except snapshot images.
   std::uint64_t queued_wakers_ = 0;
   /// The waking entries the next claim expects back: the last cycle's
-  /// plus those that queued while it ran, less the reads counted since.
+  /// plus those that queued while it ran.
   std::uint64_t expected_wakers_ = 0;
   bool last_cycle_page_ = false;  // the last cycle's frame was a page+
   std::string failure_;  // non-empty once a write or hook failed

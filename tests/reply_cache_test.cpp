@@ -11,6 +11,8 @@
 //     ends within them, keeping the most recently restored;
 //   * concurrent claims at the cap keep both bounds (up to the claims in
 //     flight) and leave no entry executing;
+//   * the running entry count stats() reports equals a recount after
+//     claims, trims, evictions, a restore and a flush;
 //   * a zero window is refused.
 #include <gtest/gtest.h>
 
@@ -181,6 +183,55 @@ TEST(ReplyCacheTest, ConcurrentClaimsAtTheCapKeepTheBounds) {
   cache.set_limits(4, 1);
   ASSERT_EQ(serve(cache, 1), Verdict::fresh);
   EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(ReplyCacheTest, TheEntryCountMatchesARecount) {
+  // stats() sums per-stripe running counts; after claims, window trims,
+  // demotions, tombstone erasures, a restore and a flush they still equal
+  // a walk over every client.
+  const auto check = [](const rpc::ReplyCache& cache, const char* after) {
+    EXPECT_EQ(cache.stats().entries, cache.recount_entries()) << after;
+  };
+  auto volume = std::make_shared<storage::MemoryBackend>(4);
+  {
+    rpc::ReplyCache writer;
+    writer.set_limits(3, 0);
+    writer.attach(std::make_shared<storage::GroupCommitter>(volume));
+    for (std::uint64_t client = 1; client <= 40; ++client) {
+      for (std::uint64_t seq = 1; seq <= client % 5; ++seq) {
+        ASSERT_EQ(serve(writer, client, seq, /*journal_body=*/true),
+                  Verdict::fresh);
+      }
+    }
+    check(writer, "claims and window trims");
+  }
+
+  rpc::ReplyCache cache;
+  cache.set_limits(3, 6);
+  cache.attach(std::make_shared<storage::GroupCommitter>(volume));
+  check(cache, "a restore beyond the limits");
+  ASSERT_GT(cache.stats().entries, 0u);
+  const net::Delivery executing = request(100, 1);
+  net::Message cached;
+  ASSERT_EQ(cache.claim(executing, cached), Verdict::fresh);
+  for (std::uint64_t client = 200; client < 300; ++client) {
+    for (std::uint64_t seq = 1; seq <= 1 + client % 4; ++seq) {
+      (void)serve(cache, client, seq);
+    }
+    if (client % 7 == 0) {
+      (void)serve(cache, client - 3, 1);  // a duplicate or a tombstone's
+    }
+  }
+  check(cache, "demotions and erasures with one request executing");
+  EXPECT_GT(cache.stats().evicted_clients, 0u);
+  cache.publish(executing, net::make_reply(executing.message, ErrorCode::ok),
+                false);
+  check(cache, "a late publish");
+  cache.flush();
+  check(cache, "a flush");
+  EXPECT_EQ(cache.stats().entries, 0u);
+  ASSERT_EQ(serve(cache, 7, 1), Verdict::fresh);
+  check(cache, "a claim after the flush");
 }
 
 TEST(ReplyCacheTest, AZeroWindowIsRefused) {

@@ -1051,6 +1051,125 @@ TEST(ReplyStreamTest, OneWorkerHandlesEveryRequestWhileRepliesWaitForAFlush) {
       << "the parked replies did not share their flushes";
 }
 
+TEST(ReplyStreamTest, ACallerThatReadsThenWritesSharesTheCycle) {
+  // Four callers released by one cycle come back: one reads and then
+  // writes, the other three write.  The read waits for no flush, so the
+  // reader is still expected back and the flusher holds the claim for its
+  // write: a cycle carries the others' writes without the reader's only
+  // once the linger ceiling has passed.  Counting the read as one fewer to
+  // wait for would claim the other three at once.
+  net::Network net;
+  net::Machine& server_machine = net.add_machine("server");
+  net::Machine& client_machine = net.add_machine("client");
+  CountingService service(server_machine, Port(0xCCCC),
+                          std::make_shared<storage::MemoryBackend>(2), 16, 64);
+  using Clock = std::chrono::steady_clock;
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gated = false;  // the next cycle waits in the hook until ungated
+  bool held = false;
+  std::vector<Clock::time_point> written;  // each cycle, in order
+  struct OpenOnExit {  // the server's destructor must not hang on the gate
+    std::mutex& mutex;
+    std::condition_variable& cv;
+    bool& gated;
+    ~OpenOnExit() {
+      {
+        const std::lock_guard lock(mutex);
+        gated = false;
+      }
+      cv.notify_all();
+    }
+  } open_on_exit{gate_mutex, gate_cv, gated};
+  service.committer().set_post_flush_hook([&](const auto&) {
+    std::unique_lock lock(gate_mutex);
+    written.push_back(Clock::now());
+    held = gated;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return !gated; });
+    held = false;
+  });
+  service.start(1);
+  const Port reply_get(0x5959);
+  net::Receiver replies = client_machine.listen(reply_get);
+  const auto send = [&](std::uint16_t opcode, std::uint64_t client,
+                        std::uint64_t seq) {
+    net::Message request =
+        stamped(service.put_port(), opcode, client, seq, reply_get);
+    request.header.incarnation = service.incarnation();  // journals no floor
+    return client_machine.transmit(std::move(request), server_machine.id());
+  };
+  const auto answered = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const auto reply = replies.receive({}, 2'000ms);
+      if (!reply.has_value() ||
+          reply->message.header.status != ErrorCode::ok) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  constexpr std::uint64_t kHolder = 0xE0;  // callers are kHolder + 1..4
+  constexpr std::uint64_t kReader = kHolder + 4;
+  int splits = 0;
+  for (std::uint64_t round = 0; round < 20; ++round) {
+    const std::uint64_t seq = 3 * round + 1;
+    // A cycle held at the hook while the four callers' writes queue: the
+    // next cycle carries exactly those four and releases them together.
+    {
+      const std::lock_guard lock(gate_mutex);
+      gated = true;
+    }
+    ASSERT_TRUE(send(CountingService::kEffect, kHolder, seq));
+    {
+      std::unique_lock lock(gate_mutex);
+      ASSERT_TRUE(gate_cv.wait_for(lock, 2s, [&] { return held; }));
+    }
+    const int executed = service.executions.load();
+    for (std::uint64_t caller = 1; caller <= 4; ++caller) {
+      ASSERT_TRUE(send(CountingService::kEffect, kHolder + caller, seq));
+    }
+    ASSERT_TRUE(
+        eventually([&] { return service.executions.load() == executed + 4; }));
+    {
+      const std::lock_guard lock(gate_mutex);
+      gated = false;
+    }
+    gate_cv.notify_all();
+    ASSERT_TRUE(answered(5));
+
+    // They come back, the reader with a read first.
+    ASSERT_TRUE(send(CountingService::kEcho, kReader, seq + 1));
+    ASSERT_TRUE(answered(1));
+    std::size_t first;
+    {
+      const std::lock_guard lock(gate_mutex);
+      first = written.size();
+    }
+    const int before_writes = service.executions.load();
+    const Clock::time_point sent = Clock::now();
+    for (std::uint64_t caller = 1; caller <= 3; ++caller) {
+      ASSERT_TRUE(send(CountingService::kEffect, kHolder + caller, seq + 2));
+    }
+    // The reader's write comes a round trip's worth later than theirs.
+    while (service.executions.load() < before_writes + 3) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(50us);
+    ASSERT_TRUE(send(CountingService::kEffect, kReader, seq + 2));
+    ASSERT_TRUE(answered(4));
+    const std::lock_guard lock(gate_mutex);
+    if (written.size() - first > 1) {
+      ++splits;
+      EXPECT_GE(written[first] - sent, storage::GroupCommitter::kLingerCeiling)
+          << "round " << round << ": the other callers' writes were claimed "
+          << "without the reader's before the linger ceiling";
+    }
+  }
+  std::printf("%d of 20 rounds split the four writes\n", splits);
+}
+
 TEST(ReplyStreamTest, ParkedRepliesAnswerInternalWhenTheFlushFails) {
   // A single request and a 32-entry envelope are parked behind a cycle
   // whose backend write then throws: the committer latches failed, both

@@ -1,6 +1,7 @@
 // Tests for the blocking RPC layer: trans request/reply, one-shot reply
-// ports, the locate cache (cold, warm, stale after migration), timeouts,
-// concurrent clients, and multi-worker services.
+// ports, the machine's locate cache (cold, warm, shared by the machine's
+// transports, stale after migration), timeouts, concurrent clients, and
+// multi-worker services.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -114,6 +115,52 @@ TEST(TransportTest, StaleCacheRecoversAfterMigration) {
   const auto stats = transport.stats();
   EXPECT_EQ(stats.cache_invalidations, 1u);
   EXPECT_EQ(service.machine().id(), b.id());
+}
+
+TEST(TransportTest, TransportsOnOneMachineShareItsLocationCache) {
+  // The (port -> machine) cache is the machine's, as in Amoeba's kernel:
+  // a second transport on the client machine finds the port the first one
+  // LOCATEd.  After a migration, the clients of both transports evict the
+  // stale entry once between them and one re-LOCATE serves them all.
+  net::Network net;
+  net::Machine& a = net.add_machine("a");
+  net::Machine& b = net.add_machine("b");
+  net::Machine& cm = net.add_machine("client");
+  EchoService service(a, Port(0x1005), "echo");
+  service.start(2);
+  Transport first(cm, 1);
+  Transport second(cm, 2);
+
+  net::Message req;
+  req.header.dest = service.put_port();
+  ASSERT_TRUE(first.trans(req).ok());
+  ASSERT_TRUE(second.trans(req).ok());
+  EXPECT_EQ(net.stats().locates.load(), 1u);
+  EXPECT_EQ(first.stats().cache_misses, 1u);
+  EXPECT_EQ(second.stats().cache_misses, 0u);
+  EXPECT_EQ(second.stats().cache_hits, 1u);
+
+  service.stop();
+  service.rebind(b);
+  service.start(2);
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::jthread> clients;
+    for (int c = 0; c < 8; ++c) {
+      clients.emplace_back([&, c] {
+        Transport& transport = c % 2 == 0 ? first : second;
+        if (!transport.trans(req, 5'000ms).ok()) {
+          failures.fetch_add(1);
+        }
+      });
+    }
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(first.stats().cache_invalidations +
+                second.stats().cache_invalidations,
+            1u);
+  EXPECT_EQ(first.stats().cache_misses + second.stats().cache_misses, 2u);
+  EXPECT_EQ(net.stats().locates.load(), 2u);
 }
 
 TEST(TransportTest, DeadServiceTimesOutOrFailsLocate) {

@@ -1637,20 +1637,6 @@ TEST(GroupCommitTest, AfterACycleOfAPageAWaiterClaimsAtOnce) {
   EXPECT_EQ(committer.stats().groups, 3u);
 }
 
-TEST(GroupCommitTest, ACallerBackWithAReadIsOneFewerToWaitFor) {
-  // Of the four callers a cycle released, three come back with reads,
-  // which queue nothing: the one that queues an entry is all the claim
-  // waits for.
-  auto backend = slow_backend();
-  GroupCommitter committer(backend);
-  write_a_four_caller_cycle(committer, 1);
-  for (int read = 0; read < 3; ++read) {
-    committer.count_read();
-  }
-  committer.wait_durable(committer.enqueue(0, frame(9, 1)));
-  EXPECT_EQ(committer.stats().linger_timeouts, 0u);
-}
-
 TEST(GroupCommitTest, ACycleOfImagesReleasesNoCallers) {
   // Snapshot images have no caller to come back: after a cycle of them
   // the lone waiter's claim waits for nobody.
