@@ -16,6 +16,9 @@
 //     flush answers every parked reply `internal`, destroying the server
 //     sends what is parked, and only the committer's flusher takes the
 //     reply stream's checkpoint image;
+//   * a caller that reads and then writes is still expected: the
+//     flusher leaves its write out of the cycle of the others' only once
+//     the linger ceiling has passed;
 //   * a handler's outgoing call never leaves before its effects do;
 //   * a checkpoint taken while a request's floor and effect are queued
 //     never leaves the effect without its floor, on the primary or on a
@@ -1061,14 +1064,14 @@ TEST(ReplyStreamTest, ACallerThatReadsThenWritesSharesTheCycle) {
   net::Network net;
   net::Machine& server_machine = net.add_machine("server");
   net::Machine& client_machine = net.add_machine("client");
-  CountingService service(server_machine, Port(0xCCCC),
-                          std::make_shared<storage::MemoryBackend>(2), 16, 64);
   using Clock = std::chrono::steady_clock;
-  std::mutex gate_mutex;
+  std::mutex gate_mutex;  // the hook's state outlives the server
   std::condition_variable gate_cv;
   bool gated = false;  // the next cycle waits in the hook until ungated
   bool held = false;
   std::vector<Clock::time_point> written;  // each cycle, in order
+  CountingService service(server_machine, Port(0xCCCC),
+                          std::make_shared<storage::MemoryBackend>(2), 16, 64);
   struct OpenOnExit {  // the server's destructor must not hang on the gate
     std::mutex& mutex;
     std::condition_variable& cv;
