@@ -22,7 +22,8 @@
 //
 // Latency per op class (resolve/read/create/transfer) and goodput are
 // appended as one JSON line to BENCH_cluster.json (see --out), the
-// perf trajectory the repo carries across PRs.  Exit status reflects
+// perf trajectory the repo carries across PRs, stamped with the commit,
+// host cores and build type that produced it (bench/e2e/stamp.hpp).  Exit status reflects
 // the invariants: nonzero means the cluster lost or duplicated money.
 //
 //   cluster_harness [--smoke] [--sessions N] [--clients N] [--out PATH]
@@ -55,6 +56,7 @@
 #include "amoeba/servers/bank_server.hpp"
 #include "amoeba/servers/directory_server.hpp"
 #include "cluster_proto.hpp"
+#include "e2e/stamp.hpp"
 
 namespace amoeba::cluster {
 namespace {
@@ -66,6 +68,9 @@ using Clock = std::chrono::steady_clock;
 constexpr int kHotAccounts = 64;
 constexpr std::int64_t kMintPerAccount = 1'000'000;
 constexpr std::int64_t kTransferAmount = 5;
+/// Worker w draws its sessions from Rng(kLoadSeed + w); the row's stamp
+/// names the base.
+constexpr std::uint64_t kLoadSeed = 1000;
 
 struct Options {
   bool smoke = false;
@@ -412,7 +417,7 @@ int run(const Options& opt) {
   for (int w = 0; w < opt.clients; ++w) {
     workers.emplace_back([&, w] {
       WorkerResult& out = results[static_cast<std::size_t>(w)];
-      Rng rng(1000 + static_cast<std::uint64_t>(w));
+      Rng rng(kLoadSeed + static_cast<std::uint64_t>(w));
       rpc::Transport transport(*worker_machines[static_cast<std::size_t>(w)],
                                2000 + static_cast<std::uint64_t>(w));
       transport.set_retransmit(10ms, 250ms);
@@ -579,18 +584,21 @@ int run(const Options& opt) {
   const double goodput =
       elapsed_s > 0.0 ? static_cast<double>(completed_ops) / elapsed_s : 0.0;
 
-  std::string json;
+  const bench::Stamp stamp =
+      bench::make_stamp(AMOEBA_SOURCE_DIR, AMOEBA_BUILD_TYPE, "file",
+                        opt.smoke ? "smoke" : "full", kLoadSeed);
+  std::string json =
+      "{\"bench\": \"cluster\", \"stamp\": " + bench::to_json(stamp);
   {
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "{\"bench\": \"cluster\", \"mode\": \"%s\", "
+                  ", \"mode\": \"%s\", "
                   "\"servers\": %d, \"sessions\": %d, \"clients\": %d, "
                   "\"crash\": %s, \"elapsed_s\": %.3f, "
                   "\"goodput_ops_per_s\": %.1f",
-                  opt.smoke ? "smoke" : "full", with_directory ? 3 : 2,
-                  opt.sessions, opt.clients, crashed ? "true" : "false",
-                  elapsed_s, goodput);
-    json = buf;
+                  stamp.mode.c_str(), with_directory ? 3 : 2, opt.sessions,
+                  opt.clients, crashed ? "true" : "false", elapsed_s, goodput);
+    json += buf;
     for (std::size_t c = 0; c < merged.size(); ++c) {
       std::vector<double> sorted = merged[c].latencies_us;
       std::sort(sorted.begin(), sorted.end());

@@ -161,6 +161,7 @@ void Service::attach_durability(
     line += " gc.checkpoint_us_max=" + std::to_string(gc.checkpoint_us_max);
     line += " gc.checkpoint_retries=" + std::to_string(gc.checkpoint_retries);
     line += " gc.frame_bytes=" + std::to_string(gc.frame_bytes);
+    line += " gc.pad_bytes=" + std::to_string(gc.pad_bytes);
     const ReplyCacheStats reply = reply_cache_stats();
     line += " reply.floorless_claims=" + std::to_string(reply.floorless_claims);
     line += " reply.barrier_parks=" + std::to_string(reply.barrier_parks);

@@ -22,6 +22,20 @@ namespace {
 
 thread_local RequestScope* innermost_scope = nullptr;
 
+/// The zero bytes that pad a frame of `size` bytes, landing at log offset
+/// `at`, to the end of the page it ends in: the room left there when it
+/// is too small for a frame of the same size (the next cycle's, as
+/// predicted), else none.  The pad fills a page the frame dirties anyway,
+/// so it never adds one.  A frame of a page or more is not padded.
+[[nodiscard]] std::size_t page_pad(std::uint64_t at, std::size_t size) {
+  constexpr std::size_t kPage = GroupCommitter::kPageBytes;
+  if (size >= kPage) {
+    return 0;
+  }
+  const auto room = kPage - static_cast<std::size_t>((at + size) % kPage);
+  return room < size ? room : 0;
+}
+
 }  // namespace
 
 RequestScope::RequestScope() noexcept
@@ -425,12 +439,18 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     std::exception_ptr error;
     std::uint64_t log_bytes = 0;
     std::uint64_t frame_bytes = 0;
+    std::uint64_t pad = 0;
     std::uint64_t checkpoint_us = 0;
     try {
       if (!appends.empty()) {
         frame_.clear();
         encode_frame(++seq_, checkpoint, appends, frame_);
         frame_bytes = frame_.size();
+        // Where the frame lands: behind the log, or behind the header of
+        // a fresh one (a checkpoint always starts one).
+        const std::uint64_t log = checkpoint ? 0 : backend_->log_bytes();
+        pad = page_pad(log == 0 ? kLogHeaderBytes : log, frame_.size());
+        pad_frame(frame_, pad);
         if (checkpoint) {
           const auto start = std::chrono::steady_clock::now();
           backend_->replace_log(frame_);
@@ -474,6 +494,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     stats_.max_group = std::max(stats_.max_group, records);
     stats_.flush_cycle_bytes += bytes;
     stats_.frame_bytes += frame_bytes;
+    stats_.pad_bytes += pad;
     stats_.read_bytes = this_thread_io_counters().read_bytes;
     if (checkpoint) {
       ++stats_.checkpoints;

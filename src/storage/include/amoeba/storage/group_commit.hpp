@@ -21,6 +21,14 @@
 // at kLingerCeiling.  With nobody blocked it lingers to the ceiling, so
 // pipelined mutators get wide cycles.
 //
+// A cycle's write dirties the log pages its frame touches, and each is
+// written back and fsynced (on every backup too).  So a frame shorter
+// than a page (kPageBytes) that leaves its last page too little room for
+// a frame of its own size is padded with zero bytes to that page's end
+// (pad_frame): the next cycle, predicted to be about as large, then
+// starts on a fresh page instead of dirtying two.  The pad only fills a
+// page the frame dirties anyway.  Pacing reads the unpadded size.
+//
 // The flusher also takes the volume's CHECKPOINTS.  Each stream owner
 // registers an imager: CapabilityTable for its shards, rpc::Service
 // for the reply stream.  When a checkpoint is due -- the log has reached
@@ -206,7 +214,9 @@ class GroupCommitter {
   static constexpr std::chrono::microseconds kLingerCeiling{200};
   /// The unit a log write dirties.  A cycle of a page or more came from
   /// pipelined callers, which do not come back one reply later, so the
-  /// next blocked waiter's claim waits for nobody.
+  /// next blocked waiter's claim waits for nobody.  A shorter frame that
+  /// leaves its last page less room than its own size is padded to that
+  /// page's end (Stats::pad_bytes).
   static constexpr std::size_t kPageBytes = 4096;
 
   struct Stats {
@@ -219,6 +229,7 @@ class GroupCommitter {
     std::uint64_t max_group = 0;     // largest single cycle, in records
     std::uint64_t flush_cycle_bytes = 0;  // journal bytes those cycles wrote
     std::uint64_t frame_bytes = 0;  // those cycles' frames, headers included
+    std::uint64_t pad_bytes = 0;    // zero bytes padding them to a page end
     std::uint64_t linger_timeouts = 0;  // claims at kLingerCeiling, waited on
     std::uint64_t blocking_waits = 0;  // wait_durable calls that had to block
     std::uint64_t read_bytes = 0;  // log bytes the flusher read (none)

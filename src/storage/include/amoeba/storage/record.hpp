@@ -10,7 +10,7 @@
 // number, and the serialized payload -- so capabilities issued before the
 // crash validate unchanged after restart.
 //
-// Encoding (on-disk format 8).  A record is `type u8 | object varint |
+// Encoding (on-disk format 9).  A record is `type u8 | object varint |
 // [secret u64, create and rotate only] | lsn varint | payload length
 // varint + bytes`, with no length or checksum of its own: records only
 // ever travel inside a commit.log frame (or a checkpoint frame), whose
@@ -30,6 +30,9 @@
 // group is one commit.log FRAME, numbered by the volume's frame sequence
 // and flagged when it is a checkpoint.  A frame is written to the log and
 // shipped to backups as the same bytes (encode_frame / decode_frame).
+// The group committer may pad a frame with zero bytes to the end of the
+// log page it ends in (pad_frame), so that the next frame starts on a
+// fresh page; a flag says so, and the checksum covers the pad.
 #pragma once
 
 #include <cstdint>
@@ -85,30 +88,39 @@ struct ShardAppend {
 };
 
 /// One decoded commit.log frame: the volume's frame sequence number, the
-/// checkpoint flag, and the group's per-stream runs.
+/// checkpoint flag, the group's per-stream runs, and the zero bytes that
+/// pad its body.
 struct Frame {
   std::uint64_t seq = 0;
   bool checkpoint = false;
   std::vector<ShardAppend> appends;
+  std::size_t pad = 0;
 };
 
 /// Appends one frame to `out`: `length u32 | checksum u32 | body`, the body
 /// `seq u64 | flags u8 | count u32 | count x (stream varint | run length
-/// varint + bytes)`, flags bit 0 the checkpoint flag, the checksum FNV-1a
-/// over the body.
+/// varint + bytes) | pad`, flags bit 0 the checkpoint flag, the checksum
+/// FNV-1a over the body.  The pad is empty here (see pad_frame).
 void encode_frame(std::uint64_t seq, bool checkpoint,
                   std::span<const ShardAppend> appends, Buffer& out);
+
+/// Pads `frame`, which holds exactly one unpadded encode_frame() frame,
+/// with `pad` zero bytes: sets flags bit 1 and re-seals its length and
+/// checksum over the padded body.  No-op for `pad` 0.
+void pad_frame(Buffer& frame, std::size_t pad);
 
 /// Decodes the frame at the front of `bytes` (more may follow it).
 /// Returns its size, or 0 when it is torn, fails its checksum, sets an
 /// unknown flag, or its group body is malformed: a count larger than the
-/// bytes left can hold (2 per entry), a short entry, or trailing bytes.
-/// The runs' records are not parsed here (walk_frames checks them).
+/// bytes left can hold (2 per entry), a short entry, or bytes after the
+/// entries that are not a pad.  A pad is one or more zero bytes, present
+/// exactly when flags bit 1 is set.  The runs' records are not parsed
+/// here (walk_frames checks them).
 [[nodiscard]] std::size_t decode_frame(std::span<const std::uint8_t> bytes,
                                        Frame& out);
 
 /// The on-disk format this build reads and writes.
-inline constexpr std::uint16_t kLogFormat = 8;
+inline constexpr std::uint16_t kLogFormat = 9;
 /// commit.log opens with `magic u32 ("AMCL") | version u16 (kLogFormat)`,
 /// written together with its first frame; an empty log has no header.
 inline constexpr std::size_t kLogHeaderBytes = 6;

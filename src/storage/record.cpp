@@ -12,6 +12,9 @@ constexpr std::uint32_t kSnapshotMagic = 0x414D534Eu;  // "AMSN"
 constexpr std::uint16_t kSnapshotVersion = 2;
 constexpr std::uint32_t kLogMagic = 0x4C434D41u;  // "AMCL"
 constexpr std::uint8_t kCheckpointFlag = 0x01;
+constexpr std::uint8_t kPadFlag = 0x02;  // the body ends in zero padding
+/// Where a frame's flags byte sits: behind length, checksum and seq.
+constexpr std::size_t kFlagsAt = 4 + 4 + 8;
 /// The longest record header: type, object, secret, lsn, payload length.
 constexpr std::size_t kMaxRecordHeader = 1 + 5 + 8 + 10 + 10;
 
@@ -104,8 +107,21 @@ void encode_frame(std::uint64_t seq, bool checkpoint,
   patch_u32(out, frame_at + 4, frame_checksum(body));
 }
 
+void pad_frame(Buffer& frame, std::size_t pad) {
+  if (pad == 0) {
+    return;
+  }
+  frame.at(kFlagsAt) |= kPadFlag;
+  frame.resize(frame.size() + pad, 0);
+  const auto body =
+      std::span<const std::uint8_t>(frame.data() + 8, frame.size() - 8);
+  patch_u32(frame, 0, static_cast<std::uint32_t>(body.size()));
+  patch_u32(frame, 4, frame_checksum(body));
+}
+
 std::size_t decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
   out.appends.clear();
+  out.pad = 0;
   Reader header(bytes);
   const std::uint32_t length = header.u32();
   const std::uint32_t checksum = header.u32();
@@ -123,7 +139,7 @@ std::size_t decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
   const std::uint32_t count = r.u32();
   // Every entry takes at least 2 bytes (stream and run length): a hostile
   // count is rejected before it sizes an allocation.
-  if (!r.ok() || (flags & ~kCheckpointFlag) != 0 ||
+  if (!r.ok() || (flags & ~(kCheckpointFlag | kPadFlag)) != 0 ||
       count > r.remaining() / 2) {
     return 0;
   }
@@ -136,7 +152,17 @@ std::size_t decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
     }
     out.appends.push_back({static_cast<std::size_t>(shard), std::move(run)});
   }
-  return r.exhausted() ? 8 + std::size_t{length} : 0;
+  // What the entries leave of the body is the pad: flagged, non-empty and
+  // all zero, or absent and unflagged.
+  const auto pad = body.last(r.remaining());
+  const bool padded = (flags & kPadFlag) != 0;
+  if (padded == pad.empty() ||
+      std::any_of(pad.begin(), pad.end(),
+                  [](std::uint8_t b) { return b != 0; })) {
+    return 0;
+  }
+  out.pad = pad.size();
+  return 8 + std::size_t{length};
 }
 
 void encode_log_header(Buffer& out) {

@@ -1,11 +1,12 @@
-// A commit.log frame split into its on-disk fields (docs/PROTOCOL.md §8.2,
-// format 8), for field-level fuzzing.  A fuzzer splits a pristine frame,
-// bends one field's bytes, and lays the frame out again: every length that
-// encloses the bent field (a record's payload length, a run's length, the
-// frame's length and checksum) is recomputed unless the bend is that
-// length itself, so the bend reaches the decoder under test instead of
-// tripping the checksum.  The splitter reads only pristine frames; it is
-// not the decoder under test.
+// A commit.log frame split into its on-disk fields (docs/PROTOCOL.md §8.2
+// and §8.5, format 9), for field-level fuzzing.  A fuzzer splits a
+// pristine frame, bends one field's bytes, and lays the frame out again:
+// every length that encloses the bent field (a record's payload length, a
+// run's length, the frame's length and checksum) is recomputed unless the
+// bend is that length itself, so the bend reaches the decoder under test
+// instead of tripping the checksum.  A frame's pad (zero bytes after its
+// runs, announced by flags bit 1) is one more field.  The splitter reads
+// only pristine frames; it is not the decoder under test.
 #pragma once
 
 #include <algorithm>
@@ -48,7 +49,13 @@ struct FrameFields {
   std::uint32_t count = 0;  // laid out as the run count unless `counted`
   bool counted = true;
   std::vector<RunFields> runs;
+  Buffer pad;  // laid out after the runs: zero bytes, with flags bit 1
+  /// Body bytes the frame's length leaves out at its end (a pad that runs
+  /// past the length); the checksum still covers the whole body.
+  std::uint32_t unsized = 0;
 };
+
+inline constexpr std::uint8_t kPadFlag = 0x02;
 
 [[nodiscard]] inline Buffer varint_bytes(std::uint64_t v) {
   Buffer out;
@@ -101,8 +108,10 @@ struct FrameFields {
   (void)storage::decode_frame(frame, decoded);
   FrameFields out;
   out.seq = decoded.seq;
-  out.flags = decoded.checkpoint ? 1 : 0;
+  out.flags = static_cast<std::uint8_t>((decoded.checkpoint ? 1 : 0) |
+                                        (decoded.pad > 0 ? kPadFlag : 0));
   out.count = static_cast<std::uint32_t>(decoded.appends.size());
+  out.pad.assign(decoded.pad, 0);
   for (const storage::ShardAppend& a : decoded.appends) {
     RunFields run;
     run.stream = varint_bytes(a.shard);
@@ -141,8 +150,9 @@ struct FrameFields {
     body.raw(run.sized ? varint_bytes(records.size()) : run.length);
     body.raw(records);
   }
+  body.raw(frame.pad);
   Writer out;
-  out.u32(static_cast<std::uint32_t>(body.buffer().size()));
+  out.u32(static_cast<std::uint32_t>(body.buffer().size() - frame.unsized));
   out.u32(storage::frame_checksum(body.buffer()));
   out.raw(body.buffer());
   return out.take();
@@ -238,6 +248,41 @@ inline void bend_record(RunFields& run, Rng& rng) {
       run.tail = std::move(cut);
       break;
     }
+  }
+}
+
+/// Bends the pad of `frame` to one no decoder may accept, as it would a
+/// trailing byte: a non-zero pad byte, the pad flag with no pad bytes, pad
+/// bytes without the flag, or a pad that runs past the frame's length.
+inline void bend_pad(FrameFields& frame, Rng& rng) {
+  const auto zeros = [&] { return Buffer(1 + rng.below(40), 0); };
+  switch (rng.below(4)) {
+    case 0:
+      frame.flags |= kPadFlag;
+      if (frame.pad.empty()) {
+        frame.pad = zeros();
+      }
+      frame.pad[rng.below(frame.pad.size())] =
+          static_cast<std::uint8_t>(1 + rng.below(255));
+      break;
+    case 1:
+      frame.flags |= kPadFlag;
+      frame.pad.clear();
+      break;
+    case 2:
+      frame.flags &= static_cast<std::uint8_t>(~kPadFlag);
+      if (frame.pad.empty()) {
+        frame.pad = zeros();
+      }
+      break;
+    default:
+      frame.flags |= kPadFlag;
+      if (frame.pad.empty()) {
+        frame.pad = zeros();
+      }
+      frame.unsized =
+          static_cast<std::uint32_t>(1 + rng.below(frame.pad.size()));
+      break;
   }
 }
 

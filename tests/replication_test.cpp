@@ -543,6 +543,9 @@ TEST(ReplicationWireFuzz, BentFieldsNeverCrashOrHalfApply) {
 
 /// A link straight into an in-process applier whose first
 /// `failed_ships` shipments time out, as does every shipment while `down`.
+/// While `gaps` is positive a shipment is answered as a backup that lost
+/// frames answers (conflict), one per count.  `resyncs` counts the resync
+/// shipments the applier was handed.
 class DirectLink final : public ReplicationLink {
  public:
   DirectLink(ReplicaApplier& applier, int failed_ships)
@@ -558,10 +561,21 @@ class DirectLink final : public ReplicationLink {
       --failed_ships_;
       return ErrorCode::timeout;
     }
+    if (gaps.load() > 0) {
+      --gaps;
+      return ErrorCode::conflict;
+    }
+    bool resync = false;
+    std::span<const std::uint8_t> frames;
+    if (decode_shipment(shipment, resync, frames) && resync) {
+      ++resyncs;
+    }
     return applier_->apply_shipment(shipment);
   }
 
   std::atomic<bool> down{false};
+  std::atomic<int> gaps{0};
+  std::atomic<int> resyncs{0};
 
  private:
   ReplicaApplier* applier_;
@@ -610,6 +624,48 @@ TEST(ReplicatedBackendTest, BackupHoldingAnotherVolumesFloorConverges) {
     EXPECT_EQ(applier.applied(), 2u);
     test::expect_backup_is_prefix(*local, *backup);
   }
+}
+
+TEST(ReplicatedBackendTest, PaddedLogsStayAPrefixThroughAResync) {
+  // 120 ack_one cycles of one fixed-size record: the committer pads a
+  // frame to its page end every dozen cycles or so, and the backup writes
+  // the padded frames verbatim.  Halfway a gap (the backup lost frames)
+  // forces a resync, which ships the padded log whole.  The backup's log
+  // is a byte prefix of the primary's -- all of it, once synced -- and
+  // both tails sit at the same page offset.
+  auto local = std::make_shared<MemoryBackend>(1);
+  auto backup = std::make_shared<MemoryBackend>(1);
+  ReplicaApplier applier(backup);
+  auto link = std::make_shared<DirectLink>(applier, 0);
+  auto primary = std::make_shared<ReplicatedBackend>(local, AckMode::ack_one);
+  primary->attach_peer(link);
+  Buffer fixed;
+  encode_record_into(RecordType::mutate, ObjectNumber(1), 0, 1,
+                     Buffer(300, 0x5A), fixed);
+  {
+    GroupCommitter committer(primary);
+    for (int cycle = 0; cycle < 120; ++cycle) {
+      if (cycle == 60) {
+        link->gaps = 1;
+      }
+      committer.wait_durable(committer.enqueue(0, fixed));
+    }
+    EXPECT_GT(committer.stats().pad_bytes, 0u);
+  }
+  ASSERT_TRUE(synced(*primary)) << "the backup never caught up";
+  EXPECT_EQ(link->gaps.load(), 0);
+  EXPECT_EQ(link->resyncs.load(), 2) << "the attach's resync and the gap's";
+  test::expect_backup_is_prefix(*local, *backup);
+  EXPECT_EQ(backup->log_bytes() % GroupCommitter::kPageBytes,
+            local->log_bytes() % GroupCommitter::kPageBytes);
+  int padded = 0;
+  (void)walk_frames(
+      log_frames(backup->read_log()), 1,
+      [&](const Frame& frame, std::span<const std::uint8_t>) {
+        padded += frame.pad > 0 ? 1 : 0;
+      },
+      nullptr);
+  EXPECT_GE(padded, 5) << "the backup's log holds too few padded frames";
 }
 
 TEST(ReplicatedBackendTest, DeadBackupBacklogIsBoundedByTheLog) {

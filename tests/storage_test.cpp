@@ -168,8 +168,49 @@ TEST(RecordCodec, CorruptChecksumEndsTheParse) {
   EXPECT_EQ(records[0].object.value(), 1u);
 }
 
+TEST(RecordCodec, APadIsZeroBytesItsFlagAnnounces) {
+  // A padded frame decodes whole, its pad counted and its runs as encoded,
+  // and the frame behind it still parses.  Each bend of the pad is refused
+  // as a trailing byte is: a non-zero pad byte, the flag with no pad
+  // bytes, pad bytes without the flag, a pad past the frame's length.
+  Buffer run;
+  encode({RecordType::create, ObjectNumber(1), 11, 1, Buffer{4}}, run);
+  const Buffer plain = frame_of_run(1, run);
+  Buffer padded = plain;
+  pad_frame(padded, 37);
+  Frame decoded;
+  ASSERT_EQ(decode_frame(padded, decoded), plain.size() + 37);
+  EXPECT_EQ(decoded.pad, 37u);
+  ASSERT_EQ(decoded.appends.size(), 1u);
+  EXPECT_EQ(decoded.appends[0].bytes, run);
+  EXPECT_EQ(recovered_records(padded + frame_of_run(2, run)).size(), 2u);
+
+  const test::FrameFields fields = test::split_frame(padded);
+  ASSERT_EQ(test::lay_out(fields), padded);
+  const auto refused = [&](const test::FrameFields& bent, const char* what) {
+    const Buffer bytes = test::lay_out(bent);
+    EXPECT_EQ(decode_frame(bytes, decoded), 0u) << what;
+    EXPECT_TRUE(recovered_records(bytes).empty()) << what;
+  };
+  test::FrameFields bent = fields;
+  bent.pad[20] = 1;
+  refused(bent, "a non-zero pad byte");
+  bent = fields;
+  bent.pad.clear();
+  refused(bent, "the flag with no pad bytes");
+  bent = fields;
+  bent.flags = 0;
+  refused(bent, "pad bytes without the flag");
+  bent = fields;
+  bent.unsized = 5;
+  refused(bent, "a pad past the frame's length");
+  bent = test::split_frame(plain);
+  bent.pad = {0};
+  refused(bent, "a trailing byte");
+}
+
 TEST(RecordCodec, EveryMalformedFieldIsRefusedOrRoundTrips) {
-  // Each bend of a format-8 record either refuses the run (peek_record,
+  // Each bend of a record either refuses the run (peek_record,
   // whole_records and decode_journal agree) or decodes to records that
   // re-encode to the same bytes.
   const auto refused = [](const Buffer& run) {
@@ -673,10 +714,11 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   // Field-level mutation of a commit.log frame that carries images: bend
   // the frame's sequence number or flags, the group count, a stream index,
   // a run length, a record's field (test::bend_record: its type, object,
-  // lsn, payload length or secret, or a run cut inside a varint), or a
-  // field inside an image (its magic, applied LSN or slot count); the
-  // frame is laid out again and re-sealed so the bend reaches the
-  // decoders.  Recovery must never crash, and the volume reads back as the
+  // lsn, payload length or secret, or a run cut inside a varint), a
+  // field inside an image (its magic, applied LSN or slot count), or the
+  // pad (a well-formed one, or test::bend_pad's, which alone must drop
+  // the frame); the frame is laid out again and re-sealed so the bend
+  // reaches the decoders.  Recovery must never crash, and the volume reads back as the
   // first frame alone or as both frames whole: exactly what a memory
   // volume holds after the same frames, each run re-encoding to its own
   // bytes.  A sealed frame that names a stream the volume lacks, breaks
@@ -724,12 +766,15 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   int whole = 0;
   int dropped = 0;
   int refused = 0;
+  int bent_pads = 0;
   for (int iter = 0; iter < 500; ++iter) {
     test::FrameFields bent_fields = fields;
-    for (std::uint64_t m = 1 + rng.below(2); m > 0; --m) {
+    const std::uint64_t bends = 1 + rng.below(2);
+    bool pad_bent = false;
+    for (std::uint64_t m = bends; m > 0; --m) {
       test::RunFields& run =
           bent_fields.runs[rng.below(bent_fields.runs.size())];
-      switch (rng.below(8)) {
+      switch (rng.below(10)) {
         case 0:
           bent_fields.counted = false;
           bent_fields.count = bent_u32(3);
@@ -761,6 +806,15 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
         case 5:
           bent_fields.seq = rng.below(2) == 0 ? bent_u32(2) : rng.next();
           break;
+        case 6:
+          test::bend_pad(bent_fields, rng);
+          pad_bent = true;
+          break;
+        case 7:
+          // A well-formed pad: the frame stays whole.
+          bent_fields.flags |= test::kPadFlag;
+          bent_fields.pad.assign(1 + rng.below(64), 0);
+          break;
         default: {
           // The checkpoint flag, or a flag no format defines.
           const std::uint8_t flags[] = {1, 2, 0x80,
@@ -773,6 +827,10 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
     const Buffer bent = test::lay_out(bent_fields);
     Frame decoded;
     const bool parses = decode_frame(bent, decoded) == bent.size();
+    if (pad_bent && bends == 1) {
+      EXPECT_FALSE(parses) << "a bent pad was accepted";
+      ++bent_pads;
+    }
     const bool foreign =
         parses && (decoded.seq != 2 ||
                    std::any_of(decoded.appends.begin(), decoded.appends.end(),
@@ -827,8 +885,9 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   EXPECT_GT(whole, 0);
   EXPECT_GT(dropped, 0);
   EXPECT_GT(refused, 0);
-  std::printf("bent frames: %d whole, %d dropped, %d refused\n", whole,
-              dropped, refused);
+  EXPECT_GT(bent_pads, 0);
+  std::printf("bent frames: %d whole, %d dropped, %d refused (%d bent pads)\n",
+              whole, dropped, refused, bent_pads);
   std::filesystem::remove_all(dir);
 }
 
@@ -1293,6 +1352,38 @@ TEST(FileBackendTest, Format7CommitLogIsRefusedByNameUntouched) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FileBackendTest, Format8CommitLogIsRefusedByNameUntouched) {
+  // A format-8 commit.log -- the AMCL header at version 8, then a frame
+  // format 9 would also write, then a torn byte -- is refused with a
+  // UsageError naming format 8, and never cut: an older binary's log is
+  // not a torn tail.
+  const auto dir = fresh_dir("legacy-v8");
+  std::filesystem::create_directories(dir);
+  Buffer log;
+  encode_log_header(log);
+  ASSERT_EQ(log.at(4), 9u);
+  log.at(4) = 8;
+  const Buffer first = frame_of_run(1, frame(1, 1));
+  log.insert(log.end(), first.begin(), first.end());
+  log.push_back(0xEE);
+  write_file(dir / "commit.log", log);
+  try {
+    FileBackend backend(dir, 1);
+    ADD_FAILURE() << "a format-8 commit.log was opened";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("commit.log"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("on-disk format 8 commit log"),
+              std::string::npos)
+        << e.what();
+  }
+  std::ifstream in(dir / "commit.log", std::ios::binary);
+  const Buffer after{std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()};
+  EXPECT_EQ(after, log) << "the refused log was touched";
+  std::filesystem::remove_all(dir);
+}
+
 TEST(GroupCommitTest, WaitCoversEveryEarlierTicket) {
   auto backend = std::make_shared<MemoryBackend>(4);
   GroupCommitter committer(backend);
@@ -1655,6 +1746,137 @@ TEST(GroupCommitTest, ACycleOfImagesReleasesNoCallers) {
   EXPECT_EQ(committer.stats().groups, image_cycles + 1);
 }
 
+/// A frame of a log, where it starts and as decoded.
+struct PlacedFrame {
+  std::size_t at = 0;    // log offset of its first byte
+  std::size_t size = 0;  // its bytes, pad included
+  Frame frame;
+};
+
+/// Every whole frame of `log`, in log order.
+[[nodiscard]] std::vector<PlacedFrame> placed_frames(const Buffer& log) {
+  std::vector<PlacedFrame> placed;
+  std::size_t at = kLogHeaderBytes;
+  (void)walk_frames(
+      log_frames(log), 1,
+      [&](const Frame& frame, std::span<const std::uint8_t> bytes) {
+        placed.push_back({at, bytes.size(), frame});
+        at += bytes.size();
+      },
+      nullptr);
+  return placed;
+}
+
+/// True when the frame's bytes, pad included, span two or more pages.
+[[nodiscard]] bool crosses_a_page(const PlacedFrame& p) {
+  constexpr std::size_t kPage = GroupCommitter::kPageBytes;
+  return p.at / kPage != (p.at + p.size - 1) / kPage;
+}
+
+/// True when the frame is padded and its pad ends at a page end.
+[[nodiscard]] bool padded_to_a_page_end(const PlacedFrame& p) {
+  return p.frame.pad > 0 && (p.at + p.size) % GroupCommitter::kPageBytes == 0;
+}
+
+TEST(GroupCommitTest, NoFrameShorterThanAPageCrossesAPageEnd) {
+  // 240 single-waiter cycles of one fixed-size record: every frame is the
+  // same size, so a frame that leaves its page too little room for the
+  // next is padded to the page end.  No frame after the first crosses a
+  // page boundary, each pad is shorter than its frame (so no page holds
+  // more than one frame of pad), and Stats::pad_bytes counts them all.
+  auto backend = std::make_shared<MemoryBackend>(1);
+  GroupCommitter committer(backend);
+  constexpr std::size_t kCycles = 240;
+  const Buffer record = padded_frame(1, 340);
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    committer.wait_durable(committer.enqueue(0, record));
+  }
+  const Buffer log = backend->read_log();
+  const std::vector<PlacedFrame> placed = placed_frames(log);
+  ASSERT_EQ(placed.size(), kCycles);
+  ASSERT_EQ(placed.back().at + placed.back().size, log.size());
+  const std::size_t frame_size = placed[0].size - placed[0].frame.pad;
+  std::uint64_t pad_bytes = 0;
+  std::size_t padded = 0;
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    const PlacedFrame& p = placed[i];
+    ASSERT_EQ(p.size - p.frame.pad, frame_size) << "frame " << p.frame.seq;
+    EXPECT_TRUE(i == 0 || !crosses_a_page(p))
+        << "frame " << p.frame.seq << " at byte " << p.at << " ("
+        << p.size << " bytes) crosses a page boundary";
+    EXPECT_LT(p.frame.pad, frame_size) << "frame " << p.frame.seq;
+    if (p.frame.pad > 0) {
+      EXPECT_TRUE(padded_to_a_page_end(p)) << "frame " << p.frame.seq;
+      ++padded;
+    }
+    pad_bytes += p.frame.pad;
+  }
+  ASSERT_LT(frame_size, GroupCommitter::kPageBytes);
+  const std::size_t pages = log.size() / GroupCommitter::kPageBytes + 1;
+  EXPECT_GE(padded, pages - 2) << "the pad rule fired too seldom";
+  EXPECT_LE(pad_bytes, pages * frame_size);
+  EXPECT_EQ(committer.stats().pad_bytes, pad_bytes);
+  EXPECT_EQ(committer.stats().frame_bytes + pad_bytes,
+            log.size() - kLogHeaderBytes)
+      << "frame_bytes counts the unpadded frames";
+}
+
+TEST(CommitLogTest, ACrashCutInsideAPadRecoversTheFrameBeforeIt) {
+  // A crash image cut inside a padded frame's pad: the frame is torn, so
+  // recovery keeps the frames before it and the open cuts the log back to
+  // where it started.  A committer on the reopened volume appends from
+  // the cut and pads to page ends as before, and a third open recovers
+  // every frame it wrote.
+  const auto dir = fresh_dir("commit-pad-cut");
+  const auto path = dir / "commit.log";
+  const Buffer record = padded_frame(1, 340);
+  std::size_t written = 0;
+  {
+    auto backend = std::make_shared<FileBackend>(dir, 1);
+    GroupCommitter committer(backend);
+    while (committer.stats().pad_bytes == 0) {
+      ASSERT_LT(written, 100u) << "no frame was padded";
+      committer.wait_durable(committer.enqueue(0, record));
+      ++written;
+    }
+  }
+  std::vector<PlacedFrame> placed =
+      placed_frames(FileBackend(dir, 1).read_log());
+  ASSERT_EQ(placed.size(), written);
+  const PlacedFrame torn = placed.back();
+  ASSERT_GT(torn.frame.pad, 0u);
+  std::filesystem::resize_file(path,
+                               torn.at + torn.size - (torn.frame.pad + 1) / 2);
+  {
+    auto backend = std::make_shared<FileBackend>(dir, 1);
+    EXPECT_EQ(backend->last_seq(), torn.frame.seq - 1);
+    EXPECT_EQ(backend->log_bytes(), torn.at) << "the torn pad was not cut";
+    EXPECT_EQ(decode_journal(backend->read_journal(0)).size(), written - 1);
+    --written;
+    GroupCommitter committer(backend);
+    while (committer.stats().pad_bytes == 0 ||
+           committer.stats().groups < 30) {
+      committer.wait_durable(committer.enqueue(0, record));
+      ++written;
+    }
+  }
+  placed = placed_frames(FileBackend(dir, 1).read_log());
+  ASSERT_EQ(placed.size(), written);
+  EXPECT_EQ(placed.back().at + placed.back().size,
+            std::filesystem::file_size(path));
+  std::size_t padded = 0;
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    const PlacedFrame& p = placed[i];
+    EXPECT_EQ(p.frame.seq, i + 1);
+    EXPECT_FALSE(crosses_a_page(p)) << "frame " << p.frame.seq;
+    EXPECT_TRUE(p.frame.pad == 0 || padded_to_a_page_end(p))
+        << "frame " << p.frame.seq;
+    padded += p.frame.seq >= torn.frame.seq && p.frame.pad > 0 ? 1 : 0;
+  }
+  EXPECT_GE(padded, 2u) << "the reopened volume padded too few frames";
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace amoeba::storage
 
@@ -1748,10 +1970,18 @@ TEST(DurableStore, EmittedLogBytesArePinned) {
   store.compact();
   const Buffer images = backend->read_log();
 
+  // Format 9 adds the frame pad and nothing else: these logs are too short
+  // to pad, so with the header's version byte (byte 4) set back to 8 they
+  // are the format-8 bytes, hashes and sizes as pinned there.
+  const auto as_format_8 = [](Buffer log) {
+    EXPECT_EQ(log.at(4), 9u) << "the header does not name format 9";
+    log.at(4) = 8;
+    return log;
+  };
   EXPECT_EQ(records.size(), 405u);
-  EXPECT_EQ(fnv64(records), 16503754251737593338ULL);
+  EXPECT_EQ(fnv64(as_format_8(records)), 16503754251737593338ULL);
   EXPECT_EQ(images.size(), 193u);
-  EXPECT_EQ(fnv64(images), 634133451901284128ULL);
+  EXPECT_EQ(fnv64(as_format_8(images)), 634133451901284128ULL);
 }
 
 TEST(DurableStore, RecoversObjectsSecretsAndFreeList) {
