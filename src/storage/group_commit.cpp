@@ -449,7 +449,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
         // Where the frame lands: behind the log, or behind the header of
         // a fresh one (a checkpoint always starts one).
         const std::uint64_t log = checkpoint ? 0 : backend_->log_bytes();
-        pad = page_pad(log == 0 ? kLogHeaderBytes : log, frame_.size());
+        pad = page_pad(log == 0 ? kLogHeaderBytes : log, frame_bytes);
         pad_frame(frame_, pad);
         if (checkpoint) {
           const auto start = std::chrono::steady_clock::now();
