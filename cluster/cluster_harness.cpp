@@ -23,8 +23,9 @@
 // Latency per op class (resolve/read/create/transfer) and goodput are
 // appended as one JSON line to BENCH_cluster.json (see --out), the
 // perf trajectory the repo carries across PRs, stamped with the commit,
-// host cores and build type that produced it (bench/e2e/stamp.hpp).  Exit status reflects
-// the invariants: nonzero means the cluster lost or duplicated money.
+// host cores and build type that produced it (bench/e2e/stamp.hpp).
+// Exit status reflects the invariants: nonzero means the cluster lost or
+// duplicated money.
 //
 //   cluster_harness [--smoke] [--sessions N] [--clients N] [--out PATH]
 //                   [--no-crash] [--keep]

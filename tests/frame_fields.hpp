@@ -255,13 +255,12 @@ inline void bend_record(RunFields& run, Rng& rng) {
 /// trailing byte: a non-zero pad byte, the pad flag with no pad bytes, pad
 /// bytes without the flag, or a pad that runs past the frame's length.
 inline void bend_pad(FrameFields& frame, Rng& rng) {
-  const auto zeros = [&] { return Buffer(1 + rng.below(40), 0); };
+  if (frame.pad.empty()) {
+    frame.pad.assign(1 + rng.below(40), 0);
+  }
   switch (rng.below(4)) {
     case 0:
       frame.flags |= kPadFlag;
-      if (frame.pad.empty()) {
-        frame.pad = zeros();
-      }
       frame.pad[rng.below(frame.pad.size())] =
           static_cast<std::uint8_t>(1 + rng.below(255));
       break;
@@ -271,15 +270,9 @@ inline void bend_pad(FrameFields& frame, Rng& rng) {
       break;
     case 2:
       frame.flags &= static_cast<std::uint8_t>(~kPadFlag);
-      if (frame.pad.empty()) {
-        frame.pad = zeros();
-      }
       break;
     default:
       frame.flags |= kPadFlag;
-      if (frame.pad.empty()) {
-        frame.pad = zeros();
-      }
       frame.unsized =
           static_cast<std::uint32_t>(1 + rng.below(frame.pad.size()));
       break;

@@ -718,13 +718,13 @@ TEST(CommitLogFuzz, BentImageFramesRecoverWholeOrNotAtAll) {
   // field inside an image (its magic, applied LSN or slot count), or the
   // pad (a well-formed one, or test::bend_pad's, which alone must drop
   // the frame); the frame is laid out again and re-sealed so the bend
-  // reaches the decoders.  Recovery must never crash, and the volume reads back as the
-  // first frame alone or as both frames whole: exactly what a memory
-  // volume holds after the same frames, each run re-encoding to its own
-  // bytes.  A sealed frame that names a stream the volume lacks, breaks
-  // the numbering or holds a record that does not parse is no crash
-  // artifact: the volume is refused by name, and its log is left as it
-  // was.  AMOEBA_TEST_SEED picks the bends.
+  // reaches the decoders.  Recovery must never crash, and the volume
+  // reads back as the first frame alone or as both frames whole: exactly
+  // what a memory volume holds after the same frames, each run
+  // re-encoding to its own bytes.  A sealed frame that names a stream the
+  // volume lacks, breaks the numbering or holds a record that does not
+  // parse is no crash artifact: the volume is refused by name, and its
+  // log is left as it was.  AMOEBA_TEST_SEED picks the bends.
   Rng rng(test::seed_base(20) * 0x9E3779B97F4A7C15ULL + 20);
   const auto dir = fresh_dir("commit-image-fuzz");
   const auto log = dir / "commit.log";
